@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -16,7 +16,11 @@ GO ?= go
 # model checkers a short adversarial pass,
 # and bench-ratchet re-measures every directional metric row of the committed
 # BENCH_*.json artifacts and fails on a >10% regression.
-check: vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short bench-ratchet
+check: fmt-check vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short bench-ratchet
+
+# Every .go file is gofmt-clean (gofmt -l prints the offenders).
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -112,17 +116,19 @@ parallel-oracle:
 # be bitwise repeatable and the full report — offered load, goodput, sojourn
 # histograms, queue depths, planner epochs, logical trace digests — invariant
 # across fault-pipeline worker counts {1,2,4,8}, for every scenario × planner
-# cell; and the arrival schedules themselves must be split/merge-invariant.
+# cell; the arrival schedules themselves must be split/merge-invariant, and
+# equal to the reference-bisection schedules timestamp for timestamp
+# (TestInvCum*: guess-and-verify inversion moves no arrival).
 # (The churn-vs-core.NewParallel race leg of scenariotest runs under -race
 # via check-race.)
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
-	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun'
+	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the ghost-LRU working-set estimator, the cluster pool's rendezvous
-# key-routing invariants, and the open-loop arrival schedules' monotonicity
-# and split/merge invariance.
+# key-routing invariants, and the open-loop arrival schedules' monotonicity,
+# split/merge invariance and equality with the reference-bisection schedule.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s

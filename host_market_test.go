@@ -259,10 +259,10 @@ func TestNewHostTenantValidation(t *testing.T) {
 		{"duplicate ID", HostConfig{
 			Tenants: []TenantSpec{{ID: "a", VM: vm}, {ID: "a", VM: vm}}, TotalLocalPages: 16}},
 		{"floor above ceiling", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{FloorPages: 8, CeilPages: 4}}},
+			Tenants:         []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{FloorPages: 8, CeilPages: 4}}},
 			TotalLocalPages: 16}},
 		{"negative SLO", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{SLO: -1}}},
+			Tenants:         []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{SLO: -1}}},
 			TotalLocalPages: 16}},
 		{"two planners", HostConfig{
 			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -17,7 +16,9 @@ import (
 // Scheduler is not safe for concurrent use: like Clock, it belongs to one
 // single-threaded simulation loop (DESIGN.md §5, §9).
 type Scheduler struct {
-	events eventHeap
+	// events is a binary min-heap on (At, seq), sifted in place: no
+	// container/heap, whose interface{} Push/Pop boxes every Event.
+	events []Event
 	nextID uint64
 	now    time.Duration
 }
@@ -35,23 +36,12 @@ type Event struct {
 	seq uint64
 }
 
-type eventHeap []Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// less orders events by (At, seq); seq is unique, so the order is total.
+func (e *Event) less(o *Event) bool {
+	if e.At != o.At {
+		return e.At < o.At
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // NewScheduler returns an empty queue at virtual time zero.
@@ -73,7 +63,17 @@ func (s *Scheduler) Schedule(at time.Duration, stream int, fn func(now time.Dura
 		panic(fmt.Sprintf("clock: scheduling event at %v, before current time %v", at, s.now))
 	}
 	s.nextID++
-	heap.Push(&s.events, Event{At: at, Stream: stream, Run: fn, seq: s.nextID})
+	h := append(s.events, Event{At: at, Stream: stream, Run: fn, seq: s.nextID})
+	s.events = h
+	// Sift the new event up.
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // Step pops and runs the earliest event, returning false when the queue is
@@ -82,7 +82,22 @@ func (s *Scheduler) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(Event)
+	h := s.events
+	e := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = Event{} // do not pin the popped closure
+	s.events = h[:n]
+	// Sift the moved event down: c is the lesser child of i.
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && h[c+1].less(&h[c]) {
+			c++
+		}
+		if !h[c].less(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 	s.now = e.At
 	e.Run(e.At)
 	return true

@@ -28,8 +28,8 @@ import (
 	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/hotset"
-	"fluidmem/internal/market"
 	"fluidmem/internal/kvstore"
+	"fluidmem/internal/market"
 	"fluidmem/internal/trace"
 )
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 	"time"
 
@@ -81,8 +82,10 @@ type writeback struct {
 
 	// inflight maps keys of submitted writes to their completion time. A
 	// flush is one store-level MultiPut regardless of which shards fed it,
-	// so completion tracking stays global.
+	// so completion tracking stays global. minDone is a lower bound on the
+	// completion times in it — the watermark gc checks before it sweeps.
 	inflight map[kvstore.Key]time.Duration
+	minDone  time.Duration
 
 	flushes      uint64
 	flushedPages uint64
@@ -250,6 +253,9 @@ func (w *writeback) Flush(now time.Duration) error {
 	if w.tr != nil {
 		w.tr.Emit(trace.EvFlush, 0, 0, now, done-now, strconv.Itoa(len(batch)))
 	}
+	if len(w.inflight) == 0 || done < w.minDone {
+		w.minDone = done
+	}
 	for _, pw := range batch {
 		delete(w.shardOf(pw.key), pw.key)
 		w.inflight[pw.key] = done
@@ -408,14 +414,25 @@ func (w *writeback) Drain(now time.Duration) (time.Duration, error) {
 		}
 	}
 	w.inflight = make(map[kvstore.Key]time.Duration, 2*w.batchSize)
+	w.minDone = 0
 	return latest, nil
 }
 
-// gc retires inflight records whose writes completed before now.
+// gc retires inflight records whose writes completed by now. It runs on
+// every Enqueue and Steal, so it sweeps only once now has reached the
+// watermark — a minimum, recomputed over the survivors, because completion
+// times are not monotone across flushes (replicated and cluster stores).
 func (w *writeback) gc(now time.Duration) {
+	if len(w.inflight) == 0 || now < w.minDone {
+		return
+	}
+	least := time.Duration(math.MaxInt64)
 	for key, done := range w.inflight {
 		if done <= now {
 			delete(w.inflight, key)
+		} else if done < least {
+			least = done
 		}
 	}
+	w.minDone = least
 }

@@ -270,3 +270,124 @@ func TestWritebackDiscardQueued(t *testing.T) {
 		t.Fatal("discarded write hit the store")
 	}
 }
+
+// scriptedStore completes each MultiPut after the next scripted delay, so a
+// later flush can finish before an earlier one — as replica and cluster
+// pools do, where completion depends on which members a batch lands on.
+type scriptedStore struct {
+	kvstore.Store
+	delays []time.Duration
+}
+
+func (s *scriptedStore) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
+	if _, err := s.Store.MultiPut(now, keys, pages); err != nil {
+		return now, err
+	}
+	d := s.delays[0]
+	s.delays = s.delays[1:]
+	return now + d, nil
+}
+
+// TestWritebackGCNonMonotoneCompletions holds the watermarked gc to the
+// full sweep it replaced: after every Enqueue the in-flight table must be
+// exactly the flushed keys whose completion time is still ahead, when
+// completion times are not monotone across flushes.
+func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
+	const us = time.Microsecond
+	store := &scriptedStore{Store: dram.New(dram.DefaultParams(), 1)}
+	w := newWriteback(store, 2) // flush every second enqueue
+	model := map[kvstore.Key]time.Duration{}
+	enqueue := func(now time.Duration, i int) {
+		t.Helper()
+		key := kvstore.Key(i << 12)
+		flushing := w.QueuedLen() == 1 && !w.Queued(key)
+		var batch []kvstore.Key
+		if flushing {
+			for k := range w.shards[0] {
+				batch = append(batch, k)
+			}
+			batch = append(batch, key)
+		}
+		if _, err := w.Enqueue(now, key, uint64(i<<12), page(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		// The full sweep, then the flush's records.
+		for k, done := range model {
+			if done <= now {
+				delete(model, k)
+			}
+		}
+		for _, k := range batch {
+			model[k] = w.inflight[k]
+		}
+		if len(w.inflight) != len(model) {
+			t.Fatalf("at %v: %d keys in flight, full sweep leaves %d", now, len(w.inflight), len(model))
+		}
+		for k, done := range model {
+			if got, ok := w.inflight[k]; !ok || got != done {
+				t.Fatalf("at %v: key %#x in flight until %v (present %v), full sweep says %v", now, uint64(k), got, ok, done)
+			}
+		}
+	}
+
+	// The second flush (at 10 µs, done at 50 µs) lands before the first (at
+	// 0, done at 100 µs): the watermark has to follow it down.
+	store.delays = []time.Duration{100 * us, 40 * us}
+	enqueue(0, 0)
+	enqueue(0, 1)
+	enqueue(10*us, 2)
+	enqueue(10*us, 3)
+	if w.minDone != 50*us {
+		t.Fatalf("watermark %v after an earlier-finishing flush, want 50µs", w.minDone)
+	}
+	enqueue(49*us, 4) // nothing due
+	if len(w.inflight) != 4 {
+		t.Fatalf("%d in flight at 49µs, want 4", len(w.inflight))
+	}
+	store.delays = []time.Duration{us}
+	enqueue(50*us, 5) // retires keys 2 and 3, then flushes 4 and 5 until 51 µs
+	if _, ok := w.inflight[kvstore.Key(2<<12)]; ok || len(w.inflight) != 4 {
+		t.Fatalf("at 50µs: %d in flight, key 2 present %v; want keys 0,1,4,5", len(w.inflight), ok)
+	}
+
+	// A long scripted run: delays jump around, keys recur (a re-flushed key
+	// moves its completion time both ways), time advances unevenly.
+	r := uint64(12345)
+	next := func(n int) int {
+		r = r*6364136223846793005 + 1442695040888963407
+		return int(r>>33) % n
+	}
+	now := 50 * us
+	for step := 0; step < 2000; step++ {
+		store.delays = append(store.delays[:0], time.Duration(1+next(200))*us)
+		now += time.Duration(next(60)) * us
+		enqueue(now, next(24))
+	}
+
+	done, err := w.Drain(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.inflight) != 0 || w.minDone != 0 || done < now {
+		t.Fatalf("drain left %d in flight, watermark %v, done %v", len(w.inflight), w.minDone, done)
+	}
+}
+
+// BenchmarkWritebackEnqueueFlush is the write list's ledger row: one evicted
+// page enqueued per op, a 32-page MultiPut flushed every 32nd, and the gc
+// check that rides every enqueue.
+func BenchmarkWritebackEnqueueFlush(b *testing.B) {
+	store := dram.New(dram.DefaultParams(), 1)
+	w := newWriteback(store, 32)
+	data := page(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		key := kvstore.Key((i & 1023) << 12)
+		if _, err := w.Enqueue(now, key, uint64(key), data); err != nil {
+			b.Fatal(err)
+		}
+		now += 500 * time.Nanosecond
+	}
+}

@@ -68,6 +68,10 @@ type segment struct {
 	entries []logEntry
 	live    int
 	sealed  bool
+	// released is the entry count of a sealed segment whose entries all
+	// died and whose array went back to Store.freeEntries; the record
+	// itself stays in the log's accounting.
+	released int
 }
 
 type logEntry struct {
@@ -96,6 +100,12 @@ type Store struct {
 	// steady-state overwrite path (kill old version, append new) reuses
 	// memory instead of allocating a fresh page per write.
 	freeBufs [][]byte
+	// freeEntries recycles the entry arrays of sealed segments that died
+	// completely: log metadata stays bounded by the live set even when the
+	// cleaner never runs (the default 25 GB nominal capacity is never
+	// reached). entryArrays counts the arrays ever allocated (test hook).
+	freeEntries [][]logEntry
+	entryArrays int
 }
 
 var _ kvstore.Store = (*Store)(nil)
@@ -230,7 +240,7 @@ func (s *Store) Utilization() float64 {
 		if !seg.sealed {
 			continue
 		}
-		total += len(seg.entries)
+		total += len(seg.entries) + seg.released
 		live += seg.live
 	}
 	if total == 0 {
@@ -278,8 +288,16 @@ func (s *Store) killEntry(ref entryRef) {
 			s.freeBufs = append(s.freeBufs, e.data)
 		}
 		e.data = nil
-		ref.segment.live--
+		seg := ref.segment
+		seg.live--
 		s.stats.BytesStored -= kvstore.PageSize
+		if seg.sealed && seg.live == 0 {
+			// Nothing can reach these entries any more — the index only
+			// points at live ones — and dying dropped their payloads.
+			seg.released = len(seg.entries)
+			s.freeEntries = append(s.freeEntries, seg.entries[:0])
+			seg.entries = nil
+		}
 	}
 }
 
@@ -317,7 +335,13 @@ func (s *Store) clean() {
 
 func (s *Store) rollHead() {
 	s.nextSeg++
-	s.head = &segment{id: s.nextSeg, entries: make([]logEntry, 0, entriesPerSegment)}
+	if len(s.freeEntries) == 0 {
+		s.freeEntries = append(s.freeEntries, make([]logEntry, 0, entriesPerSegment))
+		s.entryArrays++
+	}
+	last := len(s.freeEntries) - 1
+	s.head = &segment{id: s.nextSeg, entries: s.freeEntries[last]}
+	s.freeEntries = s.freeEntries[:last]
 	s.segments = append(s.segments, s.head)
 }
 

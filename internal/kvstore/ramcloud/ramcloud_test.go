@@ -162,3 +162,79 @@ func TestMultiPutFasterThanSerialWrites(t *testing.T) {
 		t.Fatalf("amortised write cost %v/page, want well under one RTT", perPage)
 	}
 }
+
+// TestOverwriteLogMetadataBoundedByLiveSet pins the fix for the log-metadata
+// leak. At the default 25 GB nominal capacity the cleaner never runs, so a
+// steady overwrite workload seals one fully dead segment after another; each
+// used to keep its 2016-entry array for ever (≈29 MiB per million writes).
+// The arrays are now recycled, so the number ever allocated tracks the live
+// set, while the log's accounting — segment records, utilization, and with
+// them logBytes, clean() and the ErrOutOfMemory point — reads exactly as it
+// did (the SegmentCount and Utilization below are what the leaking store
+// reported: 125 and 0.019937275985663083).
+func TestOverwriteLogMetadataBoundedByLiveSet(t *testing.T) {
+	const keys, rounds = 5000, 50
+	s := New(DefaultParams(), 9)
+	page := storetest.Page(7)
+	now := time.Duration(0)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < keys; i++ {
+			key := kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1)
+			done, err := s.Put(now, key, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+		}
+	}
+	// 250 000 appends: 124 sealed segments and 16 entries in the head, all
+	// live; the other 4984 live entries sit in sealed segments.
+	if got, want := s.SegmentCount(), 125; got != want {
+		t.Fatalf("SegmentCount = %d, want %d: released segments must stay in the log's accounting", got, want)
+	}
+	if got, want := s.Utilization(), 4984.0/(124*entriesPerSegment); got != want {
+		t.Fatalf("Utilization = %v, want %v", got, want)
+	}
+	if s.Cleanings() != 0 {
+		t.Fatalf("cleaner ran %d times at default capacity", s.Cleanings())
+	}
+	// The live set spans ⌈5000/2016⌉ = 3 segments' worth of entries; a
+	// segment dies once the next round has rewritten all of its keys, so at
+	// most one more is partly dead, plus the head.
+	liveSegments := (keys + entriesPerSegment - 1) / entriesPerSegment
+	if s.entryArrays > liveSegments+2 {
+		t.Fatalf("%d entry arrays allocated for %d segments of live data (%d segments rolled)",
+			s.entryArrays, liveSegments, s.SegmentCount())
+	}
+	for i := 0; i < keys; i += 61 {
+		key := kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1)
+		got, _, err := s.Get(now, key)
+		if err != nil || !bytes.Equal(got, page) {
+			t.Fatalf("key %d unreadable after %d overwrite rounds: %v", i, rounds, err)
+		}
+	}
+}
+
+// BenchmarkRamcloudOverwrite is the log's ledger row for the write-back
+// path: one Put per op over a fixed key set, so every op kills an entry,
+// appends one, and every 2016th rolls the head.
+func BenchmarkRamcloudOverwrite(b *testing.B) {
+	const keys = 4096
+	s := New(DefaultParams(), 1)
+	page := storetest.Page(3)
+	for i := 0; i < keys; i++ {
+		if _, err := s.Put(0, kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1), page); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		done, err := s.Put(now, kvstore.MakeKey(uint64(i%keys)*kvstore.PageSize, 1), page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = done
+	}
+}

@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"fluidmem/internal/clock"
@@ -61,17 +61,19 @@ func sliceSeed(seed uint64, k int64) uint64 {
 func poissonCount(r *clock.Rand, lambda float64) int {
 	n := 0
 	for lambda > 30 {
-		n += knuthPoisson(r, 30)
+		n += knuthPoisson(r, expNeg30)
 		lambda -= 30
 	}
-	return n + knuthPoisson(r, lambda)
+	if lambda <= 0 {
+		return n
+	}
+	return n + knuthPoisson(r, math.Exp(-lambda))
 }
 
-func knuthPoisson(r *clock.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	limit := math.Exp(-lambda)
+var expNeg30 = math.Exp(-30)
+
+// knuthPoisson counts uniform draws until their product falls to exp(-lambda).
+func knuthPoisson(r *clock.Rand, limit float64) int {
 	k := 0
 	p := 1.0
 	for {
@@ -96,7 +98,7 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 		// half-open measure intervals (cumStart, cumEnd] tile the real
 		// line across slices, so each crossing is emitted exactly once.
 		for n := math.Floor(cumStart) + 1; n <= cumEnd; n++ {
-			t := invCum(cfg.Curve, n, start, end)
+			t := invCum(cfg.Curve, n, start, end, cumStart, cumEnd)
 			if t >= end {
 				t = end - 1 // boundary crossing stays in this slice's window
 			}
@@ -110,13 +112,13 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 			// u in [0,1) maps to measure in [cumStart, cumEnd): inversion
 			// sampling of the conditional (non-homogeneous) distribution.
 			target := cumStart + r.Float64()*lambda
-			t := invCum(cfg.Curve, target, start, end)
+			t := invCum(cfg.Curve, target, start, end, cumStart, cumEnd)
 			if t >= end {
 				t = end - 1
 			}
 			out = append(out, t)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
 	}
 	return out
 }

@@ -119,11 +119,22 @@ func Scale(curve RateCurve, factor float64) RateCurve {
 }
 
 // invCum finds the earliest nanosecond t in (lo, hi] with CumOps(t) >=
-// target, by bisection. CumOps is monotone, so the loop is a textbook
-// binary search over integer nanoseconds — ~20 iterations for a 1 ms slice,
-// bit-deterministic because it never compares computed floats against each
-// other, only against the fixed target.
-func invCum(c RateCurve, target float64, lo, hi time.Duration) time.Duration {
+// target, given cumLo = CumOps(lo) and cumHi = CumOps(hi). That t is the
+// boundary of a predicate monotone in t, so every search that lands on it
+// returns the same t: guessCum gets there in a few curve evaluations, and
+// whatever it cannot verify goes to bisectCum (DESIGN.md §17).
+func invCum(c RateCurve, target float64, lo, hi time.Duration, cumLo, cumHi float64) time.Duration {
+	if t, ok := guessCum(c, target, lo, hi, cumLo, cumHi); ok {
+		return t
+	}
+	return bisectCum(c, target, lo, hi)
+}
+
+// bisectCum is invCum's reference implementation and its fallback: a binary
+// search over integer nanoseconds, log2(hi-lo) iterations (20 for a 1 ms
+// slice), bit-deterministic because it never compares computed floats
+// against each other, only against the fixed target.
+func bisectCum(c RateCurve, target float64, lo, hi time.Duration) time.Duration {
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if c.CumOps(mid) < target {
@@ -133,4 +144,78 @@ func invCum(c RateCurve, target float64, lo, hi time.Duration) time.Duration {
 		}
 	}
 	return hi
+}
+
+const (
+	// guessRounds bounds guessCum's Newton steps: smooth curves verify in
+	// one or two, a guess across FlashCrowdRate's step can use them up.
+	guessRounds = 3
+	// guessMinRise is the least trusted rise of CumOps across a boundary,
+	// relative to the target's magnitude: 2^8 ulps.
+	guessMinRise = 1.0 / (1 << 44)
+)
+
+// guessCum is invCum by guess-and-verify: a chord through the bracket's ends,
+// Newton steps on the closed-form Rate, and acceptance of a nanosecond b only
+// after evaluating the boundary itself, CumOps(b-1) < target <= CumOps(b).
+// It reports false, leaving the answer to bisection over the whole bracket,
+// when the target is outside (cumLo, cumHi], the rate is zero, a step leaves
+// the bracket, the rounds run out, or the boundary is not trusted.
+func guessCum(c RateCurve, target float64, lo, hi time.Duration, cumLo, cumHi float64) (time.Duration, bool) {
+	if !(cumLo < target && target <= cumHi) {
+		return 0, false
+	}
+	span := float64(hi - lo)
+	minRise := guessMinRise * math.Max(1, math.Abs(target))
+	g := lo + time.Duration(span*(target-cumLo)/(cumHi-cumLo))
+	if g <= lo {
+		g = lo + 1
+	}
+	cg := c.CumOps(g)
+	for round := 0; round < guessRounds; round++ {
+		rate := c.Rate(g) / float64(time.Second) // ops per nanosecond
+		// The crossing is step nanoseconds from g; the boundary is the
+		// first whole nanosecond at or after it.
+		step := math.Ceil((target - cg) / rate)
+		if !(rate > 0 && math.Abs(step) <= span) {
+			return 0, false
+		}
+		b := max(lo+1, min(hi, g+time.Duration(step)))
+		cb := cg
+		if b != g {
+			cb = c.CumOps(b)
+		}
+		if cb >= target {
+			below := cg
+			if b-1 != g {
+				below = c.CumOps(b - 1) // at b-1 == lo this is cumLo < target
+			}
+			if below < target {
+				return b, trusted(cb-below, rate, minRise)
+			}
+			g, cg = b-1, below
+		} else {
+			// b < hi here: CumOps(hi) is cumHi >= target.
+			above := cg
+			if b+1 != g {
+				above = c.CumOps(b + 1)
+			}
+			if above >= target {
+				return b + 1, trusted(above-cb, rate, minRise)
+			}
+			g, cg = b+1, above
+		}
+	}
+	return 0, false
+}
+
+// trusted decides whether a verified boundary can stand for bisection's.
+// Where one nanosecond of rate adds less to CumOps than its rounding noise,
+// the predicate CumOps(t) >= target flickers around the crossing and which
+// of its boundaries bisection lands on depends on its probe sequence. Two
+// free signs of that: the rise across the boundary is within a few hundred
+// ulps of the target's magnitude, or it is more than 2x off the closed-form
+// rate (noise above the ulp level, or a kink since the last Newton point).
+func trusted(rise, rate, minRise float64) bool {
+	return rise >= minRise && rise <= 2*rate && 2*rise >= rate
 }

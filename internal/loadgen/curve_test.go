@@ -63,7 +63,7 @@ func TestCurveMonotone(t *testing.T) {
 
 func TestInvCumFindsFirstCrossing(t *testing.T) {
 	c := ConstantRate{PerSec: 1_000_000} // 1 op per µs
-	got := invCum(c, 5, 0, time.Millisecond)
+	got := invCum(c, 5, 0, time.Millisecond, c.CumOps(0), c.CumOps(time.Millisecond))
 	if want := 5 * time.Microsecond; got != want {
 		t.Fatalf("invCum(5 ops at 1/µs) = %v, want %v", got, want)
 	}

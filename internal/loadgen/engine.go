@@ -126,8 +126,11 @@ type engineTenant struct {
 	sojourn *stats.Histogram
 	// pending holds completion times of ops in the tenant's system
 	// (non-decreasing: service is serialized per machine). Its length at an
-	// arrival instant is the queue depth.
+	// arrival instant is the queue depth. The queue is pending[head:],
+	// compacted in place once over half the slice is dead, so a steady
+	// window never reallocates.
 	pending  []time.Duration
+	head     int
 	offered  uint64
 	good     uint64
 	queueMax int
@@ -267,15 +270,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	// Arrival events chain: each fires the tenant's op, then schedules the
-	// tenant's next arrival, so the heap holds at most one event per tenant.
-	var fire func(et *engineTenant, at time.Duration)
 	serve := func(et *engineTenant, at time.Duration) {
 		// Queue depth at arrival: ops still in the tenant's system.
-		for len(et.pending) > 0 && et.pending[0] <= at {
-			et.pending = et.pending[1:]
+		for et.head < len(et.pending) && et.pending[et.head] <= at {
+			et.head++
 		}
-		depth := len(et.pending)
+		depth := len(et.pending) - et.head
 		if depth > et.queueMax {
 			et.queueMax = depth
 		}
@@ -296,21 +296,28 @@ func Run(cfg Config) (*Report, error) {
 		if done-at <= scen.P99Target {
 			et.good++
 		}
+		if et.head > len(et.pending)/2 {
+			et.pending = et.pending[:copy(et.pending, et.pending[et.head:])]
+			et.head = 0
+		}
 		et.pending = append(et.pending, done)
 	}
-	fire = func(et *engineTenant, at time.Duration) {
-		if runErr != nil {
-			return
+	// Arrival events chain: each fires the tenant's op, then schedules the
+	// tenant's next arrival, so the heap holds at most one event — and one
+	// closure, built here and re-scheduled as is — per tenant.
+	for _, et := range tenants { // go 1.22: et is per-iteration
+		var fire func(at time.Duration)
+		fire = func(at time.Duration) {
+			if runErr != nil {
+				return
+			}
+			serve(et, at)
+			if next, ok := et.arr.Next(); ok {
+				sched.Schedule(next, et.idx, fire)
+			}
 		}
-		serve(et, at)
-		if next, ok := et.arr.Next(); ok {
-			sched.Schedule(next, et.idx, func(now time.Duration) { fire(et, now) })
-		}
-	}
-	for _, et := range tenants {
 		if first, ok := et.arr.Next(); ok {
-			et := et
-			sched.Schedule(first, et.idx, func(now time.Duration) { fire(et, now) })
+			sched.Schedule(first, et.idx, fire)
 		}
 	}
 

@@ -163,4 +163,3 @@ func (m *Machine) Tracer() *Tracer {
 func (m *Machine) WriteTrace(w io.Writer) error {
 	return m.Tracer().WriteChromeTrace(w)
 }
-
