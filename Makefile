@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race bench-quick bench-json bench-ratchet shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race bench-quick bench-json bench-wall bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -46,7 +46,8 @@ bench-quick:
 # Regenerate the machine-readable BENCH_*.json artifacts at full scale. The
 # "artifacts" meta-name expands inside fluidmem-bench to every experiment the
 # registry marks as carrying a committed baseline (see `fluidmem-bench -list`:
-# currently writeback, trace, arbiter, cluster, parallel, market, openloop) —
+# currently writeback, trace, arbiter, cluster, parallel, market, openloop,
+# wall) —
 # enrolling a new artifact experiment is one registry flag, with no Makefile
 # edit to forget. fluidmem-bench fails loudly if any selected experiment
 # stops producing its artifact, and each result's Validate() vetoes vacuous
@@ -55,13 +56,30 @@ bench-quick:
 bench-json:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -json
 
+# The wall-clock ledger alone: the per-layer testing.B rows (uffd access and
+# install/remap, LRU, profiler, zero scan, write list, steady-state fault,
+# scheduler, arrival generation, RAMCloud overwrite), run through `go test`
+# at a fixed iteration count, written to BENCH_wall.json with ns/op, B/op,
+# allocs/op and the run's calibration spin.
+bench-wall:
+	$(GO) run ./cmd/fluidmem-bench -run wall -json
+
+# Where the host time of the steady-state fault loop goes: one million
+# miss+evict+write-back faults under the CPU profiler, top 25 frames.
+profile-hotpath:
+	mkdir -p .profile
+	$(GO) run ./cmd/hotpath-probe -faults 1000000 -cpuprofile .profile/hotpath.prof
+	$(GO) tool pprof -top -nodecount=25 .profile/hotpath.prof
+
 # The metric ratchet: re-run the artifact experiments and compare every
 # directional metric row — throughputs and goodputs must not drop, latency
 # and miss-rate rows must not rise — against the committed BENCH_*.json
 # baselines; a >10% move in the bad direction fails the build. The compared
 # rows are virtual-time measurements, so on unchanged simulation logic the
 # comparison is exact; machine-dependent rows (wall clocks, allocation
-# rates, core counts, speedups) are excluded by key.
+# rates, core counts, speedups) are excluded by key. BENCH_wall.json's ns/op
+# rows are excluded the same way; its allocs/op and B/op rows are counts at a
+# fixed iteration count and must match exactly.
 bench-ratchet:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -ratchet
 

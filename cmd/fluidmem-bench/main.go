@@ -70,6 +70,7 @@ func experiments() []experiment {
 		{"arbiter", "multi-tenant arbiter vs static equal split: ghost-LRU curves drive budget rebalancing", true, func(o bench.Options) (renderable, error) { return bench.RunArbiter(o) }},
 		{"market", "memory marketplace vs arbiter vs static split: SLO-aware leases on skewed/shifting/adversarial mixes", true, func(o bench.Options) (renderable, error) { return bench.RunMarket(o) }},
 		{"openloop", "open-loop scenario matrix: offered load vs goodput and sojourn p99, knee of curve per planner", true, func(o bench.Options) (renderable, error) { return bench.RunOpenLoop(o) }},
+		{"wall", "wall-clock ledger: the per-layer testing.B rows via `go test` (run from the module root)", true, func(o bench.Options) (renderable, error) { return bench.RunWall(o) }},
 	}
 }
 
@@ -220,12 +221,13 @@ func run(args []string) (err error) {
 // build. Direction comes from the key: throughput-like rows (per_sec, teps,
 // goodput, knee_scale) must not drop; latency-like rows (_ns suffixes, the
 // cluster matrix's P50/P99/Mean/RecoveryTime/DrainTime, _pct miss rates)
-// must not rise. Machine-dependent rows (wall clocks, allocations, core
+// must not rise. Machine-dependent rows (wall clocks, allocation rates, core
 // counts, speedups) are excluded — everything else in these artifacts is
 // virtual time, bit-deterministic per seed, so on unchanged simulation logic
 // the comparison is exact and a trip means the change really moved a metric;
 // the gate forces that to be a deliberate, committed decision rather than
-// drift.
+// drift. The wall ledger's allocs_per_op and bytes_per_op rows are counts at a
+// fixed iteration count, machine-independent, and must not move at all.
 func ratchetCheck(name string, res renderable) error {
 	j, ok := res.(jsonable)
 	if !ok {
@@ -268,13 +270,16 @@ func ratchetCheck(name string, res renderable) error {
 		// nonzero measurement regardless of magnitude.
 		tol := 0.1*math.Abs(old.val) + metricFloor(old.key)
 		var regressed bool
-		if old.dir > 0 {
+		switch {
+		case old.dir == exact:
+			regressed = cur.val != old.val
+		case old.dir > 0:
 			regressed = cur.val < old.val-tol
-		} else {
+		default:
 			regressed = cur.val > old.val+tol
 		}
 		if regressed {
-			return fmt.Errorf("%s: ratchet: %s row %d regressed: %g -> %g (threshold 10%%)",
+			return fmt.Errorf("%s: ratchet: %s row %d regressed: %g -> %g (threshold 10%%, none for per-op counts)",
 				name, old.key, i, old.val, cur.val)
 		}
 	}
@@ -283,17 +288,25 @@ func ratchetCheck(name string, res renderable) error {
 }
 
 // metricRow is one directional numeric field of an artifact, in document
-// order. dir is +1 for higher-is-better rows and -1 for lower-is-better.
+// order. dir is +1 for higher-is-better rows, -1 for lower-is-better, and
+// exact for rows that must not move.
 type metricRow struct {
 	key string
 	val float64
 	dir int
 }
 
+// exact is the metricDirection of rows held to equality.
+const exact = 2
+
 // metricDirection classifies an artifact key: +1 higher-is-better, -1
-// lower-is-better, 0 not a performance metric (config echoes, counts, and
-// machine-dependent measurements like wall clocks or allocation rates).
+// lower-is-better, exact for the wall ledger's per-op counts, 0 not a
+// performance metric (config echoes, counts, and machine-dependent
+// measurements like wall clocks or allocation rates).
 func metricDirection(key string) int {
+	if key == "allocs_per_op" || key == "bytes_per_op" {
+		return exact
+	}
 	lk := strings.ToLower(key)
 	for _, skip := range []string{"wall", "alloc", "speedup", "cores", "gomaxprocs", "seed"} {
 		if strings.Contains(lk, skip) {

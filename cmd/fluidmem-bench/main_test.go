@@ -72,7 +72,7 @@ func TestMetricRowsExtraction(t *testing.T) {
 		"rows": [
 			{"label": "a", "faults_per_sec": 1.25, "sojourn_p99_ns": 900, "other": 7},
 			{"label": "b", "nested": {"goodput_per_sec": 2.5}, "miss_pct": 3.5},
-			{"label": "c", "scales": [0.5, 1, 8], "allocs_per_op": 0}
+			{"label": "c", "scales": [0.5, 1, 8], "allocs_per_fault": 0}
 		],
 		"knee_scale": 4
 	}`)
@@ -107,7 +107,9 @@ func TestMetricDirection(t *testing.T) {
 		{"faults_per_sec", +1}, {"teps", +1}, {"knee_scale", +1},
 		{"sojourn_p99_ns", -1}, {"backlog_ns", -1}, {"miss_pct", -1},
 		{"P99", -1}, {"RecoveryTime", -1},
-		{"wall_ms", 0}, {"allocs_per_op", 0}, {"speedup", 0},
+		{"wall_ms", 0}, {"allocs_per_fault", 0}, {"speedup", 0},
+		// The wall ledger's per-op counts are held to equality.
+		{"allocs_per_op", exact}, {"bytes_per_op", exact}, {"wall_ns_per_op", 0},
 		{"cores", 0}, {"seed", 0}, {"epochs", 0}, {"label", 0},
 		// Machine-dependent markers win over directional suffixes.
 		{"wall_p99_ns", 0},
@@ -176,6 +178,22 @@ func TestRatchetCheck(t *testing.T) {
 	}
 	if err := ratchetCheck("zero", &fakeThroughputResult{doc: `{"rows":[{"p50_ns":5000}]}`}); err == nil {
 		t.Fatal("5µs rise over a 0ns baseline accepted")
+	}
+	// Per-op counts move in neither direction, not even by one.
+	counts := `{"rows":[{"wall_ns_per_op":100,"bytes_per_op":43,"allocs_per_op":0}]}`
+	if err := os.WriteFile("BENCH_counts.json", []byte(counts), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ratchetCheck("counts", &fakeThroughputResult{doc: `{"rows":[{"wall_ns_per_op":900,"bytes_per_op":43,"allocs_per_op":0}]}`}); err != nil {
+		t.Fatalf("wall-time move with unchanged counts rejected: %v", err)
+	}
+	for _, moved := range []string{
+		`{"rows":[{"wall_ns_per_op":100,"bytes_per_op":43,"allocs_per_op":1}]}`,
+		`{"rows":[{"wall_ns_per_op":100,"bytes_per_op":42,"allocs_per_op":0}]}`,
+	} {
+		if err := ratchetCheck("counts", &fakeThroughputResult{doc: moved}); err == nil {
+			t.Fatalf("moved per-op count accepted: %s", moved)
+		}
 	}
 	// Row-count drift fails: the committed artifact is stale.
 	drift := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000}]}`

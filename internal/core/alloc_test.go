@@ -3,10 +3,11 @@ package core
 // Allocation regression harness for the Clio-style data-plane split: once a
 // monitor reaches steady state, the per-fault hot path (fault decode, shard
 // dispatch, LRU touch, store read, write-list append, flush) must not
-// allocate at all. Every buffer and node it needs comes from the arenas and
-// freelists warmed during the first cycles over the working set. Cold paths
-// (first touch of a fresh page, pool growth) may allocate, but only a
-// bounded amount per fault — never proportionally to faults served.
+// allocate at all. Every buffer and record it needs comes from the arenas,
+// pools and region tables warmed during the first cycles over the working
+// set. Cold paths (first touch of a fresh page, pool growth) may allocate,
+// but only a bounded amount per fault — never proportionally to faults
+// served.
 //
 // The working set is sized at 2x the LRU capacity and scanned cyclically:
 // in steady state every single touch is a store miss that evicts a dirty
@@ -105,7 +106,7 @@ func TestSteadyStateFaultsAllocFree(t *testing.T) {
 }
 
 // TestFirstTouchAllocsBounded pins the cold path: a first touch of a fresh
-// page may allocate (seen-set entry, pool growth, store insert) but the
+// page may allocate (record-slab and pool growth, store insert) but the
 // per-fault cost must stay small and flat — it must not scale with how many
 // faults the monitor has already served.
 func TestFirstTouchAllocsBounded(t *testing.T) {
@@ -141,8 +142,8 @@ func TestFirstTouchAllocsBounded(t *testing.T) {
 		now = done
 		i++
 	})
-	// With the seen-set bitmap and pre-sized page-index maps the cold path
-	// measures 0.00 allocs/fault on a 64 Ki-page region; the bound of 2
+	// With all per-page state in the region tables the cold path measures
+	// 0.00 allocs/fault on a 64 Ki-page region; the bound of 2
 	// leaves room only for rare amortised growth (store-side table doubling),
 	// not for any per-fault allocation sneaking back in.
 	if avg > 2 {

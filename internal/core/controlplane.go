@@ -25,18 +25,18 @@ import (
 // QEMU calls this when wrapping the guest memory allocation, and again for
 // each hotplugged memory slot (§IV).
 func (m *Monitor) RegisterRange(start, length uint64, pid int) (*uffd.Region, error) {
-	if _, ok := m.partitions[pid]; !ok {
-		part, err := m.registry.Allocate(m.hypervisorID, pid)
-		if err != nil {
-			return nil, fmt.Errorf("core: allocate partition for pid %d: %w", pid, err)
-		}
-		m.partitions[pid] = part
-	}
 	region, err := m.fd.Register(start, length, pid)
 	if err != nil {
 		return nil, fmt.Errorf("core: register region: %w", err)
 	}
-	m.seen.addRegion(start, length)
+	part, ok := m.pages.partOf(pid)
+	if !ok {
+		if part, err = m.registry.Allocate(m.hypervisorID, pid); err != nil {
+			m.fd.Unregister(region)
+			return nil, fmt.Errorf("core: allocate partition for pid %d: %w", pid, err)
+		}
+	}
+	m.pages.addRegion(start, length, pid, part)
 	return region, nil
 }
 
@@ -47,7 +47,7 @@ func (m *Monitor) RegisterRange(start, length uint64, pid int) (*uffd.Region, er
 // the partition is still unregistered and released, and the first delete
 // error is reported at the end.
 func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error) {
-	part, ok := m.partitions[pid]
+	part, ok := m.pages.partOf(pid)
 	if !ok {
 		return now, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
@@ -62,8 +62,8 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 				m.epoch++
 			}
 			m.hot.Remove(addr)
-			if m.seen.has(addr) {
-				m.seen.del(addr)
+			if m.pages.seen(addr) {
+				m.pages.clearSeen(addr)
 				key := kvstore.MakeKey(addr, part)
 				if m.tier != nil {
 					m.tier.drop(key)
@@ -79,9 +79,8 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 			}
 		}
 		m.fd.Unregister(region)
-		m.seen.dropRegion(region.Start)
+		m.pages.dropRegion(region.Start)
 	}
-	delete(m.partitions, pid)
 	if err := m.registry.Release(part); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("core: release partition: %w", err)
 	}
@@ -99,25 +98,22 @@ func (m *Monitor) Discard(addr uint64) {
 	// later first touch of the same address would register as a re-reference
 	// and inflate the working-set estimate.
 	m.hot.Remove(addr)
-	if m.seen.has(addr) {
-		m.seen.del(addr)
-		if region := m.regionOf(addr); region != nil {
-			if part, ok := m.partitions[region.PID]; ok {
-				// Asynchronous tombstone; timing is off any critical path.
-				_, _ = m.cfg.Store.Delete(m.workerFree[m.workerOf(addr)], kvstore.MakeKey(addr, part))
-			}
+	region := m.pages.region(addr)
+	if m.pages.seen(addr) {
+		m.pages.clearSeen(addr)
+		if region != nil {
+			// Asynchronous tombstone; timing is off any critical path.
+			_, _ = m.cfg.Store.Delete(m.workerFree[m.workerOf(addr)], kvstore.MakeKey(addr, region.part))
 		}
 	}
-	if region := m.regionOf(addr); region != nil {
-		if part, ok := m.partitions[region.PID]; ok {
-			key := kvstore.MakeKey(addr, part)
-			// A balloon-freed page's bytes must never reach the store:
-			// cancel any queued write and drop any zero mark or tier copy.
-			m.wb.DiscardQueued(key)
-			m.wb.DropZero(key)
-			if m.tier != nil {
-				m.tier.drop(key)
-			}
+	if region != nil {
+		key := kvstore.MakeKey(addr, region.part)
+		// A balloon-freed page's bytes must never reach the store:
+		// cancel any queued write and drop any zero mark or tier copy.
+		m.wb.DiscardQueued(key)
+		m.wb.DropZero(key)
+		if m.tier != nil {
+			m.tier.drop(key)
 		}
 	}
 }
@@ -197,10 +193,7 @@ func (m *Monitor) Workers() int { return m.workers }
 // pages — a stable snapshot for equivalence harnesses (shardtest): two
 // monitors are resident-set-equal iff these slices are equal.
 func (m *Monitor) ResidentAddrs() []uint64 {
-	addrs := make([]uint64, 0, len(m.lru.index))
-	for addr := range m.lru.index {
-		addrs = append(addrs, addr)
-	}
+	addrs := m.lru.Addrs()
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	return addrs
 }
@@ -214,8 +207,7 @@ func (m *Monitor) Tracer() *trace.Tracer { return m.tr }
 
 // Partition reports the virtual partition assigned to pid.
 func (m *Monitor) Partition(pid int) (kvstore.PartitionID, bool) {
-	p, ok := m.partitions[pid]
-	return p, ok
+	return m.pages.partOf(pid)
 }
 
 // SetFaultLatencySink registers a callback receiving every end-to-end fault
@@ -234,12 +226,6 @@ func (m *Monitor) WritebackStats() WritebackStats { return m.wb.Snapshot() }
 // WPFaults reports guest writes that tripped the clean-tracking write
 // protection (CleanPageDrop).
 func (m *Monitor) WPFaults() uint64 { return m.fd.WPFaults() }
-
-// regionOf resolves the region containing addr without allocating (the
-// data plane calls it per eviction).
-func (m *Monitor) regionOf(addr uint64) *uffd.Region {
-	return m.fd.RegionFor(addr)
-}
 
 // StoreHealth reports the resilience layer's backend health signal; ok is
 // false when the layer is disabled (cfg.Resilience == nil).

@@ -7,6 +7,7 @@ package core
 // controlplane.go and reaches this side only through the intake ring.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -17,7 +18,7 @@ import (
 )
 
 // workerOf shards a page address onto a fault-pipeline worker. The same
-// indexer shards the LRU segments and write-list queues, so a worker only
+// indexer shards the LRU segments and the stats cells, so a worker only
 // ever touches its own structures on the fault path (evictions, which pick
 // the globally oldest page, are the one deliberate cross-shard operation).
 // The indexer replaces the naive div+mod with a shift/mask (power-of-two
@@ -36,10 +37,10 @@ func (m *Monitor) cell(addr uint64) *Stats {
 // record charges one profiled monitor operation to both the Table-I
 // profiler and the tracer's per-(phase, worker) latency histogram, with the
 // worker attributed by the page address that caused the work.
-func (m *Monitor) record(op string, addr uint64, d time.Duration) {
+func (m *Monitor) record(op profOp, addr uint64, d time.Duration) {
 	m.prof.Record(op, d)
 	if m.tr != nil {
-		m.tr.Observe(op, m.workerOf(addr), d)
+		m.tr.Observe(opNames[op], m.workerOf(addr), d)
 	}
 }
 
@@ -98,10 +99,11 @@ func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, tim
 // which the faulting vCPU resumes.
 func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Duration, error) {
 	m.cell(ev.Addr).Faults++
-	part, ok := m.partitions[ev.PID]
-	if !ok {
+	region := m.pages.region(ev.Addr)
+	if region == nil {
 		return eventAt, fmt.Errorf("%w: %d", ErrUnknownPID, ev.PID)
 	}
+	part := region.part
 	m.hot.Fault(ev.Addr)
 	// Handling starts when the fault's worker is free: the pipeline shards
 	// by page address, so a fault queues only behind its own worker.
@@ -114,11 +116,11 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 
 	// Seen-pages hash probe (the "pagetracker", §V-A).
 	hashCost := m.cfg.MonitorOps.HashLookup.Sample(m.rng)
-	m.record(OpInsertPageHash, ev.Addr, hashCost)
+	m.record(opInsertPageHash, ev.Addr, hashCost)
 	t += hashCost
 
 	key := kvstore.MakeKey(ev.Addr, part)
-	if !m.seen.has(ev.Addr) && m.cfg.PageTracker {
+	if !m.pages.seen(ev.Addr) && m.cfg.PageTracker {
 		resumeAt, err := m.resolveFirstTouch(t, ev)
 		m.traceFault(ev, eventAt, resumeAt, "first_touch", err)
 		return resumeAt, err
@@ -148,7 +150,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 // needed, happens after the wake-up, off the critical path (Figure 2).
 func (m *Monitor) resolveFirstTouch(t time.Duration, ev uffd.Event) (time.Duration, error) {
 	m.cell(ev.Addr).FirstTouch++
-	m.seen.add(ev.Addr)
+	m.pages.setSeen(ev.Addr)
 	return m.zeroFill(t, ev)
 }
 
@@ -168,12 +170,12 @@ func (m *Monitor) zeroFill(t time.Duration, ev uffd.Event) (time.Duration, error
 	if err != nil {
 		return t, fmt.Errorf("core: zeropage %#x: %w", ev.Addr, err)
 	}
-	m.prof.Record(OpUffdZeroPage, done-t)
+	m.prof.Record(opUffdZeroPage, done-t)
 	t = done
 	m.epoch++
 
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
-	m.record(OpInsertLRUCache, ev.Addr, lruCost)
+	m.record(opInsertLRUCache, ev.Addr, lruCost)
 	t += lruCost
 	m.lru.Insert(ev.Addr)
 
@@ -264,17 +266,17 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			overlap += m.cfg.MonitorOps.EvictFinish.Sample(m.rng)
 		}
 		updCost := m.cfg.MonitorOps.CacheUpdate.Sample(m.rng)
-		m.record(OpUpdatePageCache, ev.Addr, updCost)
+		m.record(opUpdatePageCache, ev.Addr, updCost)
 		overlap += updCost
 		lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
-		m.record(OpInsertLRUCache, ev.Addr, lruCost)
+		m.record(opInsertLRUCache, ev.Addr, lruCost)
 		overlap += lruCost
 		m.lru.Insert(ev.Addr)
 
 		// Bottom half.
 		var readDone time.Duration
 		data, readDone, err = pending.Wait(overlap)
-		m.record(OpReadPage, ev.Addr, pending.ReadyAt-issue)
+		m.record(opReadPage, ev.Addr, pending.ReadyAt-issue)
 		if err != nil {
 			return readDone, "read", false, fmt.Errorf("core: read %v: %w", key, err)
 		}
@@ -282,7 +284,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 		if err != nil {
 			return readDone, "read", false, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 		}
-		m.prof.Record(OpUffdCopy, done-readDone)
+		m.prof.Record(opUffdCopy, done-readDone)
 		m.epoch++
 		if done, err = m.markClean(done, ev.Addr); err != nil {
 			return done, "read", false, err
@@ -297,7 +299,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 		}
 		var readDone time.Duration
 		data, readDone, err = m.cfg.Store.Get(t, key)
-		m.record(OpReadPage, ev.Addr, readDone-t)
+		m.record(opReadPage, ev.Addr, readDone-t)
 		if err != nil {
 			return readDone, "read", false, fmt.Errorf("core: read %v: %w", key, err)
 		}
@@ -354,13 +356,13 @@ func (m *Monitor) resolveBatchedRead(t time.Duration, ev uffd.Event, key kvstore
 		overlap += m.cfg.MonitorOps.EvictFinish.Sample(m.rng)
 	}
 	updCost := m.cfg.MonitorOps.CacheUpdate.Sample(m.rng)
-	m.record(OpUpdatePageCache, ev.Addr, updCost)
+	m.record(opUpdatePageCache, ev.Addr, updCost)
 	overlap += updCost
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
-	m.record(OpInsertLRUCache, ev.Addr, lruCost)
+	m.record(opInsertLRUCache, ev.Addr, lruCost)
 	overlap += lruCost
 	m.lru.Insert(ev.Addr)
-	m.record(OpReadPage, ev.Addr, readDone-issue)
+	m.record(opReadPage, ev.Addr, readDone-issue)
 
 	// Bottom half: the copy and wake run once both the reply has landed and
 	// the overlapped bookkeeping is done.
@@ -372,7 +374,7 @@ func (m *Monitor) resolveBatchedRead(t time.Duration, ev uffd.Event, key kvstore
 	if err != nil {
 		return t, true, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
-	m.prof.Record(OpUffdCopy, done-t)
+	m.prof.Record(opUffdCopy, done-t)
 	m.epoch++
 	if done, err = m.markClean(done, ev.Addr); err != nil {
 		return done, true, err
@@ -419,14 +421,14 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 		}
 	}
 	updCost := m.cfg.MonitorOps.CacheUpdate.Sample(m.rng)
-	m.record(OpUpdatePageCache, ev.Addr, updCost)
+	m.record(opUpdatePageCache, ev.Addr, updCost)
 	t += updCost
 
 	done, err := m.fd.Copy(t, ev.Addr, data)
 	if err != nil {
 		return t, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
-	m.prof.Record(OpUffdCopy, done-t)
+	m.prof.Record(opUffdCopy, done-t)
 	t = done
 	m.epoch++
 	if storeBacked {
@@ -436,7 +438,7 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 	}
 
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
-	m.record(OpInsertLRUCache, ev.Addr, lruCost)
+	m.record(opInsertLRUCache, ev.Addr, lruCost)
 	t += lruCost
 	m.lru.Insert(ev.Addr)
 
@@ -492,7 +494,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		}
 		t = copyDone
 		m.fd.Drop(victim)
-		m.prof.Record(OpUffdRemap, t-start)
+		m.prof.Record(opUffdRemap, t-start)
 		m.tr.Emit(trace.EvEvict, m.workerOf(victim), victim, evictStart, t-evictStart, "copy")
 	} else {
 		var done time.Duration
@@ -500,7 +502,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		if err != nil {
 			return t, fmt.Errorf("core: remap %#x: %w", victim, err)
 		}
-		m.prof.Record(OpUffdRemap, done-t)
+		m.prof.Record(opUffdRemap, done-t)
 		t = done
 		m.tr.Emit(trace.EvEvict, m.workerOf(victim), victim, evictStart, t-evictStart, "remap")
 	}
@@ -516,19 +518,15 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		return t, nil
 	}
 
-	region := m.regionOf(victim)
+	region := m.pages.region(victim)
 	if region == nil {
 		return t, fmt.Errorf("core: evicted page %#x has no region", victim)
 	}
-	part, ok := m.partitions[region.PID]
-	if !ok {
-		return t, fmt.Errorf("%w: %d", ErrUnknownPID, region.PID)
-	}
-	key := kvstore.MakeKey(victim, part)
+	key := kvstore.MakeKey(victim, region.part)
 
 	if m.cfg.ElideZeroPages {
 		scanCost := m.cfg.MonitorOps.ZeroScan.Sample(m.rng)
-		m.record(OpZeroScan, victim, scanCost)
+		m.record(opZeroScan, victim, scanCost)
 		t += scanCost
 		if allZero(data) {
 			// Zero elision: record the mark instead of shipping 4 KiB of
@@ -548,7 +546,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		}
 		t = done
 		for _, d := range displaced {
-			if t, err = m.wb.Enqueue(t, d.key, d.key.Page(), d.data); err != nil {
+			if t, err = m.wb.Enqueue(t, d.key, d.data); err != nil {
 				return t, err
 			}
 		}
@@ -561,7 +559,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 
 	if m.cfg.AsyncWrite {
 		flushesBefore := m.wb.flushes
-		if t, err = m.wb.Enqueue(t, key, victim, data); err != nil {
+		if t, err = m.wb.Enqueue(t, key, data); err != nil {
 			return t, fmt.Errorf("core: enqueue write %v: %w", key, err)
 		}
 		m.cell(victim).Flushes += m.wb.flushes - flushesBefore
@@ -572,7 +570,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		t += m.cfg.MonitorOps.RPCOverhead.Sample(m.rng)
 	}
 	done, err := m.cfg.Store.Put(t, key, data)
-	m.record(OpWritePage, victim, done-t)
+	m.record(opWritePage, victim, done-t)
 	// Put copied the bytes (or failed terminally); either way the frame is
 	// ours again.
 	m.fd.Recycle(data)
@@ -602,12 +600,17 @@ func (m *Monitor) markClean(t time.Duration, addr uint64) (time.Duration, error)
 	if err != nil {
 		return t, fmt.Errorf("core: write-protect %#x: %w", addr, err)
 	}
-	m.prof.Record(OpUffdWriteProtect, done-t)
+	m.prof.Record(opUffdWriteProtect, done-t)
 	return done, nil
 }
 
-// allZero reports whether a page is entirely zero bytes.
+// allZero reports whether a page is entirely zero bytes, eight at a time.
 func allZero(p []byte) bool {
+	for ; len(p) >= 8; p = p[8:] {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+	}
 	for _, b := range p {
 		if b != 0 {
 			return false

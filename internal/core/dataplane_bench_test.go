@@ -47,3 +47,28 @@ func BenchmarkSteadyStateFault(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProfilerRecord is the always-on Table I profiler's cost per
+// recorded monitor operation (several per fault).
+func BenchmarkProfilerRecord(b *testing.B) {
+	p := new(Profiler)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Record(profOp(i%int(nOps)), time.Duration(i&4095)*time.Nanosecond)
+	}
+}
+
+var benchZero bool
+
+// BenchmarkAllZero is the eviction-path zero scan of one all-zero page, the
+// case that reads all 4 KiB.
+func BenchmarkAllZero(b *testing.B) {
+	page := make([]byte, PageSize)
+	b.SetBytes(PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchZero = allZero(page)
+	}
+}

@@ -19,139 +19,98 @@ package core
 // for ANY shard count, and the capacity budget the monitor enforces with
 // Len stays global. The property tests in lru_test.go assert both.
 //
-// The list is intrusive and pooled: nodes removed by eviction go on a
-// freelist and are reused by the next insert, so the steady-state fault
-// path (evict one, insert one) allocates nothing.
+// The list is intrusive: a resident page's node is its record in the page
+// table (see pagetable.go), found by indexing the page's region, and the
+// links are slab indices. Membership tests and removals hash nothing, and the
+// steady-state fault path (evict one, insert one) allocates nothing.
 type lruList struct {
-	shards  []lruShard
+	pages   *pageTable
+	shards  []recList // head is the segment's oldest entry
 	idx     shardIndexer
-	index   map[uint64]*lruNode
-	free    *lruNode // freelist threaded through next
 	nextSeq uint64
+	n       int
 }
 
-// lruNode is one resident page plus its global insertion stamp.
-type lruNode struct {
-	addr       uint64
-	seq        uint64
-	prev, next *lruNode
-}
-
-// lruShard is one segment: head is the segment's oldest entry.
-type lruShard struct {
-	head, tail *lruNode
-}
-
-// newShardedLRU returns an empty list split into the given number of
-// segments (minimum one), sharded by page number.
-func newShardedLRU(shards int) *lruList { return newShardedLRUCap(shards, 0) }
-
-// newShardedLRUCap additionally pre-sizes the page index for the given
-// capacity, so a monitor whose resident set grows to its configured LRU
-// capacity never pays map-growth allocations on the fault path.
-func newShardedLRUCap(shards, capacity int) *lruList {
+// newShardedLRU returns an empty list over pages, split into the given number
+// of segments (minimum one), sharded by page number.
+func newShardedLRU(pages *pageTable, shards int) *lruList {
 	if shards < 1 {
 		shards = 1
 	}
-	if capacity < 0 {
-		capacity = 0
-	}
 	return &lruList{
-		shards: make([]lruShard, shards),
+		pages:  pages,
+		shards: make([]recList, shards),
 		idx:    newShardIndexer(shards),
-		// +1: Insert runs before the evict loop brings Len back under
-		// capacity, so the index briefly holds capacity+1 entries.
-		index: make(map[uint64]*lruNode, capacity+1),
 	}
-}
-
-// newLRUList returns the single-segment (serial monitor) list.
-func newLRUList() *lruList { return newShardedLRU(1) }
-
-// shardOf maps a page address to its segment.
-func (l *lruList) shardOf(addr uint64) *lruShard {
-	return &l.shards[l.idx.index(addr)]
 }
 
 // Len reports tracked pages across all segments.
-func (l *lruList) Len() int { return len(l.index) }
-
-// getNode pops a recycled node or allocates one.
-func (l *lruList) getNode() *lruNode {
-	if n := l.free; n != nil {
-		l.free = n.next
-		*n = lruNode{}
-		return n
-	}
-	return &lruNode{}
-}
+func (l *lruList) Len() int { return l.n }
 
 // Insert appends addr at the bottom (newest) position of its segment.
 // Inserting an address already present is a bug in the monitor and panics
 // loudly.
 func (l *lruList) Insert(addr uint64) {
-	if _, ok := l.index[addr]; ok {
+	e, id := l.pages.byAddr(addr, true)
+	i := l.pages.track(e, id)
+	n := &l.pages.recs[i]
+	if n.state&recLRU != 0 {
 		panic("core: page already in LRU list")
 	}
 	l.nextSeq++
-	n := l.getNode()
-	n.addr = addr
-	n.seq = l.nextSeq
-	s := l.shardOf(addr)
-	n.prev = s.tail
-	if s.tail != nil {
-		s.tail.next = n
-	} else {
-		s.head = n
-	}
-	s.tail = n
-	l.index[addr] = n
+	n.state |= recLRU
+	n.addr, n.seq = addr, l.nextSeq
+	l.shards[l.idx.index(addr)].pushBack(l.pages.recs, lruLink, i)
+	l.n++
 }
 
 // Contains reports membership.
 func (l *lruList) Contains(addr uint64) bool {
-	_, ok := l.index[addr]
-	return ok
+	e, _ := l.pages.byAddr(addr, false)
+	return l.pages.recs[*e&entSlot].state&recLRU != 0
 }
 
 // Oldest returns the eviction candidate: the entry with the globally
 // minimum insertion stamp, found among the segment heads.
 func (l *lruList) Oldest() (uint64, bool) {
-	var bestAddr, bestSeq uint64
-	found := false
+	var best *pageRec
 	for i := range l.shards {
-		front := l.shards[i].head
-		if front == nil {
+		head := l.shards[i].head
+		if head == 0 {
 			continue
 		}
-		if !found || front.seq < bestSeq {
-			bestAddr, bestSeq = front.addr, front.seq
-			found = true
+		if front := &l.pages.recs[head]; best == nil || front.seq < best.seq {
+			best = front
 		}
 	}
-	return bestAddr, found
+	if best == nil {
+		return 0, false
+	}
+	return best.addr, true
 }
 
-// Remove deletes addr, reporting whether it was present. The node goes on
-// the freelist for reuse.
+// Remove deletes addr, reporting whether it was present.
 func (l *lruList) Remove(addr uint64) bool {
-	n, ok := l.index[addr]
-	if !ok {
+	e, _ := l.pages.byAddr(addr, false)
+	i := *e & entSlot
+	n := &l.pages.recs[i]
+	if n.state&recLRU == 0 {
 		return false
 	}
-	s := l.shardOf(addr)
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-	delete(l.index, addr)
-	*n = lruNode{next: l.free}
-	l.free = n
+	l.shards[l.idx.index(addr)].remove(l.pages.recs, lruLink, i)
+	n.state &^= recLRU
+	l.n--
+	l.pages.release(e, i)
 	return true
+}
+
+// Addrs returns the resident page addresses, segment by segment.
+func (l *lruList) Addrs() []uint64 {
+	addrs := make([]uint64, 0, l.n)
+	for _, s := range l.shards {
+		for i := s.head; i != 0; i = l.pages.recs[i].link[lruLink].next {
+			addrs = append(addrs, l.pages.recs[i].addr)
+		}
+	}
+	return addrs
 }

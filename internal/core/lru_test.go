@@ -1,10 +1,17 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"fluidmem/internal/kvstore"
+	"fluidmem/internal/kvstore/dram"
 )
+
+// newLRUList returns a single-segment list over a table with no regions.
+func newLRUList() *lruList { return newShardedLRU(newPageTable(), 1) }
 
 func TestLRUInsertOldest(t *testing.T) {
 	l := newLRUList()
@@ -94,24 +101,37 @@ func (m *lruModel) Oldest() (uint64, bool) {
 // TestLRUShardCountEquivalenceProperty drives random insert/remove/evict
 // sequences through sharded lists of every width and a map-based model:
 // Oldest, Len, and Contains must agree at every step — the structural half
-// of the multi-worker pipeline's timing-only guarantee.
+// of the multi-worker pipeline's timing-only guarantee. Each list sits over
+// its own page table with a region covering the middle half of the address
+// range, so nodes found by region index and nodes found through the overflow
+// map are both held to the model; and a write-back engine over the same table
+// enqueues, steals and flushes the same pages as it goes, because a page's
+// LRU node, pending write and in-flight write share one record.
 func TestLRUShardCountEquivalenceProperty(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 4, 8}
+	shardCounts := []int{1, 2, 3, 4, 7, 8}
+	const part = kvstore.PartitionID(9)
 	f := func(raw []uint16) bool {
 		model := newLRUModel()
 		lists := make([]*lruList, len(shardCounts))
+		engines := make([]*writeback, len(shardCounts))
 		for i, n := range shardCounts {
-			lists[i] = newShardedLRU(n)
+			pages := newPageTable()
+			pages.addRegion(16*PageSize, 32*PageSize, 1, part)
+			lists[i] = newShardedLRU(pages, n)
+			engines[i] = newWriteback(pages, dram.New(dram.DefaultParams(), 1), 4, n, nil)
 		}
-		for _, r := range raw {
+		for step, r := range raw {
 			// Addresses are page-aligned so sharding (addr/PageSize % n)
-			// actually spreads entries; op chosen by the low bits.
-			a := uint64(r>>2) * PageSize
+			// actually spreads entries, and few enough to recur; op chosen
+			// by the low bits.
+			a := uint64(r>>2&63) * PageSize
+			now := time.Duration(step) * time.Microsecond
 			switch r & 3 {
-			case 0, 1: // insert (if absent)
+			case 0, 1: // insert (if absent), as a re-fault does: steal first
 				if !model.in[a] {
 					model.Insert(a)
-					for _, l := range lists {
+					for i, l := range lists {
+						engines[i].Steal(now, kvstore.MakeKey(a, part))
 						l.Insert(a)
 					}
 				}
@@ -122,23 +142,50 @@ func TestLRUShardCountEquivalenceProperty(t *testing.T) {
 						return false
 					}
 				}
-			case 3: // evict oldest
+			case 3: // evict oldest to the write list
 				want, wantOK := model.Oldest()
 				if wantOK {
 					model.Remove(want)
 				}
-				for _, l := range lists {
+				for i, l := range lists {
 					got, ok := l.Oldest()
 					if ok != wantOK || (ok && got != want) {
 						return false
 					}
 					if ok {
 						l.Remove(got)
+						if _, err := engines[i].Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize)); err != nil {
+							return false
+						}
 					}
 				}
 			}
 			for _, l := range lists {
 				if l.Len() != len(model.order) || l.Contains(a) != model.in[a] {
+					return false
+				}
+			}
+		}
+		for i, l := range lists {
+			got, want := l.Addrs(), slices.Clone(model.order)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				return false
+			}
+			// Drained and emptied, the table must hold no record and no
+			// overflow entry: nothing leaks per page ever tracked.
+			if _, err := engines[i].Drain(time.Hour); err != nil {
+				return false
+			}
+			for _, a := range got {
+				l.Remove(a)
+			}
+			if l.Len() != 0 || len(l.pages.overflow) != 0 {
+				return false
+			}
+			for _, rec := range l.pages.recs {
+				if rec.state != 0 || rec.id != 0 {
 					return false
 				}
 			}

@@ -56,7 +56,7 @@ func (img *VMImage) MetadataBytes() int {
 // The partition is *not* released — its pages are live and ownership moves
 // with the returned image.
 func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration, error) {
-	part, ok := m.partitions[pid]
+	part, ok := m.pages.partOf(pid)
 	if !ok {
 		return nil, now, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
@@ -81,18 +81,18 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			}
 			now = done
 			m.epoch++
-			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), addr, data); err != nil {
+			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data); err != nil {
 				return nil, now, fmt.Errorf("core: export enqueue %#x: %w", addr, err)
 			}
 		}
 		for addr := region.Start; addr < region.End(); addr += PageSize {
-			if m.seen.has(addr) {
+			if m.pages.seen(addr) {
 				img.Seen = append(img.Seen, addr)
-				m.seen.del(addr)
+				m.pages.clearSeen(addr)
 			}
 		}
 		m.fd.Unregister(region)
-		m.seen.dropRegion(region.Start)
+		m.pages.dropRegion(region.Start)
 	}
 	// Pages parked in the compressed tier must also reach the store: the
 	// destination hypervisor cannot see this machine's local pool.
@@ -106,7 +106,6 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 	if now, err = m.wb.Drain(now); err != nil {
 		return nil, now, fmt.Errorf("core: export drain: %w", err)
 	}
-	delete(m.partitions, pid)
 	return img, now, nil
 }
 
@@ -117,21 +116,20 @@ func (m *Monitor) ImportVM(now time.Duration, img *VMImage) (time.Duration, erro
 	if img == nil || len(img.Regions) == 0 {
 		return now, errors.New("core: empty VM image")
 	}
-	if _, taken := m.partitions[img.PID]; taken {
+	if _, taken := m.pages.partOf(img.PID); taken {
 		return now, fmt.Errorf("%w: pid %d", ErrPartitionTaken, img.PID)
 	}
 	if err := m.registry.Adopt(img.Partition); err != nil {
 		return now, fmt.Errorf("core: adopt partition %d: %w", img.Partition, err)
 	}
-	m.partitions[img.PID] = img.Partition
 	for _, r := range img.Regions {
 		if _, err := m.fd.Register(r.Start, r.Length, img.PID); err != nil {
 			return now, fmt.Errorf("core: import register: %w", err)
 		}
-		m.seen.addRegion(r.Start, r.Length)
+		m.pages.addRegion(r.Start, r.Length, img.PID, img.Partition)
 	}
 	for _, addr := range img.Seen {
-		m.seen.add(addr)
+		m.pages.setSeen(addr)
 	}
 	// Metadata transfer cost: the seen set and region table cross the wire.
 	now += transferCost(img.MetadataBytes())

@@ -79,9 +79,10 @@ type Stats struct {
 //
 //   - The data plane (dataplane.go) is the per-fault path — fault decode,
 //     shard dispatch, LRU touch, store read, write-list append. After a
-//     short warm-up it runs without heap allocation: page frames, LRU
-//     nodes, pending writes, and batch buffers all come from pools, and
-//     the nil-tracer / nil-hotset fast paths cost nothing.
+//     short warm-up it runs without heap allocation or hashing: page
+//     frames and batch buffers come from pools, per-page state is indexed
+//     in the region's page table, and the nil-tracer / nil-hotset fast
+//     paths cost nothing.
 //   - The control plane (controlplane.go) is everything slow or rare —
 //     registration, teardown, resize, drain, stats capture — and may
 //     allocate freely. Control threads talk to the data plane through the
@@ -98,14 +99,16 @@ type Monitor struct {
 	// nil (the default) disables it with no behavioural difference.
 	hot *hotset.Tracker
 
-	lru  *lruList
-	seen *seenSet
-	wb   *writeback
-	tier *compressedTier // nil unless cfg.Compress is set
+	// pages is the per-page state of every registered region — seen and
+	// zero marks, LRU nodes, pending and in-flight writes — plus each
+	// region's owner and partition; lru and wb are views over it.
+	pages *pageTable
+	lru   *lruList
+	wb    *writeback
+	tier  *compressedTier // nil unless cfg.Compress is set
 
 	registry     kvstore.Registry
 	hypervisorID string
-	partitions   map[int]kvstore.PartitionID
 
 	// workers is the fault-pipeline width (>= 1); faults shard across
 	// workers by page address. workerFree[w] is when worker w finishes its
@@ -115,8 +118,8 @@ type Monitor struct {
 	workers    int
 	workerFree []time.Duration
 	// shardIdx maps page addresses to workers without a per-fault divide;
-	// the LRU segments and write-list queues share it so a page's structures
-	// always agree on their owning shard.
+	// the LRU segments and the write list's trace events use the same
+	// formula, so a page's structures always agree on their owning shard.
 	shardIdx shardIndexer
 
 	// storeLocal caches whether the backend is on-hypervisor (no RPC stack).
@@ -185,9 +188,7 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	}
 	fd := uffd.New(cfg.UFFD, cfg.Seed)
 	fd.SetTracer(cfg.Trace, workers)
-	// A region's page map holds resident pages only; +1 covers the transient
-	// overshoot between install and the post-wake evict loop.
-	fd.SetPageHint(cfg.LRUCapacity + 1)
+	pages := newPageTable()
 	m := &Monitor{
 		storeLocal:   local,
 		resilient:    res,
@@ -195,20 +196,19 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		cfg:          cfg,
 		fd:           fd,
 		rng:          clock.NewRand(cfg.Seed + 0x5151),
-		prof:         NewProfiler(true),
+		prof:         new(Profiler),
 		tr:           cfg.Trace,
 		hot:          cfg.Hotset,
 		workers:      workers,
 		workerFree:   make([]time.Duration, workers),
 		shardIdx:     newShardIndexer(workers),
 		statsCells:   make([]Stats, workers),
-		lru:          newShardedLRUCap(workers, cfg.LRUCapacity),
-		seen:         newSeenSet(),
-		wb:           newShardedWriteback(cfg.Store, cfg.WriteBatchSize, workers, cfg.Trace),
+		pages:        pages,
+		lru:          newShardedLRU(pages, workers),
+		wb:           newWriteback(pages, cfg.Store, cfg.WriteBatchSize, workers, cfg.Trace),
 		intake:       newIntakeRing(intakeCapacity),
 		registry:     registry,
 		hypervisorID: hypervisorID,
-		partitions:   make(map[int]kvstore.PartitionID),
 	}
 	// When the write-back engine is done with a buffer (flushed, coalesced
 	// away, cancelled) the frame returns to the descriptor's pool: frames

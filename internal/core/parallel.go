@@ -186,8 +186,8 @@ type Parallel struct {
 	onData    func(shard int, ticket, addr uint64, data []byte)
 
 	// ---- sequencer-owned logical state (no locks: single goroutine) ----
-	lru  *lruList
-	seen *seenSet
+	pages *pageTable
+	lru   *lruList
 	// clean marks store-backed installs not yet written (CleanPageDrop);
 	// zeroMark is the zero bitmap; storePresent predicts store membership so
 	// the sequencer can mirror read-miss decisions without doing the read.
@@ -282,6 +282,7 @@ func NewParallel(cfg Config, registry kvstore.Registry, hypervisorID string,
 		batch = 32
 	}
 	maxRead := cfg.PrefetchPages + 1
+	pages := newPageTable()
 	p := &Parallel{
 		cfg:          cfg,
 		store:        cfg.Store,
@@ -289,8 +290,8 @@ func NewParallel(cfg Config, registry kvstore.Registry, hypervisorID string,
 		idx:          newShardIndexer(shards),
 		batchSize:    batch,
 		onData:       onData,
-		lru:          newShardedLRUCap(shards, cfg.LRUCapacity),
-		seen:         newSeenSet(),
+		pages:        pages,
+		lru:          newShardedLRU(pages, shards),
 		clean:        make(map[uint64]bool, cfg.LRUCapacity+1),
 		zeroMark:     make(map[uint64]bool, batch),
 		storePresent: make(map[uint64]bool, 4*cfg.LRUCapacity),
@@ -349,7 +350,7 @@ func (p *Parallel) RegisterRange(start, length uint64, pid int) error {
 		pid:   pid,
 		part:  p.partitions[pid],
 	})
-	p.seen.addRegion(start, length)
+	p.pages.addRegion(start, length, pid, p.partitions[pid])
 	return nil
 }
 
@@ -401,9 +402,9 @@ func (p *Parallel) Touch(addr uint64, write bool) error {
 		return p.err
 	}
 	p.cells[s].Faults++
-	if !p.seen.has(addr) && p.cfg.PageTracker {
+	if !p.pages.seen(addr) && p.cfg.PageTracker {
 		p.cells[s].FirstTouch++
-		p.seen.add(addr)
+		p.pages.setSeen(addr)
 		return p.zeroFillPar(s, tk, addr, write, "first_touch")
 	}
 	// Zero-bitmap hit: checked unconditionally, as in the serial plane — a
@@ -653,7 +654,7 @@ func (p *Parallel) gatherPar(addr uint64, region *parRegion) []parCand {
 		if next >= region.end {
 			break
 		}
-		if !p.seen.has(next) || p.lru.Contains(next) {
+		if !p.pages.seen(next) || p.lru.Contains(next) {
 			continue
 		}
 		if p.zeroMark[next] {
@@ -898,8 +899,8 @@ func (p *Parallel) Discard(addr uint64) {
 		}
 		p.epoch++
 	}
-	if p.seen.has(addr) {
-		p.seen.del(addr)
+	if p.pages.seen(addr) {
+		p.pages.clearSeen(addr)
 		if region := p.regionFor(addr); region != nil {
 			_ = p.nextStoreSeq()
 			_, _ = p.store.Delete(0, kvstore.MakeKey(addr, region.part))
@@ -1049,10 +1050,7 @@ func (p *Parallel) WritebackStats() WritebackStats {
 
 // ResidentAddrs returns the sorted resident set, as Monitor.ResidentAddrs.
 func (p *Parallel) ResidentAddrs() []uint64 {
-	addrs := make([]uint64, 0, len(p.lru.index))
-	for addr := range p.lru.index {
-		addrs = append(addrs, addr)
-	}
+	addrs := p.lru.Addrs()
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	return addrs
 }

@@ -36,7 +36,7 @@ type prefetchCandidate struct {
 // write is merely in flight is still read: the store's contents were updated
 // when the flush was submitted, so the read observes fresh data.
 func (m *Monitor) gatherPrefetch(now time.Duration, addr uint64, part kvstore.PartitionID) []prefetchCandidate {
-	region := m.regionOf(addr)
+	region := m.pages.region(addr)
 	if region == nil {
 		return nil
 	}
@@ -45,10 +45,10 @@ func (m *Monitor) gatherPrefetch(now time.Duration, addr uint64, part kvstore.Pa
 	cands := m.scratch.cands[:0]
 	for i := 1; i <= m.cfg.PrefetchPages; i++ {
 		next := addr + uint64(i)*PageSize
-		if next >= region.End() {
+		if next-region.start >= region.length {
 			break
 		}
-		if !m.seen.has(next) || m.lru.Contains(next) {
+		if !m.pages.seen(next) || m.lru.Contains(next) {
 			continue
 		}
 		c := prefetchCandidate{addr: next, key: kvstore.MakeKey(next, part)}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -26,8 +25,26 @@ const (
 	OpUffdWriteProtect = "UFFD_WRITEPROTECT"
 )
 
-// profileOrder is Table I's row order.
-var profileOrder = []string{
+// profOp indexes a code path in the profiler; the data plane records by
+// index, and the names above survive only in Table and Sample.
+type profOp uint8
+
+// Table I's row order.
+const (
+	opUpdatePageCache profOp = iota
+	opInsertPageHash
+	opInsertLRUCache
+	opUffdZeroPage
+	opUffdRemap
+	opUffdCopy
+	opReadPage
+	opWritePage
+	opZeroScan
+	opUffdWriteProtect
+	nOps
+)
+
+var opNames = [nOps]string{
 	OpUpdatePageCache,
 	OpInsertPageHash,
 	OpInsertLRUCache,
@@ -154,55 +171,39 @@ func (o *OpProfile) Percentile(p float64) time.Duration {
 // after that is allocation-free, so the profiler may stay enabled on the
 // data plane's hot path.
 type Profiler struct {
-	enabled bool
-	samples map[string]*OpProfile
-}
-
-// NewProfiler returns a profiler; when disabled, Record is a no-op.
-func NewProfiler(enabled bool) *Profiler {
-	return &Profiler{enabled: enabled, samples: make(map[string]*OpProfile)}
+	ops [nOps]*OpProfile
 }
 
 // Record logs one op taking d.
-func (p *Profiler) Record(op string, d time.Duration) {
-	if !p.enabled {
-		return
-	}
-	o, ok := p.samples[op]
-	if !ok {
+func (p *Profiler) Record(op profOp, d time.Duration) {
+	o := p.ops[op]
+	if o == nil {
 		o = &OpProfile{}
-		p.samples[op] = o
+		p.ops[op] = o
 	}
 	o.add(d)
 }
 
-// Sample returns the profile for op, or nil if never recorded.
-func (p *Profiler) Sample(op string) *OpProfile { return p.samples[op] }
+// Sample returns the profile for the named op, or nil if never recorded.
+func (p *Profiler) Sample(name string) *OpProfile {
+	for op, n := range opNames {
+		if n == name {
+			return p.ops[op]
+		}
+	}
+	return nil
+}
 
 // Table renders the Table I layout: avg / stdev / p99 per code path.
 func (p *Profiler) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %8s %8s %8s %10s\n", "Code path", "Avg", "Stdev", "99th", "n")
-	rows := make([]string, 0, len(p.samples))
-	seen := make(map[string]bool)
-	for _, op := range profileOrder {
-		if p.samples[op] != nil {
-			rows = append(rows, op)
-			seen[op] = true
+	for op, s := range p.ops {
+		if s == nil {
+			continue
 		}
-	}
-	var extra []string
-	for op := range p.samples {
-		if !seen[op] {
-			extra = append(extra, op)
-		}
-	}
-	sort.Strings(extra)
-	rows = append(rows, extra...)
-	for _, op := range rows {
-		s := p.samples[op]
 		fmt.Fprintf(&b, "%-24s %8.2f %8.2f %8.2f %10d\n",
-			op, stats.Micros(s.Mean()), stats.Micros(s.Stdev()), stats.Micros(s.Percentile(99)), s.Len())
+			opNames[op], stats.Micros(s.Mean()), stats.Micros(s.Stdev()), stats.Micros(s.Percentile(99)), s.Len())
 	}
 	return b.String()
 }

@@ -9,7 +9,7 @@ import "math/bits"
 // two and a Lemire-style multiplicative reduction on the 64-bit fractional
 // remainder otherwise. Both forms agree exactly with the reference formula —
 // BenchmarkWorkerOf and TestShardIndexerMatchesReference pin it — so every
-// structure sharded by page address (LRU segments, write-list queues, stats
+// structure sharded by page address (LRU segments, write-list events, stats
 // cells, the parallel engine's executors) can share one indexer and stay
 // consistent.
 type shardIndexer struct {

@@ -9,16 +9,6 @@ import (
 	"fluidmem/internal/trace"
 )
 
-// pendingWrite is one evicted page awaiting its store write.
-type pendingWrite struct {
-	key  kvstore.Key
-	addr uint64
-	data []byte
-	// seq is the global enqueue stamp; flushes gather across shards in seq
-	// order so batches are identical to the single-list engine's.
-	seq uint64
-}
-
 // writeback implements the coalescing asynchronous write-back engine (§V-B
 // plus the zero-page optimisation): evicted pages accumulate on a write
 // list; a flusher pushes batches to the store with one amortised multi-write
@@ -37,54 +27,54 @@ type pendingWrite struct {
 //   - Clean drop (decided by the monitor, see evictOne): a victim whose
 //     store copy is still current is dropped without touching the engine.
 //
-// For the multi-worker pipeline the list is partitioned into per-shard
-// queues (one lock domain per worker in a real monitor, so enqueues and
-// steals from different workers never contend). The batching policy stays
-// global: entries carry a global enqueue stamp, the flush threshold counts
-// queued pages across all shards, and Flush gathers them in stamp order —
-// so the MultiPut batches a store observes are bit-for-bit identical for
-// any shard count. Every elision decision depends only on page contents and
-// logical state, never on virtual time, so the batches stay identical for
-// any worker count with elision on too.
+// The batching policy is global, whatever the fault pipeline's width: one
+// write list in enqueue order, one flush threshold, so the MultiPut batches a
+// store observes are bit-for-bit identical for any worker count. Every
+// elision decision depends only on page contents and logical state, never on
+// virtual time, so the batches stay identical with elision on too.
+//
+// The engine keeps no index of its own. A page's pending write, its zero
+// mark and its in-flight completion live in the page's entry and record in
+// the page table (pagetable.go), found by indexing the key's region; the
+// write list is threaded through the records.
 //
 // Ownership: Enqueue takes ownership of the caller's data buffer. When a
 // buffer's bytes are no longer needed — replaced by a coalescing
 // re-eviction, cancelled by a zero mark or discard, or safely copied by the
 // store's MultiPut — the engine hands it to the recycle hook (if set) so
 // the fault pipeline can reuse the frame. Steal transfers ownership back to
-// the caller. pendingWrite structs and the flush batch/keys/pages scratch
-// are pooled, so steady-state enqueue+flush allocates nothing.
+// the caller. Records and the flush keys/pages scratch are reused, so
+// steady-state enqueue+flush allocates nothing.
 type writeback struct {
 	store     kvstore.Store
 	batchSize int
-	// tr receives flush/steal/wait events; nil disables tracing.
-	tr *trace.Tracer
+	// tr receives flush/steal/wait events, attributed to workers by idx; nil
+	// disables tracing.
+	tr  *trace.Tracer
+	idx shardIndexer
 	// recycle, when non-nil, receives buffers the engine is done with.
 	recycle func([]byte)
 
-	// shards holds the per-worker queues of evicted pages not yet submitted.
-	shards  []map[kvstore.Key]*pendingWrite
-	idx     shardIndexer
-	queued  int // total across shards
-	nextSeq uint64
+	pages *pageTable
+	// queue is the write list: the recQueued records, evicted pages not yet
+	// submitted, in enqueue order.
+	queue  recList
+	queued int
 
-	// freePW pools retired pendingWrite structs; batchScratch, keyScratch
-	// and pageScratch are the reusable flush buffers.
-	freePW       []*pendingWrite
-	batchScratch []*pendingWrite
-	keyScratch   []kvstore.Key
-	pageScratch  [][]byte
+	// keyScratch and pageScratch are the reusable flush buffers.
+	keyScratch  []kvstore.Key
+	pageScratch [][]byte
 
-	// zero is the zero bitmap: keys whose latest evicted contents were all
-	// zeroes and were therefore never written to the store. Membership is
-	// authoritative over the store — re-faults consult it first.
-	zero map[kvstore.Key]bool
+	// zeros counts the zero bitmap (entZero): keys whose latest evicted
+	// contents were all zeroes and were therefore never written to the
+	// store. Membership is authoritative over the store — re-faults consult
+	// it first.
+	zeros int
 
-	// inflight maps keys of submitted writes to their completion time. A
-	// flush is one store-level MultiPut regardless of which shards fed it,
-	// so completion tracking stays global. minDone is a lower bound on the
-	// completion times in it — the watermark gc checks before it sweeps.
-	inflight map[kvstore.Key]time.Duration
+	// inflight lists the recInflight records: submitted writes, each with
+	// its completion time. minDone is a lower bound on those times — the
+	// watermark gc checks before it sweeps.
+	inflight []uint32
 	minDone  time.Duration
 
 	flushes      uint64
@@ -113,33 +103,18 @@ type WritebackStats struct {
 	FlushSizes map[int]uint64
 }
 
-func newWriteback(store kvstore.Store, batchSize int) *writeback {
-	return newShardedWriteback(store, batchSize, 1, nil)
-}
-
-func newShardedWriteback(store kvstore.Store, batchSize, shards int, tr *trace.Tracer) *writeback {
+func newWriteback(pages *pageTable, store kvstore.Store, batchSize, shards int, tr *trace.Tracer) *writeback {
 	if batchSize <= 0 {
 		batchSize = 32
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	// Queues hold at most ~batchSize entries between flushes, the inflight
-	// table at most one flush's worth plus stragglers: pre-sizing both keeps
-	// map growth off the steady-state fault path.
-	w := &writeback{
+	return &writeback{
 		store:      store,
 		batchSize:  batchSize,
 		idx:        newShardIndexer(shards),
 		tr:         tr,
-		zero:       make(map[kvstore.Key]bool, batchSize),
-		inflight:   make(map[kvstore.Key]time.Duration, 2*batchSize),
+		pages:      pages,
 		flushSizes: make(map[int]uint64, 16),
 	}
-	for i := 0; i < shards; i++ {
-		w.shards = append(w.shards, make(map[kvstore.Key]*pendingWrite, batchSize))
-	}
-	return w
 }
 
 // setRecycle installs the frame-recycling hook (nil disables recycling).
@@ -152,56 +127,59 @@ func (w *writeback) release(buf []byte) {
 	}
 }
 
-// getPW pops a pooled pendingWrite or allocates one.
-func (w *writeback) getPW() *pendingWrite {
-	if n := len(w.freePW); n > 0 {
-		pw := w.freePW[n-1]
-		w.freePW = w.freePW[:n-1]
-		return pw
-	}
-	return &pendingWrite{}
-}
-
-// putPW retires a pendingWrite struct (its data must already be handed off).
-func (w *writeback) putPW(pw *pendingWrite) {
-	*pw = pendingWrite{}
-	w.freePW = append(w.freePW, pw)
-}
-
-// shardIndex maps a key to its queue's shard (the same formula as the
-// monitor's workerOf, so a key's queue and its fault worker coincide).
+// shardIndex maps a key to the fault worker its trace events belong to (the
+// same formula as the monitor's workerOf).
 func (w *writeback) shardIndex(key kvstore.Key) int {
 	return w.idx.index(key.Page())
 }
 
-// shardOf maps a key to its queue.
-func (w *writeback) shardOf(key kvstore.Key) map[kvstore.Key]*pendingWrite {
-	return w.shards[w.shardIndex(key)]
+// pending resolves key's entry and, if a write of it is queued, its record.
+func (w *writeback) pending(key kvstore.Key) (e *uint32, i uint32, ok bool) {
+	e = w.pages.byKey(key, false)
+	i = *e & entSlot
+	return e, i, w.pages.recs[i].state&recQueued != 0
+}
+
+// dequeue takes the queued record i, which entry e points to, off the write
+// list and returns its data.
+func (w *writeback) dequeue(e *uint32, i uint32) []byte {
+	w.queue.remove(w.pages.recs, queueLink, i)
+	r := &w.pages.recs[i]
+	data := r.data
+	r.data = nil
+	r.state &^= recQueued
+	w.queued--
+	w.pages.release(e, i)
+	return data
 }
 
 // Enqueue adds an evicted page and flushes if the global batch threshold is
 // reached. It returns the caller-visible completion time: enqueueing is off
 // the critical path, so this is just now (flush I/O occupies the store's
 // device asynchronously). Ownership of data transfers to the engine.
-func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, addr uint64, data []byte) (time.Duration, error) {
+func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte) (time.Duration, error) {
 	w.gc(now)
+	e := w.pages.byKey(key, true)
 	// Fresh data supersedes any zero marker for this key: once the write
 	// flushes, the store copy is current again.
-	delete(w.zero, key)
-	shard := w.shardOf(key)
-	if old, ok := shard[key]; ok {
+	if *e&entZero != 0 {
+		*e &^= entZero
+		w.zeros--
+	}
+	i := w.pages.track(e, uint64(key))
+	r := &w.pages.recs[i]
+	if r.state&recQueued != 0 {
 		// Re-eviction of a page whose previous write never flushed: replace
 		// the data in place, keeping the original queue position. The
 		// superseded buffer goes back to the frame pool.
-		w.release(old.data)
-		old.data = data
+		w.release(r.data)
+		r.data = data
 		w.coalesced++
 		return now, nil
 	}
-	w.nextSeq++
-	pw := w.getPW()
-	pw.key, pw.addr, pw.data, pw.seq = key, addr, data, w.nextSeq
-	shard[key] = pw
+	r.state |= recQueued
+	r.data = data
+	w.queue.pushBack(w.pages.recs, queueLink, i)
 	w.queued++
 	if w.queued >= w.batchSize {
 		return now, w.Flush(now)
@@ -209,41 +187,19 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, addr uint64, dat
 	return now, nil
 }
 
-// sortPendingBySeq orders a gathered batch by global enqueue stamp.
-// Insertion sort: batches are small (≤ a few × batchSize) and this avoids
-// the sort package's interface boxing on the hot flush path.
-func sortPendingBySeq(batch []*pendingWrite) {
-	for i := 1; i < len(batch); i++ {
-		pw := batch[i]
-		j := i - 1
-		for j >= 0 && batch[j].seq > pw.seq {
-			batch[j+1] = batch[j]
-			j--
-		}
-		batch[j+1] = pw
-	}
-}
-
-// Flush submits all queued writes, across every shard in global enqueue
-// order, as one multi-write. The store's device model accounts the
-// transfer; faults only wait on it via WaitFor.
+// Flush submits all queued writes, in enqueue order, as one multi-write. The
+// store's device model accounts the transfer; faults only wait on it via
+// WaitFor.
 func (w *writeback) Flush(now time.Duration) error {
 	if w.queued == 0 {
 		return nil
 	}
-	batch := w.batchScratch[:0]
-	for _, shard := range w.shards {
-		for _, pw := range shard {
-			batch = append(batch, pw)
-		}
-	}
-	w.batchScratch = batch
-	sortPendingBySeq(batch)
+	recs := w.pages.recs
 	keys := w.keyScratch[:0]
 	pages := w.pageScratch[:0]
-	for _, pw := range batch {
-		keys = append(keys, pw.key)
-		pages = append(pages, pw.data)
+	for i := w.queue.head; i != 0; i = recs[i].link[queueLink].next {
+		keys = append(keys, kvstore.Key(recs[i].id))
+		pages = append(pages, recs[i].data)
 	}
 	w.keyScratch, w.pageScratch = keys, pages
 	done, err := w.store.MultiPut(now, keys, pages)
@@ -251,53 +207,47 @@ func (w *writeback) Flush(now time.Duration) error {
 		return err
 	}
 	if w.tr != nil {
-		w.tr.Emit(trace.EvFlush, 0, 0, now, done-now, strconv.Itoa(len(batch)))
+		w.tr.Emit(trace.EvFlush, 0, 0, now, done-now, strconv.Itoa(len(keys)))
 	}
 	if len(w.inflight) == 0 || done < w.minDone {
 		w.minDone = done
 	}
-	for _, pw := range batch {
-		delete(w.shardOf(pw.key), pw.key)
-		w.inflight[pw.key] = done
+	for i := w.queue.head; i != 0; {
+		r := &recs[i]
+		if r.state&recInflight == 0 {
+			w.inflight = append(w.inflight, i)
+		}
+		r.state = r.state&^recQueued | recInflight
+		r.done = done
 		// MultiPut copied the bytes (store ownership contract), so the
 		// frames can return to the fault pipeline's pool.
-		w.release(pw.data)
-		w.putPW(pw)
+		w.release(r.data)
+		r.data = nil
+		i, r.link[queueLink] = r.link[queueLink].next, recLink{}
 	}
-	w.queued = 0
+	w.queue, w.queued = recList{}, 0
 	w.flushes++
-	w.flushedPages += uint64(len(batch))
-	w.flushSizes[len(batch)]++
+	w.flushedPages += uint64(len(keys))
+	w.flushSizes[len(keys)]++
 	// Drop references so pooled buffers aren't pinned by the scratch.
-	clearPending(w.batchScratch)
-	clearPages(w.pageScratch)
+	for i := range pages {
+		pages[i] = nil
+	}
 	return nil
-}
-
-func clearPending(s []*pendingWrite) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
-func clearPages(s [][]byte) {
-	for i := range s {
-		s[i] = nil
-	}
 }
 
 // NoteZero records that key's latest evicted contents are all zeroes: any
 // queued write for it is cancelled (its data is obsolete) and the key enters
 // the zero bitmap, so the eviction costs no store traffic at all.
 func (w *writeback) NoteZero(key kvstore.Key) {
-	if shard := w.shardOf(key); shard[key] != nil {
-		pw := shard[key]
-		delete(shard, key)
-		w.queued--
-		w.release(pw.data)
-		w.putPW(pw)
+	e := w.pages.byKey(key, true)
+	if *e&entZero == 0 {
+		*e |= entZero
+		w.zeros++
 	}
-	w.zero[key] = true
+	if i := *e & entSlot; w.pages.recs[i].state&recQueued != 0 {
+		w.release(w.dequeue(e, i))
+	}
 	w.zeroMarks++
 }
 
@@ -306,35 +256,35 @@ func (w *writeback) NoteZero(key kvstore.Key) {
 // resolved with UFFDIO_ZEROPAGE, not a store read. The mark is cleared
 // because the page becomes resident again.
 func (w *writeback) TakeZero(key kvstore.Key) bool {
-	if !w.zero[key] {
+	e := w.pages.byKey(key, false)
+	if *e&entZero == 0 {
 		return false
 	}
-	delete(w.zero, key)
+	*e &^= entZero
+	w.zeros--
+	w.pages.settle(uint64(key), e)
 	return true
 }
 
 // HasZero reports zero-bitmap membership without consuming the mark (used by
 // prefetch to skip keys whose store copy is stale).
-func (w *writeback) HasZero(key kvstore.Key) bool { return w.zero[key] }
+func (w *writeback) HasZero(key kvstore.Key) bool {
+	return *w.pages.byKey(key, false)&entZero != 0
+}
 
 // DropZero discards a zero mark (page released entirely, e.g. Discard or VM
 // teardown).
-func (w *writeback) DropZero(key kvstore.Key) { delete(w.zero, key) }
+func (w *writeback) DropZero(key kvstore.Key) { w.TakeZero(key) }
 
 // DiscardQueued cancels any pending (unflushed) write for key, returning
 // whether one was queued. Used on page release so a dead page's bytes never
 // hit the store.
 func (w *writeback) DiscardQueued(key kvstore.Key) bool {
-	shard := w.shardOf(key)
-	pw := shard[key]
-	if pw == nil {
-		return false
+	e, i, ok := w.pending(key)
+	if ok {
+		w.release(w.dequeue(e, i))
 	}
-	delete(shard, key)
-	w.queued--
-	w.release(pw.data)
-	w.putPW(pw)
-	return true
+	return ok
 }
 
 // Snapshot returns the engine's counters. FlushSizes is a copy.
@@ -350,7 +300,7 @@ func (w *writeback) Snapshot() WritebackStats {
 		Waits:        w.waits,
 		Coalesced:    w.coalesced,
 		ZeroMarks:    w.zeroMarks,
-		ZeroBitmap:   len(w.zero),
+		ZeroBitmap:   w.zeros,
 		FlushSizes:   sizes,
 	}
 }
@@ -361,19 +311,13 @@ func (w *writeback) Snapshot() WritebackStats {
 // Ownership of the returned buffer transfers to the caller.
 func (w *writeback) Steal(now time.Duration, key kvstore.Key) ([]byte, bool) {
 	w.gc(now)
-	shard := w.shardOf(key)
-	pw, ok := shard[key]
+	e, i, ok := w.pending(key)
 	if !ok {
 		return nil, false
 	}
-	delete(shard, key)
-	w.queued--
 	w.steals++
 	w.tr.Emit(trace.EvSteal, w.shardIndex(key), key.Page(), now, 0, "")
-	data := pw.data
-	pw.data = nil
-	w.putPW(pw)
-	return data, true
+	return w.dequeue(e, i), true
 }
 
 // WaitFor reports when an in-flight write of key completes; ok=false if no
@@ -381,11 +325,12 @@ func (w *writeback) Steal(now time.Duration, key kvstore.Key) ([]byte, bool) {
 // fault handler gets another fault for the same address, there is no other
 // choice than to wait for the write to complete."
 func (w *writeback) WaitFor(now time.Duration, key kvstore.Key) (time.Duration, bool) {
-	done, ok := w.inflight[key]
-	if !ok {
+	r := &w.pages.recs[*w.pages.byKey(key, false)&entSlot]
+	if r.state&recInflight == 0 {
 		return now, false
 	}
 	w.waits++
+	done := r.done
 	if done < now {
 		done = now
 	}
@@ -395,11 +340,11 @@ func (w *writeback) WaitFor(now time.Duration, key kvstore.Key) (time.Duration, 
 
 // Queued reports whether key is on the write list awaiting flush.
 func (w *writeback) Queued(key kvstore.Key) bool {
-	_, ok := w.shardOf(key)[key]
+	_, _, ok := w.pending(key)
 	return ok
 }
 
-// QueuedLen reports pages awaiting flush across all shards.
+// QueuedLen reports pages awaiting flush.
 func (w *writeback) QueuedLen() int { return w.queued }
 
 // Drain flushes everything and reports when the store is quiescent.
@@ -408,14 +353,22 @@ func (w *writeback) Drain(now time.Duration) (time.Duration, error) {
 		return now, err
 	}
 	latest := now
-	for _, done := range w.inflight {
-		if done > latest {
+	for _, i := range w.inflight {
+		if done := w.pages.recs[i].done; done > latest {
 			latest = done
 		}
+		w.retire(i)
 	}
-	w.inflight = make(map[kvstore.Key]time.Duration, 2*w.batchSize)
+	w.inflight = w.inflight[:0]
 	w.minDone = 0
 	return latest, nil
+}
+
+// retire ends record i's in-flight write.
+func (w *writeback) retire(i uint32) {
+	r := &w.pages.recs[i]
+	r.state &^= recInflight
+	w.pages.release(w.pages.byKey(kvstore.Key(r.id), false), i)
 }
 
 // gc retires inflight records whose writes completed by now. It runs on
@@ -427,12 +380,18 @@ func (w *writeback) gc(now time.Duration) {
 		return
 	}
 	least := time.Duration(math.MaxInt64)
-	for key, done := range w.inflight {
+	kept := w.inflight[:0]
+	for _, i := range w.inflight {
+		done := w.pages.recs[i].done
 		if done <= now {
-			delete(w.inflight, key)
-		} else if done < least {
+			w.retire(i)
+			continue
+		}
+		if done < least {
 			least = done
 		}
+		kept = append(kept, i)
 	}
+	w.inflight = kept
 	w.minDone = least
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fluidmem/internal/kvstore"
-	"fluidmem/internal/kvstore/dram"
 )
 
 // FuzzWriteCoalesce model-checks the coalescing write-back engine against a
@@ -15,24 +14,33 @@ import (
 // engine's queue, zero bitmap, and the backing store in exactly the state
 // the flat model predicts. The first input byte picks the shard count, so
 // the fuzzer also re-proves that sharding never changes what the store
-// observes.
+// observes. Every operation also runs on the map-backed reference engine
+// (wbPair, writelist_model_test.go): MultiPut sequence, Snapshot and waits
+// must be identical. The second byte picks whether the keys sit in a
+// registered region of the page table or outside every region.
 func FuzzWriteCoalesce(f *testing.F) {
-	f.Add([]byte{0})
+	f.Add([]byte{0, 0})
 	// enqueue k0, coalesce k0, flush, steal-miss k0.
-	f.Add([]byte{1, 0x00, 0, 0x00, 0, 0x04, 0, 0x03, 0})
+	f.Add([]byte{1, 1, 0x00, 0, 0x00, 0, 0x04, 0, 0x03, 0})
 	// zero-mark a queued key, take it, re-enqueue, drain.
-	f.Add([]byte{2, 0x00, 1, 0x01, 1, 0x02, 1, 0x00, 1, 0x07, 0})
+	f.Add([]byte{2, 0, 0x00, 1, 0x01, 1, 0x02, 1, 0x00, 1, 0x07, 0})
 	// fill past the batch threshold to force an auto-flush, then discard.
-	f.Add([]byte{3, 0x00, 0, 0x00, 1, 0x00, 2, 0x00, 3, 0x00, 4, 0x05, 4})
+	f.Add([]byte{3, 1, 0x00, 0, 0x00, 1, 0x00, 2, 0x00, 3, 0x00, 4, 0x05, 4})
+	// flush, wait on the in-flight key, re-enqueue it, steal it back.
+	f.Add([]byte{0, 1, 0x00, 5, 0x04, 0, 0x06, 5, 0x00, 5, 0x03, 5})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) == 0 {
+		if len(raw) < 2 {
 			return
 		}
 		const batchSize = 4
 		const keySpace = 8
 		shards := int(raw[0]%4) + 1
-		store := dram.New(dram.DefaultParams(), 1)
-		w := newShardedWriteback(store, batchSize, shards, nil)
+		pages := newPageTable()
+		if raw[1]%2 == 1 {
+			pages.addRegion(0, keySpace/2*kvstore.PageSize, 1, 1)
+		}
+		pair := newWBPair(t, pages, batchSize, shards, uint64(raw[1]))
+		w, store := pair.w, pair.got
 
 		// Flat model: pending data (tag per key), zero marks, and the tag
 		// the store must durably hold for each flushed key.
@@ -51,14 +59,8 @@ func FuzzWriteCoalesce(f *testing.F) {
 		keyOf := func(arg byte) kvstore.Key {
 			return kvstore.MakeKey(uint64(arg%keySpace)*kvstore.PageSize, 1)
 		}
-		pageOf := func(tag byte) []byte {
-			p := make([]byte, kvstore.PageSize)
-			p[0] = tag
-			return p
-		}
-
 		now := time.Duration(0)
-		ops := raw[1:]
+		ops := raw[2:]
 		for step := 0; step+1 < len(ops); step += 2 {
 			op, arg := ops[step], ops[step+1]
 			key := keyOf(arg)
@@ -66,9 +68,7 @@ func FuzzWriteCoalesce(f *testing.F) {
 			switch op % 8 {
 			case 0: // enqueue (fresh or coalescing)
 				tag := byte(step%250) + 1
-				if _, err := w.Enqueue(now, key, key.Page(), pageOf(tag)); err != nil {
-					t.Fatalf("step %d: enqueue: %v", step, err)
-				}
+				pair.apply(wbEnqueue, now, key, tag)
 				delete(zero, key)
 				if _, queued := pending[key]; queued {
 					pending[key] = tag // coalesced in place
@@ -79,16 +79,16 @@ func FuzzWriteCoalesce(f *testing.F) {
 					}
 				}
 			case 1: // zero-mark (cancels any queued write)
-				w.NoteZero(key)
+				pair.apply(wbNoteZero, now, key, 0)
 				delete(pending, key)
 				zero[key] = true
 			case 2: // take the zero mark
-				if got, want := w.TakeZero(key), zero[key]; got != want {
-					t.Fatalf("step %d: TakeZero = %v, model %v", step, got, want)
+				if _, got := pair.apply(wbTakeZero, now, key, 0); got != zero[key] {
+					t.Fatalf("step %d: TakeZero = %v, model %v", step, got, zero[key])
 				}
 				delete(zero, key)
 			case 3: // steal
-				data, ok := w.Steal(now, key)
+				data, ok := pair.apply(wbSteal, now, key, 0)
 				tag, want := pending[key]
 				if ok != want {
 					t.Fatalf("step %d: Steal ok = %v, model %v", step, ok, want)
@@ -98,17 +98,16 @@ func FuzzWriteCoalesce(f *testing.F) {
 				}
 				delete(pending, key)
 			case 4: // explicit flush
-				if err := w.Flush(now); err != nil {
-					t.Fatalf("step %d: flush: %v", step, err)
-				}
+				pair.apply(wbFlush, now, key, 0)
 				modelFlush()
 			case 5: // discard a queued write
 				_, want := pending[key]
-				if got := w.DiscardQueued(key); got != want {
+				if _, got := pair.apply(wbDiscard, now, key, 0); got != want {
 					t.Fatalf("step %d: DiscardQueued = %v, model %v", step, got, want)
 				}
 				delete(pending, key)
-			case 6: // pure queries
+			case 6: // pure queries, and a wait on whatever is in flight
+				pair.apply(wbWaitFor, now, key, 0)
 				if got, want := w.HasZero(key), zero[key]; got != want {
 					t.Fatalf("step %d: HasZero = %v, model %v", step, got, want)
 				}
@@ -116,13 +115,7 @@ func FuzzWriteCoalesce(f *testing.F) {
 					t.Fatalf("step %d: Queued = %v, model %v", step, w.Queued(key), want)
 				}
 			case 7: // drain
-				done, err := w.Drain(now)
-				if err != nil {
-					t.Fatalf("step %d: drain: %v", step, err)
-				}
-				if done < now {
-					t.Fatalf("step %d: drain completed at %v before %v", step, done, now)
-				}
+				pair.apply(wbDrain, now, key, 0)
 				modelFlush()
 			}
 			if got, want := w.QueuedLen(), len(pending); got != want {
@@ -132,9 +125,7 @@ func FuzzWriteCoalesce(f *testing.F) {
 
 		// Quiesce and compare end states: queue empty, zero bitmap exact,
 		// store holding exactly the model's durable tags.
-		if _, err := w.Drain(now + time.Second); err != nil {
-			t.Fatalf("final drain: %v", err)
-		}
+		pair.apply(wbDrain, now+time.Second, 0, 0)
 		modelFlush()
 		if w.QueuedLen() != 0 {
 			t.Fatalf("final QueuedLen = %d", w.QueuedLen())

@@ -17,20 +17,34 @@ func page(tag byte) []byte {
 	return p
 }
 
+// testWriteback returns a single-worker engine over a table with no regions.
+func testWriteback(store kvstore.Store, batchSize int) *writeback {
+	return newWriteback(newPageTable(), store, batchSize, 1, nil)
+}
+
+// inflightOf lists the engine's submitted writes and their completion times.
+func inflightOf(w *writeback) map[kvstore.Key]time.Duration {
+	m := make(map[kvstore.Key]time.Duration, len(w.inflight))
+	for _, i := range w.inflight {
+		m[kvstore.Key(w.pages.recs[i].id)] = w.pages.recs[i].done
+	}
+	return m
+}
+
 func TestWritebackFlushAtBatchSize(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 4)
+	w := testWriteback(store, 4)
 	now := time.Duration(0)
 	for i := 0; i < 3; i++ {
 		var err error
-		if now, err = w.Enqueue(now, kvstore.Key(i<<12), uint64(i<<12), page(byte(i))); err != nil {
+		if now, err = w.Enqueue(now, kvstore.Key(i<<12), page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w.flushes != 0 || store.Stats().Puts != 0 {
 		t.Fatal("flushed before batch threshold")
 	}
-	if _, err := w.Enqueue(now, kvstore.Key(3<<12), 3<<12, page(3)); err != nil {
+	if _, err := w.Enqueue(now, kvstore.Key(3<<12), page(3)); err != nil {
 		t.Fatal(err)
 	}
 	if w.flushes != 1 {
@@ -46,9 +60,9 @@ func TestWritebackFlushAtBatchSize(t *testing.T) {
 
 func TestWritebackStealCancelsWrite(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	key := kvstore.Key(0x5000)
-	if _, err := w.Enqueue(0, key, 0x5000, page(0x42)); err != nil {
+	if _, err := w.Enqueue(0, key, page(0x42)); err != nil {
 		t.Fatal(err)
 	}
 	data, ok := w.Steal(0, key)
@@ -72,12 +86,12 @@ func TestWritebackStealCancelsWrite(t *testing.T) {
 
 func TestWritebackReEvictionReplacesData(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	key := kvstore.Key(0x6000)
-	if _, err := w.Enqueue(0, key, 0x6000, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Enqueue(0, key, 0x6000, page(2)); err != nil {
+	if _, err := w.Enqueue(0, key, page(2)); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := w.Steal(0, key)
@@ -91,9 +105,9 @@ func TestWritebackReEvictionReplacesData(t *testing.T) {
 
 func TestWritebackWaitForInflight(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 1) // flush every enqueue
+	w := testWriteback(store, 1) // flush every enqueue
 	key := kvstore.Key(0x7000)
-	if _, err := w.Enqueue(0, key, 0x7000, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	done, ok := w.WaitFor(0, key)
@@ -114,9 +128,9 @@ func TestWritebackWaitForInflight(t *testing.T) {
 
 func TestWritebackDrain(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	for i := 0; i < 5; i++ {
-		if _, err := w.Enqueue(0, kvstore.Key(i<<12), uint64(i<<12), page(byte(i))); err != nil {
+		if _, err := w.Enqueue(0, kvstore.Key(i<<12), page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +151,7 @@ func TestWritebackDrain(t *testing.T) {
 
 func TestWritebackFlushEmptyNoop(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 4)
+	w := testWriteback(store, 4)
 	if err := w.Flush(0); err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +162,11 @@ func TestWritebackFlushEmptyNoop(t *testing.T) {
 
 func TestWritebackZeroMarkLifecycle(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	key := kvstore.Key(0x8000)
 
 	// Marking a key queued for write-back cancels the pending write.
-	if _, err := w.Enqueue(0, key, 0x8000, page(9)); err != nil {
+	if _, err := w.Enqueue(0, key, page(9)); err != nil {
 		t.Fatal(err)
 	}
 	w.NoteZero(key)
@@ -179,7 +193,7 @@ func TestWritebackZeroMarkLifecycle(t *testing.T) {
 
 	// A fresh non-zero eviction supersedes a standing mark.
 	w.NoteZero(key)
-	if _, err := w.Enqueue(0, key, 0x8000, page(7)); err != nil {
+	if _, err := w.Enqueue(0, key, page(7)); err != nil {
 		t.Fatal(err)
 	}
 	if w.HasZero(key) {
@@ -208,23 +222,23 @@ func TestWritebackZeroMarkLifecycle(t *testing.T) {
 
 func TestWritebackCoalesceCounterAndHistogram(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	key := kvstore.Key(0x9000)
-	if _, err := w.Enqueue(0, key, 0x9000, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.Enqueue(0, key, 0x9000, page(byte(2+i))); err != nil {
+		if _, err := w.Enqueue(0, key, page(byte(2+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Enqueue(0, kvstore.Key(0xa000), 0xa000, page(8)); err != nil {
+	if _, err := w.Enqueue(0, kvstore.Key(0xa000), page(8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Enqueue(0, kvstore.Key(0xb000), 0xb000, page(9)); err != nil {
+	if _, err := w.Enqueue(0, kvstore.Key(0xb000), page(9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(0); err != nil {
@@ -249,9 +263,9 @@ func TestWritebackCoalesceCounterAndHistogram(t *testing.T) {
 
 func TestWritebackDiscardQueued(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 100)
+	w := testWriteback(store, 100)
 	key := kvstore.Key(0xc000)
-	if _, err := w.Enqueue(0, key, 0xc000, page(5)); err != nil {
+	if _, err := w.Enqueue(0, key, page(5)); err != nil {
 		t.Fatal(err)
 	}
 	if !w.DiscardQueued(key) {
@@ -295,7 +309,7 @@ func (s *scriptedStore) MultiPut(now time.Duration, keys []kvstore.Key, pages []
 func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 	const us = time.Microsecond
 	store := &scriptedStore{Store: dram.New(dram.DefaultParams(), 1)}
-	w := newWriteback(store, 2) // flush every second enqueue
+	w := testWriteback(store, 2) // flush every second enqueue
 	model := map[kvstore.Key]time.Duration{}
 	enqueue := func(now time.Duration, i int) {
 		t.Helper()
@@ -303,12 +317,9 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 		flushing := w.QueuedLen() == 1 && !w.Queued(key)
 		var batch []kvstore.Key
 		if flushing {
-			for k := range w.shards[0] {
-				batch = append(batch, k)
-			}
-			batch = append(batch, key)
+			batch = append(batch, kvstore.Key(w.pages.recs[w.queue.head].id), key)
 		}
-		if _, err := w.Enqueue(now, key, uint64(i<<12), page(byte(i))); err != nil {
+		if _, err := w.Enqueue(now, key, page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 		// The full sweep, then the flush's records.
@@ -317,14 +328,15 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 				delete(model, k)
 			}
 		}
+		inflight := inflightOf(w)
 		for _, k := range batch {
-			model[k] = w.inflight[k]
+			model[k] = inflight[k]
 		}
 		if len(w.inflight) != len(model) {
 			t.Fatalf("at %v: %d keys in flight, full sweep leaves %d", now, len(w.inflight), len(model))
 		}
 		for k, done := range model {
-			if got, ok := w.inflight[k]; !ok || got != done {
+			if got, ok := inflight[k]; !ok || got != done {
 				t.Fatalf("at %v: key %#x in flight until %v (present %v), full sweep says %v", now, uint64(k), got, ok, done)
 			}
 		}
@@ -346,7 +358,7 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 	}
 	store.delays = []time.Duration{us}
 	enqueue(50*us, 5) // retires keys 2 and 3, then flushes 4 and 5 until 51 µs
-	if _, ok := w.inflight[kvstore.Key(2<<12)]; ok || len(w.inflight) != 4 {
+	if _, ok := inflightOf(w)[kvstore.Key(2<<12)]; ok || len(w.inflight) != 4 {
 		t.Fatalf("at 50µs: %d in flight, key 2 present %v; want keys 0,1,4,5", len(w.inflight), ok)
 	}
 
@@ -375,17 +387,20 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 
 // BenchmarkWritebackEnqueueFlush is the write list's ledger row: one evicted
 // page enqueued per op, a 32-page MultiPut flushed every 32nd, and the gc
-// check that rides every enqueue.
+// check that rides every enqueue. The keys sit in a registered region, as
+// every key the monitor enqueues does.
 func BenchmarkWritebackEnqueueFlush(b *testing.B) {
 	store := dram.New(dram.DefaultParams(), 1)
-	w := newWriteback(store, 32)
+	pages := newPageTable()
+	pages.addRegion(0, 1024*PageSize, 1, 0)
+	w := newWriteback(pages, store, 32, 1, nil)
 	data := page(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	now := time.Duration(0)
 	for i := 0; i < b.N; i++ {
 		key := kvstore.Key((i & 1023) << 12)
-		if _, err := w.Enqueue(now, key, uint64(key), data); err != nil {
+		if _, err := w.Enqueue(now, key, data); err != nil {
 			b.Fatal(err)
 		}
 		now += 500 * time.Nanosecond

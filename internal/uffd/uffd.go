@@ -107,24 +107,33 @@ type Event struct {
 	Raised time.Duration
 }
 
-// page is a frame in a region.
-type page struct {
-	state PageState
-	data  []byte
-	// wp marks the page write-protected: it was installed from a durable
+// Page-table entry layout: the PageState in the low two bits (zero meaning no
+// mapping, PageMissing), two flags, and from pteFrameShift up the slot of a
+// present page's private frame in FD.frames (zero for none).
+const (
+	pteState = 0x3
+	// pteWP marks the page write-protected: it was installed from a durable
 	// store copy and has not been written since. The first write clears it
 	// via a kernel-internal WP fault.
-	wp bool
-}
+	pteWP = 1 << 2
+	// pteWaiting marks a faulted page whose vCPU is blocked until Wake.
+	pteWaiting    = 1 << 3
+	pteFrameShift = 4
+)
 
 // Region is one registered memory range belonging to one process.
+//
+// ptes is its page table, one entry per page indexed by page number within
+// the region. Everything the descriptor knows about a page lives in its
+// entry, so an operation costs a region lookup and an index — no hashing —
+// and all of it goes away with the region.
 type Region struct {
 	Start  uint64
 	Length uint64
 	PID    int
 
-	fd    *FD
-	pages map[uint64]*page
+	ptes   []uint32
+	mapped int
 }
 
 // End returns the first address past the region.
@@ -135,27 +144,31 @@ func (r *Region) contains(addr uint64) bool {
 	return addr >= r.Start && addr < r.End()
 }
 
+// pte returns the page-table entry of addr, which must be inside the region.
+func (r *Region) pte(addr uint64) *uint32 { return &r.ptes[(addr-r.Start)/PageSize] }
+
 // State reports the page state at addr (PageMissing if never touched).
 func (r *Region) State(addr uint64) PageState {
-	p, ok := r.pages[align(addr)]
-	if !ok {
-		return PageMissing
+	if r.contains(addr) {
+		if state := PageState(*r.pte(addr) & pteState); state != 0 {
+			return state
+		}
 	}
-	return p.state
+	return PageMissing
 }
 
 // MappedPages counts pages currently resident (zero-COW or present). This is
 // the VM's local memory footprint, the quantity Table III minimises.
-func (r *Region) MappedPages() int { return len(r.pages) }
+func (r *Region) MappedPages() int { return r.mapped }
 
 // FD is the simulated userfaultfd descriptor: the monitor process polls it
 // for fault events and resolves them with page operations.
 //
-// The descriptor recycles page frames and page structs through freelists so
-// the steady-state fault pipeline (install via Copy/ZeroPage, evict via
-// Remap, hand the frame back via Recycle) runs without heap allocation. A
-// frame returned by Remap is owned by the caller until it is passed to
-// Recycle or to a sink that copies it.
+// The descriptor recycles page frames through a freelist so the steady-state
+// fault pipeline (install via Copy/ZeroPage, evict via Remap, hand the frame
+// back via Recycle) runs without heap allocation. A frame returned by Remap
+// is owned by the caller until it is passed to Recycle or to a sink that
+// copies it.
 type FD struct {
 	params  Params
 	rng     *clock.Rand
@@ -168,57 +181,68 @@ type FD struct {
 	qHead int
 	qLen  int
 
-	// waiting tracks faulted addresses whose vCPU is blocked until Wake.
-	waiting map[uint64]bool
 	// wpFaults counts write-protect faults taken (dirty-tracking traffic).
 	wpFaults uint64
 
-	// freePages and freeFrames recycle page structs and PageSize buffers.
-	freePages  []*page
+	// frames holds the private frames of present pages, at the slot their
+	// entry names; slot 0 is no frame and freeSlots are the vacant ones.
+	// freeFrames recycles PageSize buffers no page maps.
+	frames     [][]byte
+	freeSlots  []uint32
 	freeFrames [][]byte
 
 	// tr receives one event per page operation; trWorkers attributes each
 	// to its fault-pipeline worker by the monitor's page-address shard.
 	tr        *trace.Tracer
 	trWorkers int
-
-	// pageHint pre-sizes each region's resident-page map (see SetPageHint).
-	pageHint int
 }
 
 // New returns a descriptor with the given service-time parameters.
 func New(params Params, seed uint64) *FD {
 	return &FD{
-		params:  params,
-		rng:     clock.NewRand(seed),
-		waiting: make(map[uint64]bool),
+		params: params,
+		rng:    clock.NewRand(seed),
+		frames: make([][]byte, 1),
 	}
 }
 
-// getPage pops a recycled page struct (or allocates one) with the given
-// state. Its data field is nil.
-func (f *FD) getPage(state PageState) *page {
-	if n := len(f.freePages); n > 0 {
-		p := f.freePages[n-1]
-		f.freePages = f.freePages[:n-1]
-		*p = page{state: state}
-		return p
+// install maps a fresh private frame holding a copy of contents at pte, and
+// returns the frame.
+func (f *FD) install(pte *uint32, contents []byte) []byte {
+	frame := f.GetFrame()
+	copy(frame, contents)
+	slot := uint32(len(f.frames))
+	if n := len(f.freeSlots); n > 0 {
+		slot = f.freeSlots[n-1]
+		f.freeSlots = f.freeSlots[:n-1]
+		f.frames[slot] = frame
+	} else {
+		f.frames = append(f.frames, frame)
 	}
-	return &page{state: state}
+	*pte = *pte&pteWaiting | uint32(PagePresent) | slot<<pteFrameShift
+	return frame
 }
 
-// putPage recycles a page struct and, if it owns a frame, the frame too.
-func (f *FD) putPage(p *page) {
-	if p.data != nil {
-		f.Recycle(p.data)
+// unmap clears pte, an entry of region, returning the frame it held (nil for
+// a zero-COW page). The waiting bit is not part of the mapping and survives.
+func (f *FD) unmap(region *Region, pte *uint32) []byte {
+	slot := *pte >> pteFrameShift
+	*pte &= pteWaiting
+	region.mapped--
+	if slot == 0 {
+		return nil
 	}
-	*p = page{}
-	f.freePages = append(f.freePages, p)
+	frame := f.frames[slot]
+	f.frames[slot] = nil
+	f.freeSlots = append(f.freeSlots, slot)
+	return frame
 }
 
-// getFrame pops a recycled frame or allocates a fresh one. The contents are
-// unspecified; callers must fully overwrite or zero it.
-func (f *FD) getFrame() []byte {
+// GetFrame pops a recycled PageSize buffer or allocates a fresh one. The
+// contents are unspecified; callers must fully overwrite or zero it. The
+// monitor uses it for staging (e.g. copy-out eviction) and returns the buffer
+// via Recycle when done.
+func (f *FD) GetFrame() []byte {
 	if n := len(f.freeFrames); n > 0 {
 		buf := f.freeFrames[n-1]
 		f.freeFrames = f.freeFrames[:n-1]
@@ -226,11 +250,6 @@ func (f *FD) getFrame() []byte {
 	}
 	return make([]byte, PageSize)
 }
-
-// GetFrame hands out a pooled PageSize buffer with unspecified contents.
-// Callers use it for monitor-side staging (e.g. copy-out eviction) and
-// return it via Recycle when done.
-func (f *FD) GetFrame() []byte { return f.getFrame() }
 
 // Recycle returns a frame to the descriptor's pool. Only full-size frames
 // whose ownership the caller holds may be recycled: buffers returned by a
@@ -269,17 +288,6 @@ func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
 	f.trWorkers = workers
 }
 
-// SetPageHint pre-sizes the resident-page map of regions registered from now
-// on. A region's map holds only resident pages — bounded by the monitor's
-// LRU capacity, not the region size — so sizing it up front removes the map
-// growth a fresh region pays as the working set warms.
-func (f *FD) SetPageHint(pages int) {
-	if pages < 0 {
-		pages = 0
-	}
-	f.pageHint = pages
-}
-
 // traceWorker is the fault-pipeline worker owning addr.
 func (f *FD) traceWorker(addr uint64) int {
 	if f.trWorkers < 1 {
@@ -301,14 +309,20 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 			return nil, fmt.Errorf("uffd: region [%#x,+%#x) overlaps [%#x,+%#x)", start, length, r.Start, r.Length)
 		}
 	}
-	region := &Region{Start: start, Length: length, PID: pid, fd: f, pages: make(map[uint64]*page, f.pageHint)}
+	region := &Region{Start: start, Length: length, PID: pid, ptes: make([]uint32, length/PageSize)}
 	f.regions = append(f.regions, region)
 	return region, nil
 }
 
-// Unregister removes a region (VM shutdown): its pages vanish and pending
+// Unregister removes a region (VM shutdown): its pages, and the record of
+// which of them a vCPU was blocked on, vanish with its page table, and pending
 // events for it are dropped, like closing the descriptor side of a dead VM.
 func (f *FD) Unregister(region *Region) {
+	for i := range region.ptes {
+		if region.ptes[i]&pteState != 0 {
+			f.unmap(region, &region.ptes[i])
+		}
+	}
 	kept := f.regions[:0]
 	for _, r := range f.regions {
 		if r != region {
@@ -335,11 +349,6 @@ func (f *FD) Regions() []*Region {
 	return out
 }
 
-// RegionFor returns the region containing addr, or nil. Unlike Regions it
-// allocates nothing, so the fault hot path can resolve a victim's region
-// per eviction.
-func (f *FD) RegionFor(addr uint64) *Region { return f.regionFor(addr) }
-
 // Access performs a guest memory access at addr. If the page is resident it
 // returns its data (for reads) with hit=true and zero added latency beyond
 // the access itself. If the page is missing, the access traps: a fault event
@@ -353,36 +362,30 @@ func (f *FD) Access(now time.Duration, addr uint64, write bool) (data []byte, ev
 	if region == nil {
 		return nil, now, false, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
-	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	pte := region.pte(addr)
+	switch PageState(*pte & pteState) {
+	case 0:
 		trap := f.params.FaultTrap.Sample(f.rng)
-		f.pushEvent(Event{Addr: aligned, PID: region.PID, Write: write, Raised: now})
-		f.waiting[aligned] = true
+		f.pushEvent(Event{Addr: align(addr), PID: region.PID, Write: write, Raised: now})
+		*pte |= pteWaiting
 		return nil, now + trap, false, nil
-	}
-	switch p.state {
 	case PageZeroCOW:
 		if !write {
 			return zeroPage, now, true, nil
 		}
 		// COW break: private zero-filled frame, no monitor round trip.
-		p.state = PagePresent
-		p.data = f.getFrame()
-		copy(p.data, zeroPage)
-		return p.data, now + f.params.COWBreak.Sample(f.rng), true, nil
-	case PagePresent:
-		if write && p.wp {
+		return f.install(pte, zeroPage), now + f.params.COWBreak.Sample(f.rng), true, nil
+	default: // PagePresent
+		frame := f.frames[*pte>>pteFrameShift]
+		if write && *pte&pteWP != 0 {
 			// Write-protect fault: clear the protection and charge the
 			// kernel-internal fix-up before the write retries. The page is
 			// dirty from here on.
-			p.wp = false
+			*pte &^= pteWP
 			f.wpFaults++
-			return p.data, now + f.params.WPFault.Sample(f.rng), true, nil
+			return frame, now + f.params.WPFault.Sample(f.rng), true, nil
 		}
-		return p.data, now, true, nil
-	default:
-		return nil, now, false, fmt.Errorf("uffd: page %#x in invalid state %d", aligned, p.state)
+		return frame, now, true, nil
 	}
 }
 
@@ -410,10 +413,12 @@ func (f *FD) ZeroPage(now time.Duration, addr uint64) (time.Duration, error) {
 		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	if _, ok := region.pages[aligned]; ok {
+	pte := region.pte(addr)
+	if *pte&pteState != 0 {
 		return now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
-	region.pages[aligned] = f.getPage(PageZeroCOW)
+	*pte |= uint32(PageZeroCOW)
+	region.mapped++
 	done := now + f.params.ZeroPage.Sample(f.rng)
 	if f.tr != nil {
 		f.tr.Emit(trace.EvUffdZeroPage, f.traceWorker(aligned), aligned, now, done-now, "")
@@ -433,13 +438,12 @@ func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, e
 		return now, fmt.Errorf("uffd: copy of %d bytes, want %d", len(data), PageSize)
 	}
 	aligned := align(addr)
-	if _, ok := region.pages[aligned]; ok {
+	pte := region.pte(addr)
+	if *pte&pteState != 0 {
 		return now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
-	p := f.getPage(PagePresent)
-	p.data = f.getFrame()
-	copy(p.data, data)
-	region.pages[aligned] = p
+	f.install(pte, data)
+	region.mapped++
 	done := now + f.params.Copy.Sample(f.rng)
 	if f.tr != nil {
 		f.tr.Emit(trace.EvUffdCopy, f.traceWorker(aligned), aligned, now, done-now, "")
@@ -459,14 +463,15 @@ func (f *FD) SetWriteProtect(now time.Duration, addr uint64) (time.Duration, err
 		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	pte := region.pte(addr)
+	state := PageState(*pte & pteState)
+	if state == 0 {
 		return now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
 	}
-	if p.state != PagePresent {
+	if state != PagePresent {
 		return now, fmt.Errorf("uffd: write-protect of non-private page %#x", aligned)
 	}
-	p.wp = true
+	*pte |= pteWP
 	done := now + f.params.WriteProtect.Sample(f.rng)
 	if f.tr != nil {
 		f.tr.Emit(trace.EvUffdWP, f.traceWorker(aligned), aligned, now, done-now, "")
@@ -483,8 +488,8 @@ func (f *FD) PageClean(addr uint64) bool {
 	if region == nil {
 		return false
 	}
-	p, ok := region.pages[align(addr)]
-	return ok && p.state == PagePresent && p.wp
+	const clean = uint32(PagePresent) | pteWP
+	return *region.pte(addr)&(pteState|pteWP) == clean
 }
 
 // WPFaults reports write-protect faults taken since creation.
@@ -503,19 +508,17 @@ func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, ti
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	pte := region.pte(addr)
+	if *pte&pteState == 0 {
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
 	}
-	data := p.data
-	if p.state == PageZeroCOW {
+	// Frame ownership moves to the caller.
+	data := f.unmap(region, pte)
+	if data == nil {
 		// The zero page is shared; moving it out materialises zeroes.
-		data = f.getFrame()
+		data = f.GetFrame()
 		copy(data, zeroPage)
 	}
-	delete(region.pages, aligned)
-	p.data = nil // frame ownership moves to the caller
-	f.putPage(p)
 	model := f.params.Remap
 	arg := ""
 	if interleaved {
@@ -537,25 +540,28 @@ func (f *FD) Drop(addr uint64) bool {
 	if region == nil {
 		return false
 	}
-	aligned := align(addr)
-	p, ok := region.pages[aligned]
-	if !ok {
+	pte := region.pte(addr)
+	if *pte&pteState == 0 {
 		return false
 	}
-	delete(region.pages, aligned)
-	f.putPage(p)
+	f.Recycle(f.unmap(region, pte))
 	return true
 }
 
 // Wake unblocks the vCPU thread faulted at addr after the monitor resolved
 // the fault.
 func (f *FD) Wake(now time.Duration, addr uint64) time.Duration {
-	delete(f.waiting, align(addr))
+	if region := f.regionFor(addr); region != nil {
+		*region.pte(addr) &^= pteWaiting
+	}
 	return now + f.params.Wake.Sample(f.rng)
 }
 
 // Waiting reports whether a vCPU is still blocked on addr.
-func (f *FD) Waiting(addr uint64) bool { return f.waiting[align(addr)] }
+func (f *FD) Waiting(addr uint64) bool {
+	region := f.regionFor(addr)
+	return region != nil && *region.pte(addr)&pteWaiting != 0
+}
 
 func (f *FD) regionFor(addr uint64) *Region {
 	for _, r := range f.regions {
