@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race bench-quick bench-json bench-wall bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -9,14 +9,12 @@ GO ?= go
 # working-set estimates and arbiter decisions are invariant across worker
 # counts and VM interleavings, cluster-oracle re-proves the no-page-lost
 # contract of the multi-node pool under randomized membership/failure
-# schedules, parallel-oracle re-proves serial-vs-parallel parity of the
-# multi-goroutine data plane under the race detector, openloop-oracle
-# re-proves that open-loop scenario replays are bitwise repeatable and
-# invariant across fault-pipeline worker counts, fuzz-short gives the
-# model checkers a short adversarial pass,
-# and bench-ratchet re-measures every directional metric row of the committed
+# schedules, openloop-oracle re-proves that open-loop scenario replays are
+# bitwise repeatable and invariant across fault-pipeline worker counts,
+# fuzz-short gives the model checkers a short adversarial pass, and
+# bench-ratchet re-measures every directional metric row of the committed
 # BENCH_*.json artifacts and fails on a >10% regression.
-check: fmt-check vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle parallel-oracle openloop-oracle fuzz-short bench-ratchet
+check: fmt-check vet build test check-race shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short bench-ratchet
 
 # Every .go file is gofmt-clean (gofmt -l prints the offenders).
 fmt-check:
@@ -31,14 +29,27 @@ vet:
 test:
 	$(GO) test ./...
 
+# The whole tree under the race detector, on demand.
 race:
 	$(GO) test -race ./...
 
-# Race gate for the sharded fault pipeline: two counted runs defeat the test
-# cache so the per-worker stats cells and shard structures are re-exercised
-# under the race detector every time.
+# The race gate. The simulation is one goroutine
+# (TestSimulationStartsNoGoroutines pins it), so only packages that start a
+# goroutine or import sync or sync/atomic in some .go file, tests included,
+# have anything the detector could report; the list is worked out from the
+# source, not kept by hand. -count=1 defeats the test cache.
+CAN_RACE = (^|[{;])[[:space:]]*go[[:space:]]+[[:alnum:]_.]+[(]|"sync(/atomic)?"
+RACE_PKGS = $(shell grep -rlE --include='*.go' --exclude-dir='.[!.]*' '$(CAN_RACE)' . | xargs -r -n1 dirname | sort -u)
+
 check-race:
-	$(GO) test -race -count=2 ./...
+	$(GO) test -race -count=1 $(RACE_PKGS)
+
+# ROADMAP aim 2's tracked numbers: Go lines of non-test code outside
+# benchmark/, of non-test code inside it, and of tests.
+loc:
+	@printf 'non-test Go outside benchmark/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*/*' | xargs cat | wc -l)"
+	@printf 'non-test Go inside benchmark/:  %s\n' "$$(find ./benchmark -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'test Go:                        %s\n' "$$(find . -name '*_test.go' ! -path './.*/*' | xargs cat | wc -l)"
 
 bench-quick:
 	$(GO) run ./cmd/fluidmem-bench -quick
@@ -46,8 +57,7 @@ bench-quick:
 # Regenerate the machine-readable BENCH_*.json artifacts at full scale. The
 # "artifacts" meta-name expands inside fluidmem-bench to every experiment the
 # registry marks as carrying a committed baseline (see `fluidmem-bench -list`:
-# currently writeback, trace, arbiter, cluster, parallel, market, openloop,
-# wall) —
+# currently cluster, writeback, trace, arbiter, market, openloop, wall) —
 # enrolling a new artifact experiment is one registry flag, with no Makefile
 # edit to forget. fluidmem-bench fails loudly if any selected experiment
 # stops producing its artifact, and each result's Validate() vetoes vacuous
@@ -77,9 +87,9 @@ profile-hotpath:
 # baselines; a >10% move in the bad direction fails the build. The compared
 # rows are virtual-time measurements, so on unchanged simulation logic the
 # comparison is exact; machine-dependent rows (wall clocks, allocation
-# rates, core counts, speedups) are excluded by key. BENCH_wall.json's ns/op
-# rows are excluded the same way; its allocs/op and B/op rows are counts at a
-# fixed iteration count and must match exactly.
+# rates) are excluded by key. BENCH_wall.json's ns/op rows are excluded the
+# same way; its allocs/op and B/op rows are counts at a fixed iteration count
+# and must match exactly.
 bench-ratchet:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -ratchet
 
@@ -107,8 +117,7 @@ arbiter-oracle:
 # identical across worker counts (shardtest outcomes carry MarketPlanDigest),
 # host-level market decisions — including the SLO window evaluations feeding
 # them — must be invariant across VM interleavings and worker counts, and
-# the SLO evaluation itself must be partition-invariant, including under the
-# concurrent parallel engine.
+# the SLO evaluation itself must be partition-invariant.
 market-oracle:
 	$(GO) test ./internal/core/shardtest/ -count=1 -run 'TestWorkerCountEquivalence|TestSeedsDiverge'
 	$(GO) test . -count=1 -run 'TestHostMarketWorkerCountInvariance|TestHostMarketInterleavingInvariance'
@@ -121,15 +130,6 @@ market-oracle:
 cluster-oracle:
 	$(GO) test ./internal/kvstore/cluster/... -count=1 -run 'TestOracle'
 
-# The serial-vs-parallel parity oracle: the multi-goroutine engine must
-# reproduce the single-thread monitor's logical end state exactly — per-shard
-# delivered-data and trace digests, resident set, epoch, and all counters —
-# on every shardtest workload, at several shard counts, repeatably across
-# GOMAXPROCS. Run under -race so the proof also covers the memory model.
-parallel-oracle:
-	$(GO) test ./internal/core/paralleltest/ -count=1 -race
-	$(GO) test ./internal/core/ -count=1 -race -run 'TestSPSC|TestParallel'
-
 # The open-loop traffic determinism oracle: same-seed scenario replays must
 # be bitwise repeatable and the full report — offered load, goodput, sojourn
 # histograms, queue depths, planner epochs, logical trace digests — invariant
@@ -137,8 +137,6 @@ parallel-oracle:
 # cell; the arrival schedules themselves must be split/merge-invariant, and
 # equal to the reference-bisection schedules timestamp for timestamp
 # (TestInvCum*: guess-and-verify inversion moves no arrival).
-# (The churn-vs-core.NewParallel race leg of scenariotest runs under -race
-# via check-race.)
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
 	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum'

@@ -64,7 +64,6 @@ func experiments() []experiment {
 		{"chaos", "fault-latency degradation under injected failures, replicated + resilient", false, func(o bench.Options) (renderable, error) { return bench.RunChaos(o) }},
 		{"cluster", "multi-node pool lifecycle: fault p50/p99 healthy/crashed/recovered/drained vs single store", true, func(o bench.Options) (renderable, error) { return bench.RunCluster(o) }},
 		{"workers", "fault throughput vs pipeline width, batched MultiGet readahead", false, func(o bench.Options) (renderable, error) { return bench.RunWorkers(o) }},
-		{"parallel", "multi-goroutine data plane: wall-clock scaling vs shards × GOMAXPROCS", true, func(o bench.Options) (renderable, error) { return bench.RunParallel(o) }},
 		{"writeback", "eviction write path: per-page Put vs MultiPut batching vs zero-elide + clean-drop", true, func(o bench.Options) (renderable, error) { return bench.RunWriteback(o) }},
 		{"trace", "virtual-time fault-latency breakdown: per-phase p50/p90/p99 from the tracer", true, func(o bench.Options) (renderable, error) { return bench.RunTrace(o) }},
 		{"arbiter", "multi-tenant arbiter vs static equal split: ghost-LRU curves drive budget rebalancing", true, func(o bench.Options) (renderable, error) { return bench.RunArbiter(o) }},
@@ -105,12 +104,11 @@ func run(args []string) (err error) {
 		traceOut = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) to this file, for experiments that record one")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memOut   = fs.String("memprofile", "", "write an allocation profile to this file when the experiments finish")
-		mutexOut = fs.String("mutexprofile", "", "write a mutex-contention profile to this file when the experiments finish")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfiles, err := profiling.Start(*cpuOut, *memOut, *mutexOut)
+	stopProfiles, err := profiling.Start(*cpuOut, *memOut)
 	if err != nil {
 		return err
 	}
@@ -131,27 +129,14 @@ func run(args []string) (err error) {
 		return nil
 	}
 	opts := bench.Options{Quick: *quick, Seed: *seed}
-	want := map[string]bool{}
-	if *runNames != "all" {
-		for _, n := range strings.Split(*runNames, ",") {
-			n = strings.TrimSpace(n)
-			if n == "artifacts" {
-				// Meta-name: the registry, not a Makefile string, decides
-				// which experiments carry committed baselines.
-				for _, a := range artifactNames() {
-					want[a] = true
-				}
-				continue
-			}
-			want[n] = true
-		}
+	want, err := selectExperiments(*runNames)
+	if err != nil {
+		return err
 	}
-	matched := 0
 	for _, e := range exps {
 		if len(want) > 0 && !want[e.name] {
 			continue
 		}
-		matched++
 		fmt.Printf("=== %s: %s ===\n", e.name, e.desc)
 		res, err := e.run(opts)
 		if err != nil {
@@ -209,10 +194,43 @@ func run(args []string) (err error) {
 			fmt.Printf("wrote %s\n", *traceOut)
 		}
 	}
-	if matched == 0 {
-		return fmt.Errorf("no experiment matches %q (use -list)", *runNames)
-	}
 	return nil
+}
+
+// selectExperiments resolves a -run list against the registry: nil for
+// "all", otherwise the set of selected names. Every name must be a registered
+// experiment or the "artifacts" meta-name; a misspelt or retired name fails
+// the whole invocation before anything runs, so a script never quietly
+// measures less than it asked for.
+func selectExperiments(spec string) (map[string]bool, error) {
+	if spec == "all" {
+		return nil, nil
+	}
+	known := make(map[string]bool)
+	for _, e := range experiments() {
+		known[e.name] = true
+	}
+	want := make(map[string]bool)
+	var unknown []string
+	for _, n := range strings.Split(spec, ",") {
+		n = strings.TrimSpace(n)
+		switch {
+		case n == "artifacts":
+			// Meta-name: the registry, not a Makefile string, decides
+			// which experiments carry committed baselines.
+			for _, a := range artifactNames() {
+				want[a] = true
+			}
+		case known[n]:
+			want[n] = true
+		default:
+			unknown = append(unknown, n)
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("no experiment named %q (use -list)", unknown)
+	}
+	return want, nil
 }
 
 // ratchetCheck is the performance regression gate: every directional metric
@@ -221,12 +239,12 @@ func run(args []string) (err error) {
 // build. Direction comes from the key: throughput-like rows (per_sec, teps,
 // goodput, knee_scale) must not drop; latency-like rows (_ns suffixes, the
 // cluster matrix's P50/P99/Mean/RecoveryTime/DrainTime, _pct miss rates)
-// must not rise. Machine-dependent rows (wall clocks, allocation rates, core
-// counts, speedups) are excluded — everything else in these artifacts is
-// virtual time, bit-deterministic per seed, so on unchanged simulation logic
-// the comparison is exact and a trip means the change really moved a metric;
-// the gate forces that to be a deliberate, committed decision rather than
-// drift. The wall ledger's allocs_per_op and bytes_per_op rows are counts at a
+// must not rise. Machine-dependent rows (wall clocks, allocation rates) are
+// excluded — everything else in these artifacts is virtual time,
+// bit-deterministic per seed, so on unchanged simulation logic the
+// comparison is exact and a trip means the change really moved a metric; the
+// gate forces that to be a deliberate, committed decision rather than drift.
+// The wall ledger's allocs_per_op and bytes_per_op rows are counts at a
 // fixed iteration count, machine-independent, and must not move at all.
 func ratchetCheck(name string, res renderable) error {
 	j, ok := res.(jsonable)
@@ -308,7 +326,7 @@ func metricDirection(key string) int {
 		return exact
 	}
 	lk := strings.ToLower(key)
-	for _, skip := range []string{"wall", "alloc", "speedup", "cores", "gomaxprocs", "seed"} {
+	for _, skip := range []string{"wall", "alloc", "seed"} {
 		if strings.Contains(lk, skip) {
 			return 0
 		}

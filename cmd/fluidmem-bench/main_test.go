@@ -2,18 +2,134 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
-func TestListFlag(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+// captureRun calls run(args) with os.Stdout redirected to a file and returns
+// what it printed.
+func captureRun(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run(args)
+	os.Stdout = stdout
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+func TestListFlag(t *testing.T) {
+	out, err := captureRun(t, "-list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "table1") {
+		t.Fatalf("-list does not print table1:\n%s", out)
+	}
+	if strings.Contains(out, "parallel") {
+		t.Fatalf("-list still prints the deleted parallel experiment:\n%s", out)
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nonsense"}); err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+}
+
+// Every name in a -run list must resolve: an unknown name next to a known
+// one used to be skipped silently, so a script naming a retired experiment
+// measured nothing and exited 0.
+func TestSelectExperiments(t *testing.T) {
+	cases := []struct {
+		spec    string
+		want    []string // nil = every experiment
+		unknown string   // non-empty = must fail naming this
+	}{
+		{spec: "all"},
+		{spec: "table1", want: []string{"table1"}},
+		{spec: "table1, fig3", want: []string{"fig3", "table1"}},
+		{spec: "artifacts", want: artifactNames()},
+		{spec: "artifacts,table1", want: append(artifactNames(), "table1")},
+		{spec: "nosuch", unknown: "nosuch"},
+		{spec: "nosuch,table1", unknown: "nosuch"},
+		{spec: "table1,nosuch", unknown: "nosuch"},
+		{spec: "artifacts,parallel", unknown: "parallel"},
+		{spec: "all,table1", unknown: "all"},
+		{spec: "table1,", unknown: `""`},
+		{spec: "", unknown: `""`},
+	}
+	for _, c := range cases {
+		got, err := selectExperiments(c.spec)
+		if c.unknown != "" {
+			if err == nil {
+				t.Errorf("-run %q accepted, want an error naming %s", c.spec, c.unknown)
+			} else if !strings.Contains(err.Error(), c.unknown) || !strings.Contains(err.Error(), "-list") {
+				t.Errorf("-run %q: error %q does not name %s with the -list hint", c.spec, err, c.unknown)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-run %q: %v", c.spec, err)
+			continue
+		}
+		var names []string
+		for n := range got {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		want := append([]string(nil), c.want...)
+		sort.Strings(want)
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Errorf("-run %q selected %v, want %v", c.spec, names, want)
+		}
+	}
+	// The rejection happens before anything runs: no experiment header is
+	// printed for the valid name sharing the list.
+	out, err := captureRun(t, "-quick", "-run", "nosuch,table1")
+	if err == nil {
+		t.Fatal("-run nosuch,table1 exited 0")
+	}
+	if strings.Contains(out, "===") {
+		t.Fatalf("an experiment ran before the unknown name was rejected:\n%s", out)
+	}
+}
+
+// The registry's artifact flags and the committed baselines must agree in
+// both directions: a BENCH_<name>.json at the module root without a registry
+// row is never re-measured by bench-ratchet (an orphan), and an artifact
+// experiment without its file has no baseline to ratchet against.
+func TestArtifactsMatchCommittedBaselines(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(map[string]bool)
+	for _, f := range files {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
+		committed[name] = true
+	}
+	registered := make(map[string]bool)
+	for _, name := range artifactNames() {
+		registered[name] = true
+		if !committed[name] {
+			t.Errorf("artifact experiment %q has no committed BENCH_%s.json (run `make bench-json`)", name, name)
+		}
+	}
+	for name := range committed {
+		if !registered[name] {
+			t.Errorf("BENCH_%s.json is committed but no experiment in the registry is marked artifact under that name", name)
+		}
 	}
 }
 
@@ -49,19 +165,12 @@ func TestExperimentNamesUnique(t *testing.T) {
 			t.Fatalf("missing experiment %q", want)
 		}
 	}
-	// "artifacts" is a reserved meta-name expanding to the registry's
-	// artifact-bearing experiments — it must not collide with a real one,
-	// and the expansion must cover every committed BENCH_*.json producer.
-	if seen["artifacts"] {
-		t.Fatal(`an experiment is literally named "artifacts"`)
-	}
-	arts := make(map[string]bool)
-	for _, name := range artifactNames() {
-		arts[name] = true
-	}
-	for _, want := range []string{"writeback", "trace", "arbiter", "cluster", "parallel", "market", "openloop"} {
-		if !arts[want] {
-			t.Fatalf("artifact experiment %q missing from registry expansion %v", want, artifactNames())
+	// "artifacts" and "all" are reserved meta-names — they must not collide
+	// with a real experiment (TestArtifactsMatchCommittedBaselines checks
+	// what "artifacts" expands to).
+	for _, meta := range []string{"artifacts", "all"} {
+		if seen[meta] {
+			t.Fatalf("an experiment is literally named %q", meta)
 		}
 	}
 }
@@ -107,10 +216,10 @@ func TestMetricDirection(t *testing.T) {
 		{"faults_per_sec", +1}, {"teps", +1}, {"knee_scale", +1},
 		{"sojourn_p99_ns", -1}, {"backlog_ns", -1}, {"miss_pct", -1},
 		{"P99", -1}, {"RecoveryTime", -1},
-		{"wall_ms", 0}, {"allocs_per_fault", 0}, {"speedup", 0},
+		{"wall_ms", 0}, {"allocs_per_fault", 0},
 		// The wall ledger's per-op counts are held to equality.
 		{"allocs_per_op", exact}, {"bytes_per_op", exact}, {"wall_ns_per_op", 0},
-		{"cores", 0}, {"seed", 0}, {"epochs", 0}, {"label", 0},
+		{"seed", 0}, {"epochs", 0}, {"label", 0},
 		// Machine-dependent markers win over directional suffixes.
 		{"wall_p99_ns", 0},
 	}

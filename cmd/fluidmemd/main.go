@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"fluidmem"
@@ -55,7 +54,6 @@ func run(args []string) error {
 		vms        = fs.Int("vms", 1, "tenant count: > 1 runs a multi-tenant host sharing the local budget (one VM hot, the rest cold) instead of the scripted single machine")
 		arb        = fs.Bool("arbiter", false, "with -vms > 1: rebalance the shared budget each epoch from the ghost-LRU miss-ratio curves (default keeps the static equal split)")
 		mkt        = fs.Bool("market", false, "with -vms > 1: run the Memtrade-style marketplace — curve-priced leases with p99-SLO claw-back — instead of the greedy arbiter (mutually exclusive with -arbiter); host console commands: status | slo | market")
-		parallel   = fs.Bool("parallel", false, "drive the multi-goroutine data plane directly (real executor goroutines, wall-clock time) instead of the virtual-time machine; script commands: status | resize <pages> | tick <n>")
 		scenario   = fs.String("scenario", "", "replay a named open-loop traffic scenario (diurnal | flashcrowd | churn) against a multi-tenant host and print the offered-load/goodput report; -arbiter/-market pick the planner, -rate-scale sweeps the offered load")
 		rateScale  = fs.Float64("rate-scale", 1, "with -scenario: multiply every tenant's offered-load curve (the knee-of-curve sweep axis)")
 	)
@@ -63,8 +61,9 @@ func run(args []string) error {
 		return err
 	}
 	if *scenario != "" {
-		if *parallel || *vms > 1 {
-			return fmt.Errorf("-scenario builds its own tenant population (no -parallel/-vms)")
+		if err := rejectUnsupported(fs, "the -scenario replay (it builds its own tenant population on the DRAM store)",
+			"scenario", "rate-scale", "arbiter", "market", "workers", "seed"); err != nil {
+			return err
 		}
 		if *arb && *mkt {
 			return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
@@ -78,27 +77,11 @@ func run(args []string) error {
 		}
 		return runScenario(*scenario, planner, *rateScale, *workers, *seed)
 	}
-	if *parallel {
-		switch {
-		case *vms > 1 || *arb || *mkt:
-			return fmt.Errorf("-parallel runs a single engine (no -vms/-arbiter/-market)")
-		case *backend == "cluster" || *failSched != "":
-			return fmt.Errorf("-parallel does not support the cluster backend or failure schedules")
-		case *replicas > 1 || *chaos > 0:
-			return fmt.Errorf("-parallel does not support resilience policies (no -replicas/-chaos)")
-		case *traceOut != "":
-			return fmt.Errorf("-parallel has no virtual-time spans to trace")
-		}
-		script := *script
-		if !scriptFlagSet(fs) {
-			// The machine's default script probes services the parallel
-			// console doesn't simulate; substitute a steady-state demo.
-			script = "status;tick 20000;status;resize 2048;tick 20000;status"
-		}
-		return runParallelConsole(*backend, *localMB, *guestMB, script, *seed,
-			*workers, *elideZero, *cleanDrop)
-	}
 	if *vms > 1 {
+		if err := rejectUnsupported(fs, "the multi-tenant host console (-vms > 1)",
+			"vms", "arbiter", "market", "backend", "local", "seed", "script"); err != nil {
+			return err
+		}
 		if *arb && *mkt {
 			return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
 		}
@@ -117,11 +100,12 @@ func run(args []string) error {
 		}
 		return runHost(*backend, *vms, planner, *localMB, *seed, hostScript)
 	}
-	if *arb {
-		return fmt.Errorf("-arbiter needs -vms > 1 (a single tenant has nothing to rebalance)")
-	}
-	if *mkt {
-		return fmt.Errorf("-market needs -vms > 1 (a single tenant has nobody to trade with)")
+	// -arbiter and -market are absent: a single tenant has nothing to
+	// rebalance and nobody to trade with.
+	if err := rejectUnsupported(fs, "the single-machine console (planners need -vms > 1, -rate-scale needs -scenario)",
+		"backend", "local", "guest", "script", "seed", "replicas", "store-nodes", "failure-schedule",
+		"chaos", "workers", "elide-zero", "clean-drop", "trace", "vms"); err != nil {
+		return err
 	}
 	mcfg := fluidmem.MachineConfig{
 		Mode:        fluidmem.ModeFluidMem,
@@ -244,6 +228,24 @@ func runScenario(name string, planner loadgen.Planner, scale float64, workers in
 	return nil
 }
 
+// rejectUnsupported returns an error naming the first flag given on the
+// command line that the selected console mode does not honour. Each mode
+// passes the flags it reads; anything else would be dropped silently (a
+// trace never written, a failure schedule never fired).
+func rejectUnsupported(fs *flag.FlagSet, mode string, honoured ...string) error {
+	ok := make(map[string]bool, len(honoured))
+	for _, name := range honoured {
+		ok[name] = true
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !ok[f.Name] {
+			err = fmt.Errorf("-%s is not supported by %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
 // scriptFlagSet reports whether -script was given explicitly.
 func scriptFlagSet(fs *flag.FlagSet) bool {
 	set := false
@@ -253,98 +255,6 @@ func scriptFlagSet(fs *flag.FlagSet) bool {
 		}
 	})
 	return set
-}
-
-// runParallelConsole is the -parallel operator surface: the multi-goroutine
-// data plane driven directly, with real executor goroutines and wall-clock
-// timing. It speaks the subset of the console that makes sense without the
-// virtual-time VM stack — status, resize, tick — and reports wall fault
-// rates where the machine console reports virtual time.
-func runParallelConsole(backend string, localMB, guestMB int, script string, seed uint64,
-	workers int, elideZero, cleanDrop bool) error {
-	store, err := buildStore(backend, 1, 0, seed)
-	if err != nil {
-		return err
-	}
-	capacity := (localMB << 20) / int(core.PageSize)
-	cfg := core.DefaultConfig(store, capacity)
-	cfg.Workers = workers
-	cfg.ElideZeroPages = elideZero
-	cfg.CleanPageDrop = cleanDrop
-	cfg.Seed = seed
-	var delivered atomic.Uint64
-	p, err := core.NewParallel(cfg, nil, "fluidmemd",
-		func(shard int, ticket, addr uint64, data []byte) { delivered.Add(1) })
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	const base = 0x7b00_0000_0000
-	guestPages := (guestMB << 20) / int(core.PageSize)
-	if err := p.RegisterRange(base, uint64(guestPages)*core.PageSize, 1); err != nil {
-		return err
-	}
-	fmt.Printf("fluidmemd: parallel data plane on %s, %d executor shard(s), local budget %d pages (%d MB), guest range %d pages\n",
-		backend, p.Shards(), capacity, localMB, guestPages)
-
-	next := 0
-	start := time.Now()
-	for _, raw := range strings.Split(script, ";") {
-		fields := strings.Fields(strings.TrimSpace(raw))
-		if len(fields) == 0 {
-			continue
-		}
-		fmt.Printf("\n> %s\n", strings.Join(fields, " "))
-		switch fields[0] {
-		case "status":
-			st := p.Stats()
-			wb := p.WritebackStats()
-			fmt.Printf("  wall=%v resident=%d pages limit=%d faults=%d first-touch=%d remote-reads=%d steals=%d evictions=%d delivered=%d\n",
-				time.Since(start).Round(time.Millisecond), p.ResidentPages(), p.FootprintLimit(),
-				st.Faults, st.FirstTouch, st.RemoteReads, st.Steals, st.Evictions, delivered.Load())
-			if st.ZeroElided > 0 || st.CleanDropped > 0 || st.ZeroRefills > 0 {
-				fmt.Printf("  writeback: zero-elided=%d clean-dropped=%d zero-refills=%d wp-faults=%d flushes=%d flushed-pages=%d\n",
-					st.ZeroElided, st.CleanDropped, st.ZeroRefills, p.WPFaults(), wb.Flushes, wb.FlushedPages)
-			}
-			fmt.Printf("  store: %+v\n", store.Stats())
-		case "resize":
-			if len(fields) != 2 {
-				return fmt.Errorf("usage: resize <pages>")
-			}
-			pages, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return err
-			}
-			if err := p.Resize(pages); err != nil {
-				return err
-			}
-			fmt.Printf("  footprint limit now %d pages, resident %d\n", pages, p.ResidentPages())
-		case "tick":
-			if len(fields) != 2 {
-				return fmt.Errorf("usage: tick <touches>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return err
-			}
-			tickStart := time.Now()
-			for k := 0; k < n; k++ {
-				if err := p.Touch(base+uint64(next%guestPages)*core.PageSize, next%3 == 0); err != nil {
-					return err
-				}
-				next++
-			}
-			wall := time.Since(tickStart)
-			fmt.Printf("  %d touches in %v (%.0f wall faults/sec), resident %d\n",
-				n, wall.Round(time.Millisecond), float64(n)/wall.Seconds(), p.ResidentPages())
-		default:
-			return fmt.Errorf("command %q not available with -parallel (status | resize <pages> | tick <n>)", fields[0])
-		}
-	}
-	if err := p.Drain(); err != nil {
-		return err
-	}
-	return p.Err()
 }
 
 // runHost is the multi-tenant console: N named tenants share one store and

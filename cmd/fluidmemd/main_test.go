@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestDefaultScript(t *testing.T) {
 	if err := run([]string{"-local", "16", "-guest", "64"}); err != nil {
@@ -61,7 +65,48 @@ func TestMarketFlagValidation(t *testing.T) {
 	if err := run([]string{"-vms", "2", "-market", "-arbiter"}); err == nil {
 		t.Fatal("-market with -arbiter accepted")
 	}
-	if err := run([]string{"-parallel", "-market"}); err == nil {
-		t.Fatal("-parallel with -market accepted")
+}
+
+// Every console mode must refuse a flag it would otherwise drop silently,
+// naming the flag: the host console and the scenario replay used to accept
+// -trace, -workers, -chaos, -failure-schedule and run without them.
+func TestModeRejectsUnsupportedFlags(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "x.json")
+	cases := []struct {
+		args []string
+		flag string // the flag the error must name
+	}{
+		{[]string{"-vms", "2", "-trace", trace}, "-trace"},
+		{[]string{"-vms", "2", "-workers", "8"}, "-workers"},
+		{[]string{"-vms", "2", "-chaos", "0.5"}, "-chaos"},
+		{[]string{"-vms", "2", "-backend", "cluster", "-failure-schedule", "crash:node0@1ms"}, "-failure-schedule"},
+		{[]string{"-vms", "2", "-guest", "64"}, "-guest"},
+		{[]string{"-vms", "2", "-rate-scale", "2"}, "-rate-scale"},
+		{[]string{"-scenario", "diurnal", "-backend", "cluster"}, "-backend"},
+		{[]string{"-scenario", "diurnal", "-trace", trace}, "-trace"},
+		{[]string{"-scenario", "diurnal", "-vms", "2"}, "-vms"},
+		{[]string{"-scenario", "diurnal", "-script", "status"}, "-script"},
+		{[]string{"-market"}, "-market"},
+		{[]string{"-arbiter"}, "-arbiter"},
+		{[]string{"-rate-scale", "2"}, "-rate-scale"},
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("%v accepted, want an error naming %s", c.args, c.flag)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.flag+" is not supported") {
+			t.Errorf("%v: error %q does not name %s", c.args, err, c.flag)
+		}
+	}
+	// What each mode does honour still runs.
+	for _, args := range [][]string{
+		{"-vms", "1", "-local", "8", "-guest", "32", "-workers", "2", "-script", "status"},
+		{"-scenario", "churn", "-market", "-workers", "2", "-rate-scale", "0.5", "-seed", "3"},
+	} {
+		if err := run(args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 // Command hotpath-probe measures wall-clock fault throughput and heap
 // allocations of the monitor's miss+evict+writeback hot path via the public
 // API only, so the same source runs against older trees for before/after
-// comparisons (see EXPERIMENTS.md). -parallel switches the loop from the
-// single-thread virtual-time monitor to the multi-goroutine engine, and the
-// -cpuprofile/-memprofile/-mutexprofile flags attribute where the time and
-// bytes go.
+// comparisons (see EXPERIMENTS.md). The -cpuprofile/-memprofile flags
+// attribute where the time and bytes go.
 package main
 
 import (
@@ -28,12 +26,10 @@ func main() {
 
 func run() (err error) {
 	var (
-		parallel = flag.Bool("parallel", false, "drive the multi-goroutine engine instead of the virtual-time monitor")
-		workers  = flag.Int("workers", 4, "pipeline width (serial) / executor-shard count (parallel)")
-		faults   = flag.Int("faults", 2_000_000, "measured fault count")
-		cpuOut   = flag.String("cpuprofile", "", "write a CPU profile of the measured phase to this file")
-		memOut   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		mutexOut = flag.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
+		workers = flag.Int("workers", 4, "fault-pipeline width")
+		faults  = flag.Int("faults", 2_000_000, "measured fault count")
+		cpuOut  = flag.String("cpuprofile", "", "write a CPU profile of the measured phase to this file")
+		memOut  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -45,41 +41,21 @@ func run() (err error) {
 	cfg := core.DefaultConfig(store, capacity)
 	cfg.Workers = *workers
 
-	// touch runs one dirty fault; close drains whatever the engine still owes.
-	var touch func() error
-	close := func() error { return nil }
+	m, err := core.NewMonitor(cfg, nil, "probe")
+	if err != nil {
+		return err
+	}
+	if _, err := m.RegisterRange(base, pages*core.PageSize, 1); err != nil {
+		return err
+	}
+	// touch runs one dirty fault.
+	var now time.Duration
 	i := 0
-	if *parallel {
-		var sink uint64
-		p, perr := core.NewParallel(cfg, nil, "probe",
-			func(shard int, ticket, addr uint64, data []byte) { sink += uint64(len(data)) })
-		if perr != nil {
-			return perr
-		}
-		if rerr := p.RegisterRange(base, pages*core.PageSize, 1); rerr != nil {
-			return rerr
-		}
-		touch = func() error {
-			terr := p.Touch(base+uint64(i%pages)*core.PageSize, true)
-			i++
-			return terr
-		}
-		close = p.Close
-	} else {
-		m, merr := core.NewMonitor(cfg, nil, "probe")
-		if merr != nil {
-			return merr
-		}
-		if _, rerr := m.RegisterRange(base, pages*core.PageSize, 1); rerr != nil {
-			return rerr
-		}
-		var now time.Duration
-		touch = func() error {
-			_, done, terr := m.Touch(now, base+uint64(i%pages)*core.PageSize, true)
-			now = done
-			i++
-			return terr
-		}
+	touch := func() error {
+		_, done, terr := m.Touch(now, base+uint64(i%pages)*core.PageSize, true)
+		now = done
+		i++
+		return terr
 	}
 
 	for k := 0; k < 3*pages; k++ { // warm to steady state
@@ -88,7 +64,7 @@ func run() (err error) {
 		}
 	}
 
-	stopProfiles, err := profiling.Start(*cpuOut, *memOut, *mutexOut)
+	stopProfiles, err := profiling.Start(*cpuOut, *memOut)
 	if err != nil {
 		return err
 	}
@@ -107,17 +83,10 @@ func run() (err error) {
 			return err
 		}
 	}
-	if err := close(); err != nil { // parallel: include the executors' tail
-		return err
-	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	mode := "serial"
-	if *parallel {
-		mode = "parallel"
-	}
-	fmt.Printf("mode=%s workers=%d faults=%d wall=%v wall_faults_per_sec=%.0f allocs_per_fault=%.3f bytes_per_fault=%.1f\n",
-		mode, *workers, *faults, wall.Round(time.Millisecond), float64(*faults)/wall.Seconds(),
+	fmt.Printf("workers=%d faults=%d wall=%v wall_faults_per_sec=%.0f allocs_per_fault=%.3f bytes_per_fault=%.1f\n",
+		*workers, *faults, wall.Round(time.Millisecond), float64(*faults)/wall.Seconds(),
 		float64(after.Mallocs-before.Mallocs)/float64(*faults),
 		float64(after.TotalAlloc-before.TotalAlloc)/float64(*faults))
 	return nil

@@ -1,0 +1,108 @@
+package fluidmem
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"fluidmem/internal/core"
+	"fluidmem/internal/core/resilience"
+)
+
+// TestSimulationStartsNoGoroutines pins the fact `make check-race` relies on
+// when it races only the packages that can race: the simulation runs entirely
+// on its caller's goroutine. Neither a machine on the cluster pool — raft,
+// simnet, resilience retries, a node crash and its recovery — nor a
+// multi-tenant host trading through market epochs may leave the goroutine
+// count different from where it found it.
+func TestSimulationStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	check := func(stage string) {
+		t.Helper()
+		if now := runtime.NumGoroutine(); now != before {
+			t.Fatalf("%s: %d goroutines, %d before the simulation started", stage, now, before)
+		}
+	}
+
+	const local, span = 32, 96 // pages: every pass over the span evicts and re-reads
+	mon := core.DefaultConfig(nil, local)
+	policy := resilience.DefaultPolicy()
+	mon.Resilience = &policy
+	m, err := NewMachine(MachineConfig{
+		Backend:     BackendCluster,
+		LocalMemory: local * PageSize,
+		GuestMemory: 4 * span * PageSize,
+		Monitor:     &mon,
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := m.Alloc("ws", span*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := func(stage string) {
+		t.Helper()
+		for op := 0; op < 3*span; op++ {
+			if _, err := m.Touch(seg.Addr(0)+uint64(op%span)*PageSize, op%3 == 0); err != nil {
+				t.Fatalf("%s op %d: %v", stage, op, err)
+			}
+		}
+		check(stage)
+	}
+	pool := m.ClusterPool()
+	passes("cluster healthy")
+	if err := pool.Crash(m.Now(), pool.NodeNames()[0]); err != nil {
+		t.Fatal(err)
+	}
+	passes("cluster crashed")
+	if _, copied, err := pool.Recover(m.Now()); err != nil {
+		t.Fatal(err)
+	} else if copied == 0 {
+		t.Fatal("recovery re-replicated nothing; the crash leg is vacuous")
+	}
+	passes("cluster recovered")
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	check("cluster drained")
+
+	const epochOps, epochs = 200, 3
+	spans := []int{80, 8, 8} // one bidder past its split, two donors under SLO
+	specs := make([]TenantSpec, len(spans))
+	for i := range specs {
+		specs[i] = TenantSpec{ID: fmt.Sprintf("t%d", i), VM: MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}}
+		if i > 0 {
+			specs[i].Policy.SLO = time.Microsecond
+		}
+	}
+	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 96, Seed: 42,
+		Market: &MarketConfig{EpochOps: epochOps}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := make([]uint64, len(spans))
+	for i := range spans {
+		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = seg.Addr(0)
+	}
+	for op := 0; op < epochs*epochOps; op++ {
+		for i := range spans {
+			if _, err := h.Touch(i, bases[i]+uint64(op%spans[i])*PageSize, op%3 == 0); err != nil {
+				t.Fatalf("tenant %d op %d: %v", i, op, err)
+			}
+		}
+	}
+	if err := h.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Stats().Market.Epochs; got < 2 {
+		t.Fatalf("market ran %d epochs, want at least 2", got)
+	}
+	check("market host")
+}

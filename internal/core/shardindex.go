@@ -10,8 +10,7 @@ import "math/bits"
 // remainder otherwise. Both forms agree exactly with the reference formula —
 // BenchmarkWorkerOf and TestShardIndexerMatchesReference pin it — so every
 // structure sharded by page address (LRU segments, write-list events, stats
-// cells, the parallel engine's executors) can share one indexer and stay
-// consistent.
+// cells) can share one indexer and stay consistent.
 type shardIndexer struct {
 	shards uint64
 	// mask is shards-1 when shards is a power of two; otherwise ^uint64(0)

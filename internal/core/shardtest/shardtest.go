@@ -119,7 +119,8 @@ type Outcome struct {
 // returns the observable outcome. The op sequence is driven entirely by the
 // seed — never by virtual time — so two Replays with the same (wl, seed)
 // present identical guest behaviour regardless of workers. It also asserts
-// the capacity invariant ResidentPages() <= FootprintLimit() after every op.
+// the capacity invariant ResidentPages() <= FootprintLimit() after every op,
+// resizes and discards included.
 func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 	tb.Helper()
 	cfg := wl.NewConfig(seed)
@@ -152,6 +153,12 @@ func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 	tags := make(map[int]byte)
 	scan := 0
 	now := time.Duration(0)
+	checkFootprint := func(i int) {
+		if m.ResidentPages() > m.FootprintLimit() {
+			tb.Fatalf("%s/w%d op %d: resident %d exceeds limit %d",
+				wl.Name, workers, i, m.ResidentPages(), m.FootprintLimit())
+		}
+	}
 	for i := 0; i < wl.Steps; i++ {
 		if wl.Resize && rng.Float64() < 0.01 {
 			// Toggle between full and half capacity (§III active sizing).
@@ -162,6 +169,7 @@ func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 			if now, err = m.Resize(now, capacity); err != nil {
 				tb.Fatalf("%s/w%d op %d: resize: %v", wl.Name, workers, i, err)
 			}
+			checkFootprint(i)
 			continue
 		}
 		var page int
@@ -177,6 +185,7 @@ func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 		if wl.Discard && rng.Float64() < 0.02 {
 			m.Discard(addr)
 			delete(tags, page)
+			checkFootprint(i)
 			continue
 		}
 		var write bool
@@ -205,10 +214,7 @@ func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 			data[0] = tag
 			tags[page] = tag
 		}
-		if m.ResidentPages() > m.FootprintLimit() {
-			tb.Fatalf("%s/w%d op %d: resident %d exceeds limit %d",
-				wl.Name, workers, i, m.ResidentPages(), m.FootprintLimit())
-		}
+		checkFootprint(i)
 		now = done + time.Microsecond
 	}
 

@@ -5,10 +5,6 @@ import (
 	"testing"
 )
 
-// workloads aliases the exported table (workloads.go) so the oracle bodies
-// below read unchanged.
-func workloads() []Workload { return Workloads() }
-
 // TestWorkerCountEquivalence is the oracle: for every workload, monitors
 // with 2, 4, and 8 workers must produce byte-identical Touch results, the
 // same final resident set, the same logical epoch, and the same monitor and
@@ -75,6 +71,9 @@ func TestWritebackWorkloadsExerciseEngine(t *testing.T) {
 	if heavy.Store.MultiPuts == 0 {
 		t.Errorf("write-heavy workload never flushed a batch: %+v", heavy.Store)
 	}
+	if heavy.Stats.Steals == 0 {
+		t.Errorf("write-heavy workload never stole a pending write: %+v", heavy.Stats)
+	}
 
 	zero := Replay(t, byName["ramcloud-writeback-zeroheavy"], 4, 42)
 	if zero.Stats.ZeroElided == 0 || zero.Stats.ZeroRefills == 0 {
@@ -94,6 +93,32 @@ func TestWritebackWorkloadsExerciseEngine(t *testing.T) {
 	}
 	if ro.Stats.Evictions == 0 {
 		t.Errorf("read-only workload never evicted (capacity too large?): %+v", ro.Stats)
+	}
+}
+
+// TestReadPathWorkloadsExerciseEngine is the same guard for the read side and
+// the unoptimised baseline: the workloads that claim to prove batched and
+// pipelined readahead and synchronous eviction writes deterministic must
+// actually take those paths.
+func TestReadPathWorkloadsExerciseEngine(t *testing.T) {
+	byName := map[string]Workload{}
+	for _, wl := range workloads() {
+		byName[wl.Name] = wl
+	}
+
+	batched := Replay(t, byName["ramcloud-batched-prefetch"], 4, 42)
+	if batched.Stats.Prefetches == 0 || batched.Store.MultiGets == 0 {
+		t.Errorf("batched workload never prefetched via MultiGet: %+v %+v", batched.Stats, batched.Store)
+	}
+
+	pipelined := Replay(t, byName["memcached-prefetch-churn"], 4, 42)
+	if pipelined.Stats.Prefetches == 0 {
+		t.Errorf("pipelined workload never prefetched: %+v", pipelined.Stats)
+	}
+
+	baseline := Replay(t, byName["dram-sync-baseline"], 4, 42)
+	if baseline.Stats.SyncWrites == 0 {
+		t.Errorf("baseline workload never wrote synchronously: %+v", baseline.Stats)
 	}
 }
 

@@ -7,14 +7,11 @@ import (
 	"fluidmem/internal/kvstore/ramcloud"
 )
 
-// Workloads spans the monitor's major configuration axes: remote vs local
+// workloads spans the monitor's major configuration axes: remote vs local
 // backend, async vs sync write paths, pipelined vs batched prefetching, and
 // churn (discard + resize). Each is a distinct way worker sharding could
-// leak into logical behaviour. The table is exported because two oracles
-// consume it: the worker-count equivalence tests in this package, and the
-// serial-vs-parallel parity oracle in core/paralleltest, which replays the
-// same behaviours against the multi-goroutine engine.
-func Workloads() []Workload {
+// leak into logical behaviour.
+func workloads() []Workload {
 	return []Workload{
 		{
 			// The headline deployment: RAMCloud backend, all §V-B

@@ -6,9 +6,5 @@
 // worker counts {1, 2, 4, 8} at the oracle's pinned configurations (the
 // core contract guarantees the logical fields at any configuration; the
 // virtual-time fields can drift by a store batch's amortization once
-// re-sharding regroups MultiGet batches — see core/shardtest); and that the
-// open-loop
-// churn pattern (arrival storms, planner resize storms, mid-run tenant
-// boot) is race-free on the live multi-goroutine core.NewParallel
-// executors.
+// re-sharding regroups MultiGet batches — see core/shardtest).
 package scenariotest

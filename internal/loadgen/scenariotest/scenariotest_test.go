@@ -1,17 +1,10 @@
 package scenariotest
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
-	"fluidmem/internal/core"
-	"fluidmem/internal/kvstore/dram"
 	"fluidmem/internal/loadgen"
-	"fluidmem/internal/stats"
-	"fluidmem/internal/workload/ycsb"
 )
 
 // TestOpenLoopReplayOracle is the headline gate: for every scenario × planner
@@ -123,154 +116,5 @@ func TestOpenLoopSeedsDiverge(t *testing.T) {
 	}
 	if a.Digest == b.Digest {
 		t.Fatalf("seeds 1 and 2 produced the same digest %016x", a.Digest)
-	}
-}
-
-// TestOpenLoopChurnParallelRaceFree drives the open-loop churn pattern
-// against the LIVE multi-goroutine executors (core.NewParallel): three
-// tenant arrival streams from the loadgen schedules touch three address
-// ranges, a planner-style PostResize storm changes the capacity every epoch,
-// and the late tenant's range is registered mid-run (the VM-boot analogue).
-// Run under -race via `make check-race`. The assertion mirrors the SLO
-// invariance leg: per-shard delivery cells merged must equal a
-// mutex-serialised global accumulator fed the same deliveries.
-func TestOpenLoopChurnParallelRaceFree(t *testing.T) {
-	const (
-		seed    = 99
-		horizon = 120 * time.Millisecond
-		span    = 64 // pages per tenant range
-	)
-	type stream struct {
-		cfg   loadgen.ArrivalConfig
-		base  uint64
-		boot  time.Duration
-		death time.Duration
-	}
-	streams := []stream{
-		{cfg: loadgen.ArrivalConfig{Process: loadgen.Poisson,
-			Curve: loadgen.ConstantRate{PerSec: 40_000}, Seed: seed + 1},
-			base: 0x7c00_0000_0000},
-		{cfg: loadgen.ArrivalConfig{Process: loadgen.Poisson,
-			Curve: loadgen.DiurnalRate{Base: 30_000, Swing: 0.9, Period: horizon / 2}, Seed: seed + 2},
-			base: 0x7d00_0000_0000, death: horizon / 2},
-		{cfg: loadgen.ArrivalConfig{Process: loadgen.Deterministic,
-			Curve: loadgen.ConstantRate{PerSec: 35_000}, Seed: seed + 3},
-			base: 0x7e00_0000_0000, boot: horizon / 3},
-	}
-
-	// Merge the three schedules into one time-ordered op tape up front, so
-	// the driving loop below is pure intake pressure.
-	type op struct {
-		at     time.Duration
-		stream int
-	}
-	var tape []op
-	for si, s := range streams {
-		to := horizon
-		if s.death > 0 {
-			to = s.death
-		}
-		for _, at := range s.cfg.Schedule(s.boot, to) {
-			tape = append(tape, op{at: at, stream: si})
-		}
-	}
-	for i := 1; i < len(tape); i++ { // insertion sort on nearly-merged data is fine at this size
-		for j := i; j > 0 && tape[j].at < tape[j-1].at; j-- {
-			tape[j], tape[j-1] = tape[j-1], tape[j]
-		}
-	}
-	if len(tape) < 1000 {
-		t.Fatalf("churn tape too small: %d ops", len(tape))
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := core.DefaultConfig(dram.New(dram.DefaultParams(), seed+17), span)
-			cfg.Workers = shards
-			cfg.Seed = seed
-
-			cells := make([]stats.Histogram, shards)
-			var mu sync.Mutex
-			var global stats.Histogram
-			onData := func(shard int, ticket, addr uint64, data []byte) {
-				d := time.Duration(1+(addr*2654435761>>12)%4096) * time.Microsecond
-				cells[shard].Add(d)
-				mu.Lock()
-				global.Add(d)
-				mu.Unlock()
-			}
-			p, err := core.NewParallel(cfg, nil, "openloop-churn", onData)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for si, s := range streams[:2] {
-				if err := p.RegisterRange(s.base, span*core.PageSize, si+1); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			keys := make([]*ycsb.Zipfian, len(streams))
-			for i := range keys {
-				z, err := ycsb.NewZipfian(span, 0.99, seed+uint64(i)*13)
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys[i] = z
-			}
-
-			lateRegistered := false
-			resizes := 0
-			for i, o := range tape {
-				if !lateRegistered && o.at >= streams[2].boot {
-					// Mid-run tenant boot: a new range appears while the
-					// executors are busy.
-					if err := p.RegisterRange(streams[2].base, span*core.PageSize, 3); err != nil {
-						t.Fatal(err)
-					}
-					lateRegistered = true
-				}
-				if i > 0 && i%1000 == 0 {
-					// Planner resize storm: lock-free capacity changes racing
-					// the intake, alternating squeeze and restore.
-					capacity := span
-					if (i/1000)%2 == 1 {
-						capacity = span / 2
-					}
-					if p.PostResize(capacity) {
-						resizes++
-					}
-				}
-				if o.stream == 2 && !lateRegistered {
-					t.Fatalf("op %d for unbooted tenant", i)
-				}
-				addr := streams[o.stream].base + uint64(keys[o.stream].Next())*core.PageSize
-				if err := p.Touch(addr, i%3 == 0); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-			}
-			if resizes == 0 {
-				t.Fatal("resize storm never fired")
-			}
-			if err := p.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			var merged stats.Histogram
-			for i := range cells {
-				merged.Merge(&cells[i])
-			}
-			if merged.Count() == 0 {
-				t.Fatal("no deliveries observed")
-			}
-			if merged.Count() != global.Count() || merged.Max() != global.Max() ||
-				merged.Mean() != global.Mean() ||
-				merged.Percentile(99) != global.Percentile(99) {
-				t.Fatalf("per-shard cells diverge from serial accumulator: %d/%v vs %d/%v",
-					merged.Count(), merged.Percentile(99), global.Count(), global.Percentile(99))
-			}
-		})
 	}
 }

@@ -10,7 +10,7 @@
 // function of the multiset of fault durations — bucket-wise addition and
 // subtraction — so the evaluation cannot depend on how faults were
 // partitioned across workers. TestEvaluateSLOWorkerPartitionInvariance and
-// the core.NewParallel test prove this for worker counts {1,2,4,8}.
+// TestEvaluateSLOTracerWindows prove this for worker counts {1,2,4,8}.
 package market
 
 import (

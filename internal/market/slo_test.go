@@ -1,13 +1,9 @@
 package market_test
 
 import (
-	"sync"
 	"testing"
 	"time"
 
-	"fluidmem/internal/core"
-	"fluidmem/internal/core/paralleltest"
-	"fluidmem/internal/core/shardtest"
 	"fluidmem/internal/market"
 	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
@@ -120,78 +116,6 @@ func TestEvaluateSLOTracerWindows(t *testing.T) {
 			if got[w] != ref[w] {
 				t.Fatalf("workers=%d window %d verdict = %+v, want %+v", workers, w, got[w], ref[w])
 			}
-		}
-	}
-}
-
-// SLO accounting under core.NewParallel: real shard goroutines accumulate
-// per-shard histogram cells concurrently through the delivery callback, and
-// the merged evaluation must equal a mutex-serialised global accumulator fed
-// the same deliveries — at every shard count. This is the concurrency leg of
-// the invariance proof: how observations land in per-worker cells (which
-// goroutine, what order) cannot change the verdict.
-func TestEvaluateSLOUnderParallel(t *testing.T) {
-	wl := shardtest.Workloads()[0] // ramcloud-async
-	const seed = 42
-	ops := paralleltest.GenOps(wl, seed)
-	target := 2 * time.Millisecond
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := wl.NewConfig(seed)
-		cfg.Workers = shards
-		cfg.Seed = seed
-
-		cells := make([]stats.Histogram, shards)
-		var mu sync.Mutex
-		var global stats.Histogram
-		onData := func(shard int, ticket, addr uint64, data []byte) {
-			d := synthDur(addr)
-			cells[shard].Add(d) // shard-local: no lock needed
-			mu.Lock()
-			global.Add(d)
-			mu.Unlock()
-		}
-		p, err := core.NewParallel(cfg, nil, "slotest", onData)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if err := p.RegisterRange(shardtest.Base, uint64(wl.Pages)*core.PageSize, 1); err != nil {
-			t.Fatalf("shards=%d: register: %v", shards, err)
-		}
-		for i, op := range ops {
-			var err error
-			switch op.Kind {
-			case paralleltest.OpTouch:
-				err = p.Touch(op.Addr, op.Write)
-			case paralleltest.OpResize:
-				err = p.Resize(op.Capacity)
-			case paralleltest.OpDiscard:
-				p.Discard(op.Addr)
-			case paralleltest.OpDrain:
-				err = p.Drain()
-			}
-			if err != nil {
-				t.Fatalf("shards=%d op %d: %v", shards, i, err)
-			}
-		}
-		if err := p.Drain(); err != nil {
-			t.Fatalf("shards=%d: drain: %v", shards, err)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatalf("shards=%d: close: %v", shards, err)
-		}
-
-		var merged stats.Histogram
-		for i := range cells {
-			merged.Merge(&cells[i])
-		}
-		got := market.EvaluateSLO(target, merged, stats.Histogram{})
-		want := market.EvaluateSLO(target, global, stats.Histogram{})
-		if got != want {
-			t.Fatalf("shards=%d: merged cells %+v != serial accumulator %+v", shards, got, want)
-		}
-		if got.Faults == 0 {
-			t.Fatalf("shards=%d: no deliveries observed", shards)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package profiling is the shared pprof plumbing for the measurement
-// binaries (fluidmem-bench, hotpath-probe): CPU, allocation, and
-// mutex-contention profiles gated behind flags, so scaling-curve runs (see
-// EXPERIMENTS.md) can be attributed to code without editing the harness.
+// binaries (fluidmem-bench, hotpath-probe): CPU and allocation profiles gated
+// behind flags, so wall-clock runs (see EXPERIMENTS.md) can be attributed to
+// code without editing the harness.
 package profiling
 
 import (
@@ -13,10 +13,9 @@ import (
 
 // Start begins the profiles selected by non-empty paths and returns a stop
 // function that finishes and writes them. The CPU profile streams from now
-// until stop; the allocation and mutex profiles snapshot at stop time (after
-// a GC, so the heap profile reflects live steady state, and with mutex
-// sampling enabled for the whole window).
-func Start(cpuPath, memPath, mutexPath string) (func() error, error) {
+// until stop; the allocation profile snapshots at stop time (after a GC, so
+// the heap profile reflects live steady state).
+func Start(cpuPath, memPath string) (func() error, error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
@@ -28,12 +27,6 @@ func Start(cpuPath, memPath, mutexPath string) (func() error, error) {
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		cpuFile = f
-	}
-	prevMutexFraction := 0
-	if mutexPath != "" {
-		// Sample every contention event: the engine's hot paths are meant to
-		// be lock-free, so any sample at all is signal.
-		prevMutexFraction = runtime.SetMutexProfileFraction(1)
 	}
 	stop := func() error {
 		if cpuFile != nil {
@@ -54,20 +47,6 @@ func Start(cpuPath, memPath, mutexPath string) (func() error, error) {
 			}
 			if err := f.Close(); err != nil {
 				return fmt.Errorf("memprofile: %w", err)
-			}
-		}
-		if mutexPath != "" {
-			defer runtime.SetMutexProfileFraction(prevMutexFraction)
-			f, err := os.Create(mutexPath)
-			if err != nil {
-				return fmt.Errorf("mutexprofile: %w", err)
-			}
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				f.Close()
-				return fmt.Errorf("mutexprofile: %w", err)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("mutexprofile: %w", err)
 			}
 		}
 		return nil
