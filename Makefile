@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # shard-oracle re-proves worker-count determinism on the write-back workloads,
@@ -73,6 +73,17 @@ bench-json:
 # allocs/op and the run's calibration spin.
 bench-wall:
 	$(GO) run ./cmd/fluidmem-bench -run wall -json
+
+# Whether the working tree is faster than a parent commit on one workload of
+# the repository benchmark: alternated parent/change pairs at seeds 301..,
+# every run printed, then per end-to-end metric both medians with quartiles,
+# wins/pairs, the ratio with its base and the choosing-metrics §8 verdict.
+#   make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20]
+PAIRS ?= 10
+SECONDS ?= 20
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
 
 # Where the host time of the steady-state fault loop goes: one million
 # miss+evict+write-back faults under the CPU profiler, top 25 frames.

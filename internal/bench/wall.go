@@ -17,13 +17,14 @@ import (
 var wallPackages = []string{
 	"./internal/clock",
 	"./internal/core",
+	"./internal/kvstore/dram",
 	"./internal/kvstore/ramcloud",
 	"./internal/loadgen",
 	"./internal/uffd",
 }
 
 const wallPattern = "^Benchmark(AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|" +
-	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite)$"
+	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32)$"
 
 // WallRow is one testing.B row of the ledger.
 type WallRow struct {

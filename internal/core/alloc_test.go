@@ -22,6 +22,7 @@ import (
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/cluster"
 	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
 )
 
@@ -32,6 +33,9 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 	return map[string]func() kvstore.Store{
 		"dram": func() kvstore.Store {
 			return dram.New(dram.DefaultParams(), 9)
+		},
+		"ramcloud": func() kvstore.Store {
+			return ramcloud.New(ramcloud.DefaultParams(), 10)
 		},
 		"replicated": func() kvstore.Store {
 			st, err := replicated.New(
@@ -55,8 +59,9 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 }
 
 // allocHarness builds a monitor over the given store, warms it to steady
-// state, and returns a closure running exactly one dirty fault per call.
-func allocHarness(t *testing.T, store kvstore.Store, workers, pages int) func() {
+// state, and returns it with a closure running exactly one dirty fault per
+// call.
+func allocHarness(t *testing.T, store kvstore.Store, workers, pages int) (*Monitor, func()) {
 	t.Helper()
 	cfg := DefaultConfig(store, pages/2)
 	cfg.Workers = workers
@@ -83,7 +88,7 @@ func allocHarness(t *testing.T, store kvstore.Store, workers, pages int) func() 
 	for k := 0; k < 3*pages; k++ {
 		touch()
 	}
-	return touch
+	return m, touch
 }
 
 // TestSteadyStateFaultsAllocFree pins the headline property: zero heap
@@ -96,12 +101,52 @@ func TestSteadyStateFaultsAllocFree(t *testing.T) {
 	for name, mk := range allocBenchBackends(t) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				touch := allocHarness(t, mk(), workers, 128)
+				_, touch := allocHarness(t, mk(), workers, 128)
 				if avg := testing.AllocsPerRun(500, touch); avg != 0 {
 					t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
 				}
 			})
 		}
+	}
+}
+
+// TestSteadyStateConservesBuffers pins the other half of allocation-free: the
+// page buffers only change hands. A frame is mapped in the VM, pooled in the
+// descriptor, queued on the write list, held by the store under a key, or
+// spare inside the store; an eviction moves one from mapped to queued, a flush
+// trades the queued ones for the versions the store replaces, an install
+// takes one from the pool. Over 10 000 steady-state faults the total must not
+// move: a buffer dropped on the way shows as a shrinking sum here and as an
+// allocation later. (A buffer owned twice does not change the count; the
+// aliasing net in storetest is what catches that.)
+func TestSteadyStateConservesBuffers(t *testing.T) {
+	dramStore := dram.New(dram.DefaultParams(), 9)
+	ramcloudStore := ramcloud.New(ramcloud.DefaultParams(), 10)
+	for name, tc := range map[string]struct {
+		store   kvstore.Store
+		inStore func() int // buffers the store holds, live and spare
+	}{
+		"dram": {dramStore, dramStore.Len},
+		"ramcloud": {ramcloudStore, func() int {
+			return int(ramcloudStore.Stats().BytesStored/kvstore.PageSize) + ramcloudStore.FreeBuffers()
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, touch := allocHarness(t, tc.store, 1, 128)
+			total := func() int {
+				mapped, pooled := m.fd.FrameCounts()
+				return mapped + pooled + m.wb.QueuedLen() + tc.inStore()
+			}
+			want := total()
+			for i := 0; i < 10000; i++ {
+				touch()
+				if got := total(); got != want {
+					mapped, pooled := m.fd.FrameCounts()
+					t.Fatalf("fault %d: %d page buffers, %d before (mapped %d, pooled %d, queued %d, in store %d)",
+						i, got, want, mapped, pooled, m.wb.QueuedLen(), tc.inStore())
+				}
+			}
+		})
 	}
 }
 

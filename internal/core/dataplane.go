@@ -453,10 +453,11 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 // cell (see Stats) to keep merged totals worker-count-independent.
 //
 // Frame lifecycle: the remapped frame's ownership moves here, then onward —
-// to the write list (which recycles it after the flush's MultiPut copies
-// it), or straight back to the pool on the clean-drop, zero-elide, tier-
-// accepted, and synchronous-write paths. Store-returned buffers never come
-// through here, so nothing store-owned can reach the pool.
+// to the write list (whose flush hands it to the store and pools the buffer
+// the store gives back for it), or straight back to the pool on the clean-
+// drop, zero-elide, tier-accepted, and synchronous-write paths (Put copies).
+// Buffers a store read returned never come through here, so nothing the
+// store still owns can reach the pool.
 func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
 	victim, ok := m.lru.Oldest()
 	if !ok {

@@ -17,6 +17,7 @@ import (
 	"fluidmem/internal/kvstore/faulty"
 	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
+	"fluidmem/internal/kvstore/storetest"
 	"fluidmem/internal/stats"
 	"fluidmem/internal/workload/ycsb"
 )
@@ -36,7 +37,10 @@ type chaosRig struct {
 // two replicas up) AND a shared 1 ms total blackout — the only fault class
 // replication alone cannot mask, so it must surface as degraded-mode stall
 // inside the resilience layer, never as a monitor error.
-func newChaosRig(t *testing.T, seed uint64, pages, workers int) *chaosRig {
+//
+// With net, the monitor reaches the replicated store through storetest's
+// aliasing net (poisons what MultiPut hands back, digests every read).
+func newChaosRig(t *testing.T, seed uint64, pages, workers int, net bool) *chaosRig {
 	t.Helper()
 	var members []*faulty.Store
 	var asStores []kvstore.Store
@@ -56,6 +60,9 @@ func newChaosRig(t *testing.T, seed uint64, pages, workers int) *chaosRig {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(rep, 8)
+	if net {
+		cfg.Store = rotatingNet{storetest.Poison(t, rep), rep}
+	}
 	cfg.Seed = seed
 	cfg.Workers = workers
 	policy := resilience.DefaultPolicy()
@@ -69,6 +76,15 @@ func newChaosRig(t *testing.T, seed uint64, pages, workers int) *chaosRig {
 	}
 	return &chaosRig{mon: mon, rep: rep, members: members}
 }
+
+// rotatingNet keeps the replicated store's failover hook reachable through
+// the net, so the resilience layer behaves as it does without it.
+type rotatingNet struct {
+	*storetest.Poisoned
+	rep *replicated.Store
+}
+
+func (n rotatingNet) RotatePrimary() int { return n.rep.RotatePrimary() }
 
 // chaosOutcome captures everything two same-seed runs must agree on.
 type chaosOutcome struct {
@@ -87,9 +103,14 @@ type chaosOutcome struct {
 // discriminator pass false.
 func runChaosWorkload(t *testing.T, seed uint64, requireFaults bool, workers int) chaosOutcome {
 	t.Helper()
+	return runChaosWorkloadOver(t, seed, requireFaults, workers, false)
+}
+
+func runChaosWorkloadOver(t *testing.T, seed uint64, requireFaults bool, workers int, net bool) chaosOutcome {
+	t.Helper()
 	const pages = 64
 	const ops = 4000
-	rig := newChaosRig(t, seed, pages, workers)
+	rig := newChaosRig(t, seed, pages, workers, net)
 
 	lat := stats.NewSample(ops)
 	rig.mon.SetFaultLatencySink(lat.Add)
@@ -229,6 +250,18 @@ func assertChaosBitwiseEqual(t *testing.T, a, b chaosOutcome) {
 	}
 }
 
+// TestChaosThroughAliasingNet runs the chaos schedule with the aliasing net
+// between the monitor and the replicated store: flushes that fail and are
+// retried, members that take copies while another takes the frame, partial
+// writes — no read may return anything but the page last written, and the
+// run must equal the one without the net in every timing and counter.
+func TestChaosThroughAliasingNet(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		netted := runChaosWorkloadOver(t, 42, true, workers, true)
+		assertChaosBitwiseEqual(t, runChaosWorkload(t, 42, true, workers), netted)
+	}
+}
+
 func TestChaosRepeatability(t *testing.T) {
 	// Same seed ⇒ identical fault sequence and identical virtual-time
 	// results, the determinism property the whole injection design carries.
@@ -265,7 +298,7 @@ func TestChaosTeardownBestEffort(t *testing.T) {
 	// UnregisterVM during a full outage must still tear down local state:
 	// deletes are best-effort, the partition is released, and only the first
 	// error surfaces.
-	rig := newChaosRig(t, 9, 16, 2)
+	rig := newChaosRig(t, 9, 16, 2, false)
 	now := time.Duration(0)
 	for i := 0; i < 16; i++ {
 		_, done, err := rig.mon.Touch(now, chaosBase+uint64(i)*kvstore.PageSize, true)

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -151,6 +152,52 @@ func TestRetryThenSuccess(t *testing.T) {
 	}
 	if h := s.Health(); h.State != Healthy || h.ConsecutiveFailures != 0 {
 		t.Fatalf("health after success = %+v", h)
+	}
+}
+
+// flakyMultiPut refuses its first fails MultiPuts without touching the batch,
+// as the hand-over contract demands of a failing store.
+type flakyMultiPut struct {
+	kvstore.Store
+	fails int
+}
+
+func (f *flakyMultiPut) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
+	if f.fails > 0 {
+		f.fails--
+		return now + time.Microsecond, errTransient
+	}
+	return f.Store.MultiPut(now, keys, pages)
+}
+
+func TestMultiPutRetryWritesWhatWasPassed(t *testing.T) {
+	// A batch that fails has taken no buffer, so the retry resubmits the
+	// caller's slice as it is and the hand-over happens once, on the attempt
+	// that succeeds — through an overwrite, where buffers do change hands.
+	inner := dram.New(dram.DefaultParams(), 1)
+	flaky := &flakyMultiPut{Store: inner}
+	s := Wrap(flaky, testPolicy(), 1)
+	keys := []kvstore.Key{kvstore.MakeKey(0x1000, 1), kvstore.MakeKey(0x2000, 1)}
+	var now time.Duration
+	for round := byte(0); round < 2; round++ {
+		flaky.fails = 2
+		pages := [][]byte{storetest.Page(2 * round), storetest.Page(2*round + 1)}
+		done, err := s.MultiPut(now, keys, pages)
+		if err != nil {
+			t.Fatalf("round %d: multiput through 2 transient failures: %v", round, err)
+		}
+		for i, key := range keys {
+			if round > 0 {
+				pages[i][0] ^= 0xFF // handed back: ours to reuse
+			}
+			if got, _, err := s.Get(done, key); err != nil || !bytes.Equal(got, storetest.Page(2*round+byte(i))) {
+				t.Fatalf("round %d key %d: retry did not write the submitted page (%v)", round, i, err)
+			}
+		}
+		now = done
+	}
+	if st := inner.Stats(); st.MultiPuts != 2 || st.Puts != 4 {
+		t.Fatalf("inner store saw %+v, want each batch applied once", st)
 	}
 }
 

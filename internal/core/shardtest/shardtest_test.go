@@ -3,6 +3,9 @@ package shardtest
 import (
 	"bytes"
 	"testing"
+
+	"fluidmem/internal/core"
+	"fluidmem/internal/kvstore/storetest"
 )
 
 // TestWorkerCountEquivalence is the oracle: for every workload, monitors
@@ -119,6 +122,33 @@ func TestReadPathWorkloadsExerciseEngine(t *testing.T) {
 	baseline := Replay(t, byName["dram-sync-baseline"], 4, 42)
 	if baseline.Stats.SyncWrites == 0 {
 		t.Errorf("baseline workload never wrote synchronously: %+v", baseline.Stats)
+	}
+}
+
+// TestWorkloadsThroughAliasingNet replays every workload over a store behind
+// storetest's aliasing net, which poisons each buffer a flush gets back from
+// MultiPut and checks every store read against its own digest of what was
+// written. The monitor must neither read a frame it has handed to the store
+// nor pool the frame it queued in place of the one it got back: either shows
+// as a failed digest here, or as a poisoned page in the guest. And the net is
+// pure observation, so the outcome equals the undecorated run's, time included.
+func TestWorkloadsThroughAliasingNet(t *testing.T) {
+	for _, wl := range workloads() {
+		wl := wl
+		t.Run(wl.Name, func(t *testing.T) {
+			netted := wl
+			netted.NewConfig = func(seed uint64) core.Config {
+				cfg := wl.NewConfig(seed)
+				cfg.Store = storetest.Poison(t, cfg.Store)
+				return cfg
+			}
+			got := Replay(t, netted, 4, 42)
+			ref := Replay(t, wl, 4, 42)
+			Equal(t, wl.Name, ref, got)
+			if got.FinalTime != ref.FinalTime || got.Stats.InFlightWaits != ref.Stats.InFlightWaits {
+				t.Errorf("%s: the net moved virtual time: %v vs %v", wl.Name, got.FinalTime, ref.FinalTime)
+			}
+		})
 	}
 }
 

@@ -38,13 +38,15 @@ import (
 // the page table (pagetable.go), found by indexing the key's region; the
 // write list is threaded through the records.
 //
-// Ownership: Enqueue takes ownership of the caller's data buffer. When a
-// buffer's bytes are no longer needed — replaced by a coalescing
-// re-eviction, cancelled by a zero mark or discard, or safely copied by the
-// store's MultiPut — the engine hands it to the recycle hook (if set) so
-// the fault pipeline can reuse the frame. Steal transfers ownership back to
-// the caller. Records and the flush keys/pages scratch are reused, so
-// steady-state enqueue+flush allocates nothing.
+// Ownership: Enqueue takes ownership of the caller's data buffer. A buffer
+// whose bytes are no longer needed — replaced by a coalescing re-eviction,
+// cancelled by a zero mark or discard — goes to the recycle hook (if set) so
+// the fault pipeline can reuse the frame. A flush hands the queued buffers
+// over to the store's MultiPut and recycles what the store leaves in their
+// place, never the buffers it queued; a failed flush keeps them queued.
+// Steal transfers ownership back to the caller. Records and the flush
+// keys/pages scratch are reused, so steady-state enqueue+flush allocates
+// nothing.
 type writeback struct {
 	store     kvstore.Store
 	batchSize int
@@ -212,27 +214,25 @@ func (w *writeback) Flush(now time.Duration) error {
 	if len(w.inflight) == 0 || done < w.minDone {
 		w.minDone = done
 	}
-	for i := w.queue.head; i != 0; {
+	for i, k := w.queue.head, 0; i != 0; k++ {
 		r := &recs[i]
 		if r.state&recInflight == 0 {
 			w.inflight = append(w.inflight, i)
 		}
 		r.state = r.state&^recQueued | recInflight
 		r.done = done
-		// MultiPut copied the bytes (store ownership contract), so the
-		// frames can return to the fault pipeline's pool.
-		w.release(r.data)
+		// The queued frame may be the store's now (MultiPut hand-over); what
+		// the store left in its slot is ours, and that goes to the frame pool.
+		// The slot is cleared so the scratch pins no pooled buffer.
 		r.data = nil
+		w.release(pages[k])
+		pages[k] = nil
 		i, r.link[queueLink] = r.link[queueLink].next, recLink{}
 	}
 	w.queue, w.queued = recList{}, 0
 	w.flushes++
 	w.flushedPages += uint64(len(keys))
 	w.flushSizes[len(keys)]++
-	// Drop references so pooled buffers aren't pinned by the scratch.
-	for i := range pages {
-		pages[i] = nil
-	}
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"fluidmem/internal/clock"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/kvstore/storetest"
 )
 
 // mapWriteback is the reference model of the write-back engine: the
@@ -230,20 +231,30 @@ const (
 // and fails on the first difference in an answer, in the MultiPut sequence
 // (time, keys, page tags), in Snapshot — which carries waits — or in what is
 // queued and zero-marked.
+//
+// The engine's side runs behind storetest's aliasing net, with a recycle hook
+// that overwrites whatever the engine releases, as the frame pool's next user
+// would: an engine that released a frame the store had kept would corrupt the
+// store's copy, which the net's read-back at every Drain catches. The model
+// writes to a bare store, so equal MultiPut sequences also say the net
+// changes nothing.
 type wbPair struct {
 	t        *testing.T
 	w        *writeback
 	model    *mapWriteback
 	got, ref *recordingStore
+	net      *storetest.Poisoned
 }
 
 func newWBPair(t *testing.T, pages *pageTable, batchSize, shards int, seed uint64) *wbPair {
 	p := &wbPair{
 		t:   t,
-		got: &recordingStore{Store: dram.New(dram.DefaultParams(), 1), delays: clock.NewRand(seed)},
+		net: storetest.Poison(t, dram.New(dram.DefaultParams(), 1)),
 		ref: &recordingStore{Store: dram.New(dram.DefaultParams(), 1), delays: clock.NewRand(seed)},
 	}
+	p.got = &recordingStore{Store: p.net, delays: clock.NewRand(seed)}
 	p.w = newWriteback(pages, p.got, batchSize, shards, nil)
+	p.w.setRecycle(storetest.Scribble)
 	p.model = newMapWriteback(p.ref, batchSize, shards)
 	return p
 }
@@ -297,6 +308,7 @@ func (p *wbPair) apply(op int, now time.Duration, key kvstore.Key, tag byte) (da
 		if err != nil || werr != nil || done != wdone {
 			t.Fatalf("Drain(%v) = (%v, %v), model (%v, %v)", now, done, err, wdone, werr)
 		}
+		p.net.Verify(now)
 	}
 	if ok != want {
 		t.Fatalf("op %d at %v on %v answered %v, model %v", op, now, key, ok, want)

@@ -62,7 +62,8 @@ func (n *storeNode) bit() uint64 { return 1 << uint(n.slot) }
 
 // set copies page into the node's map, reusing the existing buffer on
 // overwrite so steady-state writeback traffic allocates nothing. Buffers are
-// never shared between nodes (membership transfers copy), so reuse is safe.
+// never shared between nodes (membership transfers copy, MultiPut hands the
+// caller's buffer to one node only), so reuse is safe.
 func (n *storeNode) set(key kvstore.Key, page []byte) {
 	if old, ok := n.pages[key]; ok {
 		copy(old, page)
@@ -473,13 +474,23 @@ func (p *Pool) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (
 	}
 	off := 0
 	for i, key := range keys {
+		last := off + p.mpCounts[i] - 1
 		var mask uint64
-		for _, n := range p.mpNodes[off : off+p.mpCounts[i]] {
+		for _, n := range p.mpNodes[off:last] {
 			n.set(key, pages[i])
 			mask |= n.bit()
 		}
-		off += p.mpCounts[i]
-		p.keys[key] = mask
+		// Every target but the last copied; the last keeps the caller's buffer
+		// and hands back the version it held. A live key it holds no version
+		// of (placement moved) must not come back nil, so it copies too.
+		n := p.mpNodes[last]
+		if old, held := n.pages[key]; held || p.keys[key] == 0 {
+			n.pages[key], pages[i] = pages[i], old
+		} else {
+			n.set(key, pages[i])
+		}
+		off = last + 1
+		p.keys[key] = mask | n.bit()
 	}
 	p.stats.BytesStored = uint64(len(p.keys)) * kvstore.PageSize
 	return latest, nil

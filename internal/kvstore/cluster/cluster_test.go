@@ -298,3 +298,47 @@ func TestMembershipOpsChargeCallerTime(t *testing.T) {
 		t.Fatalf("AddNode done %v, want after %v (consensus is not free)", done, now)
 	}
 }
+
+// TestMultiPutOwesABufferForEveryLiveKey pins the corner of the hand-over
+// contract a pool can miss: the node that would keep the caller's buffer came
+// back from a partition without a resync, so it holds no version of keys
+// first written while it was dark and has nothing to hand back for them —
+// yet they are live, and a live key's slot must not come back nil.
+func TestMultiPutOwesABufferForEveryLiveKey(t *testing.T) {
+	p := newPool(t, 3, 2, 21)
+	if err := p.PartitionNode("node2"); err != nil {
+		t.Fatal(err)
+	}
+	var keys []kvstore.Key
+	batch := func(tag byte) [][]byte {
+		var pages [][]byte
+		for i := 0; i < 64; i++ {
+			pages = append(pages, storetest.Page(tag+byte(i)))
+		}
+		return pages
+	}
+	for i := 0; i < 64; i++ {
+		keys = append(keys, kvstore.MakeKey(uint64(0x100000+i*kvstore.PageSize), kvstore.PartitionID(i)))
+	}
+	done, err := p.MultiPut(0, keys, batch(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ClusterStats().PartialPuts == 0 {
+		t.Fatal("no write went partial; node2 was nobody's replica and the test is vacuous")
+	}
+	p.Network().Heal("node2") // the link only: no resync, node2 still lacks the keys
+	pages := batch(100)
+	if done, err = p.MultiPut(done, keys, pages); err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		if len(pages[i]) != kvstore.PageSize {
+			t.Fatalf("key %d was live but %d bytes came back", i, len(pages[i]))
+		}
+		storetest.Scribble(pages[i])
+		if got, _, err := p.Get(done, key); err != nil || !bytes.Equal(got, storetest.Page(100+byte(i))) {
+			t.Fatalf("key %d reads wrong once the buffer that came back is reused (%v)", i, err)
+		}
+	}
+}

@@ -64,8 +64,7 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 	return s.write.Submit(now), nil
 }
 
-// set copies page into the store, reusing the existing buffer on overwrite
-// so steady-state writeback traffic allocates nothing.
+// set copies page into the store, reusing the existing buffer on overwrite.
 func (s *Store) set(key kvstore.Key, page []byte) {
 	if old, existed := s.pages[key]; existed {
 		copy(old, page)
@@ -87,8 +86,14 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 			return now, err
 		}
 	}
+	// Hand-over, not copy: the map keeps the caller's buffer and the slot
+	// takes the version it replaced (nil for a new key).
 	for i, key := range keys {
-		s.set(key, pages[i])
+		old := s.pages[key]
+		if old == nil {
+			s.stats.BytesStored += kvstore.PageSize
+		}
+		s.pages[key], pages[i] = pages[i], old
 	}
 	s.stats.MultiPuts++
 	s.stats.Puts += uint64(len(keys))

@@ -63,3 +63,8 @@ func TestPutCopiesInput(t *testing.T) {
 		t.Fatal("store aliases the caller's buffer")
 	}
 }
+
+// BenchmarkMultiPut32 is the store's ledger row for a write-back flush.
+func BenchmarkMultiPut32(b *testing.B) {
+	storetest.BenchMultiPut(b, New(DefaultParams(), 1), 32)
+}

@@ -96,9 +96,16 @@ type Stats struct {
 // Buffer ownership contract (load-bearing for the allocation-free fault
 // path — see DESIGN.md §14):
 //
-//   - Put / MultiPut: the store COPIES the page before returning. The caller
-//     keeps ownership of the buffer it passed in and may reuse or recycle it
-//     immediately after the call returns.
+//   - Put: the store COPIES the page before returning. The caller keeps the
+//     buffer it passed in and may reuse it at once.
+//   - MultiPut: a HAND-OVER, in place. On success the store may have kept
+//     pages[i] itself — the caller must not touch that buffer again — and has
+//     left in the slot what the caller owns from now on: a PageSize buffer of
+//     unspecified contents (the version the write replaced; never nil when
+//     the key already held a page) or nil. A store that copies leaves the
+//     slot alone, which satisfies this. On any error the store has taken
+//     nothing: every pages[i] is the buffer that was passed, bytes intact, so
+//     the same slice can be submitted again.
 //   - Get / MultiGet / StartGet: the store may return a reference to its
 //     INTERNAL buffer (zero-copy read). The returned bytes are valid until
 //     the next Put / MultiPut / Delete touching that key; callers that need
@@ -110,7 +117,8 @@ type Store interface {
 	// Put stores one page, returning the completion time.
 	Put(now time.Duration, key Key, page []byte) (time.Duration, error)
 	// MultiPut stores a batch of pages in one amortised operation
-	// (RAMCloud multi-write; a pipelined loop elsewhere).
+	// (RAMCloud multi-write; a pipelined loop elsewhere), all of it or none,
+	// and trades buffers with the caller through pages (see above).
 	MultiPut(now time.Duration, keys []Key, pages [][]byte) (time.Duration, error)
 	// Get retrieves one page synchronously.
 	Get(now time.Duration, key Key) ([]byte, time.Duration, error)

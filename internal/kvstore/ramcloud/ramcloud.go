@@ -96,8 +96,8 @@ type Store struct {
 	stats     kvstore.Stats
 	cleanings uint64
 
-	// freeBufs recycles the 4 KB payloads of killed log entries so the
-	// steady-state overwrite path (kill old version, append new) reuses
+	// freeBufs recycles the 4 KB payloads of entries killed by Put and Delete
+	// (MultiPut hands the ones it kills to its caller), so a Put reuses
 	// memory instead of allocating a fresh page per write.
 	freeBufs [][]byte
 	// freeEntries recycles the entry arrays of sealed segments that died
@@ -131,13 +131,16 @@ func New(p Params, seed uint64) *Store {
 // Name implements kvstore.Store.
 func (s *Store) Name() string { return "ramcloud" }
 
-// Put implements kvstore.Store.
+// Put implements kvstore.Store: the log takes a copy of page.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {
 		return now, err
 	}
-	if err := s.appendObject(key, page); err != nil {
+	if err := s.reserve(1); err != nil {
 		return now, err
+	}
+	if dead := s.appendObject(key, append(s.takeFree()[:0], page...)); dead != nil {
+		s.freeBufs = append(s.freeBufs, dead)
 	}
 	s.stats.Puts++
 	return s.writeChan.Submit(now), nil
@@ -149,18 +152,21 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 	if len(keys) != len(pages) {
 		return now, kvstore.ErrBadValue
 	}
-	// Validate the whole batch before touching the log: a rejected batch
-	// must leave no partial state (atomic batch visibility). Mid-batch
-	// ErrOutOfMemory can still surface partial appends — resource
-	// exhaustion, not validation, and the caller sees the error.
+	// Validate the whole batch and find it room before touching the log: a
+	// rejected batch must leave no partial state (atomic batch visibility).
 	for _, page := range pages {
 		if err := kvstore.ValidatePage(page); err != nil {
 			return now, err
 		}
 	}
+	if err := s.reserve(len(keys)); err != nil {
+		return now, err
+	}
+	// Hand-over, not copy: the log keeps the caller's buffer and the slot
+	// takes the payload of the version it killed, else a spare one if any.
 	for i, key := range keys {
-		if err := s.appendObject(key, pages[i]); err != nil {
-			return now, err
+		if pages[i] = s.appendObject(key, pages[i]); pages[i] == nil {
+			pages[i] = s.takeFree()
 		}
 	}
 	s.stats.MultiPuts++
@@ -218,7 +224,7 @@ func (s *Store) StartGet(now time.Duration, key kvstore.Key) kvstore.PendingGet 
 func (s *Store) Delete(now time.Duration, key kvstore.Key) (time.Duration, error) {
 	s.stats.Deletes++
 	if ref, ok := s.index[key]; ok {
-		s.killEntry(ref)
+		s.freeBufs = append(s.freeBufs, s.killEntry(ref))
 		delete(s.index, key)
 	}
 	return s.writeChan.Submit(now), nil
@@ -232,6 +238,9 @@ func (s *Store) Cleanings() uint64 { return s.cleanings }
 
 // SegmentCount reports the number of log segments (test hook).
 func (s *Store) SegmentCount() int { return len(s.segments) }
+
+// FreeBuffers reports the spare payload buffers the store holds (test hook).
+func (s *Store) FreeBuffers() int { return len(s.freeBufs) }
 
 // Utilization reports the live fraction of log space in sealed segments.
 func (s *Store) Utilization() float64 {
@@ -249,56 +258,71 @@ func (s *Store) Utilization() float64 {
 	return float64(live) / float64(total)
 }
 
-// appendObject writes (key, data) at the log head, killing any prior version.
-func (s *Store) appendObject(key kvstore.Key, data []byte) error {
+// reserve makes sure the log can take n more entries, cleaning once if they
+// would push it past its capacity. It appends nothing, and cleaning moves
+// entries without changing what any key reads, so a write refused with
+// ErrOutOfMemory has left the store as it was.
+func (s *Store) reserve(n int) error {
+	for cleaned := false; ; cleaned = true {
+		segs := (n - (entriesPerSegment - len(s.head.entries)) + entriesPerSegment - 1) / entriesPerSegment
+		if segs <= 0 || s.logBytes()+uint64(segs)*segmentSize <= s.params.CapacityBytes {
+			return nil
+		}
+		if cleaned {
+			return fmt.Errorf("%w: %d bytes in use", ErrOutOfMemory, s.logBytes())
+		}
+		s.clean()
+	}
+}
+
+// takeFree pops a recycled payload buffer, nil when there is none.
+func (s *Store) takeFree() []byte {
+	n := len(s.freeBufs)
+	if n == 0 {
+		return nil
+	}
+	buf := s.freeBufs[n-1]
+	s.freeBufs[n-1] = nil
+	s.freeBufs = s.freeBufs[:n-1]
+	return buf
+}
+
+// appendObject writes (key, buf) at the log head, for which reserve has found
+// room. The log keeps buf; the payload of the version it kills, if there was
+// one, is returned.
+func (s *Store) appendObject(key kvstore.Key, buf []byte) (dead []byte) {
 	if len(s.head.entries) >= entriesPerSegment {
 		s.head.sealed = true
-		if s.logBytes()+segmentSize > s.params.CapacityBytes {
-			s.clean()
-			if s.logBytes()+segmentSize > s.params.CapacityBytes {
-				return fmt.Errorf("%w: %d bytes in use", ErrOutOfMemory, s.logBytes())
-			}
-		}
 		s.rollHead()
 	}
 	if old, ok := s.index[key]; ok {
-		s.killEntry(old) // decrements BytesStored; restored just below
+		dead = s.killEntry(old) // decrements BytesStored; restored just below
 	}
 	s.stats.BytesStored += kvstore.PageSize
-	var buf []byte
-	if n := len(s.freeBufs); n > 0 {
-		buf = s.freeBufs[n-1]
-		s.freeBufs[n-1] = nil
-		s.freeBufs = s.freeBufs[:n-1]
-		copy(buf, data)
-	} else {
-		buf = append([]byte(nil), data...)
-	}
 	s.head.entries = append(s.head.entries, logEntry{key: key, data: buf})
 	s.head.live++
 	s.index[key] = entryRef{segment: s.head, slot: len(s.head.entries) - 1}
-	return nil
+	return dead
 }
 
-func (s *Store) killEntry(ref entryRef) {
+// killEntry marks a live entry dead and returns its payload, which the log no
+// longer references.
+func (s *Store) killEntry(ref entryRef) []byte {
 	e := &ref.segment.entries[ref.slot]
-	if !e.dead {
-		e.dead = true
-		if len(e.data) == kvstore.PageSize {
-			s.freeBufs = append(s.freeBufs, e.data)
-		}
-		e.data = nil
-		seg := ref.segment
-		seg.live--
-		s.stats.BytesStored -= kvstore.PageSize
-		if seg.sealed && seg.live == 0 {
-			// Nothing can reach these entries any more — the index only
-			// points at live ones — and dying dropped their payloads.
-			seg.released = len(seg.entries)
-			s.freeEntries = append(s.freeEntries, seg.entries[:0])
-			seg.entries = nil
-		}
+	data := e.data
+	e.dead = true
+	e.data = nil
+	seg := ref.segment
+	seg.live--
+	s.stats.BytesStored -= kvstore.PageSize
+	if seg.sealed && seg.live == 0 {
+		// Nothing can reach these entries any more — the index only
+		// points at live ones — and dying dropped their payloads.
+		seg.released = len(seg.entries)
+		s.freeEntries = append(s.freeEntries, seg.entries[:0])
+		seg.entries = nil
 	}
+	return data
 }
 
 // clean relocates live entries out of low-utilisation sealed segments and

@@ -122,6 +122,94 @@ func TestOutOfMemoryOnLiveData(t *testing.T) {
 	}
 }
 
+// TestMultiPutOutOfMemoryLeavesBatchUntouched pins batch atomicity under
+// resource exhaustion: the batch used to append until the log was full and
+// fail with a prefix written — old versions killed, the caller unable to tell
+// which. Whether the whole batch fits is now decided before the first append.
+func TestMultiPutOutOfMemoryLeavesBatchUntouched(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 2 * segmentSize
+	s := New(p, 5)
+	key := func(i int) kvstore.Key { return kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1) }
+	// All-live data the cleaner cannot reclaim, ten entries short of full.
+	const room = 10
+	live := 2*entriesPerSegment - room
+	for i := 0; i < live; i++ {
+		if _, err := s.Put(0, key(i), storetest.Page(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Twenty writes, the first five of them overwrites: ten would fit.
+	var keys []kvstore.Key
+	var pages [][]byte
+	for i := 0; i < 2*room; i++ {
+		keys = append(keys, key(live-5+i))
+		pages = append(pages, storetest.Page(200))
+	}
+	stats, segments, head, indexed := s.Stats(), s.SegmentCount(), len(s.head.entries), len(s.index)
+	refs := map[kvstore.Key]entryRef{}
+	for _, k := range keys {
+		if ref, ok := s.index[k]; ok {
+			refs[k] = ref
+		}
+	}
+	if err := storetest.MultiPutMustFail(t, s, 0, keys, pages); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if s.Stats() != stats || s.SegmentCount() != segments || len(s.head.entries) != head || len(s.index) != indexed {
+		t.Fatalf("failed batch changed the log: stats %+v→%+v, segments %d→%d, head %d→%d, index %d→%d",
+			stats, s.Stats(), segments, s.SegmentCount(), head, len(s.head.entries), indexed, len(s.index))
+	}
+	for i, k := range keys {
+		ref, ok := s.index[k]
+		if want, existed := refs[k]; ok != existed || ref != want {
+			t.Fatalf("key %d: index entry changed by the failed batch", i)
+		}
+		if ok && !bytes.Equal(ref.segment.entries[ref.slot].data, storetest.Page(byte(live-5+i))) {
+			t.Fatalf("key %d: live version damaged by the failed batch", i)
+		}
+	}
+	// The half that fits still goes in.
+	if _, err := s.MultiPut(0, keys[:room], pages[:room]); err != nil {
+		t.Fatalf("batch that fits: %v", err)
+	}
+}
+
+// TestMultiPutCleansToFit is the batch twin of the cleaner test above: when a
+// batch needs a segment the log has no room for, cleaning makes it.
+func TestMultiPutCleansToFit(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 4 * segmentSize
+	s := New(p, 4)
+	const batch = 32
+	liveSet := entriesPerSegment / 2 / batch * batch
+	keys := make([]kvstore.Key, batch)
+	pages := make([][]byte, batch)
+	for round := 0; round < 12; round++ {
+		for base := 0; base < liveSet; base += batch {
+			for j := range keys {
+				keys[j] = kvstore.MakeKey(uint64(base+j)*kvstore.PageSize, 1)
+				if pages[j] == nil {
+					pages[j] = make([]byte, kvstore.PageSize)
+				}
+				copy(pages[j], storetest.Page(byte(round)))
+			}
+			if _, err := s.MultiPut(0, keys, pages); err != nil {
+				t.Fatalf("round %d base %d: %v", round, base, err)
+			}
+		}
+	}
+	if s.Cleanings() == 0 {
+		t.Fatal("cleaner never ran despite heavy overwrite churn")
+	}
+	for i := 0; i < liveSet; i++ {
+		got, _, err := s.Get(0, kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1))
+		if err != nil || !bytes.Equal(got, storetest.Page(11)) {
+			t.Fatalf("page %d lost its last write after cleaning (%v)", i, err)
+		}
+	}
+}
+
 func TestUtilizationDropsWithChurn(t *testing.T) {
 	s := New(DefaultParams(), 6)
 	// Seal a segment full of pages, then kill most of them by overwriting.
@@ -237,4 +325,9 @@ func BenchmarkRamcloudOverwrite(b *testing.B) {
 		}
 		now = done
 	}
+}
+
+// BenchmarkMultiPut32 is the log's ledger row for a write-back flush.
+func BenchmarkMultiPut32(b *testing.B) {
+	storetest.BenchMultiPut(b, New(DefaultParams(), 1), 32)
 }

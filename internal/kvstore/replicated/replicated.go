@@ -61,6 +61,10 @@ type Store struct {
 	// because it is the single writer for its members.
 	keys map[kvstore.Key]uint64
 
+	// spares is the batch of copies MultiPut hands to every live member but
+	// the last, kept between calls: as long as the largest batch seen.
+	spares [][]byte
+
 	stats        kvstore.Stats
 	failovers    uint64
 	memberErrors uint64
@@ -198,7 +202,9 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 }
 
 // MultiPut implements kvstore.Store. Like Put, a batch survives any member
-// failure as long as one member accepts it.
+// failure as long as one member accepts it. A member may keep the buffers it
+// is handed, so every live member but the last gets copies and the last gets
+// the caller's own: R-1 page copies per page, not R.
 func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
 	if len(keys) != len(pages) {
 		return now, kvstore.ErrBadValue
@@ -214,11 +220,19 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 	var wroteMask uint64
 	skipped := 0
 	var lastErr error
+	last := len(s.members) - 1
+	for last >= 0 && s.down[last] {
+		last--
+	}
 	for i, m := range s.members {
 		if s.down[i] {
 			continue
 		}
-		done, err := m.MultiPut(now, keys, pages)
+		batch := pages
+		if i != last {
+			batch = s.copies(pages)
+		}
+		done, err := m.MultiPut(now, keys, batch)
 		if err != nil {
 			s.memberErrors++
 			skipped++
@@ -239,11 +253,31 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 	if skipped > 0 {
 		s.partialPuts++
 	}
-	for _, key := range keys {
+	for i, key := range keys {
+		// The last member may have slept through the key's earlier writes and
+		// so had nothing to hand back for it; the contract still owes one.
+		if _, live := s.keys[key]; live && pages[i] == nil {
+			pages[i] = make([]byte, kvstore.PageSize)
+		}
 		s.keys[key] = wroteMask
 	}
 	s.stats.BytesStored = s.healthyBytes()
 	return latest, nil
+}
+
+// copies returns the batch to hand a member that is not to get the caller's
+// buffers: pages copied into the spares, slot by slot. Whatever the member
+// leaves in a slot — the version it replaced, nothing for a new key, or on
+// error the copy itself — is the spare the next copy goes into.
+func (s *Store) copies(pages [][]byte) [][]byte {
+	for len(s.spares) < len(pages) {
+		s.spares = append(s.spares, nil)
+	}
+	batch := s.spares[:len(pages)]
+	for i, page := range pages {
+		batch[i] = append(batch[i][:0], page...)
+	}
+	return batch
 }
 
 // Get implements kvstore.Store: read from the primary, failing over member

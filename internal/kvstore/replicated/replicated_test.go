@@ -465,3 +465,134 @@ func newTestMonitor(t *testing.T, s kvstore.Store) *core.Monitor {
 	}
 	return mon
 }
+
+// handOverBatch is a MultiPut batch of n fresh pages tagged from tag up.
+func handOverBatch(n int, tag byte) (keys []kvstore.Key, pages [][]byte) {
+	for i := 0; i < n; i++ {
+		keys = append(keys, kvstore.MakeKey(uint64(0x9000+i*kvstore.PageSize), 1))
+		pages = append(pages, storetest.Page(tag+byte(i)))
+	}
+	return keys, pages
+}
+
+func TestMultiPutFailureTakesNothing(t *testing.T) {
+	// Every member down, and every member erroring: either way the batch
+	// fails and the caller's buffers are exactly as passed.
+	s, _ := threeWay(t)
+	for i := 0; i < 3; i++ {
+		s.Fail(i)
+	}
+	keys, pages := handOverBatch(4, 1)
+	if err := storetest.MultiPutMustFail(t, s, 0, keys, pages); !errors.Is(err, ErrAllReplicasDown) {
+		t.Fatalf("err = %v, want ErrAllReplicasDown", err)
+	}
+	broken := erroringStore{dram.New(dram.DefaultParams(), 1)}
+	s, err := New(broken, broken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := storetest.MultiPutMustFail(t, s, 0, keys, pages); !errors.Is(err, errBroken) {
+		t.Fatalf("err = %v, want the member error", err)
+	}
+}
+
+func TestMultiPutHandsOneMemberTheCallersBuffers(t *testing.T) {
+	// Three members hold three distinct buffers per key — the caller's own at
+	// the last live member, copies at the others — and the caller gets one
+	// back per overwritten key, whichever member is last.
+	members := []*dram.Store{dram.New(dram.DefaultParams(), 1), dram.New(dram.DefaultParams(), 2), dram.New(dram.DefaultParams(), 3)}
+	s, err := New(members[0], members[1], members[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, pages := handOverBatch(8, 1)
+	if _, err := s.MultiPut(0, keys, pages); err != nil {
+		t.Fatal(err)
+	}
+	for round, down := range []int{-1, 2, 1} {
+		if down >= 0 {
+			s.Fail(down)
+		}
+		_, pages := handOverBatch(8, byte(20*(round+1)))
+		passed := append([][]byte(nil), pages...)
+		done, err := s.MultiPut(0, keys, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range keys {
+			if len(pages[i]) != kvstore.PageSize || &pages[i][0] == &passed[i][0] {
+				t.Fatalf("round %d key %d: no replaced buffer handed back", round, i)
+			}
+			holders := 0
+			for m, member := range members {
+				got, _, err := member.Get(done, key)
+				if s.down[m] {
+					continue
+				}
+				if err != nil || !bytes.Equal(got, storetest.Page(byte(20*(round+1)+i))) {
+					t.Fatalf("round %d key %d member %d: wrong data (%v)", round, i, m, err)
+				}
+				if &got[0] == &pages[i][0] {
+					t.Fatalf("round %d key %d: member %d serves the buffer handed back", round, i, m)
+				}
+				if &got[0] == &passed[i][0] {
+					holders++
+				}
+			}
+			if holders != 1 {
+				t.Fatalf("round %d key %d: %d members hold the caller's buffer, want 1", round, i, holders)
+			}
+		}
+		if down >= 0 {
+			s.Recover(down)
+		}
+	}
+	if len(s.spares) != len(keys) {
+		t.Fatalf("%d spare buffers kept for batches of %d", len(s.spares), len(keys))
+	}
+	// A last member that slept through a round (2, then 1, above) still had a
+	// stale version to hand back. One that never saw the key has none, and the
+	// slot must still not come back nil.
+	fresh := dram.New(dram.DefaultParams(), 4)
+	s.members[2] = fresh
+	_, pages = handOverBatch(8, 100)
+	if _, err := s.MultiPut(0, keys, pages); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pages {
+		if len(p) != kvstore.PageSize {
+			t.Fatalf("key %d held a page but %d bytes came back", i, len(p))
+		}
+		if got, _, _ := fresh.Get(0, keys[i]); &got[0] == &p[0] {
+			t.Fatalf("key %d: handed back the buffer the member serves", i)
+		}
+	}
+}
+
+func TestMultiPutLastMemberErrorKeepsCallersBuffers(t *testing.T) {
+	// The last live member fails after the first took its copies: the write
+	// succeeds, and the caller still owns — and may scribble on — its pages.
+	good := dram.New(dram.DefaultParams(), 1)
+	s, err := New(good, erroringStore{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, pages := handOverBatch(4, 1)
+	passed := append([][]byte(nil), pages...)
+	done, err := s.MultiPut(0, keys, pages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		if &pages[i][0] != &passed[i][0] {
+			t.Fatalf("key %d: buffer taken though the member it was offered to failed", i)
+		}
+		pages[i][0] ^= 0xFF
+		if got, _, err := s.Get(done, key); err != nil || !bytes.Equal(got, storetest.Page(1+byte(i))) {
+			t.Fatalf("key %d reads wrong after the caller reused its buffer (%v)", i, err)
+		}
+	}
+	if s.PartialPuts() != 1 {
+		t.Fatalf("PartialPuts = %d, want 1", s.PartialPuts())
+	}
+}

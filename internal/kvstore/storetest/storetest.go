@@ -6,6 +6,7 @@ package storetest
 import (
 	"bytes"
 	"errors"
+	"hash/maphash"
 	"testing"
 	"time"
 
@@ -112,7 +113,9 @@ func Run(t *testing.T, factory Factory) {
 			if err != nil {
 				t.Fatalf("key %d: %v", i, err)
 			}
-			if !bytes.Equal(got, pages[i]) {
+			// Not pages[i]: after the call that slot holds whatever the store
+			// handed back.
+			if !bytes.Equal(got, Page(byte(i))) {
 				t.Fatalf("key %d corrupted", i)
 			}
 		}
@@ -373,6 +376,63 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 
+	t.Run("MultiPutHandOver", func(t *testing.T) {
+		s := factory()
+		var keys []kvstore.Key
+		for i := 0; i < 16; i++ {
+			keys = append(keys, kvstore.MakeKey(uint64(0x500000+i*kvstore.PageSize), 4))
+		}
+		var now time.Duration
+		for round := 0; round < 3; round++ {
+			pages := make([][]byte, len(keys))
+			want := make([][]byte, len(keys))
+			for i := range keys {
+				pages[i], want[i] = Page(byte(round*16+i)), Page(byte(round*16+i))
+			}
+			done, err := s.MultiPut(now, keys, pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// From the second round on every key already holds a page.
+			checkHandOver(t, s, done, keys, pages, want, round > 0)
+			now = done
+		}
+	})
+
+	t.Run("MultiPutDuplicateKeys", func(t *testing.T) {
+		s := factory()
+		twice, other := kvstore.MakeKey(0x600000, 4), kvstore.MakeKey(0x601000, 4)
+		keys := []kvstore.Key{twice, other, twice}
+		done, err := s.MultiPut(0, keys, [][]byte{Page(1), Page(2), Page(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Last wins, and the first version's buffer is not handed back twice.
+		pages := [][]byte{Page(4), Page(5), Page(6)}
+		if done, err = s.MultiPut(done, keys, pages); err != nil {
+			t.Fatal(err)
+		}
+		checkHandOver(t, s, done, keys, pages, [][]byte{Page(6), Page(5), Page(6)}, true)
+	})
+
+	t.Run("PutCopies", func(t *testing.T) {
+		// Single Put keeps copy semantics: the caller reuses its buffer.
+		s := factory()
+		key := kvstore.MakeKey(0x610000, 4)
+		buf := Page(0)
+		for tag := byte(1); tag <= 3; tag++ {
+			copy(buf, Page(tag))
+			done, err := s.Put(0, key, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Scribble(buf)
+			if got, _, err := s.Get(done, key); err != nil || !bytes.Equal(got, Page(tag)) {
+				t.Fatalf("Put %d did not copy: the caller's later writes show in Get (err %v)", tag, err)
+			}
+		}
+	})
+
 	// The error-path contract rides along with the happy-path suite so no
 	// backend can pass conformance while mishandling failures.
 	RunErrorPaths(t, factory)
@@ -517,7 +577,7 @@ func RunErrorPaths(t *testing.T, factory Factory) {
 		s := factory()
 		keys := []kvstore.Key{kvstore.MakeKey(0x86000, 1), kvstore.MakeKey(0x87000, 1)}
 		pages := [][]byte{Page(1), []byte("short")}
-		if _, err := s.MultiPut(0, keys, pages); !errors.Is(err, kvstore.ErrBadValue) {
+		if err := MultiPutMustFail(t, s, 0, keys, pages); !errors.Is(err, kvstore.ErrBadValue) {
 			t.Fatalf("bad page in batch: err = %v, want ErrBadValue", err)
 		}
 		for i, key := range keys {
@@ -529,4 +589,218 @@ func RunErrorPaths(t *testing.T, factory Factory) {
 			t.Fatalf("rejected batch counted/stored: %+v", st)
 		}
 	})
+}
+
+// Scribble overwrites a buffer its caller owns, as the next user of a
+// recycled buffer would, with a byte no Page holds throughout (and no test
+// harness uses as a page tag), so whoever still reads the buffer shows.
+func Scribble(buf []byte) {
+	for i := range buf {
+		buf[i] = 0xFD
+	}
+}
+
+// checkHandOver verifies the success half of the MultiPut hand-over contract
+// on what a batch left in pages: each slot nil (only if the key was new) or
+// one whole page, no buffer handed back twice, and — after the test has
+// scribbled over all of them, as their new owner may — every key still reads
+// want, from a buffer that was not handed back.
+func checkHandOver(t *testing.T, s kvstore.Store, now time.Duration, keys []kvstore.Key, pages, want [][]byte, existed bool) {
+	t.Helper()
+	handed := map[*byte]bool{}
+	for i, p := range pages {
+		switch {
+		case p == nil && existed:
+			t.Fatalf("pages[%d] came back nil for a key that held a page", i)
+		case p == nil:
+			continue
+		case len(p) != kvstore.PageSize:
+			t.Fatalf("pages[%d] came back %d bytes long", i, len(p))
+		case handed[&p[0]]:
+			t.Fatalf("pages[%d] was handed back twice", i)
+		}
+		handed[&p[0]] = true
+		Scribble(p)
+	}
+	for i, key := range keys {
+		got, _, err := s.Get(now, key)
+		if err != nil {
+			t.Fatalf("key %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("key %d does not read what was written once the handed-back buffers are reused", i)
+		}
+		if handed[&got[0]] {
+			t.Fatalf("key %d is served from a buffer MultiPut handed back", i)
+		}
+	}
+}
+
+// MultiPutMustFail submits a batch that s is set up to refuse, returns the
+// error, and checks the failure half of the hand-over contract: every pages[i]
+// is still the buffer that was passed, bytes intact, so a retry of the same
+// slice writes the right data.
+func MultiPutMustFail(t *testing.T, s kvstore.Store, now time.Duration, keys []kvstore.Key, pages [][]byte) error {
+	t.Helper()
+	passed := append([][]byte(nil), pages...)
+	want := make([][]byte, len(pages))
+	for i, p := range pages {
+		want[i] = append([]byte(nil), p...)
+	}
+	_, err := s.MultiPut(now, keys, pages)
+	if err == nil {
+		t.Fatal("MultiPut succeeded, want an error")
+	}
+	for i, p := range pages {
+		if len(p) != len(passed[i]) || len(p) > 0 && &p[0] != &passed[i][0] || !bytes.Equal(p, want[i]) {
+			t.Fatalf("failed MultiPut (%v) took or changed pages[%d]", err, i)
+		}
+	}
+	return err
+}
+
+// Poisoned is the aliasing net for code that writes through MultiPut: a
+// decorator that, after every successful batch, fills each buffer the store
+// left in pages with Scribble — the store may do anything to a buffer it
+// gives away — and holds every later read to its own digest of the page last
+// written under the key. A caller that still reads a buffer it handed over,
+// or reuses the one it queued instead of the one it got back, fails the test
+// at the first read that shows it. It adds no latency and draws no
+// randomness, so a run through it must equal the run without it.
+type Poisoned struct {
+	kvstore.Store
+	tb      testing.TB
+	written map[kvstore.Key]uint64
+}
+
+// Poison wraps s in the aliasing net.
+func Poison(tb testing.TB, s kvstore.Store) *Poisoned {
+	return &Poisoned{Store: s, tb: tb, written: map[kvstore.Key]uint64{}}
+}
+
+var digestSeed = maphash.MakeSeed()
+
+func digest(page []byte) uint64 { return maphash.Bytes(digestSeed, page) }
+
+// check holds one read to the digest of the last successful write.
+func (p *Poisoned) check(op string, key kvstore.Key, data []byte) {
+	p.tb.Helper()
+	if want, ok := p.written[key]; !ok || digest(data) != want {
+		p.tb.Fatalf("aliasing net: %s of %v does not return the page last written under it (known key: %v, first byte %#x)",
+			op, key, ok, data[0])
+	}
+}
+
+// Put implements kvstore.Store.
+func (p *Poisoned) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
+	done, err := p.Store.Put(now, key, page)
+	if err == nil {
+		p.written[key] = digest(page)
+	}
+	return done, err
+}
+
+// MultiPut implements kvstore.Store.
+func (p *Poisoned) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
+	sums := make([]uint64, len(pages))
+	for i, page := range pages {
+		sums[i] = digest(page)
+	}
+	done, err := p.Store.MultiPut(now, keys, pages)
+	if err != nil {
+		return done, err
+	}
+	for i, key := range keys {
+		p.written[key] = sums[i]
+		Scribble(pages[i])
+	}
+	return done, nil
+}
+
+// Get implements kvstore.Store.
+func (p *Poisoned) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duration, error) {
+	data, done, err := p.Store.Get(now, key)
+	if err == nil {
+		p.check("Get", key, data)
+	}
+	return data, done, err
+}
+
+// MultiGet implements kvstore.Store.
+func (p *Poisoned) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, time.Duration, error) {
+	pages, done, err := p.Store.MultiGet(now, keys)
+	if err == nil {
+		for i, page := range pages {
+			if page != nil {
+				p.check("MultiGet", keys[i], page)
+			}
+		}
+	}
+	return pages, done, err
+}
+
+// StartGet implements kvstore.Store.
+func (p *Poisoned) StartGet(now time.Duration, key kvstore.Key) kvstore.PendingGet {
+	pending := p.Store.StartGet(now, key)
+	if pending.Err == nil {
+		p.check("StartGet", key, pending.Data)
+	}
+	return pending
+}
+
+// Delete implements kvstore.Store.
+func (p *Poisoned) Delete(now time.Duration, key kvstore.Key) (time.Duration, error) {
+	done, err := p.Store.Delete(now, key)
+	if err == nil {
+		delete(p.written, key)
+	}
+	return done, err
+}
+
+// Local passes the inner store's locality through, as the monitor probes it.
+func (p *Poisoned) Local() bool {
+	l, ok := p.Store.(kvstore.Local)
+	return ok && l.Local()
+}
+
+// Verify reads every key the net knows back through it, for callers that
+// never read on their own.
+func (p *Poisoned) Verify(now time.Duration) {
+	p.tb.Helper()
+	for key := range p.written {
+		if _, _, err := p.Get(now, key); err != nil {
+			p.tb.Fatalf("aliasing net: %v was written but reads %v", key, err)
+		}
+	}
+}
+
+// BenchMultiPut is a backend's ledger row for the write-back path: one batch
+// of n pages per op over a fixed key set, so every write is an overwrite, and
+// one pages slice submitted over and over, as a flush's scratch is — what
+// comes back in it is what goes out next.
+func BenchMultiPut(b *testing.B, s kvstore.Store, n int) {
+	const keySpace = 1024
+	for i := 0; i < keySpace; i++ {
+		if _, err := s.Put(0, kvstore.MakeKey(uint64(i)*kvstore.PageSize, 1), Page(3)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	keys := make([]kvstore.Key, n)
+	pages := make([][]byte, n)
+	for j := range pages {
+		pages[j] = Page(byte(j))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = kvstore.MakeKey(uint64((i*n+j)%keySpace)*kvstore.PageSize, 1)
+		}
+		done, err := s.MultiPut(now, keys, pages)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now = done
+	}
 }

@@ -167,8 +167,9 @@ func (r *Region) MappedPages() int { return r.mapped }
 // The descriptor recycles page frames through a freelist so the steady-state
 // fault pipeline (install via Copy/ZeroPage, evict via Remap, hand the frame
 // back via Recycle) runs without heap allocation. A frame returned by Remap
-// is owned by the caller until it is passed to Recycle or to a sink that
-// copies it.
+// is owned by the caller until it is passed to Recycle or handed to a new
+// owner (a store's MultiPut keeps it and gives another buffer back, which
+// comes here in its place); Unregister recycles the frames of a dead VM.
 type FD struct {
 	params  Params
 	rng     *clock.Rand
@@ -262,6 +263,12 @@ func (f *FD) Recycle(buf []byte) {
 	f.freeFrames = append(f.freeFrames, buf)
 }
 
+// FrameCounts reports the frames present pages map and the frames pooled for
+// reuse: the descriptor's share of the page buffers in the system (test hook).
+func (f *FD) FrameCounts() (mapped, pooled int) {
+	return len(f.frames) - 1 - len(f.freeSlots), len(f.freeFrames)
+}
+
 // pushEvent appends a fault event to the ring, growing it only when full.
 func (f *FD) pushEvent(ev Event) {
 	if f.qLen == len(f.queue) {
@@ -315,12 +322,13 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 }
 
 // Unregister removes a region (VM shutdown): its pages, and the record of
-// which of them a vCPU was blocked on, vanish with its page table, and pending
-// events for it are dropped, like closing the descriptor side of a dead VM.
+// which of them a vCPU was blocked on, vanish with its page table — the frames
+// go back to the pool for the next VM — and pending events for it are
+// dropped, like closing the descriptor side of a dead VM.
 func (f *FD) Unregister(region *Region) {
 	for i := range region.ptes {
 		if region.ptes[i]&pteState != 0 {
-			f.unmap(region, &region.ptes[i])
+			f.Recycle(f.unmap(region, &region.ptes[i]))
 		}
 	}
 	kept := f.regions[:0]

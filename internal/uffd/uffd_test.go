@@ -322,6 +322,43 @@ func TestUnregisterDropsRegionAndEvents(t *testing.T) {
 	}
 }
 
+// TestUnregisterRecyclesFrames pins the fix for the frame leak on VM
+// teardown: Unregister used to drop the frames its pages mapped, so a monitor
+// that outlives a VM allocated 4 KiB per page all over again for the next one.
+func TestUnregisterRecyclesFrames(t *testing.T) {
+	f, r := newFD(t)
+	const pages = 64
+	// fill maps every page of r and returns the frames that back them.
+	fill := func(r *Region) map[*byte]bool {
+		frames := map[*byte]bool{}
+		for i := uint64(0); i < pages; i++ {
+			if _, err := f.Copy(0, r.Start+i*PageSize, filled(byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			frame, _, _, _ := f.Access(0, r.Start+i*PageSize, false)
+			frames[&frame[0]] = true
+		}
+		if mapped, pooled := f.FrameCounts(); mapped != pages || pooled != 0 || len(frames) != pages {
+			t.Fatalf("after fill: %d frames mapped (%d distinct), %d pooled, want %d and 0", mapped, len(frames), pooled, pages)
+		}
+		return frames
+	}
+	first := fill(r)
+	f.Unregister(r)
+	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != pages {
+		t.Fatalf("after unregister: %d frames mapped, %d pooled, want 0 and %d", mapped, pooled, pages)
+	}
+	again, err := f.Register(r.Start, r.Length, r.PID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for frame := range fill(again) {
+		if !first[frame] {
+			t.Fatal("the next VM's page got a newly allocated frame, not one the dead VM left")
+		}
+	}
+}
+
 func TestEventsFIFO(t *testing.T) {
 	f, r := newFD(t)
 	for i := 0; i < 5; i++ {
