@@ -47,7 +47,7 @@ func run(args []string) error {
 		storeNodes = fs.Int("store-nodes", 3, "store node count for -backend cluster")
 		failSched  = fs.String("failure-schedule", "", "comma-separated cluster failure events fired as virtual time passes, e.g. 'crash:node2@30s,drain:node1@60s' (ops: crash | drain | partition | heal | recover | add; -backend cluster only)")
 		chaos      = fs.Float64("chaos", 0, "per-member transient error+spike rate (0 disables injection); enables the resilience policy")
-		workers    = fs.Int("workers", 1, "fault-pipeline width: page-address-sharded workers in the monitor")
+		workers    = fs.Int("workers", 1, "fault-pipeline width (>= 1): a fault waits only for the worker that owns its page; widths change timing, never behaviour")
 		elideZero  = fs.Bool("elide-zero", false, "elide all-zero evicted pages into the zero bitmap (re-faults resolve with UFFDIO_ZEROPAGE, no store traffic)")
 		cleanDrop  = fs.Bool("clean-drop", false, "write-protect store-backed installs and drop still-clean eviction victims without a store write")
 		traceOut   = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the run to this file; also enables the hist command")
@@ -59,6 +59,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
 	if *scenario != "" {
 		if err := rejectUnsupported(fs, "the -scenario replay (it builds its own tenant population on the DRAM store)",

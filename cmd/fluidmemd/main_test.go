@@ -67,6 +67,19 @@ func TestMarketFlagValidation(t *testing.T) {
 	}
 }
 
+// A width below one used to run as the serial monitor without a word.
+func TestWorkersFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "-3", "-script", "status"},
+		{"-workers", "0", "-script", "status"},
+		{"-scenario", "diurnal", "-workers", "-3"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-workers must be >= 1") {
+			t.Errorf("%v: err = %v, want -workers refused", args, err)
+		}
+	}
+}
+
 // Every console mode must refuse a flag it would otherwise drop silently,
 // naming the flag: the host console and the scenario replay used to accept
 // -trace, -workers, -chaos, -failure-schedule and run without them.

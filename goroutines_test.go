@@ -2,7 +2,13 @@ package fluidmem
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,4 +111,51 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 		t.Fatalf("market ran %d epochs, want at least 2", got)
 	}
 	check("market host")
+}
+
+// TestProductCodeHasNoConcurrency is the static half of the same fact, and
+// what DESIGN §15 claims in prose: no non-test Go file outside benchmark/
+// (the repository benchmark's harness, which times the simulation from
+// outside) imports sync or sync/atomic or contains a go statement. A file
+// that must — ROADMAP item 2's cell runner — gets named here, alone.
+func TestProductCodeHasNoConcurrency(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+				t.Errorf("%s imports %s", fset.Position(imp.Pos()), imp.Path.Value)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement", fset.Position(g.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("parsed %d files: the walk is not seeing the tree", files)
+	}
 }

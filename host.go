@@ -48,15 +48,10 @@ type MarketConfig struct {
 // HostConfig assembles a multi-tenant host: N guests on one hypervisor
 // sharing one key-value store and one local DRAM page budget.
 type HostConfig struct {
-	// Tenants declares the guests by name with per-tenant policies — the
-	// primary configuration surface. Mutually exclusive with VMs.
+	// Tenants declares the guests by name, each with its machine and its
+	// policy; a tenant's index in this slice is its index in Host.Touch,
+	// NoteOp and Machine.
 	Tenants []TenantSpec
-	// VMs configures anonymous guests (tenant IDs "vm0", "vm1", ... with
-	// zero TenantPolicy) — the legacy positional surface, kept so existing
-	// drivers migrate without churn. LocalMemory is overridden by the
-	// host's equal split of TotalLocalPages; SharedStore, Registry,
-	// HypervisorID, and (unless set) Hotset and Seed are filled in per VM.
-	VMs []MachineConfig
 	// TotalLocalPages is the host DRAM page budget shared across all VMs.
 	// Must admit at least one page per VM.
 	TotalLocalPages int
@@ -144,12 +139,6 @@ type Host struct {
 // a shared budget).
 func NewHost(cfg HostConfig) (*Host, error) {
 	specs := cfg.Tenants
-	if len(specs) > 0 && len(cfg.VMs) > 0 {
-		return nil, errors.New("fluidmem: HostConfig.Tenants and HostConfig.VMs are mutually exclusive")
-	}
-	for i := range cfg.VMs {
-		specs = append(specs, TenantSpec{ID: fmt.Sprintf("vm%d", i), VM: cfg.VMs[i]})
-	}
 	n := len(specs)
 	if n == 0 {
 		return nil, errors.New("fluidmem: host needs at least one tenant")

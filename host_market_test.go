@@ -252,8 +252,6 @@ func TestNewHostTenantValidation(t *testing.T) {
 		name string
 		cfg  HostConfig
 	}{
-		{"both surfaces", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm}}, VMs: hostVMs(1), TotalLocalPages: 16}},
 		{"empty ID", HostConfig{
 			Tenants: []TenantSpec{{VM: vm}}, TotalLocalPages: 16}},
 		{"duplicate ID", HostConfig{

@@ -1,6 +1,7 @@
 package fluidmem
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,29 +9,30 @@ import (
 	"fluidmem/internal/core"
 )
 
-// hostVMs builds n identical FluidMem VM configs for a host.
-func hostVMs(n int) []MachineConfig {
-	vms := make([]MachineConfig, n)
-	for i := range vms {
-		vms[i] = MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}
+// hostTenants declares n identical FluidMem tenants vm0, vm1, … with no
+// policy.
+func hostTenants(n int) []TenantSpec {
+	specs := make([]TenantSpec, n)
+	for i := range specs {
+		specs[i] = TenantSpec{ID: fmt.Sprintf("vm%d", i), VM: MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}}
 	}
-	return vms
+	return specs
 }
 
 func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(HostConfig{TotalLocalPages: 64}); err == nil {
 		t.Fatal("empty VM list accepted")
 	}
-	if _, err := NewHost(HostConfig{VMs: hostVMs(4), TotalLocalPages: 3}); err == nil {
+	if _, err := NewHost(HostConfig{Tenants: hostTenants(4), TotalLocalPages: 3}); err == nil {
 		t.Fatal("budget below one page per VM accepted")
 	}
-	vms := hostVMs(2)
-	vms[1].Mode = ModeSwap
-	if _, err := NewHost(HostConfig{VMs: vms, TotalLocalPages: 64}); err == nil {
+	specs := hostTenants(2)
+	specs[1].VM.Mode = ModeSwap
+	if _, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 64}); err == nil {
 		t.Fatal("swap-mode VM accepted into a resizable shared budget")
 	}
 	bad := &ArbiterConfig{Policy: ArbiterPolicy{FloorPages: -1, Step: 1}}
-	if _, err := NewHost(HostConfig{VMs: hostVMs(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
+	if _, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
 		t.Fatal("invalid arbiter policy accepted")
 	}
 }
@@ -198,22 +200,22 @@ func blockedReversed(t *testing.T, h *Host, round, epochOps int, walk func(*test
 func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched hostSchedule) *Host {
 	t.Helper()
 	const totalPages, epochOps, rounds = 64, 200, 6
-	vms := hostVMs(2)
+	specs := hostTenants(2)
 	if workers > 1 {
-		for i := range vms {
+		for i := range specs {
 			// The override replaces the whole monitor config, so it must
 			// start from the full default (NewMachine fills Store/capacity).
 			mc := core.DefaultConfig(nil, 0)
 			mc.Workers = workers
-			vms[i].Monitor = &mc
+			specs[i].VM.Monitor = &mc
 		}
 	}
 	if traced {
-		for i := range vms {
-			vms[i].Tracer = NewTracer(false)
+		for i := range specs {
+			specs[i].VM.Tracer = NewTracer(false)
 		}
 	}
-	cfg := HostConfig{VMs: vms, TotalLocalPages: totalPages, Seed: 42}
+	cfg := HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: 42}
 	if withArbiter {
 		cfg.Arbiter = &ArbiterConfig{EpochOps: epochOps}
 	}
@@ -359,7 +361,7 @@ func TestHostStaticSplitStaysPut(t *testing.T) {
 // Tenants share one store but must never share pages: full isolation via
 // distinct partitions, even with a shared registry.
 func TestHostTenantsIsolated(t *testing.T) {
-	h, err := NewHost(HostConfig{VMs: hostVMs(2), TotalLocalPages: 16, Seed: 9})
+	h, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

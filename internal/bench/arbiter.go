@@ -106,11 +106,10 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	if withArbiter {
 		row.Variant = "arbiter"
 	}
-	vms := []fluidmem.MachineConfig{
-		{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20},
-		{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20},
-	}
-	hc := fluidmem.HostConfig{VMs: vms, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
+	// IDs are the planner's tie-break key: vm0 is the hot guest, vm1 the cold.
+	vm := fluidmem.MachineConfig{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20}
+	tenants := []fluidmem.TenantSpec{{ID: "vm0", VM: vm}, {ID: "vm1", VM: vm}}
+	hc := fluidmem.HostConfig{Tenants: tenants, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
 	if withArbiter {
 		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: cfg.EpochOps}
 	}

@@ -1,13 +1,15 @@
 package core
 
 // Allocation regression harness for the Clio-style data-plane split: once a
-// monitor reaches steady state, the per-fault hot path (fault decode, shard
+// monitor reaches steady state, the per-fault hot path (fault decode, worker
 // dispatch, LRU touch, store read, write-list append, flush) must not
 // allocate at all. Every buffer and record it needs comes from the arenas,
 // pools and region tables warmed during the first cycles over the working
 // set. Cold paths (first touch of a fresh page, pool growth) may allocate,
 // but only a bounded amount per fault — never proportionally to faults
-// served.
+// served. The two tests that count allocations are in alloc_norace_test.go
+// (the race detector allocates); the helpers here also serve
+// TestSteadyStateConservesBuffers and BenchmarkSteadyStateFault.
 //
 // The working set is sized at 2x the LRU capacity and scanned cyclically:
 // in steady state every single touch is a store miss that evicts a dirty
@@ -15,7 +17,6 @@ package core
 // the most allocation-prone path the data plane has.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -91,25 +92,6 @@ func allocHarness(t *testing.T, store kvstore.Store, workers, pages int) (*Monit
 	return m, touch
 }
 
-// TestSteadyStateFaultsAllocFree pins the headline property: zero heap
-// allocations per fault in steady state, even though every fault in this
-// workload is a store miss with a dirty eviction behind it.
-func TestSteadyStateFaultsAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
-	}
-	for name, mk := range allocBenchBackends(t) {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				_, touch := allocHarness(t, mk(), workers, 128)
-				if avg := testing.AllocsPerRun(500, touch); avg != 0 {
-					t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
-				}
-			})
-		}
-	}
-}
-
 // TestSteadyStateConservesBuffers pins the other half of allocation-free: the
 // page buffers only change hands. A frame is mapped in the VM, pooled in the
 // descriptor, queued on the write list, held by the store under a key, or
@@ -147,51 +129,5 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFirstTouchAllocsBounded pins the cold path: a first touch of a fresh
-// page may allocate (record-slab and pool growth, store insert) but the
-// per-fault cost must stay small and flat — it must not scale with how many
-// faults the monitor has already served.
-func TestFirstTouchAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
-	}
-	store := dram.New(dram.DefaultParams(), 9)
-	cfg := DefaultConfig(store, 64)
-	m, err := NewMonitor(cfg, nil, "hyp-alloc-cold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pages = 1 << 16
-	if _, err := m.RegisterRange(testBase, uint64(pages)*PageSize, 4242); err != nil {
-		t.Fatal(err)
-	}
-	var now time.Duration
-	i := 0
-	// Burn in past the early map-growth doublings so the measured window
-	// reflects the flat per-fault cost, not amortised table rebuilds.
-	for ; i < 4096; i++ {
-		if _, done, err := m.Touch(now, addr(i), true); err != nil {
-			t.Fatal(err)
-		} else {
-			now = done
-		}
-	}
-	avg := testing.AllocsPerRun(2000, func() {
-		_, done, err := m.Touch(now, addr(i), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-		i++
-	})
-	// With all per-page state in the region tables the cold path measures
-	// 0.00 allocs/fault on a 64 Ki-page region; the bound of 2
-	// leaves room only for rare amortised growth (store-side table doubling),
-	// not for any per-fault allocation sneaking back in.
-	if avg > 2 {
-		t.Fatalf("first-touch fault allocates %.2f/fault, want <= 2", avg)
 	}
 }

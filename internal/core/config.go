@@ -49,15 +49,16 @@ type Config struct {
 	// sequential prefetching (extension; ablation A6). Zero disables it,
 	// matching the paper's readahead-off configuration.
 	PrefetchPages int
-	// Workers is the number of fault-handling workers the monitor's
-	// pipeline is partitioned across (the paper's multi-threaded handler,
-	// §V-B). Faults are sharded by page address: each worker owns an LRU
-	// segment and a write-list queue, and a fault waits only for its own
-	// worker to be free. Parallelism is timing-only by construction — the
-	// logical operation sequence (eviction victims, flush batches, store
-	// traffic) is identical for every worker count, which the shardtest
-	// oracle harness asserts — so more workers raise fault throughput
-	// without changing behaviour. 0 or 1 is the serial monitor.
+	// Workers is the width of the fault pipeline (the paper's multi-threaded
+	// handler, §V-B), reproduced in virtual time: each worker is a horizon,
+	// the time it finishes its current work; a page belongs to the worker
+	// uffd.WorkerOf names, and a fault waits only for that worker to be free.
+	// The width is timing-only by construction — there is one LRU list, one
+	// write list and one set of counters, so the logical operation sequence
+	// (eviction victims, flush batches, store traffic) is identical for every
+	// worker count, which the shardtest oracle harness asserts — so more
+	// workers raise fault throughput without changing behaviour. 0 (the
+	// default) or 1 is the serial monitor; a negative width is ErrBadConfig.
 	Workers int
 	// BatchReads folds the demand-fault read and its prefetch reads (when
 	// PrefetchPages > 0) into one amortised MultiGet round trip instead of

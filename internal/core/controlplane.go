@@ -3,9 +3,7 @@ package core
 // This file is the monitor's control plane: registration, teardown,
 // resize, drain, stats capture, and the introspection surface. Everything
 // here is slow-path — it may allocate, scan regions, and rebuild maps
-// freely. It talks to the data plane either synchronously (same goroutine,
-// between faults) or through the intake ring (see intake.go) when called
-// from another thread.
+// freely. It runs on the simulation's goroutine, between faults.
 
 import (
 	"fmt"
@@ -121,8 +119,9 @@ func (m *Monitor) Discard(addr uint64) {
 // Resize changes the LRU capacity at runtime (§III: "the local memory buffer
 // can be actively sized up or down"). Shrinking evicts immediately; the
 // returned time covers the eviction work. This is the mechanism behind
-// Table III's near-zero footprints. Resize must run on the simulation
-// thread; other goroutines use PostResize (intake.go) instead.
+// Table III's near-zero footprints. It is the one resize path: the host's
+// planners, the machine's operator surface and the scenario engine all call
+// it between faults.
 func (m *Monitor) Resize(now time.Duration, capacity int) (time.Duration, error) {
 	if capacity < 1 {
 		return now, fmt.Errorf("%w: LRU capacity %d < 1", ErrBadConfig, capacity)
@@ -163,28 +162,8 @@ func (m *Monitor) FootprintLimit() int { return m.cfg.LRUCapacity }
 // Epoch implements vm.Backing.
 func (m *Monitor) Epoch() uint64 { return m.epoch }
 
-// Stats returns a snapshot of monitor counters, merged field-wise across
-// every worker's cell — the read-side synchronisation point of the
-// per-worker counter discipline (see Stats).
-func (m *Monitor) Stats() Stats {
-	var total Stats
-	for i := range m.statsCells {
-		c := &m.statsCells[i]
-		total.Faults += c.Faults
-		total.FirstTouch += c.FirstTouch
-		total.RemoteReads += c.RemoteReads
-		total.Steals += c.Steals
-		total.InFlightWaits += c.InFlightWaits
-		total.Evictions += c.Evictions
-		total.SyncWrites += c.SyncWrites
-		total.Flushes += c.Flushes
-		total.Prefetches += c.Prefetches
-		total.ZeroElided += c.ZeroElided
-		total.CleanDropped += c.CleanDropped
-		total.ZeroRefills += c.ZeroRefills
-	}
-	return total
-}
+// Stats returns a snapshot of monitor counters.
+func (m *Monitor) Stats() Stats { return m.stats }
 
 // Workers reports the fault-pipeline width (>= 1).
 func (m *Monitor) Workers() int { return m.workers }

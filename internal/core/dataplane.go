@@ -1,10 +1,10 @@
 package core
 
 // This file is the monitor's data plane: the per-fault hot path, from fault
-// decode through shard dispatch, LRU touch, store read, and write-list
-// append. Steady state it is allocation-free and lock-free — see DESIGN.md
-// §14 for the rules on what may allocate where. Slow-path work lives in
-// controlplane.go and reaches this side only through the intake ring.
+// decode through worker dispatch, LRU touch, store read, and write-list
+// append. Steady state it is allocation-free — see DESIGN.md §14 for the
+// rules on what may allocate where. Slow-path work lives in controlplane.go
+// and runs between faults, on the same goroutine.
 
 import (
 	"encoding/binary"
@@ -17,21 +17,10 @@ import (
 	"fluidmem/internal/uffd"
 )
 
-// workerOf shards a page address onto a fault-pipeline worker. The same
-// indexer shards the LRU segments and the stats cells, so a worker only
-// ever touches its own structures on the fault path (evictions, which pick
-// the globally oldest page, are the one deliberate cross-shard operation).
-// The indexer replaces the naive div+mod with a shift/mask (power-of-two
-// widths) or a fixed-point reciprocal (see shardindex.go): workerOf runs
-// several times per fault, so the divide was measurable.
+// workerOf is the fault-pipeline worker owning the page at addr: the horizon
+// its fault queues behind and the worker id on its trace events.
 func (m *Monitor) workerOf(addr uint64) int {
-	return m.shardIdx.index(addr)
-}
-
-// cell returns the Stats cell owned by addr's worker; see Stats for the
-// memory model.
-func (m *Monitor) cell(addr uint64) *Stats {
-	return &m.statsCells[m.workerOf(addr)]
+	return uffd.WorkerOf(addr, m.workers)
 }
 
 // record charges one profiled monitor operation to both the Table-I
@@ -60,11 +49,8 @@ func (m *Monitor) traceFault(ev uffd.Event, start, resume time.Duration, path st
 }
 
 // Touch implements vm.Backing: a guest access to addr. Resident pages return
-// immediately; missing pages take the full monitor fault path. Queued
-// control-plane commands are drained first — the fault boundary is the
-// data plane's only synchronisation point with the control plane.
+// immediately; missing pages take the full monitor fault path.
 func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
-	m.drainIntake(now)
 	data, done, hit, err := m.fd.Access(now, addr, write)
 	if err != nil {
 		return nil, done, err
@@ -98,15 +84,15 @@ func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, tim
 // handleFault resolves one userfaultfd event, returning the virtual time at
 // which the faulting vCPU resumes.
 func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Duration, error) {
-	m.cell(ev.Addr).Faults++
+	m.stats.Faults++
 	region := m.pages.region(ev.Addr)
 	if region == nil {
 		return eventAt, fmt.Errorf("%w: %d", ErrUnknownPID, ev.PID)
 	}
 	part := region.part
 	m.hot.Fault(ev.Addr)
-	// Handling starts when the fault's worker is free: the pipeline shards
-	// by page address, so a fault queues only behind its own worker.
+	// Handling starts when the fault's worker is free: a fault queues only
+	// behind the worker that owns its page.
 	w := m.workerOf(ev.Addr)
 	t := eventAt
 	if m.workerFree[w] > t {
@@ -149,7 +135,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 // resolveFirstTouch maps the zero page and wakes the guest; eviction, if
 // needed, happens after the wake-up, off the critical path (Figure 2).
 func (m *Monitor) resolveFirstTouch(t time.Duration, ev uffd.Event) (time.Duration, error) {
-	m.cell(ev.Addr).FirstTouch++
+	m.stats.FirstTouch++
 	m.pages.setSeen(ev.Addr)
 	return m.zeroFill(t, ev)
 }
@@ -159,7 +145,7 @@ func (m *Monitor) resolveFirstTouch(t time.Duration, ev uffd.Event) (time.Durati
 // writing the store, so the refill is a local UFFDIO_ZEROPAGE — the same
 // fast path as first touch, counted separately.
 func (m *Monitor) resolveZeroRefill(t time.Duration, ev uffd.Event) (time.Duration, error) {
-	m.cell(ev.Addr).ZeroRefills++
+	m.stats.ZeroRefills++
 	return m.zeroFill(t, ev)
 }
 
@@ -219,7 +205,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	// Steal shortcut: the page is sitting on the pending write list.
 	if m.cfg.StealEnabled && m.cfg.AsyncWrite {
 		if data, ok := m.wb.Steal(t, key); ok {
-			m.cell(ev.Addr).Steals++
+			m.stats.Steals++
 			// Not store-backed: the stolen write never reached the store.
 			rt, err := m.installAndWake(t, ev, data, false, true)
 			// Steal transferred the frame to us; UFFDIO_COPY copied it in,
@@ -237,11 +223,11 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	}
 	// A write of this page is in flight: wait for it to land, then read.
 	if doneAt, ok := m.wb.WaitFor(t, key); ok {
-		m.cell(ev.Addr).InFlightWaits++
+		m.stats.InFlightWaits++
 		t = doneAt
 	}
 
-	m.cell(ev.Addr).RemoteReads++
+	m.stats.RemoteReads++
 	if m.cfg.AsyncRead && m.cfg.BatchReads && m.cfg.PrefetchPages > 0 {
 		rt, b, err := m.resolveBatchedRead(t, ev, key)
 		return rt, "batched_read", b, err
@@ -448,9 +434,8 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 }
 
 // evictOne pushes the oldest LRU page out of the VM and toward the store.
-// Eviction is the one deliberate cross-shard operation: the victim is the
-// globally oldest page, so its counters are attributed to the victim's own
-// cell (see Stats) to keep merged totals worker-count-independent.
+// The victim is the oldest page whichever worker owns it; its trace events
+// carry the victim's worker, its time is charged to the caller's.
 //
 // Frame lifecycle: the remapped frame's ownership moves here, then onward —
 // to the write list (whose flush hands it to the store and pools the buffer
@@ -465,7 +450,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 	}
 	m.lru.Remove(victim)
 	m.hot.Evict(victim)
-	m.cell(victim).Evictions++
+	m.stats.Evictions++
 	evictStart := t
 
 	// Dirty check (must precede the remap, which destroys the mapping): a
@@ -513,7 +498,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		// Clean drop: the store copy is current, the local frame is already
 		// freed — the eviction is done, with no write, no tier offer, no
 		// list traffic.
-		m.cell(victim).CleanDropped++
+		m.stats.CleanDropped++
 		m.tr.Emit(trace.EvCleanDrop, m.workerOf(victim), victim, t, 0, "")
 		m.fd.Recycle(data)
 		return t, nil
@@ -533,7 +518,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 			// Zero elision: record the mark instead of shipping 4 KiB of
 			// zeroes; the re-fault resolves with UFFDIO_ZEROPAGE.
 			m.wb.NoteZero(key)
-			m.cell(victim).ZeroElided++
+			m.stats.ZeroElided++
 			m.tr.Emit(trace.EvZeroElide, m.workerOf(victim), victim, t, 0, "")
 			m.fd.Recycle(data)
 			return t, nil
@@ -563,10 +548,10 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		if t, err = m.wb.Enqueue(t, key, data); err != nil {
 			return t, fmt.Errorf("core: enqueue write %v: %w", key, err)
 		}
-		m.cell(victim).Flushes += m.wb.flushes - flushesBefore
+		m.stats.Flushes += m.wb.flushes - flushesBefore
 		return t, nil
 	}
-	m.cell(victim).SyncWrites++
+	m.stats.SyncWrites++
 	if !m.storeLocal {
 		t += m.cfg.MonitorOps.RPCOverhead.Sample(m.rng)
 	}

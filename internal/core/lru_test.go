@@ -10,8 +10,8 @@ import (
 	"fluidmem/internal/kvstore/dram"
 )
 
-// newLRUList returns a single-segment list over a table with no regions.
-func newLRUList() *lruList { return newShardedLRU(newPageTable(), 1) }
+// newLRUList returns a list over a table with no regions.
+func newLRUList() *lruList { return newLRU(newPageTable()) }
 
 func TestLRUInsertOldest(t *testing.T) {
 	l := newLRUList()
@@ -63,8 +63,8 @@ func TestLRUContains(t *testing.T) {
 	}
 }
 
-// lruModel is the reference implementation the sharded list must match: a
-// plain FIFO slice plus a membership map.
+// lruModel is the reference implementation the list must match: a plain
+// FIFO slice plus a membership map.
 type lruModel struct {
 	order []uint64
 	in    map[uint64]bool
@@ -98,96 +98,74 @@ func (m *lruModel) Oldest() (uint64, bool) {
 	return m.order[0], true
 }
 
-// TestLRUShardCountEquivalenceProperty drives random insert/remove/evict
-// sequences through sharded lists of every width and a map-based model:
-// Oldest, Len, and Contains must agree at every step — the structural half
-// of the multi-worker pipeline's timing-only guarantee. Each list sits over
-// its own page table with a region covering the middle half of the address
-// range, so nodes found by region index and nodes found through the overflow
-// map are both held to the model; and a write-back engine over the same table
-// enqueues, steals and flushes the same pages as it goes, because a page's
-// LRU node, pending write and in-flight write share one record.
-func TestLRUShardCountEquivalenceProperty(t *testing.T) {
-	shardCounts := []int{1, 2, 3, 4, 7, 8}
+// TestLRUMatchesFlatModelProperty drives random insert/remove/evict
+// sequences through the list and a map-based model: Oldest, Len, and
+// Contains must agree at every step. The list sits over a page table with a
+// region covering the middle half of the address range, so nodes found by
+// region index and nodes found through the overflow map are both held to the
+// model; and a write-back engine over the same table enqueues, steals and
+// flushes the same pages as it goes, because a page's LRU node, pending write
+// and in-flight write share one record.
+func TestLRUMatchesFlatModelProperty(t *testing.T) {
 	const part = kvstore.PartitionID(9)
 	f := func(raw []uint16) bool {
 		model := newLRUModel()
-		lists := make([]*lruList, len(shardCounts))
-		engines := make([]*writeback, len(shardCounts))
-		for i, n := range shardCounts {
-			pages := newPageTable()
-			pages.addRegion(16*PageSize, 32*PageSize, 1, part)
-			lists[i] = newShardedLRU(pages, n)
-			engines[i] = newWriteback(pages, dram.New(dram.DefaultParams(), 1), 4, n, nil)
-		}
+		pages := newPageTable()
+		pages.addRegion(16*PageSize, 32*PageSize, 1, part)
+		l := newLRU(pages)
+		engine := newWriteback(pages, dram.New(dram.DefaultParams(), 1), 4, 1, nil)
 		for step, r := range raw {
-			// Addresses are page-aligned so sharding (addr/PageSize % n)
-			// actually spreads entries, and few enough to recur; op chosen
-			// by the low bits.
+			// Few enough page addresses to recur; op chosen by the low bits.
 			a := uint64(r>>2&63) * PageSize
 			now := time.Duration(step) * time.Microsecond
 			switch r & 3 {
 			case 0, 1: // insert (if absent), as a re-fault does: steal first
 				if !model.in[a] {
 					model.Insert(a)
-					for i, l := range lists {
-						engines[i].Steal(now, kvstore.MakeKey(a, part))
-						l.Insert(a)
-					}
+					engine.Steal(now, kvstore.MakeKey(a, part))
+					l.Insert(a)
 				}
 			case 2: // remove
-				want := model.Remove(a)
-				for _, l := range lists {
-					if l.Remove(a) != want {
-						return false
-					}
+				if l.Remove(a) != model.Remove(a) {
+					return false
 				}
 			case 3: // evict oldest to the write list
 				want, wantOK := model.Oldest()
-				if wantOK {
-					model.Remove(want)
+				got, ok := l.Oldest()
+				if ok != wantOK || (ok && got != want) {
+					return false
 				}
-				for i, l := range lists {
-					got, ok := l.Oldest()
-					if ok != wantOK || (ok && got != want) {
+				if ok {
+					model.Remove(want)
+					l.Remove(got)
+					if _, err := engine.Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize)); err != nil {
 						return false
 					}
-					if ok {
-						l.Remove(got)
-						if _, err := engines[i].Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize)); err != nil {
-							return false
-						}
-					}
 				}
 			}
-			for _, l := range lists {
-				if l.Len() != len(model.order) || l.Contains(a) != model.in[a] {
-					return false
-				}
+			if l.Len() != len(model.order) || l.Contains(a) != model.in[a] {
+				return false
 			}
 		}
-		for i, l := range lists {
-			got, want := l.Addrs(), slices.Clone(model.order)
-			slices.Sort(got)
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
+		// Addrs lists the pages oldest first, as the model keeps them.
+		got := l.Addrs()
+		if !slices.Equal(got, model.order) {
+			return false
+		}
+		// Drained and emptied, the table must hold no record and no
+		// overflow entry: nothing leaks per page ever tracked.
+		if _, err := engine.Drain(time.Hour); err != nil {
+			return false
+		}
+		for _, a := range got {
+			l.Remove(a)
+		}
+		if l.Len() != 0 || len(pages.overflow) != 0 {
+			return false
+		}
+		for _, rec := range pages.recs {
+			if rec.state != 0 || rec.id != 0 {
 				return false
-			}
-			// Drained and emptied, the table must hold no record and no
-			// overflow entry: nothing leaks per page ever tracked.
-			if _, err := engines[i].Drain(time.Hour); err != nil {
-				return false
-			}
-			for _, a := range got {
-				l.Remove(a)
-			}
-			if l.Len() != 0 || len(l.pages.overflow) != 0 {
-				return false
-			}
-			for _, rec := range l.pages.recs {
-				if rec.state != 0 || rec.id != 0 {
-					return false
-				}
 			}
 		}
 		return true
@@ -198,9 +176,8 @@ func TestLRUShardCountEquivalenceProperty(t *testing.T) {
 }
 
 // TestMonitorFootprintInvariantProperty drives random Touch/Discard/Resize
-// mixes through monitors of every worker count: the capacity budget is
-// global, so ResidentPages() must never exceed FootprintLimit() no matter
-// how the per-worker LRU segments fill.
+// mixes through monitors of every worker count: ResidentPages() must never
+// exceed FootprintLimit(), whichever workers' pages fill the list.
 func TestMonitorFootprintInvariantProperty(t *testing.T) {
 	f := func(raw []uint16, workerPick uint8) bool {
 		cfg := dramCfg(8)

@@ -74,7 +74,7 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 				continue
 			}
 			m.lru.Remove(addr)
-			m.cell(addr).Evictions++
+			m.stats.Evictions++
 			data, done, rerr := m.fd.Remap(now, addr, false)
 			if rerr != nil {
 				return nil, now, fmt.Errorf("core: export remap %#x: %w", addr, rerr)

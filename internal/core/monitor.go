@@ -25,20 +25,11 @@ var (
 	ErrBadConfig = errors.New("core: invalid configuration")
 )
 
-// Stats counts monitor activity.
-//
-// Concurrency/memory model: with cfg.Workers > 1 the monitor keeps one
-// Stats cell per worker and each worker increments ONLY its own cell — the
-// per-CPU counter discipline a real multi-threaded fault handler uses, so
-// counter updates need no atomics, share no cache lines, and cannot race.
-// Readers never observe a cell directly: Monitor.Stats() merges every cell
-// into one snapshot, which is the single synchronisation point (in a real
-// monitor the merge would read each cell with a relaxed atomic load; in
-// this single-threaded simulation the discipline is structural). Increments
-// are attributed by the page address that caused them, so merged totals are
-// identical for every worker count — except InFlightWaits, which counts a
-// virtual-time race (a fault arriving while its page's write is still in
-// flight) and is therefore legitimately timing-dependent.
+// Stats counts monitor activity. The monitor keeps one set of counters,
+// incremented in caller event order, so every total is identical for every
+// worker count — except InFlightWaits, which counts a virtual-time race (a
+// fault arriving while its page's write is still in flight) and is therefore
+// legitimately timing-dependent.
 type Stats struct {
 	// Faults is total userfaultfd events handled.
 	Faults uint64
@@ -78,15 +69,17 @@ type Stats struct {
 // The implementation is split into two halves, Clio-style:
 //
 //   - The data plane (dataplane.go) is the per-fault path — fault decode,
-//     shard dispatch, LRU touch, store read, write-list append. After a
+//     worker dispatch, LRU touch, store read, write-list append. After a
 //     short warm-up it runs without heap allocation or hashing: page
 //     frames and batch buffers come from pools, per-page state is indexed
 //     in the region's page table, and the nil-tracer / nil-hotset fast
 //     paths cost nothing.
 //   - The control plane (controlplane.go) is everything slow or rare —
 //     registration, teardown, resize, drain, stats capture — and may
-//     allocate freely. Control threads talk to the data plane through the
-//     lock-free intake ring (intake.go), drained at fault boundaries.
+//     allocate freely.
+//
+// Both run on the simulation's one goroutine: a control call happens between
+// two faults, never during one, so the monitor holds no lock and no atomic.
 type Monitor struct {
 	cfg  Config
 	fd   *uffd.FD
@@ -110,17 +103,15 @@ type Monitor struct {
 	registry     kvstore.Registry
 	hypervisorID string
 
-	// workers is the fault-pipeline width (>= 1); faults shard across
-	// workers by page address. workerFree[w] is when worker w finishes its
-	// current work; a fault is serialised only behind its own worker, so
-	// faults in different shards overlap in virtual time. With one worker
-	// this degenerates to the serial monitor's single event loop.
+	// workers is the fault-pipeline width (>= 1) and workerFree[w] is when
+	// worker w finishes its current work: a fault is serialised only behind
+	// the worker that owns its page (workerOf), so faults on different
+	// workers overlap in virtual time. With one worker this degenerates to
+	// the serial monitor's single event loop. The width touches nothing
+	// else — one LRU list, one write list, one Stats — apart from the
+	// worker id on trace events.
 	workers    int
 	workerFree []time.Duration
-	// shardIdx maps page addresses to workers without a per-fault divide;
-	// the LRU segments and the write list's trace events use the same
-	// formula, so a page's structures always agree on their owning shard.
-	shardIdx shardIndexer
 
 	// storeLocal caches whether the backend is on-hypervisor (no RPC stack).
 	storeLocal bool
@@ -128,16 +119,11 @@ type Monitor struct {
 	// fault-handling policy layer; it exposes health and counters.
 	resilient *resilience.Store
 
-	// intake is the control plane's async command queue (see intake.go);
 	// scratch holds the data plane's reusable buffers (see arena.go).
-	intake  *intakeRing
 	scratch dataArena
 
 	epoch uint64
-	// statsCells holds one counter cell per worker; see the Stats comment
-	// for the memory model. Use cell(addr) to pick the owning cell and
-	// Stats() to merge.
-	statsCells []Stats
+	stats Stats
 	// faultLatencies optionally samples end-to-end fault costs.
 	faultLatencies func(time.Duration)
 }
@@ -155,6 +141,9 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	}
 	if cfg.LRUCapacity < 1 {
 		return nil, fmt.Errorf("%w: LRU capacity %d < 1", ErrBadConfig, cfg.LRUCapacity)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("%w: %d workers", ErrBadConfig, cfg.Workers)
 	}
 	if registry == nil {
 		registry = kvstore.NewLocalRegistry()
@@ -182,10 +171,7 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		}
 		tier = newCompressedTier(*cfg.Compress, cfg.Seed+0x7a7a)
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.Workers, 1) // 0 is the default: the serial monitor
 	fd := uffd.New(cfg.UFFD, cfg.Seed)
 	fd.SetTracer(cfg.Trace, workers)
 	pages := newPageTable()
@@ -201,12 +187,9 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		hot:          cfg.Hotset,
 		workers:      workers,
 		workerFree:   make([]time.Duration, workers),
-		shardIdx:     newShardIndexer(workers),
-		statsCells:   make([]Stats, workers),
 		pages:        pages,
-		lru:          newShardedLRU(pages, workers),
+		lru:          newLRU(pages),
 		wb:           newWriteback(pages, cfg.Store, cfg.WriteBatchSize, workers, cfg.Trace),
-		intake:       newIntakeRing(intakeCapacity),
 		registry:     registry,
 		hypervisorID: hypervisorID,
 	}

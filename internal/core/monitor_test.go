@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -42,6 +43,16 @@ func TestNewMonitorValidation(t *testing.T) {
 	cfg := dramCfg(0)
 	if _, err := NewMonitor(cfg, nil, ""); err == nil {
 		t.Fatal("zero capacity accepted")
+	}
+	cfg = dramCfg(16)
+	cfg.Workers = -3
+	if _, err := NewMonitor(cfg, nil, ""); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Workers = -3: err = %v, want ErrBadConfig", err)
+	}
+	// Zero is the documented default, the serial monitor.
+	cfg.Workers = 0
+	if m, err := NewMonitor(cfg, nil, ""); err != nil || m.Workers() != 1 {
+		t.Fatalf("Workers = 0: err = %v, want a monitor of width 1", err)
 	}
 }
 

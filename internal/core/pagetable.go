@@ -39,6 +39,9 @@ type pageTable struct {
 	none uint32
 }
 
+// pageShift converts a page address to its page number.
+const pageShift = 12 // log2(PageSize)
+
 // Entry layout.
 const (
 	entSeen = 1 << 31 // the monitor has observed the page (not a first touch)
@@ -68,14 +71,13 @@ type pageRec struct {
 	// id is the page's store key (page address | partition), which finds the
 	// entry pointing here.
 	id uint64
-	// addr is the resident page's address and seq its global LRU insertion
-	// stamp.
-	addr, seq uint64
+	// addr is the resident page's address.
+	addr uint64
 	// data is the evicted page awaiting its store write.
 	data []byte
 	// done is when the submitted write completes.
 	done time.Duration
-	// link threads the record onto its LRU segment and onto the write list
+	// link threads the record onto the LRU list and onto the write list
 	// (and, through link[lruLink].next, onto the slab's freelist).
 	link  [2]recLink
 	state uint8

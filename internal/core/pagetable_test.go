@@ -177,7 +177,7 @@ func BenchmarkLRUInsertRemove(b *testing.B) {
 	const pages, capacity = 2048, 512
 	table := newPageTable()
 	table.addRegion(testBase, pages*PageSize, 1, 1)
-	l := newShardedLRU(table, 4)
+	l := newLRU(table)
 	for i := 0; i < capacity; i++ {
 		l.Insert(addr(i))
 	}

@@ -99,7 +99,7 @@ func (m *Monitor) installPrefetched(t time.Duration, demand, addr uint64, data [
 		}
 	}
 	m.lru.Insert(addr)
-	m.cell(addr).Prefetches++
+	m.stats.Prefetches++
 	m.tr.Emit(trace.EvPrefetch, m.workerOf(addr), addr, installStart, t-installStart, "")
 	return t, false
 }

@@ -7,6 +7,7 @@ import (
 
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/trace"
+	"fluidmem/internal/uffd"
 )
 
 // writeback implements the coalescing asynchronous write-back engine (§V-B
@@ -50,10 +51,10 @@ import (
 type writeback struct {
 	store     kvstore.Store
 	batchSize int
-	// tr receives flush/steal/wait events, attributed to workers by idx; nil
-	// disables tracing.
-	tr  *trace.Tracer
-	idx shardIndexer
+	// tr receives flush/steal/wait events, a steal or wait attributed to
+	// uffd.WorkerOf its page among workers; nil disables tracing.
+	tr      *trace.Tracer
+	workers int
 	// recycle, when non-nil, receives buffers the engine is done with.
 	recycle func([]byte)
 
@@ -105,14 +106,14 @@ type WritebackStats struct {
 	FlushSizes map[int]uint64
 }
 
-func newWriteback(pages *pageTable, store kvstore.Store, batchSize, shards int, tr *trace.Tracer) *writeback {
+func newWriteback(pages *pageTable, store kvstore.Store, batchSize, workers int, tr *trace.Tracer) *writeback {
 	if batchSize <= 0 {
 		batchSize = 32
 	}
 	return &writeback{
 		store:      store,
 		batchSize:  batchSize,
-		idx:        newShardIndexer(shards),
+		workers:    workers,
 		tr:         tr,
 		pages:      pages,
 		flushSizes: make(map[int]uint64, 16),
@@ -127,12 +128,6 @@ func (w *writeback) release(buf []byte) {
 	if w.recycle != nil && buf != nil {
 		w.recycle(buf)
 	}
-}
-
-// shardIndex maps a key to the fault worker its trace events belong to (the
-// same formula as the monitor's workerOf).
-func (w *writeback) shardIndex(key kvstore.Key) int {
-	return w.idx.index(key.Page())
 }
 
 // pending resolves key's entry and, if a write of it is queued, its record.
@@ -316,7 +311,7 @@ func (w *writeback) Steal(now time.Duration, key kvstore.Key) ([]byte, bool) {
 		return nil, false
 	}
 	w.steals++
-	w.tr.Emit(trace.EvSteal, w.shardIndex(key), key.Page(), now, 0, "")
+	w.tr.Emit(trace.EvSteal, uffd.WorkerOf(key.Page(), w.workers), key.Page(), now, 0, "")
 	return w.dequeue(e, i), true
 }
 
@@ -334,7 +329,7 @@ func (w *writeback) WaitFor(now time.Duration, key kvstore.Key) (time.Duration, 
 	if done < now {
 		done = now
 	}
-	w.tr.Emit(trace.EvWait, w.shardIndex(key), key.Page(), now, done-now, "")
+	w.tr.Emit(trace.EvWait, uffd.WorkerOf(key.Page(), w.workers), key.Page(), now, done-now, "")
 	return done, true
 }
 

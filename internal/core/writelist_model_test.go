@@ -11,6 +11,7 @@ import (
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
 	"fluidmem/internal/kvstore/storetest"
+	"fluidmem/internal/uffd"
 )
 
 // mapWriteback is the reference model of the write-back engine: the
@@ -22,7 +23,6 @@ type mapWriteback struct {
 	store     kvstore.Store
 	batchSize int
 	shards    []map[kvstore.Key]*mapPending
-	idx       shardIndexer
 	queued    int
 	nextSeq   uint64
 	zero      map[kvstore.Key]bool
@@ -41,7 +41,6 @@ func newMapWriteback(store kvstore.Store, batchSize, shards int) *mapWriteback {
 	w := &mapWriteback{
 		store:     store,
 		batchSize: batchSize,
-		idx:       newShardIndexer(shards),
 		zero:      map[kvstore.Key]bool{},
 		inflight:  map[kvstore.Key]time.Duration{},
 		stats:     WritebackStats{FlushSizes: map[int]uint64{}},
@@ -53,7 +52,7 @@ func newMapWriteback(store kvstore.Store, batchSize, shards int) *mapWriteback {
 }
 
 func (w *mapWriteback) shardOf(key kvstore.Key) map[kvstore.Key]*mapPending {
-	return w.shards[w.idx.index(key.Page())]
+	return w.shards[uffd.WorkerOf(key.Page(), len(w.shards))]
 }
 
 func (w *mapWriteback) Enqueue(now time.Duration, key kvstore.Key, data []byte) error {

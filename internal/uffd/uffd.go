@@ -192,8 +192,8 @@ type FD struct {
 	freeSlots  []uint32
 	freeFrames [][]byte
 
-	// tr receives one event per page operation; trWorkers attributes each
-	// to its fault-pipeline worker by the monitor's page-address shard.
+	// tr receives one event per page operation, attributed to WorkerOf its
+	// page among trWorkers.
 	tr        *trace.Tracer
 	trWorkers int
 }
@@ -283,24 +283,26 @@ func (f *FD) pushEvent(ev Event) {
 	f.qLen++
 }
 
-// SetTracer routes page-operation events (ZEROPAGE, COPY, REMAP,
-// WRITEPROTECT) to tr, attributed to workers fault-pipeline workers by page
-// address — the same sharding the monitor uses. A nil tracer disables
-// emission; tracing never samples the RNG or changes any returned time.
-func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
-	if workers < 1 {
-		workers = 1
+// WorkerOf is the fault-pipeline worker that owns the page at addr when the
+// pipeline is workers wide (workers >= 1): page number modulo width, a mask
+// when the width is a power of two. It is the one definition of "which worker
+// owns this page" — the monitor's dispatch and every trace event's worker id
+// come from here.
+func WorkerOf(addr uint64, workers int) int {
+	page, n := addr/PageSize, uint64(workers)
+	if n&(n-1) == 0 {
+		return int(page & (n - 1))
 	}
-	f.tr = tr
-	f.trWorkers = workers
+	return int(page % n)
 }
 
-// traceWorker is the fault-pipeline worker owning addr.
-func (f *FD) traceWorker(addr uint64) int {
-	if f.trWorkers < 1 {
-		return 0
-	}
-	return int((addr / PageSize) % uint64(f.trWorkers))
+// SetTracer routes page-operation events (ZEROPAGE, COPY, REMAP,
+// WRITEPROTECT) to tr, each attributed to WorkerOf its page in a pipeline
+// workers wide (below one counts as one). A nil tracer disables emission;
+// tracing never samples the RNG or changes any returned time.
+func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
+	f.tr = tr
+	f.trWorkers = max(workers, 1)
 }
 
 // Register adds [start, start+length) as a fault-handled region for pid,
@@ -429,7 +431,7 @@ func (f *FD) ZeroPage(now time.Duration, addr uint64) (time.Duration, error) {
 	region.mapped++
 	done := now + f.params.ZeroPage.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdZeroPage, f.traceWorker(aligned), aligned, now, done-now, "")
+		f.tr.Emit(trace.EvUffdZeroPage, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, "")
 	}
 	return done, nil
 }
@@ -454,7 +456,7 @@ func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, e
 	region.mapped++
 	done := now + f.params.Copy.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdCopy, f.traceWorker(aligned), aligned, now, done-now, "")
+		f.tr.Emit(trace.EvUffdCopy, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, "")
 	}
 	return done, nil
 }
@@ -482,7 +484,7 @@ func (f *FD) SetWriteProtect(now time.Duration, addr uint64) (time.Duration, err
 	*pte |= pteWP
 	done := now + f.params.WriteProtect.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdWP, f.traceWorker(aligned), aligned, now, done-now, "")
+		f.tr.Emit(trace.EvUffdWP, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, "")
 	}
 	return done, nil
 }
@@ -535,7 +537,7 @@ func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, ti
 	}
 	done := now + model.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdRemap, f.traceWorker(aligned), aligned, now, done-now, arg)
+		f.tr.Emit(trace.EvUffdRemap, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, arg)
 	}
 	return data, done, nil
 }

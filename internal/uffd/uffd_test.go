@@ -480,3 +480,23 @@ func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 		t.Fatal("fresh install reported clean without protection")
 	}
 }
+
+// TestWorkerOfMatchesReference pins the one page→worker function, mask and
+// modulo alike, to (addr/PageSize) % n at the widths the drivers use and two
+// that are not powers of two, on addresses up to the top of the address space.
+func TestWorkerOfMatchesReference(t *testing.T) {
+	addrs := []uint64{
+		0, PageSize - 1, PageSize, PageSize + 1, 7 * PageSize, 8*PageSize - 1,
+		0x7f00_0000_0000, 0x7fff_ffff_f000, 1 << 52, ^uint64(0) - PageSize, ^uint64(0),
+	}
+	for page := uint64(0); page < 64; page++ {
+		addrs = append(addrs, 0x7f00_0000_0000+page*PageSize+page)
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8} {
+		for _, addr := range addrs {
+			if got, want := WorkerOf(addr, n), int((addr/PageSize)%uint64(n)); got != want {
+				t.Fatalf("WorkerOf(%#x, %d) = %d, want %d", addr, n, got, want)
+			}
+		}
+	}
+}

@@ -6,13 +6,12 @@ import (
 	"fluidmem/internal/market"
 )
 
-// This file is the tenant-centric face of the Host API. A Host is no longer
-// a bag of positional VMs with one global ArbiterConfig: each guest is a
+// This file is the tenant-centric face of the Host API: each guest is a
 // named Tenant carrying its own TenantPolicy (floor, ceiling, p99
 // fault-latency SLO), and host operations route by tenant ID. The
-// index-based Host methods (Touch, NoteOp, Machine) remain as thin wrappers
-// over the tenant handles — the index is simply the tenant's position in
-// the HostConfig — so existing drivers keep working unchanged.
+// index-based Host methods (Touch, NoteOp, Machine) are thin wrappers over
+// the tenant handles — the index is the tenant's position in
+// HostConfig.Tenants.
 
 // MarketPolicy re-exports the memory-marketplace knobs (default floor and
 // ceiling, slab size, leases per epoch, bid-ask hysteresis).
@@ -47,11 +46,11 @@ type TenantSpec struct {
 	// planner's sort and tie-break key, so they are part of the
 	// deterministic contract: same IDs, same curves, same plans.
 	ID string
-	// VM configures the tenant's machine. As with HostConfig.VMs, the host
-	// overrides LocalMemory (equal split of the budget), SharedStore,
-	// Registry, HypervisorID, and — unless set — Hotset and Seed. A tenant
-	// with an SLO and no Tracer gets a histogram-only tracer attached
-	// automatically (pure observation; simulated results are unchanged).
+	// VM configures the tenant's machine. The host overrides LocalMemory
+	// (equal split of TotalLocalPages), SharedStore, Registry, HypervisorID,
+	// and — unless set — Hotset and Seed. A tenant with an SLO and no Tracer
+	// gets a histogram-only tracer attached automatically (pure observation;
+	// simulated results are unchanged).
 	VM MachineConfig
 	// Policy is the tenant's resource contract.
 	Policy TenantPolicy
