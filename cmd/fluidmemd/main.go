@@ -306,10 +306,10 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	mode := "static equal split"
 	switch planner {
 	case "arbiter":
-		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: epochOps}
+		hc.Arbiter = &fluidmem.ArbiterPolicy{}
 		mode = "arbiter rebalancing"
 	case "market":
-		hc.Market = &fluidmem.MarketConfig{EpochOps: epochOps}
+		hc.Market = &fluidmem.MarketPolicy{}
 		mode = "marketplace (SLO claw-back)"
 	}
 	h, err := fluidmem.NewHost(hc)
@@ -319,9 +319,10 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	fmt.Printf("fluidmemd: host with %d tenants on %s, %d shared pages (%d MB), %s\n",
 		vms, backend, totalPages, localMB, mode)
 
+	tenants := h.Tenants()
 	segs := make([]uint64, vms)
-	for i := 0; i < vms; i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
+	for i, t := range tenants {
+		seg, err := t.Machine().Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
 		if err != nil {
 			return err
 		}
@@ -329,15 +330,19 @@ func runHost(backend string, vms int, planner string, localMB int, seed uint64, 
 	}
 	for r := 0; r < rounds; r++ {
 		for op := 0; op < epochOps; op++ {
-			for i := 0; i < vms; i++ {
+			for i, t := range tenants {
 				addr := segs[i] + uint64((r*epochOps+op)%spans[i])*fluidmem.PageSize
-				if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
-					return fmt.Errorf("%s: %w", specs[i].ID, err)
+				if _, err := t.Touch(addr, op%3 == 0); err != nil {
+					return fmt.Errorf("%s: %w", t.ID(), err)
 				}
 			}
 		}
 		st := h.Stats()
-		fmt.Printf("epoch %d: t=%v shares=%v wss=%v\n", r+1, st.Now.Round(time.Microsecond), st.Shares, st.WSSPages)
+		shares, wss := make([]int, vms), make([]int, vms)
+		for i, ts := range st.Tenants {
+			shares[i], wss[i] = ts.SharePages, ts.WSSPages
+		}
+		fmt.Printf("epoch %d: t=%v shares=%v wss=%v\n", r+1, st.Now.Round(time.Microsecond), shares, wss)
 	}
 	if err := h.Drain(); err != nil {
 		return err
@@ -363,16 +368,10 @@ func executeHost(h *fluidmem.Host, spans []int, fields []string) error {
 	switch fields[0] {
 	case "status":
 		fmt.Printf("  %-8s %6s %7s %5s %10s %11s %10s\n", "tenant", "span", "share", "wss", "faults", "ghost-hits", "evictions")
-		for i, ms := range st.VMs {
-			var faults, hits, evicts uint64
-			if ms.Monitor != nil {
-				faults, evicts = ms.Monitor.Faults, ms.Monitor.Evictions
-			}
-			if ms.Hotset != nil {
-				hits = ms.Hotset.GhostHits
-			}
+		for i, ts := range st.Tenants {
+			// A host tenant always has a monitor and a ghost-LRU estimator.
 			fmt.Printf("  %-8s %6d %7d %5d %10d %11d %10d\n",
-				st.Tenants[i].ID, spans[i], st.Shares[i], st.WSSPages[i], faults, hits, evicts)
+				ts.ID, spans[i], ts.SharePages, ts.WSSPages, ts.Faults, ts.VM.Hotset.GhostHits, ts.VM.Monitor.Evictions)
 		}
 		if a := st.Arbiter; a.Epochs > 0 {
 			fmt.Printf("  planner: epochs=%d moves=%d granted=%d donated=%d predicted-savings=%d realized-savings=%d\n",

@@ -85,21 +85,22 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 		}
 	}
 	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 96, Seed: 42,
-		Market: &MarketConfig{EpochOps: epochOps}})
+		Market: &MarketPolicy{}, EpochOps: epochOps})
 	if err != nil {
 		t.Fatal(err)
 	}
+	guests := h.Tenants()
 	bases := make([]uint64, len(spans))
-	for i := range spans {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", uint64(spans[i])*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bases[i] = seg.Addr(0)
 	}
 	for op := 0; op < epochs*epochOps; op++ {
-		for i := range spans {
-			if _, err := h.Touch(i, bases[i]+uint64(op%spans[i])*PageSize, op%3 == 0); err != nil {
+		for i, g := range guests {
+			if _, err := g.Touch(bases[i]+uint64(op%spans[i])*PageSize, op%3 == 0); err != nil {
 				t.Fatalf("tenant %d op %d: %v", i, op, err)
 			}
 		}

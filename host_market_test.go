@@ -2,10 +2,14 @@ package fluidmem
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"fluidmem/internal/core"
+	"fluidmem/internal/kvstore"
+	"fluidmem/internal/kvstore/cluster"
+	"fluidmem/internal/kvstore/dram"
 )
 
 // marketTenants builds the adversarial pair the marketplace exists for: an
@@ -38,14 +42,13 @@ func marketTenants(workers int) []TenantSpec {
 func marketHostRun(t *testing.T, workers int, planner string, sched hostSchedule) *Host {
 	t.Helper()
 	const totalPages, epochOps, rounds = 64, 200, 8
-	cfg := HostConfig{Tenants: marketTenants(workers), TotalLocalPages: totalPages, Seed: 42}
+	cfg := HostConfig{Tenants: marketTenants(workers), TotalLocalPages: totalPages, EpochOps: epochOps, Seed: 42}
 	switch planner {
 	case "market":
-		cfg.Market = &MarketConfig{EpochOps: epochOps}
+		cfg.Market = &MarketPolicy{}
 	case "arbiter":
-		cfg.Arbiter = &ArbiterConfig{EpochOps: epochOps}
+		cfg.Arbiter = &ArbiterPolicy{}
 	case "static":
-		cfg.EpochOps = epochOps
 	default:
 		t.Fatalf("unknown planner %q", planner)
 	}
@@ -53,10 +56,11 @@ func marketHostRun(t *testing.T, workers int, planner string, sched hostSchedule
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := make([]uint64, h.VMs())
+	guests := h.Tenants()
+	segs := make([]uint64, len(guests))
 	spans := []int{80, 8}
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", uint64(spans[i])*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +69,7 @@ func marketHostRun(t *testing.T, workers int, planner string, sched hostSchedule
 	walk := func(t *testing.T, h *Host, vmIdx, op int) {
 		t.Helper()
 		addr := segs[vmIdx] + uint64(op%spans[vmIdx])*PageSize
-		if _, err := h.Touch(vmIdx, addr, op%3 == 0); err != nil {
+		if _, err := guests[vmIdx].Touch(addr, op%3 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +99,7 @@ func TestHostMarketClawsBackFromViolatingDonor(t *testing.T) {
 	if st.Market.SLOViolations == 0 {
 		t.Fatalf("victim never registered a violation: %+v", st.Market)
 	}
-	if total := st.Shares[0] + st.Shares[1]; total != 64 {
+	if total := st.Tenants[0].SharePages + st.Tenants[1].SharePages; total != 64 {
 		t.Fatalf("budget not conserved: %d", total)
 	}
 	var victim TenantStats
@@ -140,8 +144,8 @@ func TestHostMarketBeatsArbiterOnSLOMisses(t *testing.T) {
 func TestHostStaticSplitSLOAccounting(t *testing.T) {
 	h := marketHostRun(t, 1, "static", roundRobin)
 	st := h.Stats()
-	if st.Shares[0] != 32 || st.Shares[1] != 32 {
-		t.Fatalf("static split moved: %v", st.Shares)
+	if a, b := st.Tenants[0].SharePages, st.Tenants[1].SharePages; a != 32 || b != 32 {
+		t.Fatalf("static split moved: %d/%d", a, b)
 	}
 	if st.Arbiter.Epochs != 0 || st.Market != nil {
 		t.Fatalf("planner ran without being configured: %+v", st.Arbiter)
@@ -163,7 +167,8 @@ func hostMarketDigest(h *Host) []uint64 {
 	if h.mkt != nil {
 		out = append(out, h.mkt.Digest())
 	}
-	for _, s := range h.slo {
+	for _, g := range h.tenants {
+		s := g.slo
 		out = append(out, s.Windows, s.Violations, uint64(s.LastP99), s.LastFaults)
 	}
 	return out
@@ -200,8 +205,8 @@ func TestHostMarketInterleavingInvariance(t *testing.T) {
 	}
 }
 
-// The tenant-centric surface: lookup by ID, policy echo, and the index
-// methods as wrappers over the same machines.
+// The tenant-centric surface: lookup by ID (an unknown ID returns no
+// handle), policy echo, and the tenant's row in HostStats.
 func TestHostTenantAPI(t *testing.T) {
 	h, err := NewHost(HostConfig{
 		Tenants: []TenantSpec{
@@ -218,14 +223,11 @@ func TestHostTenantAPI(t *testing.T) {
 	if !ok || b.ID() != "b" {
 		t.Fatalf("Tenant(b) = %v, %v", b, ok)
 	}
-	if _, ok := h.Tenant("nope"); ok {
-		t.Fatal("unknown tenant resolved")
+	if ghost, ok := h.Tenant("nope"); ok || ghost != nil {
+		t.Fatalf("unknown tenant resolved: %v, %v", ghost, ok)
 	}
 	if got := b.Policy(); got != (TenantPolicy{FloorPages: 4, CeilPages: 16, SLO: time.Millisecond}) {
 		t.Fatalf("policy = %+v", got)
-	}
-	if b.Machine() != h.Machine(1) {
-		t.Fatal("index wrapper and tenant handle disagree on the machine")
 	}
 	if all := h.Tenants(); len(all) != 2 || all[0].ID() != "a" || all[1].ID() != "b" {
 		t.Fatalf("Tenants() = %v", all)
@@ -237,41 +239,123 @@ func TestHostTenantAPI(t *testing.T) {
 	if _, err := b.Touch(seg.Addr(0), true); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Stats(); got.ResidentPages == 0 {
+	if got := b.Stats(); got.VM.ResidentPages == 0 || got.Faults == 0 || got.FaultCost <= 0 {
 		t.Fatalf("tenant stats empty: %+v", got)
 	}
 	st := h.Stats()
 	if len(st.Tenants) != 2 || st.Tenants[1].ID != "b" || st.Tenants[1].Policy.CeilPages != 16 {
 		t.Fatalf("HostStats.Tenants = %+v", st.Tenants)
 	}
+	if !reflect.DeepEqual(st.Tenants[1], b.Stats()) {
+		t.Fatalf("HostStats row and Tenant.Stats disagree:\n%+v\n%+v", st.Tenants[1], b.Stats())
+	}
 }
 
 func TestNewHostTenantValidation(t *testing.T) {
 	vm := MachineConfig{Backend: BackendDRAM, GuestMemory: 4 << 20}
+	// with returns tenants a (vm as is) and b (vm edited by set).
+	with := func(set func(*MachineConfig)) []TenantSpec {
+		other := vm
+		set(&other)
+		return []TenantSpec{{ID: "a", VM: vm}, {ID: "b", VM: other}}
+	}
 	cases := []struct {
 		name string
 		cfg  HostConfig
+		// want are substrings the error must carry (tenant and field).
+		want []string
 	}{
 		{"empty ID", HostConfig{
-			Tenants: []TenantSpec{{VM: vm}}, TotalLocalPages: 16}},
+			Tenants: []TenantSpec{{VM: vm}}, TotalLocalPages: 16}, nil},
 		{"duplicate ID", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm}, {ID: "a", VM: vm}}, TotalLocalPages: 16}},
+			Tenants: []TenantSpec{{ID: "a", VM: vm}, {ID: "a", VM: vm}}, TotalLocalPages: 16}, nil},
 		{"floor above ceiling", HostConfig{
 			Tenants:         []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{FloorPages: 8, CeilPages: 4}}},
-			TotalLocalPages: 16}},
+			TotalLocalPages: 16}, nil},
 		{"negative SLO", HostConfig{
 			Tenants:         []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{SLO: -1}}},
-			TotalLocalPages: 16}},
+			TotalLocalPages: 16}, nil},
 		{"two planners", HostConfig{
 			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
-			Arbiter: &ArbiterConfig{}, Market: &MarketConfig{}}},
+			Arbiter: &ArbiterPolicy{}, Market: &MarketPolicy{}}, nil},
 		{"bad market policy", HostConfig{
 			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
-			Market: &MarketConfig{Policy: MarketPolicy{FloorPages: -1, Step: 1}}}},
+			Market: &MarketPolicy{FloorPages: -1, Step: 1}}, nil},
+
+		// A host has one store, described by tenant 0: a later tenant that
+		// describes another one is refused, not silently given tenant 0's.
+		{"other backend", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.Backend = BackendMemcached })},
+			[]string{`"b"`, "Backend"}},
+		{"unknown backend", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.Backend = "nonsense" })},
+			[]string{`"b"`, "Backend"}},
+		{"other capacity", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.StoreCapacity = 1 << 30 })},
+			[]string{`"b"`, "StoreCapacity"}},
+		{"other node count", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.StoreNodes = 5 })},
+			[]string{`"b"`, "StoreNodes"}},
+		{"other replica count", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.StoreReplicas = 3 })},
+			[]string{`"b"`, "StoreReplicas"}},
+		{"other shared store", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.SharedStore = dram.New(dram.DefaultParams(), 1) })},
+			[]string{`"b"`, "SharedStore"}},
+		{"other registry", HostConfig{TotalLocalPages: 16,
+			Tenants: with(func(mc *MachineConfig) { mc.Registry = kvstore.NewLocalRegistry() })},
+			[]string{`"b"`, "Registry"}},
 	}
 	for _, c := range cases {
-		if _, err := NewHost(c.cfg); err == nil {
+		_, err := NewHost(c.cfg)
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+			continue
 		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, w)
+			}
+		}
+	}
+
+	// Leaving the store fields unset, or repeating tenant 0's, is fine.
+	same := with(func(mc *MachineConfig) { mc.Backend, mc.StoreCapacity = "", 0 })
+	if _, err := NewHost(HostConfig{Tenants: same, TotalLocalPages: 16}); err != nil {
+		t.Errorf("tenant leaving the store to the host refused: %v", err)
+	}
+}
+
+// A BackendCluster host builds the pool its tenant 0 describes and keeps it
+// reachable from every tenant's machine (membership changes, failure
+// injection).
+func TestHostClusterPoolReachable(t *testing.T) {
+	vm := MachineConfig{Backend: BackendCluster, StoreNodes: 5, StoreReplicas: 3, GuestMemory: 4 << 20}
+	h, err := NewHost(HostConfig{
+		Tenants:         []TenantSpec{{ID: "a", VM: vm}, {ID: "b", VM: vm}},
+		TotalLocalPages: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *cluster.Pool
+	for _, g := range h.Tenants() {
+		pool := g.Machine().ClusterPool()
+		if pool == nil {
+			t.Fatalf("tenant %s: cluster pool not reachable from its machine", g.ID())
+		}
+		if first == nil {
+			first = pool
+		}
+		if pool != first {
+			t.Fatalf("tenant %s has its own pool; a host has one store", g.ID())
+		}
+	}
+	table := first.Committed()
+	if got := len(table.Nodes); got != 5 {
+		t.Errorf("pool has %d nodes, want 5", got)
+	}
+	if table.Replicas != 3 {
+		t.Errorf("pool replicates %d ways, want 3", table.Replicas)
 	}
 }

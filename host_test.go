@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"fluidmem/internal/core"
 )
@@ -31,7 +32,7 @@ func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 64}); err == nil {
 		t.Fatal("swap-mode VM accepted into a resizable shared budget")
 	}
-	bad := &ArbiterConfig{Policy: ArbiterPolicy{FloorPages: -1, Step: 1}}
+	bad := &ArbiterPolicy{FloorPages: -1, Step: 1}
 	if _, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
 		t.Fatal("invalid arbiter policy accepted")
 	}
@@ -89,26 +90,22 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	specs := []TenantSpec{{ID: "a", VM: mc}, {ID: "b", VM: mc}, {ID: "dead", VM: mc}}
 	h, err := NewHost(HostConfig{
 		Tenants: specs, TotalLocalPages: 48, Seed: 1,
-		Arbiter: &ArbiterConfig{EpochOps: epochOps},
+		Arbiter: &ArbiterPolicy{}, EpochOps: epochOps,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	guests := h.Tenants()
+	dead := guests[2]
 	segs := make([]uint64, len(specs))
-	for i := range specs {
-		seg, err := h.Machine(i).Alloc("ws", span*PageSize)
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", span*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		segs[i] = seg.Addr(0)
 	}
 
-	if err := h.SetTenantActive("ghost", true); err == nil {
-		t.Fatal("unknown tenant accepted")
-	}
-	if h.TenantActive("ghost") {
-		t.Fatal("unknown tenant reported active")
-	}
 	for _, ts := range h.Stats().Tenants {
 		if !ts.Active {
 			t.Fatalf("tenant %s not active at boot", ts.ID)
@@ -120,7 +117,7 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 		for op := 0; op < epochOps; op++ {
 			for _, i := range idxs {
 				addr := segs[i] + uint64(op%span)*PageSize
-				if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
+				if _, err := guests[i].Touch(addr, op%3 == 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -134,10 +131,8 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	}
 
 	// Mid-run death: the survivors' windows must keep closing.
-	if err := h.SetTenantActive("dead", false); err != nil {
-		t.Fatal(err)
-	}
-	if h.TenantActive("dead") {
+	dead.SetActive(false)
+	if dead.Active() {
 		t.Fatal("deactivated tenant reported active")
 	}
 	drive(0, 1)
@@ -151,9 +146,7 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	}
 
 	// Reactivation (the late-boot analogue): the barrier waits for it again.
-	if err := h.SetTenantActive("dead", true); err != nil {
-		t.Fatal(err)
-	}
+	dead.SetActive(true)
 	drive(0, 1)
 	if got := epochs(); got != 2 {
 		t.Fatalf("epoch closed without the rebooted tenant: epochs = %d, want 2", got)
@@ -171,15 +164,16 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 type hostSchedule func(t *testing.T, h *Host, round int, epochOps int, walk func(t *testing.T, h *Host, vmIdx, op int))
 
 func roundRobin(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
+	n := len(h.Tenants())
 	for op := 0; op < epochOps; op++ {
-		for i := 0; i < h.VMs(); i++ {
+		for i := 0; i < n; i++ {
 			walk(t, h, i, round*epochOps+op)
 		}
 	}
 }
 
 func blocked(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
-	for i := 0; i < h.VMs(); i++ {
+	for i := 0; i < len(h.Tenants()); i++ {
 		for op := 0; op < epochOps; op++ {
 			walk(t, h, i, round*epochOps+op)
 		}
@@ -187,7 +181,7 @@ func blocked(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *
 }
 
 func blockedReversed(t *testing.T, h *Host, round, epochOps int, walk func(*testing.T, *Host, int, int)) {
-	for i := h.VMs() - 1; i >= 0; i-- {
+	for i := len(h.Tenants()) - 1; i >= 0; i-- {
 		for op := 0; op < epochOps; op++ {
 			walk(t, h, i, round*epochOps+op)
 		}
@@ -217,7 +211,7 @@ func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched ho
 	}
 	cfg := HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: 42}
 	if withArbiter {
-		cfg.Arbiter = &ArbiterConfig{EpochOps: epochOps}
+		cfg.Arbiter, cfg.EpochOps = &ArbiterPolicy{}, epochOps
 	}
 	if traced {
 		cfg.Tracer = NewTracer(false)
@@ -230,10 +224,11 @@ func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched ho
 	// vm0 cycles 40 pages (just past its 32-page split: every access misses
 	// under LRU and re-references at ghost depth 8 — a steep curve the
 	// arbiter can close); vm1 cycles 8 pages (fits: flat curve).
-	segs := make([]uint64, h.VMs())
+	guests := h.Tenants()
+	segs := make([]uint64, len(guests))
 	spans := []int{40, 8}
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*PageSize)
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", uint64(spans[i])*PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +237,7 @@ func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched ho
 	walk := func(t *testing.T, h *Host, vmIdx, op int) {
 		t.Helper()
 		addr := segs[vmIdx] + uint64(op%spans[vmIdx])*PageSize
-		if _, err := h.Touch(vmIdx, addr, op%3 == 0); err != nil {
+		if _, err := guests[vmIdx].Touch(addr, op%3 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,13 +255,14 @@ func TestHostArbiterShiftsPagesToHotVM(t *testing.T) {
 	if st.Arbiter.Epochs == 0 || st.Arbiter.Moves == 0 {
 		t.Fatalf("arbiter never acted: %+v", st.Arbiter)
 	}
-	if st.Shares[0] <= 32 {
-		t.Fatalf("hot VM share %d did not grow past the equal split", st.Shares[0])
+	hot, cold := st.Tenants[0], st.Tenants[1]
+	if hot.SharePages <= 32 {
+		t.Fatalf("hot VM share %d did not grow past the equal split", hot.SharePages)
 	}
-	if st.Shares[1] >= 32 {
-		t.Fatalf("cold VM share %d did not shrink", st.Shares[1])
+	if cold.SharePages >= 32 {
+		t.Fatalf("cold VM share %d did not shrink", cold.SharePages)
 	}
-	if total := st.Shares[0] + st.Shares[1]; total != 64 {
+	if total := hot.SharePages + cold.SharePages; total != 64 {
 		t.Fatalf("budget not conserved: %d", total)
 	}
 	if st.Arbiter.GrantedPages != st.Arbiter.DonatedPages {
@@ -275,8 +271,8 @@ func TestHostArbiterShiftsPagesToHotVM(t *testing.T) {
 	if st.Arbiter.PredictedSavings == 0 {
 		t.Fatal("moves with no predicted savings")
 	}
-	if st.WSSPages[0] <= st.WSSPages[1] {
-		t.Fatalf("WSS estimates do not reflect the skew: %v", st.WSSPages)
+	if hot.WSSPages <= cold.WSSPages {
+		t.Fatalf("WSS estimates do not reflect the skew: %d vs %d", hot.WSSPages, cold.WSSPages)
 	}
 }
 
@@ -286,10 +282,11 @@ func TestHostArbiterShiftsPagesToHotVM(t *testing.T) {
 func hostDecisionDigest(h *Host) []uint64 {
 	st := h.Stats()
 	var out []uint64
-	for i := 0; i < h.VMs(); i++ {
-		out = append(out, uint64(st.Shares[i]), uint64(st.WSSPages[i]),
-			h.Machine(i).Monitor().Hotset().Digest(),
-			st.VMs[i].Monitor.Faults, st.VMs[i].Monitor.Evictions)
+	for i, g := range h.Tenants() {
+		ts := st.Tenants[i]
+		out = append(out, uint64(ts.SharePages), uint64(ts.WSSPages),
+			g.Machine().Monitor().Hotset().Digest(),
+			ts.VM.Monitor.Faults, ts.VM.Monitor.Evictions)
 	}
 	out = append(out, st.Arbiter.Epochs, st.Arbiter.Moves,
 		st.Arbiter.GrantedPages, st.Arbiter.PredictedSavings, st.Arbiter.RealizedSavings)
@@ -332,11 +329,12 @@ func TestHostTracedBitIdentical(t *testing.T) {
 	if plain.Now() != traced.Now() {
 		t.Fatalf("tracing moved the host clock: %v != %v", plain.Now(), traced.Now())
 	}
-	for i := 0; i < plain.VMs(); i++ {
-		if pn, tn := plain.Machine(i).Now(), traced.Machine(i).Now(); pn != tn {
+	for i, p := range plain.Tenants() {
+		pm, tm := p.Machine(), traced.Tenants()[i].Machine()
+		if pn, tn := pm.Now(), tm.Now(); pn != tn {
 			t.Fatalf("vm%d clock diverged under tracing: %v != %v", i, pn, tn)
 		}
-		ps, ts := plain.Machine(i).Stats(), traced.Machine(i).Stats()
+		ps, ts := pm.Stats(), tm.Stats()
 		if *ps.Monitor != *ts.Monitor {
 			t.Fatalf("vm%d monitor counters diverged: %+v != %+v", i, ps.Monitor, ts.Monitor)
 		}
@@ -350,11 +348,62 @@ func TestHostTracedBitIdentical(t *testing.T) {
 func TestHostStaticSplitStaysPut(t *testing.T) {
 	h := skewedHostRun(t, 1, false, false, roundRobin)
 	st := h.Stats()
-	if st.Shares[0] != 32 || st.Shares[1] != 32 {
-		t.Fatalf("static split moved: %v", st.Shares)
+	if a, b := st.Tenants[0].SharePages, st.Tenants[1].SharePages; a != 32 || b != 32 {
+		t.Fatalf("static split moved: %d/%d", a, b)
 	}
 	if st.Arbiter.Epochs != 0 {
 		t.Fatalf("arbiter ran without being configured: %+v", st.Arbiter)
+	}
+}
+
+// TenantStats carries each tenant's fault count and fault cost, and the
+// monitor's one fault-latency sink slot stays the caller's: a sink installed
+// on a host tenant sees every fault, and its count and sum are the row's
+// Faults and FaultCost bit for bit.
+func TestHostTenantFaultCostMatchesSink(t *testing.T) {
+	const epochOps, rounds = 100, 4
+	h, err := NewHost(HostConfig{
+		Tenants: hostTenants(2), TotalLocalPages: 64, Seed: 42,
+		Arbiter: &ArbiterPolicy{}, EpochOps: epochOps,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guests := h.Tenants()
+	spans := []int{40, 8}
+	segs := make([]uint64, len(guests))
+	counts := make([]uint64, len(guests))
+	sums := make([]time.Duration, len(guests))
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", uint64(spans[i])*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = seg.Addr(0)
+		g.Machine().Monitor().SetFaultLatencySink(func(d time.Duration) {
+			counts[i]++
+			sums[i] += d
+		})
+	}
+	for op := 0; op < rounds*epochOps; op++ {
+		for i, g := range guests {
+			if _, err := g.Touch(segs[i]+uint64(op%spans[i])*PageSize, op%3 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := h.Stats()
+	if st.Arbiter.Moves == 0 {
+		t.Fatal("arbiter never resized a tenant; the run does not cover planner epochs")
+	}
+	for i, ts := range st.Tenants {
+		if ts.Faults == 0 {
+			t.Fatalf("tenant %s never faulted", ts.ID)
+		}
+		if ts.Faults != counts[i] || ts.FaultCost != sums[i] {
+			t.Errorf("tenant %s: row says %d faults costing %v, its sink saw %d costing %v",
+				ts.ID, ts.Faults, ts.FaultCost, counts[i], sums[i])
+		}
 	}
 }
 
@@ -368,7 +417,7 @@ func TestHostTenantsIsolated(t *testing.T) {
 	segs := make([]*Machine, 2)
 	addrs := make([]uint64, 2)
 	for i := 0; i < 2; i++ {
-		segs[i] = h.Machine(i)
+		segs[i] = h.Tenants()[i].Machine()
 		seg, err := segs[i].Alloc("data", 32*PageSize)
 		if err != nil {
 			t.Fatal(err)

@@ -111,7 +111,7 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	tenants := []fluidmem.TenantSpec{{ID: "vm0", VM: vm}, {ID: "vm1", VM: vm}}
 	hc := fluidmem.HostConfig{Tenants: tenants, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
 	if withArbiter {
-		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: cfg.EpochOps}
+		hc.Arbiter, hc.EpochOps = &fluidmem.ArbiterPolicy{}, cfg.EpochOps
 	}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {
@@ -119,23 +119,21 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	}
 
 	spans := []int{cfg.HotSpan, cfg.ColdSpan}
-	segs := make([]uint64, h.VMs())
-	costs := make([]time.Duration, h.VMs())
-	for i := 0; i < h.VMs(); i++ {
-		seg, err := h.Machine(i).Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
+	guests := h.Tenants()
+	segs := make([]uint64, len(guests))
+	for i, t := range guests {
+		seg, err := t.Machine().Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
 		if err != nil {
 			return row, err
 		}
 		segs[i] = seg.Addr(0)
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
 	}
 
 	for op := 0; op < cfg.Rounds*cfg.EpochOps; op++ {
-		for i := 0; i < h.VMs(); i++ {
+		for i, t := range guests {
 			addr := segs[i] + uint64(op%spans[i])*fluidmem.PageSize
-			if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
-				return row, fmt.Errorf("%s: vm%d op %d: %w", row.Variant, i, op, err)
+			if _, err := t.Touch(addr, op%3 == 0); err != nil {
+				return row, fmt.Errorf("%s: %s op %d: %w", row.Variant, t.ID(), op, err)
 			}
 		}
 	}
@@ -150,19 +148,15 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	row.GrantedPages = st.Arbiter.GrantedPages
 	row.PredictedSavings = st.Arbiter.PredictedSavings
 	row.RealizedSavings = st.Arbiter.RealizedSavings
-	for i, ms := range st.VMs {
+	for i, ts := range st.Tenants {
 		vr := ArbiterVMRow{
-			VM:         fmt.Sprintf("vm%d", i),
+			VM:         ts.ID,
 			SpanPages:  spans[i],
-			SharePages: st.Shares[i],
-			WSSPages:   st.WSSPages[i],
-			FaultCost:  costs[i],
-		}
-		if ms.Monitor != nil {
-			vr.Faults = ms.Monitor.Faults
-		}
-		if ms.Hotset != nil {
-			vr.GhostHits = ms.Hotset.GhostHits
+			SharePages: ts.SharePages,
+			WSSPages:   ts.WSSPages,
+			Faults:     ts.Faults,
+			GhostHits:  ts.VM.Hotset.GhostHits, // a host tenant always has an estimator
+			FaultCost:  ts.FaultCost,
 		}
 		row.VMs = append(row.VMs, vr)
 		row.TotalFaultCost += vr.FaultCost

@@ -189,35 +189,32 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 		}
 	}
 	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
+	// EpochOps is set for every variant: the static split still runs epoch
+	// windows, so SLO-miss rates are comparable across variants.
+	hc.EpochOps = cfg.EpochOps
 	switch variant {
 	case "arbiter":
-		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: cfg.EpochOps}
+		hc.Arbiter = &fluidmem.ArbiterPolicy{}
 	case "market":
-		hc.Market = &fluidmem.MarketConfig{EpochOps: cfg.EpochOps}
-	default:
-		// The static split still runs epoch windows so SLO-miss rates are
-		// comparable across variants.
-		hc.EpochOps = cfg.EpochOps
+		hc.Market = &fluidmem.MarketPolicy{}
 	}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {
 		return row, err
 	}
 
+	guests := h.Tenants()
 	segs := make([]uint64, len(mix.tenants))
-	costs := make([]time.Duration, len(mix.tenants))
 	for i, def := range mix.tenants {
 		span := def.spans[0]
 		if def.spans[1] > span {
 			span = def.spans[1]
 		}
-		seg, err := h.Machine(i).Alloc("ws", uint64(span)*fluidmem.PageSize)
+		seg, err := guests[i].Machine().Alloc("ws", uint64(span)*fluidmem.PageSize)
 		if err != nil {
 			return row, err
 		}
 		segs[i] = seg.Addr(0)
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { costs[i] += d })
 	}
 
 	total := cfg.Rounds * cfg.EpochOps
@@ -228,7 +225,7 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 		}
 		for i, def := range mix.tenants {
 			addr := segs[i] + uint64(op%def.spans[phase])*fluidmem.PageSize
-			if _, err := h.Touch(i, addr, op%3 == 0); err != nil {
+			if _, err := guests[i].Touch(addr, op%3 == 0); err != nil {
 				return row, fmt.Errorf("%s/%s: tenant %s op %d: %w", mix.name, variant, def.id, op, err)
 			}
 		}
@@ -246,13 +243,11 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 			SLOTarget:     ts.Policy.SLO,
 			SharePages:    ts.SharePages,
 			WSSPages:      ts.WSSPages,
-			FaultCost:     costs[i],
+			Faults:        ts.Faults,
+			FaultCost:     ts.FaultCost,
 			SLOWindows:    ts.SLO.Windows,
 			SLOViolations: ts.SLO.Violations,
 			LastP99:       ts.SLO.LastP99,
-		}
-		if st.VMs[i].Monitor != nil {
-			tr.Faults = st.VMs[i].Monitor.Faults
 		}
 		row.Tenants = append(row.Tenants, tr)
 		row.TotalFaultCost += tr.FaultCost

@@ -2,8 +2,8 @@
 // comparison points (§VI-A): a DRAM/pmem device (/dev/pmem0), an NVMe-over-
 // Fabrics target reached over FDR InfiniBand, and a local SSD partition. A
 // device services page-granularity reads and writes with a queued service
-// time, and optionally interposes a host page cache (the libvirt "writeback"
-// mode the paper shows hurts swap-to-DRAM).
+// time, O_DIRECT (libvirt cache=none, the paper's setting for swap
+// comparisons).
 package blockdev
 
 import (
@@ -26,20 +26,6 @@ var (
 	ErrNotWritten = errors.New("blockdev: page never written")
 )
 
-// CacheMode selects the hypervisor cache configuration for the virtual disk,
-// mirroring libvirt's cache= attribute.
-type CacheMode int
-
-// Cache modes.
-const (
-	// CacheNone is O_DIRECT: requests go straight to the device. The paper
-	// uses this for accurate swap comparisons.
-	CacheNone CacheMode = iota + 1
-	// CacheWriteback buffers writes in the host page cache, adding an extra
-	// caching layer that the paper observes makes swap-to-DRAM *slower*.
-	CacheWriteback
-)
-
 // Kind identifies a device technology.
 type Kind string
 
@@ -58,11 +44,6 @@ type Params struct {
 	// ReadLatency and WriteLatency are per-page service times.
 	ReadLatency  clock.LatencyModel
 	WriteLatency clock.LatencyModel
-	// CacheMode selects the host cache interposition.
-	CacheMode CacheMode
-	// WritebackOverhead is the extra copy/bookkeeping cost per request when
-	// CacheWriteback interposes the host page cache.
-	WritebackOverhead time.Duration
 }
 
 // PmemParams models remote DRAM via /dev/pmem0: DAX-like, microsecond-scale.
@@ -72,7 +53,6 @@ func PmemParams(size uint64) Params {
 		SizeBytes:    size,
 		ReadLatency:  clock.LatencyModel{Base: 2800 * time.Nanosecond, Jitter: 300 * time.Nanosecond},
 		WriteLatency: clock.LatencyModel{Base: 3000 * time.Nanosecond, Jitter: 300 * time.Nanosecond},
-		CacheMode:    CacheNone,
 	}
 }
 
@@ -84,7 +64,6 @@ func NVMeoFParams(size uint64) Params {
 		SizeBytes:    size,
 		ReadLatency:  clock.LatencyModel{Base: 21 * time.Microsecond, Jitter: 3 * time.Microsecond, TailProb: 0.008, TailExtra: 200 * time.Microsecond},
 		WriteLatency: clock.LatencyModel{Base: 19 * time.Microsecond, Jitter: 3 * time.Microsecond, TailProb: 0.008, TailExtra: 200 * time.Microsecond},
-		CacheMode:    CacheNone,
 	}
 }
 
@@ -95,7 +74,6 @@ func SSDParams(size uint64) Params {
 		SizeBytes:    size,
 		ReadLatency:  clock.LatencyModel{Base: 98 * time.Microsecond, Jitter: 16 * time.Microsecond, TailProb: 0.012, TailExtra: 900 * time.Microsecond},
 		WriteLatency: clock.LatencyModel{Base: 55 * time.Microsecond, Jitter: 12 * time.Microsecond, TailProb: 0.02, TailExtra: 1500 * time.Microsecond},
-		CacheMode:    CacheNone,
 	}
 }
 
@@ -109,9 +87,6 @@ type Device struct {
 	// modelling the block layer's sync-read priority.
 	bgQueue *clock.Device
 
-	// Host page cache for CacheWriteback mode: dirty pages not yet flushed.
-	hostCache map[uint64][]byte
-
 	reads, writes uint64
 }
 
@@ -120,18 +95,11 @@ func New(p Params, seed uint64) (*Device, error) {
 	if p.SizeBytes == 0 {
 		return nil, fmt.Errorf("blockdev: zero-size %s device", p.Kind)
 	}
-	if p.CacheMode == 0 {
-		p.CacheMode = CacheNone
-	}
-	if p.CacheMode == CacheWriteback && p.WritebackOverhead == 0 {
-		p.WritebackOverhead = 5 * time.Microsecond
-	}
 	return &Device{
-		params:    p,
-		pages:     make(map[uint64][]byte),
-		queue:     clock.NewDevice(p.ReadLatency, seed),
-		bgQueue:   clock.NewDevice(p.WriteLatency, seed+1),
-		hostCache: make(map[uint64][]byte),
+		params:  p,
+		pages:   make(map[uint64][]byte),
+		queue:   clock.NewDevice(p.ReadLatency, seed),
+		bgQueue: clock.NewDevice(p.WriteLatency, seed+1),
 	}, nil
 }
 
@@ -147,13 +115,6 @@ func (d *Device) ReadPage(now time.Duration, page uint64) ([]byte, time.Duration
 		return nil, now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
 	}
 	d.reads++
-	if d.params.CacheMode == CacheWriteback {
-		// Cache hit in the host page cache: no device I/O, just copy cost.
-		if data, ok := d.hostCache[page]; ok {
-			return append([]byte(nil), data...), now + d.params.WritebackOverhead, nil
-		}
-		now += d.params.WritebackOverhead
-	}
 	data, ok := d.pages[page]
 	done := d.submit(now, d.params.ReadLatency)
 	if !ok {
@@ -171,12 +132,6 @@ func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Du
 		return now, fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
 	}
 	d.writes++
-	if d.params.CacheMode == CacheWriteback {
-		// Buffered write: lands in the host cache quickly, flushes lazily.
-		d.hostCache[page] = append([]byte(nil), data...)
-		d.pages[page] = append([]byte(nil), data...)
-		return now + d.params.WritebackOverhead, nil
-	}
 	d.pages[page] = append([]byte(nil), data...)
 	return d.submit(now, d.params.WriteLatency), nil
 }
@@ -185,7 +140,7 @@ func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Du
 // data is durable immediately for subsequent reads, the returned completion
 // time reports when the device finishes the transfer, and foreground reads
 // do not queue behind it. This is the path kswapd-style asynchronous
-// swap-out takes; callers use the completion time for writeback throttling.
+// swap-out takes; the caller throttles on the completion time.
 func (d *Device) WritePageAsync(now time.Duration, page uint64, data []byte) (time.Duration, error) {
 	if page >= d.Pages() {
 		return now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
@@ -196,29 +151,6 @@ func (d *Device) WritePageAsync(now time.Duration, page uint64, data []byte) (ti
 	d.writes++
 	d.pages[page] = append([]byte(nil), data...)
 	return d.bgQueue.Submit(now), nil
-}
-
-// BackgroundLag reports how far the background write channel is running
-// behind now (0 when idle) — the writeback-throttling signal.
-func (d *Device) BackgroundLag(now time.Duration) time.Duration {
-	if lag := d.bgQueue.BusyUntil() - now; lag > 0 {
-		return lag
-	}
-	return 0
-}
-
-// Flush drains the host cache (writeback mode), charging device write time
-// per dirty page; a no-op for CacheNone.
-func (d *Device) Flush(now time.Duration) time.Duration {
-	if d.params.CacheMode != CacheWriteback || len(d.hostCache) == 0 {
-		return now
-	}
-	done := now
-	for page := range d.hostCache {
-		delete(d.hostCache, page)
-		done = d.submit(done, d.params.WriteLatency)
-	}
-	return done
 }
 
 // Counters reports total reads and writes serviced.

@@ -121,88 +121,6 @@ func TestQueueingUnderBurst(t *testing.T) {
 	}
 }
 
-func TestWritebackCacheFastWritesSlowerFirstRead(t *testing.T) {
-	p := PmemParams(1 << 30)
-	p.CacheMode = CacheWriteback
-	d := mustNew(t, p, 4)
-	done, err := d.WritePage(0, 5, page(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buffered write completes in host-cache time, before device time.
-	direct := mustNew(t, PmemParams(1<<30), 4)
-	directDone, err := direct.WritePage(0, 5, page(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done <= 0 || done >= directDone+10*time.Microsecond {
-		t.Fatalf("writeback write %v vs direct %v", done, directDone)
-	}
-	// Cached read skips the device.
-	_, readDone, err := d.ReadPage(time.Second, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat := readDone - time.Second; lat > 6*time.Microsecond {
-		t.Fatalf("cached read took %v", lat)
-	}
-}
-
-func TestWritebackAddsOverheadOnMiss(t *testing.T) {
-	// The paper: "writeback actually made swapping to DRAM slower because of
-	// the extra caching layer". A cache-miss read pays overhead + device.
-	base := PmemParams(1 << 30)
-	wb := base
-	wb.CacheMode = CacheWriteback
-
-	direct := mustNew(t, base, 5)
-	cached := mustNew(t, wb, 5)
-	if _, err := direct.WritePage(0, 1, page(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cached.WritePage(0, 1, page(1)); err != nil {
-		t.Fatal(err)
-	}
-	cached.Flush(0) // empty the host cache so the read misses
-
-	_, d1, err := direct.ReadPage(time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, d2, err := cached.ReadPage(time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2-time.Second <= d1-time.Second {
-		t.Fatalf("writeback miss (%v) should exceed direct (%v)", d2-time.Second, d1-time.Second)
-	}
-}
-
-func TestFlushDrainsCache(t *testing.T) {
-	p := SSDParams(1 << 30)
-	p.CacheMode = CacheWriteback
-	d := mustNew(t, p, 6)
-	for i := uint64(0); i < 10; i++ {
-		if _, err := d.WritePage(0, i, page(byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := d.Flush(0)
-	if done <= 0 {
-		t.Fatal("flush of dirty pages cost nothing")
-	}
-	if again := d.Flush(done); again != done {
-		t.Fatal("second flush should be free")
-	}
-}
-
-func TestFlushNoOpForDirect(t *testing.T) {
-	d := mustNew(t, PmemParams(1<<30), 7)
-	if got := d.Flush(5 * time.Second); got != 5*time.Second {
-		t.Fatalf("Flush = %v", got)
-	}
-}
-
 func TestCounters(t *testing.T) {
 	d := mustNew(t, PmemParams(1<<30), 8)
 	if _, err := d.WritePage(0, 0, page(1)); err != nil {

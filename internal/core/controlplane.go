@@ -195,6 +195,10 @@ func (m *Monitor) SetFaultLatencySink(sink func(time.Duration)) {
 	m.faultLatencies = sink
 }
 
+// FaultCost reports the sum of every resolved fault's end-to-end latency —
+// what a sink installed at construction would have added up.
+func (m *Monitor) FaultCost() time.Duration { return m.faultCost }
+
 // WriteListLen reports pages awaiting flush (test hook).
 func (m *Monitor) WriteListLen() int { return m.wb.QueuedLen() }
 

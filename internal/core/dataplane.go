@@ -66,6 +66,7 @@ func (m *Monitor) Touch(now time.Duration, addr uint64, write bool) ([]byte, tim
 	if err != nil {
 		return nil, resolved, err
 	}
+	m.faultCost += resolved - now
 	if m.faultLatencies != nil {
 		m.faultLatencies(resolved - now)
 	}

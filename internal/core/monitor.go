@@ -124,7 +124,11 @@ type Monitor struct {
 
 	epoch uint64
 	stats Stats
-	// faultLatencies optionally samples end-to-end fault costs.
+	// faultCost sums every resolved fault's end-to-end latency. It is virtual
+	// time, so it moves with the width: an accessor, not a Stats field
+	// (shardtest compares Stats across widths). faultLatencies optionally
+	// hands the same samples, one by one, to a single consumer.
+	faultCost      time.Duration
 	faultLatencies func(time.Duration)
 }
 

@@ -120,6 +120,7 @@ type Report struct {
 type engineTenant struct {
 	scen    TenantScenario
 	idx     int
+	guest   *fluidmem.Tenant
 	base    uint64
 	gen     *keyGen
 	arr     *Arrivals
@@ -135,7 +136,6 @@ type engineTenant struct {
 	good     uint64
 	queueMax int
 	queueSum uint64
-	cost     time.Duration
 }
 
 // Run executes one open-loop scenario and returns its report.
@@ -188,22 +188,23 @@ func Run(cfg Config) (*Report, error) {
 			Policy: fluidmem.TenantPolicy{SLO: ts.Keys.SLO},
 		}
 	}
+	// EpochOps is set under every planner: the static split runs the windows
+	// too, for SLO accounting without rebalancing.
 	hc := fluidmem.HostConfig{
 		Tenants:         specs,
 		TotalLocalPages: scen.TotalLocalPages,
+		EpochOps:        scen.EpochOps,
 		Seed:            cfg.Seed,
 	}
-	epochs := scen.EpochOps
-	if epochs <= 0 {
-		epochs = 400
+	if hc.EpochOps <= 0 {
+		hc.EpochOps = 400
 	}
 	switch cfg.Planner {
 	case PlannerArbiter:
-		hc.Arbiter = &fluidmem.ArbiterConfig{EpochOps: epochs}
+		hc.Arbiter = &fluidmem.ArbiterPolicy{}
 	case PlannerMarket:
-		hc.Market = &fluidmem.MarketConfig{EpochOps: epochs}
+		hc.Market = &fluidmem.MarketPolicy{}
 	case PlannerStatic, "":
-		hc.EpochOps = epochs // windows for SLO accounting, no rebalancing
 	default:
 		return nil, fmt.Errorf("loadgen: unknown planner %q", cfg.Planner)
 	}
@@ -212,9 +213,10 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	guests := h.Tenants()
 	tenants := make([]*engineTenant, len(scen.Tenants))
 	for i, ts := range scen.Tenants {
-		seg, err := h.Machine(i).Alloc("openloop", uint64(ts.Keys.SpanPages)*fluidmem.PageSize)
+		seg, err := guests[i].Machine().Alloc("openloop", uint64(ts.Keys.SpanPages)*fluidmem.PageSize)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %s: %w", ts.ID, err)
 		}
@@ -227,10 +229,11 @@ func Run(cfg Config) (*Report, error) {
 			to = ts.Death
 		}
 		et := &engineTenant{
-			scen: ts,
-			idx:  i,
-			base: seg.Addr(0),
-			gen:  gen,
+			scen:  ts,
+			idx:   i,
+			guest: guests[i],
+			base:  seg.Addr(0),
+			gen:   gen,
 			arr: NewArrivals(ArrivalConfig{
 				Process: ts.Process,
 				Curve:   Scale(ts.Curve, scale),
@@ -239,8 +242,6 @@ func Run(cfg Config) (*Report, error) {
 			sojourn: &stats.Histogram{},
 		}
 		tenants[i] = et
-		i := i
-		h.Machine(i).Monitor().SetFaultLatencySink(func(d time.Duration) { tenants[i].cost += d })
 	}
 
 	sched := clock.NewScheduler()
@@ -250,23 +251,13 @@ func Run(cfg Config) (*Report, error) {
 	// arrival scheduled for the same t (scheduler ties break on insertion
 	// sequence).
 	for i, ts := range scen.Tenants {
-		id := ts.ID
+		guest := guests[i]
 		if ts.Boot > 0 {
-			if err := h.SetTenantActive(id, false); err != nil {
-				return nil, err
-			}
-			sched.Schedule(ts.Boot, i, func(time.Duration) {
-				if runErr == nil {
-					runErr = h.SetTenantActive(id, true)
-				}
-			})
+			guest.SetActive(false)
+			sched.Schedule(ts.Boot, i, func(time.Duration) { guest.SetActive(true) })
 		}
 		if ts.Death > 0 && ts.Death < scen.Horizon {
-			sched.Schedule(ts.Death, i, func(time.Duration) {
-				if runErr == nil {
-					runErr = h.SetTenantActive(id, false)
-				}
-			})
+			sched.Schedule(ts.Death, i, func(time.Duration) { guest.SetActive(false) })
 		}
 	}
 
@@ -281,12 +272,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 		et.queueSum += uint64(depth)
 
-		m := h.Machine(et.idx)
+		m := et.guest.Machine()
 		if idle := at - m.Now(); idle > 0 {
 			m.AdvanceCPU(idle) // server was idle until this arrival
 		}
 		page, write := et.gen.next()
-		if _, err := h.Touch(et.idx, et.base+uint64(page)*fluidmem.PageSize, write); err != nil {
+		if _, err := et.guest.Touch(et.base+uint64(page)*fluidmem.PageSize, write); err != nil {
 			runErr = fmt.Errorf("loadgen: tenant %s op at %v: %w", et.scen.ID, at, err)
 			return
 		}
@@ -366,13 +357,11 @@ func buildReport(cfg Config, scale float64, h *fluidmem.Host, tenants []*engineT
 			SojournMax:    et.sojourn.Max(),
 			SojournMean:   et.sojourn.Mean(),
 			QueueMax:      et.queueMax,
-			FaultCost:     et.cost,
+			Faults:        ts.Faults,
+			FaultCost:     ts.FaultCost,
 			SharePages:    ts.SharePages,
 			SLOWindows:    ts.SLO.Windows,
 			SLOViolations: ts.SLO.Violations,
-		}
-		if hs.VMs[i].Monitor != nil {
-			tr.Faults = hs.VMs[i].Monitor.Faults
 		}
 		if horizonSecs > 0 {
 			tr.OfferedPerSec = float64(et.offered) / horizonSecs

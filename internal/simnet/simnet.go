@@ -5,7 +5,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -22,33 +21,6 @@ type Message struct {
 // Handler consumes a message delivered to a node at virtual time now.
 type Handler func(now time.Duration, msg Message)
 
-// event is a scheduled occurrence: either a message delivery or a timer.
-type event struct {
-	at   time.Duration
-	seq  uint64 // tie-break so ordering is deterministic
-	fire func(now time.Duration)
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
-}
-
 // Network is the fabric. It owns the virtual clock shared by everything
 // attached to it. Not safe for concurrent use (single-threaded DES).
 type Network struct {
@@ -62,8 +34,7 @@ type Network struct {
 	lossRate    float64
 	dupRate     float64
 	rng         *clock.Rand
-	queue       eventQueue
-	seq         uint64
+	sched       *clock.Scheduler // (at, insertion order): same-instant events fire in send order
 	delivered   uint64
 	dropped     uint64
 	duplicated  uint64
@@ -83,6 +54,7 @@ func New(defaultLink clock.LatencyModel, seed uint64) *Network {
 		partitioned: make(map[string]bool),
 		cutLinks:    make(map[string]bool),
 		rng:         clock.NewRand(seed),
+		sched:       clock.NewScheduler(),
 	}
 }
 
@@ -207,22 +179,12 @@ func (n *Network) After(d time.Duration, fn func(now time.Duration)) {
 
 // Step delivers the next pending event, advancing the clock to it. It
 // reports whether an event was processed.
-func (n *Network) Step() bool {
-	if len(n.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&n.queue).(*event)
-	n.Clock.AdvanceTo(ev.at)
-	ev.fire(n.Clock.Now())
-	return true
-}
+func (n *Network) Step() bool { return n.sched.Step() }
 
 // RunUntil processes events until the virtual clock reaches deadline or the
 // queue drains, whichever comes first.
 func (n *Network) RunUntil(deadline time.Duration) {
-	for len(n.queue) > 0 && n.queue[0].at <= deadline {
-		n.Step()
-	}
+	n.sched.RunUntil(deadline)
 	n.Clock.AdvanceTo(deadline)
 }
 
@@ -243,7 +205,7 @@ func (n *Network) Drain(maxEvents int) int {
 }
 
 // Pending reports the number of scheduled events.
-func (n *Network) Pending() int { return len(n.queue) }
+func (n *Network) Pending() int { return n.sched.Len() }
 
 // Stats reports delivered and dropped message counts. Dropped covers
 // injected chaos (loss, partitions); silent drops at unregistered handlers
@@ -259,9 +221,13 @@ func (n *Network) DroppedNoHandler() uint64 { return n.droppedNoHandler }
 // Duplicated reports messages that were injected a second delivery.
 func (n *Network) Duplicated() uint64 { return n.duplicated }
 
+// schedule queues fire for virtual time at. The clock may already be past at
+// (someone advanced Clock directly), so fire sees the clock, not the event.
 func (n *Network) schedule(at time.Duration, fire func(now time.Duration)) {
-	n.seq++
-	heap.Push(&n.queue, &event{at: at, seq: n.seq, fire: fire})
+	n.sched.Schedule(at, 0, func(at time.Duration) {
+		n.Clock.AdvanceTo(at)
+		fire(n.Clock.Now())
+	})
 }
 
 func linkKey(from, to string) string {

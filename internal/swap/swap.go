@@ -68,12 +68,6 @@ type Params struct {
 	// ThrottleDepth is how far the swap device may run behind before
 	// writeback throttling stalls the faulting path.
 	ThrottleDepth time.Duration
-	// ReadaheadPages is the swap-in readahead window (the paper disables it:
-	// readahead 0).
-	ReadaheadPages int
-	// Swappiness biases reclaim toward anon (higher) or file (lower) pages,
-	// 0–200 like the sysctl. The paper sets 100.
-	Swappiness int
 }
 
 // DefaultParams returns the kernel-path costs calibrated so the Figure 3
@@ -91,8 +85,6 @@ func DefaultParams(framePages int) Params {
 		ReclaimBatch:   32,
 		ScanCost:       400 * time.Nanosecond,
 		ThrottleDepth:  4 * time.Millisecond,
-		ReadaheadPages: 0,
-		Swappiness:     100,
 	}
 }
 
@@ -225,7 +217,6 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 		if err != nil {
 			return nil, now, fmt.Errorf("swap-in %#x: %w", page, err)
 		}
-		s.readahead(now, page)
 		now += s.params.PageCopy.Sample(s.rng)
 		now += s.params.LRUBookkeeping.Sample(s.rng)
 		f.data = data
@@ -445,21 +436,6 @@ func (s *Subsystem) allocBlock(page uint64) uint64 {
 	s.nextBlock++
 	s.fsBlocks[page] = block + 1
 	return block
-}
-
-// readahead issues adjacent swap-in reads (disabled when ReadaheadPages is 0,
-// matching the paper's configuration). Readahead I/O is asynchronous.
-func (s *Subsystem) readahead(now time.Duration, page uint64) {
-	for i := 1; i <= s.params.ReadaheadPages; i++ {
-		next := page + uint64(i)*PageSize
-		slot, ok := s.swapSlots[next]
-		if !ok {
-			continue
-		}
-		// Fire and forget: occupies the device, contents land in the swap
-		// cache which we do not model separately.
-		_, _, _ = s.swapDev.ReadPage(now, slot-1)
-	}
 }
 
 func (s *Subsystem) classOf(page uint64) vm.PageClass {

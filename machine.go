@@ -103,21 +103,12 @@ type MachineConfig struct {
 	// are filled in by NewMachine. Nil selects the fully optimised default.
 	//
 	// Machine-level conveniences MERGE with the override rather than being
-	// discarded by it: CompressPool, PrefetchPages, and Tracer still apply
-	// when the override leaves the corresponding Config field at its zero
-	// value (Compress == nil, PrefetchPages == 0, Trace == nil). An
-	// explicitly configured field in the override always wins.
+	// discarded by it: Tracer and Hotset still apply when the override
+	// leaves the corresponding Config field nil (Trace, Hotset). An
+	// explicitly configured field in the override always wins. The
+	// compressed tier and prefetching have no machine-level spelling: set
+	// Monitor.Compress / Monitor.PrefetchPages.
 	Monitor *core.Config
-	// CompressPool, when non-zero, enables the zswap-style compressed tier
-	// with the given pool budget in bytes (§III's page-compression
-	// customisation). When Monitor is set, this applies unless the override
-	// configures Compress itself.
-	CompressPool uint64
-	// PrefetchPages, when positive, enables sequential prefetching of the
-	// next N pages after each remote-read fault (extension; helps scans,
-	// hurts random access). When Monitor is set, this applies unless the
-	// override sets its own PrefetchPages.
-	PrefetchPages int
 	// Tracer optionally enables virtual-time tracing: events and phase
 	// latency histograms from the whole fault pipeline, surfaced through
 	// Machine.Stats and Machine.WriteTrace. Tracing never changes simulated
@@ -134,8 +125,6 @@ type MachineConfig struct {
 	// GhostCapacity or BucketPages fails NewMachine. When Monitor is set,
 	// this applies unless the override sets its own Hotset tracker.
 	Hotset *HotsetParams
-	// SwapParams optionally overrides the swap subsystem tuning.
-	SwapParams *swap.Params
 	// SharedStore optionally supplies an existing key-value store shared
 	// with other hypervisors — the setting Migrate requires, and the way
 	// multiple machines pool one RAMCloud cluster (§IV).
@@ -222,13 +211,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		// override configured the same feature explicitly (see the
 		// MachineConfig.Monitor doc; TestMonitorOverrideMergesConveniences
 		// pins the precedence).
-		if mcfg.Compress == nil && cfg.CompressPool > 0 {
-			params := core.DefaultCompressParams(cfg.CompressPool)
-			mcfg.Compress = &params
-		}
-		if mcfg.PrefetchPages == 0 && cfg.PrefetchPages > 0 {
-			mcfg.PrefetchPages = cfg.PrefetchPages
-		}
 		if mcfg.Trace == nil {
 			mcfg.Trace = cfg.Tracer
 		}
@@ -368,14 +350,7 @@ func newSwapSubsystem(cfg MachineConfig) (*swap.Subsystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := swap.DefaultParams(int(cfg.LocalMemory / PageSize))
-	if cfg.SwapParams != nil {
-		params = *cfg.SwapParams
-		if params.FramePages == 0 {
-			params.FramePages = int(cfg.LocalMemory / PageSize)
-		}
-	}
-	return swap.New(params, swapDev, fsDev, cfg.Seed+203)
+	return swap.New(swap.DefaultParams(int(cfg.LocalMemory/PageSize)), swapDev, fsDev, cfg.Seed+203)
 }
 
 // Now reports the machine's virtual clock.

@@ -9,85 +9,40 @@ import (
 	"fluidmem/internal/trace"
 )
 
-// A machine-level CompressPool / PrefetchPages / Tracer must survive a
-// Monitor override that does not configure the same feature, and an
-// override that does configure it must win — the documented merge
-// precedence.
+// A machine-level Tracer must survive a Monitor override that does not set
+// its own Trace, and an override that does must win — the documented merge
+// precedence (Host relies on it for SLO tenants).
 func TestMonitorOverrideMergesConveniences(t *testing.T) {
 	tr := NewTracer(false)
 	mon := core.DefaultConfig(nil, 0) // Store/LRUCapacity filled by NewMachine
 	m, err := NewMachine(MachineConfig{
-		Mode:          ModeFluidMem,
-		Backend:       BackendDRAM,
-		LocalMemory:   1 << 20,
-		GuestMemory:   8 << 20,
-		Monitor:       &mon,
-		CompressPool:  256 << 10,
-		PrefetchPages: 4,
-		Tracer:        tr,
-		Seed:          7,
+		Mode:        ModeFluidMem,
+		Backend:     BackendDRAM,
+		LocalMemory: 1 << 20,
+		GuestMemory: 8 << 20,
+		Monitor:     &mon,
+		Tracer:      tr,
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := m.Monitor().CompressStats(); !ok {
-		t.Error("Monitor override silently discarded CompressPool")
 	}
 	if m.Monitor().Tracer() != tr {
 		t.Error("Monitor override silently discarded Tracer")
 	}
-	// PrefetchPages is observable through behaviour: on a machine without a
-	// compressed tier (which would absorb these compressible pages and starve
-	// the store of readable copies), a sequential re-read must trigger
-	// prefetch installs.
-	mon2 := core.DefaultConfig(nil, 0)
-	mp, err := NewMachine(MachineConfig{
-		Mode:          ModeFluidMem,
-		Backend:       BackendDRAM,
-		LocalMemory:   1 << 20,
-		GuestMemory:   8 << 20,
-		Monitor:       &mon2,
-		PrefetchPages: 4,
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := mp.Alloc("heap", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < seg.Pages(); i++ {
-		if err := mp.Write64(seg.Addr(uint64(i)*PageSize), uint64(i)+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mp.Drain(); err != nil { // park evicted pages in the store so prefetch can read them
-		t.Fatal(err)
-	}
-	for i := 0; i < seg.Pages(); i++ {
-		if _, err := mp.Read64(seg.Addr(uint64(i) * PageSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := mp.Monitor().Stats(); st.Prefetches == 0 {
-		t.Error("Monitor override silently discarded PrefetchPages (no prefetch installs)")
-	}
 
-	// Explicit override fields win over the machine-level conveniences.
+	// An explicit override field wins over the machine-level convenience.
 	own := core.DefaultConfig(nil, 0)
-	own.PrefetchPages = 2
 	ownTr := trace.New(false)
 	own.Trace = ownTr
 	m2, err := NewMachine(MachineConfig{
-		Mode:          ModeFluidMem,
-		Backend:       BackendDRAM,
-		LocalMemory:   1 << 20,
-		GuestMemory:   8 << 20,
-		Monitor:       &own,
-		PrefetchPages: 9,
-		Tracer:        NewTracer(false),
-		Seed:          7,
+		Mode:        ModeFluidMem,
+		Backend:     BackendDRAM,
+		LocalMemory: 1 << 20,
+		GuestMemory: 8 << 20,
+		Monitor:     &own,
+		Tracer:      NewTracer(false),
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)
