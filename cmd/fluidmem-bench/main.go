@@ -273,9 +273,9 @@ func ratchetCheck(name string, res renderable) error {
 		fmt.Printf("%s: ratchet: no directional metric rows in %s; skipped\n", name, artifact)
 		return nil
 	}
-	if len(oldRows) != len(newRows) {
-		return fmt.Errorf("%s: ratchet: metric row count changed: %s has %d rows, measured %d (regenerate with -json and commit)",
-			name, artifact, len(oldRows), len(newRows))
+	if path, side := oneSided(oldRows, newRows); path != "" {
+		return fmt.Errorf("%s: ratchet: metric rows changed: %s has %d, measured %d; first row on one side only: %s (%s) (regenerate with -json and commit)",
+			name, artifact, len(oldRows), len(newRows), path, side)
 	}
 	for i, old := range oldRows {
 		cur := newRows[i]
@@ -305,13 +305,42 @@ func ratchetCheck(name string, res renderable) error {
 	return nil
 }
 
+// oneSided names the first row, in document order, that one artifact has more
+// often than the other — a row added, dropped or renamed — and which side has
+// it. Rows are matched by path, which carries no array index, so a row
+// inserted in the middle does not make every later row look new. Both empty
+// when the two hold the same rows.
+func oneSided(committed, measured []metricRow) (path, side string) {
+	surplus := make(map[string]int)
+	for _, r := range committed {
+		surplus[r.path]++
+	}
+	for _, r := range measured {
+		surplus[r.path]--
+	}
+	for _, r := range committed {
+		if surplus[r.path] > 0 {
+			return r.path, "committed only"
+		}
+	}
+	for _, r := range measured {
+		if surplus[r.path] < 0 {
+			return r.path, "measured only"
+		}
+	}
+	return "", ""
+}
+
 // metricRow is one directional numeric field of an artifact, in document
 // order. dir is +1 for higher-is-better rows, -1 for lower-is-better, and
-// exact for rows that must not move.
+// exact for rows that must not move. path locates the row for a reader:
+// the field names down to it, [] for each array crossed, and the string
+// fields that precede it in its own object, as rows[]{phase=FAULT.read}.p50_ns.
 type metricRow struct {
-	key string
-	val float64
-	dir int
+	key  string
+	path string
+	val  float64
+	dir  int
 }
 
 // exact is the metricDirection of rows held to equality.
@@ -366,48 +395,63 @@ func metricFloor(key string) float64 {
 func metricRows(data []byte) ([]metricRow, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var out []metricRow
-	if err := scanValue(dec, "", &out); err != nil {
+	if _, err := scanValue(dec, "", "", &out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // scanValue consumes one JSON value from dec; key names the object field the
-// value belongs to ("" for array elements and the document root).
-func scanValue(dec *json.Decoder, key string, out *[]metricRow) error {
+// value belongs to ("" for array elements and the document root) and path
+// locates it. A string value is returned, for the enclosing object's label.
+func scanValue(dec *json.Decoder, key, path string, out *[]metricRow) (string, error) {
 	t, err := dec.Token()
 	if err != nil {
-		return err
+		return "", err
 	}
 	switch tok := t.(type) {
 	case json.Delim:
 		switch tok {
 		case '{':
+			var label []string
 			for dec.More() {
 				kt, err := dec.Token()
 				if err != nil {
-					return err
+					return "", err
 				}
 				k, _ := kt.(string)
-				if err := scanValue(dec, k, out); err != nil {
-					return err
+				field := path
+				if len(label) > 0 {
+					field += "{" + strings.Join(label, ",") + "}"
+				}
+				if field != "" {
+					field += "."
+				}
+				str, err := scanValue(dec, k, field+k, out)
+				if err != nil {
+					return "", err
+				}
+				if str != "" {
+					label = append(label, k+"="+str)
 				}
 			}
 			_, err := dec.Token() // closing brace
-			return err
+			return "", err
 		case '[':
 			for dec.More() {
-				if err := scanValue(dec, "", out); err != nil {
-					return err
+				if _, err := scanValue(dec, "", path+"[]", out); err != nil {
+					return "", err
 				}
 			}
 			_, err := dec.Token() // closing bracket
-			return err
+			return "", err
 		}
+	case string:
+		return tok, nil
 	case float64:
 		if dir := metricDirection(key); key != "" && dir != 0 {
-			*out = append(*out, metricRow{key: key, val: tok, dir: dir})
+			*out = append(*out, metricRow{key: key, path: path, val: tok, dir: dir})
 		}
 	}
-	return nil
+	return "", nil
 }

@@ -190,12 +190,12 @@ func TestMetricRowsExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []metricRow{
-		{key: "faults_per_sec", val: 100.5, dir: +1},
-		{key: "faults_per_sec", val: 1.25, dir: +1},
-		{key: "sojourn_p99_ns", val: 900, dir: -1},
-		{key: "goodput_per_sec", val: 2.5, dir: +1},
-		{key: "miss_pct", val: 3.5, dir: -1},
-		{key: "knee_scale", val: 4, dir: +1},
+		{key: "faults_per_sec", path: "meta.faults_per_sec", val: 100.5, dir: +1},
+		{key: "faults_per_sec", path: "rows[]{label=a}.faults_per_sec", val: 1.25, dir: +1},
+		{key: "sojourn_p99_ns", path: "rows[]{label=a}.sojourn_p99_ns", val: 900, dir: -1},
+		{key: "goodput_per_sec", path: "rows[]{label=b}.nested.goodput_per_sec", val: 2.5, dir: +1},
+		{key: "miss_pct", path: "rows[]{label=b}.miss_pct", val: 3.5, dir: -1},
+		{key: "knee_scale", path: "knee_scale", val: 4, dir: +1},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %+v, want %+v", rows, want)
@@ -304,15 +304,23 @@ func TestRatchetCheck(t *testing.T) {
 			t.Fatalf("moved per-op count accepted: %s", moved)
 		}
 	}
-	// Row-count drift fails: the committed artifact is stale.
+	// Row-count drift fails: the committed artifact is stale. The error names
+	// the first row only one side has, so nobody diffs JSON by hand.
 	drift := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: drift}); err == nil {
-		t.Fatal("row-count drift accepted")
+	if err := ratchetCheck("fake", &fakeThroughputResult{doc: drift}); err == nil || !strings.Contains(err.Error(), "rows[].faults_per_sec (committed only)") {
+		t.Fatalf("row-count drift: %v", err)
 	}
-	// So does a key change at the same row position (renamed metric).
+	// So does a renamed metric, and a row whose identifying string changed.
 	renamed := `{"rows":[{"faults_per_sec":1000,"p98_ns":5000},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: renamed}); err == nil {
-		t.Fatal("metric rename accepted")
+	if err := ratchetCheck("fake", &fakeThroughputResult{doc: renamed}); err == nil || !strings.Contains(err.Error(), "rows[].p99_ns (committed only)") {
+		t.Fatalf("metric rename: %v", err)
+	}
+	if err := os.WriteFile("BENCH_phases.json", []byte(`{"rows":[{"phase":"FAULT","p50_ns":5},{"phase":"FAULT.read","p50_ns":9}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	relabelled := `{"rows":[{"phase":"FAULT","p50_ns":5},{"phase":"FAULT.batched_read","p50_ns":9}]}`
+	if err := ratchetCheck("phases", &fakeThroughputResult{doc: relabelled}); err == nil || !strings.Contains(err.Error(), "rows[]{phase=FAULT.read}.p50_ns (committed only)") {
+		t.Fatalf("relabelled row: %v", err)
 	}
 	// A missing committed baseline fails loudly.
 	if err := ratchetCheck("absent", &fakeThroughputResult{doc: baseline}); err == nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/ramcloud"
@@ -56,7 +55,6 @@ func RunTrace(opts Options) (*TraceResult, error) {
 		pages, capacity, ops = 256, 48, 1024
 	}
 	const workers = 4
-	const interArrival = 2 * time.Microsecond
 
 	tr := trace.New(true)
 	store := ramcloud.New(ramcloud.DefaultParams(), opts.Seed+101)
@@ -67,72 +65,11 @@ func RunTrace(opts Options) (*TraceResult, error) {
 	cfg.CleanPageDrop = true
 	cfg.PrefetchPages = 4
 	cfg.Trace = tr
-	m, err := core.NewMonitor(cfg, nil, "bench-trace")
+	r, err := newReplay("bench-trace", cfg, writebackBase, pages)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.RegisterRange(writebackBase, uint64(pages)*core.PageSize, 1); err != nil {
-		return nil, err
-	}
-
-	// Same op-stream construction as RunWriteback: mixed reads, tag writes,
-	// and zeroing writes over a region far larger than local DRAM.
-	rng := clock.NewRand(opts.Seed ^ 0xb17e_bac4)
-	stream := make([]wbOp, ops)
-	for i := range stream {
-		op := wbOp{addr: writebackBase + uint64(rng.Intn(pages))*core.PageSize}
-		if rng.Float64() < 0.5 {
-			op.write = true
-			op.tag = byte(i%249) + 1
-			if rng.Intn(2) == 0 {
-				op.tag = 0
-			}
-		}
-		stream[i] = op
-	}
-
-	now := time.Duration(0)
-	for p := 0; p < pages; p++ {
-		data, done, err := m.Touch(now, writebackBase+uint64(p)*core.PageSize, true)
-		if err != nil {
-			return nil, fmt.Errorf("trace populate page %d: %w", p, err)
-		}
-		data[0] = byte(p%249) + 1
-		now = done
-	}
-	if now, err = m.Drain(now); err != nil {
-		return nil, err
-	}
-
-	sched := clock.NewScheduler()
-	var benchErr error
-	var finish time.Duration
-	arrival := now
-	for i, op := range stream {
-		op := op
-		sched.Schedule(arrival, i, func(at time.Duration) {
-			if benchErr != nil {
-				return
-			}
-			data, done, err := m.Touch(at, op.addr, op.write)
-			if err != nil {
-				benchErr = fmt.Errorf("trace touch %#x: %w", op.addr, err)
-				return
-			}
-			if op.write {
-				data[0] = op.tag
-			}
-			if done > finish {
-				finish = done
-			}
-		})
-		arrival += interArrival
-	}
-	sched.Run()
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	if _, err := m.Drain(finish); err != nil {
+	if _, _, err := r.run(mixedStream(opts.Seed, writebackBase, pages, ops)); err != nil {
 		return nil, err
 	}
 

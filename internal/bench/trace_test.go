@@ -31,8 +31,8 @@ func TestTraceBreakdownRows(t *testing.T) {
 		}
 	}
 	for _, phase := range []string{
-		trace.EvFault, "FAULT.first_touch", "FAULT.read",
-		trace.EvStoreGet, trace.EvStoreMultiPut, trace.EvFlush,
+		trace.EvFault, "FAULT.first_touch", "FAULT.batched_read",
+		trace.EvStoreMultiGet, trace.EvStoreMultiPut, trace.EvFlush,
 		trace.EvEvict, trace.EvUffdCopy, trace.EvUffdZeroPage,
 	} {
 		row, ok := merged[phase]

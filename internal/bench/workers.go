@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/kvstore/ramcloud"
 )
@@ -65,92 +64,46 @@ func RunWorkers(opts Options) (*WorkersResult, error) {
 	return res, nil
 }
 
-// runWorkersRow measures pipeline capacity under offered load: demand faults
-// arrive through the deterministic event scheduler faster than any pipeline
-// width can drain them, so each fault queues behind its own worker
-// (workerFree) and elapsed time measures how fast the pipeline as a whole
-// retires faults. Demand addresses stride by PrefetchPages+1 pages, so every
-// fault's batched MultiGet pulls in exactly the pages the scan will touch
-// next — the amortised round trip the MultiGets column counts.
+// runWorkersRow measures pipeline capacity under offered load (replay.run):
+// elapsed time measures how fast the pipeline as a whole retires faults.
+// Demand addresses stride by PrefetchPages+1 pages, so every fault's MultiGet
+// pulls in exactly the pages the scan will touch next — the amortised round
+// trip the MultiGets column counts.
 func runWorkersRow(workers, scans int, seed uint64) (*WorkersRow, error) {
 	const totalPages = 1536
 	const capacity = 256 // well under totalPages: every scan misses and evicts
 	const prefetch = 4
 	const stride = prefetch + 1
-	// Offered inter-arrival time: far below per-fault service time, so the
-	// pipeline — not the arrival process — sets the pace.
-	const interArrival = 2 * time.Microsecond
 
 	store := ramcloud.New(ramcloud.DefaultParams(), seed+uint64(workers))
 	cfg := core.DefaultConfig(store, capacity)
 	cfg.Workers = workers
 	cfg.PrefetchPages = prefetch
-	cfg.BatchReads = true
 	cfg.Seed = seed
-	m, err := core.NewMonitor(cfg, nil, "bench-workers")
+	r, err := newReplay("bench-workers", cfg, workersBase, totalPages)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := m.RegisterRange(workersBase, uint64(totalPages)*core.PageSize, 1); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workers=%d: %w", workers, err)
 	}
 
-	// Populate: one serial pass writes every page so the measured phase is
-	// pure store-read traffic (no first-touch zero-fills).
-	now := time.Duration(0)
-	for p := 0; p < totalPages; p++ {
-		_, done, err := m.Touch(now, workersBase+uint64(p)*core.PageSize, true)
-		if err != nil {
-			return nil, fmt.Errorf("workers=%d populate page %d: %w", workers, p, err)
-		}
-		now = done
-	}
-	if now, err = m.Drain(now); err != nil {
-		return nil, err
-	}
-
-	// Measured phase: strided scans of the whole region, arrivals spaced
-	// interArrival apart. Touch(at) internally queues the fault behind its
-	// worker, so the returned resume time reflects pipeline backpressure;
-	// the last resume time marks the pipeline drained.
-	start := now
-	faultsBefore := m.Stats().Faults
-	storeBefore := store.Stats()
-	wallStart := time.Now()
-	sched := clock.NewScheduler()
-	var benchErr error
-	var finish time.Duration
-	arrival := start
+	// Measured phase: strided read scans of the whole region.
+	var stream []replayOp
 	for scan := 0; scan < scans; scan++ {
 		for p := 0; p < totalPages; p += stride {
-			addr := workersBase + uint64(p)*core.PageSize
-			sched.Schedule(arrival, p%stride, func(at time.Duration) {
-				if benchErr != nil {
-					return
-				}
-				_, done, err := m.Touch(at, addr, false)
-				if err != nil {
-					benchErr = fmt.Errorf("workers=%d touch %#x: %w", workers, addr, err)
-					return
-				}
-				if done > finish {
-					finish = done
-				}
-			})
-			arrival += interArrival
+			stream = append(stream, replayOp{addr: workersBase + uint64(p)*core.PageSize})
 		}
 	}
-	sched.Run()
-	wallElapsed := time.Since(wallStart)
-	if benchErr != nil {
-		return nil, benchErr
+	faultsBefore := r.m.Stats().Faults
+	storeBefore := store.Stats()
+	finish, wallElapsed, err := r.run(stream)
+	if err != nil {
+		return nil, fmt.Errorf("workers=%d: %w", workers, err)
 	}
 
-	elapsed := finish - start
+	elapsed := finish - r.start
 	st := store.Stats()
 	row := &WorkersRow{
 		Workers:     workers,
-		Faults:      m.Stats().Faults - faultsBefore,
+		Faults:      r.m.Stats().Faults - faultsBefore,
 		Elapsed:     elapsed,
 		WallElapsed: wallElapsed,
 		MultiGets:   st.MultiGets - storeBefore.MultiGets,

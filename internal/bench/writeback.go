@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/kvstore/ramcloud"
 )
@@ -64,13 +63,6 @@ type WritebackResult struct {
 	Rows     []WritebackRow `json:"rows"`
 }
 
-// wbOp is one precomputed guest touch, identical across rows.
-type wbOp struct {
-	addr  uint64
-	write bool
-	tag   byte
-}
-
 const writebackBase = 0x7e00_0000_0000
 
 // writebackVariant is one row's configuration delta over DefaultConfig.
@@ -110,22 +102,8 @@ func RunWriteback(opts Options) (*WritebackResult, error) {
 	}
 
 	// Precompute the op stream once: every row sees byte-identical guest
-	// behaviour, so the rows differ only in the eviction write path. Half the
-	// touches write; half of those writes zero the page (the harness only
-	// ever sets data[0], so a zero tag restores all-zero contents).
-	rng := clock.NewRand(opts.Seed ^ 0xb17e_bac4)
-	stream := make([]wbOp, ops)
-	for i := range stream {
-		op := wbOp{addr: writebackBase + uint64(rng.Intn(pages))*core.PageSize}
-		if rng.Float64() < 0.5 {
-			op.write = true
-			op.tag = byte(i%249) + 1
-			if rng.Intn(2) == 0 {
-				op.tag = 0
-			}
-		}
-		stream[i] = op
-	}
+	// behaviour, so the rows differ only in the eviction write path.
+	stream := mixedStream(opts.Seed, writebackBase, pages, ops)
 
 	for _, v := range writebackVariants() {
 		row, err := runWritebackRow(v, stream, pages, capacity, workers, opts.Seed)
@@ -139,12 +117,7 @@ func RunWriteback(opts Options) (*WritebackResult, error) {
 
 // runWritebackRow replays the shared op stream against one configuration,
 // measuring the pipeline's drain time and the store write traffic it cost.
-func runWritebackRow(v writebackVariant, stream []wbOp, pages, capacity, workers int, seed uint64) (*WritebackRow, error) {
-	// Offered inter-arrival time far below per-fault service time, so the
-	// pipeline — not the arrival process — sets the pace (same method as the
-	// workers experiment).
-	const interArrival = 2 * time.Microsecond
-
+func runWritebackRow(v writebackVariant, stream []replayOp, pages, capacity, workers int, seed uint64) (*WritebackRow, error) {
 	store := ramcloud.New(ramcloud.DefaultParams(), seed+101)
 	cfg := core.DefaultConfig(store, capacity)
 	cfg.Workers = workers
@@ -152,66 +125,18 @@ func runWritebackRow(v writebackVariant, stream []wbOp, pages, capacity, workers
 	if v.mutate != nil {
 		v.mutate(&cfg)
 	}
-	m, err := core.NewMonitor(cfg, nil, "bench-writeback")
+	r, err := newReplay("bench-writeback", cfg, writebackBase, pages)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", v.label, err)
 	}
-	if _, err := m.RegisterRange(writebackBase, uint64(pages)*core.PageSize, 1); err != nil {
-		return nil, err
-	}
+	m := r.m
 
-	// Populate: one serial pass writes a non-zero tag into every page, so the
-	// measured phase starts with every page dirty-backed in the store.
-	now := time.Duration(0)
-	for p := 0; p < pages; p++ {
-		data, done, err := m.Touch(now, writebackBase+uint64(p)*core.PageSize, true)
-		if err != nil {
-			return nil, fmt.Errorf("%s populate page %d: %w", v.label, p, err)
-		}
-		data[0] = byte(p%249) + 1
-		now = done
-	}
-	if now, err = m.Drain(now); err != nil {
-		return nil, err
-	}
-
-	start := now
 	statsBefore := m.Stats()
 	storeBefore := store.Stats()
 	wbBefore := m.WritebackStats()
-
-	wallStart := time.Now()
-	sched := clock.NewScheduler()
-	var benchErr error
-	var finish time.Duration
-	arrival := start
-	for i, op := range stream {
-		op := op
-		sched.Schedule(arrival, i, func(at time.Duration) {
-			if benchErr != nil {
-				return
-			}
-			data, done, err := m.Touch(at, op.addr, op.write)
-			if err != nil {
-				benchErr = fmt.Errorf("%s touch %#x: %w", v.label, op.addr, err)
-				return
-			}
-			if op.write {
-				data[0] = op.tag
-			}
-			if done > finish {
-				finish = done
-			}
-		})
-		arrival += interArrival
-	}
-	sched.Run()
-	wallElapsed := time.Since(wallStart)
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	if _, err := m.Drain(finish); err != nil {
-		return nil, err
+	finish, wallElapsed, err := r.run(stream)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", v.label, err)
 	}
 
 	stats := m.Stats()
@@ -220,7 +145,7 @@ func runWritebackRow(v writebackVariant, stream []wbOp, pages, capacity, workers
 	row := &WritebackRow{
 		Label:        v.label,
 		Faults:       stats.Faults - statsBefore.Faults,
-		Elapsed:      finish - start,
+		Elapsed:      finish - r.start,
 		StorePuts:    st.Puts - storeBefore.Puts,
 		MultiPuts:    st.MultiPuts - storeBefore.MultiPuts,
 		ZeroElided:   stats.ZeroElided - statsBefore.ZeroElided,

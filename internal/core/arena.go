@@ -9,12 +9,8 @@ import "fluidmem/internal/kvstore"
 // Nothing in the arena survives a fault — every buffer is dead once the
 // fault that filled it resolves, which is what makes the reuse safe.
 type dataArena struct {
-	// keys and idx are resolveBatchedRead's MultiGet request and its
-	// candidate back-mapping.
+	// keys is startWindowGet's MultiGet request.
 	keys []kvstore.Key
-	idx  []int
 	// cands is gatherPrefetch's candidate list.
 	cands []prefetchCandidate
-	// gets is prefetch's split-read handles, parallel to cands.
-	gets []kvstore.PendingGet
 }

@@ -30,7 +30,8 @@ type Config struct {
 	// on the fault critical path.
 	AsyncWrite bool
 	// AsyncRead enables split reads (§V-B): the store read is issued first
-	// and the eviction's UFFD_REMAP runs while the network waits.
+	// and the eviction's UFFD_REMAP runs while the network waits. It governs
+	// the windowless read only (see PrefetchPages).
 	AsyncRead bool
 	// WriteBatchSize is the write-list flush threshold (RAMCloud multi-write
 	// batch).
@@ -41,13 +42,15 @@ type Config struct {
 	// EvictWithCopy replaces UFFD_REMAP eviction with a copy-out (ablation
 	// A3: zero-copy remap vs copy + zap).
 	EvictWithCopy bool
-	// PageTracker enables the seen-pages hash that resolves first-touch
-	// faults with UFFDIO_ZEROPAGE instead of a futile store read (§V-A).
-	PageTracker bool
-	// PrefetchPages, when positive, makes the monitor pipeline reads for
-	// the next N pages of the region after each store-read fault —
-	// sequential prefetching (extension; ablation A6). Zero disables it,
-	// matching the paper's readahead-off configuration.
+	// PrefetchPages, when positive, is the readahead window (extension;
+	// ablation A6): a store-read fault carries the next N pages of its
+	// region that are seen but not resident in the same amortised MultiGet
+	// round trip as the demand page — batched remote reads, the standard
+	// cure for per-page RTT overhead in the disaggregation literature — and
+	// installs them after the guest wakes. Readahead is built on the split
+	// read: a positive window selects the overlapped read whatever AsyncRead
+	// says. Zero disables it, matching the paper's readahead-off
+	// configuration.
 	PrefetchPages int
 	// Workers is the width of the fault pipeline (the paper's multi-threaded
 	// handler, §V-B), reproduced in virtual time: each worker is a horizon,
@@ -60,12 +63,6 @@ type Config struct {
 	// workers raise fault throughput without changing behaviour. 0 (the
 	// default) or 1 is the serial monitor; a negative width is ErrBadConfig.
 	Workers int
-	// BatchReads folds the demand-fault read and its prefetch reads (when
-	// PrefetchPages > 0) into one amortised MultiGet round trip instead of
-	// a pipeline of per-page split reads — batched remote reads, the
-	// standard cure for per-page RTT overhead in the disaggregation
-	// literature.
-	BatchReads bool
 	// ElideZeroPages enables the write-path zero-page optimisation: an
 	// evicted page whose contents are all zeroes is recorded in a zero
 	// bitmap instead of being written to the store, and a later re-fault is
@@ -177,7 +174,6 @@ func DefaultConfig(store kvstore.Store, lruCapacity int) Config {
 		AsyncRead:      true,
 		WriteBatchSize: 32,
 		StealEnabled:   true,
-		PageTracker:    true,
 		UFFD:           uffd.DefaultParams(),
 		MonitorOps:     DefaultMonitorOps(),
 		Seed:           1,

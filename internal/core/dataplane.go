@@ -107,7 +107,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	t += hashCost
 
 	key := kvstore.MakeKey(ev.Addr, part)
-	if !m.pages.seen(ev.Addr) && m.cfg.PageTracker {
+	if !m.pages.seen(ev.Addr) {
 		resumeAt, err := m.resolveFirstTouch(t, ev)
 		m.traceFault(ev, eventAt, resumeAt, "first_touch", err)
 		return resumeAt, err
@@ -122,13 +122,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 		m.traceFault(ev, eventAt, resumeAt, "zero_refill", err)
 		return resumeAt, err
 	}
-	resumeAt, path, batched, err := m.resolveFromStore(t, ev, key)
-	if err == nil && m.cfg.PrefetchPages > 0 && !batched {
-		// Read ahead while the guest is already running (off the critical
-		// path; occupies only the fault's worker). The batched-read path
-		// has already folded the prefetch into its MultiGet.
-		m.workerFree[w] = m.prefetch(m.workerFree[w], ev.Addr, part)
-	}
+	resumeAt, path, err := m.resolveFromStore(t, ev, key)
 	m.traceFault(ev, eventAt, resumeAt, path, err)
 	return resumeAt, err
 }
@@ -185,22 +179,20 @@ func (m *Monitor) zeroFill(t time.Duration, ev uffd.Event) (time.Duration, error
 // resolveFromStore fetches a previously seen page: from the write list
 // (steal), after an in-flight write, or from the key-value store, evicting
 // to make room. path names the resolution route for the fault trace
-// ("tier", "steal", "read", "batched_read"). The batched return flag
-// reports that the read already folded the prefetch window into its
-// MultiGet, so the caller must not prefetch again.
-func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.Key) (resumeAt time.Duration, path string, batched bool, err error) {
+// ("tier", "steal", "read", "batched_read").
+func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.Key) (resumeAt time.Duration, path string, err error) {
 	// Compressed-tier hit: decompress locally, no network round trip.
 	if m.tier != nil {
 		data, done, hit, err := m.tier.take(t, key)
 		if err != nil {
-			return t, "tier", false, err
+			return t, "tier", err
 		}
 		if hit {
 			// Not store-backed: the tier held the only current copy.
 			rt, err := m.installAndWake(done, ev, data, false, true)
 			// The decompression buffer was copied into the VM; pool it.
 			m.fd.Recycle(data)
-			return rt, "tier", false, err
+			return rt, "tier", err
 		}
 	}
 	// Steal shortcut: the page is sitting on the pending write list.
@@ -212,14 +204,14 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			// Steal transferred the frame to us; UFFDIO_COPY copied it in,
 			// so the buffer goes back to the pool.
 			m.fd.Recycle(data)
-			return rt, "steal", false, err
+			return rt, "steal", err
 		}
 	} else if m.cfg.AsyncWrite && m.wb.Queued(key) {
 		// Without stealing, a queued write must be flushed and completed
 		// before the read can see the page — the two round trips the steal
 		// optimisation shortcuts (§V-B).
 		if err := m.wb.Flush(t); err != nil {
-			return t, "read", false, fmt.Errorf("core: forced flush for %v: %w", key, err)
+			return t, "read", fmt.Errorf("core: forced flush for %v: %w", key, err)
 		}
 	}
 	// A write of this page is in flight: wait for it to land, then read.
@@ -229,116 +221,56 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	}
 
 	m.stats.RemoteReads++
-	if m.cfg.AsyncRead && m.cfg.BatchReads && m.cfg.PrefetchPages > 0 {
-		rt, b, err := m.resolveBatchedRead(t, ev, key)
-		return rt, "batched_read", b, err
+	if m.cfg.AsyncRead || m.cfg.PrefetchPages > 0 {
+		return m.overlappedRead(t, ev, key)
 	}
-	var data []byte
-	if m.cfg.AsyncRead {
-		// Top half: issue the read immediately; the eviction's REMAP and
-		// all monitor bookkeeping (LRU insert, cache update) run while the
-		// network waits (§V-B asynchronous reads). Only the copy and wake
-		// remain after the reply lands. The PendingGet handle is a value on
-		// this frame — no allocation per split read.
-		issue := t
-		if !m.storeLocal {
-			issue += m.cfg.MonitorOps.AsyncIssue.Sample(m.rng)
-		}
-		pending := m.cfg.Store.StartGet(issue, key)
-		overlap := issue
-		for m.lru.Len() >= m.cfg.LRUCapacity {
-			if overlap, err = m.evictOne(overlap, true); err != nil {
-				return t, "read", false, err
-			}
-			overlap += m.cfg.MonitorOps.EvictFinish.Sample(m.rng)
-		}
-		updCost := m.cfg.MonitorOps.CacheUpdate.Sample(m.rng)
-		m.record(opUpdatePageCache, ev.Addr, updCost)
-		overlap += updCost
-		lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
-		m.record(opInsertLRUCache, ev.Addr, lruCost)
-		overlap += lruCost
-		m.lru.Insert(ev.Addr)
-
-		// Bottom half.
-		var readDone time.Duration
-		data, readDone, err = pending.Wait(overlap)
-		m.record(opReadPage, ev.Addr, pending.ReadyAt-issue)
-		if err != nil {
-			return readDone, "read", false, fmt.Errorf("core: read %v: %w", key, err)
-		}
-		done, err := m.fd.Copy(readDone, ev.Addr, data)
-		if err != nil {
-			return readDone, "read", false, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
-		}
-		m.prof.Record(opUffdCopy, done-readDone)
-		m.epoch++
-		if done, err = m.markClean(done, ev.Addr); err != nil {
-			return done, "read", false, err
-		}
-		t = m.fd.Wake(done, ev.Addr)
-		m.workerFree[m.workerOf(ev.Addr)] = t
-		return t + m.cfg.MonitorOps.Resume.Sample(m.rng), "read", false, nil
+	if !m.storeLocal {
+		t += m.cfg.MonitorOps.RPCOverhead.Sample(m.rng)
 	}
-	{
-		if !m.storeLocal {
-			t += m.cfg.MonitorOps.RPCOverhead.Sample(m.rng)
-		}
-		var readDone time.Duration
-		data, readDone, err = m.cfg.Store.Get(t, key)
-		m.record(opReadPage, ev.Addr, readDone-t)
-		if err != nil {
-			return readDone, "read", false, fmt.Errorf("core: read %v: %w", key, err)
-		}
-		t = readDone
-		for m.lru.Len() >= m.cfg.LRUCapacity {
-			if t, err = m.evictOne(t, false); err != nil {
-				return t, "read", false, err
-			}
+	data, readDone, err := m.cfg.Store.Get(t, key)
+	m.record(opReadPage, ev.Addr, readDone-t)
+	if err != nil {
+		return readDone, "read", fmt.Errorf("core: read %v: %w", key, err)
+	}
+	t = readDone
+	for m.lru.Len() >= m.cfg.LRUCapacity {
+		if t, err = m.evictOne(t, false); err != nil {
+			return t, "read", err
 		}
 	}
 	rt, err := m.installAndWake(t, ev, data, true, false)
-	return rt, "read", false, err
+	return rt, "read", err
 }
 
-// resolveBatchedRead resolves a demand fault and its readahead window with a
-// single amortised MultiGet (cfg.BatchReads): the demand key and every
-// prefetch candidate travel in one round trip instead of a pipeline of
-// per-page split reads. The eviction's REMAP and monitor bookkeeping still
-// overlap the network wait as in the split-read path, and the readahead
-// pages are installed after the guest wakes, off the critical path. The
-// request vectors live in the data arena, reused across faults.
-func (m *Monitor) resolveBatchedRead(t time.Duration, ev uffd.Event, key kvstore.Key) (time.Duration, bool, error) {
-	w := m.workerOf(ev.Addr)
-	cands := m.gatherPrefetch(t, ev.Addr, key.Partition())
+// overlappedRead is the split read of §V-B. The top half issues the store
+// read at once: StartGet for the demand page alone ("read"), or, with a
+// readahead window configured, one amortised MultiGet carrying the demand key
+// and the window ("batched_read"). The eviction's REMAP and all monitor
+// bookkeeping (LRU insert, cache update) run while the network waits; only
+// the copy and wake remain after the reply lands, and the window's pages are
+// installed after the wake, while the guest is already running, occupying
+// only the fault's worker. The PendingGet handle is a value on this frame —
+// no allocation per split read.
+func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key) (resumeAt time.Duration, path string, err error) {
 	issue := t
 	if !m.storeLocal {
 		issue += m.cfg.MonitorOps.AsyncIssue.Sample(m.rng)
 	}
-	keys := append(m.scratch.keys[:0], key)
-	idx := m.scratch.idx[:0] // candidate index for each extra key
-	for i, c := range cands {
-		if c.data == nil {
-			keys = append(keys, c.key)
-			idx = append(idx, i)
-		}
+	var (
+		pending kvstore.PendingGet
+		window  []prefetchCandidate
+	)
+	path = "read"
+	if m.cfg.PrefetchPages > 0 {
+		path = "batched_read"
+		pending, window = m.startWindowGet(issue, ev.Addr, key)
+	} else {
+		pending = m.cfg.Store.StartGet(issue, key)
 	}
-	m.scratch.keys, m.scratch.idx = keys, idx
-	pages, readDone, err := m.cfg.Store.MultiGet(issue, keys)
-	if err != nil {
-		return t, true, fmt.Errorf("core: batched read %v: %w", key, err)
-	}
-	if pages[0] == nil {
-		return t, true, fmt.Errorf("core: read %v: %w", key, kvstore.ErrNotFound)
-	}
-	for j, ci := range idx {
-		cands[ci].data = pages[1+j] // nil stays nil on a store miss
-	}
-	// Eviction and bookkeeping overlap the network wait (§V-B).
 	overlap := issue
 	for m.lru.Len() >= m.cfg.LRUCapacity {
 		if overlap, err = m.evictOne(overlap, true); err != nil {
-			return t, true, err
+			return t, path, err
 		}
 		overlap += m.cfg.MonitorOps.EvictFinish.Sample(m.rng)
 	}
@@ -349,47 +281,35 @@ func (m *Monitor) resolveBatchedRead(t time.Duration, ev uffd.Event, key kvstore
 	m.record(opInsertLRUCache, ev.Addr, lruCost)
 	overlap += lruCost
 	m.lru.Insert(ev.Addr)
-	m.record(opReadPage, ev.Addr, readDone-issue)
 
-	// Bottom half: the copy and wake run once both the reply has landed and
-	// the overlapped bookkeeping is done.
-	t = overlap
-	if readDone > t {
-		t = readDone
-	}
-	done, err := m.fd.Copy(t, ev.Addr, pages[0])
+	// Bottom half. A failed read or copy takes the page back off the LRU
+	// list: an entry there must be a page in the VM.
+	data, readDone, err := pending.Wait(overlap)
+	m.record(opReadPage, ev.Addr, pending.ReadyAt-issue)
 	if err != nil {
-		return t, true, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
+		m.lru.Remove(ev.Addr)
+		return readDone, path, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	m.prof.Record(opUffdCopy, done-t)
+	done, err := m.fd.Copy(readDone, ev.Addr, data)
+	if err != nil {
+		m.lru.Remove(ev.Addr)
+		return readDone, path, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
+	}
+	m.prof.Record(opUffdCopy, done-readDone)
 	m.epoch++
 	if done, err = m.markClean(done, ev.Addr); err != nil {
-		return done, true, err
+		return done, path, err
 	}
 	t = m.fd.Wake(done, ev.Addr)
-	resumeAt := t + m.cfg.MonitorOps.Resume.Sample(m.rng)
-
-	// Install the readahead pages while the guest is already running.
-	mFree := t
-	for _, c := range cands {
-		if c.data == nil {
-			continue // store miss: the page will fault normally
-		}
+	resumeAt = t + m.cfg.MonitorOps.Resume.Sample(m.rng)
+	for _, c := range window {
 		var stop bool
-		mFree, stop = m.installPrefetched(mFree, ev.Addr, c.addr, c.data, !c.stolen)
-		if stop {
+		if t, stop = m.installPrefetched(t, ev.Addr, c); stop {
 			break
 		}
 	}
-	// Stolen candidates own their frames (store-read ones alias store
-	// memory); installed or not, UFFDIO_COPY has taken what it needs.
-	for _, c := range cands {
-		if c.stolen {
-			m.fd.Recycle(c.data)
-		}
-	}
-	m.workerFree[w] = mFree
-	return resumeAt, true, nil
+	m.workerFree[m.workerOf(ev.Addr)] = t
+	return resumeAt, path, nil
 }
 
 // installAndWake copies data into the faulting page, re-inserts it in the

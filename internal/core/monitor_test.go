@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fluidmem/internal/clock"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
 	"fluidmem/internal/kvstore/ramcloud"
@@ -246,18 +247,6 @@ func TestAsyncReadOverlapsEviction(t *testing.T) {
 	sync, async := run(false), run(true)
 	if async >= sync {
 		t.Fatalf("async read (%v) not faster than sync (%v)", async, sync)
-	}
-}
-
-func TestPageTrackerDisabledStillCorrect(t *testing.T) {
-	cfg := dramCfg(8)
-	cfg.PageTracker = false
-	m := newMonitor(t, cfg, 64)
-	// Without the tracker every first touch goes to the store and misses;
-	// the monitor must still resolve the fault (with an error surfaced).
-	_, _, err := m.Touch(0, addr(0), true)
-	if err == nil {
-		t.Skip("store-miss path resolved silently; acceptable if zero-filled")
 	}
 }
 
@@ -594,5 +583,58 @@ func TestStoreKeysUseVMPartition(t *testing.T) {
 	key := kvstore.MakeKey(addr(0), part)
 	if _, _, err := store.Get(now, key); err != nil {
 		t.Fatalf("page not under partitioned key: %v", err)
+	}
+}
+
+// TestWindowlessReadUnchanged pins the overlapped read without a readahead
+// window sample for sample: same seed, same monitor counters, same store
+// traffic and the same resume time for every one of 5 000 faults as at commit
+// d91bff6, the last with a separate windowless body. The constants were
+// recorded there by this test; the resume times are folded into an FNV-1a
+// hash.
+func TestWindowlessReadUnchanged(t *testing.T) {
+	for name, tc := range map[string]struct {
+		store  kvstore.Store
+		stats  Stats
+		traf   kvstore.Stats
+		end    time.Duration
+		resume uint64
+	}{
+		"dram": {
+			store: dram.New(dram.DefaultParams(), 9),
+			stats: Stats{Faults: 5000, FirstTouch: 128, RemoteReads: 3975, Steals: 897, Evictions: 4968, Flushes: 127},
+			traf:  kvstore.Stats{Gets: 3975, Puts: 4064, MultiPuts: 127, BytesStored: 524288},
+			end:   143182578, resume: 0x2a1f5b24320f63c5,
+		},
+		"ramcloud": {
+			store: ramcloud.New(ramcloud.DefaultParams(), 9),
+			stats: Stats{Faults: 5000, FirstTouch: 128, RemoteReads: 3975, Steals: 897, InFlightWaits: 100, Evictions: 4968, Flushes: 127},
+			traf:  kvstore.Stats{Gets: 3975, Puts: 4064, MultiPuts: 127, BytesStored: 524288},
+			end:   162853620, resume: 0x5b26c4a35ad3ea3b,
+		},
+	} {
+		m := newMonitor(t, DefaultConfig(tc.store, 32), 128)
+		rng := clock.NewRand(0xfa17)
+		now, resume := time.Duration(0), uint64(14695981039346656037)
+		for m.Stats().Faults < 5000 {
+			faults := m.Stats().Faults
+			_, done, err := m.Touch(now, addr(rng.Intn(128)), rng.Intn(2) == 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+			if m.Stats().Faults != faults {
+				resume = (resume ^ uint64(done)) * 1099511628211
+			}
+		}
+		if got := m.Stats(); got != tc.stats {
+			t.Errorf("%s: monitor stats %+v, recorded %+v", name, got, tc.stats)
+		}
+		if got := tc.store.Stats(); got != tc.traf {
+			t.Errorf("%s: store stats %+v, recorded %+v", name, got, tc.traf)
+		}
+		if now != tc.end || resume != tc.resume {
+			t.Errorf("%s: last resume at %d, resume hash %#x; recorded %d, %#x", name, now, resume, tc.end, tc.resume)
+		}
 	}
 }

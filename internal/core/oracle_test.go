@@ -45,7 +45,6 @@ func TestMonitorAgainstOracle(t *testing.T) {
 			cfg.ElideZeroPages = true
 			cfg.CleanPageDrop = true
 			cfg.PrefetchPages = 4
-			cfg.BatchReads = true
 			return cfg
 		},
 		"writeback-sync": func() Config {

@@ -7,39 +7,42 @@ import (
 	"fluidmem/internal/trace"
 )
 
-// This file implements sequential prefetching, an optional monitor extension
-// in the spirit of the paper's §V-B optimisations: after resolving a store
-// read for page P, the monitor pipelines reads for the next pages of the
-// same region while the guest is already running — off the fault critical
-// path. Sequential scans then find their next pages resident; random
-// workloads pay extra store traffic for unused pages, which is why the
-// kernel's swap readahead is disabled in the paper's configuration and why
-// this stays opt-in (ablation A6 quantifies both sides).
+// This file implements sequential readahead, an optional monitor extension
+// in the spirit of the paper's §V-B optimisations: a store read for page P
+// carries the next pages of the same region in the same MultiGet round trip,
+// and they are installed while the guest is already running — off the fault
+// critical path (overlappedRead in dataplane.go is the one caller).
+// Sequential scans then find their next pages resident; random workloads pay
+// extra store traffic for unused pages, which is why the kernel's swap
+// readahead is disabled in the paper's configuration and why this stays
+// opt-in (ablation A6 quantifies both sides).
 
 // prefetchCandidate is one readahead page picked by gatherPrefetch.
 type prefetchCandidate struct {
 	addr uint64
 	key  kvstore.Key
-	data []byte // non-nil when resolved from the write list (steal)
-	// stolen marks data that came from the write list rather than the
-	// store: the store never saw those bytes, so the install must not be
-	// treated as store-backed (clean tracking would drop dirty data).
-	stolen bool
+	// data is the page as the MultiGet returned it (a reference to store
+	// memory); nil on a store miss and for a queued candidate.
+	data []byte
+	// queued marks a page whose current bytes sat on the write list when the
+	// window was gathered: the store never saw them, so the key stays out of
+	// the MultiGet, the install takes the frame off the list itself, and
+	// must not treat it as store-backed (clean tracking would drop dirty
+	// data).
+	queued bool
 }
 
 // gatherPrefetch selects up to cfg.PrefetchPages pages following addr that
-// are previously seen but not resident; candidates sitting on the pending
-// write list are stolen immediately. Selection depends only on logical
+// are previously seen but not resident. Selection depends only on logical
 // monitor state (seen set, LRU membership, write-list contents) — never on
 // virtual time — so the candidate set, and therefore the store traffic it
 // triggers, is identical for every worker count. In particular a page whose
 // write is merely in flight is still read: the store's contents were updated
-// when the flush was submitted, so the read observes fresh data.
-func (m *Monitor) gatherPrefetch(now time.Duration, addr uint64, part kvstore.PartitionID) []prefetchCandidate {
+// when the flush was submitted, so the read observes fresh data. Nothing
+// leaves the write list here: a queued candidate is only noted, because the
+// installs may stop before reaching it and the list holds its only copy.
+func (m *Monitor) gatherPrefetch(addr uint64, part kvstore.PartitionID) []prefetchCandidate {
 	region := m.pages.region(addr)
-	if region == nil {
-		return nil
-	}
 	// The candidate list lives in the data arena: valid until the next
 	// fault's gather, which is after the caller is done with it.
 	cands := m.scratch.cands[:0]
@@ -53,30 +56,59 @@ func (m *Monitor) gatherPrefetch(now time.Duration, addr uint64, part kvstore.Pa
 		}
 		c := prefetchCandidate{addr: next, key: kvstore.MakeKey(next, part)}
 		// A zero-elided page's store copy is stale (the zero bitmap is
-		// authoritative); prefetching it would install dead data. Skip it —
-		// its own demand fault resolves via UFFDIO_ZEROPAGE.
-		if m.wb.HasZero(c.key) {
+		// authoritative), and so is the store copy of a page parked in the
+		// compressed tier; prefetching either would install dead data. Skip
+		// it — its own demand fault resolves locally.
+		if m.wb.HasZero(c.key) || (m.tier != nil && m.tier.entries[c.key] != nil) {
 			continue
 		}
-		if m.cfg.AsyncWrite {
-			if data, ok := m.wb.Steal(now, c.key); ok {
-				c.data = data
-				c.stolen = true
-			}
-		}
+		c.queued = m.cfg.AsyncWrite && m.wb.Queued(c.key)
 		cands = append(cands, c)
 	}
 	m.scratch.cands = cands
 	return cands
 }
 
+// startWindowGet is the windowed top half of overlappedRead: one MultiGet at
+// issue for the demand key and every window page the store holds current.
+// The demand page comes back as a PendingGet, exactly as StartGet would hand
+// it over; the window's pages land in their candidates. The request vector
+// lives in the data arena, reused across faults.
+func (m *Monitor) startWindowGet(issue time.Duration, addr uint64, key kvstore.Key) (kvstore.PendingGet, []prefetchCandidate) {
+	window := m.gatherPrefetch(addr, key.Partition())
+	keys := append(m.scratch.keys[:0], key)
+	for _, c := range window {
+		if !c.queued {
+			keys = append(keys, c.key)
+		}
+	}
+	m.scratch.keys = keys
+	pages, readDone, err := m.cfg.Store.MultiGet(issue, keys)
+	pending := kvstore.PendingGet{Key: key, ReadyAt: readDone, Err: err}
+	if err != nil {
+		return pending, nil
+	}
+	if pending.Data = pages[0]; pending.Data == nil {
+		pending.Err = kvstore.ErrNotFound
+	}
+	pages = pages[1:]
+	for i := range window {
+		if !window[i].queued {
+			window[i].data, pages = pages[0], pages[1:] // nil stays nil on a store miss
+		}
+	}
+	return pending, window
+}
+
 // installPrefetched installs one readahead page, evicting to make room but
 // never displacing the demand page the guest is about to retry — readahead
 // must never displace demand, so stop=true tells the caller to cease
-// prefetching when the demand page is the eviction candidate. storeBacked
-// arms clean tracking for pages whose bytes came from the store (not from a
-// write-list steal).
-func (m *Monitor) installPrefetched(t time.Duration, demand, addr uint64, data []byte, storeBacked bool) (time.Duration, bool) {
+// prefetching when the demand page is the eviction candidate. A page that
+// cannot be installed is skipped and faults normally later.
+func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCandidate) (time.Duration, bool) {
+	if c.data == nil && !c.queued {
+		return t, false // store miss
+	}
 	if oldest, ok := m.lru.Oldest(); ok && oldest == demand && m.lru.Len() >= m.cfg.LRUCapacity {
 		return t, true
 	}
@@ -87,74 +119,37 @@ func (m *Monitor) installPrefetched(t time.Duration, demand, addr uint64, data [
 			return t, true
 		}
 	}
-	done, err := m.fd.Copy(t, addr, data)
-	if err != nil {
-		return t, false // skip this page; it will fault normally
-	}
-	t = done
-	m.epoch++
-	if storeBacked {
-		if t, err = m.markClean(t, addr); err != nil {
+	data := c.data
+	if c.queued {
+		// Only now, with room made and the install certain, does the page
+		// leave the write list. The evictions above may have flushed it
+		// instead: then the store has it and nothing was read.
+		var ok bool
+		if data, ok = m.wb.Steal(t, c.key); !ok {
 			return t, false
 		}
 	}
-	m.lru.Insert(addr)
+	done, err := m.fd.Copy(t, c.addr, data)
+	switch {
+	case err != nil && c.queued:
+		// The stolen frame is the page's only copy: back on the list it goes.
+		_, err = m.wb.Enqueue(t, c.key, data)
+		return t, err != nil
+	case err != nil:
+		return t, false
+	case c.queued:
+		m.fd.Recycle(data) // ours since the steal; UFFDIO_COPY copied it in
+	}
+	t = done
+	m.epoch++
+	m.lru.Insert(c.addr)
 	m.stats.Prefetches++
-	m.tr.Emit(trace.EvPrefetch, m.workerOf(addr), addr, installStart, t-installStart, "")
+	if !c.queued {
+		// Store-backed bytes arm clean tracking.
+		if t, err = m.markClean(t, c.addr); err != nil {
+			return t, false
+		}
+	}
+	m.tr.Emit(trace.EvPrefetch, m.workerOf(c.addr), c.addr, installStart, t-installStart, "")
 	return t, false
-}
-
-// prefetch pulls up to cfg.PrefetchPages pages following addr into the VM
-// with pipelined per-page split reads. It runs on the fault's worker after
-// the faulting vCPU has been woken; t is the worker-free time and the return
-// value replaces it. (With cfg.BatchReads the monitor instead folds the same
-// candidate set into the demand fault's MultiGet — see resolveBatchedRead.)
-func (m *Monitor) prefetch(t time.Duration, addr uint64, part kvstore.PartitionID) time.Duration {
-	cands := m.gatherPrefetch(t, addr, part)
-	if len(cands) == 0 {
-		return t
-	}
-	// Top halves: pipeline every read first. The handle vector is arena
-	// scratch, parallel to cands; a candidate with data already stolen from
-	// the write list needs no read, so its slot stays zero and the bottom
-	// half keys off c.data instead.
-	gets := m.scratch.gets
-	if cap(gets) < len(cands) {
-		gets = make([]kvstore.PendingGet, len(cands))
-	}
-	gets = gets[:len(cands)]
-	m.scratch.gets = gets
-	for i, c := range cands {
-		if c.data != nil {
-			continue // stolen from the write list; no store read needed
-		}
-		if !m.storeLocal {
-			t += m.cfg.MonitorOps.AsyncIssue.Sample(m.rng)
-		}
-		gets[i] = m.cfg.Store.StartGet(t, c.key)
-	}
-	// Bottom halves: install in order.
-	for i, c := range cands {
-		data := c.data
-		if data == nil {
-			var err error
-			data, t, err = gets[i].Wait(t)
-			if err != nil {
-				// A prefetch miss is harmless: the page will fault normally.
-				continue
-			}
-		}
-		var stop bool
-		t, stop = m.installPrefetched(t, addr, c.addr, data, !c.stolen)
-		if stop {
-			break
-		}
-	}
-	// Stolen frames are ours; UFFDIO_COPY copied what it installed.
-	for _, c := range cands {
-		if c.stolen {
-			m.fd.Recycle(c.data)
-		}
-	}
-	return t
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/kvstore/faulty"
 )
 
 // prefetchMonitor builds a RAMCloud monitor with prefetching enabled.
@@ -131,5 +135,46 @@ func TestPrefetchDisabledByDefault(t *testing.T) {
 	}
 	if m.Stats().Prefetches != 0 {
 		t.Fatal("prefetching active without being configured")
+	}
+}
+
+// TestFailedReadLosesNoPage: a store read that fails with no resilience layer
+// is a hard fault error, and it must cost nothing else — no readahead
+// candidate taken off the write list, no LRU entry for the page that was
+// never installed. Every page reads back its tag once the retry gets through.
+// Window 0 is the windowless split read (StartGet), the rest the windowed one
+// (MultiGet).
+func TestFailedReadLosesNoPage(t *testing.T) {
+	for _, tc := range []struct{ capacity, window int }{{4, 0}, {2, 4}, {3, 8}, {4, 4}, {8, 4}} {
+		params := faulty.Uniform(0, 0)
+		params.PerOp[faulty.OpGet].ErrorRate = 0.5
+		params.PerOp[faulty.OpMultiGet].ErrorRate = 0.5
+		store := faulty.Wrap(dram.New(dram.DefaultParams(), 9), params, 77)
+		cfg := DefaultConfig(store, tc.capacity)
+		cfg.PrefetchPages = tc.window
+		cfg.WriteBatchSize = 3 // flush promptly so faults read the store
+		m := newMonitor(t, cfg, 64)
+		now, failed := time.Duration(0), 0
+		for cycle := 0; cycle < 3; cycle++ {
+			for p := 0; p < 12; p++ {
+				data, done, err := m.Touch(now, addr(p), true)
+				for tries := 0; err != nil; tries++ {
+					if !errors.Is(err, faulty.ErrInjected) || tries == 40 {
+						t.Fatalf("capacity %d, window %d: page %d: %v", tc.capacity, tc.window, p, err)
+					}
+					failed++
+					data, done, err = m.Touch(done, addr(p), true)
+				}
+				now = done
+				if cycle > 0 && data[0] != byte(p+1) {
+					t.Fatalf("capacity %d, window %d, cycle %d: page %d reads %#x, want %#x",
+						tc.capacity, tc.window, cycle, p, data[0], p+1)
+				}
+				data[0] = byte(p + 1)
+			}
+		}
+		if failed == 0 {
+			t.Errorf("capacity %d, window %d: no read failed; the test proves nothing", tc.capacity, tc.window)
+		}
 	}
 }

@@ -100,23 +100,19 @@ func TestWritebackWorkloadsExerciseEngine(t *testing.T) {
 }
 
 // TestReadPathWorkloadsExerciseEngine is the same guard for the read side and
-// the unoptimised baseline: the workloads that claim to prove batched and
-// pipelined readahead and synchronous eviction writes deterministic must
-// actually take those paths.
+// the unoptimised baseline: the workloads that claim to prove readahead and
+// synchronous eviction writes deterministic must actually take those paths.
 func TestReadPathWorkloadsExerciseEngine(t *testing.T) {
 	byName := map[string]Workload{}
 	for _, wl := range workloads() {
 		byName[wl.Name] = wl
 	}
 
-	batched := Replay(t, byName["ramcloud-batched-prefetch"], 4, 42)
-	if batched.Stats.Prefetches == 0 || batched.Store.MultiGets == 0 {
-		t.Errorf("batched workload never prefetched via MultiGet: %+v %+v", batched.Stats, batched.Store)
-	}
-
-	pipelined := Replay(t, byName["memcached-prefetch-churn"], 4, 42)
-	if pipelined.Stats.Prefetches == 0 {
-		t.Errorf("pipelined workload never prefetched: %+v", pipelined.Stats)
+	for _, name := range []string{"ramcloud-batched-prefetch", "memcached-prefetch-churn"} {
+		out := Replay(t, byName[name], 4, 42)
+		if out.Stats.Prefetches == 0 || out.Store.MultiGets == 0 {
+			t.Errorf("%s never prefetched via MultiGet: %+v %+v", name, out.Stats, out.Store)
+		}
 	}
 
 	baseline := Replay(t, byName["dram-sync-baseline"], 4, 42)

@@ -8,8 +8,8 @@ import (
 )
 
 // workloads spans the monitor's major configuration axes: remote vs local
-// backend, async vs sync write paths, pipelined vs batched prefetching, and
-// churn (discard + resize). Each is a distinct way worker sharding could
+// backend, async vs sync write paths, readahead on and off, and churn
+// (discard + resize). Each is a distinct way worker sharding could
 // leak into logical behaviour.
 func workloads() []Workload {
 	return []Workload{
@@ -23,14 +23,13 @@ func workloads() []Workload {
 			},
 		},
 		{
-			// Batched reads: every demand fault folds its readahead window
-			// into one MultiGet, the tentpole's amortised-round-trip path.
+			// Readahead: every demand fault folds its window into one
+			// MultiGet, the amortised-round-trip path.
 			Name:  "ramcloud-batched-prefetch",
 			Pages: 96, Steps: 1200,
 			NewConfig: func(seed uint64) core.Config {
 				cfg := core.DefaultConfig(ramcloud.New(ramcloud.DefaultParams(), seed+13), 24)
 				cfg.PrefetchPages = 4
-				cfg.BatchReads = true
 				return cfg
 			},
 		},
@@ -44,8 +43,8 @@ func workloads() []Workload {
 			},
 		},
 		{
-			// Pipelined (non-batched) prefetch over memcached, with balloon
-			// discards and runtime resizes churning the resident set.
+			// Readahead over memcached, with balloon discards and runtime
+			// resizes churning the resident set.
 			Name:  "memcached-prefetch-churn",
 			Pages: 80, Steps: 1000,
 			NewConfig: func(seed uint64) core.Config {
@@ -109,7 +108,6 @@ func workloads() []Workload {
 				cfg.ElideZeroPages = true
 				cfg.CleanPageDrop = true
 				cfg.PrefetchPages = 4
-				cfg.BatchReads = true
 				return cfg
 			},
 			WriteProb:  0.6,

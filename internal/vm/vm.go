@@ -106,8 +106,6 @@ type Config struct {
 	Name string
 	// MemBytes is the guest physical memory size visible at boot.
 	MemBytes uint64
-	// VCPUs is the virtual CPU count (bookkeeping; the evaluation uses 2-3).
-	VCPUs int
 	// PID is the QEMU process ID on the hypervisor.
 	PID int
 	// Virt selects KVM or full virtualisation.
@@ -162,9 +160,6 @@ type VM struct {
 func New(cfg Config, backing Backing) (*VM, error) {
 	if cfg.MemBytes == 0 || cfg.MemBytes%PageSize != 0 {
 		return nil, fmt.Errorf("vm: memory size %d must be a positive multiple of the page size", cfg.MemBytes)
-	}
-	if cfg.VCPUs <= 0 {
-		cfg.VCPUs = 1
 	}
 	if cfg.Virt == 0 {
 		cfg.Virt = VirtKVM

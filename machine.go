@@ -78,8 +78,6 @@ type MachineConfig struct {
 	// GuestMemory is the guest-addressable memory in bytes (physical for
 	// FluidMem after hotplug; physical+swap for the baseline).
 	GuestMemory uint64
-	// SwapBytes is the swap device size (ModeSwap). Default 4×GuestMemory.
-	SwapBytes uint64
 	// StoreCapacity is the key-value store capacity (ModeFluidMem).
 	// Default 25 GB as in the paper's RAMCloud deployment.
 	StoreCapacity uint64
@@ -88,8 +86,6 @@ type MachineConfig struct {
 	// take the cluster package defaults (3 nodes, 2 replicas).
 	StoreNodes    int
 	StoreReplicas int
-	// VCPUs for the guest. Default 2 (the Graph500 configuration).
-	VCPUs int
 	// Virt is the virtualisation mode. Default KVM.
 	Virt vm.VirtMode
 	// BootOS boots a guest OS before returning, populating the OS footprint.
@@ -182,7 +178,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	vmCfg := vm.Config{
 		Name:     "guest0",
 		MemBytes: cfg.GuestMemory,
-		VCPUs:    cfg.VCPUs,
 		PID:      pid,
 		Virt:     cfg.Virt,
 	}
@@ -276,14 +271,8 @@ func applyMachineDefaults(cfg *MachineConfig) {
 	if cfg.SwapDev == "" {
 		cfg.SwapDev = SwapNVMeoF
 	}
-	if cfg.SwapBytes == 0 {
-		cfg.SwapBytes = 4 * cfg.GuestMemory
-	}
 	if cfg.StoreCapacity == 0 {
 		cfg.StoreCapacity = 25 << 30
-	}
-	if cfg.VCPUs == 0 {
-		cfg.VCPUs = 2
 	}
 	if cfg.Virt == 0 {
 		cfg.Virt = vm.VirtKVM
@@ -330,14 +319,16 @@ func newStore(cfg MachineConfig) (kvstore.Store, *cluster.Pool, error) {
 }
 
 func newSwapSubsystem(cfg MachineConfig) (*swap.Subsystem, error) {
+	// The swap device is four times the guest's memory.
+	swapBytes := 4 * cfg.GuestMemory
 	var devParams blockdev.Params
 	switch cfg.SwapDev {
 	case SwapDRAM:
-		devParams = blockdev.PmemParams(cfg.SwapBytes)
+		devParams = blockdev.PmemParams(swapBytes)
 	case SwapNVMeoF:
-		devParams = blockdev.NVMeoFParams(cfg.SwapBytes)
+		devParams = blockdev.NVMeoFParams(swapBytes)
 	case SwapSSD:
-		devParams = blockdev.SSDParams(cfg.SwapBytes)
+		devParams = blockdev.SSDParams(swapBytes)
 	default:
 		return nil, fmt.Errorf("fluidmem: unknown swap device %q", cfg.SwapDev)
 	}
