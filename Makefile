@@ -69,9 +69,10 @@ bench-quick:
 bench-json:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -json
 
-# The wall-clock ledger alone: the per-layer testing.B rows (uffd access and
-# install/remap, LRU, profiler, zero scan, write list, steady-state fault,
-# scheduler, arrival generation, RAMCloud overwrite), run through `go test`
+# The wall-clock ledger alone: the per-layer testing.B rows (normal draw and
+# latency sample, uffd access and install/remap, LRU, profiler, zero scan,
+# write list, steady-state fault, scheduler, arrival generation, RAMCloud
+# overwrite, MultiPut of 32 pages), run through `go test`
 # at a fixed iteration count, written to BENCH_wall.json with ns/op, B/op,
 # allocs/op and the run's calibration spin.
 bench-wall:

@@ -277,29 +277,33 @@ func ratchetCheck(name string, res renderable) error {
 		return fmt.Errorf("%s: ratchet: metric rows changed: %s has %d, measured %d; first row on one side only: %s (%s) (regenerate with -json and commit)",
 			name, artifact, len(oldRows), len(newRows), path, side)
 	}
+	var regressed []string
 	for i, old := range oldRows {
 		cur := newRows[i]
-		if old.key != cur.key {
-			return fmt.Errorf("%s: ratchet: metric row %d changed key: %s has %q, measured %q (regenerate with -json and commit)",
-				name, i, artifact, old.key, cur.key)
+		if old.path != cur.path {
+			return fmt.Errorf("%s: ratchet: metric row %d moved: %s has %s, measured %s (regenerate with -json and commit)",
+				name, i, artifact, old.path, cur.path)
 		}
 		// 10% relative slack plus a small absolute floor so zero-valued
 		// baselines (a 0 ns p50, an exactly-met bound) don't trip on any
 		// nonzero measurement regardless of magnitude.
 		tol := 0.1*math.Abs(old.val) + metricFloor(old.key)
-		var regressed bool
+		var worse bool
 		switch {
 		case old.dir == exact:
-			regressed = cur.val != old.val
+			worse = cur.val != old.val
 		case old.dir > 0:
-			regressed = cur.val < old.val-tol
+			worse = cur.val < old.val-tol
 		default:
-			regressed = cur.val > old.val+tol
+			worse = cur.val > old.val+tol
 		}
-		if regressed {
-			return fmt.Errorf("%s: ratchet: %s row %d regressed: %g -> %g (threshold 10%%, none for per-op counts)",
-				name, old.key, i, old.val, cur.val)
+		if worse {
+			regressed = append(regressed, fmt.Sprintf("%s: %g -> %g", old.path, old.val, cur.val))
 		}
+	}
+	if len(regressed) > 0 {
+		return fmt.Errorf("%s: ratchet: %d of %d metric rows regressed against %s (threshold 10%%, none for per-op counts):\n  %s",
+			name, len(regressed), len(oldRows), artifact, strings.Join(regressed, "\n  "))
 	}
 	fmt.Printf("%s: ratchet: %d metric rows within 10%% of %s\n", name, len(oldRows), artifact)
 	return nil

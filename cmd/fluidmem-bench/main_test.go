@@ -328,6 +328,42 @@ func TestRatchetCheck(t *testing.T) {
 	}
 }
 
+// A regressed row is named by its path, and every regressed row of the
+// artifact is listed, not only the first, so one run audits a regeneration.
+func TestRatchetNamesEveryRegressedRow(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	baseline := `{"rows":[{"phase":"FAULT","p99_ns":5000},{"phase":"EVICT","p99_ns":6813},{"phase":"STORE","p99_ns":900}],"faults_per_sec":100}`
+	if err := os.WriteFile("BENCH_phases.json", []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	measured := `{"rows":[{"phase":"FAULT","p99_ns":5100},{"phase":"EVICT","p99_ns":9303},{"phase":"STORE","p99_ns":900}],"faults_per_sec":80}`
+	err = ratchetCheck("phases", &fakeThroughputResult{doc: measured})
+	if err == nil {
+		t.Fatal("two regressed rows accepted")
+	}
+	for _, want := range []string{
+		"2 of 4 metric rows regressed",
+		"rows[]{phase=EVICT}.p99_ns: 6813 -> 9303",
+		"faults_per_sec: 100 -> 80",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ratchet error does not say %q:\n%v", want, err)
+		}
+	}
+	if strings.Contains(err.Error(), "phase=FAULT") || strings.Contains(err.Error(), "row 1") {
+		t.Errorf("ratchet error names a row within bounds, or a row by index:\n%v", err)
+	}
+}
+
 func TestJSONFlagFailsLoudlyWithoutArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a quick experiment")

@@ -23,7 +23,7 @@ var wallPackages = []string{
 	"./internal/uffd",
 }
 
-const wallPattern = "^Benchmark(AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|" +
+const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|" +
 	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32)$"
 
 // WallRow is one testing.B row of the ledger.

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,22 +121,41 @@ func TestRandFloat64Range(t *testing.T) {
 	}
 }
 
+// TestRandNormFloat64Moments holds the jitter's law to the Irwin–Hall sum of
+// 12 uniforms: bounded by ±6, mean 0, variance 1, kurtosis 3 − 6/60 = 2.9
+// (a true Gaussian's is 3), and successive draws uncorrelated.
 func TestRandNormFloat64Moments(t *testing.T) {
 	r := NewRand(11)
-	const n = 200000
-	var sum, sumSq float64
+	const n = 1 << 22 // the kurtosis estimate's standard error is ≈ 0.0025 here
+	var s1, s2, s3, s4, lag, prev float64
 	for i := 0; i < n; i++ {
 		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
+		if v < -6 || v > 6 {
+			t.Fatalf("draw %d = %v, outside [-6, 6]", i, v)
+		}
+		s1 += v
+		s2 += v * v
+		s3 += v * v * v
+		s4 += v * v * v * v
+		lag += v * prev
+		prev = v
 	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean < -0.02 || mean > 0.02 {
-		t.Errorf("mean = %v, want ~0", mean)
+	mean := s1 / n
+	m2, m3, m4 := s2/n, s3/n, s4/n
+	variance := m2 - mean*mean
+	kurtosis := (m4 - 4*mean*m3 + 6*mean*mean*m2 - 3*mean*mean*mean*mean) / (variance * variance)
+	corr := (lag/(n-1) - mean*mean) / variance
+	if math.Abs(mean) > 0.005 {
+		t.Errorf("mean = %v, want 0 ± 0.005", mean)
 	}
-	if variance < 0.9 || variance > 1.1 {
-		t.Errorf("variance = %v, want ~1", variance)
+	if math.Abs(variance-1) > 0.01 {
+		t.Errorf("variance = %v, want 1 ± 0.01", variance)
+	}
+	if math.Abs(kurtosis-2.9) > 0.01 {
+		t.Errorf("kurtosis = %v, want 2.90 ± 0.01", kurtosis)
+	}
+	if math.Abs(corr) > 0.005 {
+		t.Errorf("lag-1 correlation = %v, want 0 ± 0.005", corr)
 	}
 }
 
@@ -173,19 +193,74 @@ func TestLatencyModelFloor(t *testing.T) {
 	}
 }
 
+// TestLatencyModelTail holds the tail to its documented law: it fires with
+// probability TailProb and adds an extra uniform in [0, TailExtra), so every
+// extra is below TailExtra and their mean is TailExtra/2.
 func TestLatencyModelTail(t *testing.T) {
 	m := LatencyModel{Base: 2 * time.Microsecond, TailProb: 0.05, TailExtra: 100 * time.Microsecond}
 	r := NewRand(6)
-	tail := 0
+	tail, sum := 0, 0.0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		if m.Sample(r) > 10*time.Microsecond {
+		extra := m.Sample(r) - m.Base
+		if extra < 0 || extra >= m.TailExtra {
+			t.Fatalf("tail extra %v outside [0, %v)", extra, m.TailExtra)
+		}
+		if extra > 0 {
 			tail++
+			sum += float64(extra)
 		}
 	}
 	frac := float64(tail) / n
-	if frac < 0.03 || frac > 0.07 {
-		t.Fatalf("tail fraction = %v, want ~0.05", frac)
+	if frac < 0.045 || frac > 0.055 {
+		t.Errorf("tail fraction = %v, want 0.05 ± 0.005", frac)
+	}
+	mean, want := sum/float64(tail), float64(m.TailExtra)/2
+	if se := float64(m.TailExtra) / math.Sqrt(12*float64(tail)); math.Abs(mean-want) > 4*se {
+		t.Errorf("mean tail extra = %.0f ns, want %.0f ± %.0f ns", mean, want, 4*se)
+	}
+}
+
+// TestSampleWords pins what one Sample costs in random words — none for a
+// fixed model, one for the tail decision (which also yields its magnitude),
+// three for the jitter — whether or not the tail fires.
+func TestSampleWords(t *testing.T) {
+	const base, jitter, extra = time.Microsecond, 100 * time.Nanosecond, time.Microsecond
+	for _, c := range []struct {
+		name  string
+		m     LatencyModel
+		words int
+	}{
+		{"fixed", Fixed(base), 0},
+		{"tail only", LatencyModel{Base: base, TailProb: 0.5, TailExtra: extra}, 1},
+		{"jitter only", LatencyModel{Base: base, Jitter: jitter}, 3},
+		{"jitter and tail", LatencyModel{Base: base, Jitter: jitter, TailProb: 0.5, TailExtra: extra}, 4},
+	} {
+		var fired [2]int
+		for seed := uint64(0); seed < 64; seed++ {
+			r, ref := NewRand(seed), NewRand(seed)
+			c.m.Sample(r)
+			if c.m.TailProb > 0 {
+				decision := *ref // the tail decides on the sample's last word
+				for i := 1; i < c.words; i++ {
+					decision.Uint64()
+				}
+				if decision.Float64() < c.m.TailProb {
+					fired[1]++
+				} else {
+					fired[0]++
+				}
+			}
+			for i := 0; i < c.words; i++ {
+				ref.Uint64()
+			}
+			if *r != *ref {
+				t.Fatalf("%s, seed %d: one Sample did not advance the generator by exactly %d words", c.name, seed, c.words)
+			}
+		}
+		if c.m.TailProb > 0 && (fired[0] == 0 || fired[1] == 0) {
+			t.Errorf("%s: the tail fired %d and held %d times in 64 seeds; both branches must be pinned", c.name, fired[1], fired[0])
+		}
 	}
 }
 
@@ -257,4 +332,33 @@ func TestDeviceCompletionNeverBeforeSubmission(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+var (
+	normSink   float64
+	sampleSink time.Duration
+)
+
+// BenchmarkNormFloat64 is the jitter draw's ledger row.
+func BenchmarkNormFloat64(b *testing.B) {
+	r := NewRand(1)
+	b.ReportAllocs()
+	var acc float64
+	for i := 0; i < b.N; i++ {
+		acc += r.NormFloat64()
+	}
+	normSink = acc
+}
+
+// BenchmarkSample is the modelled latency's ledger row, jitter and tail both
+// on: the shape of uffd's Copy, the commonest full model.
+func BenchmarkSample(b *testing.B) {
+	r := NewRand(1)
+	m := LatencyModel{Base: 3890 * time.Nanosecond, Jitter: 770 * time.Nanosecond, TailProb: 0.01, TailExtra: 1540 * time.Nanosecond}
+	b.ReportAllocs()
+	var acc time.Duration
+	for i := 0; i < b.N; i++ {
+		acc += m.Sample(r)
+	}
+	sampleSink = acc
 }

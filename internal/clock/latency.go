@@ -17,8 +17,8 @@ type LatencyModel struct {
 	// TailProb is the probability, in [0, 1], that a request lands in the
 	// heavy tail.
 	TailProb float64
-	// TailExtra is the maximum additional latency of a tail event; the actual
-	// extra is uniform in (0, TailExtra].
+	// TailExtra bounds the additional latency of a tail event; the actual
+	// extra is uniform in [0, TailExtra).
 	TailExtra time.Duration
 }
 
@@ -29,13 +29,18 @@ func Fixed(d time.Duration) LatencyModel {
 
 // Sample draws one service time. The result is never below Base/4, keeping
 // the distribution positive and right-skewed like real device latencies.
+// It costs three random words for the jitter and one for the tail: given
+// u < TailProb, u/TailProb is uniform on [0, 1), so the decision word is
+// also the tail's magnitude.
 func (m LatencyModel) Sample(r *Rand) time.Duration {
 	d := m.Base
 	if m.Jitter > 0 {
 		d += time.Duration(r.NormFloat64() * float64(m.Jitter))
 	}
-	if m.TailProb > 0 && r.Float64() < m.TailProb {
-		d += time.Duration(r.Float64() * float64(m.TailExtra))
+	if m.TailProb > 0 {
+		if u := r.Float64(); u < m.TailProb {
+			d += time.Duration(u / m.TailProb * float64(m.TailExtra))
+		}
 	}
 	if min := m.Base / 4; d < min {
 		d = min

@@ -44,12 +44,17 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns an approximately standard-normal variate using the sum
-// of uniforms (Irwin–Hall with 12 terms), which is plenty for latency jitter.
+// NormFloat64 returns an approximately standard-normal variate: the
+// Irwin–Hall sum of 12 uniforms minus 6, so mean 0, variance 1 − 2⁻³²,
+// kurtosis 2.9 and support strictly inside [−6, 6]. Each uniform is a
+// 16-bit lane k of one of three Uint64 words, u = (k + ½)/2¹⁶; the lanes are
+// summed as integers, two per 64-bit add, and only the total becomes a float.
 func (r *Rand) NormFloat64() float64 {
-	sum := 0.0
-	for i := 0; i < 12; i++ {
-		sum += r.Float64()
-	}
-	return sum - 6
+	const lanes = 0x0000ffff0000ffff
+	a, b, c := r.Uint64(), r.Uint64(), r.Uint64()
+	// Two 32-bit accumulators, each a sum of six 16-bit lanes (< 2²⁰).
+	s := a&lanes + a>>16&lanes + b&lanes + b>>16&lanes + c&lanes + c>>16&lanes
+	k := int64(s&0xffffffff + s>>32)
+	// Σ(kᵢ + ½)/2¹⁶ − 6 = (Σkᵢ − (6·2¹⁶ − 6))/2¹⁶, exact in float64.
+	return float64(k-6<<16+6) / (1 << 16)
 }
