@@ -165,12 +165,14 @@ openloop-oracle:
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
 # flat page map), the ghost-LRU working-set estimator, the cluster pool's
-# rendezvous key-routing invariants, and the open-loop arrival schedules'
-# monotonicity, split/merge invariance and equality with the
-# reference-bisection schedule.
+# rendezvous key-routing invariants, the replica-set core (replicated.Store
+# and the cluster pool in lockstep with test-side copies of the code they
+# replaced), and the open-loop arrival schedules' monotonicity, split/merge
+# invariance and equality with the reference-bisection schedule.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s
+	$(GO) test ./internal/kvstore/cluster/ -run FuzzReplicaSet -fuzz FuzzReplicaSet -fuzztime=5s
 	$(GO) test ./internal/loadgen/ -run FuzzArrivalSchedule -fuzz FuzzArrivalSchedule -fuzztime=5s

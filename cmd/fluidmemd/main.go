@@ -616,8 +616,9 @@ func execute(m *fluidmem.Machine, fields []string) error {
 			}
 		}
 		if rep, ok := unwrapStore(m.Store()).(*replicated.Store); ok {
+			rc := rep.Counters()
 			fmt.Printf("  replication: members=%d primary=%d failovers=%d member-errors=%d read-repairs=%d partial-puts=%d\n",
-				rep.Members(), rep.Primary(), rep.Failovers(), rep.MemberErrors(), rep.ReadRepairs(), rep.PartialPuts())
+				rep.Members(), rep.Primary(), rc.Failovers, rc.MemberErrors, rc.ReadRepairs, rc.PartialPuts)
 		}
 		if pool := m.ClusterPool(); pool != nil {
 			c := pool.ClusterStats()

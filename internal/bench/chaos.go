@@ -139,8 +139,9 @@ func runChaosRow(rate float64, faults int, seed uint64) (*ChaosRow, error) {
 		row.Failovers = rst.Failovers
 		row.StallTime = rst.StallTime
 	}
-	row.ReadFailovers = rep.Failovers()
-	row.ReadRepairs = rep.ReadRepairs()
+	rc := rep.Counters()
+	row.ReadFailovers = rc.Failovers
+	row.ReadRepairs = rc.ReadRepairs
 	return row, nil
 }
 
