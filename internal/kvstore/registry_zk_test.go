@@ -2,13 +2,17 @@ package kvstore
 
 import (
 	"testing"
+	"time"
 
+	"fluidmem/internal/clock"
+	"fluidmem/internal/simnet"
 	"fluidmem/internal/zookeeper"
 )
 
 func newZKRegistry(t *testing.T) *ZKRegistry {
 	t.Helper()
-	zk, err := zookeeper.NewCluster(3, 77)
+	net := simnet.New(clock.LatencyModel{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond}, 77)
+	zk, err := zookeeper.New(net, []string{"zk0", "zk1", "zk2"}, 77)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,18 @@
 // Package zookeeper provides a small replicated, globally-consistent table
 // service in the spirit of Apache ZooKeeper, backed by the raft package. The
 // paper (§IV) uses ZooKeeper to guarantee global uniqueness of the virtual
-// partition index built from (PID, hypervisor ID, nonce); this package offers
-// the znode-table subset FluidMem needs: versioned create/get/set/delete,
-// prefix listing, and sequential nodes for unique nonce allocation.
+// partition index built from (PID, hypervisor ID, nonce), and upstream
+// FluidMem keeps its cluster state there too; this package offers the
+// znode-table subset those need: versioned create/get/set/delete and a
+// persistent watch. The cluster pool's controller ensemble is one of these,
+// holding both its routing table and the partition claims.
 package zookeeper
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
-	"fluidmem/internal/clock"
 	"fluidmem/internal/raft"
 	"fluidmem/internal/simnet"
 )
@@ -26,14 +25,16 @@ var (
 	ErrTimeout    = errors.New("zookeeper: operation timed out")
 )
 
+// opTimeout bounds how long (virtual time) one operation may take, across
+// every leader change it retries through.
+const opTimeout = 30 * time.Second
+
 // op kinds.
 const (
-	opCreate    = "create"
-	opCreateSeq = "create-seq"
-	opGet       = "get"
-	opSet       = "set"
-	opDelete    = "delete"
-	opList      = "list"
+	opCreate = "create"
+	opGet    = "get"
+	opSet    = "set"
+	opDelete = "delete"
 )
 
 // command is one replicated table operation. Every operation, including
@@ -51,8 +52,6 @@ type result struct {
 	Err     error
 	Data    []byte
 	Version uint64
-	Path    string
-	Names   []string
 }
 
 type znode struct {
@@ -63,14 +62,12 @@ type znode struct {
 // table is the deterministic state machine replicated by raft.
 type table struct {
 	nodes   map[string]*znode
-	seq     map[string]uint64
 	results map[uint64]result // opID → result, for exactly-once retries
 }
 
 func newTable() *table {
 	return &table{
 		nodes:   make(map[string]*znode),
-		seq:     make(map[string]uint64),
 		results: make(map[uint64]result),
 	}
 }
@@ -87,13 +84,6 @@ func (t *table) apply(cmd command) result {
 			break
 		}
 		t.nodes[cmd.Path] = &znode{data: append([]byte(nil), cmd.Data...), version: 1}
-		r.Path = cmd.Path
-		r.Version = 1
-	case opCreateSeq:
-		t.seq[cmd.Path]++
-		path := fmt.Sprintf("%s%010d", cmd.Path, t.seq[cmd.Path])
-		t.nodes[path] = &znode{data: append([]byte(nil), cmd.Data...), version: 1}
-		r.Path = path
 		r.Version = 1
 	case opGet:
 		n, exists := t.nodes[cmd.Path]
@@ -127,13 +117,6 @@ func (t *table) apply(cmd command) result {
 			break
 		}
 		delete(t.nodes, cmd.Path)
-	case opList:
-		for path := range t.nodes {
-			if strings.HasPrefix(path, cmd.Path) {
-				r.Names = append(r.Names, path)
-			}
-		}
-		sort.Strings(r.Names)
 	default:
 		r.Err = fmt.Errorf("zookeeper: unknown op %q", cmd.Kind)
 	}
@@ -146,43 +129,45 @@ func (t *table) apply(cmd command) result {
 // commits, so from the caller's perspective operations are simple blocking
 // calls on the virtual timeline.
 type Cluster struct {
-	net    *simnet.Network
-	nodes  []*raft.Node
-	tables []*table
-	done   map[uint64]result // results observed via apply on node 0..n
-	nextID uint64
-	// OpTimeout bounds how long (virtual time) one attempt may take.
-	OpTimeout time.Duration
+	net     *simnet.Network
+	nodes   []*raft.Node
+	tables  []*table
+	done    map[uint64]result // results, recorded at the first replica's apply
+	watches map[string]func(data []byte, version uint64)
+	nextID  uint64
 }
 
-// NewCluster builds an n-replica ensemble on a private network. Odd n
-// recommended. The returned cluster has already elected a leader.
-func NewCluster(n int, seed uint64) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("zookeeper: cluster size %d < 1", n)
+// New builds an ensemble whose replicas are the named members of net, raft
+// seeds seed+i in name order, and returns once a leader is elected. Odd
+// member counts recommended.
+func New(net *simnet.Network, names []string, seed uint64) (*Cluster, error) {
+	if len(names) < 1 {
+		return nil, errors.New("zookeeper: an ensemble needs at least one member")
 	}
-	net := simnet.New(clock.LatencyModel{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond}, seed)
 	c := &Cluster{
-		net:       net,
-		done:      make(map[uint64]result),
-		OpTimeout: 30 * time.Second,
+		net:     net,
+		done:    make(map[uint64]result),
+		watches: make(map[string]func([]byte, uint64)),
 	}
-	peers := make([]string, n)
-	for i := range peers {
-		peers[i] = fmt.Sprintf("zk%d", i)
-	}
-	for i, id := range peers {
+	for i, id := range names {
 		tbl := newTable()
 		c.tables = append(c.tables, tbl)
-		node := raft.NewNode(raft.Config{ID: id, Peers: peers, Seed: seed + uint64(i)}, net, func(index uint64, cmd any) {
+		node := raft.NewNode(raft.Config{ID: id, Peers: names, Seed: seed + uint64(i)}, net, func(index uint64, cmd any) {
 			// Every replica computes the identical result (deterministic
-			// state machine), so recording from any of them is safe and
-			// keeps the client responsive even if some replica is down.
-			c.done[cmd.(command).ID] = tbl.apply(cmd.(command))
+			// state machine), so the first to apply records it and fires the
+			// watch; the client stays responsive even if some replica is down.
+			op := cmd.(command)
+			r := tbl.apply(op)
+			if _, seen := c.done[op.ID]; seen {
+				return
+			}
+			c.done[op.ID] = r
+			if watch := c.watches[op.Path]; watch != nil && r.Err == nil && op.Kind != opGet {
+				watch(op.Data, r.Version)
+			}
 		})
 		c.nodes = append(c.nodes, node)
 	}
-	// Elect an initial leader.
 	deadline := net.Clock.Now() + time.Minute
 	for c.leader() == nil && net.Clock.Now() < deadline {
 		net.RunFor(10 * time.Millisecond)
@@ -196,6 +181,14 @@ func NewCluster(n int, seed uint64) (*Cluster, error) {
 // Network exposes the underlying fabric for fault-injection in tests.
 func (c *Cluster) Network() *simnet.Network { return c.net }
 
+// Watch registers fn as path's persistent watch, replacing any earlier one.
+// It fires once per committed change to path — a create or set with the new
+// data and version, a delete with nil and 0 — at the first replica's apply,
+// in log order.
+func (c *Cluster) Watch(path string, fn func(data []byte, version uint64)) {
+	c.watches[path] = fn
+}
+
 // Create makes a new znode. It fails with ErrNodeExists if path is taken.
 func (c *Cluster) Create(path string, data []byte) error {
 	r, err := c.do(command{Kind: opCreate, Path: path, Data: data})
@@ -203,17 +196,6 @@ func (c *Cluster) Create(path string, data []byte) error {
 		return err
 	}
 	return r.Err
-}
-
-// CreateSequential creates a znode at prefix + a cluster-unique, monotonic
-// 10-digit sequence number, returning the full path. This is the primitive
-// the partition registry uses to mint globally unique nonces.
-func (c *Cluster) CreateSequential(prefix string, data []byte) (string, error) {
-	r, err := c.do(command{Kind: opCreateSeq, Path: prefix, Data: data})
-	if err != nil {
-		return "", err
-	}
-	return r.Path, r.Err
 }
 
 // Get returns a znode's data and version.
@@ -244,15 +226,6 @@ func (c *Cluster) Delete(path string, version uint64) error {
 	return r.Err
 }
 
-// List returns the sorted paths with the given prefix.
-func (c *Cluster) List(prefix string) ([]string, error) {
-	r, err := c.do(command{Kind: opList, Path: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return r.Names, r.Err
-}
-
 func (c *Cluster) leader() *raft.Node {
 	var lead *raft.Node
 	for _, n := range c.nodes {
@@ -266,12 +239,13 @@ func (c *Cluster) leader() *raft.Node {
 }
 
 // do proposes cmd through the current leader and pumps the event loop until
-// node 0 applies it, retrying across leader changes. Proposals are
+// a replica applies it, retrying across leader changes. Proposals are
 // deduplicated by ID inside the state machine, so retries are exactly-once.
+// A proposal that times out may still commit later, once a quorum returns.
 func (c *Cluster) do(cmd command) (result, error) {
 	c.nextID++
 	cmd.ID = c.nextID
-	overall := c.net.Clock.Now() + c.OpTimeout
+	overall := c.net.Clock.Now() + opTimeout
 	for c.net.Clock.Now() < overall {
 		lead := c.leader()
 		if lead == nil {
