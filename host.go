@@ -149,7 +149,11 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	}
 	shared = kvstore.Instrumented(shared, cfg.Tracer)
 	registry := template.Registry
-	if registry == nil {
+	switch {
+	case registry != nil:
+	case pool != nil:
+		registry = pool.Registry()
+	default:
 		registry = kvstore.NewLocalRegistry()
 	}
 

@@ -125,8 +125,11 @@ type MachineConfig struct {
 	// with other hypervisors — the setting Migrate requires, and the way
 	// multiple machines pool one RAMCloud cluster (§IV).
 	SharedStore kvstore.Store
-	// Registry optionally supplies a shared partition registry (e.g. the
-	// ZooKeeper-backed one) for multi-hypervisor deployments.
+	// Registry optionally supplies a shared partition registry for
+	// multi-hypervisor deployments. Left nil, a machine that builds its own
+	// BackendCluster pool claims its partition in the pool's ZooKeeper
+	// ensemble (cluster.Pool.Registry); any other machine keeps a private
+	// kvstore.LocalRegistry.
 	Registry kvstore.Registry
 	// HypervisorID identifies this hypervisor in the partition registry.
 	HypervisorID string
@@ -217,7 +220,11 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 			mcfg.Hotset = hs
 		}
 		mcfg.Seed = cfg.Seed + 11
-		monitor, err := core.NewMonitor(mcfg, cfg.Registry, cfg.HypervisorID)
+		registry := cfg.Registry
+		if registry == nil && m.clusterPool != nil {
+			registry = m.clusterPool.Registry()
+		}
+		monitor, err := core.NewMonitor(mcfg, registry, cfg.HypervisorID)
 		if err != nil {
 			return nil, err
 		}
