@@ -342,3 +342,82 @@ func TestMultiPutOwesABufferForEveryLiveKey(t *testing.T) {
 		}
 	}
 }
+
+// withoutQuorum runs op with two of the three controllers partitioned, which
+// leaves every controller cut off from the others, then heals them and runs
+// the fabric until the ensemble has settled.
+func withoutQuorum(p *cluster.Pool, op func()) {
+	p.Network().Partition("ctrl1")
+	p.Network().Partition("ctrl2")
+	op()
+	p.Network().Heal("ctrl1")
+	p.Network().Heal("ctrl2")
+	p.Network().RunFor(5 * time.Second)
+}
+
+// A membership change whose proposal timed out can still commit once the
+// quorum returns: the isolated leader kept it in its log and wins again. At
+// this seed the timed-out AddNode's table commits after the heal, and the
+// pool must then serve the member its table lists — with a store behind it,
+// so writes reach every replica, and drainable like any other member.
+func TestTimedOutAddNodeThatCommitsLaterServes(t *testing.T) {
+	p := newPool(t, 3, 2, 27)
+	withoutQuorum(p, func() {
+		if _, _, err := p.AddNode(0); !errors.Is(err, cluster.ErrProposalTimeout) {
+			t.Fatalf("AddNode without a quorum: err = %v, want ErrProposalTimeout", err)
+		}
+	})
+	if !p.Committed().Has("node3") {
+		t.Fatal("the timed-out table did not commit after the heal: the recipe no longer reproduces")
+	}
+	now := time.Duration(0)
+	for part := 0; part < kvstore.MaxPartitions; part++ {
+		key := kvstore.MakeKey(0x1000000, kvstore.PartitionID(part))
+		done, err := p.Put(now, key, storetest.Page(byte(part)))
+		if errors.Is(err, cluster.ErrStaleEpoch) {
+			done, err = p.Put(now, key, storetest.Page(byte(part)))
+		}
+		if err != nil {
+			t.Fatalf("put to partition %d: %v", part, err)
+		}
+		now = done
+	}
+	if c := p.ClusterStats(); c.PartialPuts != 0 {
+		t.Fatalf("%d of %d partition writes went partial under the committed table", c.PartialPuts, kvstore.MaxPartitions)
+	}
+	if _, err := p.Drain(now, "node3"); err != nil {
+		t.Fatalf("drain of the late-committed member: %v", err)
+	}
+}
+
+// The same shape for Recover: its timed-out shrunken table commits after the
+// heal, so the crashed node has left the table before any resync ran. A
+// later Recover must still restore every page to R copies.
+func TestTimedOutRecoverThatCommitsLaterStillRestores(t *testing.T) {
+	for _, seed := range []uint64{16, 27} {
+		p := newPool(t, 4, 2, seed)
+		keys, now := put(t, p, 64)
+		if err := p.Crash(now, "node0"); err != nil {
+			t.Fatal(err)
+		}
+		withoutQuorum(p, func() {
+			if _, _, err := p.Recover(now); !errors.Is(err, cluster.ErrProposalTimeout) {
+				t.Fatalf("seed %d: Recover without a quorum: err = %v, want ErrProposalTimeout", seed, err)
+			}
+		})
+		if p.Committed().Has("node0") {
+			t.Fatalf("seed %d: the timed-out table did not commit after the heal: the recipe no longer reproduces", seed)
+		}
+		done, copies, err := p.Recover(now)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if copies == 0 {
+			t.Fatalf("seed %d: Recover restored no copy of node0's pages", seed)
+		}
+		if _, more := p.Resync(done); more != 0 {
+			t.Fatalf("seed %d: %d copies still missing after Recover", seed, more)
+		}
+		verify(t, p, keys, done)
+	}
+}

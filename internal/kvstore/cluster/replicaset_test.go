@@ -17,6 +17,7 @@ import (
 	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
 	"fluidmem/internal/kvstore/storetest"
+	"fluidmem/internal/zookeeper"
 )
 
 // TestReplicaSetMatchesParent holds the replica-set core to the two
@@ -25,7 +26,9 @@ import (
 // MultiPut (empty batches and repeated keys included), Get, StartGet,
 // MultiGet and Delete — interleaved with Fail/Recover/RotatePrimary for
 // replicated.Store and with AddNode/Drain/Crash/Recover/Partition/Heal/Resync
-// (and a link healed without a resync) for the pool. After every call the
+// (and a link healed without a resync) for the pool, whose controllers are
+// also partitioned and healed: two cut off leave no quorum, so membership
+// changes time out and may commit later. After every call the
 // two must agree on the returned times, data, error class, hand-back buffers,
 // Stats and counters. The parent copies carry each intended difference as an
 // edit marked "MODEL:"; nothing else may differ.
@@ -83,7 +86,7 @@ func (w *twin) failf(format string, args ...any) {
 func errClass(err error) string {
 	for _, s := range []error{kvstore.ErrNotFound, kvstore.ErrBadValue, ErrUnavailable, ErrStaleEpoch,
 		ErrNodeUnknown, ErrNodeCrashed, ErrNodePartitioned, ErrTooFewNodes, ErrDrainStranded, ErrSlotSpace,
-		replicated.ErrAllReplicasDown, replicated.ErrUnavailable, faulty.ErrInjected, faulty.ErrCrashed} {
+		ErrProposalTimeout, zookeeper.ErrBadVersion, replicated.ErrAllReplicasDown, replicated.ErrUnavailable, faulty.ErrInjected, faulty.ErrCrashed} {
 		if errors.Is(err, s) {
 			return s.Error()
 		}
@@ -316,7 +319,7 @@ func runPoolModel(tb testing.TB, seed uint64, nodes, replicas, steps int) {
 		parent: parent, core: core,
 		state: func() (any, any) {
 			return []any{parent.ClusterStats(), parent.Len(), parent.ClientTable().Epoch, parent.NodeNames()},
-				[]any{core.ClusterStats(), core.Len(), core.ClientTable().Epoch, core.NodeNames()}
+				[]any{core.ClusterStats(), core.Len(), core.client.Epoch, core.NodeNames()}
 		},
 	}
 	rng := clock.NewRand(seed ^ 0xc1a5)
@@ -329,7 +332,7 @@ func runPoolModel(tb testing.TB, seed uint64, nodes, replicas, steps int) {
 		if names := core.NodeNames(); len(names) > 0 {
 			name = names[rng.Intn(len(names))]
 		}
-		switch rng.Intn(8) {
+		switch rng.Intn(10) {
 		case 0:
 			w.op = "add"
 			an, ad, ae := parent.AddNode(w.now)
@@ -372,6 +375,16 @@ func runPoolModel(tb testing.TB, seed uint64, nodes, replicas, steps int) {
 			w.op = "heal link " + name
 			parent.Network().Heal(name)
 			core.Network().Heal(name)
+		case 7:
+			ctrl := controllerNames[rng.Intn(len(controllerNames))]
+			w.op = "partition " + ctrl
+			parent.Network().Partition(ctrl)
+			core.Network().Partition(ctrl)
+		case 8:
+			ctrl := controllerNames[rng.Intn(len(controllerNames))]
+			w.op = "heal " + ctrl
+			parent.Network().Heal(ctrl)
+			core.Network().Heal(ctrl)
 		default:
 			w.op = "resync"
 			ad, an := parent.Resync(w.now)
