@@ -25,7 +25,7 @@
 //	machine.Write64(seg.Addr(0), 42)
 //	v, _ := machine.Read64(seg.Addr(0))
 //
-// The machine's Elapsed() reports virtual time consumed. Stats() returns one
+// The machine's Now() reports virtual time consumed. Stats() returns one
 // aggregated telemetry snapshot — per-layer counters plus, when a Tracer is
 // configured in MachineConfig, per-phase fault-latency percentiles; the
 // Table-I-style code-path profiler stays reachable through Monitor(). Pass

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fluidmem/internal/core"
+	"fluidmem/internal/core/resilience"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/cluster"
 	"fluidmem/internal/kvstore/dram"
@@ -357,5 +358,94 @@ func TestHostClusterPoolReachable(t *testing.T) {
 	}
 	if table.Replicas != 3 {
 		t.Errorf("pool replicates %d ways, want 3", table.Replicas)
+	}
+}
+
+// A marketplace host over a cluster pool that loses a node mid-run. The
+// adversary's working set outgrows the whole budget, so no split stops it
+// thrashing, and its store traffic runs through the crash: reads fail over to
+// the surviving replica and writes go partial until Recover re-replicates.
+// Above the pool the planner must not notice — every Touch returns data,
+// every epoch closes the victim's SLO window, and the shares always sum to
+// the budget.
+func TestHostMarketSurvivesClusterNodeCrash(t *testing.T) {
+	const totalPages, epochOps, rounds = 64, 200, 12
+	// The resilience policy retries the stale-epoch rejections a committed
+	// membership change sends the data path, as fluidmemd's does.
+	mon := core.DefaultConfig(nil, 0)
+	policy := resilience.DefaultPolicy()
+	mon.Resilience = &policy
+	specs := marketTenants(1)
+	for i := range specs {
+		specs[i].VM.Backend, specs[i].VM.Monitor = BackendCluster, &mon
+	}
+	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: totalPages, EpochOps: epochOps, Market: &MarketPolicy{}, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guests := h.Tenants()
+	spans := []int{80, 8}
+	segs := make([]uint64, len(guests))
+	for i, g := range guests {
+		seg, err := g.Machine().Alloc("ws", uint64(spans[i])*PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = seg.Addr(0)
+	}
+	// Crash the node holding the adversary's preferred copies.
+	adv := guests[0].Machine()
+	pool := adv.ClusterPool()
+	part, ok := adv.Monitor().Partition(adv.VM().Config().PID)
+	if !ok {
+		t.Fatal("adversary has no partition")
+	}
+	table := pool.Committed()
+	var victimNode string
+	for _, n := range table.Nodes {
+		if n.Slot == table.Assign(part)[0] {
+			victimNode = n.Name
+		}
+	}
+
+	for r := 0; r < rounds; r++ {
+		switch r {
+		case rounds / 3:
+			if err := pool.Crash(h.Now(), victimNode); err != nil {
+				t.Fatal(err)
+			}
+		case 2 * rounds / 3:
+			_, copied, err := pool.Recover(h.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copied == 0 {
+				t.Fatalf("Recover after crashing %s restored no copies", victimNode)
+			}
+		}
+		for op := r * epochOps; op < (r+1)*epochOps; op++ {
+			for i, g := range guests {
+				if _, err := g.Touch(segs[i]+uint64(op%spans[i])*PageSize, op%3 == 0); err != nil {
+					t.Fatalf("round %d: %s: %v", r, g.ID(), err)
+				}
+			}
+		}
+		st := h.Stats()
+		sum := 0
+		for _, ts := range st.Tenants {
+			sum += ts.SharePages
+		}
+		if sum != totalPages {
+			t.Fatalf("round %d: shares sum to %d, budget %d", r, sum, totalPages)
+		}
+		if got := st.Tenants[1].SLO.Windows; got != uint64(r+1) {
+			t.Fatalf("round %d: victim closed %d SLO windows, want %d", r, got, r+1)
+		}
+	}
+	if st := h.Stats(); st.Market.Epochs != rounds || st.Market.Leases == 0 {
+		t.Fatalf("market stalled over the crash: %+v", st.Market)
+	}
+	if c := pool.ClusterStats(); c.Failovers == 0 || c.Rereplicated == 0 {
+		t.Fatalf("the crash never reached the data path: %+v", c)
 	}
 }

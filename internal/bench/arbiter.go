@@ -119,23 +119,12 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 	}
 
 	spans := []int{cfg.HotSpan, cfg.ColdSpan}
-	guests := h.Tenants()
-	segs := make([]uint64, len(guests))
-	for i, t := range guests {
-		seg, err := t.Machine().Alloc("ws", uint64(spans[i])*fluidmem.PageSize)
-		if err != nil {
-			return row, err
-		}
-		segs[i] = seg.Addr(0)
+	drive, err := CyclicDrive(h.Tenants(), spans)
+	if err != nil {
+		return row, err
 	}
-
-	for op := 0; op < cfg.Rounds*cfg.EpochOps; op++ {
-		for i, t := range guests {
-			addr := segs[i] + uint64(op%spans[i])*fluidmem.PageSize
-			if _, err := t.Touch(addr, op%3 == 0); err != nil {
-				return row, fmt.Errorf("%s: %s op %d: %w", row.Variant, t.ID(), op, err)
-			}
-		}
+	if err := drive(cfg.Rounds*cfg.EpochOps, spans); err != nil {
+		return row, fmt.Errorf("%s: %w", row.Variant, err)
 	}
 	if err := h.Drain(); err != nil {
 		return row, err

@@ -23,11 +23,6 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options {
-	return Options{Seed: 1}
-}
-
 // SystemConfig names one (mechanism, backend) comparison point — a column
 // group in Figure 3 and Figure 4.
 type SystemConfig struct {

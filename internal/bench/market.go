@@ -203,31 +203,23 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 		return row, err
 	}
 
-	guests := h.Tenants()
-	segs := make([]uint64, len(mix.tenants))
+	// Each tenant's segment holds the larger of its two spans; the run
+	// switches to the second-half spans at its midpoint.
+	var halves [2][]int
+	pages := make([]int, len(mix.tenants))
 	for i, def := range mix.tenants {
-		span := def.spans[0]
-		if def.spans[1] > span {
-			span = def.spans[1]
-		}
-		seg, err := guests[i].Machine().Alloc("ws", uint64(span)*fluidmem.PageSize)
-		if err != nil {
-			return row, err
-		}
-		segs[i] = seg.Addr(0)
+		halves[0] = append(halves[0], def.spans[0])
+		halves[1] = append(halves[1], def.spans[1])
+		pages[i] = max(def.spans[0], def.spans[1])
 	}
-
+	drive, err := CyclicDrive(h.Tenants(), pages)
+	if err != nil {
+		return row, err
+	}
 	total := cfg.Rounds * cfg.EpochOps
-	for op := 0; op < total; op++ {
-		phase := 0
-		if op >= total/2 {
-			phase = 1
-		}
-		for i, def := range mix.tenants {
-			addr := segs[i] + uint64(op%def.spans[phase])*fluidmem.PageSize
-			if _, err := guests[i].Touch(addr, op%3 == 0); err != nil {
-				return row, fmt.Errorf("%s/%s: tenant %s op %d: %w", mix.name, variant, def.id, op, err)
-			}
+	for half, ops := range []int{total / 2, total - total/2} {
+		if err := drive(ops, halves[half]); err != nil {
+			return row, fmt.Errorf("%s/%s: %w", mix.name, variant, err)
 		}
 	}
 	if err := h.Drain(); err != nil {

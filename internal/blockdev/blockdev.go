@@ -103,9 +103,6 @@ func New(p Params, seed uint64) (*Device, error) {
 	}, nil
 }
 
-// Kind reports the device technology.
-func (d *Device) Kind() Kind { return d.params.Kind }
-
 // Pages reports the device capacity in pages.
 func (d *Device) Pages() uint64 { return d.params.SizeBytes / PageSize }
 

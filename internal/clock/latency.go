@@ -100,11 +100,6 @@ func (d *Device) SubmitN(now time.Duration, n int) time.Duration {
 	return d.busyUntil
 }
 
-// BusyUntil reports the time at which the device becomes idle.
-func (d *Device) BusyUntil() time.Duration {
-	return d.busyUntil
-}
-
 // Reset clears queued work, e.g. between benchmark phases.
 func (d *Device) Reset() {
 	d.busyUntil = 0

@@ -101,14 +101,6 @@ func New(p Params) (*Tracker, error) {
 	}, nil
 }
 
-// Params reports the tracker's configuration (zero value for nil).
-func (t *Tracker) Params() Params {
-	if t == nil {
-		return Params{}
-	}
-	return t.params
-}
-
 // Fault observes one monitor fault (a miss in the resident list). If the
 // page sits in the ghost list, its 1-based depth from the most recent
 // eviction feeds the miss-ratio curve and the page leaves the shadow list

@@ -173,12 +173,6 @@ func (n *Node) Role() Role { return n.role }
 // Term reports the node's current term.
 func (n *Node) Term() uint64 { return n.currentTerm }
 
-// CommitIndex reports the highest committed log index.
-func (n *Node) CommitIndex() uint64 { return n.commitIndex }
-
-// LogLen reports the number of real entries in the log.
-func (n *Node) LogLen() int { return len(n.log) - 1 }
-
 // Propose appends cmd to the leader's log and begins replication. It returns
 // the entry's index and term, or ok=false if this node is not the leader.
 func (n *Node) Propose(cmd any) (index, term uint64, ok bool) {

@@ -18,8 +18,6 @@ type Balloon struct {
 	// ReclaimPerPage is the virtual-time cost of freeing one guest page
 	// (flush + madvise round trip).
 	ReclaimPerPage time.Duration
-
-	inflated int
 }
 
 // DefaultBalloonFloorPages matches Table III's "Max VM balloon size" row:
@@ -34,9 +32,6 @@ func NewBalloon(v *VM) *Balloon {
 		ReclaimPerPage: 18 * time.Microsecond,
 	}
 }
-
-// InflatedPages reports how many pages the balloon currently holds.
-func (b *Balloon) InflatedPages() int { return b.inflated }
 
 // InflateTo grows the balloon until the VM's resident footprint falls to
 // target pages, the driver floor is reached, or no more guest pages are
@@ -60,15 +55,8 @@ func (b *Balloon) InflateTo(now time.Duration, target int) (int, time.Duration) 
 			}
 			addr := seg.Addr(uint64(p) * PageSize)
 			b.vm.backing.Discard(addr)
-			b.inflated++
 			now += b.ReclaimPerPage
 		}
 	}
 	return b.vm.ResidentPages(), now
-}
-
-// Deflate releases the balloon: the guest may reuse the pages (they fault
-// back in on next touch). Deflation is immediate.
-func (b *Balloon) Deflate() {
-	b.inflated = 0
 }

@@ -354,9 +354,6 @@ func newSwapSubsystem(cfg MachineConfig) (*swap.Subsystem, error) {
 // Now reports the machine's virtual clock.
 func (m *Machine) Now() time.Duration { return m.now }
 
-// Elapsed is an alias for Now: total virtual time since machine creation.
-func (m *Machine) Elapsed() time.Duration { return m.now }
-
 // AdvanceCPU charges pure compute time (workload think time) to the clock.
 func (m *Machine) AdvanceCPU(d time.Duration) {
 	if d > 0 {
@@ -390,12 +387,6 @@ func (m *Machine) Balloon() *vm.Balloon { return m.balloon }
 // Alloc reserves anonymous guest memory for a workload.
 func (m *Machine) Alloc(name string, bytes uint64) (*vm.Segment, error) {
 	return m.vm.Alloc(name, bytes, vm.ClassAnon)
-}
-
-// AllocClass reserves guest memory with an explicit page class (mmap'd
-// files, mlocked buffers).
-func (m *Machine) AllocClass(name string, bytes uint64, class vm.PageClass) (*vm.Segment, error) {
-	return m.vm.Alloc(name, bytes, class)
 }
 
 // Touch accesses the page at addr, advancing the virtual clock by the access
