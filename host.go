@@ -9,7 +9,6 @@ import (
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/cluster"
 	"fluidmem/internal/market"
-	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
 )
 
@@ -79,6 +78,8 @@ type Host struct {
 	windows bool
 
 	stats arbiter.Stats
+	// views is the planner's input, rewritten in place every epoch.
+	views []arbiter.VMView
 }
 
 // NewHost builds the machines and wires the shared plumbing. Every tenant
@@ -262,9 +263,9 @@ func (h *Host) Now() time.Duration {
 // (the budget is never transiently exceeded), and fold predicted/realized
 // savings into the host stats.
 func (h *Host) rebalance() error {
-	views := make([]arbiter.VMView, len(h.tenants))
-	for i, t := range h.tenants {
-		snap := *t.captured
+	h.views = h.views[:0]
+	for _, t := range h.tenants {
+		snap := &t.captured
 		verdict := market.EvaluateSLO(t.policy.SLO, t.capturedHist, t.baseHist)
 		if verdict.Evaluated {
 			t.slo.Windows++
@@ -274,16 +275,17 @@ func (h *Host) rebalance() error {
 		}
 		t.slo.LastP99 = verdict.P99
 		t.slo.LastFaults = verdict.Faults
-		views[i] = arbiter.VMView{
+		t.window = snap.Curve.Sub(t.base.Curve, t.window.Hits)
+		h.views = append(h.views, arbiter.VMView{
 			ID:           t.id,
 			SharePages:   t.machine.monitor.FootprintLimit(),
-			Curve:        snap.Curve.Sub(t.base.Curve),
+			Curve:        t.window,
 			WindowFaults: snap.Faults - t.base.Faults,
 			FloorPages:   t.policy.FloorPages,
 			CeilPages:    t.policy.CeilPages,
 			SLOTarget:    t.policy.SLO,
 			WindowP99:    verdict.P99,
-		}
+		})
 
 		// Realized-savings feedback: a tenant granted pages last epoch should
 		// re-reference less this window. The drop in window ghost hits is the
@@ -296,7 +298,7 @@ func (h *Host) rebalance() error {
 	}
 
 	if h.planner != nil {
-		plan, err := h.planner.Plan(views)
+		plan, err := h.planner.Plan(h.views)
 		if err != nil {
 			return fmt.Errorf("fluidmem: planner: %w", err)
 		}
@@ -327,7 +329,7 @@ func (h *Host) rebalance() error {
 			}
 			pages += mv.Pages
 		}
-		if len(plan.Moves) > 0 {
+		if len(plan.Moves) > 0 && h.cfg.Tracer != nil {
 			h.cfg.Tracer.Emit(trace.EvArbiter, 0, uint64(h.stats.Epochs), h.Now(), 0,
 				fmt.Sprintf("moves=%d pages=%d", len(plan.Moves), pages))
 		}
@@ -335,9 +337,8 @@ func (h *Host) rebalance() error {
 
 	// Open the next window from the captured boundary snapshots.
 	for _, t := range h.tenants {
-		t.base, t.baseHist = *t.captured, t.capturedHist
-		t.captured, t.capturedHist = nil, stats.Histogram{}
-		t.ops = 0
+		t.base, t.baseHist = t.captured, t.capturedHist
+		t.crossed, t.ops = false, 0
 	}
 	return nil
 }

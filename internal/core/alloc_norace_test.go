@@ -12,20 +12,28 @@ import (
 	"time"
 
 	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/trace"
 )
 
 // TestSteadyStateFaultsAllocFree pins the headline property: zero heap
 // allocations per fault in steady state, even though every fault in this
-// workload is a store miss with a dirty eviction behind it.
+// workload is a store miss with a dirty eviction behind it — untraced, and
+// under the histogram-only tracer a Host gives every SLO tenant.
 func TestSteadyStateFaultsAllocFree(t *testing.T) {
 	for name, mk := range allocBenchBackends(t) {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				_, touch := allocHarness(t, mk(), workers, 128)
-				if avg := testing.AllocsPerRun(500, touch); avg != 0 {
-					t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
-				}
-			})
+			for _, traced := range []string{"", "/traced"} {
+				t.Run(fmt.Sprintf("%s/workers=%d%s", name, workers, traced), func(t *testing.T) {
+					var tr *trace.Tracer
+					if traced != "" {
+						tr = trace.New(false)
+					}
+					_, touch := allocHarness(t, mk(), tr, workers, 128)
+					if avg := testing.AllocsPerRun(500, touch); avg != 0 {
+						t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
+					}
+				})
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fluidmem/internal/kvstore/dram"
 	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
+	"fluidmem/internal/trace"
 )
 
 // allocBenchBackends enumerates the store backends the harness pins. Each
@@ -59,13 +60,14 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 	}
 }
 
-// allocHarness builds a monitor over the given store, warms it to steady
-// state, and returns it with a closure running exactly one dirty fault per
-// call.
-func allocHarness(t *testing.T, store kvstore.Store, workers, pages int) (*Monitor, func()) {
+// allocHarness builds a monitor over the given store, traced by tr (nil:
+// untraced), warms it to steady state, and returns it with a closure running
+// exactly one dirty fault per call.
+func allocHarness(t *testing.T, store kvstore.Store, tr *trace.Tracer, workers, pages int) (*Monitor, func()) {
 	t.Helper()
 	cfg := DefaultConfig(store, pages/2)
 	cfg.Workers = workers
+	cfg.Trace = tr
 	m, err := NewMonitor(cfg, nil, "hyp-alloc")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +116,7 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			m, touch := allocHarness(t, tc.store, 1, 128)
+			m, touch := allocHarness(t, tc.store, nil, 1, 128)
 			total := func() int {
 				mapped, pooled := m.fd.FrameCounts()
 				return mapped + pooled + m.wb.QueuedLen() + tc.inStore()

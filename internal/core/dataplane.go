@@ -33,19 +33,27 @@ func (m *Monitor) record(op profOp, addr uint64, d time.Duration) {
 	}
 }
 
+// Each fault path is named by its phase, "FAULT.<path>": no string is built.
+const (
+	pathFirstTouch  = trace.EvFault + ".first_touch"
+	pathZeroRefill  = trace.EvFault + ".zero_refill"
+	pathTier        = trace.EvFault + ".tier"
+	pathSteal       = trace.EvFault + ".steal"
+	pathRead        = trace.EvFault + ".read"
+	pathBatchedRead = trace.EvFault + ".batched_read"
+)
+
 // traceFault emits the end-to-end FAULT span for a resolved fault: the
-// event's arg carries the resolution path, and a per-path histogram
-// ("FAULT.<path>") accumulates alongside the merged FAULT one so the
-// paper's Fig. 5-style breakdown falls straight out of a Snapshot. The
-// nil-tracer early return is the zero-cost fast path: the "FAULT."+path
-// concatenation never runs untraced.
+// event's arg carries the resolution path (the phase past "FAULT."), and the
+// per-path histogram accumulates alongside the merged FAULT one so the
+// paper's Fig. 5-style breakdown falls straight out of a Snapshot.
 func (m *Monitor) traceFault(ev uffd.Event, start, resume time.Duration, path string, err error) {
 	if err != nil || m.tr == nil {
 		return
 	}
 	w := m.workerOf(ev.Addr)
-	m.tr.Emit(trace.EvFault, w, ev.Addr, start, resume-start, path)
-	m.tr.Observe("FAULT."+path, w, resume-start)
+	m.tr.Emit(trace.EvFault, w, ev.Addr, start, resume-start, path[len(trace.EvFault)+1:])
+	m.tr.Observe(path, w, resume-start)
 }
 
 // Touch implements vm.Backing: a guest access to addr. Resident pages return
@@ -109,7 +117,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	key := kvstore.MakeKey(ev.Addr, part)
 	if !m.pages.seen(ev.Addr) {
 		resumeAt, err := m.resolveFirstTouch(t, ev)
-		m.traceFault(ev, eventAt, resumeAt, "first_touch", err)
+		m.traceFault(ev, eventAt, resumeAt, pathFirstTouch, err)
 		return resumeAt, err
 	}
 	// Zero-bitmap hit: the page's latest eviction was elided, so any store
@@ -119,7 +127,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	// even if the feature has since been toggled off.
 	if m.wb.TakeZero(key) {
 		resumeAt, err := m.resolveZeroRefill(t, ev)
-		m.traceFault(ev, eventAt, resumeAt, "zero_refill", err)
+		m.traceFault(ev, eventAt, resumeAt, pathZeroRefill, err)
 		return resumeAt, err
 	}
 	resumeAt, path, err := m.resolveFromStore(t, ev, key)
@@ -179,20 +187,20 @@ func (m *Monitor) zeroFill(t time.Duration, ev uffd.Event) (time.Duration, error
 // resolveFromStore fetches a previously seen page: from the write list
 // (steal), after an in-flight write, or from the key-value store, evicting
 // to make room. path names the resolution route for the fault trace
-// ("tier", "steal", "read", "batched_read").
+// (pathTier, pathSteal, pathRead, pathBatchedRead).
 func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.Key) (resumeAt time.Duration, path string, err error) {
 	// Compressed-tier hit: decompress locally, no network round trip.
 	if m.tier != nil {
 		data, done, hit, err := m.tier.take(t, key)
 		if err != nil {
-			return t, "tier", err
+			return t, pathTier, err
 		}
 		if hit {
 			// Not store-backed: the tier held the only current copy.
 			rt, err := m.installAndWake(done, ev, data, false, true)
 			// The decompression buffer was copied into the VM; pool it.
 			m.fd.Recycle(data)
-			return rt, "tier", err
+			return rt, pathTier, err
 		}
 	}
 	// Steal shortcut: the page is sitting on the pending write list.
@@ -204,14 +212,14 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			// Steal transferred the frame to us; UFFDIO_COPY copied it in,
 			// so the buffer goes back to the pool.
 			m.fd.Recycle(data)
-			return rt, "steal", err
+			return rt, pathSteal, err
 		}
 	} else if m.cfg.AsyncWrite && m.wb.Queued(key) {
 		// Without stealing, a queued write must be flushed and completed
 		// before the read can see the page — the two round trips the steal
 		// optimisation shortcuts (§V-B).
 		if err := m.wb.Flush(t); err != nil {
-			return t, "read", fmt.Errorf("core: forced flush for %v: %w", key, err)
+			return t, pathRead, fmt.Errorf("core: forced flush for %v: %w", key, err)
 		}
 	}
 	// A write of this page is in flight: wait for it to land, then read.
@@ -230,16 +238,16 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	data, readDone, err := m.cfg.Store.Get(t, key)
 	m.record(opReadPage, ev.Addr, readDone-t)
 	if err != nil {
-		return readDone, "read", fmt.Errorf("core: read %v: %w", key, err)
+		return readDone, pathRead, fmt.Errorf("core: read %v: %w", key, err)
 	}
 	t = readDone
 	for m.lru.Len() >= m.cfg.LRUCapacity {
 		if t, err = m.evictOne(t, false); err != nil {
-			return t, "read", err
+			return t, pathRead, err
 		}
 	}
 	rt, err := m.installAndWake(t, ev, data, true, false)
-	return rt, "read", err
+	return rt, pathRead, err
 }
 
 // overlappedRead is the split read of §V-B. The top half issues the store
@@ -260,9 +268,9 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 		pending kvstore.PendingGet
 		window  []prefetchCandidate
 	)
-	path = "read"
+	path = pathRead
 	if m.cfg.PrefetchPages > 0 {
-		path = "batched_read"
+		path = pathBatchedRead
 		pending, window = m.startWindowGet(issue, ev.Addr, key)
 	} else {
 		pending = m.cfg.Store.StartGet(issue, key)

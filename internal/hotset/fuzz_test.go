@@ -86,11 +86,13 @@ func equalStates(t *testing.T, tr *Tracker, m *flatModel) {
 	}
 }
 
-// FuzzGhostLRU drives the Tracker and the flat reference model with the same
-// fault/evict/remove stream decoded from fuzz bytes and requires identical
-// observable state after every operation. Each 3-byte group is one op:
-// opcode byte (mod 3) + 2 address bytes (small space to force collisions,
-// ghost hits, and capacity churn).
+// FuzzGhostLRU drives the Tracker, the parent's container/list Tracker and
+// the flat reference model with the same fault/evict/remove stream decoded
+// from fuzz bytes and requires identical observable state after every
+// operation: the ghostPair's digest, snapshot, length and membership, and the
+// model's counters and contents. Each 3-byte group is one op: opcode byte
+// (mod 3) + 2 address bytes (small space to force collisions, ghost hits,
+// re-evictions of shadowed pages, and capacity churn).
 func FuzzGhostLRU(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 0, 2, 2, 0, 1})
 	f.Add([]byte{1, 0, 1, 1, 0, 1, 0, 0, 1})
@@ -102,31 +104,28 @@ func FuzzGhostLRU(f *testing.F) {
 		// Derive small sizes from the stream head so capacity-boundary and
 		// bucket-clamp behaviour get fuzzed too.
 		p := Params{
-			GhostCapacity: 1 + int(data[0]%13),
-			BucketPages:   1 + int(data[1]%5),
+			GhostCapacity: 1 + int(data[0]%64),
+			BucketPages:   1 + int(data[1]%8),
 		}
 		data = data[2:]
-		tr, err := New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		const pages = 80
+		pair := newGhostPair(t, p, pages)
 		model := newFlatModel(p)
-		for len(data) >= 3 {
-			op := data[0] % 3
-			addr := uint64(binary.LittleEndian.Uint16(data[1:3])%64) << 12
+		for step := 0; len(data) >= 3; step++ {
+			op := int(data[0] % 3)
+			addr := uint64(binary.LittleEndian.Uint16(data[1:3])%pages) << 12
 			data = data[3:]
+			pair.op(op, addr)
 			switch op {
 			case 0:
-				tr.Fault(addr)
 				model.fault(addr)
 			case 1:
-				tr.Evict(addr)
 				model.evict(addr)
 			case 2:
-				tr.Remove(addr)
 				model.remove(addr)
 			}
-			equalStates(t, tr, model)
+			pair.check(t, step)
+			equalStates(t, pair.tr, model)
 		}
 	})
 }

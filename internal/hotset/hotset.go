@@ -28,9 +28,9 @@
 package hotset
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
+	"math"
 )
 
 // Params sizes a Tracker.
@@ -59,9 +59,11 @@ func DefaultParams(lruCapacity int) Params {
 	return Params{GhostCapacity: lruCapacity, BucketPages: bucket}
 }
 
-// ghostEntry is one evicted page key in the shadow list.
-type ghostEntry struct {
-	addr uint64
+// ghostNode is one evicted page key in the shadow list, linked to its
+// neighbours by slab index. A free node's next chains the free list.
+type ghostNode struct {
+	addr       uint64
+	prev, next int32
 }
 
 // Tracker is the ghost-LRU working-set estimator. It is not safe for
@@ -70,10 +72,13 @@ type ghostEntry struct {
 // check.
 type Tracker struct {
 	params Params
-	// ghost is the shadow list: front = most recently evicted. index maps a
-	// page address to its element.
-	ghost *list.List
-	index map[uint64]*list.Element
+	// The shadow list is circular over the nodes slab through the sentinel
+	// nodes[0]: its next is the most recent ghost, its prev the oldest. free is
+	// the first reusable node (0: none); index maps a page to its node, so
+	// len(index) is the list's length (DESIGN.md §12).
+	nodes []ghostNode
+	free  int32
+	index map[uint64]int32
 
 	faults    uint64
 	ghostHits uint64
@@ -86,8 +91,8 @@ type Tracker struct {
 // that cannot hold a page or a bucket that cannot span one is always a
 // configuration bug.
 func New(p Params) (*Tracker, error) {
-	if p.GhostCapacity < 1 {
-		return nil, fmt.Errorf("hotset: ghost capacity %d < 1", p.GhostCapacity)
+	if p.GhostCapacity < 1 || p.GhostCapacity > math.MaxInt32 {
+		return nil, fmt.Errorf("hotset: ghost capacity %d outside [1, 2^31)", p.GhostCapacity)
 	}
 	if p.BucketPages < 1 {
 		return nil, fmt.Errorf("hotset: bucket width %d < 1 page", p.BucketPages)
@@ -95,10 +100,19 @@ func New(p Params) (*Tracker, error) {
 	buckets := (p.GhostCapacity + p.BucketPages - 1) / p.BucketPages
 	return &Tracker{
 		params: p,
-		ghost:  list.New(),
-		index:  make(map[uint64]*list.Element),
+		nodes:  make([]ghostNode, 1),
+		index:  make(map[uint64]int32),
 		hits:   make([]uint64, buckets),
 	}, nil
+}
+
+// unlink drops node i from the shadow list and the index onto the free list.
+func (t *Tracker) unlink(i int32) {
+	n := t.nodes[i]
+	t.nodes[n.prev].next = n.next
+	t.nodes[n.next].prev = n.prev
+	delete(t.index, n.addr)
+	t.nodes[i].next, t.free = t.free, i
 }
 
 // Fault observes one monitor fault (a miss in the resident list). If the
@@ -111,12 +125,12 @@ func (t *Tracker) Fault(addr uint64) {
 		return
 	}
 	t.faults++
-	elem, ok := t.index[addr]
+	node, ok := t.index[addr]
 	if !ok {
 		return
 	}
 	depth := 1
-	for e := t.ghost.Front(); e != nil && e != elem; e = e.Next() {
+	for i := t.nodes[0].next; i != node; i = t.nodes[i].next {
 		depth++
 	}
 	t.ghostHits++
@@ -125,8 +139,7 @@ func (t *Tracker) Fault(addr uint64) {
 		bucket = len(t.hits) - 1
 	}
 	t.hits[bucket]++
-	t.ghost.Remove(elem)
-	delete(t.index, addr)
+	t.unlink(node)
 }
 
 // Evict observes one eviction from the resident list: the page key enters
@@ -139,16 +152,23 @@ func (t *Tracker) Evict(addr uint64) {
 		return
 	}
 	t.evictions++
-	if elem, ok := t.index[addr]; ok {
-		t.ghost.Remove(elem)
-		delete(t.index, addr)
+	if node, ok := t.index[addr]; ok {
+		t.unlink(node)
 	}
-	t.index[addr] = t.ghost.PushFront(ghostEntry{addr: addr})
-	for t.ghost.Len() > t.params.GhostCapacity {
-		oldest := t.ghost.Back()
-		t.ghost.Remove(oldest)
-		delete(t.index, oldest.Value.(ghostEntry).addr)
+	if len(t.index) == t.params.GhostCapacity {
+		t.unlink(t.nodes[0].prev)
 	}
+	i := t.free
+	if i == 0 {
+		i = int32(len(t.nodes))
+		t.nodes = append(t.nodes, ghostNode{})
+	} else {
+		t.free = t.nodes[i].next
+	}
+	t.nodes[i] = ghostNode{addr: addr, next: t.nodes[0].next}
+	t.nodes[t.nodes[0].next].prev = i
+	t.nodes[0].next = i
+	t.index[addr] = i
 }
 
 // Remove forgets a page entirely (balloon discard, VM teardown): the page's
@@ -159,9 +179,8 @@ func (t *Tracker) Remove(addr uint64) {
 	if t == nil {
 		return
 	}
-	if elem, ok := t.index[addr]; ok {
-		t.ghost.Remove(elem)
-		delete(t.index, addr)
+	if node, ok := t.index[addr]; ok {
+		t.unlink(node)
 	}
 }
 
@@ -179,7 +198,7 @@ func (t *Tracker) Len() int {
 	if t == nil {
 		return 0
 	}
-	return t.ghost.Len()
+	return len(t.index)
 }
 
 // Curve is the observed miss-ratio curve beyond the resident capacity:
@@ -217,9 +236,10 @@ func (c Curve) Total() uint64 {
 
 // Sub returns the bucket-wise difference c - prev: the curve of the window
 // between two cumulative snapshots. Counters are monotone, so each cell of
-// prev is <= the matching cell of c.
-func (c Curve) Sub(prev Curve) Curve {
-	out := Curve{BucketPages: c.BucketPages, Hits: append([]uint64(nil), c.Hits...)}
+// prev is <= the matching cell of c. The difference is written over dst's
+// backing array, which grows only when it is shorter than c.
+func (c Curve) Sub(prev Curve, dst []uint64) Curve {
+	out := Curve{BucketPages: c.BucketPages, Hits: append(dst[:0], c.Hits...)}
 	for i := range prev.Hits {
 		if i < len(out.Hits) {
 			out.Hits[i] -= prev.Hits[i]
@@ -250,7 +270,7 @@ func (t *Tracker) Snapshot() Snapshot {
 		Faults:    t.faults,
 		GhostHits: t.ghostHits,
 		Evictions: t.evictions,
-		GhostLen:  t.ghost.Len(),
+		GhostLen:  len(t.index),
 		Curve:     Curve{BucketPages: t.params.BucketPages, Hits: append([]uint64(nil), t.hits...)},
 	}
 }
@@ -300,8 +320,8 @@ func (t *Tracker) Digest() uint64 {
 	for _, hit := range t.hits {
 		word(hit)
 	}
-	for e := t.ghost.Front(); e != nil; e = e.Next() {
-		word(e.Value.(ghostEntry).addr)
+	for i := t.nodes[0].next; i != 0; i = t.nodes[i].next {
+		word(t.nodes[i].addr)
 	}
 	return h.Sum64()
 }

@@ -135,12 +135,17 @@ func TestCurveHitsWithinAndSub(t *testing.T) {
 		t.Fatalf("HitsWithin(100) = %d, want 16", got)
 	}
 	prev := Curve{BucketPages: 4, Hits: []uint64{4, 5, 0}}
-	d := c.Sub(prev)
+	d := c.Sub(prev, nil)
 	if d.Hits[0] != 6 || d.Hits[1] != 0 || d.Hits[2] != 1 {
 		t.Fatalf("Sub: %v", d.Hits)
 	}
 	if c.Hits[0] != 10 {
 		t.Fatal("Sub mutated the receiver")
+	}
+	// A window written over the last one's buffer reuses it.
+	buf := d.Hits
+	if e := c.Sub(c, buf); &e.Hits[0] != &buf[0] || e.Total() != 0 {
+		t.Fatalf("Sub over a buffer: %v, reused %v", e.Hits, &e.Hits[0] == &buf[0])
 	}
 }
 

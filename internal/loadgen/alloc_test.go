@@ -6,9 +6,12 @@ import "testing"
 
 // TestRunAllocsPerArrival pins the engine's own garbage: a whole diurnal
 // run — host construction, planner epochs and report included — allocates
-// well under one object per arrival (≈0.26; ≈4.03 when every arrival cost a
-// closure, two boxed events and a slid queue). What remains belongs to the
-// host's epoch machinery, not to the event loop.
+// about one object per twenty arrivals (≈0.046). It was ≈4.03 when every
+// arrival cost a closure, two boxed events and a slid queue, and ≈0.19 while
+// every eviction boxed a ghost-list entry and a host epoch rebuilt its views
+// and window curves. What is left is growth (frames, slabs and tables
+// reaching their size), host construction, the planner's epoch work, one
+// hotset snapshot per tenant and epoch, and the report.
 // (Not under -race: the detector's instrumentation allocates.)
 func TestRunAllocsPerArrival(t *testing.T) {
 	scen, err := NamedScenario("diurnal")
@@ -23,8 +26,8 @@ func TestRunAllocsPerArrival(t *testing.T) {
 		}
 		offered = rep.Offered
 	})
-	if perArrival := allocs / float64(offered); perArrival >= 0.5 {
-		t.Fatalf("diurnal run: %.0f allocations for %d arrivals = %.2f per arrival, want < 0.5",
+	if perArrival := allocs / float64(offered); perArrival >= 0.1 {
+		t.Fatalf("diurnal run: %.0f allocations for %d arrivals = %.3f per arrival, want < 0.1",
 			allocs, offered, perArrival)
 	} else {
 		t.Logf("%.0f allocations for %d arrivals = %.3f per arrival", allocs, offered, perArrival)

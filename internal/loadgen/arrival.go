@@ -131,6 +131,7 @@ func (cfg ArrivalConfig) Schedule(from, to time.Duration) []time.Duration {
 	if to <= from {
 		return out
 	}
+	cfg.Curve = resolve(cfg.Curve)
 	var buf []time.Duration
 	for k := int64(from / ArrivalSlice); time.Duration(k)*ArrivalSlice < to; k++ {
 		buf = cfg.sliceArrivals(k, buf[:0])
@@ -156,6 +157,7 @@ type Arrivals struct {
 
 // NewArrivals returns an iterator over cfg's arrivals in [from, to).
 func NewArrivals(cfg ArrivalConfig, from, to time.Duration) *Arrivals {
+	cfg.Curve = resolve(cfg.Curve)
 	return &Arrivals{cfg: cfg, from: from, to: to, k: int64(from / ArrivalSlice)}
 }
 

@@ -55,17 +55,29 @@ type DiurnalRate struct {
 	Phase float64
 }
 
-func (c DiurnalRate) omega() float64 { return 2 * math.Pi / secs(c.Period) }
+func (c DiurnalRate) Rate(t time.Duration) float64   { return c.resolved().Rate(t) }
+func (c DiurnalRate) CumOps(t time.Duration) float64 { return c.resolved().CumOps(t) }
 
-func (c DiurnalRate) Rate(t time.Duration) float64 {
-	return c.Base * (1 + c.Swing*math.Sin(c.omega()*secs(t)+c.Phase))
+// diurnalCurve is a DiurnalRate with ω = 2π/Period and cos φ computed once,
+// as a stream evaluates it (resolve). It holds the curve's only expressions,
+// which the struct's own methods reach by resolving afresh: bit-equal.
+type diurnalCurve struct {
+	DiurnalRate
+	w, cosPhase float64
 }
 
-func (c DiurnalRate) CumOps(t time.Duration) float64 {
-	w := c.omega()
+func (c DiurnalRate) resolved() diurnalCurve {
+	return diurnalCurve{c, 2 * math.Pi / secs(c.Period), math.Cos(c.Phase)}
+}
+
+func (c diurnalCurve) Rate(t time.Duration) float64 {
+	return c.Base * (1 + c.Swing*math.Sin(c.w*secs(t)+c.Phase))
+}
+
+func (c diurnalCurve) CumOps(t time.Duration) float64 {
 	s := secs(t)
 	// ∫ Base*(1+Swing*sin(wt+φ)) dt = Base*(t + Swing/w*(cos φ − cos(wt+φ)))
-	return c.Base * (s + c.Swing/w*(math.Cos(c.Phase)-math.Cos(w*s+c.Phase)))
+	return c.Base * (s + c.Swing/c.w*(c.cosPhase-math.Cos(c.w*s+c.Phase)))
 }
 
 // FlashCrowdRate is a step spike: Base load everywhere, multiplied by Spike
@@ -116,6 +128,18 @@ func Scale(curve RateCurve, factor float64) RateCurve {
 		return curve
 	}
 	return ScaledRate{Curve: curve, Factor: factor}
+}
+
+// resolve is the curve an arrival stream evaluates: a DiurnalRate, bare or
+// under ScaledRate, computes its invariants once, not on every call.
+func resolve(curve RateCurve) RateCurve {
+	switch c := curve.(type) {
+	case DiurnalRate:
+		return c.resolved()
+	case ScaledRate:
+		return ScaledRate{resolve(c.Curve), c.Factor}
+	}
+	return curve
 }
 
 // invCum finds the earliest nanosecond t in (lo, hi] with CumOps(t) >=

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fluidmem/internal/clock"
+	"fluidmem/internal/workload/ycsb"
 )
 
 // referenceSlice is sliceArrivals as it stood before guess-and-verify:
@@ -241,6 +242,135 @@ func TestInvCumEdgesMatchBisection(t *testing.T) {
 		}
 		if fallbacks == 0 {
 			t.Fatalf("%+v: no target fell back to bisection; the fallback is not covered here", c)
+		}
+	}
+}
+
+// parentDiurnal is DiurnalRate as its methods stood before a stream resolved
+// its invariants: ω and cos φ recomputed on every call.
+type parentDiurnal DiurnalRate
+
+func (c parentDiurnal) omega() float64 { return 2 * math.Pi / secs(c.Period) }
+
+func (c parentDiurnal) Rate(t time.Duration) float64 {
+	return c.Base * (1 + c.Swing*math.Sin(c.omega()*secs(t)+c.Phase))
+}
+
+func (c parentDiurnal) CumOps(t time.Duration) float64 {
+	w := c.omega()
+	s := secs(t)
+	return c.Base * (s + c.Swing/w*(math.Cos(c.Phase)-math.Cos(w*s+c.Phase)))
+}
+
+// TestResolvedDiurnalBitEqual holds the curve an arrival stream evaluates to
+// the struct's own methods and to the parent's expressions, bit for bit, at
+// 10⁵ instants over three periods (odd nanoseconds included), for φ ∈ {0, π,
+// 1.3}, bare and under Scale(…, 2).
+func TestResolvedDiurnalBitEqual(t *testing.T) {
+	const n = 100_000
+	for _, phase := range []float64{0, math.Pi, 1.3} {
+		d := DiurnalRate{Base: 30_000, Swing: 0.9, Period: 100 * time.Millisecond, Phase: phase}
+		for _, scale := range []float64{1, 2} {
+			curve := Scale(d, scale)
+			parent := Scale(parentDiurnal(d), scale)
+			stream := NewArrivals(ArrivalConfig{Curve: curve}, 0, time.Second).cfg.Curve
+			inner := stream
+			if s, ok := stream.(ScaledRate); ok {
+				inner = s.Curve
+			}
+			if _, ok := inner.(diurnalCurve); !ok {
+				t.Fatalf("φ=%v ×%v: the stream evaluates %T, not the resolved curve", phase, scale, stream)
+			}
+			for i := 0; i < n; i++ {
+				at := time.Duration(i)*(3*d.Period/n) + time.Duration(i%997)
+				for _, c := range []struct {
+					what      string
+					got, want float64
+				}{
+					{"CumOps", stream.CumOps(at), curve.CumOps(at)},
+					{"Rate", stream.Rate(at), curve.Rate(at)},
+					{"parent CumOps", stream.CumOps(at), parent.CumOps(at)},
+					{"parent Rate", stream.Rate(at), parent.Rate(at)},
+				} {
+					if math.Float64bits(c.got) != math.Float64bits(c.want) {
+						t.Fatalf("φ=%v ×%v %s(%v) = %v, want %v", phase, scale, c.what, at, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// parentZipfian is ycsb.Zipfian as it stood while Next computed 1+0.5^θ on
+// every draw that reached the second case: the constructor and Next, copied.
+type parentZipfian struct {
+	n                        int
+	theta, alpha, zetan, eta float64
+	rng                      *clock.Rand
+}
+
+func newParentZipfian(n int, theta float64, seed uint64) *parentZipfian {
+	zeta := func(n int) float64 {
+		sum := 0.0
+		for i := 1; i <= n; i++ {
+			sum += 1 / math.Pow(float64(i), theta)
+		}
+		return sum
+	}
+	z := &parentZipfian{n: n, theta: theta, rng: clock.NewRand(seed)}
+	z.zetan = zeta(n)
+	z.alpha = 1 / (1 - theta)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2)/z.zetan)
+	return z
+}
+
+func (z *parentZipfian) Next() int {
+	u := z.rng.Float64()
+	uz := u * z.zetan
+	var rank int
+	switch {
+	case uz < 1:
+		rank = 0
+	case uz < 1+math.Pow(0.5, z.theta):
+		rank = 1
+	default:
+		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	}
+	if rank >= z.n {
+		rank = z.n - 1
+	}
+	v := uint64(rank)
+	v ^= v >> 33
+	v *= 0xff51afd7ed558ccd
+	v ^= v >> 33
+	v *= 0xc4ceb9fe1a85ec53
+	v ^= v >> 33
+	return int(v % uint64(z.n))
+}
+
+// TestZipfianMatchesParent holds ycsb.Zipfian, whose 1+0.5^θ is computed
+// once in NewZipfian, to the parent's generator draw for draw: 10⁶ draws for
+// each n ∈ {1, 2, 16, 96, 10 000} and θ ∈ {0.5, 0.99}.
+func TestZipfianMatchesParent(t *testing.T) {
+	for _, n := range []int{1, 2, 16, 96, 10_000} {
+		for _, theta := range []float64{0.5, 0.99} {
+			seed := uint64(n)*31 + uint64(theta*100)
+			z, err := ycsb.NewZipfian(n, theta, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent := newParentZipfian(n, theta, seed)
+			ranks := map[int]bool{}
+			for i := 0; i < 1_000_000; i++ {
+				got, want := z.Next(), parent.Next()
+				if got != want {
+					t.Fatalf("n=%d θ=%v draw %d: %d, parent %d", n, theta, i, got, want)
+				}
+				ranks[got] = true
+			}
+			if n > 2 && len(ranks) < 3 {
+				t.Fatalf("n=%d θ=%v: only %d distinct keys; the third case never ran", n, theta, len(ranks))
+			}
 		}
 	}
 }

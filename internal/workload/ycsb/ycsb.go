@@ -88,10 +88,10 @@ func Run(now time.Duration, store RecordStore, cfg Config) (*Result, time.Durati
 // keyspace rather than clustered at 0.
 type Zipfian struct {
 	n     int
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
+	rank1 float64 // 1+0.5^θ: draws with 1 <= u*zetan < rank1 are rank 1
 	rng   *clock.Rand
 }
 
@@ -103,10 +103,11 @@ func NewZipfian(n int, theta float64, seed uint64) (*Zipfian, error) {
 	if theta <= 0 || theta >= 1 {
 		return nil, fmt.Errorf("ycsb: zipfian theta %v out of (0,1)", theta)
 	}
-	z := &Zipfian{n: n, theta: theta, rng: clock.NewRand(seed)}
+	z := &Zipfian{n: n, rng: clock.NewRand(seed)}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	return z, nil
 }
 
@@ -118,7 +119,7 @@ func (z *Zipfian) Next() int {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -3,6 +3,7 @@ package fluidmem
 import (
 	"time"
 
+	"fluidmem/internal/hotset"
 	"fluidmem/internal/market"
 	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
@@ -79,21 +80,24 @@ type Tenant struct {
 	// argument in NoteOp still holds.
 	active bool
 
-	// ops counts guest operations inside the current window; captured holds
-	// the cumulative hotset snapshot taken as the tenant crossed the window
-	// boundary (capture-on-cross: the snapshot depends only on the tenant's
-	// own operation sequence, never on how the driver interleaved the
-	// tenants, so planner inputs — and therefore decisions — are
-	// interleaving-invariant). capturedHist is the cumulative merged FAULT
-	// histogram captured at the same crossing, for SLO windows.
+	// ops counts guest operations inside the current window; crossed marks
+	// the tenant past the window boundary, and captured holds the cumulative
+	// hotset snapshot taken as it crossed (capture-on-cross: the snapshot
+	// depends only on the tenant's own operation sequence, never on how the
+	// driver interleaved the tenants, so planner inputs — and therefore
+	// decisions — are interleaving-invariant). capturedHist is the cumulative
+	// merged FAULT histogram captured at the same crossing, for SLO windows.
 	ops          int
-	captured     *HotsetCounters
+	crossed      bool
+	captured     HotsetCounters
 	capturedHist stats.Histogram
 	// base / baseHist are the snapshots at the previous epoch boundary;
 	// window curves and window histograms are cumulative differences against
-	// them.
+	// them. window is the window curve, rewritten in place every epoch (the
+	// planners read a view's curve while planning and keep none).
 	base     HotsetCounters
 	baseHist stats.Histogram
+	window   hotset.Curve
 	// granted / lastHits feed the realized-savings feedback: a tenant granted
 	// pages last epoch should show fewer ghost hits this window.
 	granted  bool
@@ -137,11 +141,11 @@ func (t *Tenant) NoteOp() error {
 		return nil
 	}
 	t.ops++
-	if t.ops == h.epochOps && t.captured == nil {
+	if t.ops == h.epochOps && !t.crossed {
 		t.capture()
 	}
 	for _, o := range h.tenants {
-		if o.captured == nil && o.active {
+		if !o.crossed && o.active {
 			return nil
 		}
 	}
@@ -149,7 +153,7 @@ func (t *Tenant) NoteOp() error {
 	// capturing them now observes exactly the state they died (or have not
 	// yet booted) with, independent of when in the window this op landed.
 	for _, o := range h.tenants {
-		if o.captured == nil {
+		if !o.crossed {
 			o.capture()
 		}
 	}
@@ -159,8 +163,8 @@ func (t *Tenant) NoteOp() error {
 // capture snapshots the tenant's cumulative hotset counters and FAULT
 // histogram as its window-boundary state.
 func (t *Tenant) capture() {
-	snap := t.machine.monitor.HotsetSnapshot()
-	t.captured = &snap
+	t.crossed = true
+	t.captured = t.machine.monitor.HotsetSnapshot()
 	t.capturedHist = t.machine.monitor.Tracer().PhaseHistogram(trace.EvFault)
 }
 
