@@ -8,8 +8,8 @@ GO ?= go
 # not run them a second time by name; what each proves is written at its
 # named target below, kept as an on-demand entry point. fuzz-short gives the
 # model checkers a short adversarial pass, and bench-ratchet re-measures every
-# directional metric row of the committed BENCH_*.json artifacts and fails on
-# a >10% regression.
+# committed BENCH_*.json artifact and fails unless it comes out byte for byte
+# the same.
 check: fmt-check vet build test check-race fuzz-short bench-ratchet
 
 # Every .go file is gofmt-clean (gofmt -l prints the offenders).
@@ -73,8 +73,9 @@ bench-json:
 # latency sample, uffd access and install/remap, LRU, profiler, zero scan,
 # write list, steady-state fault, scheduler, arrival generation, RAMCloud
 # overwrite, MultiPut of 32 pages), run through `go test`
-# at a fixed iteration count, written to BENCH_wall.json with ns/op, B/op,
-# allocs/op and the run's calibration spin.
+# at a fixed iteration count. The table prints ns/op, B/op and allocs/op;
+# BENCH_wall.json keeps only B/op and allocs/op, which the iteration count
+# fixes on any machine.
 bench-wall:
 	$(GO) run ./cmd/fluidmem-bench -run wall -json
 
@@ -90,21 +91,21 @@ bench-pairs:
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
 
 # Where the host time of the steady-state fault loop goes: one million
-# miss+evict+write-back faults under the CPU profiler, top 25 frames.
+# miss+evict+write-back faults of the BENCH_wall.json row
+# core.BenchmarkSteadyStateFault/ramcloud/workers=4 under the CPU profiler,
+# top 25 frames. -o keeps the test binary in .profile/.
 profile-hotpath:
 	mkdir -p .profile
-	$(GO) run ./cmd/hotpath-probe -faults 1000000 -cpuprofile .profile/hotpath.prof
+	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSteadyStateFault/ramcloud/workers=4$$' -benchtime 1000000x -o .profile/core.test -cpuprofile .profile/hotpath.prof
 	$(GO) tool pprof -top -nodecount=25 .profile/hotpath.prof
 
-# The metric ratchet: re-run the artifact experiments and compare every
-# directional metric row — throughputs and goodputs must not drop, latency
-# and miss-rate rows must not rise — against the committed BENCH_*.json
-# baselines; a >10% move in the bad direction fails the build. The compared
-# rows are virtual-time measurements, so on unchanged simulation logic the
-# comparison is exact; machine-dependent rows (wall clocks, allocation
-# rates) are excluded by key. BENCH_wall.json's ns/op rows are excluded the
-# same way; its allocs/op and B/op rows are counts at a fixed iteration count
-# and must match exactly.
+# The ratchet: re-run the artifact experiments and compare each serialised
+# result with its committed BENCH_*.json byte for byte. Every artifact field
+# is fixed by the seed (virtual time, counts, verdicts, digests, and
+# BENCH_wall.json's B/op and allocs/op at a fixed iteration count), so on
+# unchanged logic nothing moves. Any difference fails the build, naming the
+# first differing line; a deliberate change is a regeneration with
+# `-run <name> -json`, reviewed with git diff.
 bench-ratchet:
 	$(GO) run ./cmd/fluidmem-bench -run artifacts -ratchet
 

@@ -5,11 +5,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -100,13 +98,18 @@ func run(args []string) (err error) {
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		jsonOut  = fs.Bool("json", false, "also write BENCH_<name>.json for experiments that support it")
-		ratchet  = fs.Bool("ratchet", false, "compare every metric row against the committed BENCH_<name>.json; fail on a >10% regression")
+		ratchet  = fs.Bool("ratchet", false, "fail unless each artifact equals the committed BENCH_<name>.json byte for byte")
 		traceOut = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) to this file, for experiments that record one")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memOut   = fs.String("memprofile", "", "write an allocation profile to this file when the experiments finish")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *jsonOut && *ratchet {
+		// -json writes BENCH_<name>.json before -ratchet reads it back, so
+		// together they would compare each artifact with itself.
+		return fmt.Errorf("-json and -ratchet cannot be combined: check with -ratchet, then regenerate with -json")
 	}
 	stopProfiles, err := profiling.Start(*cpuOut, *memOut)
 	if err != nil {
@@ -233,19 +236,14 @@ func selectExperiments(spec string) (map[string]bool, error) {
 	return want, nil
 }
 
-// ratchetCheck is the performance regression gate: every directional metric
-// row of the freshly measured artifact is compared against the committed
-// BENCH_<name>.json baseline, and a >10% move in the bad direction fails the
-// build. Direction comes from the key: throughput-like rows (per_sec, teps,
-// goodput, knee_scale) must not drop; latency-like rows (_ns suffixes, the
-// cluster matrix's P50/P99/Mean/RecoveryTime/DrainTime, _pct miss rates)
-// must not rise. Machine-dependent rows (wall clocks, allocation rates) are
-// excluded — everything else in these artifacts is virtual time,
-// bit-deterministic per seed, so on unchanged simulation logic the
-// comparison is exact and a trip means the change really moved a metric; the
-// gate forces that to be a deliberate, committed decision rather than drift.
-// The wall ledger's allocs_per_op and bytes_per_op rows are counts at a
-// fixed iteration count, machine-independent, and must not move at all.
+// ratchetCheck is the regression gate: the freshly measured artifact,
+// serialised exactly as -json writes it, must equal the committed
+// BENCH_<name>.json byte for byte. Every field of every artifact is
+// deterministic per seed (virtual time, counts, verdicts, digests, and the wall
+// ledger's per-op allocation counts at a fixed iteration count), so on
+// unchanged logic the two are identical, and any moved number, flipped verdict
+// or added row has to be a named regeneration whose git diff shows each
+// changed line in context.
 func ratchetCheck(name string, res renderable) error {
 	j, ok := res.(jsonable)
 	if !ok {
@@ -253,209 +251,37 @@ func ratchetCheck(name string, res renderable) error {
 		return nil
 	}
 	artifact := "BENCH_" + name + ".json"
-	oldData, err := os.ReadFile(artifact)
+	committed, err := os.ReadFile(artifact)
 	if err != nil {
 		return fmt.Errorf("%s: ratchet: no committed baseline: %w", name, err)
 	}
-	newData, err := j.JSON()
+	data, err := j.JSON()
 	if err != nil {
 		return fmt.Errorf("%s: ratchet: json: %w", name, err)
 	}
-	oldRows, err := metricRows(oldData)
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: parse %s: %w", name, artifact, err)
-	}
-	newRows, err := metricRows(newData)
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: parse measured result: %w", name, err)
-	}
-	if len(oldRows) == 0 {
-		fmt.Printf("%s: ratchet: no directional metric rows in %s; skipped\n", name, artifact)
+	measured := append(data, '\n')
+	if bytes.Equal(committed, measured) {
+		fmt.Printf("%s: ratchet: %s matches byte for byte\n", name, artifact)
 		return nil
 	}
-	if path, side := oneSided(oldRows, newRows); path != "" {
-		return fmt.Errorf("%s: ratchet: metric rows changed: %s has %d, measured %d; first row on one side only: %s (%s) (regenerate with -json and commit)",
-			name, artifact, len(oldRows), len(newRows), path, side)
-	}
-	var regressed []string
-	for i, old := range oldRows {
-		cur := newRows[i]
-		if old.path != cur.path {
-			return fmt.Errorf("%s: ratchet: metric row %d moved: %s has %s, measured %s (regenerate with -json and commit)",
-				name, i, artifact, old.path, cur.path)
-		}
-		// 10% relative slack plus a small absolute floor so zero-valued
-		// baselines (a 0 ns p50, an exactly-met bound) don't trip on any
-		// nonzero measurement regardless of magnitude.
-		tol := 0.1*math.Abs(old.val) + metricFloor(old.key)
-		var worse bool
-		switch {
-		case old.dir == exact:
-			worse = cur.val != old.val
-		case old.dir > 0:
-			worse = cur.val < old.val-tol
-		default:
-			worse = cur.val > old.val+tol
-		}
-		if worse {
-			regressed = append(regressed, fmt.Sprintf("%s: %g -> %g", old.path, old.val, cur.val))
-		}
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("%s: ratchet: %d of %d metric rows regressed against %s (threshold 10%%, none for per-op counts):\n  %s",
-			name, len(regressed), len(oldRows), artifact, strings.Join(regressed, "\n  "))
-	}
-	fmt.Printf("%s: ratchet: %d metric rows within 10%% of %s\n", name, len(oldRows), artifact)
-	return nil
-}
-
-// oneSided names the first row, in document order, that one artifact has more
-// often than the other — a row added, dropped or renamed — and which side has
-// it. Rows are matched by path, which carries no array index, so a row
-// inserted in the middle does not make every later row look new. Both empty
-// when the two hold the same rows.
-func oneSided(committed, measured []metricRow) (path, side string) {
-	surplus := make(map[string]int)
-	for _, r := range committed {
-		surplus[r.path]++
-	}
-	for _, r := range measured {
-		surplus[r.path]--
-	}
-	for _, r := range committed {
-		if surplus[r.path] > 0 {
-			return r.path, "committed only"
-		}
-	}
-	for _, r := range measured {
-		if surplus[r.path] < 0 {
-			return r.path, "measured only"
-		}
-	}
-	return "", ""
-}
-
-// metricRow is one directional numeric field of an artifact, in document
-// order. dir is +1 for higher-is-better rows, -1 for lower-is-better, and
-// exact for rows that must not move. path locates the row for a reader:
-// the field names down to it, [] for each array crossed, and the string
-// fields that precede it in its own object, as rows[]{phase=FAULT.read}.p50_ns.
-type metricRow struct {
-	key  string
-	path string
-	val  float64
-	dir  int
-}
-
-// exact is the metricDirection of rows held to equality.
-const exact = 2
-
-// metricDirection classifies an artifact key: +1 higher-is-better, -1
-// lower-is-better, exact for the wall ledger's per-op counts, 0 not a
-// performance metric (config echoes, counts, and machine-dependent
-// measurements like wall clocks or allocation rates).
-func metricDirection(key string) int {
-	if key == "allocs_per_op" || key == "bytes_per_op" {
-		return exact
-	}
-	lk := strings.ToLower(key)
-	for _, skip := range []string{"wall", "alloc", "seed"} {
-		if strings.Contains(lk, skip) {
-			return 0
-		}
-	}
-	switch {
-	case strings.Contains(lk, "per_sec"), strings.Contains(lk, "teps"), key == "knee_scale":
-		return +1
-	case strings.HasSuffix(lk, "_ns"), strings.HasSuffix(lk, "_pct"):
-		return -1
-	}
-	switch key {
-	// The cluster lifecycle matrix predates the _ns suffix convention.
-	case "Mean", "P50", "P99", "RecoveryTime", "DrainTime":
-		return -1
-	}
-	return 0
-}
-
-// metricFloor is the absolute slack added to the 10% relative tolerance.
-func metricFloor(key string) float64 {
-	lk := strings.ToLower(key)
-	switch {
-	case strings.HasSuffix(lk, "_ns"):
-		return 200 // nanoseconds of virtual time
-	case strings.HasSuffix(lk, "_pct"):
-		return 0.5 // percentage points
-	default:
-		return 1e-9
-	}
-}
-
-// metricRows extracts every directional numeric field from a JSON document,
-// in document order, at any nesting depth. Token-level scanning (rather than
-// unmarshalling into a map) keeps the order stable so old and new artifacts
-// compare row-for-row; numbers inside arrays carry no key of their own
-// (spans, sweep lists) and are never collected.
-func metricRows(data []byte) ([]metricRow, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var out []metricRow
-	if _, err := scanValue(dec, "", "", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanValue consumes one JSON value from dec; key names the object field the
-// value belongs to ("" for array elements and the document root) and path
-// locates it. A string value is returned, for the enclosing object's label.
-func scanValue(dec *json.Decoder, key, path string, out *[]metricRow) (string, error) {
-	t, err := dec.Token()
-	if err != nil {
-		return "", err
-	}
-	switch tok := t.(type) {
-	case json.Delim:
-		switch tok {
-		case '{':
-			var label []string
-			for dec.More() {
-				kt, err := dec.Token()
-				if err != nil {
-					return "", err
-				}
-				k, _ := kt.(string)
-				field := path
-				if len(label) > 0 {
-					field += "{" + strings.Join(label, ",") + "}"
-				}
-				if field != "" {
-					field += "."
-				}
-				str, err := scanValue(dec, k, field+k, out)
-				if err != nil {
-					return "", err
-				}
-				if str != "" {
-					label = append(label, k+"="+str)
-				}
+	old, cur := strings.Split(string(committed), "\n"), strings.Split(string(measured), "\n")
+	differ, first := 0, 0
+	for i := 0; i < max(len(old), len(cur)); i++ {
+		if lineAt(old, i) != lineAt(cur, i) {
+			differ++
+			if first == 0 {
+				first = i + 1
 			}
-			_, err := dec.Token() // closing brace
-			return "", err
-		case '[':
-			for dec.More() {
-				if _, err := scanValue(dec, "", path+"[]", out); err != nil {
-					return "", err
-				}
-			}
-			_, err := dec.Token() // closing bracket
-			return "", err
-		}
-	case string:
-		return tok, nil
-	case float64:
-		if dir := metricDirection(key); key != "" && dir != 0 {
-			*out = append(*out, metricRow{key: key, path: path, val: tok, dir: dir})
 		}
 	}
-	return "", nil
+	return fmt.Errorf("%s: ratchet: %s differs from the measured artifact on %d of %d lines; first at line %d:\n  committed: %s\n  measured:  %s\nregenerate with -run %s -json and review the change with git diff",
+		name, artifact, differ, max(len(old), len(cur)), first, lineAt(old, first-1), lineAt(cur, first-1), name)
+}
+
+// lineAt is line i of a split document, or a marker past its end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(past the end)"
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -105,10 +107,15 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
+// hostTimeKey matches a JSON key naming host time.
+var hostTimeKey = regexp.MustCompile(`"([^"]*(?:wall|calib)[^"]*)"\s*:`)
+
 // The registry's artifact flags and the committed baselines must agree in
 // both directions: a BENCH_<name>.json at the module root without a registry
 // row is never re-measured by bench-ratchet (an orphan), and an artifact
-// experiment without its file has no baseline to ratchet against.
+// experiment without its file has no baseline to ratchet against. A committed
+// artifact holds only what the seed determines: a key naming host time would
+// differ on every run and trip the byte-for-byte ratchet.
 func TestArtifactsMatchCommittedBaselines(t *testing.T) {
 	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -118,6 +125,13 @@ func TestArtifactsMatchCommittedBaselines(t *testing.T) {
 	for _, f := range files {
 		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json")
 		committed[name] = true
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := hostTimeKey.FindSubmatch(data); m != nil {
+			t.Errorf("%s has the host-time key %q; the ratchet holds artifacts byte for byte, so they carry no host time", filepath.Base(f), m[1])
+		}
 	}
 	registered := make(map[string]bool)
 	for _, name := range artifactNames() {
@@ -175,192 +189,96 @@ func TestExperimentNamesUnique(t *testing.T) {
 	}
 }
 
-func TestMetricRowsExtraction(t *testing.T) {
-	doc := []byte(`{
-		"meta": {"faults_per_sec": 100.5, "seed": 42, "wall_ms": 17},
-		"rows": [
-			{"label": "a", "faults_per_sec": 1.25, "sojourn_p99_ns": 900, "other": 7},
-			{"label": "b", "nested": {"goodput_per_sec": 2.5}, "miss_pct": 3.5},
-			{"label": "c", "scales": [0.5, 1, 8], "allocs_per_fault": 0}
-		],
-		"knee_scale": 4
-	}`)
-	rows, err := metricRows(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []metricRow{
-		{key: "faults_per_sec", path: "meta.faults_per_sec", val: 100.5, dir: +1},
-		{key: "faults_per_sec", path: "rows[]{label=a}.faults_per_sec", val: 1.25, dir: +1},
-		{key: "sojourn_p99_ns", path: "rows[]{label=a}.sojourn_p99_ns", val: 900, dir: -1},
-		{key: "goodput_per_sec", path: "rows[]{label=b}.nested.goodput_per_sec", val: 2.5, dir: +1},
-		{key: "miss_pct", path: "rows[]{label=b}.miss_pct", val: 3.5, dir: -1},
-		{key: "knee_scale", path: "knee_scale", val: 4, dir: +1},
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %+v, want %+v", rows, want)
-	}
-	for i := range want {
-		if rows[i] != want[i] {
-			t.Fatalf("row %d = %+v, want %+v (document order, seed/wall/alloc/array values excluded)",
-				i, rows[i], want[i])
-		}
-	}
-}
-
-func TestMetricDirection(t *testing.T) {
-	cases := []struct {
-		key  string
-		want int
-	}{
-		{"faults_per_sec", +1}, {"teps", +1}, {"knee_scale", +1},
-		{"sojourn_p99_ns", -1}, {"backlog_ns", -1}, {"miss_pct", -1},
-		{"P99", -1}, {"RecoveryTime", -1},
-		{"wall_ms", 0}, {"allocs_per_fault", 0},
-		// The wall ledger's per-op counts are held to equality.
-		{"allocs_per_op", exact}, {"bytes_per_op", exact}, {"wall_ns_per_op", 0},
-		{"seed", 0}, {"epochs", 0}, {"label", 0},
-		// Machine-dependent markers win over directional suffixes.
-		{"wall_p99_ns", 0},
-	}
-	for _, c := range cases {
-		if got := metricDirection(c.key); got != c.want {
-			t.Errorf("metricDirection(%q) = %d, want %d", c.key, got, c.want)
-		}
-	}
-}
-
-// fakeThroughputResult lets ratchet tests control the "measured" JSON.
-type fakeThroughputResult struct{ doc string }
-
-func (f *fakeThroughputResult) Render() string        { return "fake" }
-func (f *fakeThroughputResult) JSON() ([]byte, error) { return []byte(f.doc), nil }
-
-func TestRatchetCheck(t *testing.T) {
-	dir := t.TempDir()
+// inTempDir runs the rest of the test in a fresh directory, where the
+// committed baselines the ratchet reads are whatever the test writes.
+func inTempDir(t *testing.T) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(dir); err != nil {
+	if err := os.Chdir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	defer os.Chdir(wd)
+	t.Cleanup(func() { os.Chdir(wd) })
+}
 
-	baseline := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000},{"faults_per_sec":2000}]}`
-	if err := os.WriteFile("BENCH_fake.json", []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// fakeResult lets ratchet tests control the "measured" JSON.
+type fakeResult struct{ doc string }
 
-	// Identical rows pass.
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: baseline}); err != nil {
-		t.Fatalf("identical rows rejected: %v", err)
-	}
-	// Small (<10%) moves in the bad direction pass, as does any improvement.
-	ok := `{"rows":[{"faults_per_sec":950,"p99_ns":5400},{"faults_per_sec":2600}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: ok}); err != nil {
-		t.Fatalf("5%% dip rejected: %v", err)
-	}
-	// A >10% throughput drop in any row fails.
-	bad := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000},{"faults_per_sec":1500}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: bad}); err == nil {
-		t.Fatal("25% throughput regression accepted")
-	}
-	// A >10% latency rise fails too — the ratchet is direction-aware, so a
-	// latency row regresses by going UP.
-	slow := `{"rows":[{"faults_per_sec":1000,"p99_ns":7000},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: slow}); err == nil {
-		t.Fatal("40% latency regression accepted")
-	}
-	// A latency *improvement* of any size passes (no ratchet on the good side).
-	fast := `{"rows":[{"faults_per_sec":1000,"p99_ns":100},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: fast}); err != nil {
-		t.Fatalf("latency improvement rejected: %v", err)
-	}
-	// A zero-valued latency baseline tolerates only the absolute floor.
-	zeroBase := `{"rows":[{"p50_ns":0}]}`
-	if err := os.WriteFile("BENCH_zero.json", []byte(zeroBase), 0o644); err != nil {
+func (f *fakeResult) Render() string        { return "fake" }
+func (f *fakeResult) JSON() ([]byte, error) { return []byte(f.doc), nil }
+
+// One rule: the measured artifact equals the committed one byte for byte.
+// Every kind of edit fails, however small, and names the first line it moved.
+func TestRatchetCheck(t *testing.T) {
+	inTempDir(t)
+	measured := `{
+  "savings_pct": 80,
+  "arbiter_wins": true,
+  "rows": [
+    {
+      "phase": "FAULT.read",
+      "faults": 1000
+    },
+    {
+      "phase": "EVICT",
+      "faults": 2000
+    }
+  ]
+}`
+	if err := os.WriteFile("BENCH_fake.json", []byte(measured+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ratchetCheck("zero", &fakeThroughputResult{doc: `{"rows":[{"p50_ns":150}]}`}); err != nil {
-		t.Fatalf("sub-floor rise over zero baseline rejected: %v", err)
+	if err := ratchetCheck("fake", &fakeResult{doc: measured}); err != nil {
+		t.Fatalf("identical artifact rejected: %v", err)
 	}
-	if err := ratchetCheck("zero", &fakeThroughputResult{doc: `{"rows":[{"p50_ns":5000}]}`}); err == nil {
-		t.Fatal("5µs rise over a 0ns baseline accepted")
+	cases := []struct {
+		name, from, to string
+		line           int
+	}{
+		{"a 1-unit move of a number", `"faults": 1000`, `"faults": 1001`, 7},
+		{"a 5% rise of a _pct value", `"savings_pct": 80`, `"savings_pct": 84`, 2},
+		{"a flipped boolean", `"arbiter_wins": true`, `"arbiter_wins": false`, 3},
+		{"a relabelled string", `"phase": "FAULT.read"`, `"phase": "FAULT.batched_read"`, 6},
+		{"an added row", "    }\n  ]", "    },\n    {\n      \"phase\": \"STORE\"\n    }\n  ]", 12},
+		{"a removed row", "    },\n    {\n      \"phase\": \"EVICT\",\n      \"faults\": 2000\n    }", "    }", 8},
 	}
-	// Per-op counts move in neither direction, not even by one.
-	counts := `{"rows":[{"wall_ns_per_op":100,"bytes_per_op":43,"allocs_per_op":0}]}`
-	if err := os.WriteFile("BENCH_counts.json", []byte(counts), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ratchetCheck("counts", &fakeThroughputResult{doc: `{"rows":[{"wall_ns_per_op":900,"bytes_per_op":43,"allocs_per_op":0}]}`}); err != nil {
-		t.Fatalf("wall-time move with unchanged counts rejected: %v", err)
-	}
-	for _, moved := range []string{
-		`{"rows":[{"wall_ns_per_op":100,"bytes_per_op":43,"allocs_per_op":1}]}`,
-		`{"rows":[{"wall_ns_per_op":100,"bytes_per_op":42,"allocs_per_op":0}]}`,
-	} {
-		if err := ratchetCheck("counts", &fakeThroughputResult{doc: moved}); err == nil {
-			t.Fatalf("moved per-op count accepted: %s", moved)
+	for _, c := range cases {
+		doc := strings.Replace(measured, c.from, c.to, 1)
+		if doc == measured {
+			t.Fatalf("%s: edit %q not found", c.name, c.from)
+		}
+		err := ratchetCheck("fake", &fakeResult{doc: doc})
+		if err == nil {
+			t.Errorf("%s accepted", c.name)
+			continue
+		}
+		committedLine := strings.Split(measured, "\n")[c.line-1]
+		for _, want := range []string{fmt.Sprintf("first at line %d:", c.line), "committed: " + committedLine, "-run fake -json"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not say %q:\n%v", c.name, want, err)
+			}
 		}
 	}
-	// Row-count drift fails: the committed artifact is stale. The error names
-	// the first row only one side has, so nobody diffs JSON by hand.
-	drift := `{"rows":[{"faults_per_sec":1000,"p99_ns":5000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: drift}); err == nil || !strings.Contains(err.Error(), "rows[].faults_per_sec (committed only)") {
-		t.Fatalf("row-count drift: %v", err)
-	}
-	// So does a renamed metric, and a row whose identifying string changed.
-	renamed := `{"rows":[{"faults_per_sec":1000,"p98_ns":5000},{"faults_per_sec":2000}]}`
-	if err := ratchetCheck("fake", &fakeThroughputResult{doc: renamed}); err == nil || !strings.Contains(err.Error(), "rows[].p99_ns (committed only)") {
-		t.Fatalf("metric rename: %v", err)
-	}
-	if err := os.WriteFile("BENCH_phases.json", []byte(`{"rows":[{"phase":"FAULT","p50_ns":5},{"phase":"FAULT.read","p50_ns":9}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	relabelled := `{"rows":[{"phase":"FAULT","p50_ns":5},{"phase":"FAULT.batched_read","p50_ns":9}]}`
-	if err := ratchetCheck("phases", &fakeThroughputResult{doc: relabelled}); err == nil || !strings.Contains(err.Error(), "rows[]{phase=FAULT.read}.p50_ns (committed only)") {
-		t.Fatalf("relabelled row: %v", err)
-	}
-	// A missing committed baseline fails loudly.
-	if err := ratchetCheck("absent", &fakeThroughputResult{doc: baseline}); err == nil {
+	if err := ratchetCheck("absent", &fakeResult{doc: measured}); err == nil {
 		t.Fatal("missing baseline accepted")
 	}
 }
 
-// A regressed row is named by its path, and every regressed row of the
-// artifact is listed, not only the first, so one run audits a regeneration.
-func TestRatchetNamesEveryRegressedRow(t *testing.T) {
-	dir := t.TempDir()
-	wd, err := os.Getwd()
-	if err != nil {
+// -json writes BENCH_<name>.json before -ratchet would read it back, so the
+// pair would compare each artifact with itself and pass any regression.
+func TestJSONWithRatchetRefused(t *testing.T) {
+	inTempDir(t)
+	const wrong = "{}\n"
+	if err := os.WriteFile("BENCH_cluster.json", []byte(wrong), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
+	if err := run([]string{"-quick", "-run", "cluster", "-json", "-ratchet"}); err == nil {
+		t.Fatal("-json -ratchet passed against a wrong committed BENCH_cluster.json")
 	}
-	defer os.Chdir(wd)
-
-	baseline := `{"rows":[{"phase":"FAULT","p99_ns":5000},{"phase":"EVICT","p99_ns":6813},{"phase":"STORE","p99_ns":900}],"faults_per_sec":100}`
-	if err := os.WriteFile("BENCH_phases.json", []byte(baseline), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	measured := `{"rows":[{"phase":"FAULT","p99_ns":5100},{"phase":"EVICT","p99_ns":9303},{"phase":"STORE","p99_ns":900}],"faults_per_sec":80}`
-	err = ratchetCheck("phases", &fakeThroughputResult{doc: measured})
-	if err == nil {
-		t.Fatal("two regressed rows accepted")
-	}
-	for _, want := range []string{
-		"2 of 4 metric rows regressed",
-		"rows[]{phase=EVICT}.p99_ns: 6813 -> 9303",
-		"faults_per_sec: 100 -> 80",
-	} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("ratchet error does not say %q:\n%v", want, err)
-		}
-	}
-	if strings.Contains(err.Error(), "phase=FAULT") || strings.Contains(err.Error(), "row 1") {
-		t.Errorf("ratchet error names a row within bounds, or a row by index:\n%v", err)
+	if got, _ := os.ReadFile("BENCH_cluster.json"); string(got) != wrong {
+		t.Fatalf("refused run still rewrote BENCH_cluster.json:\n%s", got)
 	}
 }
 

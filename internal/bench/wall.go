@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // wallPackages are the packages whose testing.B rows make up the wall-clock
@@ -30,11 +29,11 @@ const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUIns
 type WallRow struct {
 	// Name is the package path within the module and the benchmark name.
 	Name string `json:"name"`
-	// WallNsPerOp is host time per operation: machine-dependent, recorded
-	// next to the run's calibration figure, never ratcheted.
-	WallNsPerOp float64 `json:"wall_ns_per_op"`
+	// WallNsPerOp is host time per operation: machine-dependent, so it is
+	// printed in the table and never written to the artifact.
+	WallNsPerOp float64 `json:"-"`
 	// BytesPerOp and AllocsPerOp are machine-independent at a fixed
-	// iteration count; the ratchet holds them exactly.
+	// iteration count; the ratchet holds them byte for byte.
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
@@ -43,11 +42,8 @@ type WallRow struct {
 // by layer.
 type WallResult struct {
 	// Iterations is the fixed -benchtime count every row ran for.
-	Iterations int `json:"iterations"`
-	// CalibSpinWallNs times a fixed arithmetic loop in this run, the unit
-	// wall_ns_per_op figures from different machines are compared in.
-	CalibSpinWallNs float64   `json:"calib_spin_wall_ns"`
-	Rows            []WallRow `json:"rows"`
+	Iterations int       `json:"iterations"`
+	Rows       []WallRow `json:"rows"`
 }
 
 // RunWall runs the ledger's benchmarks with `go test` — the rows are
@@ -74,7 +70,6 @@ func RunWall(opts Options) (*WallResult, error) {
 	if len(res.Rows) == 0 {
 		return nil, fmt.Errorf("wall: no benchmark row in go test output:\n%s", out)
 	}
-	res.CalibSpinWallNs = calibSpin()
 	return res, nil
 }
 
@@ -122,35 +117,13 @@ func parseBenchOutput(out []byte) ([]WallRow, error) {
 	return rows, nil
 }
 
-var calibSink uint64
-
-// calibSpin times 1<<20 steps of an xorshift generator, in nanoseconds per
-// 1024 steps, best of five.
-func calibSpin() float64 {
-	best := time.Duration(1<<63 - 1)
-	for rep := 0; rep < 5; rep++ {
-		x := uint64(88172645463325252)
-		start := time.Now()
-		for i := 0; i < 1<<20; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-		calibSink += x
-	}
-	return float64(best.Nanoseconds()) / 1024
-}
-
 // JSON serialises the ledger (BENCH_wall.json).
 func (r *WallResult) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Render prints the ledger.
 func (r *WallResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Wall-clock ledger — %d iterations per row, calibration spin %.0f ns\n", r.Iterations, r.CalibSpinWallNs)
+	fmt.Fprintf(&b, "Wall-clock ledger — %d iterations per row\n", r.Iterations)
 	fmt.Fprintf(&b, "%-64s %12s %10s %10s\n", "row", "ns/op", "B/op", "allocs/op")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-64s %12.1f %10.0f %10.0f\n", row.Name, row.WallNsPerOp, row.BytesPerOp, row.AllocsPerOp)

@@ -1,7 +1,8 @@
-// Package profiling is the shared pprof plumbing for the measurement
-// binaries (fluidmem-bench, hotpath-probe): CPU and allocation profiles gated
-// behind flags, so wall-clock runs (see EXPERIMENTS.md) can be attributed to
-// code without editing the harness.
+// Package profiling is the pprof plumbing for fluidmem-bench: CPU and
+// allocation profiles gated behind flags, so wall-clock runs (see
+// EXPERIMENTS.md) can be attributed to code without editing the harness. The
+// steady-state fault loop alone is profiled through its testing.B row instead
+// (`make profile-hotpath`).
 package profiling
 
 import (
