@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -18,25 +19,23 @@ import (
 // renderable is any experiment result.
 type renderable interface{ Render() string }
 
-// jsonable marks results that can also be emitted as a machine-readable
-// BENCH_<name>.json artifact (the -json flag).
-type jsonable interface{ JSON() ([]byte, error) }
-
 // traceable marks results that recorded a full virtual-time event log and
 // can serialise it as a Chrome trace (the -trace flag).
 type traceable interface{ WriteChromeTrace(io.Writer) error }
 
 // validatable marks results that carry their own artifact sanity check; a
-// failing Validate aborts -json before the artifact is written (e.g. a
-// BENCH_market.json with zero SLO-enforcement epochs measures nothing and
-// must never be committed as a baseline).
+// failing Validate stops -json before the artifact is written, and fails
+// -ratchet (e.g. a BENCH_market.json with zero SLO-enforcement epochs
+// measures nothing and must never be committed as a baseline).
 type validatable interface{ Validate() error }
 
-// experiment couples a name to its runner. artifact marks the experiments
-// whose results are committed as BENCH_<name>.json baselines: the Makefile's
-// bench-json and bench-ratchet targets select them with the meta-name
-// "artifacts" instead of hand-maintaining a list, so adding an experiment
-// here is the single step that enrolls it in both gates.
+// experiment couples a name to its runner. artifact is the one rule that
+// makes a result a committed BENCH_<name>.json baseline: -json writes, and
+// -ratchet checks, exactly the artifact experiments, each serialised by
+// artifactJSON. The Makefile's bench-json and bench-ratchet targets select
+// them with the meta-name "artifacts" instead of hand-maintaining a list, so
+// marking an experiment here is the single step that enrolls it in both
+// gates.
 type experiment struct {
 	name     string
 	desc     string
@@ -45,6 +44,9 @@ type experiment struct {
 }
 
 func experiments() []experiment {
+	ablation := func(name string) func(bench.Options) (renderable, error) {
+		return func(o bench.Options) (renderable, error) { return bench.RunAblation(name, o) }
+	}
 	return []experiment{
 		{"fig3", "pmbench page-fault latency CDFs, 6 systems", false, func(o bench.Options) (renderable, error) { return bench.RunFig3(o) }},
 		{"table1", "monitor code-path latency profile (RAMCloud, sync)", false, func(o bench.Options) (renderable, error) { return bench.RunTable1(o) }},
@@ -52,12 +54,12 @@ func experiments() []experiment {
 		{"fig4", "Graph500 TEPS across scale factors, 6 systems", false, func(o bench.Options) (renderable, error) { return bench.RunFig4(o) }},
 		{"fig5", "MongoDB YCSB-C latency time courses, swap vs FluidMem", false, func(o bench.Options) (renderable, error) { return bench.RunFig5(o) }},
 		{"table3", "VM footprint minimisation and service responsiveness", false, func(o bench.Options) (renderable, error) { return bench.RunTable3(o) }},
-		{"ablation-steal", "A1: write-list page stealing on/off", false, func(o bench.Options) (renderable, error) { return bench.RunAblationSteal(o) }},
-		{"ablation-batch", "A2: writeback batch-size sweep", false, func(o bench.Options) (renderable, error) { return bench.RunAblationBatch(o) }},
-		{"ablation-remap", "A3: UFFD_REMAP vs copy-out eviction", false, func(o bench.Options) (renderable, error) { return bench.RunAblationRemap(o) }},
-		{"ablation-lru", "A4: LRU list size sweep", false, func(o bench.Options) (renderable, error) { return bench.RunAblationLRU(o) }},
-		{"ablation-compress", "A5: compressed-tier pool size sweep", false, func(o bench.Options) (renderable, error) { return bench.RunAblationCompress(o) }},
-		{"ablation-prefetch", "A6: sequential prefetching on/off × pattern", false, func(o bench.Options) (renderable, error) { return bench.RunAblationPrefetch(o) }},
+		{"ablation-steal", "A1: write-list page stealing on/off", false, ablation("ablation-steal")},
+		{"ablation-batch", "A2: writeback batch-size sweep", false, ablation("ablation-batch")},
+		{"ablation-remap", "A3: UFFD_REMAP vs copy-out eviction", false, ablation("ablation-remap")},
+		{"ablation-lru", "A4: LRU list size sweep", false, ablation("ablation-lru")},
+		{"ablation-compress", "A5: compressed-tier pool size sweep", false, ablation("ablation-compress")},
+		{"ablation-prefetch", "A6: sequential prefetching on/off × pattern", false, ablation("ablation-prefetch")},
 		{"density", "multi-VM density: idle guests drain, active guest grows (§VI-E)", false, func(o bench.Options) (renderable, error) { return bench.RunDensity(o) }},
 		{"chaos", "fault-latency degradation under injected failures, replicated + resilient", false, func(o bench.Options) (renderable, error) { return bench.RunChaos(o) }},
 		{"cluster", "multi-node pool lifecycle: fault p50/p99 healthy/crashed/recovered/drained vs single store", true, func(o bench.Options) (renderable, error) { return bench.RunCluster(o) }},
@@ -84,20 +86,20 @@ func artifactNames() []string {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fluidmem-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) (err error) {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("fluidmem-bench", flag.ContinueOnError)
 	var (
 		runNames = fs.String("run", "all", "comma-separated experiment names, 'all', or 'artifacts' (every experiment with a committed BENCH_<name>.json)")
 		quick    = fs.Bool("quick", false, "run reduced-scale variants")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		list     = fs.Bool("list", false, "list experiments and exit")
-		jsonOut  = fs.Bool("json", false, "also write BENCH_<name>.json for experiments that support it")
+		jsonOut  = fs.Bool("json", false, "also write BENCH_<name>.json for the selected artifact experiments")
 		ratchet  = fs.Bool("ratchet", false, "fail unless each artifact equals the committed BENCH_<name>.json byte for byte")
 		traceOut = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) to this file, for experiments that record one")
 		cpuOut   = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -127,7 +129,7 @@ func run(args []string) (err error) {
 			if e.artifact {
 				mark = " [artifact]"
 			}
-			fmt.Printf("  %-16s %s%s\n", e.name, e.desc, mark)
+			fmt.Fprintf(stdout, "  %-16s %s%s\n", e.name, e.desc, mark)
 		}
 		return nil
 	}
@@ -136,46 +138,41 @@ func run(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	if *jsonOut || *ratchet {
+		// A named experiment without a committed baseline would write or
+		// check nothing; refuse it before anything runs, so a script never
+		// believes it regenerated or held an artifact that does not exist.
+		for _, e := range exps {
+			if want[e.name] && !e.artifact {
+				return fmt.Errorf("%s: -json and -ratchet need an artifact experiment (marked [artifact] by -list)", e.name)
+			}
+		}
+	}
 	for _, e := range exps {
 		if len(want) > 0 && !want[e.name] {
 			continue
 		}
-		fmt.Printf("=== %s: %s ===\n", e.name, e.desc)
+		fmt.Fprintf(stdout, "=== %s: %s ===\n", e.name, e.desc)
 		res, err := e.run(opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Println(res.Render())
-		if *jsonOut {
-			if v, ok := res.(validatable); ok {
-				if err := v.Validate(); err != nil {
-					return fmt.Errorf("%s: %w", e.name, err)
-				}
-			}
-			j, ok := res.(jsonable)
-			if !ok {
-				// With an explicit -run list every named experiment is
-				// expected to produce an artifact; failing loudly here is
-				// what keeps a BENCH_<name>.json from silently never being
-				// written (the bench-json Makefile target relies on it).
-				if len(want) > 0 {
-					return fmt.Errorf("%s: -json requested but this experiment produces no JSON artifact", e.name)
-				}
-				continue
-			}
-			data, err := j.JSON()
+		fmt.Fprintln(stdout, res.Render())
+		if e.artifact && (*jsonOut || *ratchet) {
+			data, err := artifactJSON(res)
 			if err != nil {
-				return fmt.Errorf("%s: json: %w", e.name, err)
-			}
-			artifact := "BENCH_" + e.name + ".json"
-			if err := os.WriteFile(artifact, append(data, '\n'), 0o644); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
-			fmt.Printf("wrote %s\n", artifact)
-		}
-		if *ratchet {
-			if err := ratchetCheck(e.name, res); err != nil {
-				return err
+			if *ratchet {
+				if err := ratchetCheck(stdout, e.name, data); err != nil {
+					return err
+				}
+			} else {
+				artifact := "BENCH_" + e.name + ".json"
+				if err := os.WriteFile(artifact, data, 0o644); err != nil {
+					return fmt.Errorf("%s: %w", e.name, err)
+				}
+				fmt.Fprintf(stdout, "wrote %s\n", artifact)
 			}
 		}
 		if *traceOut != "" {
@@ -194,10 +191,26 @@ func run(args []string) (err error) {
 			if err := f.Close(); err != nil {
 				return fmt.Errorf("%s: %w", e.name, err)
 			}
-			fmt.Printf("wrote %s\n", *traceOut)
+			fmt.Fprintf(stdout, "wrote %s\n", *traceOut)
 		}
 	}
 	return nil
+}
+
+// artifactJSON is an artifact experiment's BENCH_<name>.json: the result,
+// checked by its own Validate if it has one, indented, with a trailing
+// newline.
+func artifactJSON(res renderable) ([]byte, error) {
+	if v, ok := res.(validatable); ok {
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("json: %w", err)
+	}
+	return append(data, '\n'), nil
 }
 
 // selectExperiments resolves a -run list against the registry: nil for
@@ -244,24 +257,14 @@ func selectExperiments(spec string) (map[string]bool, error) {
 // unchanged logic the two are identical, and any moved number, flipped verdict
 // or added row has to be a named regeneration whose git diff shows each
 // changed line in context.
-func ratchetCheck(name string, res renderable) error {
-	j, ok := res.(jsonable)
-	if !ok {
-		fmt.Printf("%s: ratchet: no JSON artifact; skipped\n", name)
-		return nil
-	}
+func ratchetCheck(stdout io.Writer, name string, measured []byte) error {
 	artifact := "BENCH_" + name + ".json"
 	committed, err := os.ReadFile(artifact)
 	if err != nil {
 		return fmt.Errorf("%s: ratchet: no committed baseline: %w", name, err)
 	}
-	data, err := j.JSON()
-	if err != nil {
-		return fmt.Errorf("%s: ratchet: json: %w", name, err)
-	}
-	measured := append(data, '\n')
 	if bytes.Equal(committed, measured) {
-		fmt.Printf("%s: ratchet: %s matches byte for byte\n", name, artifact)
+		fmt.Fprintf(stdout, "%s: ratchet: %s matches byte for byte\n", name, artifact)
 		return nil
 	}
 	old, cur := strings.Split(string(committed), "\n"), strings.Split(string(measured), "\n")

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,41 +13,23 @@ import (
 	"testing"
 )
 
-// captureRun calls run(args) with os.Stdout redirected to a file and returns
-// what it printed.
-func captureRun(t *testing.T, args ...string) (string, error) {
-	t.Helper()
-	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	stdout := os.Stdout
-	os.Stdout = f
-	runErr := run(args)
-	os.Stdout = stdout
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out), runErr
-}
+var update = flag.Bool("update", false, "rewrite testdata/quick.txt from the current experiments")
 
 func TestListFlag(t *testing.T) {
-	out, err := captureRun(t, "-list")
-	if err != nil {
+	var out bytes.Buffer
+	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "table1") {
-		t.Fatalf("-list does not print table1:\n%s", out)
+	if !strings.Contains(out.String(), "table1") {
+		t.Fatalf("-list does not print table1:\n%s", out.String())
 	}
-	if strings.Contains(out, "parallel") {
-		t.Fatalf("-list still prints the deleted parallel experiment:\n%s", out)
+	if strings.Contains(out.String(), "parallel") {
+		t.Fatalf("-list still prints the deleted parallel experiment:\n%s", out.String())
 	}
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "nonsense"}); err == nil {
+	if err := run([]string{"-run", "nonsense"}, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -98,24 +83,31 @@ func TestSelectExperiments(t *testing.T) {
 	}
 	// The rejection happens before anything runs: no experiment header is
 	// printed for the valid name sharing the list.
-	out, err := captureRun(t, "-quick", "-run", "nosuch,table1")
-	if err == nil {
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-run", "nosuch,table1"}, &out); err == nil {
 		t.Fatal("-run nosuch,table1 exited 0")
 	}
-	if strings.Contains(out, "===") {
-		t.Fatalf("an experiment ran before the unknown name was rejected:\n%s", out)
+	if strings.Contains(out.String(), "===") {
+		t.Fatalf("an experiment ran before the unknown name was rejected:\n%s", out.String())
 	}
 }
 
-// hostTimeKey matches a JSON key naming host time.
-var hostTimeKey = regexp.MustCompile(`"([^"]*(?:wall|calib)[^"]*)"\s*:`)
+var (
+	// jsonKey matches every key of a JSON document.
+	jsonKey = regexp.MustCompile(`"([^"]*)"\s*:`)
+	// snakeCase is the one key spelling the artifacts use.
+	snakeCase = regexp.MustCompile(`^[a-z0-9_]+$`)
+	// hostTime matches a key naming host time.
+	hostTime = regexp.MustCompile(`wall|calib`)
+)
 
 // The registry's artifact flags and the committed baselines must agree in
 // both directions: a BENCH_<name>.json at the module root without a registry
 // row is never re-measured by bench-ratchet (an orphan), and an artifact
 // experiment without its file has no baseline to ratchet against. A committed
 // artifact holds only what the seed determines: a key naming host time would
-// differ on every run and trip the byte-for-byte ratchet.
+// differ on every run and trip the byte-for-byte ratchet. Every key is
+// snake_case, one schema across the artifacts.
 func TestArtifactsMatchCommittedBaselines(t *testing.T) {
 	files, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -129,8 +121,18 @@ func TestArtifactsMatchCommittedBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m := hostTimeKey.FindSubmatch(data); m != nil {
-			t.Errorf("%s has the host-time key %q; the ratchet holds artifacts byte for byte, so they carry no host time", filepath.Base(f), m[1])
+		var notSnake []string
+		for _, m := range jsonKey.FindAllSubmatch(data, -1) {
+			key := string(m[1])
+			if hostTime.MatchString(key) {
+				t.Errorf("%s has the host-time key %q; the ratchet holds artifacts byte for byte, so they carry no host time", filepath.Base(f), key)
+			}
+			if !snakeCase.MatchString(key) {
+				notSnake = append(notSnake, key)
+			}
+		}
+		if len(notSnake) > 0 {
+			t.Errorf("%s has %d keys that are not snake_case (^[a-z0-9_]+$), first %q", filepath.Base(f), len(notSnake), notSnake[0])
 		}
 	}
 	registered := make(map[string]bool)
@@ -148,7 +150,7 @@ func TestArtifactsMatchCommittedBaselines(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
+	if err := run([]string{"-definitely-not-a-flag"}, io.Discard); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
@@ -157,8 +159,48 @@ func TestQuickSingleExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment still takes seconds")
 	}
-	if err := run([]string{"-quick", "-run", "table1"}); err != nil {
+	if err := run([]string{"-quick", "-run", "table1"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every experiment's -quick stdout at seed 1 is pinned byte for byte, so
+// stdout depends on nothing but flags and seed; a change to any number or
+// line must be deliberate (go test ./cmd/fluidmem-bench -run
+// TestQuickTranscripts -update rewrites testdata/quick.txt). wall is left
+// out: its table prints host time.
+func TestQuickTranscripts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment at quick scale")
+	}
+	var names []string
+	for _, e := range experiments() {
+		if e.name != "wall" {
+			names = append(names, e.name)
+		}
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-seed", "1", "-run", strings.Join(names, ",")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "quick.txt")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Bytes(), want) {
+		return
+	}
+	got, pinned := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(got), len(pinned)); i++ {
+		if lineAt(got, i) != lineAt(pinned, i) {
+			t.Fatalf("stdout differs from %s at line %d:\n  pinned: %s\n  now:    %s", path, i+1, lineAt(pinned, i), lineAt(got, i))
+		}
 	}
 }
 
@@ -203,12 +245,6 @@ func inTempDir(t *testing.T) {
 	t.Cleanup(func() { os.Chdir(wd) })
 }
 
-// fakeResult lets ratchet tests control the "measured" JSON.
-type fakeResult struct{ doc string }
-
-func (f *fakeResult) Render() string        { return "fake" }
-func (f *fakeResult) JSON() ([]byte, error) { return []byte(f.doc), nil }
-
 // One rule: the measured artifact equals the committed one byte for byte.
 // Every kind of edit fails, however small, and names the first line it moved.
 func TestRatchetCheck(t *testing.T) {
@@ -230,7 +266,7 @@ func TestRatchetCheck(t *testing.T) {
 	if err := os.WriteFile("BENCH_fake.json", []byte(measured+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ratchetCheck("fake", &fakeResult{doc: measured}); err != nil {
+	if err := ratchetCheck(io.Discard, "fake", []byte(measured+"\n")); err != nil {
 		t.Fatalf("identical artifact rejected: %v", err)
 	}
 	cases := []struct {
@@ -249,7 +285,7 @@ func TestRatchetCheck(t *testing.T) {
 		if doc == measured {
 			t.Fatalf("%s: edit %q not found", c.name, c.from)
 		}
-		err := ratchetCheck("fake", &fakeResult{doc: doc})
+		err := ratchetCheck(io.Discard, "fake", []byte(doc+"\n"))
 		if err == nil {
 			t.Errorf("%s accepted", c.name)
 			continue
@@ -261,7 +297,7 @@ func TestRatchetCheck(t *testing.T) {
 			}
 		}
 	}
-	if err := ratchetCheck("absent", &fakeResult{doc: measured}); err == nil {
+	if err := ratchetCheck(io.Discard, "absent", []byte(measured+"\n")); err == nil {
 		t.Fatal("missing baseline accepted")
 	}
 }
@@ -274,7 +310,7 @@ func TestJSONWithRatchetRefused(t *testing.T) {
 	if err := os.WriteFile("BENCH_cluster.json", []byte(wrong), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-quick", "-run", "cluster", "-json", "-ratchet"}); err == nil {
+	if err := run([]string{"-quick", "-run", "cluster", "-json", "-ratchet"}, io.Discard); err == nil {
 		t.Fatal("-json -ratchet passed against a wrong committed BENCH_cluster.json")
 	}
 	if got, _ := os.ReadFile("BENCH_cluster.json"); string(got) != wrong {
@@ -282,13 +318,17 @@ func TestJSONWithRatchetRefused(t *testing.T) {
 	}
 }
 
+// The registry's artifact flag is the one rule: naming an experiment without
+// a committed artifact under -json or -ratchet is an error before anything
+// runs, not a silent skip.
 func TestJSONFlagFailsLoudlyWithoutArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a quick experiment")
-	}
-	// workers renders a table but has no JSON artifact: naming it explicitly
-	// with -json must be an error, not a silent skip.
-	if err := run([]string{"-quick", "-run", "workers", "-json"}); err == nil {
-		t.Fatal("-json with a non-jsonable experiment silently succeeded")
+	for _, flag := range []string{"-json", "-ratchet"} {
+		var out bytes.Buffer
+		if err := run([]string{"-quick", "-run", "workers", flag}, &out); err == nil {
+			t.Errorf("%s with the artifact-less workers experiment succeeded", flag)
+		}
+		if strings.Contains(out.String(), "===") {
+			t.Errorf("%s: workers ran before it was refused:\n%s", flag, out.String())
+		}
 	}
 }

@@ -9,13 +9,13 @@ import (
 	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/stats"
-	"fluidmem/internal/workload/pmbench"
+	"fluidmem/internal/vm"
 )
 
 // AblationPoint is one configuration's measurement.
 type AblationPoint struct {
 	Label string
-	// MeanLatency is the pmbench mean access latency.
+	// MeanLatency is the sweep workload's mean access latency.
 	MeanLatency time.Duration
 	// P99Latency is the tail.
 	P99Latency time.Duration
@@ -31,228 +31,156 @@ type AblationResult struct {
 	Points []AblationPoint
 }
 
-// runAblationPoint measures pmbench over a RAMCloud monitor variant.
-func runAblationPoint(label string, localBytes, wssBytes uint64, accesses int, mutate func(*core.Config), seed uint64) (AblationPoint, error) {
-	return runAblationPointDense(label, localBytes, wssBytes, accesses, 0, mutate, seed)
+// ablationVariant is one point of a sweep: a change to the monitor's default
+// configuration, run in local bytes of DRAM (0: the sweep's scale). It is
+// driven by pmbench, or, when scan is set, by A6's read scan of the populated
+// working set in page order ("seq") or at random ("rand").
+type ablationVariant struct {
+	label  string
+	local  uint64
+	scan   string
+	mutate func(*core.Config)
 }
 
-// runAblationPointDense additionally controls the page fill density (used by
-// the compression ablation, where page contents matter).
-func runAblationPointDense(label string, localBytes, wssBytes uint64, accesses int, density float64, mutate func(*core.Config), seed uint64) (AblationPoint, error) {
-	m, err := newMonitorMachine(fluidmem.BackendRAMCloud, localBytes, wssBytes+wssBytes/4, mutate, seed)
-	if err != nil {
-		return AblationPoint{}, err
-	}
-	cfg := pmbench.DefaultConfig(wssBytes)
-	cfg.Duration = time.Hour
-	cfg.MaxAccesses = accesses
-	cfg.FillDensity = density
-	cfg.Seed = seed
-	res, _, err := pmbench.Run(m.Now(), m.VM(), cfg)
-	if err != nil {
-		return AblationPoint{}, fmt.Errorf("ablation %s: %w", label, err)
-	}
-	st := m.Store().Stats()
-	return AblationPoint{
-		Label:       label,
-		MeanLatency: res.Latencies.Mean(),
-		P99Latency:  res.Latencies.Percentile(99),
-		StoreGets:   st.Gets,
-		StorePuts:   st.Puts,
-		Steals:      m.Monitor().Stats().Steals,
-	}, nil
+// ablation is one sweep: its table title, pmbench's page fill density, and
+// its variants.
+type ablation struct {
+	title    string
+	density  float64
+	variants []ablationVariant
 }
 
-func ablationScale(opts Options) (localBytes, wssBytes uint64, accesses int) {
+// ablations is the DESIGN.md ablation table over a wss-byte working set,
+// keyed by fluidmem-bench experiment name.
+func ablations(wss uint64) map[string]ablation {
+	steal := func(on bool) func(*core.Config) {
+		return func(c *core.Config) {
+			c.StealEnabled = on
+			c.WriteBatchSize = 64 // a deep write list gives stealing room to matter
+		}
+	}
+	batch := func(n int) ablationVariant {
+		return ablationVariant{label: fmt.Sprintf("batch=%d", n), mutate: func(c *core.Config) { c.WriteBatchSize = n }}
+	}
+	evict := func(label string, withCopy bool) ablationVariant {
+		return ablationVariant{label: label, mutate: func(c *core.Config) { c.EvictWithCopy = withCopy }}
+	}
+	lru := func(frac uint64) ablationVariant {
+		return ablationVariant{label: fmt.Sprintf("local=WSS/%d", frac), local: wss / frac}
+	}
+	pool := func(frac uint64) ablationVariant {
+		params := core.DefaultCompressParams(wss / frac)
+		return ablationVariant{label: fmt.Sprintf("pool=WSS/%d", frac), mutate: func(c *core.Config) { c.Compress = &params }}
+	}
+	prefetch := func(scan string, pages int) ablationVariant {
+		return ablationVariant{label: fmt.Sprintf("%s, prefetch=%d", scan, pages), scan: scan,
+			mutate: func(c *core.Config) { c.PrefetchPages = pages }}
+	}
+	return map[string]ablation{
+		// A1 (§V-B): the steal "shortcuts two round trips to the remote
+		// key-value store".
+		"ablation-steal": {title: "A1: write-list stealing", variants: []ablationVariant{
+			{label: "steal=on", mutate: steal(true)}, {label: "steal=off", mutate: steal(false)}}},
+		// A2: multi-write amortisation vs write-list staleness.
+		"ablation-batch": {title: "A2: writeback batch size", variants: []ablationVariant{
+			batch(1), batch(4), batch(16), batch(32), batch(128)}},
+		// A3 (§V-B zero-copy semantics): "UFFD_REMAP ... is not always faster
+		// than UFFD_COPY because of the synchronization required".
+		"ablation-remap": {title: "A3: eviction mechanism", variants: []ablationVariant{
+			evict("UFFD_REMAP (zero-copy)", false), evict("copy-out + zap", true)}},
+		// A4: the local-hit ratio vs footprint trade-off behind the paper's
+		// resizable buffer.
+		"ablation-lru": {title: "A4: LRU list size", variants: []ablationVariant{lru(8), lru(4), lru(2), lru(1)}},
+		// A5: the zswap-style compressed tier (§III's page-compression
+		// customisation). Half-dense pages compress at ratio ≈ 0.5, so pool
+		// budgets bind.
+		"ablation-compress": {title: "A5: compressed tier pool size", density: 0.5, variants: []ablationVariant{
+			{label: "pool=off"}, pool(16), pool(4), pool(1)}},
+		// A6: prefetching pays off on scans and costs wasted store reads on
+		// random access — the trade-off that keeps it opt-in (the paper's own
+		// configuration disables swap readahead).
+		"ablation-prefetch": {title: "A6: sequential prefetching", variants: []ablationVariant{
+			prefetch("seq", 0), prefetch("seq", 8), prefetch("rand", 0), prefetch("rand", 8)}},
+	}
+}
+
+// RunAblation runs one sweep of the ablation table, named as its
+// fluidmem-bench experiment, on a RAMCloud monitor whose working set is 4×
+// its local DRAM.
+func RunAblation(name string, opts Options) (*AblationResult, error) {
+	local, wss, accesses := uint64(4<<20), uint64(16<<20), 15000
 	if opts.Quick {
-		return 1 << 20, 4 << 20, 2500
+		local, wss, accesses = 1<<20, 4<<20, 2500
 	}
-	return 4 << 20, 16 << 20, 15000
-}
-
-// RunAblationSteal measures A1: write-list page stealing on vs off (§V-B:
-// the steal "shortcuts two round trips to the remote key-value store").
-func RunAblationSteal(opts Options) (*AblationResult, error) {
-	local, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A1: write-list stealing"}
-	for _, steal := range []bool{true, false} {
-		steal := steal
-		label := "steal=off"
-		if steal {
-			label = "steal=on"
+	a, ok := ablations(wss)[name]
+	if !ok {
+		return nil, fmt.Errorf("bench: no ablation named %q", name)
+	}
+	out := &AblationResult{Name: a.title}
+	for _, v := range a.variants {
+		if v.local == 0 {
+			v.local = local
 		}
-		p, err := runAblationPoint(label, local, wss, accesses, func(cfg *core.Config) {
-			cfg.StealEnabled = steal
-			cfg.WriteBatchSize = 64 // a deep write list gives stealing room to matter
-		}, opts.Seed)
+		p, err := runAblationVariant(v, wss, accesses, a.density, opts.Seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ablation %s: %w", v.label, err)
 		}
 		out.Points = append(out.Points, p)
 	}
 	return out, nil
 }
 
-// RunAblationBatch measures A2: writeback batch-size sweep (multi-write
-// amortisation vs write-list staleness).
-func RunAblationBatch(opts Options) (*AblationResult, error) {
-	local, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A2: writeback batch size"}
-	for _, batch := range []int{1, 4, 16, 32, 128} {
-		batch := batch
-		p, err := runAblationPoint(fmt.Sprintf("batch=%d", batch), local, wss, accesses, func(cfg *core.Config) {
-			cfg.WriteBatchSize = batch
-		}, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
-}
-
-// RunAblationRemap measures A3: zero-copy UFFD_REMAP eviction vs copy-out
-// (§V-B zero-copy semantics: "UFFD_REMAP ... is not always faster than
-// UFFD_COPY because of the synchronization required").
-func RunAblationRemap(opts Options) (*AblationResult, error) {
-	local, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A3: eviction mechanism"}
-	for _, withCopy := range []bool{false, true} {
-		withCopy := withCopy
-		label := "UFFD_REMAP (zero-copy)"
-		if withCopy {
-			label = "copy-out + zap"
-		}
-		p, err := runAblationPoint(label, local, wss, accesses, func(cfg *core.Config) {
-			cfg.EvictWithCopy = withCopy
-		}, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
-}
-
-// RunAblationLRU measures A4: LRU capacity sweep — the local-hit ratio vs
-// footprint trade-off behind the paper's resizable buffer.
-func RunAblationLRU(opts Options) (*AblationResult, error) {
-	_, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A4: LRU list size"}
-	for _, frac := range []int{8, 4, 2, 1} {
-		frac := frac
-		local := wss / uint64(frac)
-		p, err := runAblationPoint(fmt.Sprintf("local=WSS/%d", frac), local, wss, accesses, nil, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
-}
-
-// RunAblationCompress measures A5: the zswap-style compressed tier (§III's
-// page-compression customisation) across pool sizes. pmbench pages are
-// mostly zero-filled, so the tier absorbs most refaults at decompression
-// speed; the sweep shows the latency win and the remote traffic removed.
-func RunAblationCompress(opts Options) (*AblationResult, error) {
-	local, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A5: compressed tier pool size"}
-	for _, frac := range []int{0, 16, 4, 1} {
-		frac := frac
-		label := "pool=off"
-		var pool uint64
-		if frac > 0 {
-			pool = wss / uint64(frac)
-			label = fmt.Sprintf("pool=WSS/%d", frac)
-		}
-		// Half-dense pages: compressible at ratio ≈ 0.5, so pool budgets bind.
-		p, err := runAblationPointDense(label, local, wss, accesses, 0.5, func(cfg *core.Config) {
-			if pool > 0 {
-				params := core.DefaultCompressParams(pool)
-				cfg.Compress = &params
-			}
-		}, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, p)
-	}
-	return out, nil
-}
-
-// RunAblationPrefetch measures A6: sequential prefetching on/off for
-// sequential and random access patterns. Prefetching pays off on scans and
-// costs wasted store reads on random access — the trade-off that keeps it
-// opt-in (the paper's own configuration disables swap readahead).
-func RunAblationPrefetch(opts Options) (*AblationResult, error) {
-	local, wss, accesses := ablationScale(opts)
-	out := &AblationResult{Name: "A6: sequential prefetching"}
-	for _, p := range []struct {
-		label    string
-		prefetch int
-		seq      bool
-	}{
-		{"seq, prefetch=0", 0, true},
-		{"seq, prefetch=8", 8, true},
-		{"rand, prefetch=0", 0, false},
-		{"rand, prefetch=8", 8, false},
-	} {
-		p := p
-		point, err := runSequentialPoint(p.label, local, wss, accesses, p.seq, func(cfg *core.Config) {
-			cfg.PrefetchPages = p.prefetch
-		}, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		out.Points = append(out.Points, point)
-	}
-	return out, nil
-}
-
-// runSequentialPoint measures average access latency for a strided or random
-// sweep over a working set 4× the local budget.
-func runSequentialPoint(label string, localBytes, wssBytes uint64, accesses int, sequential bool, mutate func(*core.Config), seed uint64) (AblationPoint, error) {
-	m, err := newMonitorMachine(fluidmem.BackendRAMCloud, localBytes, wssBytes+wssBytes/4, mutate, seed)
+// runAblationVariant measures one variant and the store traffic behind it.
+func runAblationVariant(v ablationVariant, wss uint64, accesses int, density float64, seed uint64) (AblationPoint, error) {
+	m, err := newMonitorMachine(fluidmem.MachineConfig{
+		Backend: fluidmem.BackendRAMCloud, LocalMemory: v.local, GuestMemory: wss + wss/4, Seed: seed,
+	}, v.mutate)
 	if err != nil {
 		return AblationPoint{}, err
 	}
-	seg, err := m.Alloc("a6.wss", wssBytes)
+	lat, err := ablationLatencies(m, v.scan, wss, accesses, density, seed)
 	if err != nil {
 		return AblationPoint{}, err
-	}
-	pages := seg.Pages()
-	rng := clock.NewRand(seed + 99)
-	// Populate.
-	for i := 0; i < pages; i++ {
-		if err := m.Write64(seg.Addr(uint64(i)*fluidmem.PageSize), uint64(i)); err != nil {
-			return AblationPoint{}, err
-		}
-	}
-	lat := stats.NewSample(accesses)
-	next := 0
-	for n := 0; n < accesses; n++ {
-		page := next
-		if sequential {
-			next = (next + 1) % pages
-		} else {
-			page = rng.Intn(pages)
-		}
-		start := m.Now()
-		if _, err := m.Read64(seg.Addr(uint64(page) * fluidmem.PageSize)); err != nil {
-			return AblationPoint{}, err
-		}
-		lat.Add(m.Now() - start)
 	}
 	st := m.Store().Stats()
 	return AblationPoint{
-		Label:       label,
+		Label:       v.label,
 		MeanLatency: lat.Mean(),
 		P99Latency:  lat.Percentile(99),
 		StoreGets:   st.Gets,
 		StorePuts:   st.Puts,
 		Steals:      m.Monitor().Stats().Steals,
 	}, nil
+}
+
+// ablationLatencies drives m and returns every access latency: pmbench, or
+// for a scan, accesses timed reads of the populated working set.
+func ablationLatencies(m *fluidmem.Machine, scan string, wss uint64, accesses int, density float64, seed uint64) (*stats.Sample, error) {
+	if scan == "" {
+		res, err := runPmbench(m, wss, accesses, density, seed)
+		if err != nil {
+			return nil, err
+		}
+		return res.Latencies, nil
+	}
+	seg, pages, err := populate(m, wss)
+	if err != nil {
+		return nil, err
+	}
+	rng := clock.NewRand(seed + 99)
+	lat := stats.NewSample(accesses)
+	for n := 0; n < accesses; n++ {
+		page := n % pages
+		if scan == "rand" {
+			page = rng.Intn(pages)
+		}
+		start := m.Now()
+		if _, err := m.Read64(seg.Addr(uint64(page) * vm.PageSize)); err != nil {
+			return nil, err
+		}
+		lat.Add(m.Now() - start)
+	}
+	return lat, nil
 }
 
 // Render prints the sweep.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -173,9 +172,6 @@ func RunArbiter(opts Options) (*ArbiterResult, error) {
 	}
 	return res, nil
 }
-
-// JSON emits the machine-readable artifact (BENCH_arbiter.json).
-func (r *ArbiterResult) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Render prints the comparison as a paper-style table.
 func (r *ArbiterResult) Render() string {

@@ -11,7 +11,7 @@ import (
 
 	"fluidmem"
 	"fluidmem/internal/core"
-	"fluidmem/internal/vm"
+	"fluidmem/internal/core/resilience"
 )
 
 // Options tune experiment scale.
@@ -64,30 +64,27 @@ func newMachine(sys SystemConfig, localBytes, guestBytes uint64, bootOS bool, se
 	return m, nil
 }
 
-// newMonitorMachine builds a FluidMem machine with explicit monitor
-// optimisation toggles (Table II, ablations).
-func newMonitorMachine(backend fluidmem.Backend, localBytes, guestBytes uint64, mutate func(*core.Config), seed uint64) (*fluidmem.Machine, error) {
-	mcfg := core.DefaultConfig(nil, int(localBytes/fluidmem.PageSize))
+// newMonitorMachine builds a FluidMem machine from cfg whose monitor runs
+// core.DefaultConfig changed by mutate (nil: unchanged): Table I and II, the
+// ablations, chaos and cluster.
+func newMonitorMachine(cfg fluidmem.MachineConfig, mutate func(*core.Config)) (*fluidmem.Machine, error) {
+	mcfg := core.DefaultConfig(nil, int(cfg.LocalMemory/fluidmem.PageSize))
 	if mutate != nil {
 		mutate(&mcfg)
 	}
-	return fluidmem.NewMachine(fluidmem.MachineConfig{
-		Mode:        fluidmem.ModeFluidMem,
-		Backend:     backend,
-		LocalMemory: localBytes,
-		GuestMemory: guestBytes,
-		Monitor:     &mcfg,
-		Seed:        seed,
-	})
+	cfg.Mode = fluidmem.ModeFluidMem
+	cfg.Monitor = &mcfg
+	return fluidmem.NewMachine(cfg)
+}
+
+// withResilience enables the default resilience policy, the layer that
+// absorbs stale epochs, crash windows and member errors (chaos, cluster).
+func withResilience(cfg *core.Config) {
+	policy := resilience.DefaultPolicy()
+	cfg.Resilience = &policy
 }
 
 // microseconds formats a duration the way the paper's tables do.
 func microseconds(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Microsecond))
-}
-
-// scaledOSPages is the boot footprint used by scaled experiments: the paper's
-// guests boot at ≈30% of their 1 GB local DRAM.
-func scaledOSPages(localBytes uint64) int {
-	return int(localBytes / vm.PageSize * 3 / 10)
 }

@@ -3,11 +3,42 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"fluidmem/internal/core"
+	"fluidmem/internal/stats"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
+
+// lookup returns the first of rows that match accepts, failing tb when none
+// does: the one way the shape tests and the benchmarks below read a result.
+func lookup[T any](tb testing.TB, rows []T, match func(T) bool) T {
+	tb.Helper()
+	for _, r := range rows {
+		if match(r) {
+			return r
+		}
+	}
+	tb.Fatalf("no %T matches", *new(T))
+	return *new(T)
+}
+
+func fig3Mean(tb testing.TB, res *Fig3Result, system string) time.Duration {
+	return lookup(tb, res.Lines, func(l Fig3Line) bool { return l.System == system }).Result.Latencies.Mean()
+}
+
+func fig4TEPS(tb testing.TB, res *Fig4Result, system string, scale int) float64 {
+	return lookup(tb, res.Cells, func(c Fig4Cell) bool { return c.System == system && c.Scale == scale }).TEPS
+}
+
+func fig5Mean(tb testing.TB, res *Fig5Result, system string, cache uint64) time.Duration {
+	return lookup(tb, res.Series, func(s Fig5Series) bool { return s.System == system && s.CacheBytes == cache }).Result.Latencies.Mean()
+}
+
+func table2Cell(tb testing.TB, res *Table2Result, opt, backend string) Table2Cell {
+	return lookup(tb, res.Cells, func(c Table2Cell) bool { return c.Opt == opt && c.Backend == backend })
+}
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
 	res, err := RunFig3(quickOpts())
@@ -17,13 +48,7 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 	if len(res.Lines) != 6 {
 		t.Fatalf("lines = %d", len(res.Lines))
 	}
-	get := func(name string) float64 {
-		d, ok := res.Average(name)
-		if !ok {
-			t.Fatalf("missing system %q", name)
-		}
-		return float64(d)
-	}
+	get := func(name string) float64 { return float64(fig3Mean(t, res, name)) }
 	fmRC := get("FluidMem RAMCloud")
 	fmMC := get("FluidMem Memcached")
 	swapDRAM := get("Swap DRAM")
@@ -61,6 +86,9 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := func(op string) Table1Row {
+		return lookup(t, res.Rows, func(r Table1Row) bool { return r.CodePath == op })
+	}
 	// Paper's Table I averages in µs, with a ±25% acceptance band.
 	want := map[string]float64{
 		core.OpUpdatePageCache: 2.56,
@@ -73,18 +101,13 @@ func TestTable1MatchesPaperCalibration(t *testing.T) {
 		core.OpWritePage:       14.70,
 	}
 	for op, target := range want {
-		row, ok := res.Row(op)
-		if !ok {
-			t.Fatalf("missing row %s", op)
-		}
-		got := float64(row.Avg) / 1000 // ns → µs
+		got := float64(row(op).Avg) / 1000 // ns → µs
 		if got < target*0.75 || got > target*1.25 {
 			t.Errorf("%s avg = %.2fµs, want ≈%.2fµs", op, got, target)
 		}
 	}
 	// UFFD_REMAP's defining feature: a TLB-shootdown p99 tail far above avg.
-	remap, _ := res.Row(core.OpUffdRemap)
-	if remap.P99 < 4*remap.Avg {
+	if remap := row(core.OpUffdRemap); remap.P99 < 4*remap.Avg {
 		t.Errorf("REMAP p99 (%v) lacks the shootdown tail (avg %v)", remap.P99, remap.Avg)
 	}
 }
@@ -94,13 +117,7 @@ func TestTable2OptimisationsMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := func(opt, backend string) float64 {
-		c, ok := res.Cell(opt, backend)
-		if !ok {
-			t.Fatalf("missing cell %s/%s", opt, backend)
-		}
-		return float64(c.Random)
-	}
+	cell := func(opt, backend string) float64 { return float64(table2Cell(t, res, opt, backend).Random) }
 	def := cell("Default", "ramcloud")
 	ar := cell("Async Read", "ramcloud")
 	aw := cell("Async Write", "ramcloud")
@@ -133,13 +150,7 @@ func TestFig4ShapeMatchesPaper(t *testing.T) {
 	}
 	scales := res.Config.Scales
 	low, high := scales[0], scales[len(scales)-1]
-	teps := func(sys string, scale int) float64 {
-		v, ok := res.TEPS(sys, scale)
-		if !ok {
-			t.Fatalf("missing %s scale %d", sys, scale)
-		}
-		return v
-	}
+	teps := func(sys string, scale int) float64 { return fig4TEPS(t, res, sys, scale) }
 	// In-DRAM scale: FluidMem overhead vs swap is small (paper: 2.6%).
 	fm, sw := teps("FluidMem RAMCloud", low), teps("Swap NVMeoF", low)
 	if overhead := 1 - fm/sw; overhead > 0.15 {
@@ -169,13 +180,10 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 	}
 	sizes := res.Config.CacheSizes
 	small, large := sizes[0], sizes[len(sizes)-1]
-	fmSmall, ok := res.Mean("FluidMem RAMCloud", small)
-	if !ok {
-		t.Fatal("missing series")
-	}
-	fmLarge, _ := res.Mean("FluidMem RAMCloud", large)
-	swSmall, _ := res.Mean("Swap NVMeoF", small)
-	swLarge, _ := res.Mean("Swap NVMeoF", large)
+	fmSmall := fig5Mean(t, res, "FluidMem RAMCloud", small)
+	fmLarge := fig5Mean(t, res, "FluidMem RAMCloud", large)
+	swSmall := fig5Mean(t, res, "Swap NVMeoF", small)
+	swLarge := fig5Mean(t, res, "Swap NVMeoF", large)
 	// Latency decreases with cache size for both systems.
 	if fmLarge >= fmSmall {
 		t.Errorf("FluidMem did not improve with cache: %v → %v", fmSmall, fmLarge)
@@ -197,41 +205,44 @@ func TestTable3MatchesPaper(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	boot, _ := res.Row("After startup")
-	if !boot.SSH || !boot.ICMP {
+	row := func(prefix string) Table3Row {
+		return lookup(t, res.Rows, func(r Table3Row) bool { return strings.HasPrefix(r.Scenario, prefix) })
+	}
+	if boot := row("After startup"); !boot.SSH || !boot.ICMP {
 		t.Error("fresh VM should answer both services")
 	}
-	balloon, _ := res.Row("Max VM balloon size")
-	if balloon.FootprintPages <= 180 {
+	if balloon := row("Max VM balloon size"); balloon.FootprintPages <= 180 {
 		t.Error("balloon reached a FluidMem-scale footprint; its floor should stop it")
 	}
-	fm180, _ := res.Row("FluidMem (KVM) 180")
-	if !fm180.SSH || !fm180.ICMP || !fm180.Revived {
+	if fm180 := row("FluidMem (KVM) 180"); !fm180.SSH || !fm180.ICMP || !fm180.Revived {
 		t.Errorf("180 pages: %+v", fm180)
 	}
-	fm80, _ := res.Row("FluidMem (KVM) 80")
-	if fm80.SSH || !fm80.ICMP || !fm80.Revived {
+	if fm80 := row("FluidMem (KVM) 80"); fm80.SSH || !fm80.ICMP || !fm80.Revived {
 		t.Errorf("80 pages: %+v", fm80)
 	}
-	fv1, _ := res.Row("FluidMem (full virtualization)")
-	if fv1.SSH || fv1.ICMP || fv1.Deadlocked || !fv1.Revived {
+	if fv1 := row("FluidMem (full virtualization)"); fv1.SSH || fv1.ICMP || fv1.Deadlocked || !fv1.Revived {
 		t.Errorf("1 page full virt: %+v", fv1)
 	}
 }
 
 func TestAblationsRun(t *testing.T) {
-	steal, err := RunAblationSteal(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var on, off AblationPoint
-	for _, p := range steal.Points {
-		if p.Label == "steal=on" {
-			on = p
-		} else {
-			off = p
+	run := func(name string) *AblationResult {
+		t.Helper()
+		res, err := RunAblation(name, quickOpts())
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !strings.Contains(res.Render(), "Ablation") {
+			t.Errorf("%s: render missing header", name)
+		}
+		return res
 	}
+	point := func(r *AblationResult, label string) AblationPoint {
+		return lookup(t, r.Points, func(p AblationPoint) bool { return p.Label == label })
+	}
+
+	steal := run("ablation-steal")
+	on, off := point(steal, "steal=on"), point(steal, "steal=off")
 	if on.Steals == 0 || off.Steals != 0 {
 		t.Errorf("steal counters wrong: on=%d off=%d", on.Steals, off.Steals)
 	}
@@ -240,18 +251,11 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("steal=on p99 (%v) not below steal=off (%v)", on.P99Latency, off.P99Latency)
 	}
 
-	remap, err := RunAblationRemap(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remap.Points) != 2 {
+	if remap := run("ablation-remap"); len(remap.Points) != 2 {
 		t.Fatal("remap ablation incomplete")
 	}
 
-	lru, err := RunAblationLRU(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	lru := run("ablation-lru")
 	// More local memory, fewer remote reads.
 	for i := 1; i < len(lru.Points); i++ {
 		if lru.Points[i].StoreGets > lru.Points[i-1].StoreGets {
@@ -259,18 +263,11 @@ func TestAblationsRun(t *testing.T) {
 		}
 	}
 
-	batch, err := RunAblationBatch(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Points) != 5 {
+	if batch := run("ablation-batch"); len(batch.Points) != 5 {
 		t.Fatal("batch sweep incomplete")
 	}
 
-	compress, err := RunAblationCompress(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	compress := run("ablation-compress")
 	// A big-enough pool must remove remote read traffic entirely.
 	first, last := compress.Points[0], compress.Points[len(compress.Points)-1]
 	if first.Label != "pool=off" || first.StoreGets == 0 {
@@ -280,23 +277,9 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("largest pool removed no remote reads: %d vs %d", last.StoreGets, first.StoreGets)
 	}
 
-	prefetch, err := RunAblationPrefetch(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seqOff, seqOn, randOff, randOn AblationPoint
-	for _, p := range prefetch.Points {
-		switch p.Label {
-		case "seq, prefetch=0":
-			seqOff = p
-		case "seq, prefetch=8":
-			seqOn = p
-		case "rand, prefetch=0":
-			randOff = p
-		case "rand, prefetch=8":
-			randOn = p
-		}
-	}
+	prefetch := run("ablation-prefetch")
+	seqOff, seqOn := point(prefetch, "seq, prefetch=0"), point(prefetch, "seq, prefetch=8")
+	randOff, randOn := point(prefetch, "rand, prefetch=0"), point(prefetch, "rand, prefetch=8")
 	if seqOn.MeanLatency >= seqOff.MeanLatency {
 		t.Errorf("prefetch did not help sequential scans: %v vs %v", seqOn.MeanLatency, seqOff.MeanLatency)
 	}
@@ -304,10 +287,8 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("random prefetch shows no wasted reads: %d vs %d", randOn.StoreGets, randOff.StoreGets)
 	}
 
-	for _, r := range []*AblationResult{steal, remap, lru, batch, compress, prefetch} {
-		if !strings.Contains(r.Render(), "Ablation") {
-			t.Error("render missing header")
-		}
+	if _, err := RunAblation("ablation-nosuch", quickOpts()); err == nil {
+		t.Error("an unknown ablation ran")
 	}
 }
 
@@ -370,5 +351,132 @@ func TestWorkersThroughputMonotone(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Worker scaling") {
 		t.Error("render missing header")
+	}
+}
+
+// One testing.B benchmark per table and figure of the paper's evaluation
+// (§VI), plus the DESIGN.md ablations. Each iteration executes a
+// reduced-scale variant of the experiment (Options.Quick); the full-scale
+// runs behind EXPERIMENTS.md come from cmd/fluidmem-bench. Reported custom
+// metrics are virtual-time results (µs of simulated latency, simulated TEPS),
+// so they are comparable with the paper's numbers, while ns/op measures the
+// simulator itself.
+
+func benchOpts(i int) Options { return Options{Quick: true, Seed: uint64(i) + 1} }
+
+// BenchmarkFig3PmbenchCDF regenerates Figure 3: pmbench fault-latency
+// distributions over all six system configurations.
+func BenchmarkFig3PmbenchCDF(b *testing.B) {
+	b.ReportAllocs()
+	var fmRC, swapNVMe float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunFig3(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fmRC = stats.Micros(fig3Mean(b, res, "FluidMem RAMCloud"))
+		swapNVMe = stats.Micros(fig3Mean(b, res, "Swap NVMeoF"))
+	}
+	b.ReportMetric(fmRC, "µs-fluidmem-ramcloud")
+	b.ReportMetric(swapNVMe, "µs-swap-nvmeof")
+}
+
+// BenchmarkTable1CodePathProfile regenerates Table I: the monitor's
+// per-code-path latency profile on RAMCloud.
+func BenchmarkTable1CodePathProfile(b *testing.B) {
+	b.ReportAllocs()
+	var readPage float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunTable1(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		readPage = stats.Micros(lookup(b, res.Rows, func(r Table1Row) bool { return r.CodePath == core.OpReadPage }).Avg)
+	}
+	b.ReportMetric(readPage, "µs-read-page")
+}
+
+// BenchmarkTable2Optimisations regenerates Table II: fault latency by
+// optimisation level, backend, and access pattern.
+func BenchmarkTable2Optimisations(b *testing.B) {
+	b.ReportAllocs()
+	var def, both float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunTable2(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		def = stats.Micros(table2Cell(b, res, "Default", "ramcloud").Random)
+		both = stats.Micros(table2Cell(b, res, "Async Read/Write", "ramcloud").Random)
+	}
+	b.ReportMetric(def, "µs-default")
+	b.ReportMetric(both, "µs-optimised")
+}
+
+// BenchmarkFig4Graph500 regenerates Figure 4: Graph500 TEPS across scale
+// factors and systems.
+func BenchmarkFig4Graph500(b *testing.B) {
+	b.ReportAllocs()
+	var fm, sw float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunFig4(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		high := res.Config.Scales[len(res.Config.Scales)-1]
+		fm, sw = fig4TEPS(b, res, "FluidMem RAMCloud", high), fig4TEPS(b, res, "Swap NVMeoF", high)
+	}
+	b.ReportMetric(fm/1e6, "MTEPS-fluidmem")
+	b.ReportMetric(sw/1e6, "MTEPS-swap")
+}
+
+// BenchmarkFig5MongoDB regenerates Figure 5: YCSB-C read latency over the
+// MongoDB-like store, swap vs FluidMem.
+func BenchmarkFig5MongoDB(b *testing.B) {
+	b.ReportAllocs()
+	var fm, sw float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunFig5(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		small := res.Config.CacheSizes[0]
+		fm = stats.Micros(fig5Mean(b, res, "FluidMem RAMCloud", small))
+		sw = stats.Micros(fig5Mean(b, res, "Swap NVMeoF", small))
+	}
+	b.ReportMetric(fm, "µs-fluidmem")
+	b.ReportMetric(sw, "µs-swap")
+}
+
+// BenchmarkTable3Footprint regenerates Table III: footprint minimisation
+// with service-responsiveness probes.
+func BenchmarkTable3Footprint(b *testing.B) {
+	b.ReportAllocs()
+	var minResponsive float64
+	for i := 0; i < b.N; i++ {
+		res, err := RunTable3(benchOpts(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if row.ICMP {
+				minResponsive = float64(row.FootprintPages)
+			}
+		}
+	}
+	b.ReportMetric(minResponsive, "min-icmp-pages")
+}
+
+// BenchmarkAblations regenerates ablations A1–A4, one sub-benchmark each.
+func BenchmarkAblations(b *testing.B) {
+	for _, name := range []string{"ablation-steal", "ablation-batch", "ablation-remap", "ablation-lru"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunAblation(name, benchOpts(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

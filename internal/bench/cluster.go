@@ -1,29 +1,25 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"fluidmem"
-	"fluidmem/internal/clock"
-	"fluidmem/internal/core"
-	"fluidmem/internal/core/resilience"
 	"fluidmem/internal/kvstore/cluster"
-	"fluidmem/internal/stats"
-	"fluidmem/internal/vm"
 )
 
 // ClusterRow is the fault-latency distribution observed during one phase of
-// the cluster lifecycle.
+// the cluster lifecycle (or one chaos row's window).
 type ClusterRow struct {
 	// Phase labels the lifecycle stage the faults were measured in.
-	Phase string
+	Phase string `json:"phase"`
 	// Faults is the number of measured store-read faults.
-	Faults int
+	Faults int `json:"faults"`
 	// Mean, P50, P99 summarise application-observed fault latency.
-	Mean, P50, P99 time.Duration
+	Mean time.Duration `json:"mean_ns"`
+	P50  time.Duration `json:"p50_ns"`
+	P99  time.Duration `json:"p99_ns"`
 }
 
 // ClusterResult compares guest-observed fault latency on the sharded
@@ -35,19 +31,20 @@ type ClusterRow struct {
 // error), and recovery is a bounded background copy.
 type ClusterResult struct {
 	// Nodes and Replicas configure the pool.
-	Nodes, Replicas int
+	Nodes    int `json:"nodes"`
+	Replicas int `json:"replicas"`
 	// Rows is one latency distribution per phase, in lifecycle order.
-	Rows []ClusterRow
+	Rows []ClusterRow `json:"rows"`
 	// RecoveryTime is the virtual time Recover took: committing the
 	// shrunken table plus re-replicating every under-replicated page.
-	RecoveryTime time.Duration
+	RecoveryTime time.Duration `json:"recovery_time_ns"`
 	// RecoveredCopies is the page copies restored by that recovery.
-	RecoveredCopies int
+	RecoveredCopies int `json:"recovered_copies"`
 	// DrainTime is the virtual time the graceful drain took (copy +
 	// cutover commit).
-	DrainTime time.Duration
+	DrainTime time.Duration `json:"drain_time_ns"`
 	// Counters is the pool's final intervention snapshot.
-	Counters cluster.Counters
+	Counters cluster.Counters `json:"counters"`
 }
 
 // RunCluster measures the lifecycle latency matrix.
@@ -56,23 +53,17 @@ func RunCluster(opts Options) (*ClusterResult, error) {
 	if opts.Quick {
 		faults = 800
 	}
-	const localBytes = 2 << 20 // 512 resident pages
-	const wssBytes = 8 << 20   // 2048-page working set
 	res := &ClusterResult{Nodes: 3, Replicas: 2}
 
 	// Baseline: the same workload against the plain single-node RAMCloud
 	// backend (no replication, nothing to survive).
-	base, err := newClusterBenchMachine(fluidmem.MachineConfig{
-		Mode:        fluidmem.ModeFluidMem,
-		Backend:     fluidmem.BackendRAMCloud,
-		LocalMemory: localBytes,
-		GuestMemory: wssBytes + wssBytes/4,
-		Seed:        opts.Seed,
-	})
+	base, err := newMonitorMachine(fluidmem.MachineConfig{
+		Backend: fluidmem.BackendRAMCloud, LocalMemory: windowLocalBytes, GuestMemory: windowGuestBytes, Seed: opts.Seed,
+	}, withResilience)
 	if err != nil {
 		return nil, err
 	}
-	seg, pages, err := populate(base, wssBytes)
+	seg, pages, err := populate(base, windowWSSBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -80,25 +71,23 @@ func RunCluster(opts Options) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, *row)
+	res.Rows = append(res.Rows, row)
 
 	// The pool under test: one machine, phases injected between
 	// measurement windows so each row sees a steady state of its stage.
-	m, err := newClusterBenchMachine(fluidmem.MachineConfig{
-		Mode:          fluidmem.ModeFluidMem,
+	m, err := newMonitorMachine(fluidmem.MachineConfig{
 		Backend:       fluidmem.BackendCluster,
 		StoreNodes:    res.Nodes,
 		StoreReplicas: res.Replicas,
-		LocalMemory:   localBytes,
-		GuestMemory:   wssBytes + wssBytes/4,
+		LocalMemory:   windowLocalBytes,
+		GuestMemory:   windowGuestBytes,
 		Seed:          opts.Seed,
-	})
+	}, withResilience)
 	if err != nil {
 		return nil, err
 	}
 	pool := m.ClusterPool()
-	seg, pages, err = populate(m, wssBytes)
-	if err != nil {
+	if seg, pages, err = populate(m, windowWSSBytes); err != nil {
 		return nil, err
 	}
 
@@ -133,71 +122,10 @@ func RunCluster(opts Options) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, *row)
+		res.Rows = append(res.Rows, row)
 	}
 	res.Counters = pool.ClusterStats()
 	return res, nil
-}
-
-// newClusterBenchMachine wires a machine with the resilience policy enabled
-// (the layer that absorbs stale epochs and crash windows).
-func newClusterBenchMachine(cfg fluidmem.MachineConfig) (*fluidmem.Machine, error) {
-	mcfg := core.DefaultConfig(nil, int(cfg.LocalMemory/fluidmem.PageSize))
-	policy := resilience.DefaultPolicy()
-	mcfg.Resilience = &policy
-	cfg.Monitor = &mcfg
-	m, err := fluidmem.NewMachine(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench cluster: %w", err)
-	}
-	return m, nil
-}
-
-// populate allocates and first-touches the working set.
-func populate(m *fluidmem.Machine, wssBytes uint64) (*vm.Segment, int, error) {
-	seg, err := m.Alloc("cluster.wss", wssBytes)
-	if err != nil {
-		return nil, 0, err
-	}
-	pages := seg.Pages()
-	for i := 0; i < pages; i++ {
-		if err := m.Write64(seg.Addr(uint64(i)*vm.PageSize), uint64(i)); err != nil {
-			return nil, 0, err
-		}
-	}
-	return seg, pages, nil
-}
-
-// measurePhase registers a fresh latency sink, then runs the random
-// read/write mix until `faults` store-read faults land in it, so the row
-// summarises exactly this lifecycle stage.
-func measurePhase(phase string, m *fluidmem.Machine, seg *vm.Segment, pages, faults int, seed uint64) (*ClusterRow, error) {
-	rng := clock.NewRand(seed)
-	window := stats.NewSample(faults * 2)
-	m.Monitor().SetFaultLatencySink(window.Add)
-	for window.Len() < faults {
-		page := rng.Intn(pages)
-		addr := seg.Addr(uint64(page) * vm.PageSize)
-		if rng.Float64() < 0.3 {
-			if err := m.Write64(addr, uint64(page)); err != nil {
-				return nil, fmt.Errorf("bench cluster %s: write: %w", phase, err)
-			}
-		} else if _, err := m.Read64(addr); err != nil {
-			return nil, fmt.Errorf("bench cluster %s: read: %w", phase, err)
-		}
-	}
-	return &ClusterRow{
-		Phase:  phase,
-		Faults: window.Len(),
-		Mean:   window.Mean(),
-		P50:    window.Percentile(50),
-		P99:    window.Percentile(99),
-	}, nil
-}
-
-// JSON renders the result for BENCH_cluster.json.
-func (r *ClusterResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render prints the lifecycle matrix.

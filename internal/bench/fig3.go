@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"fluidmem/internal/stats"
 	"fluidmem/internal/workload/pmbench"
@@ -53,16 +52,11 @@ func RunFig3(opts Options) (*Fig3Result, error) {
 	out := &Fig3Result{Config: cfg}
 	for _, sys := range Systems() {
 		// Guest memory: WSS plus slack for allocator metadata.
-		guest := cfg.WSSBytes + cfg.WSSBytes/4
-		m, err := newMachine(sys, cfg.LocalBytes, guest, false, cfg.Seed)
+		m, err := newMachine(sys, cfg.LocalBytes, cfg.WSSBytes+cfg.WSSBytes/4, false, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		pcfg := pmbench.DefaultConfig(cfg.WSSBytes)
-		pcfg.Duration = time.Hour // bounded by MaxAccesses instead
-		pcfg.MaxAccesses = cfg.Accesses
-		pcfg.Seed = cfg.Seed
-		res, _, err := pmbench.Run(m.Now(), m.VM(), pcfg)
+		res, err := runPmbench(m, cfg.WSSBytes, cfg.Accesses, 0, cfg.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", sys.Label, err)
 		}
@@ -95,14 +89,4 @@ func (r *Fig3Result) Render() string {
 		b.WriteString(stats.RenderCDFASCII(line.System, line.Result.Latencies, 40))
 	}
 	return b.String()
-}
-
-// Average returns a system's mean latency (test hook).
-func (r *Fig3Result) Average(system string) (time.Duration, bool) {
-	for _, line := range r.Lines {
-		if line.System == system {
-			return line.Result.Latencies.Mean(), true
-		}
-	}
-	return 0, false
 }

@@ -48,9 +48,7 @@ type Fig4Cell struct {
 	Scale      int
 	WSSPercent float64
 	TEPS       float64
-	// MinorFaultOverheadPercent is only filled for the smallest scale on
-	// FluidMem DRAM: the full-disaggregation overhead the paper quotes as
-	// 2.6% (§VI-D1).
+	// Result is the cell's whole Graph500 run; Render reads its edge count.
 	Result *graph500.Result
 }
 
@@ -111,16 +109,6 @@ func runFig4Cell(sys SystemConfig, cfg Fig4Config, scale int, wss uint64) (float
 		return 0, nil, err
 	}
 	return res.HarmonicMeanTEPS, res, nil
-}
-
-// TEPS returns a cell's measurement (test hook).
-func (r *Fig4Result) TEPS(system string, scale int) (float64, bool) {
-	for _, c := range r.Cells {
-		if c.System == system && c.Scale == scale {
-			return c.TEPS, true
-		}
-	}
-	return 0, false
 }
 
 // Render prints the figure as one table per scale factor, like the paper's

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"fluidmem"
 	"fluidmem/internal/blockdev"
@@ -124,16 +123,6 @@ func runFig5Cell(sys SystemConfig, cfg Fig5Config, cacheBytes uint64) (*Fig5Seri
 		Result:     res,
 		Stats:      store.Stats(),
 	}, nil
-}
-
-// Mean returns a series' average read latency (test hook).
-func (r *Fig5Result) Mean(system string, cacheBytes uint64) (time.Duration, bool) {
-	for _, s := range r.Series {
-		if s.System == system && s.CacheBytes == cacheBytes {
-			return s.Result.Latencies.Mean(), true
-		}
-	}
-	return 0, false
 }
 
 // Render prints averages per configuration plus a down-sampled time course,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -325,15 +324,6 @@ func (r *MarketResult) Validate() error {
 		return fmt.Errorf("bench: market result has no market variant rows")
 	}
 	return nil
-}
-
-// JSON emits the machine-readable artifact (BENCH_market.json), refusing
-// to serialise a result that fails Validate.
-func (r *MarketResult) JSON() ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render prints the comparison as a paper-style table.

@@ -50,16 +50,13 @@ func TestMarketBenchEnforcesSLOs(t *testing.T) {
 	if !res.WithinSkewedCostBound {
 		t.Errorf("skewed fault-cost delta %+.1f%% outside the +5%% bound", res.SkewedCostDeltaPct)
 	}
-	if _, err := res.JSON(); err != nil {
-		t.Fatalf("JSON: %v", err)
-	}
 	if out := res.Render(); !strings.Contains(out, "adversarial") || !strings.Contains(out, "skewed mix") {
 		t.Fatalf("render missing sections:\n%s", out)
 	}
 }
 
-// A result whose market rows never enforced an SLO must be refused: both
-// Validate and JSON (which bench-json relies on) reject it.
+// A result whose market rows never enforced an SLO must be refused by
+// Validate, which fluidmem-bench runs before it writes or checks the artifact.
 func TestMarketBenchValidateRejectsVacuousRuns(t *testing.T) {
 	cases := []struct {
 		name string
@@ -85,9 +82,6 @@ func TestMarketBenchValidateRejectsVacuousRuns(t *testing.T) {
 		err := c.res.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", c.name, err, c.want)
-		}
-		if _, jerr := c.res.JSON(); jerr == nil {
-			t.Errorf("%s: JSON() serialised an invalid result", c.name)
 		}
 	}
 }

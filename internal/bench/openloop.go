@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -203,14 +202,6 @@ func (r *OpenLoopResult) Validate() error {
 		}
 	}
 	return nil
-}
-
-// JSON emits the machine-readable artifact, refusing one that fails Validate.
-func (r *OpenLoopResult) JSON() ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render prints the matrix and knee summary as paper-style tables.

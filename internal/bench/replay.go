@@ -76,12 +76,10 @@ func newReplay(name string, cfg core.Config, base uint64, pages int) (*replay, e
 // run offers stream through the deterministic event scheduler, arrivals a
 // fixed 2 µs apart — far below per-fault service time, so the pipeline, not
 // the arrival process, sets the pace: each fault queues behind its own worker
-// and the last resume time, finish, marks the pipeline drained. wall is the
-// host time the offered phase took. The write list is drained before
-// returning.
-func (r *replay) run(stream []replayOp) (finish, wall time.Duration, err error) {
+// and the last resume time, finish, marks the pipeline drained. The write list
+// is drained before returning.
+func (r *replay) run(stream []replayOp) (finish time.Duration, err error) {
 	const interArrival = 2 * time.Microsecond
-	wallStart := time.Now()
 	sched := clock.NewScheduler()
 	arrival := r.start
 	for i, op := range stream {
@@ -104,10 +102,9 @@ func (r *replay) run(stream []replayOp) (finish, wall time.Duration, err error) 
 		arrival += interArrival
 	}
 	sched.Run()
-	wall = time.Since(wallStart)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	_, err = r.m.Drain(finish)
-	return finish, wall, err
+	return finish, err
 }

@@ -8,7 +8,6 @@ import (
 	"fluidmem"
 	"fluidmem/internal/core"
 	"fluidmem/internal/stats"
-	"fluidmem/internal/workload/pmbench"
 )
 
 // Table1Row is one code path's latency profile.
@@ -35,20 +34,17 @@ func RunTable1(opts Options) (*Table1Result, error) {
 	if opts.Quick {
 		localBytes, wss, accesses = 2<<20, 8<<20, 3000
 	}
-	m, err := newMonitorMachine(fluidmem.BackendRAMCloud, localBytes, wss+wss/4,
-		func(cfg *core.Config) {
-			cfg.AsyncRead = false
-			cfg.AsyncWrite = false
-			cfg.StealEnabled = false
-		}, opts.Seed)
+	m, err := newMonitorMachine(fluidmem.MachineConfig{
+		Backend: fluidmem.BackendRAMCloud, LocalMemory: localBytes, GuestMemory: wss + wss/4, Seed: opts.Seed,
+	}, func(cfg *core.Config) {
+		cfg.AsyncRead = false
+		cfg.AsyncWrite = false
+		cfg.StealEnabled = false
+	})
 	if err != nil {
 		return nil, err
 	}
-	pcfg := pmbench.DefaultConfig(wss)
-	pcfg.Duration = time.Hour
-	pcfg.MaxAccesses = accesses
-	pcfg.Seed = opts.Seed
-	if _, _, err := pmbench.Run(m.Now(), m.VM(), pcfg); err != nil {
+	if _, err := runPmbench(m, wss, accesses, 0, opts.Seed); err != nil {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 	res := &Table1Result{}
@@ -75,16 +71,6 @@ func RunTable1(opts Options) (*Table1Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// Row returns a code path's profile (test hook).
-func (r *Table1Result) Row(codePath string) (Table1Row, bool) {
-	for _, row := range r.Rows {
-		if row.CodePath == codePath {
-			return row, true
-		}
-	}
-	return Table1Row{}, false
 }
 
 // Render prints the paper's Table I layout.

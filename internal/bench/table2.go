@@ -72,67 +72,38 @@ func RunTable2(opts Options) (*Table2Result, error) {
 	return res, nil
 }
 
-// runTable2Cell measures the average fault latency for one configuration.
-// The working set is 4× the monitor's LRU capacity, so steady-state accesses
-// to new pages always fault and always evict.
+// runTable2Cell measures the average fault latency for one configuration:
+// after the populate pass, reads in page order or at random until `faults`
+// store-read faults have been timed.
 func runTable2Cell(backend fluidmem.Backend, opt Table2Opt, random bool, faults int, seed uint64) (time.Duration, error) {
-	const localBytes = 2 << 20 // 512 resident pages
-	const wssBytes = 8 << 20   // 2048-page working set
-	m, err := newMonitorMachine(backend, localBytes, wssBytes+wssBytes/4,
-		func(cfg *core.Config) {
-			cfg.AsyncRead = opt.AsyncRead
-			cfg.AsyncWrite = opt.AsyncWrite
-			// The steal shortcut is part of the async-write machinery.
-			cfg.StealEnabled = opt.AsyncWrite
-		}, seed)
+	m, err := newMonitorMachine(fluidmem.MachineConfig{
+		Backend: backend, LocalMemory: windowLocalBytes, GuestMemory: windowGuestBytes, Seed: seed,
+	}, func(cfg *core.Config) {
+		cfg.AsyncRead = opt.AsyncRead
+		cfg.AsyncWrite = opt.AsyncWrite
+		// The steal shortcut is part of the async-write machinery.
+		cfg.StealEnabled = opt.AsyncWrite
+	})
 	if err != nil {
 		return 0, err
 	}
-	var latencies []time.Duration
-	m.Monitor().SetFaultLatencySink(func(d time.Duration) { latencies = append(latencies, d) })
-
-	seg, err := m.Alloc("table2.wss", wssBytes)
+	seg, pages, err := populate(m, windowWSSBytes)
 	if err != nil {
 		return 0, err
 	}
-	pages := seg.Pages()
+	lat := stats.NewSample(faults)
+	m.Monitor().SetFaultLatencySink(lat.Add)
 	rng := clock.NewRand(seed + 77)
-	// Warm-up: populate every page once so the timed phase measures the
-	// store-read path, not first-touch zero-fill.
-	for i := 0; i < pages; i++ {
-		if err := m.Write64(seg.Addr(uint64(i)*vm.PageSize), uint64(i)); err != nil {
-			return 0, err
-		}
-	}
-	warmFaults := len(latencies)
-	next := 0
-	for len(latencies)-warmFaults < faults {
-		var page int
+	for next := 0; lat.Len() < faults; next = (next + 1) % pages {
+		page := next
 		if random {
 			page = rng.Intn(pages)
-		} else {
-			page = next
-			next = (next + 1) % pages
 		}
 		if _, err := m.Read64(seg.Addr(uint64(page) * vm.PageSize)); err != nil {
 			return 0, err
 		}
 	}
-	timed := stats.NewSample(len(latencies) - warmFaults)
-	for _, d := range latencies[warmFaults:] {
-		timed.Add(d)
-	}
-	return timed.Mean(), nil
-}
-
-// Cell returns a measured cell (test hook).
-func (r *Table2Result) Cell(opt, backend string) (Table2Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Opt == opt && c.Backend == backend {
-			return c, true
-		}
-	}
-	return Table2Cell{}, false
+	return lat.Mean(), nil
 }
 
 // Render prints the paper's Table II layout.

@@ -154,16 +154,6 @@ func RunTable3(opts Options) (*Table3Result, error) {
 	return res, nil
 }
 
-// Row returns a scenario's row (test hook).
-func (r *Table3Result) Row(prefix string) (Table3Row, bool) {
-	for _, row := range r.Rows {
-		if strings.HasPrefix(row.Scenario, prefix) {
-			return row, true
-		}
-	}
-	return Table3Row{}, false
-}
-
 // Render prints the paper's Table III layout.
 func (r *Table3Result) Render() string {
 	var b strings.Builder

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -69,7 +68,7 @@ func RunTrace(opts Options) (*TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := r.run(mixedStream(opts.Seed, writebackBase, pages, ops)); err != nil {
+	if _, err := r.run(mixedStream(opts.Seed, writebackBase, pages, ops)); err != nil {
 		return nil, err
 	}
 
@@ -98,11 +97,6 @@ func RunTrace(opts Options) (*TraceResult, error) {
 // format (the fluidmem-bench -trace flag).
 func (r *TraceResult) WriteChromeTrace(w io.Writer) error {
 	return r.tr.WriteChromeTrace(w)
-}
-
-// JSON renders the result for BENCH_trace.json.
-func (r *TraceResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render prints the merged (across-workers) latency breakdown; per-worker

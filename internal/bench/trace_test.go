@@ -70,11 +70,11 @@ func TestTraceDeterministicArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := a.JSON()
+	ja, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := b.JSON()
+	jb, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

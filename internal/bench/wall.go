@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os/exec"
 	"sort"
@@ -116,9 +115,6 @@ func parseBenchOutput(out []byte) ([]WallRow, error) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows, nil
 }
-
-// JSON serialises the ledger (BENCH_wall.json).
-func (r *WallResult) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Render prints the ledger.
 func (r *WallResult) Render() string {

@@ -19,13 +19,6 @@ type WorkersRow struct {
 	Elapsed time.Duration
 	// Throughput is faults per virtual second.
 	Throughput float64
-	// WallElapsed and WallThroughput measure the measured phase in real
-	// (host) time: how fast the simulator itself retires faults. Unlike the
-	// virtual columns these depend on the machine and are never committed to
-	// BENCH_*.json artifacts — they exist to before/after the data-plane
-	// hot-path cost (see EXPERIMENTS.md).
-	WallElapsed    time.Duration
-	WallThroughput float64
 	// MultiGets and BatchedGets show the MultiGet amortisation at work:
 	// BatchedGets is the number of per-key reads those batches carried.
 	MultiGets, BatchedGets uint64
@@ -94,7 +87,7 @@ func runWorkersRow(workers, scans int, seed uint64) (*WorkersRow, error) {
 	}
 	faultsBefore := r.m.Stats().Faults
 	storeBefore := store.Stats()
-	finish, wallElapsed, err := r.run(stream)
+	finish, err := r.run(stream)
 	if err != nil {
 		return nil, fmt.Errorf("workers=%d: %w", workers, err)
 	}
@@ -105,15 +98,11 @@ func runWorkersRow(workers, scans int, seed uint64) (*WorkersRow, error) {
 		Workers:     workers,
 		Faults:      r.m.Stats().Faults - faultsBefore,
 		Elapsed:     elapsed,
-		WallElapsed: wallElapsed,
 		MultiGets:   st.MultiGets - storeBefore.MultiGets,
 		BatchedGets: st.Gets - storeBefore.Gets,
 	}
 	if elapsed > 0 {
 		row.Throughput = float64(row.Faults) / elapsed.Seconds()
-	}
-	if wallElapsed > 0 {
-		row.WallThroughput = float64(row.Faults) / wallElapsed.Seconds()
 	}
 	return row, nil
 }
@@ -122,12 +111,12 @@ func runWorkersRow(workers, scans int, seed uint64) (*WorkersRow, error) {
 func (r *WorkersResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Worker scaling — offered-load fault pipeline, batched readahead (MultiGet), RAMCloud\n")
-	fmt.Fprintf(&b, "%-8s %10s %12s %14s %16s %10s %12s\n",
-		"workers", "faults", "elapsed", "faults/sec", "wall-faults/sec", "multigets", "batched-gets")
+	fmt.Fprintf(&b, "%-8s %10s %12s %14s %10s %12s\n",
+		"workers", "faults", "elapsed", "faults/sec", "multigets", "batched-gets")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8d %10d %12v %14.0f %16.0f %10d %12d\n",
+		fmt.Fprintf(&b, "%-8d %10d %12v %14.0f %10d %12d\n",
 			row.Workers, row.Faults, row.Elapsed.Round(time.Microsecond),
-			row.Throughput, row.WallThroughput, row.MultiGets, row.BatchedGets)
+			row.Throughput, row.MultiGets, row.BatchedGets)
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,13 +22,6 @@ type WritebackRow struct {
 	// load; Throughput is faults per virtual second.
 	Elapsed    time.Duration `json:"elapsed_ns"`
 	Throughput float64       `json:"faults_per_sec"`
-	// WallElapsed and WallThroughput measure the row in real (host) time —
-	// how fast the simulator itself retires faults. Machine-dependent, so
-	// excluded from the committed JSON artifact (the ratchet gates only the
-	// deterministic virtual rows); see EXPERIMENTS.md for the before/after
-	// recipe they support.
-	WallElapsed    time.Duration `json:"-"`
-	WallThroughput float64       `json:"-"`
 	// StorePuts counts pages that actually crossed the wire (per-key puts,
 	// including those carried inside MultiPuts); MultiPuts counts the
 	// amortised round trips that carried them.
@@ -134,7 +126,7 @@ func runWritebackRow(v writebackVariant, stream []replayOp, pages, capacity, wor
 	statsBefore := m.Stats()
 	storeBefore := store.Stats()
 	wbBefore := m.WritebackStats()
-	finish, wallElapsed, err := r.run(stream)
+	finish, err := r.run(stream)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", v.label, err)
 	}
@@ -153,7 +145,6 @@ func runWritebackRow(v writebackVariant, stream []replayOp, pages, capacity, wor
 		Coalesced:    wb.Coalesced - wbBefore.Coalesced,
 		FlushSizes:   make(map[int]uint64),
 	}
-	row.WallElapsed = wallElapsed
 	row.WritesAvoided = row.ZeroElided + row.CleanDropped
 	for size, count := range wb.FlushSizes {
 		if delta := count - wbBefore.FlushSizes[size]; delta > 0 {
@@ -163,15 +154,7 @@ func runWritebackRow(v writebackVariant, stream []replayOp, pages, capacity, wor
 	if row.Elapsed > 0 {
 		row.Throughput = float64(row.Faults) / row.Elapsed.Seconds()
 	}
-	if wallElapsed > 0 {
-		row.WallThroughput = float64(row.Faults) / wallElapsed.Seconds()
-	}
 	return row, nil
-}
-
-// JSON renders the result for BENCH_writeback.json.
-func (r *WritebackResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render prints the comparison table.
@@ -179,11 +162,11 @@ func (r *WritebackResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Write-back pipeline — %d ops over %d pages, capacity %d, %d workers, RAMCloud\n",
 		r.Ops, r.Pages, r.Capacity, r.Workers)
-	fmt.Fprintf(&b, "%-20s %8s %12s %12s %16s %10s %10s %8s %8s %9s\n",
-		"config", "faults", "elapsed", "faults/sec", "wall-faults/sec", "store-puts", "multiputs", "elided", "dropped", "coalesced")
+	fmt.Fprintf(&b, "%-20s %8s %12s %12s %10s %10s %8s %8s %9s\n",
+		"config", "faults", "elapsed", "faults/sec", "store-puts", "multiputs", "elided", "dropped", "coalesced")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-20s %8d %12v %12.0f %16.0f %10d %10d %8d %8d %9d\n",
-			row.Label, row.Faults, row.Elapsed.Round(time.Microsecond), row.Throughput, row.WallThroughput,
+		fmt.Fprintf(&b, "%-20s %8d %12v %12.0f %10d %10d %8d %8d %9d\n",
+			row.Label, row.Faults, row.Elapsed.Round(time.Microsecond), row.Throughput,
 			row.StorePuts, row.MultiPuts, row.ZeroElided, row.CleanDropped, row.Coalesced)
 	}
 	for _, row := range r.Rows {

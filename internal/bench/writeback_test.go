@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+)
 
 // TestWritebackCrossover pins the PR's two acceptance criteria on the
 // reduced-scale run: batched MultiPut flushes must strictly beat per-page
@@ -48,17 +52,23 @@ func TestWritebackCrossover(t *testing.T) {
 	}
 }
 
-// TestWritebackJSONRoundTrip keeps the -json artifact well-formed.
+// TestWritebackJSONRoundTrip keeps the BENCH_writeback.json schema
+// lossless: the artifact decodes back to the result it was written from, so
+// every field the table prints is one the ratchet holds.
 func TestWritebackJSONRoundTrip(t *testing.T) {
 	res, err := RunWriteback(Options{Quick: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.JSON()
+	data, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Fatal("empty JSON artifact")
+	var back WritebackResult
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*res, back) {
+		t.Errorf("artifact does not round-trip:\nran     %+v\ndecoded %+v", *res, back)
 	}
 }

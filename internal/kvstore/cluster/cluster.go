@@ -97,23 +97,23 @@ func (c Config) withDefaults() Config {
 // Counters is the pool's cluster-specific observability surface.
 type Counters struct {
 	// Epoch is the latest committed table epoch.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Nodes is the active member count; Replicas the target copies.
-	Nodes    int
-	Replicas int
+	Nodes    int `json:"nodes"`
+	Replicas int `json:"replicas"`
 	// StaleRejects counts write requests a node rejected for carrying an
 	// outdated epoch; Refreshes counts client table refreshes they forced.
-	StaleRejects uint64
-	Refreshes    uint64
+	StaleRejects uint64 `json:"stale_rejects"`
+	Refreshes    uint64 `json:"refreshes"`
 	// Failovers counts reads served by a non-preferred replica.
-	Failovers uint64
+	Failovers uint64 `json:"failovers"`
 	// PartialPuts counts writes that reached only part of their assignment.
-	PartialPuts uint64
+	PartialPuts uint64 `json:"partial_puts"`
 	// ReadRepairs counts copies back-filled by the read path.
-	ReadRepairs uint64
+	ReadRepairs uint64 `json:"read_repairs"`
 	// Rereplicated counts copies restored by resync sweeps (drain, crash
 	// recovery, heal).
-	Rereplicated uint64
+	Rereplicated uint64 `json:"rereplicated"`
 }
 
 // Pool is the sharded, replicated remote-memory pool: a kvstore.Store over a
