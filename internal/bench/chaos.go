@@ -6,15 +6,10 @@ import (
 	"time"
 
 	"fluidmem"
-	"fluidmem/internal/clock"
-	"fluidmem/internal/core"
-	"fluidmem/internal/core/resilience"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/faulty"
 	"fluidmem/internal/kvstore/ramcloud"
 	"fluidmem/internal/kvstore/replicated"
-	"fluidmem/internal/stats"
-	"fluidmem/internal/vm"
 )
 
 // ChaosRow is one measured point of the degradation curve: the fault-latency
@@ -63,71 +58,23 @@ func RunChaos(opts Options) (*ChaosResult, error) {
 	return res, nil
 }
 
-// runChaosRow measures one fault rate over a random working set 4× the LRU.
+// runChaosRow measures one fault rate: the working set is populated, then one
+// fault window of the random read/write mix is measured, warm-up excluded as
+// in Table II and cluster.
 func runChaosRow(rate float64, faults int, seed uint64) (*ChaosRow, error) {
-	const localBytes = 2 << 20 // 512 resident pages
-	const wssBytes = 8 << 20   // 2048-page working set
-
-	var members []*faulty.Store
-	var asStores []kvstore.Store
-	for i := 0; i < 3; i++ {
-		p := faulty.Uniform(rate, rate)
-		// Staggered 2 ms crash windows: each member takes a turn down while
-		// the other two carry the load.
-		from := time.Duration(2+5*i) * time.Millisecond
-		p.Crashes = []faulty.Window{{From: from, To: from + 2*time.Millisecond}}
-		f := faulty.Wrap(ramcloud.New(ramcloud.DefaultParams(), seed+uint64(i)), p, seed+100+uint64(i))
-		members = append(members, f)
-		asStores = append(asStores, f)
-	}
-	rep, err := replicated.New(asStores...)
+	m, members, rep, err := newChaosMachine(rate, seed)
 	if err != nil {
 		return nil, err
 	}
-	mcfg := core.DefaultConfig(nil, int(localBytes/fluidmem.PageSize))
-	policy := resilience.DefaultPolicy()
-	mcfg.Resilience = &policy
-	m, err := fluidmem.NewMachine(fluidmem.MachineConfig{
-		Mode:        fluidmem.ModeFluidMem,
-		SharedStore: rep,
-		LocalMemory: localBytes,
-		GuestMemory: wssBytes + wssBytes/4,
-		Monitor:     &mcfg,
-		Seed:        seed,
-	})
+	seg, pages, err := populate(m, windowWSSBytes)
 	if err != nil {
 		return nil, err
 	}
-	lat := stats.NewSample(faults * 2)
-	m.Monitor().SetFaultLatencySink(lat.Add)
-
-	seg, err := m.Alloc("chaos.wss", wssBytes)
+	w, err := measurePhase(fmt.Sprintf("chaos rate %v", rate), m, seg, pages, faults, seed+99)
 	if err != nil {
 		return nil, err
 	}
-	pages := seg.Pages()
-	rng := clock.NewRand(seed + 99)
-	// Populate, then run a random read/write mix until enough store-read
-	// faults have been measured.
-	for i := 0; i < pages; i++ {
-		if err := m.Write64(seg.Addr(uint64(i)*vm.PageSize), uint64(i)); err != nil {
-			return nil, err
-		}
-	}
-	warm := lat.Len()
-	for lat.Len()-warm < faults {
-		page := rng.Intn(pages)
-		addr := seg.Addr(uint64(page) * vm.PageSize)
-		if rng.Float64() < 0.3 {
-			if err := m.Write64(addr, uint64(page)); err != nil {
-				return nil, fmt.Errorf("chaos rate %v: write: %w", rate, err)
-			}
-		} else if _, err := m.Read64(addr); err != nil {
-			return nil, fmt.Errorf("chaos rate %v: read: %w", rate, err)
-		}
-	}
-
-	row := &ChaosRow{Rate: rate, Mean: lat.Mean(), P99: lat.Percentile(99)}
+	row := &ChaosRow{Rate: rate, Mean: w.Mean, P99: w.P99}
 	for _, f := range members {
 		s := f.InjectStats()
 		row.TransientErrors += s.TransientErrors
@@ -143,6 +90,33 @@ func runChaosRow(rate float64, faults int, seed uint64) (*ChaosRow, error) {
 	row.ReadFailovers = rc.Failovers
 	row.ReadRepairs = rc.ReadRepairs
 	return row, nil
+}
+
+// newChaosMachine builds a chaos row's machine: the monitor, with the
+// resilience policy, over a 3-way replicated RAMCloud whose members each
+// inject rate transient errors and latency spikes and take a staggered crash.
+// The members and the replicated store are returned for their counters.
+func newChaosMachine(rate float64, seed uint64) (*fluidmem.Machine, []*faulty.Store, *replicated.Store, error) {
+	var members []*faulty.Store
+	var asStores []kvstore.Store
+	for i := 0; i < 3; i++ {
+		p := faulty.Uniform(rate, rate)
+		// Staggered 2 ms crash windows: each member takes a turn down while
+		// the other two carry the load.
+		from := time.Duration(2+5*i) * time.Millisecond
+		p.Crashes = []faulty.Window{{From: from, To: from + 2*time.Millisecond}}
+		f := faulty.Wrap(ramcloud.New(ramcloud.DefaultParams(), seed+uint64(i)), p, seed+100+uint64(i))
+		members = append(members, f)
+		asStores = append(asStores, f)
+	}
+	rep, err := replicated.New(asStores...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m, err := newMonitorMachine(fluidmem.MachineConfig{
+		SharedStore: rep, LocalMemory: windowLocalBytes, GuestMemory: windowGuestBytes, Seed: seed,
+	}, withResilience)
+	return m, members, rep, err
 }
 
 // Render prints the degradation curve as a text table.
