@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # test runs every test in the tree exactly once, uncached. That includes
@@ -72,7 +72,7 @@ bench-json:
 # The wall-clock ledger alone: the per-layer testing.B rows (normal draw and
 # latency sample, uffd access and install/remap, LRU, profiler, zero scan,
 # write list, steady-state fault, scheduler, arrival generation, RAMCloud
-# overwrite, MultiPut of 32 pages), run through `go test`
+# overwrite, MultiPut of 32 pages, guest TLB hit and refill), run through `go test`
 # at a fixed iteration count. The table prints ns/op, B/op and allocs/op;
 # BENCH_wall.json keeps only B/op and allocs/op, which the iteration count
 # fixes on any machine.
@@ -98,6 +98,16 @@ profile-hotpath:
 	mkdir -p .profile
 	$(GO) test ./internal/core -run '^$$' -bench 'BenchmarkSteadyStateFault/ramcloud/workers=4$$' -benchtime 1000000x -o .profile/core.test -cpuprofile .profile/hotpath.prof
 	$(GO) tool pprof -top -nodecount=25 .profile/hotpath.prof
+
+# Where the host time of the bypass workload goes: three Graph500 runs at
+# scale 16 on a booted RAMCloud-backed machine (the root package's
+# BenchmarkGraph500, the shape of benchmark/'s graph500_s16: nearly every
+# access a resident-page hit) under the CPU profiler, top 25 frames. -o keeps
+# the test binary in .profile/.
+profile-graph500:
+	mkdir -p .profile
+	$(GO) test . -run '^$$' -bench '^BenchmarkGraph500$$' -benchtime 3x -o .profile/fluidmem.test -cpuprofile .profile/graph500.prof
+	$(GO) tool pprof -top -nodecount=25 .profile/graph500.prof
 
 # The ratchet: re-run the artifact experiments and compare each serialised
 # result with its committed BENCH_*.json byte for byte. Every artifact field

@@ -19,10 +19,11 @@ var wallPackages = []string{
 	"./internal/kvstore/ramcloud",
 	"./internal/loadgen",
 	"./internal/uffd",
+	"./internal/vm",
 }
 
 const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|" +
-	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32)$"
+	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32|TouchHit)$"
 
 // WallRow is one testing.B row of the ledger.
 type WallRow struct {

@@ -163,24 +163,25 @@ func generateEdges(rng *clock.Rand, scale, nEdges int) (src, dst []uint32) {
 	for i := 0; i < nEdges; i++ {
 		var u, v uint32
 		for level := 0; level < scale; level++ {
+			// One draw picks quadrant A, B, C or D by three threshold
+			// compares rather than a switch the CPU mispredicts: u's bit
+			// is set in C and D, v's in B and D.
 			r := rng.Float64()
-			var bitU, bitV uint32
-			switch {
-			case r < initiatorA:
-				// quadrant (0,0)
-			case r < initiatorA+initiatorB:
-				bitV = 1
-			case r < initiatorA+initiatorB+initiatorC:
-				bitU = 1
-			default:
-				bitU, bitV = 1, 1
-			}
-			u = u<<1 | bitU
-			v = v<<1 | bitV
+			pastA, pastB, pastC := bit(r >= initiatorA), bit(r >= initiatorA+initiatorB), bit(r >= initiatorA+initiatorB+initiatorC)
+			u = u<<1 | pastB
+			v = v<<1 | pastA ^ pastB ^ pastC
 		}
 		src[i], dst[i] = u, v
 	}
 	return src, dst
+}
+
+// bit is 1 for true and 0 for false, compiled to a flag move, not a branch.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // csrGraph is the in-guest graph: xadj offsets, adjacency, and parents.

@@ -185,3 +185,48 @@ func TestConstructionExcludedFromTEPS(t *testing.T) {
 		t.Fatal("bookkeeping inconsistent")
 	}
 }
+
+// switchEdges is the generator before its quadrant became three threshold
+// compares: a switch over the cumulative initiator probabilities.
+func switchEdges(rng *clock.Rand, scale, nEdges int) (src, dst []uint32) {
+	src = make([]uint32, nEdges)
+	dst = make([]uint32, nEdges)
+	for i := 0; i < nEdges; i++ {
+		var u, v uint32
+		for level := 0; level < scale; level++ {
+			r := rng.Float64()
+			var bitU, bitV uint32
+			switch {
+			case r < initiatorA:
+			case r < initiatorA+initiatorB:
+				bitV = 1
+			case r < initiatorA+initiatorB+initiatorC:
+				bitU = 1
+			default:
+				bitU, bitV = 1, 1
+			}
+			u = u<<1 | bitU
+			v = v<<1 | bitV
+		}
+		src[i], dst[i] = u, v
+	}
+	return src, dst
+}
+
+// TestGeneratorMatchesSwitch: the branch-free quadrant gives the switch's
+// edge lists bit for bit, at every scale the experiments use.
+func TestGeneratorMatchesSwitch(t *testing.T) {
+	for scale := 4; scale <= 16; scale++ {
+		for _, seed := range []uint64{1, 7, 301} {
+			nEdges := 16 << scale
+			src, dst := generateEdges(clock.NewRand(seed), scale, nEdges)
+			wantSrc, wantDst := switchEdges(clock.NewRand(seed), scale, nEdges)
+			for i := range src {
+				if src[i] != wantSrc[i] || dst[i] != wantDst[i] {
+					t.Fatalf("scale %d seed %d edge %d: (%d,%d), switch gives (%d,%d)",
+						scale, seed, i, src[i], dst[i], wantSrc[i], wantDst[i])
+				}
+			}
+		}
+	}
+}

@@ -187,6 +187,8 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 	page := align(addr)
 	if f, ok := s.frames[page]; ok {
 		// Resident: referenced-bit bookkeeping only (hardware-speed hit).
+		// The bookkeeping is state, so a hit moves the epoch too: the VM
+		// may skip only a repeat of this very access.
 		if f.referenced && !f.active {
 			s.promote(f)
 		}
@@ -194,6 +196,7 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 		if write {
 			f.dirty = true
 		}
+		s.epoch++
 		return f.data, now, nil
 	}
 

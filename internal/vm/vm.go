@@ -88,8 +88,12 @@ type Backing interface {
 	Discard(addr uint64)
 	// ResidentPages reports the VM's current local-DRAM footprint in pages.
 	ResidentPages() int
-	// Epoch increments whenever any page's residency or frame changes,
-	// invalidating the VM's fast-path access cache.
+	// Epoch changes whenever an access the VM skips could behave
+	// differently from one it makes: the VM's TLB serves a page without
+	// calling Touch only while the epoch it was filled at is current (and,
+	// for a write, only if that fill was a write). A backing whose hits are
+	// pure moves it on residency and frame changes; one whose hits keep
+	// state (referenced bits) moves it on every Touch.
 	Epoch() uint64
 }
 
@@ -134,6 +138,19 @@ func (s *Segment) Pages() int { return int(s.Bytes / PageSize) }
 // Addr returns the address at byte offset off, for use with VM access calls.
 func (s *Segment) Addr(off uint64) uint64 { return s.Start + off }
 
+// tlbEntries is the size of the VM's direct-mapped TLB, indexed by page
+// number.
+const tlbEntries = 256
+
+// tlbEntry maps a page to its frame while the backing's epoch is still
+// epoch. tag is the page's address with bit 0 set when the fill was a write,
+// and the frame is an array pointer, so an entry is 24 bytes.
+type tlbEntry struct {
+	tag   uint64
+	frame *[PageSize]byte
+	epoch uint64
+}
+
 // VM is one simulated guest.
 type VM struct {
 	cfg     Config
@@ -144,13 +161,9 @@ type VM struct {
 	next     uint64
 	limit    uint64
 
-	// Single-entry access cache: repeated access to the resident page does
-	// not round-trip through the backing (a TLB hit, effectively).
-	cachePage  uint64
-	cacheData  []byte
-	cacheDirty bool
-	cacheEpoch uint64
-	cacheValid bool
+	// tlb caches the frames the backing returned, so an access to a
+	// resident page does not round-trip through it (see Backing.Epoch).
+	tlb [tlbEntries]tlbEntry
 
 	// stats
 	reads, writes uint64
@@ -170,12 +183,21 @@ func New(cfg Config, backing Backing) (*VM, error) {
 	if backing == nil {
 		return nil, errors.New("vm: nil backing")
 	}
-	return &VM{
+	v := &VM{
 		cfg:     cfg,
 		backing: backing,
 		next:    cfg.Base,
 		limit:   cfg.Base + cfg.MemBytes,
-	}, nil
+	}
+	v.flushTLB()
+	return v, nil
+}
+
+// flushTLB invalidates every TLB entry: no tag has bit 1 set.
+func (v *VM) flushTLB() {
+	for i := range v.tlb {
+		v.tlb[i] = tlbEntry{tag: 2}
+	}
 }
 
 // Config returns the VM's configuration.
@@ -190,7 +212,7 @@ func (v *VM) Rebind(backing Backing) error {
 		return errors.New("vm: rebind to nil backing")
 	}
 	v.backing = backing
-	v.cacheValid = false
+	v.flushTLB()
 	if ca, ok := backing.(ClassAware); ok {
 		for _, seg := range v.segments {
 			for addr := seg.Start; addr < seg.End(); addr += PageSize {
@@ -253,49 +275,49 @@ func (v *VM) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Dur
 		return nil, now, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 	}
 	page := addr &^ uint64(PageSize-1)
+	tag := page
 	if write {
 		v.writes++
+		tag |= 1
 	} else {
 		v.reads++
 	}
-	// Fast path: the page is the one we touched last and nothing evicted it.
-	if v.cacheValid && v.cachePage == page && v.cacheEpoch == v.backing.Epoch() && (!write || v.cacheDirty) {
-		return v.cacheData, now, nil
+	// Fast path: a TLB hit, filled since the backing last changed, by an
+	// access of this kind or by a write.
+	e := &v.tlb[page/PageSize%tlbEntries]
+	if (e.tag == tag || e.tag == page|1) && e.epoch == v.backing.Epoch() {
+		return e.frame[:], now, nil
 	}
 	data, done, err := v.backing.Touch(now, addr, write)
 	if err != nil {
 		return nil, done, err
 	}
-	v.cacheValid = true
-	v.cachePage = page
-	v.cacheData = data
-	v.cacheDirty = write
-	v.cacheEpoch = v.backing.Epoch()
+	*e = tlbEntry{tag: tag, frame: (*[PageSize]byte)(data), epoch: v.backing.Epoch()}
 	return data, done, nil
 }
 
 // Read64 reads the 8-byte word at addr.
 func (v *VM) Read64(now time.Duration, addr uint64) (uint64, time.Duration, error) {
+	off := addr & (PageSize - 1)
+	if off+8 > PageSize {
+		return 0, now, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
+	}
 	data, done, err := v.Touch(now, addr, false)
 	if err != nil {
 		return 0, done, err
-	}
-	off := addr & (PageSize - 1)
-	if off+8 > PageSize {
-		return 0, done, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
 	}
 	return binary.LittleEndian.Uint64(data[off : off+8]), done, nil
 }
 
 // Write64 writes the 8-byte word at addr.
 func (v *VM) Write64(now time.Duration, addr uint64, value uint64) (time.Duration, error) {
+	off := addr & (PageSize - 1)
+	if off+8 > PageSize {
+		return now, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
+	}
 	data, done, err := v.Touch(now, addr, true)
 	if err != nil {
 		return done, err
-	}
-	off := addr & (PageSize - 1)
-	if off+8 > PageSize {
-		return done, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
 	}
 	binary.LittleEndian.PutUint64(data[off:off+8], value)
 	return done, nil

@@ -177,14 +177,75 @@ func TestReadWrite64RoundTrip(t *testing.T) {
 	}
 }
 
+// TestRead64StraddleRejected: a word access that would cross a page boundary
+// is refused before it reaches the backing, so it counts no access, faults
+// nothing in and takes no virtual time.
 func TestRead64StraddleRejected(t *testing.T) {
-	v, _ := newTestVM(t, 16*PageSize, 0)
+	v, b := newTestVM(t, 16*PageSize, 0)
 	seg, _ := v.Alloc("data", 2*PageSize, ClassAnon)
-	if _, _, err := v.Read64(0, seg.Addr(PageSize-4)); err == nil {
-		t.Fatal("straddling read accepted")
+	const now = time.Second
+	if _, done, err := v.Read64(now, seg.Addr(PageSize-4)); err == nil || done != now {
+		t.Fatalf("straddling read: done %v, err %v", done, err)
 	}
-	if _, err := v.Write64(0, seg.Addr(PageSize-4), 1); err == nil {
-		t.Fatal("straddling write accepted")
+	if done, err := v.Write64(now, seg.Addr(2*PageSize-1), 1); err == nil || done != now {
+		t.Fatalf("straddling write: done %v, err %v", done, err)
+	}
+	if r, w := v.AccessCounts(); r != 0 || w != 0 {
+		t.Fatalf("access counts %d/%d after refused accesses", r, w)
+	}
+	if v.ResidentPages() != 0 || b.touches != 0 || b.misses != 0 {
+		t.Fatalf("resident %d, backing touches %d, misses %d", v.ResidentPages(), b.touches, b.misses)
+	}
+}
+
+// TestTLBHoldsManyPages: pages in different TLB slots stay cached side by
+// side while the epoch stands, and one epoch change invalidates them all.
+func TestTLBHoldsManyPages(t *testing.T) {
+	v, b := newTestVM(t, 64*PageSize, 0)
+	seg, _ := v.Alloc("data", 32*PageSize, ClassAnon)
+	round := func() {
+		for p := uint64(0); p < 32; p++ {
+			if _, _, err := v.Touch(0, seg.Addr(p*PageSize), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round() // every first touch faults and moves the epoch
+	b.epoch++
+	before := b.touches
+	round() // 32 refills at one epoch
+	round()
+	if b.touches != before+32 {
+		t.Fatalf("backing touches = %d, want one per page after the warm-up", b.touches-before)
+	}
+	b.epoch++
+	round()
+	if b.touches != before+64 {
+		t.Fatalf("backing touches = %d after an epoch change, want 32 more", b.touches-before-32)
+	}
+}
+
+// TestTLBSlotConflict: two pages that share a slot evict each other, and a
+// Rebind empties the TLB even when the backing is the same.
+func TestTLBSlotConflict(t *testing.T) {
+	v, b := newTestVM(t, (tlbEntries+1)*PageSize, 0)
+	seg, _ := v.Alloc("data", (tlbEntries+1)*PageSize, ClassAnon)
+	for _, p := range []uint64{0, tlbEntries, 0} {
+		if _, _, err := v.Touch(0, seg.Addr(p*PageSize), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.touches != 3 {
+		t.Fatalf("backing touches = %d, want 3 (the pages share a slot)", b.touches)
+	}
+	if err := v.Rebind(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.Touch(0, seg.Start, false); err != nil {
+		t.Fatal(err)
+	}
+	if b.touches != 4 {
+		t.Fatalf("backing touches = %d, want a refill after Rebind", b.touches)
 	}
 }
 
@@ -471,5 +532,39 @@ func TestAccessCounts(t *testing.T) {
 	r, w := v.AccessCounts()
 	if r != 1 || w != 2 {
 		t.Fatalf("counts = %d/%d", r, w)
+	}
+}
+
+// BenchmarkTouchHit is the guest's resident-page access: "hit" cycles over
+// 128 pages the TLB holds side by side, "refill" alternates two pages that
+// share a TLB slot, so every access is a backing hit that refills the slot.
+func BenchmarkTouchHit(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		stride uint64 // pages between consecutive accesses
+		pages  uint64
+	}{{"hit", 1, 128}, {"refill", tlbEntries, 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			v, err := New(Config{Name: "bench", MemBytes: 2 * tlbEntries * PageSize}, newFakeBacking(0))
+			if err != nil {
+				b.Fatal(err)
+			}
+			seg, err := v.Alloc("data", 2*tlbEntries*PageSize, ClassAnon)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr := func(i int) uint64 { return seg.Addr(uint64(i) % bc.pages * bc.stride * PageSize) }
+			for i := 0; i < int(bc.pages); i++ {
+				if _, _, err := v.Touch(0, addr(i), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := v.Touch(0, addr(i), false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
