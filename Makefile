@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-openloop shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # test runs every test in the tree exactly once, uncached. That includes
@@ -109,6 +109,16 @@ profile-graph500:
 	$(GO) test . -run '^$$' -bench '^BenchmarkGraph500$$' -benchtime 3x -o .profile/fluidmem.test -cpuprofile .profile/graph500.prof
 	$(GO) tool pprof -top -nodecount=25 .profile/graph500.prof
 
+# Where the host time of the open-loop workload goes: three offered-load
+# ladders of the diurnal scenario — loadgen.Run under the market planner at
+# x1, x2 and x4 (internal/loadgen's BenchmarkRunDiurnal, the rungs of
+# benchmark/'s openloop_diurnal) — under the CPU profiler, top 25 frames. -o
+# keeps the test binary in .profile/.
+profile-openloop:
+	mkdir -p .profile
+	$(GO) test ./internal/loadgen -run '^$$' -bench '^BenchmarkRunDiurnal$$' -benchtime 3x -o .profile/loadgen.test -cpuprofile .profile/openloop.prof
+	$(GO) tool pprof -top -nodecount=25 .profile/openloop.prof
+
 # The ratchet: re-run the artifact experiments and compare each serialised
 # result with its committed BENCH_*.json byte for byte. Every artifact field
 # is fixed by the seed (virtual time, counts, verdicts, digests, and
@@ -168,10 +178,11 @@ cluster-oracle:
 # across fault-pipeline widths {1,2,4,8}, for every scenario × planner
 # cell; the arrival schedules themselves must be split/merge-invariant, and
 # equal to the reference-bisection schedules timestamp for timestamp
-# (TestInvCum*: guess-and-verify inversion moves no arrival).
+# (TestInvCum*: guess-and-verify inversion moves no arrival;
+# TestInverseFallbackExact: nor where the walk and the fallback answer).
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
-	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum'
+	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum|TestInverseFallbackExact'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a

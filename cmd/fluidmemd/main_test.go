@@ -144,6 +144,17 @@ func TestModeRejectsUnsupportedFlags(t *testing.T) {
 	}
 }
 
+// A NaN or infinite -rate-scale fails the scenario replay with loadgen's
+// error, which main turns into a non-zero exit.
+func TestScenarioRejectsNonFiniteRateScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "Inf", "-Inf"} {
+		err := run([]string{"-scenario", "diurnal", "-rate-scale", scale}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") {
+			t.Errorf("-rate-scale %s: err = %v, want the non-finite scale refused", scale, err)
+		}
+	}
+}
+
 // -replicas on the cluster pool is its copies per partition, an explicit 1
 // included; left unset, the pool keeps its default of 2.
 func TestClusterReplicasFlag(t *testing.T) {

@@ -97,8 +97,13 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 		// Arrivals at integer crossings of the cumulative measure: the
 		// half-open measure intervals (cumStart, cumEnd] tile the real
 		// line across slices, so each crossing is emitted exactly once.
-		for n := math.Floor(cumStart) + 1; n <= cumEnd; n++ {
-			t := invCum(cfg.Curve, n, start, end, cumStart, cumEnd)
+		n := math.Floor(cumStart) + 1
+		if n > cumEnd {
+			break
+		}
+		inv := newCumInverse(cfg.Curve, start, end, cumStart, cumEnd)
+		for ; n <= cumEnd; n++ {
+			t := inv.invert(n)
 			if t >= end {
 				t = end - 1 // boundary crossing stays in this slice's window
 			}
@@ -108,11 +113,15 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 		r := clock.NewRand(sliceSeed(cfg.Seed, k))
 		lambda := cumEnd - cumStart
 		n := poissonCount(r, lambda)
+		if n == 0 {
+			break
+		}
+		inv := newCumInverse(cfg.Curve, start, end, cumStart, cumEnd)
 		for i := 0; i < n; i++ {
 			// u in [0,1) maps to measure in [cumStart, cumEnd): inversion
 			// sampling of the conditional (non-homogeneous) distribution.
 			target := cumStart + r.Float64()*lambda
-			t := invCum(cfg.Curve, target, start, end, cumStart, cumEnd)
+			t := inv.invert(target)
 			if t >= end {
 				t = end - 1
 			}

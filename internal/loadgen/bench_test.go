@@ -30,3 +30,23 @@ func BenchmarkArrivalsNext(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunDiurnal is one offered-load ladder of the diurnal scenario:
+// loadgen.Run under the market planner at ×1, ×2 and ×4, each over a 2.5 s
+// horizon — the rungs of the benchmark's openloop_diurnal workload, where
+// arrival generation, the event scheduler, host epochs and the planner do
+// the work. `make profile-openloop` profiles it.
+func BenchmarkRunDiurnal(b *testing.B) {
+	scen, err := NamedScenario("diurnal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scen.Horizon = 2500 * time.Millisecond
+	for i := 0; i < b.N; i++ {
+		for _, scale := range []float64{1, 2, 4} {
+			if _, err := Run(Config{Scenario: scen, Planner: PlannerMarket, Seed: uint64(i) + 1, RateScale: scale}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

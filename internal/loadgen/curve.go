@@ -142,22 +142,48 @@ func resolve(curve RateCurve) RateCurve {
 	return curve
 }
 
-// invCum finds the earliest nanosecond t in (lo, hi] with CumOps(t) >=
-// target, given cumLo = CumOps(lo) and cumHi = CumOps(hi). That t is the
-// boundary of a predicate monotone in t, so every search that lands on it
-// returns the same t: guessCum gets there in a few curve evaluations, and
-// whatever it cannot verify goes to bisectCum (DESIGN.md §17).
-func invCum(c RateCurve, target float64, lo, hi time.Duration, cumLo, cumHi float64) time.Duration {
-	if t, ok := guessCum(c, target, lo, hi, cumLo, cumHi); ok {
-		return t
-	}
-	return bisectCum(c, target, lo, hi)
+// cumInverse inverts CumOps over one bracket (lo, hi], an arrival slice:
+// invert(target) is the earliest nanosecond t in (lo, hi] with CumOps(t) >=
+// target (DESIGN.md §17). guess proposes t from cubic Hermite interpolants
+// of CumOps and its inverse through the bracket's ends (chords where Rate is
+// equal at both, or zero at one) and verifies it; bisectCum does the rest.
+type cumInverse struct {
+	c                     RateCurve
+	lo, hi                time.Duration
+	cumLo, cumHi          float64
+	curved                bool
+	m, q2, q3, r0, p2, p3 float64 // inverse cubic (ns/op), forward (ops/ns)
 }
 
-// bisectCum is invCum's reference implementation and its fallback: a binary
-// search over integer nanoseconds, log2(hi-lo) iterations (20 for a 1 ms
-// slice), bit-deterministic because it never compares computed floats
-// against each other, only against the fixed target.
+func newCumInverse(c RateCurve, lo, hi time.Duration, cumLo, cumHi float64) cumInverse {
+	inv := cumInverse{c: c, lo: lo, hi: hi, cumLo: cumLo, cumHi: cumHi}
+	span, d := float64(hi-lo), cumHi-cumLo
+	inv.m, inv.r0 = span/d, d/span
+	rLo, rHi := c.Rate(lo)/float64(time.Second), c.Rate(hi)/float64(time.Second)
+	if inv.curved = rLo != rHi && rLo > 0 && rHi > 0; inv.curved {
+		inv.m, inv.q2, inv.q3 = hermite(d, span, 1/rLo, 1/rHi)
+		inv.r0, inv.p2, inv.p3 = hermite(span, d, rLo, rHi)
+	}
+	return inv
+}
+
+// hermite is x*(s0 + x*(k2 + x*k3)) through (dx, dy), slope s0 at 0 and s1 at dx.
+func hermite(dx, dy, s0, s1 float64) (float64, float64, float64) {
+	a, b := dy-s0*dx, s1-s0
+	return s0, (3*a/dx - b) / dx, (b - 2*a/dx) / (dx * dx)
+}
+
+// invert is the boundary: the verified guess, or bisection's.
+func (inv *cumInverse) invert(target float64) time.Duration {
+	if t, ok := inv.guess(target); ok {
+		return t
+	}
+	return bisectCum(inv.c, target, inv.lo, inv.hi)
+}
+
+// bisectCum is invert's reference and fallback: a binary search over integer
+// nanoseconds (20 steps for a 1 ms slice), bit-deterministic because it
+// compares computed floats only against the fixed target.
 func bisectCum(c RateCurve, target float64, lo, hi time.Duration) time.Duration {
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
@@ -170,76 +196,59 @@ func bisectCum(c RateCurve, target float64, lo, hi time.Duration) time.Duration 
 	return hi
 }
 
-const (
-	// guessRounds bounds guessCum's Newton steps: smooth curves verify in
-	// one or two, a guess across FlashCrowdRate's step can use them up.
-	guessRounds = 3
-	// guessMinRise is the least trusted rise of CumOps across a boundary,
-	// relative to the target's magnitude: 2^8 ulps.
-	guessMinRise = 1.0 / (1 << 44)
-)
+// guessMinRise is the least trusted rise of CumOps across a boundary,
+// relative to the target's magnitude: 2^8 ulps.
+const guessMinRise = 1.0 / (1 << 44)
 
-// guessCum is invCum by guess-and-verify: a chord through the bracket's ends,
-// Newton steps on the closed-form Rate, and acceptance of a nanosecond b only
-// after evaluating the boundary itself, CumOps(b-1) < target <= CumOps(b).
-// It reports false, leaving the answer to bisection over the whole bracket,
-// when the target is outside (cumLo, cumHi], the rate is zero, a step leaves
-// the bracket, the rounds run out, or the boundary is not trusted.
-func guessCum(c RateCurve, target float64, lo, hi time.Duration, cumLo, cumHi float64) (time.Duration, bool) {
-	if !(cumLo < target && target <= cumHi) {
+// candidate is the first whole nanosecond in (lo, hi] at or after the inverse
+// cubic's crossing of cumLo+u, refined by one Newton step on the forward
+// cubic that takes the inverse's slope, and the forward cubic's rate there.
+func (inv *cumInverse) candidate(u float64) (time.Duration, float64) {
+	tau, rate := u*inv.m, inv.r0
+	if inv.curved {
+		tau += u * u * (inv.q2 + u*inv.q3)
+		rate += tau * (2*inv.p2 + 3*tau*inv.p3)
+		tau -= (tau*(inv.r0+tau*(inv.p2+tau*inv.p3)) - u) * (inv.m + u*(2*inv.q2+3*u*inv.q3))
+	}
+	if !(tau >= 1) { // NaN included
+		tau = 1
+	}
+	return inv.lo + time.Duration(math.Ceil(min(tau, float64(inv.hi-inv.lo)))), rate
+}
+
+// guess is invert by guess-and-verify: the candidate, then a walk of at most
+// 3 ns toward the crossing, accepting b only after evaluating
+// CumOps(b-1) < target <= CumOps(b). It reports false for a target outside
+// (cumLo, cumHi], an exhausted walk or an untrusted boundary.
+func (inv *cumInverse) guess(target float64) (time.Duration, bool) {
+	if !(inv.cumLo < target && target <= inv.cumHi) {
 		return 0, false
 	}
-	span := float64(hi - lo)
-	minRise := guessMinRise * math.Max(1, math.Abs(target))
-	g := lo + time.Duration(span*(target-cumLo)/(cumHi-cumLo))
-	if g <= lo {
-		g = lo + 1
-	}
-	cg := c.CumOps(g)
-	for round := 0; round < guessRounds; round++ {
-		rate := c.Rate(g) / float64(time.Second) // ops per nanosecond
-		// The crossing is step nanoseconds from g; the boundary is the
-		// first whole nanosecond at or after it.
-		step := math.Ceil((target - cg) / rate)
-		if !(rate > 0 && math.Abs(step) <= span) {
-			return 0, false
-		}
-		b := max(lo+1, min(hi, g+time.Duration(step)))
-		cb := cg
-		if b != g {
-			cb = c.CumOps(b)
-		}
+	b, rate := inv.candidate(target - inv.cumLo)
+	cb := inv.c.CumOps(b)
+	for step := 0; step <= 3; step++ {
 		if cb >= target {
-			below := cg
-			if b-1 != g {
-				below = c.CumOps(b - 1) // at b-1 == lo this is cumLo < target
-			}
+			below := inv.c.CumOps(b - 1) // at b-1 == lo this is cumLo < target
 			if below < target {
-				return b, trusted(cb-below, rate, minRise)
+				return b, trusted(cb-below, rate, target)
 			}
-			g, cg = b-1, below
+			b, cb = b-1, below
 		} else {
-			// b < hi here: CumOps(hi) is cumHi >= target.
-			above := cg
-			if b+1 != g {
-				above = c.CumOps(b + 1)
-			}
+			above := inv.c.CumOps(b + 1) // b < hi: CumOps(hi) is cumHi >= target
 			if above >= target {
-				return b + 1, trusted(above-cb, rate, minRise)
+				return b + 1, trusted(above-cb, rate, target)
 			}
-			g, cg = b+1, above
+			b, cb = b+1, above
 		}
 	}
 	return 0, false
 }
 
 // trusted decides whether a verified boundary can stand for bisection's.
-// Where one nanosecond of rate adds less to CumOps than its rounding noise,
-// the predicate CumOps(t) >= target flickers around the crossing and which
-// of its boundaries bisection lands on depends on its probe sequence. Two
-// free signs of that: the rise across the boundary is within a few hundred
-// ulps of the target's magnitude, or it is more than 2x off the closed-form
-// rate (noise above the ulp level, or a kink since the last Newton point).
-func trusted(rise, rate, minRise float64) bool {
-	return rise >= minRise && rise <= 2*rate && 2*rise >= rate
+// Where a nanosecond of rate adds less to CumOps than its rounding noise,
+// CumOps(t) >= target flickers near the crossing, and which boundary
+// bisection finds depends on its probes. Two free signs: a rise within 2^8
+// ulps of the target's magnitude, or 2x off the interpolant's rate.
+func trusted(rise, rate, target float64) bool {
+	return rise >= guessMinRise*math.Max(1, math.Abs(target)) && rise <= 2*rate && 2*rise >= rate
 }

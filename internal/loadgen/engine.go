@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"time"
 
@@ -162,8 +163,8 @@ func Run(cfg Config) (*Report, error) {
 	if scale == 0 {
 		scale = 1
 	}
-	if scale < 0 {
-		return nil, fmt.Errorf("loadgen: negative rate scale %v", scale)
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("loadgen: rate scale %v is not a finite non-negative number", scale)
 	}
 
 	// Build the host: one machine per tenant on a DRAM-backed shared store,

@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -103,6 +105,28 @@ func TestRunGoodputCollapsesPastKnee(t *testing.T) {
 	}
 	if high.Backlog == 0 {
 		t.Fatal("past-knee run reports zero backlog")
+	}
+}
+
+// A NaN or infinite rate scale is refused: run, it would make every slice's
+// Poisson count loop forever. Run gets a deadline so that a hang fails here
+// with a message instead of at the go test timeout.
+func TestRunRejectsNonFiniteRateScale(t *testing.T) {
+	scen := mustScenario(t, "diurnal")
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(Config{Scenario: scen, RateScale: scale})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") {
+				t.Fatalf("RateScale %v: err = %v, want it refused", scale, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("RateScale %v: Run still running after 10s; a non-finite scale must be refused", scale)
+		}
 	}
 }
 
