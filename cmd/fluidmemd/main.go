@@ -44,6 +44,14 @@ func main() {
 // one epoch of the drive command.
 const epochOps = 512
 
+// plannerModes names each -planner value's budget policy on the boot line;
+// a value it lacks is refused.
+var plannerModes = map[fluidmem.Planner]string{
+	fluidmem.PlannerStatic:  "static equal split",
+	fluidmem.PlannerArbiter: "arbiter rebalancing",
+	fluidmem.PlannerMarket:  "marketplace (SLO claw-back)",
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("fluidmemd", flag.ContinueOnError)
 	var (
@@ -62,9 +70,8 @@ func run(args []string, w io.Writer) error {
 		cleanDrop  = fs.Bool("clean-drop", false, "write-protect store-backed installs and drop still-clean eviction victims without a store write")
 		traceOut   = fs.String("trace", "", "write a Chrome trace (chrome://tracing / Perfetto) of the first VM and the shared store to this file; also enables the hist command")
 		vms        = fs.Int("vms", 1, "VM count sharing the local budget: the first, \"hot\", drives a working set past its equal split; the rest, \"cold1\"..., a quarter of theirs under a tight p99 SLO")
-		arb        = fs.Bool("arbiter", false, "with -vms > 1: rebalance the shared budget each epoch from the ghost-LRU miss-ratio curves (default keeps the static equal split)")
-		mkt        = fs.Bool("market", false, "with -vms > 1: run the Memtrade-style marketplace — curve-priced leases with p99-SLO claw-back — instead of the greedy arbiter")
-		scenario   = fs.String("scenario", "", "replay a named open-loop traffic scenario (diurnal | flashcrowd | churn) against a multi-tenant host and print the offered-load/goodput report; -arbiter/-market pick the planner, -rate-scale sweeps the offered load")
+		planner    = fs.String("planner", "static", "static | arbiter | market: keep the equal split of the shared budget, rebalance it each epoch from the ghost-LRU miss-ratio curves, or run the Memtrade-style marketplace (curve-priced leases with p99-SLO claw-back); arbiter and market need -vms > 1")
+		scenario   = fs.String("scenario", "", "replay a named open-loop traffic scenario (diurnal | flashcrowd | churn) against a multi-tenant host and print the offered-load/goodput report; -planner picks the planner, -rate-scale sweeps the offered load")
 		rateScale  = fs.Float64("rate-scale", 1, "with -scenario: multiply every tenant's offered-load curve (the knee-of-curve sweep axis)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,21 +82,17 @@ func run(args []string, w io.Writer) error {
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
+	plan := fluidmem.Planner(*planner)
+	mode, ok := plannerModes[plan]
+	if !ok {
+		return fmt.Errorf("-planner must be static, arbiter or market, got %q", *planner)
+	}
 	if *scenario != "" {
 		if err := rejectUnsupported(fs, "the -scenario replay (it builds its own tenant population on the DRAM store)",
-			"scenario", "rate-scale", "arbiter", "market", "workers", "seed"); err != nil {
+			"scenario", "rate-scale", "planner", "workers", "seed"); err != nil {
 			return err
 		}
-		if *arb && *mkt {
-			return fmt.Errorf("-arbiter and -market are mutually exclusive planners")
-		}
-		planner := loadgen.PlannerStatic
-		if *arb {
-			planner = loadgen.PlannerArbiter
-		} else if *mkt {
-			planner = loadgen.PlannerMarket
-		}
-		return runScenario(w, *scenario, planner, *rateScale, *workers, *seed)
+		return runScenario(w, *scenario, plan, *rateScale, *workers, *seed)
 	}
 	cluster := *backend == string(fluidmem.BackendCluster)
 	switch {
@@ -103,8 +106,8 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-vms must be >= 1, got %d", *vms)
 	case *replicas < 1:
 		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
-	case (*arb || *mkt) && *vms < 2:
-		return fmt.Errorf("-arbiter and -market need -vms > 1: one VM has nobody to trade with")
+	case plan != fluidmem.PlannerStatic && *vms < 2:
+		return fmt.Errorf("-planner %s needs -vms > 1: one VM has nobody to trade with", plan)
 	}
 
 	c := &console{w: w}
@@ -149,17 +152,10 @@ func run(args []string, w io.Writer) error {
 		specs[i] = fluidmem.TenantSpec{ID: fmt.Sprintf("cold%d", i), VM: vmc, Policy: fluidmem.TenantPolicy{SLO: time.Microsecond}}
 		c.spans[i] = max(equal/4, 1)
 	}
-	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: *seed, EpochOps: epochOps}
+	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: totalPages, Planner: plan, Seed: *seed, EpochOps: epochOps}
 	if *traceOut != "" {
 		hc.Tracer = fluidmem.NewTracer(true)
 		hc.Tenants[0].VM.Tracer = hc.Tracer
-	}
-	mode := "static equal split"
-	if *arb {
-		hc.Arbiter, mode = &fluidmem.ArbiterPolicy{}, "arbiter rebalancing"
-	}
-	if *mkt {
-		hc.Market, mode = &fluidmem.MarketPolicy{}, "marketplace (SLO claw-back)"
 	}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {
@@ -444,7 +440,7 @@ var commands = map[string]command{
 	"market": {run: func(c *console, now time.Duration, arg string, n int) (string, error) {
 		st := c.h.Stats()
 		if st.Market == nil {
-			return "marketplace not running (use -market)", nil
+			return "marketplace not running (use -planner market)", nil
 		}
 		mk := st.Market
 		fmt.Fprintf(c.w, "  epochs=%d slo-enforced=%d slo-violations=%d leases=%d leased-pages=%d clawbacks=%d clawed-pages=%d predicted-savings=%d\n",

@@ -64,7 +64,7 @@ func TestBadBackend(t *testing.T) {
 func TestHostConsole(t *testing.T) {
 	// The host commands run under every planner (market prints a hint when
 	// the marketplace is off).
-	for _, planner := range [][]string{nil, {"-arbiter"}, {"-market"}} {
+	for _, planner := range [][]string{nil, {"-planner", "arbiter"}, {"-planner", "market"}} {
 		args := append([]string{"-vms", "2", "-local", "1", "-backend", "dram", "-script", "drive 2;status;slo;market;status"}, planner...)
 		if err := run(args, io.Discard); err != nil {
 			t.Fatalf("%v: %v", planner, err)
@@ -78,15 +78,25 @@ func TestHostConsole(t *testing.T) {
 	}
 }
 
+// -planner takes one of three names; the two that move pages need a second
+// VM to move them to.
 func TestMarketFlagValidation(t *testing.T) {
-	if err := run([]string{"-market"}, io.Discard); err == nil {
-		t.Fatal("-market without -vms accepted")
+	for _, p := range []string{"market", "arbiter"} {
+		if err := run([]string{"-planner", p}, io.Discard); err == nil {
+			t.Errorf("-planner %s without -vms accepted", p)
+		}
 	}
-	if err := run([]string{"-arbiter"}, io.Discard); err == nil {
-		t.Fatal("-arbiter without -vms accepted")
+	for _, args := range [][]string{
+		{"-vms", "2", "-planner", "bogus"},
+		{"-planner", ""},
+		{"-scenario", "diurnal", "-planner", "bogus"},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "-planner") {
+			t.Errorf("%v: err = %v, want an error naming -planner", args, err)
+		}
 	}
-	if err := run([]string{"-vms", "2", "-market", "-arbiter"}, io.Discard); err == nil {
-		t.Fatal("-market with -arbiter accepted")
+	if err := run([]string{"-planner", "static", "-script", "status"}, io.Discard); err != nil {
+		t.Errorf("-planner static on one VM: %v", err)
 	}
 }
 
@@ -136,7 +146,7 @@ func TestModeRejectsUnsupportedFlags(t *testing.T) {
 	// What each run does honour still runs.
 	for _, args := range [][]string{
 		{"-vms", "2", "-local", "8", "-guest", "32", "-workers", "2", "-chaos", "0.01", "-trace", trace, "-script", "drive 1;hist"},
-		{"-scenario", "churn", "-market", "-workers", "2", "-rate-scale", "0.5", "-seed", "3"},
+		{"-scenario", "churn", "-planner", "market", "-workers", "2", "-rate-scale", "0.5", "-seed", "3"},
 	} {
 		if err := run(args, io.Discard); err != nil {
 			t.Errorf("%v: %v", args, err)
@@ -191,7 +201,7 @@ func TestTranscripts(t *testing.T) {
 		// partition: recover restores its copies.
 		{"cluster", []string{"-backend", "cluster", "-script", "resize 120;tick 3000;health;crash node2;tick 1000;recover;tick 1000;" +
 			"partition node0;tick 1000;heal node0;add;tick 1000;drain node1;tick 1000;health;status"}},
-		{"market", []string{"-vms", "3", "-local", "1", "-market", "-script", "drive 8;status;slo;market"}},
+		{"market", []string{"-vms", "3", "-local", "1", "-planner", "market", "-script", "drive 8;status;slo;market"}},
 		{"chaos", []string{"-replicas", "3", "-chaos", "0.02", "-seed", "7", "-script", "resize 120;tick 3000;health;status"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -85,7 +85,7 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 		}
 	}
 	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 96, Seed: 42,
-		Market: &MarketPolicy{}, EpochOps: epochOps})
+		Planner: PlannerMarket, EpochOps: epochOps})
 	if err != nil {
 		t.Fatal(err)
 	}

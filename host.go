@@ -12,9 +12,25 @@ import (
 	"fluidmem/internal/trace"
 )
 
-// ArbiterPolicy re-exports the greedy reallocation policy knobs
-// (floor/ceiling, slab size, moves per epoch, hysteresis).
-type ArbiterPolicy = arbiter.Policy
+// Planner names the policy that resizes a host's tenant shares each epoch.
+type Planner string
+
+const (
+	// PlannerStatic keeps the equal split: the baseline the planners must
+	// beat. The empty Planner means the same.
+	PlannerStatic Planner = "static"
+	// PlannerArbiter rebalances the budget every epoch with the greedy
+	// reallocator (arbiter.DefaultPolicy for the host's budget and tenant
+	// count): the single-policy baseline the marketplace is benchmarked
+	// against.
+	PlannerArbiter Planner = "arbiter"
+	// PlannerMarket runs the Memtrade-style marketplace every epoch
+	// (market.DefaultConfig for the host's budget and tenant count): tenants
+	// bid for slabs priced from their ghost-LRU miss-ratio curves, grants are
+	// tracked as leases, and tenants violating their p99 fault-latency SLO get
+	// their donated leases clawed back (internal/market).
+	PlannerMarket Planner = "market"
+)
 
 // HostConfig assembles a multi-tenant host: N guests on one hypervisor
 // sharing one key-value store and one local DRAM page budget.
@@ -25,22 +41,12 @@ type HostConfig struct {
 	// TotalLocalPages is the host DRAM page budget shared across all tenants.
 	// Must admit at least one page per tenant.
 	TotalLocalPages int
-	// Arbiter, when non-nil, rebalances the budget every epoch with the
-	// greedy reallocator — the single-policy baseline the marketplace is
-	// benchmarked against. The zero policy selects arbiter.DefaultPolicy for
-	// the host's budget and tenant count. Mutually exclusive with Market;
-	// with neither, the static equal split stays (the baseline the planners
-	// must beat).
-	Arbiter *ArbiterPolicy
-	// Market, when non-nil, runs the Memtrade-style marketplace every epoch:
-	// tenants bid for slabs priced from their ghost-LRU miss-ratio curves,
-	// grants are tracked as leases, and tenants violating their p99
-	// fault-latency SLO get their donated leases clawed back
-	// (internal/market). The zero policy selects market.DefaultConfig for the
-	// host's budget and tenant count.
-	Market *MarketPolicy
+	// Planner picks the policy that resizes tenant shares each epoch:
+	// PlannerStatic (or ""), PlannerArbiter or PlannerMarket. NewHost refuses
+	// any other name.
+	Planner Planner
 	// EpochOps is the per-tenant guest-operation count that closes an epoch
-	// window: each tenant's miss-ratio curve and FAULT histogram are
+	// window: each tenant's miss-ratio curve and fault histogram are
 	// snapshotted as it crosses the boundary, and the planner runs once every
 	// active tenant has crossed. Counting operations instead of virtual time
 	// keeps epoch decisions identical across worker counts and tenant
@@ -94,34 +100,23 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if cfg.TotalLocalPages < n {
 		return nil, fmt.Errorf("fluidmem: budget %d pages cannot give %d tenants a page each", cfg.TotalLocalPages, n)
 	}
-	if cfg.Arbiter != nil && cfg.Market != nil {
-		return nil, errors.New("fluidmem: Arbiter and Market are mutually exclusive planners")
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	h := &Host{cfg: cfg, byID: make(map[string]*Tenant, n), epochOps: 512}
-	switch {
-	case cfg.Arbiter != nil:
-		policy := *cfg.Arbiter
-		if policy == (arbiter.Policy{}) {
-			policy = arbiter.DefaultPolicy(cfg.TotalLocalPages, n)
-		}
-		if err := policy.Validate(); err != nil {
-			return nil, fmt.Errorf("fluidmem: %w", err)
-		}
-		h.planner = policy
-	case cfg.Market != nil:
-		mc := *cfg.Market
-		if mc == (market.Config{}) {
-			mc = market.DefaultConfig(cfg.TotalLocalPages, n)
-		}
-		mkt, err := market.New(mc)
+	switch cfg.Planner {
+	case PlannerStatic, "":
+	case PlannerArbiter:
+		h.planner = arbiter.DefaultPolicy(cfg.TotalLocalPages, n)
+	case PlannerMarket:
+		mkt, err := market.New(market.DefaultConfig(cfg.TotalLocalPages, n))
 		if err != nil {
 			return nil, fmt.Errorf("fluidmem: %w", err)
 		}
 		h.planner = mkt
 		h.mkt = mkt
+	default:
+		return nil, fmt.Errorf("fluidmem: unknown planner %q (want %q, %q or %q)", cfg.Planner, PlannerStatic, PlannerArbiter, PlannerMarket)
 	}
 	if cfg.EpochOps > 0 {
 		h.epochOps = cfg.EpochOps
@@ -194,12 +189,6 @@ func NewHost(cfg HostConfig) (*Host, error) {
 			p := DefaultHotsetParams(share)
 			p.GhostCapacity = cfg.TotalLocalPages
 			mc.Hotset = &p
-		}
-		if pol.SLO > 0 && mc.Tracer == nil && h.windows {
-			// SLO windows need the FAULT histogram. A histogram-only tracer
-			// is pure observation: simulated results are bit-identical with
-			// or without it.
-			mc.Tracer = NewTracer(false)
 		}
 		m, err := NewMachine(mc)
 		if err != nil {

@@ -40,20 +40,17 @@ func marketTenants(workers int) []TenantSpec {
 // marketHostRun drives the adversarial pair for `rounds` epochs under the
 // schedule, with the chosen planner ("market", "arbiter", or "static" —
 // static still runs SLO windows via HostConfig.EpochOps).
-func marketHostRun(t *testing.T, workers int, planner string, sched hostSchedule) *Host {
+func marketHostRun(t *testing.T, workers int, planner Planner, sched hostSchedule) *Host {
+	t.Helper()
+	return driveMarketHost(t, marketTenants(workers), planner, sched)
+}
+
+// driveMarketHost is marketHostRun on a given pair of tenant specs.
+func driveMarketHost(t *testing.T, specs []TenantSpec, planner Planner, sched hostSchedule) *Host {
 	t.Helper()
 	const totalPages, epochOps, rounds = 64, 200, 8
-	cfg := HostConfig{Tenants: marketTenants(workers), TotalLocalPages: totalPages, EpochOps: epochOps, Seed: 42}
-	switch planner {
-	case "market":
-		cfg.Market = &MarketPolicy{}
-	case "arbiter":
-		cfg.Arbiter = &ArbiterPolicy{}
-	case "static":
-	default:
-		t.Fatalf("unknown planner %q", planner)
-	}
-	h, err := NewHost(cfg)
+	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: totalPages,
+		EpochOps: epochOps, Planner: planner, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +154,41 @@ func TestHostStaticSplitSLOAccounting(t *testing.T) {
 	}
 	if windows == 0 {
 		t.Fatal("static host evaluated no SLO windows")
+	}
+}
+
+// A tenant's SLO window is read from its own monitor, so tracing cannot move
+// it: untraced, one tracer per tenant, and one tracer shared by both tenants
+// (whose merged FAULT histogram mixes their spans) must give the same SLO
+// rows, shares, fault counts and host clock. The adversary has no SLO, and
+// its window still reads its real faults.
+func TestSLOIndependentOfTracing(t *testing.T) {
+	run := func(tracer func() *Tracer) HostStats {
+		specs := marketTenants(1)
+		for i := range specs {
+			specs[i].VM.Tracer = tracer()
+		}
+		return driveMarketHost(t, specs, PlannerMarket, roundRobin).Stats()
+	}
+	shared := NewTracer(false)
+	ref := run(func() *Tracer { return nil })
+	if adv := ref.Tenants[0].SLO; adv.LastFaults == 0 || adv.LastP99 == 0 {
+		t.Fatalf("untraced tenant without an SLO reads an empty window: %+v", adv)
+	}
+	for name, st := range map[string]HostStats{
+		"per-tenant": run(func() *Tracer { return NewTracer(false) }),
+		"shared":     run(func() *Tracer { return shared }),
+	} {
+		if st.Now != ref.Now {
+			t.Errorf("%s: host clock %v, untraced %v", name, st.Now, ref.Now)
+		}
+		for i, ts := range st.Tenants {
+			want := ref.Tenants[i]
+			if ts.SLO != want.SLO || ts.SharePages != want.SharePages || ts.Faults != want.Faults {
+				t.Errorf("%s: tenant %s: slo %+v share %d faults %d, untraced slo %+v share %d faults %d",
+					name, ts.ID, ts.SLO, ts.SharePages, ts.Faults, want.SLO, want.SharePages, want.Faults)
+			}
+		}
 	}
 }
 
@@ -276,12 +308,6 @@ func TestNewHostTenantValidation(t *testing.T) {
 		{"negative SLO", HostConfig{
 			Tenants:         []TenantSpec{{ID: "a", VM: vm, Policy: TenantPolicy{SLO: -1}}},
 			TotalLocalPages: 16}, nil},
-		{"two planners", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
-			Arbiter: &ArbiterPolicy{}, Market: &MarketPolicy{}}, nil},
-		{"bad market policy", HostConfig{
-			Tenants: []TenantSpec{{ID: "a", VM: vm}}, TotalLocalPages: 16,
-			Market: &MarketPolicy{FloorPages: -1, Step: 1}}, nil},
 
 		// A host has one store, described by tenant 0: a later tenant that
 		// describes another one is refused, not silently given tenant 0's.
@@ -379,7 +405,7 @@ func TestHostMarketSurvivesClusterNodeCrash(t *testing.T) {
 	for i := range specs {
 		specs[i].VM.Backend, specs[i].VM.Monitor = BackendCluster, &mon
 	}
-	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: totalPages, EpochOps: epochOps, Market: &MarketPolicy{}, Seed: 42})
+	h, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: totalPages, EpochOps: epochOps, Planner: PlannerMarket, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,9 @@ func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(HostConfig{Tenants: specs, TotalLocalPages: 64}); err == nil {
 		t.Fatal("swap-mode VM accepted into a resizable shared budget")
 	}
-	bad := &ArbiterPolicy{FloorPages: -1, Step: 1}
-	if _, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 64, Arbiter: bad}); err == nil {
-		t.Fatal("invalid arbiter policy accepted")
+	_, err := NewHost(HostConfig{Tenants: hostTenants(2), TotalLocalPages: 64, Planner: "greedy"})
+	if err == nil || !strings.Contains(err.Error(), `unknown planner "greedy"`) {
+		t.Fatalf("unknown planner: err = %v", err)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestHostTenantLifecycleWindows(t *testing.T) {
 	specs := []TenantSpec{{ID: "a", VM: mc}, {ID: "b", VM: mc}, {ID: "dead", VM: mc}}
 	h, err := NewHost(HostConfig{
 		Tenants: specs, TotalLocalPages: 48, Seed: 1,
-		Arbiter: &ArbiterPolicy{}, EpochOps: epochOps,
+		Planner: PlannerArbiter, EpochOps: epochOps,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func skewedHostRun(t *testing.T, workers int, withArbiter, traced bool, sched ho
 	}
 	cfg := HostConfig{Tenants: specs, TotalLocalPages: totalPages, Seed: 42}
 	if withArbiter {
-		cfg.Arbiter, cfg.EpochOps = &ArbiterPolicy{}, epochOps
+		cfg.Planner, cfg.EpochOps = PlannerArbiter, epochOps
 	}
 	if traced {
 		cfg.Tracer = NewTracer(false)
@@ -364,7 +364,7 @@ func TestHostTenantFaultCostMatchesSink(t *testing.T) {
 	const epochOps, rounds = 100, 4
 	h, err := NewHost(HostConfig{
 		Tenants: hostTenants(2), TotalLocalPages: 64, Seed: 42,
-		Arbiter: &ArbiterPolicy{}, EpochOps: epochOps,
+		Planner: PlannerArbiter, EpochOps: epochOps,
 	})
 	if err != nil {
 		t.Fatal(err)

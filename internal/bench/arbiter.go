@@ -100,17 +100,14 @@ type ArbiterResult struct {
 // runArbiterVariant builds the two-tenant host and drives the skewed cyclic
 // workload round-robin for Rounds epochs. Both variants replay the identical
 // logical operation sequence; only the budget policy differs.
-func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariantRow, error) {
-	row := ArbiterVariantRow{Variant: "static-equal-split"}
-	if withArbiter {
-		row.Variant = "arbiter"
-	}
+func runArbiterVariant(cfg ArbiterBenchConfig, v benchVariant) (ArbiterVariantRow, error) {
+	row := ArbiterVariantRow{Variant: v.label}
 	// IDs are the planner's tie-break key: vm0 is the hot guest, vm1 the cold.
 	vm := fluidmem.MachineConfig{Backend: fluidmem.BackendRAMCloud, GuestMemory: 16 << 20}
 	tenants := []fluidmem.TenantSpec{{ID: "vm0", VM: vm}, {ID: "vm1", VM: vm}}
-	hc := fluidmem.HostConfig{Tenants: tenants, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
-	if withArbiter {
-		hc.Arbiter, hc.EpochOps = &fluidmem.ArbiterPolicy{}, cfg.EpochOps
+	hc := fluidmem.HostConfig{Tenants: tenants, TotalLocalPages: cfg.TotalLocalPages, Planner: v.planner, Seed: cfg.Seed}
+	if v.planner != fluidmem.PlannerStatic {
+		hc.EpochOps = cfg.EpochOps
 	}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {
@@ -157,8 +154,8 @@ func runArbiterVariant(cfg ArbiterBenchConfig, withArbiter bool) (ArbiterVariant
 func RunArbiter(opts Options) (*ArbiterResult, error) {
 	cfg := DefaultArbiterBenchConfig(opts)
 	res := &ArbiterResult{Config: cfg}
-	for _, withArbiter := range []bool{false, true} {
-		row, err := runArbiterVariant(cfg, withArbiter)
+	for _, v := range marketVariants[:2] {
+		row, err := runArbiterVariant(cfg, v)
 		if err != nil {
 			return nil, err
 		}

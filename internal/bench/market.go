@@ -173,12 +173,25 @@ type MarketResult struct {
 	WithinSkewedCostBound     bool    `json:"within_skewed_cost_bound"`
 }
 
-var marketVariants = []string{"static-equal-split", "arbiter", "market"}
+// benchVariant is one budget policy of the host comparisons: the label its
+// rows carry and the planner its host runs.
+type benchVariant struct {
+	label   string
+	planner fluidmem.Planner
+}
+
+// marketVariants are the market bench's policies; the arbiter bench runs the
+// first two.
+var marketVariants = []benchVariant{
+	{"static-equal-split", fluidmem.PlannerStatic},
+	{"arbiter", fluidmem.PlannerArbiter},
+	{"market", fluidmem.PlannerMarket},
+}
 
 // runMarketVariant builds the mix's tenant population under one budget
 // policy and drives the cyclic (possibly shifting) workload round-robin.
-func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (MarketVariantRow, error) {
-	row := MarketVariantRow{Mix: mix.name, Variant: variant}
+func runMarketVariant(cfg MarketBenchConfig, mix marketMix, v benchVariant) (MarketVariantRow, error) {
+	row := MarketVariantRow{Mix: mix.name, Variant: v.label}
 	specs := make([]fluidmem.TenantSpec, len(mix.tenants))
 	for i, def := range mix.tenants {
 		specs[i] = fluidmem.TenantSpec{
@@ -187,16 +200,10 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 			Policy: fluidmem.TenantPolicy{SLO: def.slo},
 		}
 	}
-	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: cfg.TotalLocalPages, Seed: cfg.Seed}
 	// EpochOps is set for every variant: the static split still runs epoch
 	// windows, so SLO-miss rates are comparable across variants.
-	hc.EpochOps = cfg.EpochOps
-	switch variant {
-	case "arbiter":
-		hc.Arbiter = &fluidmem.ArbiterPolicy{}
-	case "market":
-		hc.Market = &fluidmem.MarketPolicy{}
-	}
+	hc := fluidmem.HostConfig{Tenants: specs, TotalLocalPages: cfg.TotalLocalPages,
+		EpochOps: cfg.EpochOps, Planner: v.planner, Seed: cfg.Seed}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {
 		return row, err
@@ -218,7 +225,7 @@ func runMarketVariant(cfg MarketBenchConfig, mix marketMix, variant string) (Mar
 	total := cfg.Rounds * cfg.EpochOps
 	for half, ops := range []int{total / 2, total - total/2} {
 		if err := drive(ops, halves[half]); err != nil {
-			return row, fmt.Errorf("%s/%s: %w", mix.name, variant, err)
+			return row, fmt.Errorf("%s/%s: %w", mix.name, v.label, err)
 		}
 	}
 	if err := h.Drain(); err != nil {
@@ -272,13 +279,13 @@ func RunMarket(opts Options) (*MarketResult, error) {
 	res := &MarketResult{Config: cfg}
 	rows := map[string]MarketVariantRow{}
 	for _, mix := range marketMixes(cfg) {
-		for _, variant := range marketVariants {
-			row, err := runMarketVariant(cfg, mix, variant)
+		for _, v := range marketVariants {
+			row, err := runMarketVariant(cfg, mix, v)
 			if err != nil {
 				return nil, err
 			}
 			res.Rows = append(res.Rows, row)
-			rows[mix.name+"/"+variant] = row
+			rows[mix.name+"/"+v.label] = row
 		}
 	}
 	advM, advA := rows["adversarial/market"], rows["adversarial/arbiter"]

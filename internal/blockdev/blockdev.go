@@ -86,8 +86,6 @@ type Device struct {
 	// writes occupy it without head-of-line-blocking foreground reads,
 	// modelling the block layer's sync-read priority.
 	bgQueue *clock.Device
-
-	reads, writes uint64
 }
 
 // New builds a device from params.
@@ -111,9 +109,8 @@ func (d *Device) ReadPage(now time.Duration, page uint64) ([]byte, time.Duration
 	if page >= d.Pages() {
 		return nil, now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
 	}
-	d.reads++
 	data, ok := d.pages[page]
-	done := d.submit(now, d.params.ReadLatency)
+	done := d.queue.Submit(now)
 	if !ok {
 		return nil, done, fmt.Errorf("%w: page %d", ErrNotWritten, page)
 	}
@@ -128,9 +125,13 @@ func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Du
 	if len(data) != PageSize {
 		return now, fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
 	}
-	d.writes++
 	d.pages[page] = append([]byte(nil), data...)
-	return d.submit(now, d.params.WriteLatency), nil
+	// The foreground queue serves reads and these writes in one order. It
+	// holds the read model, so a write lends it the write model.
+	d.queue.Model = d.params.WriteLatency
+	done := d.queue.Submit(now)
+	d.queue.Model = d.params.ReadLatency
+	return done, nil
 }
 
 // WritePageAsync writes one page on the background (writeback) channel: the
@@ -145,19 +146,6 @@ func (d *Device) WritePageAsync(now time.Duration, page uint64, data []byte) (ti
 	if len(data) != PageSize {
 		return now, fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
 	}
-	d.writes++
 	d.pages[page] = append([]byte(nil), data...)
 	return d.bgQueue.Submit(now), nil
-}
-
-// Counters reports total reads and writes serviced.
-func (d *Device) Counters() (reads, writes uint64) {
-	return d.reads, d.writes
-}
-
-func (d *Device) submit(now time.Duration, m clock.LatencyModel) time.Duration {
-	old := d.queue.Model
-	d.queue.Model = m
-	defer func() { d.queue.Model = old }()
-	return d.queue.Submit(now)
 }

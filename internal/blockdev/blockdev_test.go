@@ -31,15 +31,20 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			if _, err := d.WritePage(0, 42, page(7)); err != nil {
 				t.Fatal(err)
 			}
-			got, done, err := d.ReadPage(time.Millisecond, 42)
-			if err != nil {
+			if _, err := d.WritePageAsync(0, 43, page(8)); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, page(7)) {
-				t.Fatal("data corrupted")
-			}
-			if done <= time.Millisecond {
-				t.Fatal("read completed instantly")
+			for pg, tag := range map[uint64]byte{42: 7, 43: 8} {
+				got, done, err := d.ReadPage(time.Millisecond, pg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, page(tag)) {
+					t.Fatalf("page %d corrupted", pg)
+				}
+				if done <= time.Millisecond {
+					t.Fatalf("read of page %d completed instantly", pg)
+				}
 			}
 		})
 	}
@@ -49,6 +54,9 @@ func TestOutOfRange(t *testing.T) {
 	d := mustNew(t, PmemParams(1<<20), 1) // 256 pages
 	if _, err := d.WritePage(0, 256, page(1)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("write err = %v", err)
+	}
+	if _, err := d.WritePageAsync(0, 256, page(1)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("async write err = %v", err)
 	}
 	if _, _, err := d.ReadPage(0, 9999); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("read err = %v", err)
@@ -66,6 +74,9 @@ func TestWriteWrongSize(t *testing.T) {
 	d := mustNew(t, PmemParams(1<<20), 1)
 	if _, err := d.WritePage(0, 0, []byte("tiny")); err == nil {
 		t.Fatal("want error for short write")
+	}
+	if _, err := d.WritePageAsync(0, 0, []byte("tiny")); err == nil {
+		t.Fatal("want error for short async write")
 	}
 }
 
@@ -118,19 +129,5 @@ func TestQueueingUnderBurst(t *testing.T) {
 	}
 	if second <= first {
 		t.Fatalf("no queueing: first=%v second=%v", first, second)
-	}
-}
-
-func TestCounters(t *testing.T) {
-	d := mustNew(t, PmemParams(1<<30), 8)
-	if _, err := d.WritePage(0, 0, page(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.ReadPage(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	r, w := d.Counters()
-	if r != 1 || w != 1 {
-		t.Fatalf("counters = %d/%d", r, w)
 	}
 }

@@ -199,6 +199,12 @@ func (m *Monitor) SetFaultLatencySink(sink func(time.Duration)) {
 // what a sink installed at construction would have added up.
 func (m *Monitor) FaultCost() time.Duration { return m.faultCost }
 
+// FaultHistogram returns a copy of the histogram of every resolved fault's
+// span, resume minus event delivery. It equals a tracer's merged FAULT
+// histogram but needs no tracer: the host reads each tenant's SLO windows
+// from it.
+func (m *Monitor) FaultHistogram() stats.Histogram { return m.faultHist }
+
 // WriteListLen reports pages awaiting flush (test hook).
 func (m *Monitor) WriteListLen() int { return m.wb.QueuedLen() }
 

@@ -43,12 +43,17 @@ const (
 	pathBatchedRead = trace.EvFault + ".batched_read"
 )
 
-// traceFault emits the end-to-end FAULT span for a resolved fault: the
-// event's arg carries the resolution path (the phase past "FAULT."), and the
-// per-path histogram accumulates alongside the merged FAULT one so the
-// paper's Fig. 5-style breakdown falls straight out of a Snapshot.
-func (m *Monitor) traceFault(ev uffd.Event, start, resume time.Duration, path string, err error) {
-	if err != nil || m.tr == nil {
+// recordFault accounts the end-to-end span of a resolved fault, resume minus
+// event delivery. The monitor's own FAULT histogram always takes it. A tracer
+// also gets the FAULT event, whose arg carries the resolution path (the phase
+// past "FAULT."), and the per-path histogram beside the merged FAULT one, so
+// the paper's Fig. 5-style breakdown falls straight out of a Snapshot.
+func (m *Monitor) recordFault(ev uffd.Event, start, resume time.Duration, path string, err error) {
+	if err != nil {
+		return
+	}
+	m.faultHist.Add(resume - start)
+	if m.tr == nil {
 		return
 	}
 	w := m.workerOf(ev.Addr)
@@ -117,7 +122,7 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	key := kvstore.MakeKey(ev.Addr, part)
 	if !m.pages.seen(ev.Addr) {
 		resumeAt, err := m.resolveFirstTouch(t, ev)
-		m.traceFault(ev, eventAt, resumeAt, pathFirstTouch, err)
+		m.recordFault(ev, eventAt, resumeAt, pathFirstTouch, err)
 		return resumeAt, err
 	}
 	// Zero-bitmap hit: the page's latest eviction was elided, so any store
@@ -127,11 +132,11 @@ func (m *Monitor) handleFault(eventAt time.Duration, ev uffd.Event) (time.Durati
 	// even if the feature has since been toggled off.
 	if m.wb.TakeZero(key) {
 		resumeAt, err := m.resolveZeroRefill(t, ev)
-		m.traceFault(ev, eventAt, resumeAt, pathZeroRefill, err)
+		m.recordFault(ev, eventAt, resumeAt, pathZeroRefill, err)
 		return resumeAt, err
 	}
 	resumeAt, path, err := m.resolveFromStore(t, ev, key)
-	m.traceFault(ev, eventAt, resumeAt, path, err)
+	m.recordFault(ev, eventAt, resumeAt, path, err)
 	return resumeAt, err
 }
 

@@ -9,6 +9,7 @@ import (
 	"fluidmem/internal/core/resilience"
 	"fluidmem/internal/hotset"
 	"fluidmem/internal/kvstore"
+	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
 	"fluidmem/internal/uffd"
 	"fluidmem/internal/vm"
@@ -130,6 +131,9 @@ type Monitor struct {
 	// hands the same samples, one by one, to a single consumer.
 	faultCost      time.Duration
 	faultLatencies func(time.Duration)
+	// faultHist holds every resolved fault's span, resume minus event
+	// delivery: the FAULT span a tracer carries, kept with or without one.
+	faultHist stats.Histogram
 }
 
 var (

@@ -6,6 +6,8 @@ package memcached
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"time"
 
 	"fluidmem/internal/clock"
@@ -19,6 +21,11 @@ var chunkSizes = []int{128, 512, 1024, 2048, kvstore.PageSize + 80}
 
 // slabPageSize is the unit of memory the allocator carves into chunks.
 const slabPageSize = 1 << 20
+
+// ErrOutOfMemory reports a write to a slab class that holds no slab and
+// cannot get one: the capacity left is under one slab page, so there is
+// neither a free chunk nor an item to evict.
+var ErrOutOfMemory = errors.New("memcached: no slab memory for the item's class")
 
 // Params configures the store.
 type Params struct {
@@ -98,6 +105,9 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 	if err := kvstore.ValidatePage(page); err != nil {
 		return now, err
 	}
+	if err := s.room(len(page)); err != nil {
+		return now, err
+	}
 	s.set(key, page)
 	s.stats.Puts++
 	return s.writeChan.Submit(now), nil
@@ -111,9 +121,13 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 		return now, kvstore.ErrBadValue
 	}
 	// Validate the whole batch before writing anything: a rejected batch
-	// must leave no partial state (atomic batch visibility).
+	// must leave no partial state (atomic batch visibility). A class with
+	// room before the batch keeps it: slabs are never returned.
 	for _, page := range pages {
 		if err := kvstore.ValidatePage(page); err != nil {
+			return now, err
+		}
+		if err := s.room(len(page)); err != nil {
 			return now, err
 		}
 	}
@@ -185,6 +199,19 @@ func (s *Store) Stats() kvstore.Stats { return s.stats }
 // Len reports resident item count (test hook).
 func (s *Store) Len() int { return len(s.items) }
 
+// room refuses a write whose slab class has no slab when the capacity left
+// cannot hold another one. Any other class has a free chunk or an item to
+// evict, so set cannot fail after room passes.
+func (s *Store) room(size int) error {
+	sc := s.classes[s.classFor(size)]
+	if sc.allocated > 0 || s.memUsed+slabPageSize <= s.params.CapacityBytes {
+		return nil
+	}
+	return fmt.Errorf("%w: %d-byte chunks need a %d-byte slab, %d of %d bytes in use",
+		ErrOutOfMemory, sc.chunkSize, slabPageSize, s.memUsed, s.params.CapacityBytes)
+}
+
+// set stores data under key; room has checked that the class can take it.
 func (s *Store) set(key kvstore.Key, data []byte) {
 	if it, ok := s.items[key]; ok {
 		it.data = append(it.data[:0], data...)
@@ -195,23 +222,14 @@ func (s *Store) set(key kvstore.Key, data []byte) {
 	sc := s.classes[class]
 	// Grow the class with a new slab page if needed, evicting LRU items when
 	// at capacity.
-	chunksPerSlab := slabPageSize / sc.chunkSize
 	for sc.used >= int(sc.allocated)/sc.chunkSize {
 		if s.memUsed+slabPageSize <= s.params.CapacityBytes {
 			sc.allocated += slabPageSize
 			s.memUsed += slabPageSize
-			_ = chunksPerSlab
 			continue
 		}
 		// Capacity pressure: evict the coldest item in this class.
-		front := sc.lru.Front()
-		if front == nil {
-			// Nothing to evict in class; steal is not modelled — drop the
-			// write silently like memcached's SERVER_ERROR path would not
-			// happen for page-size objects in practice.
-			return
-		}
-		s.remove(front.Value.(*item))
+		s.remove(sc.lru.Front().Value.(*item))
 		s.stats.Evictions++
 	}
 	it := &item{key: key, data: append([]byte(nil), data...), class: class}

@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -118,5 +119,38 @@ func TestOverwriteDoesNotLeakChunks(t *testing.T) {
 	class := s.classes[s.classFor(kvstore.PageSize)]
 	if class.used != 1 {
 		t.Fatalf("chunks used = %d, want 1", class.used)
+	}
+}
+
+// A store smaller than one slab page cannot hold a page: Put and MultiPut
+// must refuse with ErrOutOfMemory and store nothing, never report success
+// for a write the next Get cannot find.
+func TestWriteBelowOneSlabRefused(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = slabPageSize / 2
+	s := New(p, 7)
+	key := kvstore.MakeKey(0x1000, 1)
+	if _, err := s.Put(0, key, storetest.Page(1)); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Put err = %v, want ErrOutOfMemory", err)
+	}
+	keys := []kvstore.Key{key, kvstore.MakeKey(0x2000, 1)}
+	if _, err := s.MultiPut(0, keys, [][]byte{storetest.Page(2), storetest.Page(3)}); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("MultiPut err = %v, want ErrOutOfMemory", err)
+	}
+	if st := s.Stats(); s.Len() != 0 || st.Puts != 0 || st.MultiPuts != 0 || st.BytesStored != 0 {
+		t.Fatalf("refused writes left state: len %d, stats %+v", s.Len(), st)
+	}
+	if _, _, err := s.Get(0, key); !errors.Is(err, kvstore.ErrNotFound) {
+		t.Fatalf("Get err = %v, want ErrNotFound", err)
+	}
+
+	// One slab page is enough: the write lands and reads back.
+	p.CapacityBytes = slabPageSize
+	s = New(p, 7)
+	if _, err := s.MultiPut(0, keys, [][]byte{storetest.Page(2), storetest.Page(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := s.Get(0, keys[1]); err != nil || !bytes.Equal(got, storetest.Page(3)) {
+		t.Fatalf("Get after MultiPut: err = %v", err)
 	}
 }

@@ -195,19 +195,11 @@ func Run(cfg Config) (*Report, error) {
 		Tenants:         specs,
 		TotalLocalPages: scen.TotalLocalPages,
 		EpochOps:        scen.EpochOps,
+		Planner:         cfg.Planner,
 		Seed:            cfg.Seed,
 	}
 	if hc.EpochOps <= 0 {
 		hc.EpochOps = 400
-	}
-	switch cfg.Planner {
-	case PlannerArbiter:
-		hc.Arbiter = &fluidmem.ArbiterPolicy{}
-	case PlannerMarket:
-		hc.Market = &fluidmem.MarketPolicy{}
-	case PlannerStatic, "":
-	default:
-		return nil, fmt.Errorf("loadgen: unknown planner %q", cfg.Planner)
 	}
 	h, err := fluidmem.NewHost(hc)
 	if err != nil {

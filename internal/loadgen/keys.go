@@ -13,7 +13,7 @@ type KeyDist uint8
 
 const (
 	// Zipfian is the YCSB-style scrambled zipfian over the tenant's span —
-	// the hot-key skew of real serving workloads.
+	// the hot-key skew of real serving workloads (theta 0.99).
 	Zipfian KeyDist = iota
 	// Uniform touches every page of the span equally.
 	Uniform
@@ -23,16 +23,10 @@ const (
 
 // KeySpec describes what a tenant's operations touch.
 type KeySpec struct {
-	// Dist is the primary distribution; SpanPages the tenant's keyspace
+	// Dist is the key distribution; SpanPages the tenant's keyspace
 	// (working-set span) in pages.
 	Dist      KeyDist
 	SpanPages int
-	// Theta is the zipfian skew (0 uses the YCSB default 0.99).
-	Theta float64
-	// ScanFrac mixes sequential-scan phases into a Zipfian/Uniform stream:
-	// that fraction of operations advances a scan cursor instead of
-	// sampling Dist — the table-scan-over-hot-keys interference pattern.
-	ScanFrac float64
 	// WriteFrac is the fraction of operations that write.
 	WriteFrac float64
 	// SLO is the tenant's p99 fault-latency target (0 = none); carried
@@ -57,11 +51,7 @@ func newKeyGen(spec KeySpec, seed uint64) (*keyGen, error) {
 	}
 	g := &keyGen{spec: spec, r: clock.NewRand(seed ^ 0xfeed_face_cafe)}
 	if spec.Dist == Zipfian {
-		theta := spec.Theta
-		if theta == 0 {
-			theta = 0.99
-		}
-		z, err := ycsb.NewZipfian(spec.SpanPages, theta, seed^0x5ca1_ab1e)
+		z, err := ycsb.NewZipfian(spec.SpanPages, 0.99, seed^0x5ca1_ab1e)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
@@ -73,11 +63,6 @@ func newKeyGen(spec KeySpec, seed uint64) (*keyGen, error) {
 // next returns the page index and write flag of the tenant's next op.
 func (g *keyGen) next() (page int, write bool) {
 	write = g.spec.WriteFrac > 0 && g.r.Float64() < g.spec.WriteFrac
-	if g.spec.ScanFrac > 0 && g.r.Float64() < g.spec.ScanFrac {
-		page = g.cursor % g.spec.SpanPages
-		g.cursor++
-		return page, write
-	}
 	switch g.spec.Dist {
 	case Uniform:
 		page = g.r.Intn(g.spec.SpanPages)

@@ -10,7 +10,6 @@ func TestKeyGenSpanAndDeterminism(t *testing.T) {
 		"zipfian":    {Dist: Zipfian, SpanPages: 64, WriteFrac: 0.3},
 		"uniform":    {Dist: Uniform, SpanPages: 16, WriteFrac: 0.5},
 		"sequential": {Dist: Sequential, SpanPages: 8},
-		"scan-mix":   {Dist: Zipfian, SpanPages: 32, ScanFrac: 0.2, WriteFrac: 0.1},
 	}
 	for name, spec := range specs {
 		a, err := newKeyGen(spec, 42)

@@ -3,15 +3,18 @@ package loadgen
 import (
 	"fmt"
 	"time"
+
+	"fluidmem"
 )
 
-// Planner picks the host's budget policy for a scenario run.
-type Planner string
+// Planner picks the host's budget policy for a scenario run: the host's own
+// selector, so a Report's "planner" string is the name NewHost takes.
+type Planner = fluidmem.Planner
 
 const (
-	PlannerStatic  Planner = "static"
-	PlannerArbiter Planner = "arbiter"
-	PlannerMarket  Planner = "market"
+	PlannerStatic  = fluidmem.PlannerStatic
+	PlannerArbiter = fluidmem.PlannerArbiter
+	PlannerMarket  = fluidmem.PlannerMarket
 )
 
 // Planners lists every planner, in comparison order.

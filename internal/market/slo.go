@@ -1,16 +1,17 @@
-// SLO accounting: turning the PR-4 trace histograms into the per-tenant
+// SLO accounting: turning a tenant's fault histogram into the per-tenant
 // WindowP99 the market enforces against.
 //
-// The pipeline is: each tenant's Tracer accumulates one latency histogram
-// per (phase, worker) cell; Tracer.PhaseHistogram("FAULT") merges the cells
-// into one cumulative histogram; the host snapshots that cumulative
-// histogram at each tenant's own epoch-boundary crossing (capture-on-cross,
-// same as the hotset curves) and differences consecutive snapshots with
-// stats.Histogram.Sub to get the closing window. Every step is a pure
-// function of the multiset of fault durations — bucket-wise addition and
-// subtraction — so the evaluation cannot depend on how faults were
-// partitioned across workers. TestEvaluateSLOWorkerPartitionInvariance and
-// TestEvaluateSLOTracerWindows prove this for worker counts {1,2,4,8}.
+// The pipeline is: each tenant's monitor records every resolved fault's span
+// (resume minus event delivery, the value of the tracer's FAULT span) into
+// one cumulative histogram it owns, core.Monitor.FaultHistogram, whether or
+// not a tracer is attached; the host snapshots that histogram at each
+// tenant's own epoch-boundary crossing (capture-on-cross, same as the hotset
+// curves) and differences consecutive snapshots with stats.Histogram.Sub to
+// get the closing window. Every step is a pure function of the multiset of
+// fault durations — bucket-wise addition and subtraction — so the evaluation
+// cannot depend on tracing or on how faults were partitioned across workers.
+// TestEvaluateSLOWorkerPartitionInvariance and TestEvaluateSLOTracerWindows
+// prove the latter for histograms merged from {1,2,4,8} worker cells.
 package market
 
 import (
@@ -37,7 +38,7 @@ type SLOVerdict struct {
 }
 
 // EvaluateSLO compares one tenant's closing epoch window against its p99
-// target. cum is the tenant's cumulative merged FAULT histogram at the
+// target. cum is the tenant's cumulative fault histogram at the
 // closing boundary; prev is the snapshot captured at the previous boundary
 // (zero value for the first window). Deterministic: a pure function of the
 // two histograms and the target.

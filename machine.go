@@ -96,7 +96,9 @@ type MachineConfig struct {
 	OSProfile vm.OSProfile
 	// Monitor optionally overrides the FluidMem monitor configuration
 	// (optimisation toggles for ablations). Store and LRUCapacity fields
-	// are filled in by NewMachine. Nil selects the fully optimised default.
+	// are filled in by NewMachine, and NewMachine overwrites the override's
+	// Seed with this config's Seed + 11, so the machine Seed alone drives
+	// the monitor's randomness. Nil selects the fully optimised default.
 	//
 	// Machine-level conveniences MERGE with the override rather than being
 	// discarded by it: Tracer and Hotset still apply when the override

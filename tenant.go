@@ -6,7 +6,6 @@ import (
 	"fluidmem/internal/hotset"
 	"fluidmem/internal/market"
 	"fluidmem/internal/stats"
-	"fluidmem/internal/trace"
 )
 
 // A Host is a list of Tenants. This file is the tenant: its contract
@@ -14,10 +13,6 @@ import (
 // guest (Tenant — machine, policy, lifecycle flag and epoch-window state) and
 // its row in HostStats (TenantStats). Guest operations enter a host through a
 // Tenant and nowhere else.
-
-// MarketPolicy re-exports the memory-marketplace knobs (default floor and
-// ceiling, slab size, leases per epoch, bid-ask hysteresis).
-type MarketPolicy = market.Config
 
 // MarketCounters are the marketplace's cumulative counters (epochs, leases,
 // claw-backs, SLO violations).
@@ -36,9 +31,10 @@ type TenantPolicy struct {
 	// SLO is the tenant's p99 fault-latency target in virtual time; 0 means
 	// no SLO. Enforcement needs epoch windows (a planner, or
 	// HostConfig.EpochOps): each window's p99 is computed from the tenant's
-	// merged per-worker FAULT histograms and compared against this target.
-	// Under the market planner, a violating tenant stops supplying pages,
-	// bids with priority, and has every lease it donated clawed back.
+	// monitor fault histogram, kept with or without a tracer, and compared
+	// against this target. Under the market planner, a violating tenant stops
+	// supplying pages, bids with priority, and has every lease it donated
+	// clawed back.
 	SLO time.Duration
 }
 
@@ -53,9 +49,8 @@ type TenantSpec struct {
 	// and — unless set — Hotset and Seed. The store is the host's: tenant 0's
 	// Backend, StoreCapacity, StoreNodes, StoreReplicas, SharedStore and
 	// Registry describe it, and a later tenant that sets one of them to
-	// something else fails NewHost. A tenant with an SLO and no Tracer gets a
-	// histogram-only tracer attached automatically (pure observation;
-	// simulated results are unchanged).
+	// something else fails NewHost. SLO windows need no Tracer: they are
+	// read from the monitor's own fault histogram.
 	VM MachineConfig
 	// Policy is the tenant's resource contract.
 	Policy TenantPolicy
@@ -74,7 +69,7 @@ type Tenant struct {
 	// scenario) issues no guest operations, so waiting for it to cross the
 	// window boundary would stall every other tenant's planner epoch forever.
 	// Instead the barrier skips inactive tenants and captures their snapshots
-	// lazily at window close: an inactive tenant's hotset counters and FAULT
+	// lazily at window close: an inactive tenant's hotset counters and fault
 	// histogram are frozen (no ops mutate them), so the lazy capture is a pure
 	// function of its own operation history and the interleaving-invariance
 	// argument in NoteOp still holds.
@@ -86,7 +81,7 @@ type Tenant struct {
 	// depends only on the tenant's own operation sequence, never on how the
 	// driver interleaved the tenants, so planner inputs — and therefore
 	// decisions — are interleaving-invariant). capturedHist is the cumulative
-	// merged FAULT histogram captured at the same crossing, for SLO windows.
+	// fault histogram captured at the same crossing, for SLO windows.
 	ops          int
 	crossed      bool
 	captured     HotsetCounters
@@ -131,7 +126,7 @@ func (t *Tenant) Touch(addr uint64, write bool) ([]byte, error) {
 // NoteOp counts one guest operation (use after driving the Machine
 // directly) and plans an epoch once every active tenant has crossed the
 // current window boundary. Decisions are interleaving-invariant: each
-// tenant's snapshots (hotset counters and FAULT histogram) are captured at
+// tenant's snapshots (hotset counters and fault histogram) are captured at
 // its own EpochOps-th operation of the window — a function of the tenant's
 // private operation sequence only — and the planner sees exactly those N
 // snapshots no matter the order in which tenants reached the boundary.
@@ -160,12 +155,12 @@ func (t *Tenant) NoteOp() error {
 	return h.rebalance()
 }
 
-// capture snapshots the tenant's cumulative hotset counters and FAULT
+// capture snapshots the tenant's cumulative hotset counters and fault
 // histogram as its window-boundary state.
 func (t *Tenant) capture() {
 	t.crossed = true
 	t.captured = t.machine.monitor.HotsetSnapshot()
-	t.capturedHist = t.machine.monitor.Tracer().PhaseHistogram(trace.EvFault)
+	t.capturedHist = t.machine.monitor.FaultHistogram()
 }
 
 // SetActive marks the tenant as participating in (true) or excluded from
