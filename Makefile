@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-openloop shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-openloop profile-cluster shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # test runs every test in the tree exactly once, uncached. That includes
@@ -80,15 +80,16 @@ bench-wall:
 	$(GO) run ./cmd/fluidmem-bench -run wall -json
 
 # Whether the working tree is faster than a parent commit on one workload of
-# the repository benchmark: alternated parent/change pairs at seeds 301..,
+# the repository benchmark: alternated parent/change pairs at seeds SEED..,
 # every run printed, then per end-to-end metric both medians with quartiles,
 # wins/pairs, the ratio with its base and the choosing-metrics §8 verdict.
-#   make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20]
+#   make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20] [SEED=301]
 PAIRS ?= 10
 SECONDS ?= 20
+SEED ?= 301
 bench-pairs:
-	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20]"; exit 2; }
-	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)"
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20] [SEED=301]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
 
 # Where the host time of the steady-state fault loop goes: one million
 # miss+evict+write-back faults of the BENCH_wall.json row
@@ -118,6 +119,16 @@ profile-openloop:
 	mkdir -p .profile
 	$(GO) test ./internal/loadgen -run '^$$' -bench '^BenchmarkRunDiurnal$$' -benchtime 3x -o .profile/loadgen.test -cpuprofile .profile/openloop.prof
 	$(GO) tool pprof -top -nodecount=25 .profile/openloop.prof
+
+# Where the host time of the failover workload goes: three repetitions of the
+# cluster_failover recipe — a 3-node 2-replica cluster pool, clean-page drop
+# and zero elision on, 10 % writes, the serving node crashed a third in and
+# recovered at two thirds (the root package's BenchmarkClusterFailover) — under
+# the CPU profiler, top 25 frames. -o keeps the test binary in .profile/.
+profile-cluster:
+	mkdir -p .profile
+	$(GO) test . -run '^$$' -bench '^BenchmarkClusterFailover$$' -benchtime 3x -o .profile/fluidmem.test -cpuprofile .profile/cluster.prof
+	$(GO) tool pprof -top -nodecount=25 .profile/cluster.prof
 
 # The ratchet: re-run the artifact experiments and compare each serialised
 # result with its committed BENCH_*.json byte for byte. Every artifact field

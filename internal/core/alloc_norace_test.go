@@ -18,17 +18,18 @@ import (
 // TestSteadyStateFaultsAllocFree pins the headline property: zero heap
 // allocations per fault in steady state, even though every fault in this
 // workload is a store miss with a dirty eviction behind it — untraced, and
-// under the histogram-only tracer a Host gives every SLO tenant.
+// under a histogram-only tracer — and in the clean-drop variant, whose faults
+// mostly share a store buffer and drop it clean.
 func TestSteadyStateFaultsAllocFree(t *testing.T) {
 	for name, mk := range allocBenchBackends(t) {
 		for _, workers := range []int{1, 4} {
-			for _, traced := range []string{"", "/traced"} {
-				t.Run(fmt.Sprintf("%s/workers=%d%s", name, workers, traced), func(t *testing.T) {
+			for _, variant := range []string{"", "/traced", "/clean_drop"} {
+				t.Run(fmt.Sprintf("%s/workers=%d%s", name, workers, variant), func(t *testing.T) {
 					var tr *trace.Tracer
-					if traced != "" {
+					if variant == "/traced" {
 						tr = trace.New(false)
 					}
-					_, touch := allocHarness(t, mk(), tr, workers, 128)
+					_, touch := allocHarness(t, mk(), tr, workers, 128, variant == "/clean_drop")
 					if avg := testing.AllocsPerRun(500, touch); avg != 0 {
 						t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
 					}

@@ -14,7 +14,10 @@ package core
 // The working set is sized at 2x the LRU capacity and scanned cyclically:
 // in steady state every single touch is a store miss that evicts a dirty
 // page, enqueues a write-back, and periodically flushes a MultiPut batch —
-// the most allocation-prone path the data plane has.
+// the most allocation-prone path the data plane has. The clean-drop variant
+// turns CleanPageDrop on and writes one access in eight, so most faults
+// install a shared store buffer write-protected and drop it clean, and the
+// rest take the WP fault's private copy and a dirty eviction.
 
 import (
 	"testing"
@@ -62,25 +65,27 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 
 // allocHarness builds a monitor over the given store, traced by tr (nil:
 // untraced), warms it to steady state, and returns it with a closure running
-// exactly one dirty fault per call.
-func allocHarness(t *testing.T, store kvstore.Store, tr *trace.Tracer, workers, pages int) (*Monitor, func()) {
-	t.Helper()
+// exactly one fault per call: a dirty one, or with cleanDrop the read-mostly
+// stream of the clean-drop variant.
+func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers, pages int, cleanDrop bool) (*Monitor, func()) {
+	tb.Helper()
 	cfg := DefaultConfig(store, pages/2)
 	cfg.Workers = workers
 	cfg.Trace = tr
+	cfg.CleanPageDrop = cleanDrop
 	m, err := NewMonitor(cfg, nil, "hyp-alloc")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := m.RegisterRange(testBase, uint64(pages)*PageSize, 4242); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var now time.Duration
 	i := 0
 	touch := func() {
-		_, done, err := m.Touch(now, addr(i%pages), true)
+		_, done, err := m.Touch(now, addr(i%pages), !cleanDrop || i%8 == 0)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		now = done
 		i++
@@ -102,24 +107,37 @@ func allocHarness(t *testing.T, store kvstore.Store, tr *trace.Tracer, workers, 
 // takes one from the pool. Over 10 000 steady-state faults the total must not
 // move: a buffer dropped on the way shows as a shrinking sum here and as an
 // allocation later. (A buffer owned twice does not change the count; the
-// aliasing net in storetest is what catches that.)
+// aliasing net in storetest is what catches that.) In the clean-drop variant
+// a clean page maps its store buffer itself, which the store counts and the
+// descriptor does not; the first write moves it to a pooled frame.
 func TestSteadyStateConservesBuffers(t *testing.T) {
-	dramStore := dram.New(dram.DefaultParams(), 9)
-	ramcloudStore := ramcloud.New(ramcloud.DefaultParams(), 10)
-	for name, tc := range map[string]struct {
+	type backend struct {
 		store   kvstore.Store
 		inStore func() int // buffers the store holds, live and spare
+	}
+	newDRAM := func() backend {
+		s := dram.New(dram.DefaultParams(), 9)
+		return backend{s, s.Len}
+	}
+	newRAMCloud := func() backend {
+		s := ramcloud.New(ramcloud.DefaultParams(), 10)
+		return backend{s, func() int { return int(s.Stats().BytesStored/kvstore.PageSize) + s.FreeBuffers() }}
+	}
+	for name, tc := range map[string]struct {
+		mk        func() backend
+		cleanDrop bool
 	}{
-		"dram": {dramStore, dramStore.Len},
-		"ramcloud": {ramcloudStore, func() int {
-			return int(ramcloudStore.Stats().BytesStored/kvstore.PageSize) + ramcloudStore.FreeBuffers()
-		}},
+		"dram":                {newDRAM, false},
+		"ramcloud":            {newRAMCloud, false},
+		"dram/clean_drop":     {newDRAM, true},
+		"ramcloud/clean_drop": {newRAMCloud, true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			m, touch := allocHarness(t, tc.store, nil, 1, 128)
+			be := tc.mk()
+			m, touch := allocHarness(t, be.store, nil, 1, 128, tc.cleanDrop)
 			total := func() int {
 				mapped, pooled := m.fd.FrameCounts()
-				return mapped + pooled + m.wb.QueuedLen() + tc.inStore()
+				return mapped + pooled + m.wb.QueuedLen() + be.inStore()
 			}
 			want := total()
 			for i := 0; i < 10000; i++ {
@@ -127,8 +145,11 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 				if got := total(); got != want {
 					mapped, pooled := m.fd.FrameCounts()
 					t.Fatalf("fault %d: %d page buffers, %d before (mapped %d, pooled %d, queued %d, in store %d)",
-						i, got, want, mapped, pooled, m.wb.QueuedLen(), tc.inStore())
+						i, got, want, mapped, pooled, m.wb.QueuedLen(), be.inStore())
 				}
+			}
+			if st := m.Stats(); tc.cleanDrop && (st.CleanDropped == 0 || m.WPFaults() == 0) {
+				t.Fatalf("clean-drop stream dropped %d pages clean after %d WP faults; want both > 0", st.CleanDropped, m.WPFaults())
 			}
 		})
 	}

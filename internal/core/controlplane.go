@@ -216,6 +216,10 @@ func (m *Monitor) WritebackStats() WritebackStats { return m.wb.Snapshot() }
 // protection (CleanPageDrop).
 func (m *Monitor) WPFaults() uint64 { return m.fd.WPFaults() }
 
+// PageCopies reports the 4 KiB host copies the descriptor has made (test
+// hook; see uffd.FD.PageCopies): host work only, in no Stats field.
+func (m *Monitor) PageCopies() uint64 { return m.fd.PageCopies() }
+
 // StoreHealth reports the resilience layer's backend health signal; ok is
 // false when the layer is disabled (cfg.Resilience == nil).
 func (m *Monitor) StoreHealth() (resilience.Health, bool) {

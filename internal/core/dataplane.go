@@ -303,16 +303,13 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 		m.lru.Remove(ev.Addr)
 		return readDone, path, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	done, err := m.fd.Copy(readDone, ev.Addr, data)
+	copied, done, err := m.copyIn(readDone, ev.Addr, data, true)
 	if err != nil {
 		m.lru.Remove(ev.Addr)
 		return readDone, path, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
-	m.prof.Record(opUffdCopy, done-readDone)
+	m.prof.Record(opUffdCopy, copied-readDone)
 	m.epoch++
-	if done, err = m.markClean(done, ev.Addr); err != nil {
-		return done, path, err
-	}
 	t = m.fd.Wake(done, ev.Addr)
 	resumeAt = t + m.cfg.MonitorOps.Resume.Sample(m.rng)
 	for _, c := range window {
@@ -325,12 +322,12 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 	return resumeAt, path, nil
 }
 
-// installAndWake copies data into the faulting page, re-inserts it in the
-// LRU list, and wakes the guest. storeBacked says the bytes match a durable
-// store copy, arming clean tracking; steals and tier hits install data the
-// store does not hold, so they must pass false. The store-read paths have
-// already made room; the steal shortcut has not, so it evicts here
-// (needEvict). Callers keep ownership of data: UFFDIO_COPY duplicates it.
+// installAndWake installs data in the faulting page, re-inserts it in the
+// LRU list, and wakes the guest. storeBacked says data is a store read's
+// buffer, arming clean tracking (see copyIn); steals and tier hits install
+// data the store does not hold, so they must pass false and keep ownership of
+// data: UFFDIO_COPY duplicates it. The store-read paths have already made
+// room; the steal shortcut has not, so it evicts here (needEvict).
 func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, storeBacked, needEvict bool) (time.Duration, error) {
 	if needEvict {
 		var err error
@@ -344,18 +341,13 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 	m.record(opUpdatePageCache, ev.Addr, updCost)
 	t += updCost
 
-	done, err := m.fd.Copy(t, ev.Addr, data)
+	copied, done, err := m.copyIn(t, ev.Addr, data, storeBacked)
 	if err != nil {
 		return t, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
-	m.prof.Record(opUffdCopy, done-t)
+	m.prof.Record(opUffdCopy, copied-t)
 	t = done
 	m.epoch++
-	if storeBacked {
-		if t, err = m.markClean(t, ev.Addr); err != nil {
-			return t, err
-		}
-	}
 
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
 	m.record(opInsertLRUCache, ev.Addr, lruCost)
@@ -373,10 +365,12 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 //
 // Frame lifecycle: the remapped frame's ownership moves here, then onward —
 // to the write list (whose flush hands it to the store and pools the buffer
-// the store gives back for it), or straight back to the pool on the clean-
-// drop, zero-elide, tier-accepted, and synchronous-write paths (Put copies).
-// Buffers a store read returned never come through here, so nothing the
-// store still owns can reach the pool.
+// the store gives back for it), or straight back to the pool on the
+// zero-elide, tier-accepted, and synchronous-write paths (Put copies). A
+// clean page moves no frame at all: RemapDrop forgets the store buffer it
+// shares. Buffers a store read returned never come through here (a dirtied
+// page wrote into a private copy), so nothing the store still owns can reach
+// the pool.
 func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
 	victim, ok := m.lru.Oldest()
 	if !ok {
@@ -418,7 +412,11 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		m.tr.Emit(trace.EvEvict, m.workerOf(victim), victim, evictStart, t-evictStart, "copy")
 	} else {
 		var done time.Duration
-		data, done, err = m.fd.Remap(t, victim, interleaved)
+		if clean {
+			done, err = m.fd.RemapDrop(t, victim, interleaved)
+		} else {
+			data, done, err = m.fd.Remap(t, victim, interleaved)
+		}
 		if err != nil {
 			return t, fmt.Errorf("core: remap %#x: %w", victim, err)
 		}
@@ -429,9 +427,9 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 	m.epoch++
 
 	if clean {
-		// Clean drop: the store copy is current, the local frame is already
-		// freed — the eviction is done, with no write, no tier offer, no
-		// list traffic.
+		// Clean drop: the store copy is current and the page is gone — the
+		// eviction is done, with no write, no tier offer, no list traffic.
+		// Only ablation A3 holds bytes here, its staging copy.
 		m.stats.CleanDropped++
 		m.tr.Emit(trace.EvCleanDrop, m.workerOf(victim), victim, t, 0, "")
 		m.fd.Recycle(data)
@@ -506,22 +504,26 @@ func copyOutCost(m *Monitor, t time.Duration) (time.Duration, error) {
 	return t + m.cfg.UFFD.Copy.Sample(m.rng), nil
 }
 
-// markClean write-protects a freshly installed page whose bytes match the
-// durable store copy, arming the clean-drop eviction path: the first guest
-// write trips a (simulated) WP fault that clears the protection, so a page
-// still protected at eviction time is provably unwritten. No-op unless
-// cfg.CleanPageDrop is on, so feature-off runs draw the exact same RNG
-// sequence as before.
-func (m *Monitor) markClean(t time.Duration, addr uint64) (time.Duration, error) {
-	if !m.cfg.CleanPageDrop {
-		return t, nil
+// copyIn installs data at addr with UFFDIO_COPY, returning when the copy is
+// done and when the install is. A storeBacked install under CleanPageDrop is
+// write-protected (UFFDIO_COPY_MODE_WP), arming the clean-drop eviction path:
+// the first guest write trips a (simulated) WP fault that clears the
+// protection, so a page still protected at eviction time is provably
+// unwritten. Such an install shares data, a store read's buffer, instead of
+// copying it: the store keeps those bytes until the key is next written or
+// deleted, and that happens only after the page has left the VM. The caller
+// records the copy's profile sample; the write-protect's is recorded here.
+// Without CleanPageDrop nothing is protected, so feature-off runs draw the
+// exact same RNG sequence as before.
+func (m *Monitor) copyIn(t time.Duration, addr uint64, data []byte, storeBacked bool) (copied, done time.Duration, err error) {
+	if !storeBacked || !m.cfg.CleanPageDrop {
+		copied, err = m.fd.Copy(t, addr, data)
+		return copied, copied, err
 	}
-	done, err := m.fd.SetWriteProtect(t, addr)
-	if err != nil {
-		return t, fmt.Errorf("core: write-protect %#x: %w", addr, err)
+	if copied, done, err = m.fd.CopyWP(t, addr, data); err == nil {
+		m.prof.Record(opUffdWriteProtect, done-copied)
 	}
-	m.prof.Record(opUffdWriteProtect, done-t)
-	return done, nil
+	return copied, done, err
 }
 
 // allZero reports whether a page is entirely zero bytes, eight at a time.

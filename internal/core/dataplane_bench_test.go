@@ -9,43 +9,33 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"fluidmem/internal/kvstore"
 )
 
+// BenchmarkSteadyStateFault is one steady-state fault of the alloc harness
+// per op (alloc_test.go): a store miss with a dirty eviction behind it on
+// every backend and width, and the clean-drop variant's read-mostly stream on
+// the cluster pool, where most faults install a shared store buffer and drop
+// it clean.
 func BenchmarkSteadyStateFault(b *testing.B) {
-	for name, mk := range allocBenchBackends(b) {
+	run := func(name string, mk func() kvstore.Store, workers int, cleanDrop bool) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			_, touch := allocHarness(b, mk(), nil, workers, 128, cleanDrop)
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				touch()
+			}
+		})
+	}
+	backends := allocBenchBackends(b)
+	for name, mk := range backends {
 		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				const pages = 128
-				cfg := DefaultConfig(mk(), pages/2)
-				cfg.Workers = workers
-				m, err := NewMonitor(cfg, nil, "bench-hotpath")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.RegisterRange(testBase, uint64(pages)*PageSize, 4242); err != nil {
-					b.Fatal(err)
-				}
-				var now time.Duration
-				i := 0
-				touch := func() {
-					_, done, err := m.Touch(now, addr(i%pages), true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					now = done
-					i++
-				}
-				for k := 0; k < 3*pages; k++ {
-					touch()
-				}
-				b.ResetTimer()
-				for k := 0; k < b.N; k++ {
-					touch()
-				}
-			})
+			run(fmt.Sprintf("%s/workers=%d", name, workers), mk, workers, false)
 		}
 	}
+	run("cluster/workers=1/clean_drop", backends["cluster"], 1, true)
 }
 
 // BenchmarkProfilerRecord is the always-on Table I profiler's cost per

@@ -129,7 +129,9 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 			return t, false
 		}
 	}
-	done, err := m.fd.Copy(t, c.addr, data)
+	// A queued candidate's frame is ours since the steal; store-backed bytes
+	// arm clean tracking.
+	_, done, err := m.copyIn(t, c.addr, data, !c.queued)
 	switch {
 	case err != nil && c.queued:
 		// The stolen frame is the page's only copy: back on the list it goes.
@@ -138,18 +140,12 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 	case err != nil:
 		return t, false
 	case c.queued:
-		m.fd.Recycle(data) // ours since the steal; UFFDIO_COPY copied it in
+		m.fd.Recycle(data) // UFFDIO_COPY copied it in
 	}
 	t = done
 	m.epoch++
 	m.lru.Insert(c.addr)
 	m.stats.Prefetches++
-	if !c.queued {
-		// Store-backed bytes arm clean tracking.
-		if t, err = m.markClean(t, c.addr); err != nil {
-			return t, false
-		}
-	}
 	m.tr.Emit(trace.EvPrefetch, m.workerOf(c.addr), c.addr, installStart, t-installStart, "")
 	return t, false
 }

@@ -53,6 +53,47 @@ func TestConformanceSingleReplica(t *testing.T) {
 	storetest.Run(t, func() kvstore.Store { return newPool(t, 3, 1, 5) })
 }
 
+// TestReadStableUnderMembership runs the read contract's check on a pool that
+// crashes, recovers, resyncs, grows and drains under it: a crash drops the
+// member's copies without touching their buffers, and a resync writes only
+// members that lack the current version. The check's own traffic goes
+// through the resilience layer, as the monitor's does, which retries a write
+// that a membership change made stale.
+func TestReadStableUnderMembership(t *testing.T) {
+	p := newPool(t, 3, 2, 6)
+	round, restored := 0, 0
+	storetest.ReadStableUntilWrite(t, resilience.Wrap(p, resilience.DefaultPolicy(), 7), func(t *testing.T, now time.Duration) time.Duration {
+		round++
+		nodes := p.Committed().Nodes
+		var err error
+		switch round % 4 {
+		case 1:
+			// Over the rounds every position in the table takes its turn.
+			err = p.Crash(now, nodes[round/4%len(nodes)].Name)
+		case 2:
+			var n int
+			now, n, err = p.Recover(now)
+			restored += n
+			if err == nil {
+				now, _ = p.Resync(now)
+			}
+		case 3:
+			_, now, err = p.AddNode(now)
+		default:
+			if _, now, err = p.AddNode(now); err == nil {
+				now, err = p.Drain(now, nodes[0].Name)
+			}
+		}
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		return now
+	})
+	if restored == 0 {
+		t.Fatal("no crash cost the pool a copy")
+	}
+}
+
 // put seeds count pages across many partitions and returns their keys.
 func put(t *testing.T, p *cluster.Pool, count int) ([]kvstore.Key, time.Duration) {
 	t.Helper()

@@ -107,10 +107,16 @@ type Stats struct {
 //     nothing: every pages[i] is the buffer that was passed, bytes intact, so
 //     the same slice can be submitted again.
 //   - Get / MultiGet / StartGet: the store may return a reference to its
-//     INTERNAL buffer (zero-copy read). The returned bytes are valid until
-//     the next Put / MultiPut / Delete touching that key; callers that need
-//     the data past that point must copy it out first, and must never write
-//     into or recycle a store-returned buffer.
+//     INTERNAL buffer (zero-copy read). Its bytes stay unchanged, and the
+//     buffer is not reused — not handed back by a MultiPut, not returned for
+//     another key — until the caller next writes (Put / MultiPut) or deletes
+//     that key in that store. The store's own work in between (cleaning,
+//     capacity eviction, replica repair, crash and recovery) may drop or
+//     move the buffer but never writes into it. Callers must never write
+//     into or recycle a store-returned buffer. The monitor relies on this to
+//     map a read buffer into the VM write-protected instead of copying it
+//     (uffd.FD.CopyWP): a page is written or deleted only after it has left
+//     the VM. storetest.ReadStableUntilWrite holds every backend to it.
 type Store interface {
 	// Name identifies the backend ("ramcloud", "memcached", "dram").
 	Name() string

@@ -16,6 +16,29 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestReadStableUnderEviction runs the read contract's check on a store of
+// two slab pages under a stream of new keys: capacity eviction drops items,
+// held ones included, without reusing their buffers.
+func TestReadStableUnderEviction(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 2 << 20
+	s := New(p, 3)
+	next := 0
+	storetest.ReadStableUntilWrite(t, s, func(t *testing.T, now time.Duration) time.Duration {
+		for j := 0; j < 64; j++ {
+			done, err := s.Put(now, storetest.OtherKey(1000+next), storetest.Page(byte(next)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, next = done, next+1
+		}
+		return now
+	})
+	if s.Stats().Evictions == 0 {
+		t.Fatal("the churn never evicted")
+	}
+}
+
 func TestRTTDominatesLatency(t *testing.T) {
 	s := New(DefaultParams(), 2)
 	key := kvstore.MakeKey(0x1000, 1)

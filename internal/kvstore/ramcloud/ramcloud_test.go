@@ -16,6 +16,29 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestReadStableUnderCleaning runs the read contract's check on a log of four
+// segments under overwrite churn heavy enough to clean: the cleaner moves
+// live objects by pointer, so a held read buffer keeps its bytes.
+func TestReadStableUnderCleaning(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 4 * segmentSize
+	s := New(p, 5)
+	next := 0
+	storetest.ReadStableUntilWrite(t, s, func(t *testing.T, now time.Duration) time.Duration {
+		for j := 0; j < 200; j++ {
+			done, err := s.Put(now, storetest.OtherKey(1000+next%(entriesPerSegment/2)), storetest.Page(byte(next)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, next = done, next+1
+		}
+		return now
+	})
+	if s.Cleanings() == 0 {
+		t.Fatal("the churn never cleaned the log")
+	}
+}
+
 func TestReadLatencyNearTableI(t *testing.T) {
 	s := New(DefaultParams(), 2)
 	key := kvstore.MakeKey(0x1000, 1)

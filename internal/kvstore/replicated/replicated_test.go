@@ -40,6 +40,46 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestReadStableUnderRepair runs the read contract's check while the primary
+// fails, misses writes, recovers, is read-repaired and resynced: repair and
+// resync write only the members that lack the current version, never the
+// buffer a read returned.
+func TestReadStableUnderRepair(t *testing.T) {
+	s, _ := threeWay(t)
+	round := 0
+	storetest.ReadStableUntilWrite(t, s, func(t *testing.T, now time.Duration) time.Duration {
+		round++
+		if err := s.Fail(0); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 8; j++ {
+			done, err := s.Put(now, storetest.OtherKey(1000+j), storetest.Page(byte(round+j)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+		}
+		if err := s.Recover(0); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ { // read-repair
+			_, done, err := s.Get(now, storetest.OtherKey(1000+j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+		}
+		done, _, err := s.Resync(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return done
+	})
+	if c := s.Counters(); c.ReadRepairs == 0 {
+		t.Fatalf("the churn never read-repaired: %+v", c)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("err = %v", err)

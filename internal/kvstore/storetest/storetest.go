@@ -6,6 +6,7 @@ package storetest
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/maphash"
 	"testing"
 	"time"
@@ -437,6 +438,10 @@ func Run(t *testing.T, factory Factory) {
 	// backend can pass conformance while mishandling failures.
 	RunErrorPaths(t, factory)
 
+	t.Run("ReadStableUntilWrite", func(t *testing.T) {
+		ReadStableUntilWrite(t, factory())
+	})
+
 	t.Run("PartitionIsolation", func(t *testing.T) {
 		s := factory()
 		// The same page address in two partitions must be independent.
@@ -454,6 +459,164 @@ func Run(t *testing.T, factory Factory) {
 			t.Fatal("partitions interfere")
 		}
 	})
+}
+
+// Churn is one round of a backend's own background work — cleaning, capacity
+// eviction, crash and recovery, draining — run by ReadStableUntilWrite between
+// its checks. It starts at virtual time now and returns when it is done. It
+// may write and delete OtherKey keys, never the held ones.
+type Churn func(t *testing.T, now time.Duration) time.Duration
+
+// ReadStableUntilWrite holds the buffers of heldKeys keys, and its own churn
+// writes, reads and deletes the first otherKeys OtherKey keys.
+const (
+	heldKeys  = 24
+	otherKeys = 256
+)
+
+// heldKey is the i-th key whose read buffer ReadStableUntilWrite holds.
+func heldKey(i int) kvstore.Key { return kvstore.MakeKey(0x4000_0000+uint64(i)*kvstore.PageSize, 7) }
+
+// OtherKey is the i-th key ReadStableUntilWrite never holds (any i >= 0): its
+// own churn uses the first 256, and a Churn may use any.
+func OtherKey(i int) kvstore.Key { return kvstore.MakeKey(0x8000_0000+uint64(i)*kvstore.PageSize, 7) }
+
+// ReadStableUntilWrite holds s to the read contract the monitor's shared
+// frames rest on (kvstore.Store): a buffer Get, MultiGet or StartGet returned
+// keeps its bytes, and is not handed out again, until its own key is next
+// written or deleted in s. It reads a set of held keys through all three
+// calls and keeps the buffers with their digests; then, round after round, it
+// churns other keys — MultiPut hand-overs (whose handed-back buffers it
+// scribbles over, as their new owner may), Puts, Deletes and reads — and runs
+// each of the backend's own churns, checking after every round that each held
+// buffer still digests as read and that no buffer handed out since is one of
+// them. Last it writes or deletes the held keys one by one; a released
+// buffer is the store's again and stops being checked.
+func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
+	t.Helper()
+	now := time.Duration(0)
+	step := func(done time.Duration, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = max(now, done)
+	}
+	for i := 0; i < heldKeys; i++ {
+		step(s.Put(now, heldKey(i), Page(byte(i))))
+	}
+	for i := 0; i < otherKeys; i += 2 {
+		step(s.Put(now, OtherKey(i), Page(byte(i))))
+	}
+
+	// Hold a third of the keys' buffers from each read call.
+	held := map[kvstore.Key][]byte{}
+	sums := map[kvstore.Key]uint64{}
+	hold := func(i int, buf []byte) {
+		t.Helper()
+		key := heldKey(i)
+		if !bytes.Equal(buf, Page(byte(i))) {
+			t.Fatalf("%v reads wrong bytes before any churn", key)
+		}
+		held[key], sums[key] = buf, digest(buf)
+	}
+	var multi []kvstore.Key
+	for i := 0; i < heldKeys; i++ {
+		switch i % 3 {
+		case 0:
+			buf, done, err := s.Get(now, heldKey(i))
+			step(done, err)
+			hold(i, buf)
+		case 1:
+			multi = append(multi, heldKey(i))
+		default:
+			pending := s.StartGet(now, heldKey(i))
+			buf, done, err := pending.Wait(now)
+			step(done, err)
+			hold(i, buf)
+		}
+	}
+	bufs, done, err := s.MultiGet(now, multi)
+	step(done, err)
+	for j := range multi {
+		hold(3*j+1, bufs[j])
+	}
+	isHeld := func(buf []byte) bool {
+		for _, h := range held {
+			if len(buf) > 0 && &buf[0] == &h[0] {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(when string) {
+		t.Helper()
+		for key, buf := range held {
+			if digest(buf) != sums[key] {
+				t.Fatalf("%s: the buffer read for %v changed before its key was written or deleted", when, key)
+			}
+		}
+	}
+
+	for round := 0; round < 48; round++ {
+		keys := make([]kvstore.Key, 8)
+		pages := make([][]byte, 8)
+		for j := range keys {
+			keys[j], pages[j] = OtherKey((round*29+j*37)%otherKeys), Page(byte(round+j))
+		}
+		step(s.MultiPut(now, keys, pages))
+		for j, p := range pages {
+			if isHeld(p) {
+				t.Fatalf("round %d: MultiPut handed back the held buffer of a key it did not write (slot %d)", round, j)
+			}
+			if p != nil {
+				Scribble(p)
+			}
+		}
+		for j := 0; j < 4; j++ {
+			step(s.Put(now, OtherKey((round*13+j*61)%otherKeys), Page(byte(round*j))))
+		}
+		for j := 0; j < 2; j++ {
+			if done, err := s.Delete(now, OtherKey((round*7+j*101)%otherKeys)); err == nil || errors.Is(err, kvstore.ErrNotFound) {
+				now = max(now, done)
+			} else {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 4; j++ {
+			buf, done, err := s.Get(now, OtherKey((round*11+j*53)%otherKeys))
+			if err == nil && isHeld(buf) {
+				t.Fatalf("round %d: a read of another key returned a held buffer", round)
+			}
+			if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatal(err)
+			}
+			now = max(now, done)
+		}
+		for _, churn := range churns {
+			now = max(now, churn(t, now))
+		}
+		check(fmt.Sprintf("round %d", round))
+	}
+
+	// Release the held keys one by one, by each kind of write and by delete.
+	for i := 0; i < heldKeys; i++ {
+		key := heldKey(i)
+		delete(held, key)
+		switch i % 3 {
+		case 0:
+			step(s.Put(now, key, Page(0xA0)))
+		case 1:
+			step(s.MultiPut(now, []kvstore.Key{key}, [][]byte{Page(0xA1)}))
+		default:
+			if done, err := s.Delete(now, key); err == nil || errors.Is(err, kvstore.ErrNotFound) {
+				now = max(now, done)
+			} else {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("after releasing %v", key))
+	}
 }
 
 // RunErrorPaths exercises the failure half of the Store contract: exactly

@@ -15,13 +15,17 @@ import (
 // the table can be held to it. It draws from its own sampler in the same
 // order, so returned times must match as well as states, contents and errors.
 // The one deliberate difference from the old code is that a region's blocked
-// vCPUs are forgotten with the region (the old global map leaked them).
+// vCPUs are forgotten with the region (the old global map leaked them). The
+// model copies on every install; it also counts the host copies the
+// descriptor should make, where a write-protected install shares its buffer
+// until the first write.
 type refFD struct {
 	params   Params
 	rng      *clock.Rand
 	regions  []*refRegion
 	events   []Event
 	wpFaults uint64
+	copies   uint64
 }
 
 type refPage struct {
@@ -93,6 +97,7 @@ func (f *refFD) access(now time.Duration, addr uint64, write bool) ([]byte, time
 	if write && p.wp {
 		p.wp = false
 		f.wpFaults++
+		f.copies++
 		return p.data, now + f.params.WPFault.Sample(f.rng), true, nil
 	}
 	return p.data, now, true, nil
@@ -110,34 +115,23 @@ func (f *refFD) zeroPage(now time.Duration, addr uint64) (time.Duration, error) 
 	return now + f.params.ZeroPage.Sample(f.rng), nil
 }
 
-func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte) (time.Duration, error) {
+// copyIn is Copy, and with wp CopyWP: the old Copy followed by the old
+// UFFDIO_WRITEPROTECT, two samples in that order.
+func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (time.Duration, time.Duration, error) {
 	r := f.regionFor(addr)
 	if r == nil {
-		return now, ErrNotRegistered
+		return now, now, ErrNotRegistered
 	}
 	if _, ok := r.pages[align(addr)]; ok {
-		return now, ErrAlreadyMapped
+		return now, now, ErrAlreadyMapped
 	}
-	r.pages[align(addr)] = &refPage{state: PagePresent, data: append([]byte(nil), data...)}
-	return now + f.params.Copy.Sample(f.rng), nil
-}
-
-var errRefNonPrivate = errors.New("write-protect of non-private page")
-
-func (f *refFD) setWriteProtect(now time.Duration, addr uint64) (time.Duration, error) {
-	r := f.regionFor(addr)
-	if r == nil {
-		return now, ErrNotRegistered
+	r.pages[align(addr)] = &refPage{state: PagePresent, data: append([]byte(nil), data...), wp: wp}
+	copied := now + f.params.Copy.Sample(f.rng)
+	if !wp {
+		f.copies++
+		return copied, copied, nil
 	}
-	p, ok := r.pages[align(addr)]
-	if !ok {
-		return now, ErrNotMapped
-	}
-	if p.state != PagePresent {
-		return now, errRefNonPrivate
-	}
-	p.wp = true
-	return now + f.params.WriteProtect.Sample(f.rng), nil
+	return copied, copied + f.params.WriteProtect.Sample(f.rng), nil
 }
 
 func (f *refFD) pageClean(addr uint64) bool {
@@ -161,6 +155,9 @@ func (f *refFD) remap(now time.Duration, addr uint64, interleaved bool) ([]byte,
 	data := p.data
 	if p.state == PageZeroCOW {
 		data = make([]byte, PageSize)
+	}
+	if p.wp {
+		f.copies++ // Remap hands out a copy of a buffer the descriptor does not own
 	}
 	delete(r.pages, align(addr))
 	model := f.params.Remap
@@ -194,14 +191,24 @@ func (f *refFD) waiting(addr uint64) bool {
 	return r != nil && r.waiting[align(addr)]
 }
 
-// sameErr holds the table to the model's error class; the non-sentinel
-// write-protect error only has to be an error that is none of the sentinels.
+// ownedFrames counts the present pages whose frame the descriptor should own:
+// every private page but a write-protected one, which shares its buffer.
+func (f *refFD) ownedFrames() int {
+	n := 0
+	for _, r := range f.regions {
+		for _, p := range r.pages {
+			if p.state == PagePresent && !p.wp {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sameErr holds the table to the model's error class.
 func sameErr(got, want error) bool {
 	if want == nil || got == nil {
 		return want == nil && got == nil
-	}
-	if want == errRefNonPrivate {
-		return !errors.Is(got, ErrNotRegistered) && !errors.Is(got, ErrNotMapped) && !errors.Is(got, ErrAlreadyMapped)
 	}
 	return errors.Is(got, want)
 }
@@ -210,7 +217,9 @@ func sameErr(got, want error) bool {
 // regions, unregistering and re-registering them mid-stream, through the
 // descriptor and the map-backed reference: every returned time, buffer, flag
 // and error class must agree, as must every page's state, each region's
-// MappedPages, the blocked-vCPU set and the event queue.
+// MappedPages, the blocked-vCPU set, the event queue, the owned-frame count
+// and the host copy count. Every buffer a CopyWP install shared must keep
+// its bytes whatever the guest writes.
 func TestPageTableMatchesMapModel(t *testing.T) {
 	const pages = 24
 	bases := [3]uint64{0x100000, 0x400000, 0x400000 + pages*PageSize} // the last two adjacent
@@ -232,6 +241,11 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 			}
 			pick := clock.NewRand(seed + 1000)
 			now := time.Duration(0)
+			type sharedBuf struct {
+				buf  []byte
+				want byte
+			}
+			var shared []sharedBuf
 			for step := 0; step < 20000; step++ {
 				ri := pick.Intn(3)
 				// One page past either end of the region: a neighbour's page
@@ -264,16 +278,18 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 					}
 				case op < 11:
 					done, err := f.Copy(now, addr, filled(byte(step)))
-					wdone, werr := ref.copyIn(now, addr, filled(byte(step)))
+					wdone, _, werr := ref.copyIn(now, addr, filled(byte(step)), false)
 					if !sameErr(err, werr) || done != wdone {
 						fail("Copy = (%v, %v), model (%v, %v)", done, err, wdone, werr)
 					}
 				case op < 13:
-					done, err := f.SetWriteProtect(now, addr)
-					wdone, werr := ref.setWriteProtect(now, addr)
-					if !sameErr(err, werr) || done != wdone {
-						fail("SetWriteProtect = (%v, %v), model (%v, %v)", done, err, wdone, werr)
+					buf := filled(byte(step))
+					copied, done, err := f.CopyWP(now, addr, buf)
+					wcopied, wdone, werr := ref.copyIn(now, addr, filled(byte(step)), true)
+					if !sameErr(err, werr) || copied != wcopied || done != wdone {
+						fail("CopyWP = (%v, %v, %v), model (%v, %v, %v)", copied, done, err, wcopied, wdone, werr)
 					}
+					shared = append(shared, sharedBuf{buf, byte(step)})
 				case op < 16:
 					interleaved := pick.Intn(2) == 0
 					data, done, err := f.Remap(now, addr, interleaved)
@@ -324,6 +340,13 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 				if got, want := f.WPFaults(), ref.wpFaults; got != want {
 					fail("WPFaults = %d, model %d", got, want)
 				}
+				if got, want := f.PageCopies(), ref.copies; got != want {
+					fail("PageCopies = %d, model %d", got, want)
+				}
+				if got, _ := f.FrameCounts(); got != ref.ownedFrames() {
+					fail("FrameCounts mapped = %d, model %d owned", got, ref.ownedFrames())
+				}
+
 				if got, want := f.PendingEvents(), len(ref.events); got != want {
 					fail("PendingEvents = %d, model %d", got, want)
 				}
@@ -333,6 +356,11 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 						fail("event %+v, model %+v", ev, ref.events[0])
 					}
 					ref.events = ref.events[1:]
+				}
+			}
+			for i, sb := range shared {
+				if !bytes.Equal(sb.buf, filled(sb.want)) {
+					t.Fatalf("the buffer of CopyWP install %d was written through its page", i)
 				}
 			}
 		})

@@ -68,9 +68,10 @@ type Params struct {
 	COWBreak clock.LatencyModel
 	// Wake is the cost of waking the blocked vCPU thread.
 	Wake clock.LatencyModel
-	// WriteProtect is UFFDIO_WRITEPROTECT: mark a freshly installed page
-	// read-only so the first guest write after install is observed — the
-	// dirty-tracking hook the clean-page-drop eviction optimisation needs.
+	// WriteProtect is the write-protect half of a UFFDIO_COPY_MODE_WP
+	// install: the page is mapped read-only so the first guest write after
+	// install is observed — the dirty-tracking hook the clean-page-drop
+	// eviction optimisation needs.
 	WriteProtect clock.LatencyModel
 	// WPFault is the write-protect fault taken on the first write to a
 	// protected page: the protection is cleared, the page is recorded dirty,
@@ -109,12 +110,14 @@ type Event struct {
 
 // Page-table entry layout: the PageState in the low two bits (zero meaning no
 // mapping, PageMissing), two flags, and from pteFrameShift up the slot of a
-// present page's private frame in FD.frames (zero for none).
+// present page's frame in FD.frames (zero for none).
 const (
 	pteState = 0x3
-	// pteWP marks the page write-protected: it was installed from a durable
-	// store copy and has not been written since. The first write clears it
-	// via a kernel-internal WP fault.
+	// pteWP marks the page write-protected: CopyWP installed it from a
+	// durable store copy and it has not been written since. Its frame is
+	// shared — the caller's buffer itself, which the descriptor does not own
+	// and never pools. The first write clears the bit via a kernel-internal
+	// WP fault, which gives the page a private copy.
 	pteWP = 1 << 2
 	// pteWaiting marks a faulted page whose vCPU is blocked until Wake.
 	pteWaiting    = 1 << 3
@@ -170,6 +173,9 @@ func (r *Region) MappedPages() int { return r.mapped }
 // is owned by the caller until it is passed to Recycle or handed to a new
 // owner (a store's MultiPut keeps it and gives another buffer back, which
 // comes here in its place); Unregister recycles the frames of a dead VM.
+// A write-protected page's shared buffer is the one exception: it belongs to
+// whoever passed it to CopyWP, so it never enters the pool and never leaves
+// the descriptor — Remap hands out a copy, RemapDrop and Drop forget it.
 type FD struct {
 	params  Params
 	rng     *clock.Rand
@@ -184,9 +190,12 @@ type FD struct {
 
 	// wpFaults counts write-protect faults taken (dirty-tracking traffic).
 	wpFaults uint64
+	// pageCopies counts PageSize host copies of page contents (test hook,
+	// see PageCopies).
+	pageCopies uint64
 
-	// frames holds the private frames of present pages, at the slot their
-	// entry names; slot 0 is no frame and freeSlots are the vacant ones.
+	// frames holds the frames of present pages, at the slot their entry
+	// names; slot 0 is no frame and freeSlots are the vacant ones.
 	// freeFrames recycles PageSize buffers no page maps.
 	frames     [][]byte
 	freeSlots  []uint32
@@ -207,11 +216,13 @@ func New(params Params, seed uint64) *FD {
 	}
 }
 
-// install maps a fresh private frame holding a copy of contents at pte, and
-// returns the frame.
-func (f *FD) install(pte *uint32, contents []byte) []byte {
-	frame := f.GetFrame()
-	copy(frame, contents)
+// install maps frame at pte and returns it: a frame the descriptor owns, or
+// with wp a caller's buffer, write-protected and shared.
+func (f *FD) install(pte *uint32, frame []byte, wp bool) []byte {
+	flags := uint32(PagePresent)
+	if wp {
+		flags |= pteWP
+	}
 	slot := uint32(len(f.frames))
 	if n := len(f.freeSlots); n > 0 {
 		slot = f.freeSlots[n-1]
@@ -220,23 +231,41 @@ func (f *FD) install(pte *uint32, contents []byte) []byte {
 	} else {
 		f.frames = append(f.frames, frame)
 	}
-	*pte = *pte&pteWaiting | uint32(PagePresent) | slot<<pteFrameShift
+	*pte = *pte&pteWaiting | flags | slot<<pteFrameShift
+	return frame
+}
+
+// copyPage returns a pooled frame holding a copy of src.
+func (f *FD) copyPage(src []byte) []byte {
+	frame := f.GetFrame()
+	copy(frame, src)
+	f.pageCopies++
+	return frame
+}
+
+// zeroFrame returns a pooled frame filled with zeroes: what a zero-COW page
+// becomes when it is written or moved out.
+func (f *FD) zeroFrame() []byte {
+	frame := f.GetFrame()
+	clear(frame)
 	return frame
 }
 
 // unmap clears pte, an entry of region, returning the frame it held (nil for
-// a zero-COW page). The waiting bit is not part of the mapping and survives.
-func (f *FD) unmap(region *Region, pte *uint32) []byte {
-	slot := *pte >> pteFrameShift
+// a zero-COW page); owned is false for the zero page and a shared buffer,
+// which are not the descriptor's to give away. The waiting bit is not part of
+// the mapping and survives.
+func (f *FD) unmap(region *Region, pte *uint32) (frame []byte, owned bool) {
+	slot, wp := *pte>>pteFrameShift, *pte&pteWP != 0
 	*pte &= pteWaiting
 	region.mapped--
 	if slot == 0 {
-		return nil
+		return nil, false
 	}
-	frame := f.frames[slot]
+	frame = f.frames[slot]
 	f.frames[slot] = nil
 	f.freeSlots = append(f.freeSlots, slot)
-	return frame
+	return frame, !wp
 }
 
 // GetFrame pops a recycled PageSize buffer or allocates a fresh one. The
@@ -254,8 +283,8 @@ func (f *FD) GetFrame() []byte {
 
 // Recycle returns a frame to the descriptor's pool. Only full-size frames
 // whose ownership the caller holds may be recycled: buffers returned by a
-// key-value store read must never be passed here (the store retains them).
-// Short or oversized buffers are ignored.
+// key-value store read must never be passed here (the store retains them,
+// and a CopyWP install may map one). Short or oversized buffers are ignored.
 func (f *FD) Recycle(buf []byte) {
 	if len(buf) != PageSize {
 		return
@@ -265,9 +294,26 @@ func (f *FD) Recycle(buf []byte) {
 
 // FrameCounts reports the frames present pages map and the frames pooled for
 // reuse: the descriptor's share of the page buffers in the system (test hook).
+// Shared buffers that write-protected pages map are not the descriptor's and
+// are not counted.
 func (f *FD) FrameCounts() (mapped, pooled int) {
-	return len(f.frames) - 1 - len(f.freeSlots), len(f.freeFrames)
+	mapped = len(f.frames) - 1 - len(f.freeSlots)
+	for _, r := range f.regions {
+		for _, pte := range r.ptes {
+			if pte&pteWP != 0 {
+				mapped--
+			}
+		}
+	}
+	return mapped, len(f.freeFrames)
 }
+
+// PageCopies reports the PageSize host copies of page contents the
+// descriptor has made since creation (test hook): one per Copy, per first
+// write to a shared page, and per Remap of a shared page. A zero-COW page's
+// COW break and Remap fill a frame with zeroes and copy nothing. It is host
+// work only — no virtual time, no sample, no Stats field depends on it.
+func (f *FD) PageCopies() uint64 { return f.pageCopies }
 
 // pushEvent appends a fault event to the ring, growing it only when full.
 func (f *FD) pushEvent(ev Event) {
@@ -324,13 +370,14 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 }
 
 // Unregister removes a region (VM shutdown): its pages, and the record of
-// which of them a vCPU was blocked on, vanish with its page table — the frames
-// go back to the pool for the next VM — and pending events for it are
-// dropped, like closing the descriptor side of a dead VM.
+// which of them a vCPU was blocked on, vanish with its page table — the owned
+// frames go back to the pool for the next VM, shared buffers are forgotten —
+// and pending events for it are dropped, like closing the descriptor side of
+// a dead VM.
 func (f *FD) Unregister(region *Region) {
 	for i := range region.ptes {
 		if region.ptes[i]&pteState != 0 {
-			f.Recycle(f.unmap(region, &region.ptes[i]))
+			f.drop(region, &region.ptes[i])
 		}
 	}
 	kept := f.regions[:0]
@@ -384,18 +431,21 @@ func (f *FD) Access(now time.Duration, addr uint64, write bool) (data []byte, ev
 			return zeroPage, now, true, nil
 		}
 		// COW break: private zero-filled frame, no monitor round trip.
-		return f.install(pte, zeroPage), now + f.params.COWBreak.Sample(f.rng), true, nil
+		return f.install(pte, f.zeroFrame(), false), now + f.params.COWBreak.Sample(f.rng), true, nil
 	default: // PagePresent
-		frame := f.frames[*pte>>pteFrameShift]
+		slot := *pte >> pteFrameShift
 		if write && *pte&pteWP != 0 {
 			// Write-protect fault: clear the protection and charge the
 			// kernel-internal fix-up before the write retries. The page is
-			// dirty from here on.
+			// dirty from here on, so it stops sharing the caller's buffer:
+			// the write lands in a private copy (host work, no extra
+			// virtual time).
 			*pte &^= pteWP
+			f.frames[slot] = f.copyPage(f.frames[slot])
 			f.wpFaults++
-			return frame, now + f.params.WPFault.Sample(f.rng), true, nil
+			return f.frames[slot], now + f.params.WPFault.Sample(f.rng), true, nil
 		}
-		return frame, now, true, nil
+		return f.frames[slot], now, true, nil
 	}
 }
 
@@ -438,55 +488,60 @@ func (f *FD) ZeroPage(now time.Duration, addr uint64) (time.Duration, error) {
 
 // Copy resolves a fault by allocating a frame at addr and copying data into
 // it (UFFDIO_COPY), used when the page's contents live in the key-value
-// store.
+// store. The caller keeps data.
 func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, error) {
+	done, _, err := f.copyIn(now, addr, data, false)
+	return done, err
+}
+
+// CopyWP is Copy in write-protect mode (UFFDIO_COPY_MODE_WP): the page is
+// installed read-only, so a later eviction can tell a still-clean page (drop,
+// no store write) from a dirtied one. The monitor uses it for a page whose
+// contents the store durably holds. It costs Copy's sample and then
+// WriteProtect's, and emits their two events: copied is when the install is
+// done, protected when the protection is.
+//
+// Nothing is copied: the page maps data itself, shared, until its first
+// write copies it into a private frame. The caller must therefore keep data's
+// bytes unchanged, and the buffer out of reuse, until the page has left the
+// VM — a store read's buffer qualifies, because the monitor writes or deletes
+// a key only after its page has left (kvstore.Store's read contract).
+func (f *FD) CopyWP(now time.Duration, addr uint64, data []byte) (copied, protected time.Duration, err error) {
+	return f.copyIn(now, addr, data, true)
+}
+
+// copyIn is Copy, and with wp CopyWP.
+func (f *FD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (copied, protected time.Duration, err error) {
 	region := f.regionFor(addr)
 	if region == nil {
-		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
+		return now, now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
 	}
 	if len(data) != PageSize {
-		return now, fmt.Errorf("uffd: copy of %d bytes, want %d", len(data), PageSize)
+		return now, now, fmt.Errorf("uffd: copy of %d bytes, want %d", len(data), PageSize)
 	}
 	aligned := align(addr)
 	pte := region.pte(addr)
 	if *pte&pteState != 0 {
-		return now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
+		return now, now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
-	f.install(pte, data)
+	frame := data
+	if !wp {
+		frame = f.copyPage(data)
+	}
+	f.install(pte, frame, wp)
 	region.mapped++
-	done := now + f.params.Copy.Sample(f.rng)
+	copied = now + f.params.Copy.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdCopy, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, "")
+		f.tr.Emit(trace.EvUffdCopy, WorkerOf(aligned, f.trWorkers), aligned, now, copied-now, "")
 	}
-	return done, nil
-}
-
-// SetWriteProtect marks the present page at addr write-protected
-// (UFFDIO_WRITEPROTECT): the monitor calls it right after installing a page
-// whose contents the store durably holds, so a later eviction can tell a
-// still-clean page (drop, no store write) from a dirtied one. Only private
-// present pages can be protected; zero-COW pages are already covered by the
-// shared zero mapping.
-func (f *FD) SetWriteProtect(now time.Duration, addr uint64) (time.Duration, error) {
-	region := f.regionFor(addr)
-	if region == nil {
-		return now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
+	if !wp {
+		return copied, copied, nil
 	}
-	aligned := align(addr)
-	pte := region.pte(addr)
-	state := PageState(*pte & pteState)
-	if state == 0 {
-		return now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
-	}
-	if state != PagePresent {
-		return now, fmt.Errorf("uffd: write-protect of non-private page %#x", aligned)
-	}
-	*pte |= pteWP
-	done := now + f.params.WriteProtect.Sample(f.rng)
+	protected = copied + f.params.WriteProtect.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdWP, WorkerOf(aligned, f.trWorkers), aligned, now, done-now, "")
+		f.tr.Emit(trace.EvUffdWP, WorkerOf(aligned, f.trWorkers), aligned, copied, protected-copied, "")
 	}
-	return done, nil
+	return copied, protected, nil
 }
 
 // PageClean reports whether the page at addr is present, write-protected,
@@ -511,8 +566,24 @@ func (f *FD) WPFaults() uint64 { return f.wpFaults }
 // selects the cheaper cost observed when the vCPU is already suspended
 // (§V-B asynchronous reads).
 //
-// The returned buffer is the evicted frame itself — zero-copy semantics.
+// The returned buffer is the caller's: the evicted frame itself — zero-copy
+// semantics — or, for a page that maps the zero page or a shared buffer, a
+// pooled frame holding a copy.
 func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, time.Duration, error) {
+	return f.remap(now, addr, interleaved, true)
+}
+
+// RemapDrop is Remap for a caller that discards the contents — the clean-drop
+// eviction, whose store copy is current: same cost, same event, but no bytes
+// move. An owned frame goes back to the pool and a shared buffer is
+// forgotten, never copied.
+func (f *FD) RemapDrop(now time.Duration, addr uint64, interleaved bool) (time.Duration, error) {
+	_, done, err := f.remap(now, addr, interleaved, false)
+	return done, err
+}
+
+// remap is Remap, returning the contents only with keep.
+func (f *FD) remap(now time.Duration, addr uint64, interleaved, keep bool) ([]byte, time.Duration, error) {
 	region := f.regionFor(addr)
 	if region == nil {
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
@@ -522,12 +593,19 @@ func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, ti
 	if *pte&pteState == 0 {
 		return nil, now, fmt.Errorf("%w: %#x", ErrNotMapped, aligned)
 	}
-	// Frame ownership moves to the caller.
-	data := f.unmap(region, pte)
-	if data == nil {
-		// The zero page is shared; moving it out materialises zeroes.
-		data = f.GetFrame()
-		copy(data, zeroPage)
+	var data []byte
+	if keep {
+		// Frame ownership moves to the caller; what the descriptor does not
+		// own moves out as a copy, and the zero page as a frame of zeroes.
+		var owned bool
+		switch data, owned = f.unmap(region, pte); {
+		case data == nil:
+			data = f.zeroFrame()
+		case !owned:
+			data = f.copyPage(data)
+		}
+	} else {
+		f.drop(region, pte)
 	}
 	model := f.params.Remap
 	arg := ""
@@ -554,8 +632,16 @@ func (f *FD) Drop(addr uint64) bool {
 	if *pte&pteState == 0 {
 		return false
 	}
-	f.Recycle(f.unmap(region, pte))
+	f.drop(region, pte)
 	return true
+}
+
+// drop unmaps pte, an entry of region, pooling its frame if the descriptor
+// owns it.
+func (f *FD) drop(region *Region, pte *uint32) {
+	if frame, owned := f.unmap(region, pte); owned {
+		f.Recycle(frame)
+	}
 }
 
 // Wake unblocks the vCPU thread faulted at addr after the monitor resolved

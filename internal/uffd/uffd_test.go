@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"fluidmem/internal/clock"
 )
 
 func newFD(t *testing.T) (*FD, *Region) {
@@ -384,12 +386,13 @@ func TestWriteProtectTracksDirtiness(t *testing.T) {
 	if f.PageClean(addr) {
 		t.Fatal("unprotected page reported clean")
 	}
-	done, err := f.SetWriteProtect(time.Microsecond, addr)
+	f.Drop(addr)
+	copied, done, err := f.CopyWP(time.Microsecond, addr, filled(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done <= time.Microsecond {
-		t.Fatal("write-protect cost nothing")
+	if copied <= time.Microsecond || done <= copied {
+		t.Fatalf("CopyWP: copied at %v, protected at %v — a half cost nothing", copied, done)
 	}
 	if !f.PageClean(addr) {
 		t.Fatal("protected page not clean")
@@ -438,32 +441,39 @@ func TestWriteProtectTracksDirtiness(t *testing.T) {
 	}
 }
 
+// TestWriteProtectRejectsMissingAndZeroCOW: the write-protect mode refuses
+// what Copy refuses — an address outside every region, a short buffer, and an
+// already-mapped page, the zero-COW one included — and only a page it
+// installed is clean.
 func TestWriteProtectRejectsMissingAndZeroCOW(t *testing.T) {
 	f, _ := newFD(t)
-	if _, err := f.SetWriteProtect(0, 0x100000); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("missing page: err = %v, want ErrNotMapped", err)
+	if f.PageClean(0x100000) {
+		t.Fatal("missing page reported clean")
 	}
-	if _, err := f.SetWriteProtect(0, 0x999999000); !errors.Is(err, ErrNotRegistered) {
+	if _, _, err := f.CopyWP(0, 0x999999000, filled(1)); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("unregistered: err = %v, want ErrNotRegistered", err)
+	}
+	if _, _, err := f.CopyWP(0, 0x100000, []byte("short")); err == nil {
+		t.Fatal("short write-protected copy accepted")
 	}
 	if _, err := f.ZeroPage(0, 0x101000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SetWriteProtect(0, 0x101000); err == nil {
-		t.Fatal("zero-COW page accepted for write-protect")
+	if _, _, err := f.CopyWP(0, 0x101000, filled(1)); !errors.Is(err, ErrAlreadyMapped) {
+		t.Fatalf("zero-COW page: err = %v, want ErrAlreadyMapped", err)
 	}
 	if f.PageClean(0x101000) {
 		t.Fatal("zero-COW page reported clean")
+	}
+	if _, pooled := f.FrameCounts(); pooled != 0 || f.PageCopies() != 0 {
+		t.Fatalf("refused installs left %d pooled frames and %d copies", pooled, f.PageCopies())
 	}
 }
 
 func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 	f, _ := newFD(t)
 	addr := uint64(0x102000)
-	if _, err := f.Copy(0, addr, filled(3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.SetWriteProtect(0, addr); err != nil {
+	if _, _, err := f.CopyWP(0, addr, filled(3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := f.Remap(0, addr, false); err != nil {
@@ -478,6 +488,149 @@ func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 	}
 	if f.PageClean(addr) {
 		t.Fatal("fresh install reported clean without protection")
+	}
+}
+
+// TestCopyWPSharesUntilFirstWrite pins the shared-frame contract of a
+// write-protected install: the page maps the caller's buffer and nothing is
+// copied; the guest's first write lands in a private copy, never in the
+// buffer, at the very samples (Copy, WriteProtect, WPFault, in that order)
+// the install and fault drew before sharing existed; a shared buffer never
+// reaches the pool — Remap hands out a copy, RemapDrop, Drop and Unregister
+// forget it — and FrameCounts counts only the frames the descriptor owns.
+func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
+	f, r := newFD(t)
+	ref := clock.NewRand(1)
+	p := DefaultParams()
+	src := filled(0x5C)
+
+	copied, done, err := f.CopyWP(0, r.Start, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Copy.Sample(ref); copied != want {
+		t.Fatalf("copied at %v, want the Copy sample %v", copied, want)
+	}
+	if want := copied + p.WriteProtect.Sample(ref); done != want {
+		t.Fatalf("protected at %v, want %v", done, want)
+	}
+	data, _, _, _ := f.Access(done, r.Start, false)
+	if &data[0] != &src[0] {
+		t.Fatal("a write-protected install copied its buffer")
+	}
+	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != 0 || f.PageCopies() != 0 {
+		t.Fatalf("after a shared install: %d mapped, %d pooled, %d copies; want 0, 0, 0", mapped, pooled, f.PageCopies())
+	}
+
+	// The first write: one WP fault at the WPFault sample, one host copy, and
+	// the write lands in the private frame.
+	frame, at, _, err := f.Access(done, r.Start+8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := done + p.WPFault.Sample(ref); at != want || f.WPFaults() != 1 {
+		t.Fatalf("first write at %v with %d WP faults, want %v and 1", at, f.WPFaults(), want)
+	}
+	frame[8] = 0xEE
+	if !bytes.Equal(src, filled(0x5C)) {
+		t.Fatal("the guest's write reached the shared buffer")
+	}
+	if again, _, _, _ := f.Access(at, r.Start, false); again[8] != 0xEE {
+		t.Fatal("the write is not visible to the next read")
+	}
+	if mapped, _ := f.FrameCounts(); mapped != 1 || f.PageCopies() != 1 {
+		t.Fatalf("after the first write: %d mapped, %d copies; want 1 and 1", mapped, f.PageCopies())
+	}
+
+	// Remap of a shared page: an owned copy, not the buffer.
+	addr := r.Start + PageSize
+	if _, _, err := f.CopyWP(0, addr, src); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := f.Remap(0, addr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] == &src[0] || !bytes.Equal(out, src) {
+		t.Fatal("Remap of a shared page did not hand out a copy of its bytes")
+	}
+	for i := range out {
+		out[i] = 0xFD // the caller's to scribble on
+	}
+	f.Recycle(out)
+
+	// RemapDrop, Drop and Unregister forget shared buffers: the pool gains
+	// nothing from them, and no later frame is one of them.
+	pooledBefore := func() int { _, n := f.FrameCounts(); return n }()
+	for i, forget := range []func(addr uint64){
+		func(addr uint64) {
+			if _, err := f.RemapDrop(0, addr, false); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(addr uint64) { f.Drop(addr) },
+	} {
+		addr := r.Start + uint64(2+i)*PageSize
+		if _, _, err := f.CopyWP(0, addr, src); err != nil {
+			t.Fatal(err)
+		}
+		forget(addr)
+		if r.State(addr) != PageMissing {
+			t.Fatalf("forget %d left the page mapped", i)
+		}
+	}
+	for i := uint64(4); i < 8; i++ {
+		if _, _, err := f.CopyWP(0, r.Start+i*PageSize, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copies := f.PageCopies()
+	f.Unregister(r)
+	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != pooledBefore+1 {
+		// +1: the private frame of the first page, written above.
+		t.Fatalf("after teardown: %d mapped, %d pooled; want 0 and %d", mapped, pooled, pooledBefore+1)
+	}
+	if f.PageCopies() != copies {
+		t.Fatal("forgetting shared pages copied them")
+	}
+	for n := f.freeFrames; len(n) > 0; n = n[1:] {
+		if &n[0][0] == &src[0] {
+			t.Fatal("a shared buffer reached the pool")
+		}
+	}
+	if !bytes.Equal(src, filled(0x5C)) {
+		t.Fatal("the shared buffer changed")
+	}
+}
+
+// TestCopyWPAllocatesNothing: a write-protected install and its clean drop,
+// and a write-protected install, its first write and the dirty eviction's
+// recycle, run on pooled frames once the pool is warm.
+func TestCopyWPAllocatesNothing(t *testing.T) {
+	f, r := newFD(t)
+	src := filled(1)
+	cycle := func() {
+		if _, _, err := f.CopyWP(0, r.Start, src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.RemapDrop(0, r.Start, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := f.CopyWP(0, r.Start, src); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := f.Access(0, r.Start, true); err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := f.Remap(0, r.Start, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Recycle(data)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per write-protected install cycle, want 0", allocs)
 	}
 }
 

@@ -2,12 +2,14 @@
 # Alternated parent/change pairs of the repository benchmark, judged by the
 # rule of the choosing-metrics guide, section 8. `make bench-pairs` runs it.
 #
-#   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10] [seconds=20]
+#   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10] [seconds=20] [first-seed=301]
 #
 # The parent is a `git archive` of <parent-ref> unpacked in a temporary
 # directory (nothing is left in .git, unlike a worktree); the change is the
 # working tree. Pair i runs `bash benchmark/run.sh --trace 0` on both at seed
-# 301+i, the parent first in even pairs and the change first in odd ones.
+# first-seed+i, the parent first in even pairs and the change first in odd
+# ones. A first seed other than 301 checks a claim on seeds the change was not
+# developed against.
 # Every run is printed; then, per end-to-end metric of BENCHMARK.json, both
 # sides' medians with quartiles, wins/pairs (ties count for neither), the
 # ratio of the medians with its base, the median of the per-pair ratios with
@@ -24,6 +26,7 @@ parent=${1:?usage: bench-pairs.sh <parent-ref> <workload> [pairs] [seconds]}
 workload=${2:?usage: bench-pairs.sh <parent-ref> <workload> [pairs] [seconds]}
 pairs=${3:-10}
 seconds=${4:-20}
+first=${5:-301}
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -31,7 +34,7 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 echo "parent $(git -C "$root" rev-parse --short "$parent") in $tmp/parent, change = working tree $root"
-echo "workload $workload, $pairs pairs, --seconds $seconds --trace 0, seeds 301..$((300 + pairs))"
+echo "workload $workload, $pairs pairs, --seconds $seconds --trace 0, seeds $first..$((first + pairs - 1))"
 
 # one <side> <dir> <seed>: one run; its JSON result line goes to $tmp/runs.
 one() {
@@ -42,7 +45,7 @@ one() {
 }
 
 for ((i = 0; i < pairs; i++)); do
-	seed=$((301 + i))
+	seed=$((first + i))
 	if ((i % 2 == 0)); then
 		one parent "$tmp/parent" "$seed"
 		one change "$root" "$seed"
