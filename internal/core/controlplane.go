@@ -16,6 +16,7 @@ import (
 	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
 	"fluidmem/internal/uffd"
+	"fluidmem/internal/vm"
 )
 
 // RegisterRange registers [start, start+length) for fault handling on behalf
@@ -57,7 +58,6 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 		for addr := region.Start; addr < region.End(); addr += PageSize {
 			if m.lru.Remove(addr) {
 				m.fd.Drop(addr)
-				m.epoch++
 			}
 			m.hot.Remove(addr)
 			if m.pages.seen(addr) {
@@ -90,7 +90,6 @@ func (m *Monitor) Discard(addr uint64) {
 	addr = addr &^ uint64(PageSize-1)
 	if m.lru.Remove(addr) {
 		m.fd.Drop(addr)
-		m.epoch++
 	}
 	// The page's contents are gone: it must leave the ghost list too, or a
 	// later first touch of the same address would register as a re-reference
@@ -159,8 +158,8 @@ func (m *Monitor) ResidentPages() int { return m.lru.Len() }
 // FootprintLimit implements vm.FootprintLimiter.
 func (m *Monitor) FootprintLimit() int { return m.cfg.LRUCapacity }
 
-// Epoch implements vm.Backing.
-func (m *Monitor) Epoch() uint64 { return m.epoch }
+// Attach implements vm.Backing: pages unmapped from v's regions are shot down in v.
+func (m *Monitor) Attach(v *vm.VM) { m.fd.Attach(v.Config().PID, v) }
 
 // Stats returns a snapshot of monitor counters.
 func (m *Monitor) Stats() Stats { return m.stats }

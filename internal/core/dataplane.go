@@ -166,7 +166,6 @@ func (m *Monitor) zeroFill(t time.Duration, ev uffd.Event) (time.Duration, error
 	}
 	m.prof.Record(opUffdZeroPage, done-t)
 	t = done
-	m.epoch++
 
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
 	m.record(opInsertLRUCache, ev.Addr, lruCost)
@@ -309,7 +308,6 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 		return readDone, path, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
 	m.prof.Record(opUffdCopy, copied-readDone)
-	m.epoch++
 	t = m.fd.Wake(done, ev.Addr)
 	resumeAt = t + m.cfg.MonitorOps.Resume.Sample(m.rng)
 	for _, c := range window {
@@ -347,7 +345,6 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 	}
 	m.prof.Record(opUffdCopy, copied-t)
 	t = done
-	m.epoch++
 
 	lruCost := m.cfg.MonitorOps.LRUInsert.Sample(m.rng)
 	m.record(opInsertLRUCache, ev.Addr, lruCost)
@@ -424,7 +421,6 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		t = done
 		m.tr.Emit(trace.EvEvict, m.workerOf(victim), victim, evictStart, t-evictStart, "remap")
 	}
-	m.epoch++
 
 	if clean {
 		// Clean drop: the store copy is current and the page is gone — the

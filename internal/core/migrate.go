@@ -37,6 +37,8 @@ type VMImage struct {
 	// Seen lists pages the monitor has tracked; on the destination these
 	// resolve from the store rather than the zero page.
 	Seen []uint64
+	// Zero lists the seen pages elided as all zeroes (their store copy is stale).
+	Zero []uint64
 }
 
 // VMRegion is one registered range.
@@ -48,7 +50,7 @@ type VMRegion struct {
 // MetadataBytes estimates the transfer size of the image — the only data
 // that crosses the network during migration.
 func (img *VMImage) MetadataBytes() int {
-	return 8*len(img.Seen) + 16*len(img.Regions) + 16
+	return 8*len(img.Seen) + 8*len(img.Zero) + 16*len(img.Regions) + 16
 }
 
 // ExportVM prepares pid for migration: every resident page is evicted to the
@@ -80,7 +82,6 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 				return nil, now, fmt.Errorf("core: export remap %#x: %w", addr, rerr)
 			}
 			now = done
-			m.epoch++
 			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data); err != nil {
 				return nil, now, fmt.Errorf("core: export enqueue %#x: %w", addr, err)
 			}
@@ -89,6 +90,9 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			if m.pages.seen(addr) {
 				img.Seen = append(img.Seen, addr)
 				m.pages.clearSeen(addr)
+			}
+			if m.wb.TakeZero(kvstore.MakeKey(addr, part)) {
+				img.Zero = append(img.Zero, addr)
 			}
 		}
 		m.fd.Unregister(region)
@@ -130,6 +134,9 @@ func (m *Monitor) ImportVM(now time.Duration, img *VMImage) (time.Duration, erro
 	}
 	for _, addr := range img.Seen {
 		m.pages.setSeen(addr)
+	}
+	for _, addr := range img.Zero {
+		m.wb.NoteZero(kvstore.MakeKey(addr, img.Partition))
 	}
 	// Metadata transfer cost: the seen set and region table cross the wire.
 	now += transferCost(img.MetadataBytes())

@@ -123,7 +123,6 @@ type Monitor struct {
 	// scratch holds the data plane's reusable buffers (see arena.go).
 	scratch dataArena
 
-	epoch uint64
 	stats Stats
 	// faultCost sums every resolved fault's end-to-end latency. It is virtual
 	// time, so it moves with the width: an accessor, not a Stats field

@@ -513,25 +513,6 @@ func TestEvictWithCopyAblation(t *testing.T) {
 	}
 }
 
-func TestEpochAdvancesOnMappingChanges(t *testing.T) {
-	m := newMonitor(t, dramCfg(2), 64)
-	e0 := m.Epoch()
-	_, now, err := m.Touch(0, addr(0), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Epoch() == e0 {
-		t.Fatal("epoch unchanged after mapping")
-	}
-	e1 := m.Epoch()
-	if _, _, err = m.Touch(now, addr(0), false); err != nil {
-		t.Fatal(err)
-	}
-	if m.Epoch() != e1 {
-		t.Fatal("epoch changed on resident hit")
-	}
-}
-
 func TestRegisterRangeUnknownOverlap(t *testing.T) {
 	m := newMonitor(t, dramCfg(4), 16)
 	if _, err := m.RegisterRange(testBase, 16*PageSize, 999); err == nil {

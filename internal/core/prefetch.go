@@ -143,7 +143,6 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 		m.fd.Recycle(data) // UFFDIO_COPY copied it in
 	}
 	t = done
-	m.epoch++
 	m.lru.Insert(c.addr)
 	m.stats.Prefetches++
 	m.tr.Emit(trace.EvPrefetch, m.workerOf(c.addr), c.addr, installStart, t-installStart, "")

@@ -69,8 +69,6 @@ type Outcome struct {
 	TouchHash uint64
 	// Resident is the sorted resident set after the final sweep.
 	Resident []uint64
-	// Epoch is the monitor's logical mutation counter.
-	Epoch uint64
 	// Stats is the merged monitor counter snapshot.
 	Stats core.Stats
 	// Store is the backend's traffic counter snapshot.
@@ -242,7 +240,6 @@ func Replay(tb testing.TB, wl Workload, workers int, seed uint64) Outcome {
 	return Outcome{
 		TouchHash:         h.Sum64(),
 		Resident:          m.ResidentAddrs(),
-		Epoch:             m.Epoch(),
 		Stats:             m.Stats(),
 		Store:             store.Stats(),
 		TraceDigest:       tr.LogicalDigest(),
@@ -347,9 +344,6 @@ func Equal(tb testing.TB, label string, ref, got Outcome) {
 				break
 			}
 		}
-	}
-	if ref.Epoch != got.Epoch {
-		tb.Errorf("%s: epoch diverged: %d vs %d", label, ref.Epoch, got.Epoch)
 	}
 	refStats, gotStats := ref.Stats, got.Stats
 	refStats.InFlightWaits, gotStats.InFlightWaits = 0, 0

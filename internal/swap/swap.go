@@ -130,7 +130,7 @@ type Subsystem struct {
 	fsBlocks  map[uint64]uint64 // file page addr → fs block
 	nextBlock uint64
 
-	epoch uint64
+	tlb   interface{ Flush() } // the attached VM (nil before Attach)
 	stats Stats
 }
 
@@ -176,8 +176,14 @@ func (s *Subsystem) ResidentPages() int { return len(s.frames) }
 // FootprintLimit implements vm.FootprintLimiter.
 func (s *Subsystem) FootprintLimit() int { return s.params.FramePages }
 
-// Epoch implements vm.Backing.
-func (s *Subsystem) Epoch() uint64 { return s.epoch }
+// Attach implements vm.Backing.
+func (s *Subsystem) Attach(v *vm.VM) { s.tlb = v }
+
+func (s *Subsystem) flush() {
+	if s.tlb != nil {
+		s.tlb.Flush()
+	}
+}
 
 // Stats returns a snapshot of activity counters.
 func (s *Subsystem) Stats() Stats { return s.stats }
@@ -187,7 +193,7 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 	page := align(addr)
 	if f, ok := s.frames[page]; ok {
 		// Resident: referenced-bit bookkeeping only (hardware-speed hit).
-		// The bookkeeping is state, so a hit moves the epoch too: the VM
+		// The bookkeeping is state, so a hit flushes the TLB too: the VM
 		// may skip only a repeat of this very access.
 		if f.referenced && !f.active {
 			s.promote(f)
@@ -196,7 +202,7 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 		if write {
 			f.dirty = true
 		}
-		s.epoch++
+		s.flush()
 		return f.data, now, nil
 	}
 
@@ -249,7 +255,7 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 
 	s.frames[page] = f
 	f.elem = s.inactive.PushBack(f)
-	s.epoch++
+	s.flush()
 	return f.data, now, nil
 }
 
@@ -259,7 +265,7 @@ func (s *Subsystem) Discard(addr uint64) {
 	if f, ok := s.frames[page]; ok {
 		s.unlink(f)
 		delete(s.frames, page)
-		s.epoch++
+		s.flush()
 	}
 	if slot, ok := s.swapSlots[page]; ok {
 		s.freeSlots = append(s.freeSlots, slot-1)
@@ -379,7 +385,7 @@ func (s *Subsystem) evict(now time.Duration, f *frame) (time.Duration, error) {
 	}
 	s.unlink(f)
 	delete(s.frames, f.addr)
-	s.epoch++
+	s.flush()
 	return now, nil
 }
 

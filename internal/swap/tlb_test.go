@@ -20,18 +20,25 @@ type backingCall struct {
 }
 
 // callLog is a Subsystem that records every Touch and Discard it serves.
+// epoch moves where swap's epoch did before it flushed the VM's TLB instead:
+// on every Touch, and on a Discard of a resident page.
 type callLog struct {
 	*Subsystem
 	calls []backingCall
+	epoch int
 }
 
 func (c *callLog) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
 	c.calls = append(c.calls, backingCall{now: now, addr: addr, write: write})
+	c.epoch++
 	return c.Subsystem.Touch(now, addr, write)
 }
 
 func (c *callLog) Discard(addr uint64) {
 	c.calls = append(c.calls, backingCall{addr: addr, discard: true})
+	if _, ok := c.frames[align(addr)]; ok {
+		c.epoch++
+	}
 	c.Subsystem.Discard(addr)
 }
 
@@ -39,22 +46,23 @@ func (c *callLog) Discard(addr uint64) {
 // last, served without a backing call while the epoch it was filled at
 // stands (a write only if the fill was a write).
 type oneEntryCache struct {
-	b            vm.Backing
+	b            *callLog
 	valid, dirty bool
-	page, epoch  uint64
+	page         uint64
+	epoch        int
 	data         []byte
 }
 
 func (c *oneEntryCache) touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
 	page := addr &^ uint64(PageSize-1)
-	if c.valid && c.page == page && c.epoch == c.b.Epoch() && (!write || c.dirty) {
+	if c.valid && c.page == page && c.epoch == c.b.epoch && (!write || c.dirty) {
 		return c.data, now, nil
 	}
 	data, done, err := c.b.Touch(now, addr, write)
 	if err != nil {
 		return nil, done, err
 	}
-	c.valid, c.page, c.data, c.dirty, c.epoch = true, page, data, write, c.b.Epoch()
+	c.valid, c.page, c.data, c.dirty, c.epoch = true, page, data, write, c.b.epoch
 	return data, done, nil
 }
 

@@ -124,6 +124,9 @@ const (
 	pteFrameShift = 4
 )
 
+// TLB is a process's translation cache (the guest VM's), shot down by page.
+type TLB interface{ Shootdown(addr uint64) }
+
 // Region is one registered memory range belonging to one process.
 //
 // ptes is its page table, one entry per page indexed by page number within
@@ -137,6 +140,7 @@ type Region struct {
 
 	ptes   []uint32
 	mapped int
+	tlb    TLB // where the pages unmapped here are shot down (nil: nowhere)
 }
 
 // End returns the first address past the region.
@@ -180,6 +184,7 @@ type FD struct {
 	params  Params
 	rng     *clock.Rand
 	regions []*Region
+	tlbs    map[int]TLB // by PID, for the PID's regions registered later
 
 	// queue is a ring buffer of pending fault events: qHead indexes the
 	// oldest event, qLen counts them, and the slice grows (power of two)
@@ -212,6 +217,7 @@ func New(params Params, seed uint64) *FD {
 	return &FD{
 		params: params,
 		rng:    clock.NewRand(seed),
+		tlbs:   make(map[int]TLB),
 		frames: make([][]byte, 1),
 	}
 }
@@ -251,14 +257,18 @@ func (f *FD) zeroFrame() []byte {
 	return frame
 }
 
-// unmap clears pte, an entry of region, returning the frame it held (nil for
-// a zero-COW page); owned is false for the zero page and a shared buffer,
-// which are not the descriptor's to give away. The waiting bit is not part of
-// the mapping and survives.
-func (f *FD) unmap(region *Region, pte *uint32) (frame []byte, owned bool) {
+// unmap clears page addr of region and shoots it down (flush_tlb_page),
+// returning the frame it held (nil for a zero-COW page); owned is false for
+// the zero page and a shared buffer, which are not the descriptor's to give
+// away. The waiting bit is not part of the mapping and survives.
+func (f *FD) unmap(region *Region, addr uint64) (frame []byte, owned bool) {
+	pte := region.pte(addr)
 	slot, wp := *pte>>pteFrameShift, *pte&pteWP != 0
 	*pte &= pteWaiting
 	region.mapped--
+	if region.tlb != nil {
+		region.tlb.Shootdown(addr)
+	}
 	if slot == 0 {
 		return nil, false
 	}
@@ -364,9 +374,20 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 			return nil, fmt.Errorf("uffd: region [%#x,+%#x) overlaps [%#x,+%#x)", start, length, r.Start, r.Length)
 		}
 	}
-	region := &Region{Start: start, Length: length, PID: pid, ptes: make([]uint32, length/PageSize)}
+	region := &Region{Start: start, Length: length, PID: pid, ptes: make([]uint32, length/PageSize), tlb: f.tlbs[pid]}
 	f.regions = append(f.regions, region)
 	return region, nil
+}
+
+// Attach routes the shootdowns of pid's regions, those registered later
+// included, to tlb.
+func (f *FD) Attach(pid int, tlb TLB) {
+	f.tlbs[pid] = tlb
+	for _, r := range f.regions {
+		if r.PID == pid {
+			r.tlb = tlb
+		}
+	}
 }
 
 // Unregister removes a region (VM shutdown): its pages, and the record of
@@ -375,9 +396,9 @@ func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 // and pending events for it are dropped, like closing the descriptor side of
 // a dead VM.
 func (f *FD) Unregister(region *Region) {
-	for i := range region.ptes {
-		if region.ptes[i]&pteState != 0 {
-			f.drop(region, &region.ptes[i])
+	for i, pte := range region.ptes {
+		if pte&pteState != 0 {
+			f.drop(region, region.Start+uint64(i)*PageSize)
 		}
 	}
 	kept := f.regions[:0]
@@ -598,14 +619,14 @@ func (f *FD) remap(now time.Duration, addr uint64, interleaved, keep bool) ([]by
 		// Frame ownership moves to the caller; what the descriptor does not
 		// own moves out as a copy, and the zero page as a frame of zeroes.
 		var owned bool
-		switch data, owned = f.unmap(region, pte); {
+		switch data, owned = f.unmap(region, aligned); {
 		case data == nil:
 			data = f.zeroFrame()
 		case !owned:
 			data = f.copyPage(data)
 		}
 	} else {
-		f.drop(region, pte)
+		f.drop(region, aligned)
 	}
 	model := f.params.Remap
 	arg := ""
@@ -628,18 +649,17 @@ func (f *FD) Drop(addr uint64) bool {
 	if region == nil {
 		return false
 	}
-	pte := region.pte(addr)
-	if *pte&pteState == 0 {
+	if *region.pte(addr)&pteState == 0 {
 		return false
 	}
-	f.drop(region, pte)
+	f.drop(region, align(addr))
 	return true
 }
 
-// drop unmaps pte, an entry of region, pooling its frame if the descriptor
+// drop unmaps addr, a page of region, pooling its frame if the descriptor
 // owns it.
-func (f *FD) drop(region *Region, pte *uint32) {
-	if frame, owned := f.unmap(region, pte); owned {
+func (f *FD) drop(region *Region, addr uint64) {
+	if frame, owned := f.unmap(region, addr); owned {
 		f.Recycle(frame)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -88,13 +89,13 @@ type Backing interface {
 	Discard(addr uint64)
 	// ResidentPages reports the VM's current local-DRAM footprint in pages.
 	ResidentPages() int
-	// Epoch changes whenever an access the VM skips could behave
-	// differently from one it makes: the VM's TLB serves a page without
-	// calling Touch only while the epoch it was filled at is current (and,
-	// for a write, only if that fill was a write). A backing whose hits are
-	// pure moves it on residency and frame changes; one whose hits keep
-	// state (referenced bits) moves it on every Touch.
-	Epoch() uint64
+	// Attach hands the backing the VM in front of it (New and Rebind). The
+	// VM's TLB serves a page without calling Touch (a write only if the fill
+	// was a write) until the backing calls v.Shootdown(page), when the page
+	// stops mapping the frame Touch returned, or v.Flush(). A backing whose
+	// hits are pure shoots down on unmap only; one whose hits keep state
+	// (referenced bits) flushes on every Touch.
+	Attach(v *VM)
 }
 
 // ClassAware is implemented by backings whose eviction policy depends on the
@@ -138,17 +139,17 @@ func (s *Segment) Pages() int { return int(s.Bytes / PageSize) }
 // Addr returns the address at byte offset off, for use with VM access calls.
 func (s *Segment) Addr(off uint64) uint64 { return s.Start + off }
 
-// tlbEntries is the size of the VM's direct-mapped TLB, indexed by page
-// number.
-const tlbEntries = 256
+// tlbMaxEntries caps the VM's direct-mapped TLB, indexed by page number: it
+// covers the guest's allocation, rounded up to a power of two, up to 16 MiB.
+const tlbMaxEntries = 4096
 
-// tlbEntry maps a page to its frame while the backing's epoch is still
-// epoch. tag is the page's address with bit 0 set when the fill was a write,
-// and the frame is an array pointer, so an entry is 24 bytes.
+// tlbEntry maps a page to its frame while gen is the VM's generation. tag is
+// the page's address with bit 0 set when the fill was a write, and the frame
+// is an array pointer, so an entry is 24 bytes.
 type tlbEntry struct {
 	tag   uint64
 	frame *[PageSize]byte
-	epoch uint64
+	gen   uint64
 }
 
 // VM is one simulated guest.
@@ -161,9 +162,10 @@ type VM struct {
 	next     uint64
 	limit    uint64
 
-	// tlb caches the frames the backing returned, so an access to a
-	// resident page does not round-trip through it (see Backing.Epoch).
-	tlb [tlbEntries]tlbEntry
+	// tlb caches the frames the backing returned (see Backing.Attach); an
+	// entry is valid only while its gen is gen, so Flush is one increment.
+	tlb []tlbEntry
+	gen uint64
 
 	// stats
 	reads, writes uint64
@@ -188,15 +190,21 @@ func New(cfg Config, backing Backing) (*VM, error) {
 		backing: backing,
 		next:    cfg.Base,
 		limit:   cfg.Base + cfg.MemBytes,
+		tlb:     make([]tlbEntry, 1),
+		gen:     1,
 	}
-	v.flushTLB()
+	backing.Attach(v)
 	return v, nil
 }
 
-// flushTLB invalidates every TLB entry: no tag has bit 1 set.
-func (v *VM) flushTLB() {
-	for i := range v.tlb {
-		v.tlb[i] = tlbEntry{tag: 2}
+// Flush invalidates every TLB entry.
+func (v *VM) Flush() { v.gen++ }
+
+// Shootdown invalidates the TLB's entry for page, a page address, if it
+// holds one (INVLPG).
+func (v *VM) Shootdown(page uint64) {
+	if e := &v.tlb[page/PageSize&uint64(len(v.tlb)-1)]; e.tag&^1 == page {
+		e.gen = 0
 	}
 }
 
@@ -212,7 +220,8 @@ func (v *VM) Rebind(backing Backing) error {
 		return errors.New("vm: rebind to nil backing")
 	}
 	v.backing = backing
-	v.flushTLB()
+	v.Flush()
+	backing.Attach(v)
 	if ca, ok := backing.(ClassAware); ok {
 		for _, seg := range v.segments {
 			for addr := seg.Start; addr < seg.End(); addr += PageSize {
@@ -248,6 +257,11 @@ func (v *VM) Alloc(name string, bytes uint64, class PageClass) (*Segment, error)
 	seg := &Segment{Name: name, Start: v.next, Bytes: bytes, Class: class, vm: v}
 	v.next += bytes
 	v.segments = append(v.segments, seg)
+	// The TLB grows to cover the allocation. Doubling it keeps every entry:
+	// of its two copies, the one outside its slot can match no page.
+	for len(v.tlb) < tlbMaxEntries && uint64(len(v.tlb))*PageSize < v.next-v.cfg.Base {
+		v.tlb = slices.Concat(v.tlb, v.tlb)
+	}
 	if ca, ok := v.backing.(ClassAware); ok {
 		for addr := seg.Start; addr < seg.End(); addr += PageSize {
 			ca.SetClass(addr, class)
@@ -282,17 +296,17 @@ func (v *VM) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Dur
 	} else {
 		v.reads++
 	}
-	// Fast path: a TLB hit, filled since the backing last changed, by an
+	// Fast path: a TLB hit the backing has not invalidated, filled by an
 	// access of this kind or by a write.
-	e := &v.tlb[page/PageSize%tlbEntries]
-	if (e.tag == tag || e.tag == page|1) && e.epoch == v.backing.Epoch() {
+	e := &v.tlb[page/PageSize&uint64(len(v.tlb)-1)]
+	if (e.tag == tag || e.tag == page|1) && e.gen == v.gen {
 		return e.frame[:], now, nil
 	}
 	data, done, err := v.backing.Touch(now, addr, write)
 	if err != nil {
 		return nil, done, err
 	}
-	*e = tlbEntry{tag: tag, frame: (*[PageSize]byte)(data), epoch: v.backing.Epoch()}
+	*e = tlbEntry{tag: tag, frame: (*[PageSize]byte)(data), gen: v.gen}
 	return data, done, nil
 }
 

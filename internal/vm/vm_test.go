@@ -14,7 +14,7 @@ type fakeBacking struct {
 	order    []uint64
 	capacity int // 0 = unlimited
 	missLat  time.Duration
-	epoch    uint64
+	vm       *VM
 	classes  map[uint64]PageClass
 
 	touches, misses int
@@ -45,12 +45,11 @@ func (f *fakeBacking) Touch(now time.Duration, addr uint64, write bool) ([]byte,
 		victim := f.order[0]
 		f.order = f.order[1:]
 		delete(f.frames, victim)
-		f.epoch++
+		f.vm.Shootdown(victim)
 	}
 	data := make([]byte, PageSize)
 	f.frames[page] = data
 	f.order = append(f.order, page)
-	f.epoch++
 	return data, now + f.missLat, nil
 }
 
@@ -66,11 +65,11 @@ func (f *fakeBacking) Discard(addr uint64) {
 			break
 		}
 	}
-	f.epoch++
+	f.vm.Shootdown(page)
 }
 
 func (f *fakeBacking) ResidentPages() int { return len(f.frames) }
-func (f *fakeBacking) Epoch() uint64      { return f.epoch }
+func (f *fakeBacking) Attach(v *VM)       { f.vm = v }
 func (f *fakeBacking) SetClass(addr uint64, class PageClass) {
 	f.classes[addr&^uint64(PageSize-1)] = class
 }
@@ -199,7 +198,7 @@ func TestRead64StraddleRejected(t *testing.T) {
 }
 
 // TestTLBHoldsManyPages: pages in different TLB slots stay cached side by
-// side while the epoch stands, and one epoch change invalidates them all.
+// side until a Flush, and one Flush invalidates them all.
 func TestTLBHoldsManyPages(t *testing.T) {
 	v, b := newTestVM(t, 64*PageSize, 0)
 	seg, _ := v.Alloc("data", 32*PageSize, ClassAnon)
@@ -210,27 +209,30 @@ func TestTLBHoldsManyPages(t *testing.T) {
 			}
 		}
 	}
-	round() // every first touch faults and moves the epoch
-	b.epoch++
+	round() // every first touch faults
+	v.Flush()
 	before := b.touches
-	round() // 32 refills at one epoch
+	round() // 32 refills
 	round()
 	if b.touches != before+32 {
 		t.Fatalf("backing touches = %d, want one per page after the warm-up", b.touches-before)
 	}
-	b.epoch++
+	v.Flush()
 	round()
 	if b.touches != before+64 {
-		t.Fatalf("backing touches = %d after an epoch change, want 32 more", b.touches-before-32)
+		t.Fatalf("backing touches = %d after a Flush, want 32 more", b.touches-before-32)
 	}
 }
 
-// TestTLBSlotConflict: two pages that share a slot evict each other, and a
-// Rebind empties the TLB even when the backing is the same.
+// TestTLBSlotConflict: past the TLB's cap two pages share a slot and evict
+// each other, and a Rebind empties the TLB even when the backing is the same.
 func TestTLBSlotConflict(t *testing.T) {
-	v, b := newTestVM(t, (tlbEntries+1)*PageSize, 0)
-	seg, _ := v.Alloc("data", (tlbEntries+1)*PageSize, ClassAnon)
-	for _, p := range []uint64{0, tlbEntries, 0} {
+	v, b := newTestVM(t, (tlbMaxEntries+1)*PageSize, 0)
+	seg, _ := v.Alloc("data", (tlbMaxEntries+1)*PageSize, ClassAnon)
+	if len(v.tlb) != tlbMaxEntries {
+		t.Fatalf("TLB of %d entries for %d pages, want the cap %d", len(v.tlb), seg.Pages(), tlbMaxEntries)
+	}
+	for _, p := range []uint64{0, tlbMaxEntries, 0} {
 		if _, _, err := v.Touch(0, seg.Addr(p*PageSize), false); err != nil {
 			t.Fatal(err)
 		}
@@ -246,6 +248,40 @@ func TestTLBSlotConflict(t *testing.T) {
 	}
 	if b.touches != 4 {
 		t.Fatalf("backing touches = %d, want a refill after Rebind", b.touches)
+	}
+}
+
+// TestTLBCoversAllocation: the TLB is the allocation rounded up to a power of
+// two, so no two allocated pages share a slot below the cap, and growing it
+// in Alloc keeps every entry.
+func TestTLBCoversAllocation(t *testing.T) {
+	v, b := newTestVM(t, 64*PageSize, 0)
+	seg, _ := v.Alloc("small", 3*PageSize, ClassAnon)
+	if len(v.tlb) != 4 {
+		t.Fatalf("TLB of %d entries for 3 pages, want 4", len(v.tlb))
+	}
+	touchAll := func(seg *Segment) {
+		for p := uint64(0); p < uint64(seg.Pages()); p++ {
+			if _, _, err := v.Touch(0, seg.Addr(p*PageSize), p%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	touchAll(seg)
+	big, _ := v.Alloc("big", 40*PageSize, ClassAnon)
+	if len(v.tlb) != 64 {
+		t.Fatalf("TLB of %d entries for 43 pages, want 64", len(v.tlb))
+	}
+	before := b.touches
+	touchAll(seg)
+	if b.touches != before {
+		t.Fatalf("%d backing touches after the TLB grew, want its entries kept", b.touches-before)
+	}
+	touchAll(big)
+	touchAll(seg)
+	touchAll(big)
+	if b.touches != before+big.Pages() {
+		t.Fatalf("backing touches = %d over 43 pages in 64 slots, want one per new page", b.touches-before)
 	}
 }
 
@@ -268,13 +304,13 @@ func TestFastPathCachesResidentPage(t *testing.T) {
 	}
 }
 
-func TestFastPathInvalidatedByEpoch(t *testing.T) {
+func TestFastPathInvalidatedByShootdown(t *testing.T) {
 	v, b := newTestVM(t, 16*PageSize, 0)
 	seg, _ := v.Alloc("data", PageSize, ClassAnon)
 	if _, _, err := v.Touch(0, seg.Start, false); err != nil {
 		t.Fatal(err)
 	}
-	b.Discard(seg.Start) // bumps epoch and drops the frame
+	b.Discard(seg.Start) // drops the frame and shoots the page down
 	_, _, err := v.Touch(0, seg.Start, false)
 	if err != nil {
 		t.Fatal(err)
@@ -380,16 +416,16 @@ func TestScaledOSProfilePreservesMix(t *testing.T) {
 }
 
 func TestOSTickTouchesHotPages(t *testing.T) {
-	v, b := newTestVM(t, 256*1024*PageSize, 0)
+	v, _ := newTestVM(t, 256*1024*PageSize, 0)
 	os, now, err := BootOS(0, v, ScaledOSProfile(1000), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := b.touches
+	r0, w0 := v.AccessCounts()
 	if _, err := os.Tick(now, 50); err != nil {
 		t.Fatal(err)
 	}
-	if b.touches == before {
+	if r, w := v.AccessCounts(); r+w == r0+w0 {
 		t.Fatal("tick touched nothing")
 	}
 }
@@ -543,13 +579,13 @@ func BenchmarkTouchHit(b *testing.B) {
 		name   string
 		stride uint64 // pages between consecutive accesses
 		pages  uint64
-	}{{"hit", 1, 128}, {"refill", tlbEntries, 2}} {
+	}{{"hit", 1, 128}, {"refill", tlbMaxEntries, 2}} {
 		b.Run(bc.name, func(b *testing.B) {
-			v, err := New(Config{Name: "bench", MemBytes: 2 * tlbEntries * PageSize}, newFakeBacking(0))
+			v, err := New(Config{Name: "bench", MemBytes: 2 * tlbMaxEntries * PageSize}, newFakeBacking(0))
 			if err != nil {
 				b.Fatal(err)
 			}
-			seg, err := v.Alloc("data", 2*tlbEntries*PageSize, ClassAnon)
+			seg, err := v.Alloc("data", 2*tlbMaxEntries*PageSize, ClassAnon)
 			if err != nil {
 				b.Fatal(err)
 			}
