@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-openloop profile-cluster shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-swap profile-openloop profile-cluster shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # test runs every test in the tree exactly once, uncached. That includes
@@ -72,7 +72,8 @@ bench-json:
 # The wall-clock ledger alone: the per-layer testing.B rows (normal draw and
 # latency sample, uffd access and install/remap, LRU, profiler, zero scan,
 # write list, steady-state fault, scheduler, arrival generation, RAMCloud
-# overwrite, MultiPut of 32 pages, guest TLB hit and refill), run through `go test`
+# overwrite, MultiPut of 32 pages, guest TLB hit and refill, ghost-list
+# fault and eviction, swap hit and swap-in), run through `go test`
 # at a fixed iteration count. The table prints ns/op, B/op and allocs/op;
 # BENCH_wall.json keeps only B/op and allocs/op, which the iteration count
 # fixes on any machine.
@@ -109,6 +110,16 @@ profile-graph500:
 	mkdir -p .profile
 	$(GO) test . -run '^$$' -bench '^BenchmarkGraph500$$' -benchtime 3x -o .profile/fluidmem.test -cpuprofile .profile/graph500.prof
 	$(GO) tool pprof -top -nodecount=25 .profile/graph500.prof
+
+# Where the host time of Fig. 4's swap cells goes: three Graph500 runs at
+# scale 16 (working set 110 % of local memory) on a booted machine swapping to
+# NVMe-oF, each between two bursts of guest-OS touches (the root package's
+# BenchmarkGraph500Swap, one cell of `fluidmem-bench -run fig4`) under the CPU
+# profiler, top 25 frames. -o keeps the test binary in .profile/.
+profile-swap:
+	mkdir -p .profile
+	$(GO) test . -run '^$$' -bench '^BenchmarkGraph500Swap$$' -benchtime 3x -o .profile/fluidmem.test -cpuprofile .profile/swap.prof
+	$(GO) tool pprof -top -nodecount=25 .profile/swap.prof
 
 # Where the host time of the open-loop workload goes: three offered-load
 # ladders of the diurnal scenario — loadgen.Run under the market planner at
@@ -197,7 +208,9 @@ openloop-oracle:
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
-# flat page map), the ghost-LRU working-set estimator, the cluster pool's
+# flat page map), the ghost-LRU working-set estimator, the swap subsystem (in
+# lockstep with a test-side copy of the map-and-container/list code it
+# replaced), the cluster pool's
 # rendezvous key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), and the open-loop arrival schedules' monotonicity, split/merge
@@ -206,6 +219,7 @@ fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s
+	$(GO) test ./internal/swap/ -run FuzzSwapMatchesParent -fuzz FuzzSwapMatchesParent -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzReplicaSet -fuzz FuzzReplicaSet -fuzztime=5s
 	$(GO) test ./internal/loadgen/ -run FuzzArrivalSchedule -fuzz FuzzArrivalSchedule -fuzztime=5s

@@ -82,6 +82,9 @@ func run(args []string, w io.Writer) error {
 	if *workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
 	}
+	if *guestMB < 1 {
+		return fmt.Errorf("-guest must be >= 1, got %d", *guestMB)
+	}
 	plan := fluidmem.Planner(*planner)
 	mode, ok := plannerModes[plan]
 	if !ok {

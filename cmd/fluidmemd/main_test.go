@@ -113,6 +113,20 @@ func TestWorkersFlagValidation(t *testing.T) {
 	}
 }
 
+// A guest below one MB used to reach the VM as a size that wrapped past
+// 2^64 bytes and panicked registering it.
+func TestGuestFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-guest", "-1", "-script", "status"},
+		{"-guest", "0", "-script", "status"},
+		{"-vms", "2", "-guest", "-4096", "-script", "status"},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "-guest must be >= 1") {
+			t.Errorf("%v: err = %v, want -guest refused", args, err)
+		}
+	}
+}
+
 // A flag the selected run would drop is refused by name: the scenario replay
 // builds its own population, -rate-scale only scales a scenario, the cluster
 // pool brings its own failures instead of -chaos, and only the cluster pool

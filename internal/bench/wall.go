@@ -15,15 +15,17 @@ import (
 var wallPackages = []string{
 	"./internal/clock",
 	"./internal/core",
+	"./internal/hotset",
 	"./internal/kvstore/dram",
 	"./internal/kvstore/ramcloud",
 	"./internal/loadgen",
+	"./internal/swap",
 	"./internal/uffd",
 	"./internal/vm",
 }
 
-const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|" +
-	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32|TouchHit)$"
+const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|FaultEvict|" +
+	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32|TouchHit|Touch)$"
 
 // WallRow is one testing.B row of the ledger.
 type WallRow struct {

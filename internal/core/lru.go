@@ -1,5 +1,7 @@
 package core
 
+import "fluidmem/internal/ilist"
+
 // lruList is the monitor's resident-page list (§V-A). Its semantics follow
 // the paper exactly: a page enters the list when the monitor sees it (first
 // access, or re-fault after an eviction) and the internal ordering never
@@ -14,21 +16,20 @@ package core
 // monitor's state, so the eviction order and the capacity budget the monitor
 // enforces with Len are the same for every worker count.
 //
-// The list is intrusive: a resident page's node is its record in the page
-// table (see pagetable.go), found by indexing the page's region, and the
-// links are slab indices. Membership tests and removals hash nothing, and the
-// steady-state fault path (evict one, insert one) allocates nothing.
+// The list is an intrusive ilist list whose nodes are the resident pages'
+// records in the page table (see pagetable.go), found by indexing a page's
+// region. Membership tests and removals hash nothing, and the steady-state
+// fault path (evict one, insert one) allocates nothing.
 type lruList struct {
 	pages *pageTable
-	list  recList // in insertion order: head is the oldest entry
-	n     int
+	list  ilist.List // in insertion order: Head is the oldest entry
 }
 
 // newLRU returns an empty list over pages.
 func newLRU(pages *pageTable) *lruList { return &lruList{pages: pages} }
 
 // Len reports tracked pages.
-func (l *lruList) Len() int { return l.n }
+func (l *lruList) Len() int { return l.list.Len }
 
 // Insert appends addr at the bottom (newest) position. Inserting an address
 // already present is a bug in the monitor and panics loudly.
@@ -41,8 +42,7 @@ func (l *lruList) Insert(addr uint64) {
 	}
 	n.state |= recLRU
 	n.addr = addr
-	l.list.pushBack(l.pages.recs, lruLink, i)
-	l.n++
+	l.list.PushBack(l.pages.lruLinks, i)
 }
 
 // Contains reports membership.
@@ -53,10 +53,10 @@ func (l *lruList) Contains(addr uint64) bool {
 
 // Oldest returns the eviction candidate: the head of the list.
 func (l *lruList) Oldest() (uint64, bool) {
-	if l.list.head == 0 {
+	if l.list.Head == 0 {
 		return 0, false
 	}
-	return l.pages.recs[l.list.head].addr, true
+	return l.pages.recs[l.list.Head].addr, true
 }
 
 // Remove deletes addr, reporting whether it was present.
@@ -67,17 +67,16 @@ func (l *lruList) Remove(addr uint64) bool {
 	if n.state&recLRU == 0 {
 		return false
 	}
-	l.list.remove(l.pages.recs, lruLink, i)
+	l.list.Remove(l.pages.lruLinks, i)
 	n.state &^= recLRU
-	l.n--
 	l.pages.release(e, i)
 	return true
 }
 
 // Addrs returns the resident page addresses, oldest first.
 func (l *lruList) Addrs() []uint64 {
-	addrs := make([]uint64, 0, l.n)
-	for i := l.list.head; i != 0; i = l.pages.recs[i].link[lruLink].next {
+	addrs := make([]uint64, 0, l.list.Len)
+	for i := l.list.Head; i != 0; i = l.pages.lruLinks[i].Next {
 		addrs = append(addrs, l.pages.recs[i].addr)
 	}
 	return addrs

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"fluidmem/internal/ilist"
 	"fluidmem/internal/kvstore"
 )
 
@@ -20,7 +21,7 @@ import (
 // (pageRec) exist only while a page is on the LRU list, on the write list, or
 // has a write in flight, so the slab is bounded by LRU capacity plus queued
 // plus in-flight pages, not by guest size. lruList and writeback are views
-// over the table: each owns its fields of the record and its links.
+// over the table: each owns its fields of the record and its ilist list.
 //
 // Addresses outside every region — never produced by the data plane, but
 // neither view forces its caller to register first — and whatever state
@@ -29,11 +30,14 @@ import (
 // pages do.
 type pageTable struct {
 	regions []*pageRegion
-	// recs is the record slab; index 0 is the nil record. free heads the
-	// freelist.
-	recs     []pageRec
-	free     uint32
-	overflow map[uint64]*uint32
+	// recs is the record slab; index 0 is the nil record. lruLinks threads
+	// records onto the LRU list or, while unused, the free list (reused last
+	// in, first out); queueLinks threads them onto the write list.
+	recs       []pageRec
+	lruLinks   []ilist.Link
+	queueLinks []ilist.Link
+	free       ilist.List
+	overflow   map[uint64]*uint32
 	// none stays zero: it is the entry a read of an untracked out-of-region
 	// page resolves to, so lookups never return nil.
 	none uint32
@@ -76,53 +80,12 @@ type pageRec struct {
 	// data is the evicted page awaiting its store write.
 	data []byte
 	// done is when the submitted write completes.
-	done time.Duration
-	// link threads the record onto the LRU list and onto the write list
-	// (and, through link[lruLink].next, onto the slab's freelist).
-	link  [2]recLink
+	done  time.Duration
 	state uint8
 }
 
-type recLink struct{ prev, next uint32 }
-
-// The lists a record can be on at once, indexing pageRec.link.
-const (
-	lruLink = iota
-	queueLink
-)
-
-// recList is an intrusive doubly linked list of records, oldest at head.
-type recList struct{ head, tail uint32 }
-
-// pushBack appends record i through its link k.
-func (l *recList) pushBack(recs []pageRec, k int, i uint32) {
-	recs[i].link[k] = recLink{prev: l.tail}
-	if l.tail != 0 {
-		recs[l.tail].link[k].next = i
-	} else {
-		l.head = i
-	}
-	l.tail = i
-}
-
-// remove unlinks record i from the list its link k is on.
-func (l *recList) remove(recs []pageRec, k int, i uint32) {
-	ln := recs[i].link[k]
-	if ln.prev != 0 {
-		recs[ln.prev].link[k].next = ln.next
-	} else {
-		l.head = ln.next
-	}
-	if ln.next != 0 {
-		recs[ln.next].link[k].prev = ln.prev
-	} else {
-		l.tail = ln.prev
-	}
-	recs[i].link[k] = recLink{}
-}
-
 func newPageTable() *pageTable {
-	return &pageTable{recs: make([]pageRec, 1)}
+	return &pageTable{recs: make([]pageRec, 1), lruLinks: make([]ilist.Link, 1), queueLinks: make([]ilist.Link, 1)}
 }
 
 // region returns the registered range containing addr, or nil. A monitor has
@@ -195,12 +158,14 @@ func (t *pageTable) track(e *uint32, id uint64) uint32 {
 	if i := *e & entSlot; i != 0 {
 		return i
 	}
-	i := t.free
+	i := t.free.Tail
 	if i != 0 {
-		t.free = t.recs[i].link[lruLink].next
+		t.free.Remove(t.lruLinks, i)
 	} else {
 		i = uint32(len(t.recs))
 		t.recs = append(t.recs, pageRec{})
+		t.lruLinks = append(t.lruLinks, ilist.Link{})
+		t.queueLinks = append(t.queueLinks, ilist.Link{})
 	}
 	t.recs[i] = pageRec{id: id}
 	*e |= i
@@ -216,8 +181,7 @@ func (t *pageTable) release(e *uint32, i uint32) {
 	}
 	id := r.id
 	*r = pageRec{}
-	r.link[lruLink].next = t.free
-	t.free = i
+	t.free.PushBack(t.lruLinks, i)
 	*e &^= entSlot
 	t.settle(id, e)
 }

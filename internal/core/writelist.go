@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"fluidmem/internal/ilist"
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/trace"
 	"fluidmem/internal/uffd"
@@ -60,9 +61,8 @@ type writeback struct {
 
 	pages *pageTable
 	// queue is the write list: the recQueued records, evicted pages not yet
-	// submitted, in enqueue order.
-	queue  recList
-	queued int
+	// submitted, in enqueue order, threaded through the table's queueLinks.
+	queue ilist.List
 
 	// keyScratch and pageScratch are the reusable flush buffers.
 	keyScratch  []kvstore.Key
@@ -140,12 +140,11 @@ func (w *writeback) pending(key kvstore.Key) (e *uint32, i uint32, ok bool) {
 // dequeue takes the queued record i, which entry e points to, off the write
 // list and returns its data.
 func (w *writeback) dequeue(e *uint32, i uint32) []byte {
-	w.queue.remove(w.pages.recs, queueLink, i)
+	w.queue.Remove(w.pages.queueLinks, i)
 	r := &w.pages.recs[i]
 	data := r.data
 	r.data = nil
 	r.state &^= recQueued
-	w.queued--
 	w.pages.release(e, i)
 	return data
 }
@@ -176,9 +175,8 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte) (ti
 	}
 	r.state |= recQueued
 	r.data = data
-	w.queue.pushBack(w.pages.recs, queueLink, i)
-	w.queued++
-	if w.queued >= w.batchSize {
+	w.queue.PushBack(w.pages.queueLinks, i)
+	if w.queue.Len >= w.batchSize {
 		return now, w.Flush(now)
 	}
 	return now, nil
@@ -188,13 +186,13 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte) (ti
 // store's device model accounts the transfer; faults only wait on it via
 // WaitFor.
 func (w *writeback) Flush(now time.Duration) error {
-	if w.queued == 0 {
+	if w.queue.Len == 0 {
 		return nil
 	}
-	recs := w.pages.recs
+	recs, links := w.pages.recs, w.pages.queueLinks
 	keys := w.keyScratch[:0]
 	pages := w.pageScratch[:0]
-	for i := w.queue.head; i != 0; i = recs[i].link[queueLink].next {
+	for i := w.queue.Head; i != 0; i = links[i].Next {
 		keys = append(keys, kvstore.Key(recs[i].id))
 		pages = append(pages, recs[i].data)
 	}
@@ -209,7 +207,7 @@ func (w *writeback) Flush(now time.Duration) error {
 	if len(w.inflight) == 0 || done < w.minDone {
 		w.minDone = done
 	}
-	for i, k := w.queue.head, 0; i != 0; k++ {
+	for i, k := w.queue.Head, 0; i != 0; k++ {
 		r := &recs[i]
 		if r.state&recInflight == 0 {
 			w.inflight = append(w.inflight, i)
@@ -222,9 +220,9 @@ func (w *writeback) Flush(now time.Duration) error {
 		r.data = nil
 		w.release(pages[k])
 		pages[k] = nil
-		i, r.link[queueLink] = r.link[queueLink].next, recLink{}
+		i, links[i] = links[i].Next, ilist.Link{}
 	}
-	w.queue, w.queued = recList{}, 0
+	w.queue = ilist.List{}
 	w.flushes++
 	w.flushedPages += uint64(len(keys))
 	w.flushSizes[len(keys)]++
@@ -340,7 +338,7 @@ func (w *writeback) Queued(key kvstore.Key) bool {
 }
 
 // QueuedLen reports pages awaiting flush.
-func (w *writeback) QueuedLen() int { return w.queued }
+func (w *writeback) QueuedLen() int { return w.queue.Len }
 
 // Drain flushes everything and reports when the store is quiescent.
 func (w *writeback) Drain(now time.Duration) (time.Duration, error) {

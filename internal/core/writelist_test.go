@@ -317,7 +317,7 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 		flushing := w.QueuedLen() == 1 && !w.Queued(key)
 		var batch []kvstore.Key
 		if flushing {
-			batch = append(batch, kvstore.Key(w.pages.recs[w.queue.head].id), key)
+			batch = append(batch, kvstore.Key(w.pages.recs[w.queue.Head].id), key)
 		}
 		if _, err := w.Enqueue(now, key, page(byte(i))); err != nil {
 			t.Fatal(err)

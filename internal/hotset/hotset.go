@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"fluidmem/internal/ilist"
 )
 
 // Params sizes a Tracker.
@@ -59,26 +61,20 @@ func DefaultParams(lruCapacity int) Params {
 	return Params{GhostCapacity: lruCapacity, BucketPages: bucket}
 }
 
-// ghostNode is one evicted page key in the shadow list, linked to its
-// neighbours by slab index. A free node's next chains the free list.
-type ghostNode struct {
-	addr       uint64
-	prev, next int32
-}
-
 // Tracker is the ghost-LRU working-set estimator. It is not safe for
 // concurrent use, matching the single-threaded simulator. The nil Tracker is
 // valid and records nothing, so the monitor's hooks never need an enabled
 // check.
 type Tracker struct {
 	params Params
-	// The shadow list is circular over the nodes slab through the sentinel
-	// nodes[0]: its next is the most recent ghost, its prev the oldest. free is
-	// the first reusable node (0: none); index maps a page to its node, so
-	// len(index) is the list's length (DESIGN.md §12).
-	nodes []ghostNode
-	free  int32
-	index map[uint64]int32
+	// The shadow list is an ilist over the addrs slab (slot 0 is nil), oldest
+	// ghost at Head; free holds the slots to reuse. index maps a page to its
+	// slot, so len(index) is the list's length (DESIGN.md §12).
+	addrs []uint64
+	links []ilist.Link
+	ghost ilist.List
+	free  ilist.List
+	index map[uint64]uint32
 
 	faults    uint64
 	ghostHits uint64
@@ -100,19 +96,18 @@ func New(p Params) (*Tracker, error) {
 	buckets := (p.GhostCapacity + p.BucketPages - 1) / p.BucketPages
 	return &Tracker{
 		params: p,
-		nodes:  make([]ghostNode, 1),
-		index:  make(map[uint64]int32),
+		addrs:  make([]uint64, 1),
+		links:  make([]ilist.Link, 1),
+		index:  make(map[uint64]uint32),
 		hits:   make([]uint64, buckets),
 	}, nil
 }
 
-// unlink drops node i from the shadow list and the index onto the free list.
-func (t *Tracker) unlink(i int32) {
-	n := t.nodes[i]
-	t.nodes[n.prev].next = n.next
-	t.nodes[n.next].prev = n.prev
-	delete(t.index, n.addr)
-	t.nodes[i].next, t.free = t.free, i
+// drop moves slot i from the shadow list and the index onto the free list.
+func (t *Tracker) drop(i uint32) {
+	t.ghost.Remove(t.links, i)
+	delete(t.index, t.addrs[i])
+	t.free.PushBack(t.links, i)
 }
 
 // Fault observes one monitor fault (a miss in the resident list). If the
@@ -130,7 +125,7 @@ func (t *Tracker) Fault(addr uint64) {
 		return
 	}
 	depth := 1
-	for i := t.nodes[0].next; i != node; i = t.nodes[i].next {
+	for i := t.ghost.Tail; i != node; i = t.links[i].Prev {
 		depth++
 	}
 	t.ghostHits++
@@ -139,7 +134,7 @@ func (t *Tracker) Fault(addr uint64) {
 		bucket = len(t.hits) - 1
 	}
 	t.hits[bucket]++
-	t.unlink(node)
+	t.drop(node)
 }
 
 // Evict observes one eviction from the resident list: the page key enters
@@ -152,22 +147,20 @@ func (t *Tracker) Evict(addr uint64) {
 		return
 	}
 	t.evictions++
-	if node, ok := t.index[addr]; ok {
-		t.unlink(node)
-	}
+	t.Remove(addr)
 	if len(t.index) == t.params.GhostCapacity {
-		t.unlink(t.nodes[0].prev)
+		t.drop(t.ghost.Head)
 	}
-	i := t.free
-	if i == 0 {
-		i = int32(len(t.nodes))
-		t.nodes = append(t.nodes, ghostNode{})
+	i := t.free.Tail
+	if i != 0 {
+		t.free.Remove(t.links, i)
 	} else {
-		t.free = t.nodes[i].next
+		i = uint32(len(t.addrs))
+		t.addrs = append(t.addrs, 0)
+		t.links = append(t.links, ilist.Link{})
 	}
-	t.nodes[i] = ghostNode{addr: addr, next: t.nodes[0].next}
-	t.nodes[t.nodes[0].next].prev = i
-	t.nodes[0].next = i
+	t.addrs[i] = addr
+	t.ghost.PushBack(t.links, i)
 	t.index[addr] = i
 }
 
@@ -180,7 +173,7 @@ func (t *Tracker) Remove(addr uint64) {
 		return
 	}
 	if node, ok := t.index[addr]; ok {
-		t.unlink(node)
+		t.drop(node)
 	}
 }
 
@@ -320,8 +313,8 @@ func (t *Tracker) Digest() uint64 {
 	for _, hit := range t.hits {
 		word(hit)
 	}
-	for i := t.nodes[0].next; i != 0; i = t.nodes[i].next {
-		word(t.nodes[i].addr)
+	for i := t.ghost.Tail; i != 0; i = t.links[i].Prev {
+		word(t.addrs[i])
 	}
 	return h.Sum64()
 }

@@ -2,7 +2,7 @@ package hotset
 
 import "testing"
 
-func mustNew(t *testing.T, p Params) *Tracker {
+func mustNew(t testing.TB, p Params) *Tracker {
 	t.Helper()
 	tr, err := New(p)
 	if err != nil {

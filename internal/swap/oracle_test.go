@@ -113,7 +113,7 @@ func runSwapOracle(t *testing.T, kind blockdev.Kind, steps, pages, frames int, s
 		// Kernel pages, once resident, must stay resident.
 		for i := 0; i < frames/8; i++ {
 			if oracle[i] != nil && classes[i] == vm.ClassKernel {
-				if _, resident := s.frames[addr(i)]; !resident {
+				if !s.resident(addr(i)) {
 					t.Fatalf("step %d: kernel page %d evicted", step, i)
 				}
 			}

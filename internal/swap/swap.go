@@ -19,16 +19,21 @@
 //   - Swap-out writeback is asynchronous (kswapd), entering the fault
 //     critical path only through writeback throttling when the device
 //     queue grows too deep.
+//
+// Each guest page's state — class, frame, swap slot, filesystem block, and
+// dirty, referenced and active bits — is one record in a slab, found through
+// one map; the active and inactive lists are ilist lists over the slab, so
+// faults, evictions and promotions allocate nothing of the subsystem's own.
 package swap
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"time"
 
 	"fluidmem/internal/blockdev"
 	"fluidmem/internal/clock"
+	"fluidmem/internal/ilist"
 	"fluidmem/internal/vm"
 )
 
@@ -101,15 +106,14 @@ type Stats struct {
 	Scanned     uint64
 }
 
-// frame is one resident page.
-type frame struct {
-	addr       uint64
-	data       []byte
-	class      vm.PageClass
-	dirty      bool
-	referenced bool
-	active     bool
-	elem       *list.Element
+// page is one guest page's record, made on its first fault or class tag.
+type page struct {
+	addr uint64
+	data []byte // the frame: non-nil exactly while the page is resident
+	// The page's tag, and the tag its frame was faulted in under (reclaim's).
+	class, frameClass         vm.PageClass
+	slot, block               uint64 // swap slot and filesystem block, plus one: 0 for none
+	dirty, referenced, active bool   // the frame's bits; active: which list it is on
 }
 
 // Subsystem is the guest swap implementation of vm.Backing.
@@ -119,18 +123,20 @@ type Subsystem struct {
 	fsDev   *blockdev.Device
 	rng     *clock.Rand
 
-	frames   map[uint64]*frame
-	active   *list.List // front = oldest
-	inactive *list.List
+	// index finds a page's record in pages (entry 0 is nil) through chunks
+	// of 512 pages, so a hit hashes into a map of chunks, not of pages.
+	// links threads resident records onto active and inactive, oldest first.
+	index    map[uint64]*[512]uint32
+	pages    []page
+	links    []ilist.Link
+	active   ilist.List
+	inactive ilist.List
 
-	classes   map[uint64]vm.PageClass
-	swapSlots map[uint64]uint64 // page addr → swap slot (page still out there)
 	freeSlots []uint64
 	nextSlot  uint64
-	fsBlocks  map[uint64]uint64 // file page addr → fs block
 	nextBlock uint64
 
-	tlb   interface{ Flush() } // the attached VM (nil before Attach)
+	tlb   interface{ Flush() } // the attached VM (noTLB before Attach)
 	stats Stats
 }
 
@@ -152,26 +158,45 @@ func New(p Params, swapDev, fsDev *blockdev.Device, seed uint64) (*Subsystem, er
 		p.ReclaimBatch = 32
 	}
 	return &Subsystem{
-		params:    p,
-		swapDev:   swapDev,
-		fsDev:     fsDev,
-		rng:       clock.NewRand(seed),
-		frames:    make(map[uint64]*frame),
-		active:    list.New(),
-		inactive:  list.New(),
-		classes:   make(map[uint64]vm.PageClass),
-		swapSlots: make(map[uint64]uint64),
-		fsBlocks:  make(map[uint64]uint64),
+		params:  p,
+		swapDev: swapDev,
+		fsDev:   fsDev,
+		rng:     clock.NewRand(seed),
+		index:   make(map[uint64]*[512]uint32),
+		pages:   make([]page, 1),
+		links:   make([]ilist.Link, 1),
+		tlb:     noTLB{},
 	}, nil
+}
+
+// record returns the slab index of the record of the page at addr. A page
+// without one gets one if create is set, and 0, the nil record, if not.
+// Making a record grows the slab and moves it: no *page survives that call.
+func (s *Subsystem) record(addr uint64, create bool) uint32 {
+	c := s.index[addr/(512*PageSize)]
+	if c == nil {
+		if !create {
+			return 0
+		}
+		c = new([512]uint32)
+		s.index[addr/(512*PageSize)] = c
+	}
+	i := &c[addr/PageSize%512]
+	if *i == 0 && create {
+		*i = uint32(len(s.pages))
+		s.pages = append(s.pages, page{addr: addr, class: vm.ClassAnon})
+		s.links = append(s.links, ilist.Link{})
+	}
+	return *i
 }
 
 // SetClass implements vm.ClassAware.
 func (s *Subsystem) SetClass(addr uint64, class vm.PageClass) {
-	s.classes[align(addr)] = class
+	s.pages[s.record(align(addr), true)].class = class
 }
 
 // ResidentPages implements vm.Backing.
-func (s *Subsystem) ResidentPages() int { return len(s.frames) }
+func (s *Subsystem) ResidentPages() int { return s.active.Len + s.inactive.Len }
 
 // FootprintLimit implements vm.FootprintLimiter.
 func (s *Subsystem) FootprintLimit() int { return s.params.FramePages }
@@ -179,106 +204,93 @@ func (s *Subsystem) FootprintLimit() int { return s.params.FramePages }
 // Attach implements vm.Backing.
 func (s *Subsystem) Attach(v *vm.VM) { s.tlb = v }
 
-func (s *Subsystem) flush() {
-	if s.tlb != nil {
-		s.tlb.Flush()
-	}
-}
+// noTLB stands in for the VM until Attach.
+type noTLB struct{}
+
+func (noTLB) Flush() {}
 
 // Stats returns a snapshot of activity counters.
 func (s *Subsystem) Stats() Stats { return s.stats }
 
 // Touch implements vm.Backing: the guest accesses addr.
 func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
-	page := align(addr)
-	if f, ok := s.frames[page]; ok {
+	addr = align(addr)
+	if i := s.record(addr, false); s.pages[i].data != nil {
 		// Resident: referenced-bit bookkeeping only (hardware-speed hit).
 		// The bookkeeping is state, so a hit flushes the TLB too: the VM
 		// may skip only a repeat of this very access.
-		if f.referenced && !f.active {
-			s.promote(f)
+		p := &s.pages[i]
+		if p.referenced && !p.active {
+			s.promote(i)
 		}
-		f.referenced = true
+		p.referenced = true
 		if write {
-			f.dirty = true
+			p.dirty = true
 		}
-		s.flush()
-		return f.data, now, nil
+		s.tlb.Flush()
+		return p.data, now, nil
 	}
 
 	// Fault. Secure a frame first (may reclaim).
 	var err error
-	if now, err = s.ensureFrame(now); err != nil {
-		return nil, now, err
+	if s.ResidentPages() >= s.params.FramePages {
+		if now, err = s.reclaim(now, s.params.ReclaimBatch); err != nil {
+			return nil, now, err
+		}
 	}
 
-	f := &frame{addr: page, class: s.classOf(page), dirty: write, referenced: false}
-	switch {
-	case s.swapSlots[page] != 0:
-		// Major fault: swap-in through the block layer.
-		s.stats.MajorFaults++
-		slot := s.swapSlots[page] - 1
-		now += s.params.KernelFault.Sample(s.rng)
-		now += s.params.SwapCache.Sample(s.rng)
-		now += s.params.BlockLayer.Sample(s.rng)
-		var data []byte
-		data, now, err = s.swapDev.ReadPage(now, slot)
-		if err != nil {
-			return nil, now, fmt.Errorf("swap-in %#x: %w", page, err)
-		}
-		now += s.params.PageCopy.Sample(s.rng)
-		now += s.params.LRUBookkeeping.Sample(s.rng)
-		f.data = data
-		// The slot is freed on swap-in (no swap cache retention modelled).
-		delete(s.swapSlots, page)
-		s.freeSlots = append(s.freeSlots, slot)
-	case s.fsBlocks[page] != 0:
-		// File-backed refill from the filesystem.
-		s.stats.FileRefills++
-		block := s.fsBlocks[page] - 1
-		now += s.params.KernelFault.Sample(s.rng)
-		now += s.params.BlockLayer.Sample(s.rng)
-		var data []byte
-		data, now, err = s.fsDev.ReadPage(now, block)
-		if err != nil {
-			return nil, now, fmt.Errorf("file refill %#x: %w", page, err)
-		}
-		now += s.params.PageCopy.Sample(s.rng)
-		now += s.params.LRUBookkeeping.Sample(s.rng)
-		f.data = data
-	default:
+	i := s.record(addr, true)
+	p := &s.pages[i]
+	p.frameClass, p.dirty, p.referenced, p.active = p.class, write, false, false
+	var data []byte
+	if p.slot == 0 && p.block == 0 {
 		// Minor fault: first touch, zero-fill.
 		s.stats.MinorFaults++
 		now += s.params.MinorFault.Sample(s.rng)
-		f.data = make([]byte, PageSize)
+		data = make([]byte, PageSize)
+	} else {
+		// Major fault: swap-in through the swap cache and the block layer.
+		// A file-backed page refills from the filesystem instead.
+		now += s.params.KernelFault.Sample(s.rng)
+		dev, block, op := s.fsDev, p.block-1, "file refill"
+		if p.slot != 0 {
+			s.stats.MajorFaults++
+			now += s.params.SwapCache.Sample(s.rng)
+			dev, block, op = s.swapDev, p.slot-1, "swap-in"
+		} else {
+			s.stats.FileRefills++
+		}
+		now += s.params.BlockLayer.Sample(s.rng)
+		if data, now, err = dev.ReadPage(now, block); err != nil {
+			return nil, now, fmt.Errorf("%s %#x: %w", op, addr, err)
+		}
+		now += s.params.PageCopy.Sample(s.rng)
+		now += s.params.LRUBookkeeping.Sample(s.rng)
+		if p.slot != 0 {
+			// The slot is freed on swap-in (no swap cache retention modelled).
+			p.slot = 0
+			s.freeSlots = append(s.freeSlots, block)
+		}
 	}
 
-	s.frames[page] = f
-	f.elem = s.inactive.PushBack(f)
-	s.flush()
-	return f.data, now, nil
+	p.data = data
+	s.inactive.PushBack(s.links, i)
+	s.tlb.Flush()
+	return data, now, nil
 }
 
 // Discard implements vm.Backing (balloon-freed pages).
 func (s *Subsystem) Discard(addr uint64) {
-	page := align(addr)
-	if f, ok := s.frames[page]; ok {
-		s.unlink(f)
-		delete(s.frames, page)
-		s.flush()
+	// A page without a record resolves to the nil record: nothing to do.
+	i := s.record(align(addr), false)
+	p := &s.pages[i]
+	if p.data != nil {
+		s.dropFrame(i)
 	}
-	if slot, ok := s.swapSlots[page]; ok {
-		s.freeSlots = append(s.freeSlots, slot-1)
-		delete(s.swapSlots, page)
+	if p.slot != 0 {
+		s.freeSlots = append(s.freeSlots, p.slot-1)
+		p.slot = 0
 	}
-}
-
-// ensureFrame guarantees a free frame exists, reclaiming a batch if needed.
-func (s *Subsystem) ensureFrame(now time.Duration) (time.Duration, error) {
-	if len(s.frames) < s.params.FramePages {
-		return now, nil
-	}
-	return s.reclaim(now, s.params.ReclaimBatch)
 }
 
 // reclaim evicts up to batch frames using second-chance scanning of the
@@ -292,10 +304,10 @@ func (s *Subsystem) reclaim(now time.Duration, batch int) (time.Duration, error)
 	s.rebalance()
 	scanBudget := 4 * s.params.FramePages // prevents livelock on unevictable sets
 	for freed < batch && scanBudget > 0 {
-		elem := s.inactive.Front()
-		if elem == nil {
+		i := s.inactive.Head
+		if i == 0 {
 			s.rebalance()
-			if s.inactive.Len() == 0 {
+			if s.inactive.Len == 0 {
 				break
 			}
 			continue
@@ -303,44 +315,36 @@ func (s *Subsystem) reclaim(now time.Duration, batch int) (time.Duration, error)
 		scanBudget--
 		s.stats.Scanned++
 		now += s.params.ScanCost
-		f := elem.Value.(*frame)
-		if f.referenced {
+		p := &s.pages[i]
+		if p.referenced {
 			// Second chance: clear and promote.
-			f.referenced = false
-			s.promote(f)
+			p.referenced = false
+			s.promote(i)
 			continue
 		}
-		if !s.evictable(f) {
-			// Unevictable pages rotate back to the active list.
-			s.promote(f)
+		if p.frameClass == vm.ClassKernel || p.frameClass == vm.ClassMlocked {
+			// Unevictable pages — the heart of *partial* disaggregation —
+			// rotate back to the active list.
+			s.promote(i)
 			continue
 		}
 		var err error
-		now, err = s.evict(now, f)
-		if err != nil {
+		if now, err = s.evict(now, i); err != nil {
 			return now, err
 		}
 		freed++
 	}
 	if freed == 0 {
-		return now, fmt.Errorf("%w: %d resident, all unevictable or referenced", ErrOOM, len(s.frames))
+		return now, fmt.Errorf("%w: %d resident, all unevictable or referenced", ErrOOM, s.ResidentPages())
 	}
 	return now, nil
 }
 
-// evictable applies the class rules — the heart of *partial* disaggregation.
-func (s *Subsystem) evictable(f *frame) bool {
-	switch f.class {
-	case vm.ClassKernel, vm.ClassMlocked:
-		return false
-	default:
-		return true
-	}
-}
-
-// evict removes f from DRAM, writing it out as its class requires.
-func (s *Subsystem) evict(now time.Duration, f *frame) (time.Duration, error) {
-	switch f.class {
+// evict removes record i's frame from DRAM, writing it out as its class
+// requires.
+func (s *Subsystem) evict(now time.Duration, i uint32) (time.Duration, error) {
+	p := &s.pages[i]
+	switch p.frameClass {
 	case vm.ClassAnon:
 		slot, ok := s.allocSlot()
 		if !ok {
@@ -350,77 +354,76 @@ func (s *Subsystem) evict(now time.Duration, f *frame) (time.Duration, error) {
 		// Asynchronous writeback: the write rides the device's background
 		// channel (kswapd) and enters the fault critical path only through
 		// writeback throttling when that channel falls too far behind.
-		done, err := s.swapDev.WritePageAsync(now, slot, f.data)
+		done, err := s.swapDev.WritePageAsync(now, slot, p.data)
 		if err != nil {
-			return now, fmt.Errorf("swap-out %#x: %w", f.addr, err)
+			return now, fmt.Errorf("swap-out %#x: %w", p.addr, err)
 		}
-		if lag := done - now; lag > s.params.ThrottleDepth {
-			s.stats.Throttles++
-			now = done - s.params.ThrottleDepth
-		}
-		s.swapSlots[f.addr] = slot + 1
+		now = s.throttle(now, done)
+		p.slot = slot + 1
 	case vm.ClassFile:
-		if f.dirty {
-			block := s.allocBlock(f.addr)
-			s.stats.FileWrites++
-			done, err := s.fsDev.WritePageAsync(now, block, f.data)
-			if err != nil {
-				return now, fmt.Errorf("file writeback %#x: %w", f.addr, err)
-			}
-			if lag := done - now; lag > s.params.ThrottleDepth {
-				s.stats.Throttles++
-				now = done - s.params.ThrottleDepth
-			}
-		} else if _, onDisk := s.fsBlocks[f.addr]; !onDisk {
-			// A clean file page with no disk copy yet (first eviction of a
-			// boot-warmed page): it must be written once to be refillable.
-			block := s.allocBlock(f.addr)
-			s.stats.FileWrites++
-			if _, err := s.fsDev.WritePageAsync(now, block, f.data); err != nil {
-				return now, fmt.Errorf("file writeback %#x: %w", f.addr, err)
-			}
-		} else {
+		if !p.dirty && p.block != 0 {
 			s.stats.DroppedFile++
+			break
+		}
+		// A clean file page without a disk copy yet (first eviction of a
+		// boot-warmed page) is written once, to be refillable; only a dirty
+		// page's write can throttle.
+		block := s.allocBlock(p)
+		s.stats.FileWrites++
+		done, err := s.fsDev.WritePageAsync(now, block, p.data)
+		if err != nil {
+			return now, fmt.Errorf("file writeback %#x: %w", p.addr, err)
+		}
+		if p.dirty {
+			now = s.throttle(now, done)
 		}
 	}
-	s.unlink(f)
-	delete(s.frames, f.addr)
-	s.flush()
+	s.dropFrame(i)
 	return now, nil
+}
+
+// throttle stalls the caller once a writeback channel, done being when it
+// finishes the write just queued, runs more than ThrottleDepth behind now.
+func (s *Subsystem) throttle(now, done time.Duration) time.Duration {
+	if done-now > s.params.ThrottleDepth {
+		s.stats.Throttles++
+		return done - s.params.ThrottleDepth
+	}
+	return now
 }
 
 // rebalance moves pages from the active front to the inactive tail until the
 // inactive list holds at least a third of resident pages.
 func (s *Subsystem) rebalance() {
-	target := len(s.frames) / 3
-	for s.inactive.Len() < target {
-		elem := s.active.Front()
-		if elem == nil {
+	target := s.ResidentPages() / 3
+	for s.inactive.Len < target {
+		i := s.active.Head
+		if i == 0 {
 			return
 		}
-		f := elem.Value.(*frame)
-		s.active.Remove(elem)
-		f.active = false
-		f.referenced = false
-		f.elem = s.inactive.PushBack(f)
+		s.active.Remove(s.links, i)
+		s.pages[i].active, s.pages[i].referenced = false, false
+		s.inactive.PushBack(s.links, i)
 	}
 }
 
-func (s *Subsystem) promote(f *frame) {
-	if f.active {
-		return
+func (s *Subsystem) promote(i uint32) {
+	if p := &s.pages[i]; !p.active {
+		s.inactive.Remove(s.links, i)
+		p.active = true
+		s.active.PushBack(s.links, i)
 	}
-	s.inactive.Remove(f.elem)
-	f.active = true
-	f.elem = s.active.PushBack(f)
 }
 
-func (s *Subsystem) unlink(f *frame) {
-	if f.active {
-		s.active.Remove(f.elem)
+// dropFrame takes record i's frame off its list and out of DRAM.
+func (s *Subsystem) dropFrame(i uint32) {
+	if s.pages[i].active {
+		s.active.Remove(s.links, i)
 	} else {
-		s.inactive.Remove(f.elem)
+		s.inactive.Remove(s.links, i)
 	}
+	s.pages[i].data = nil
+	s.tlb.Flush()
 }
 
 func (s *Subsystem) allocSlot() (uint64, bool) {
@@ -437,21 +440,12 @@ func (s *Subsystem) allocSlot() (uint64, bool) {
 	return slot, true
 }
 
-func (s *Subsystem) allocBlock(page uint64) uint64 {
-	if b, ok := s.fsBlocks[page]; ok {
-		return b - 1
+func (s *Subsystem) allocBlock(p *page) uint64 {
+	if p.block == 0 {
+		p.block = s.nextBlock + 1
+		s.nextBlock++
 	}
-	block := s.nextBlock
-	s.nextBlock++
-	s.fsBlocks[page] = block + 1
-	return block
-}
-
-func (s *Subsystem) classOf(page uint64) vm.PageClass {
-	if c, ok := s.classes[page]; ok {
-		return c
-	}
-	return vm.ClassAnon
+	return p.block - 1
 }
 
 func align(addr uint64) uint64 { return addr &^ (PageSize - 1) }

@@ -10,7 +10,7 @@ import (
 	"fluidmem/internal/vm"
 )
 
-func newSubsystem(t *testing.T, frames int, kind blockdev.Kind) *Subsystem {
+func newSubsystem(t testing.TB, frames int, kind blockdev.Kind) *Subsystem {
 	t.Helper()
 	var params blockdev.Params
 	switch kind {
@@ -37,6 +37,26 @@ func newSubsystem(t *testing.T, frames int, kind blockdev.Kind) *Subsystem {
 }
 
 const base = 0x10000000
+
+// pagesWhere lists, in slab order, the addresses of the pages whose record
+// satisfies keep.
+func (s *Subsystem) pagesWhere(keep func(p *page) bool) []uint64 {
+	var addrs []uint64
+	for i := 1; i < len(s.pages); i++ {
+		if keep(&s.pages[i]) {
+			addrs = append(addrs, s.pages[i].addr)
+		}
+	}
+	return addrs
+}
+
+// resident reports whether the page at addr holds a frame.
+func (s *Subsystem) resident(addr uint64) bool {
+	return s.pages[s.record(align(addr), false)].data != nil
+}
+
+func isResident(p *page) bool { return p.data != nil }
+func isSwapped(p *page) bool  { return p.slot != 0 }
 
 func addr(i int) uint64 { return base + uint64(i)*PageSize }
 
@@ -125,7 +145,7 @@ func TestKernelPagesUnevictable(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if _, ok := s.frames[addr(i)]; !ok {
+		if !s.resident(addr(i)) {
 			t.Fatalf("kernel page %d was evicted", i)
 		}
 	}
@@ -147,7 +167,7 @@ func TestMlockedPagesUnevictable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := s.frames[addr(0)]; !ok {
+	if !s.resident(addr(0)) {
 		t.Fatal("mlocked page evicted")
 	}
 }
@@ -227,7 +247,7 @@ func TestSecondChanceKeepsHotPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, resident := s.frames[hot]; !resident {
+	if !s.resident(hot) {
 		t.Fatal("hot page evicted despite constant touches")
 	}
 }
@@ -288,24 +308,18 @@ func TestDiscardFreesFrameAndSlot(t *testing.T) {
 		}
 	}
 	resident := s.ResidentPages()
-	slots := len(s.swapSlots)
+	slots := len(s.pagesWhere(isSwapped))
 	if slots == 0 {
 		t.Fatal("setup: nothing swapped")
 	}
 	// Discard one resident and one swapped page.
-	for page := range s.frames {
-		s.Discard(page)
-		break
-	}
-	for page := range s.swapSlots {
-		s.Discard(page)
-		break
-	}
+	s.Discard(s.pagesWhere(isResident)[0])
+	s.Discard(s.pagesWhere(isSwapped)[0])
 	if s.ResidentPages() != resident-1 {
 		t.Fatalf("resident = %d", s.ResidentPages())
 	}
-	if len(s.swapSlots) != slots-1 {
-		t.Fatalf("swapSlots = %d", len(s.swapSlots))
+	if got := len(s.pagesWhere(isSwapped)); got != slots-1 {
+		t.Fatalf("swapped pages = %d", got)
 	}
 }
 
@@ -392,5 +406,32 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(DefaultParams(4), swapDev, nil, 1); err == nil {
 		t.Fatal("nil fs device accepted")
+	}
+}
+
+// TestRecordFindsEveryPage makes records for pages at both ends of a chunk of
+// the index, 256 pages apart, in neighbouring chunks and far apart, and
+// checks that each finds its own record again, and that a page never recorded
+// finds the nil record.
+func TestRecordFindsEveryPage(t *testing.T) {
+	s := newSubsystem(t, 4, blockdev.KindPmem)
+	pages := []int{0, 1, 255, 256, 511, 512, 513, 768, 1023, 1 << 20, 1<<20 + 256}
+	for k, page := range pages {
+		if i := s.record(addr(page), true); i != uint32(k+1) || s.pages[i].addr != addr(page) {
+			t.Fatalf("page %d: record %d (addr %#x), want %d", page, i, s.pages[i].addr, k+1)
+		}
+	}
+	for k, page := range pages {
+		if i, j := s.record(addr(page), false), s.record(addr(page), true); i != uint32(k+1) || j != i {
+			t.Fatalf("page %d: found record %d, then %d; want %d", page, i, j, k+1)
+		}
+	}
+	for _, page := range []int{2, 257, 514, 1 << 19, 1<<20 + 1} {
+		if i := s.record(addr(page), false); i != 0 {
+			t.Fatalf("unrecorded page %d found record %d", page, i)
+		}
+	}
+	if len(s.pages) != len(pages)+1 {
+		t.Fatalf("%d records for %d pages", len(s.pages)-1, len(pages))
 	}
 }

@@ -36,7 +36,7 @@ func (c *callLog) Touch(now time.Duration, addr uint64, write bool) ([]byte, tim
 
 func (c *callLog) Discard(addr uint64) {
 	c.calls = append(c.calls, backingCall{addr: addr, discard: true})
-	if _, ok := c.frames[align(addr)]; ok {
+	if c.resident(addr) {
 		c.epoch++
 	}
 	c.Subsystem.Discard(addr)

@@ -366,8 +366,8 @@ func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
 // its guest memory allocation (§IV). Regions must be page-aligned and must
 // not overlap existing registrations.
 func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
-	if start%PageSize != 0 || length%PageSize != 0 || length == 0 {
-		return nil, fmt.Errorf("uffd: region [%#x,+%#x) not page-aligned", start, length)
+	if start%PageSize != 0 || length%PageSize != 0 || length == 0 || start+length < start {
+		return nil, fmt.Errorf("uffd: region [%#x,+%#x) is not page-aligned, or empty, or wraps past 2^64", start, length)
 	}
 	for _, r := range f.regions {
 		if start < r.End() && r.Start < start+length {

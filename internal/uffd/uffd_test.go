@@ -38,6 +38,11 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := f.Register(0x1000, 0, 1); err == nil {
 		t.Fatal("zero length accepted")
 	}
+	// A negative size in MB shifted into bytes: the range wraps past 2^64.
+	mb := -1
+	if _, err := f.Register(0x7f0000000000, uint64(mb)<<20, 1); err == nil {
+		t.Fatal("wrapping range accepted")
+	}
 }
 
 func TestRegisterOverlapRejected(t *testing.T) {

@@ -173,14 +173,14 @@ type VM struct {
 
 // New creates a VM wired to its memory backing.
 func New(cfg Config, backing Backing) (*VM, error) {
-	if cfg.MemBytes == 0 || cfg.MemBytes%PageSize != 0 {
-		return nil, fmt.Errorf("vm: memory size %d must be a positive multiple of the page size", cfg.MemBytes)
+	if cfg.Base == 0 {
+		cfg.Base = 0x7f00_0000_0000
+	}
+	if cfg.MemBytes == 0 || cfg.MemBytes%PageSize != 0 || cfg.Base+cfg.MemBytes < cfg.Base {
+		return nil, fmt.Errorf("vm: memory size %d must be a positive multiple of the page size that fits above %#x", cfg.MemBytes, cfg.Base)
 	}
 	if cfg.Virt == 0 {
 		cfg.Virt = VirtKVM
-	}
-	if cfg.Base == 0 {
-		cfg.Base = 0x7f00_0000_0000
 	}
 	if backing == nil {
 		return nil, errors.New("vm: nil backing")

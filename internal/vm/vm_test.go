@@ -103,6 +103,19 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// A negative size in MB shifted into bytes is a multiple of the page size
+// whose range wraps past 2^64 from the default base or from 1 TiB: New
+// refuses it rather than let a backing size a region from it.
+func TestNewRejectsWrappingRange(t *testing.T) {
+	for _, mb := range []int{-1, -4096} {
+		for _, base := range []uint64{0, 1 << 40} {
+			if _, err := New(Config{MemBytes: uint64(mb) << 20, Base: base}, newFakeBacking(0)); err == nil {
+				t.Errorf("%d MB at base %#x accepted", mb, base)
+			}
+		}
+	}
+}
+
 func TestAllocBounds(t *testing.T) {
 	v, _ := newTestVM(t, 16*PageSize, 0)
 	seg, err := v.Alloc("a", 8*PageSize, ClassAnon)

@@ -242,6 +242,35 @@ func BenchmarkGraph500(b *testing.B) {
 	}
 }
 
+// BenchmarkGraph500Swap is one cell of Fig. 4 on the guest-kernel swap
+// path: Graph500 at scale 16, whose working set is 110 % of the 16 MiB of
+// local memory, eight BFS roots between two bursts of 400 guest-OS touches,
+// on a booted machine swapping to NVMe-oF. Nearly all of Fig. 4's host time
+// is swap's fault path; `make profile-swap` profiles it.
+func BenchmarkGraph500Swap(b *testing.B) {
+	const scale, local = 16, 16 << 20
+	for i := 0; i < b.N; i++ {
+		m, err := NewMachine(MachineConfig{
+			Mode: ModeSwap, SwapDev: SwapNVMeoF, LocalMemory: local, GuestMemory: graph500.MemoryBytes(scale, 16)*2 + local,
+			BootOS: true, Seed: uint64(i) + 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := graph500.DefaultConfig(scale)
+		cfg.Roots, cfg.Seed = 8, uint64(i)+1
+		if err := m.OSTick(400); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := graph500.Run(m.Now(), m.VM(), cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.OSTick(400); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestBackingCallsPerAccess pins how many guest accesses reach the monitor
 // on a quick-scale Graph500 run (scale 11, three validated roots) on a booted
 // RAMCloud-backed machine with 256 KiB of local memory. One access in
