@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs bench-ratchet profile-hotpath profile-graph500 profile-swap profile-openloop profile-cluster shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
+.PHONY: check fmt-check build vet test race check-race loc bench-quick bench-json bench-wall bench-pairs paper-diff bench-ratchet profile-hotpath profile-graph500 profile-swap profile-openloop profile-cluster shard-oracle trace-oracle arbiter-oracle market-oracle cluster-oracle openloop-oracle fuzz-short
 
 # The full gate: what CI (and the chaos PR's acceptance criteria) require.
 # test runs every test in the tree exactly once, uncached. That includes
@@ -73,7 +73,8 @@ bench-json:
 # latency sample, uffd access and install/remap, LRU, profiler, zero scan,
 # write list, steady-state fault, scheduler, arrival generation, RAMCloud
 # overwrite, MultiPut of 32 pages, guest TLB hit and refill, ghost-list
-# fault and eviction, swap hit and swap-in), run through `go test`
+# fault and eviction, swap hit and swap-in, block-device write, read and
+# free), run through `go test`
 # at a fixed iteration count. The table prints ns/op, B/op and allocs/op;
 # BENCH_wall.json keeps only B/op and allocs/op, which the iteration count
 # fixes on any machine.
@@ -91,6 +92,16 @@ SEED ?= 301
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SECONDS=20] [SEED=301]"; exit 2; }
 	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
+
+# Whether the working tree prints the paper suite byte for byte as a parent
+# commit does, and in how many wall seconds: fluidmem-bench built from both,
+# each named experiment ("all": every one but wall) run at full scale in
+# alternated pairs (PAIRS given on the command line, else 1), each run's
+# seconds printed, then both sides' medians; any stdout difference fails.
+#   make paper-diff PARENT=<ref> RUN=<names|all> [PAIRS=1]
+paper-diff:
+	@test -n "$(PARENT)" -a -n "$(RUN)" || { echo "usage: make paper-diff PARENT=<ref> RUN=<names|all> [PAIRS=1]"; exit 2; }
+	bash scripts/paper-diff.sh "$(PARENT)" "$(RUN)" "$(if $(filter command line,$(origin PAIRS)),$(PAIRS),1)"
 
 # Where the host time of the steady-state fault loop goes: one million
 # miss+evict+write-back faults of the BENCH_wall.json row

@@ -13,6 +13,7 @@ import (
 // ledger, and wallPattern selects the rows: one per layer the fault crosses,
 // kept beside the code they measure.
 var wallPackages = []string{
+	"./internal/blockdev",
 	"./internal/clock",
 	"./internal/core",
 	"./internal/hotset",
@@ -25,7 +26,7 @@ var wallPackages = []string{
 }
 
 const wallPattern = "^Benchmark(NormFloat64|Sample|AccessHit|InstallRemap|LRUInsertRemove|ProfilerRecord|AllZero|FaultEvict|" +
-	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32|TouchHit|Touch)$"
+	"WritebackEnqueueFlush|SteadyStateFault|SchedulerPushPop|ArrivalsNext|RamcloudOverwrite|MultiPut32|TouchHit|Touch|ReadWrite)$"
 
 // WallRow is one testing.B row of the ledger.
 type WallRow struct {

@@ -7,6 +7,7 @@
 package blockdev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -21,9 +22,8 @@ const PageSize = 4096
 var (
 	// ErrOutOfRange reports an access past the device size.
 	ErrOutOfRange = errors.New("blockdev: sector out of range")
-	// ErrNotWritten reports a read of a never-written page; swap never does
-	// this, so surfacing it loudly catches simulation bugs.
-	ErrNotWritten = errors.New("blockdev: page never written")
+	// ErrNotWritten reports a read of a page never written, or freed since.
+	ErrNotWritten = errors.New("blockdev: page not written")
 )
 
 // Kind identifies a device technology.
@@ -77,7 +77,10 @@ func SSDParams(size uint64) Params {
 	}
 }
 
-// Device is one simulated block device storing real page contents.
+// Device is one simulated block device storing real page contents. It keeps
+// buffers as kvstore.Store does: WritePage copies like Put, WritePageAsync
+// takes the caller's buffer like MultiPut, ReadPage returns the stored one
+// like Get, and Free drops it like Delete.
 type Device struct {
 	params Params
 	pages  map[uint64][]byte
@@ -104,7 +107,8 @@ func New(p Params, seed uint64) (*Device, error) {
 // Pages reports the device capacity in pages.
 func (d *Device) Pages() uint64 { return d.params.SizeBytes / PageSize }
 
-// ReadPage reads the page at index page, returning data and completion time.
+// ReadPage returns the completion time and the stored page, unchanged until
+// it is next written or freed, which the caller must not write.
 func (d *Device) ReadPage(now time.Duration, page uint64) ([]byte, time.Duration, error) {
 	if page >= d.Pages() {
 		return nil, now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
@@ -114,18 +118,26 @@ func (d *Device) ReadPage(now time.Duration, page uint64) ([]byte, time.Duration
 	if !ok {
 		return nil, done, fmt.Errorf("%w: page %d", ErrNotWritten, page)
 	}
-	return append([]byte(nil), data...), done, nil
+	return data, done, nil
 }
 
-// WritePage writes one page, returning the completion time.
-func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Duration, error) {
+// put checks page and data, then stores data itself as the page.
+func (d *Device) put(page uint64, data []byte) error {
 	if page >= d.Pages() {
-		return now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
+		return fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
 	}
 	if len(data) != PageSize {
-		return now, fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
+		return fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
 	}
-	d.pages[page] = append([]byte(nil), data...)
+	d.pages[page] = data
+	return nil
+}
+
+// WritePage writes a copy of one page, returning the completion time.
+func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Duration, error) {
+	if err := d.put(page, bytes.Clone(data)); err != nil {
+		return now, err
+	}
 	// The foreground queue serves reads and these writes in one order. It
 	// holds the read model, so a write lends it the write model.
 	d.queue.Model = d.params.WriteLatency
@@ -134,18 +146,18 @@ func (d *Device) WritePage(now time.Duration, page uint64, data []byte) (time.Du
 	return done, nil
 }
 
-// WritePageAsync writes one page on the background (writeback) channel: the
-// data is durable immediately for subsequent reads, the returned completion
-// time reports when the device finishes the transfer, and foreground reads
-// do not queue behind it. This is the path kswapd-style asynchronous
-// swap-out takes; the caller throttles on the completion time.
+// WritePageAsync writes data itself, which the caller must not touch again,
+// on the background (writeback) channel: it is durable immediately for
+// subsequent reads, the returned completion time reports when the device
+// finishes the transfer, and foreground reads do not queue behind it. This is
+// kswapd-style asynchronous swap-out; the caller throttles on that time.
 func (d *Device) WritePageAsync(now time.Duration, page uint64, data []byte) (time.Duration, error) {
-	if page >= d.Pages() {
-		return now, fmt.Errorf("%w: page %d of %d", ErrOutOfRange, page, d.Pages())
+	if err := d.put(page, data); err != nil {
+		return now, err
 	}
-	if len(data) != PageSize {
-		return now, fmt.Errorf("blockdev: write of %d bytes, want %d", len(data), PageSize)
-	}
-	d.pages[page] = append([]byte(nil), data...)
 	return d.bgQueue.Submit(now), nil
 }
+
+// Free discards page (TRIM): a read of it is ErrNotWritten until it is
+// written again. It costs no device time.
+func (d *Device) Free(page uint64) { delete(d.pages, page) }

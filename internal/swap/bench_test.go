@@ -11,8 +11,8 @@ import (
 // over NVMe-oF. hit touches 512 resident pages in turn: referenced-bit and
 // promotion bookkeeping only. major cycles writes through four times as many
 // anonymous pages as frames, so every touch is a swap-in and every 32nd a
-// reclaim of 32 swap-outs; what it allocates is the device's copy of each
-// page read and each page written.
+// reclaim of 32 swap-outs. Neither allocates: a swap-out hands its frame to
+// the device, and a swap-in takes the device's buffer back as its frame.
 func BenchmarkTouch(b *testing.B) {
 	const frames = 1024
 	for _, c := range []struct {

@@ -46,6 +46,7 @@ func runSwapOracle(t *testing.T, kind blockdev.Kind, steps, pages, frames int, s
 	if err != nil {
 		t.Fatal(err)
 	}
+	attach(t, s, uint64(pages)*PageSize)
 	rng := clock.NewRand(seed)
 	// Mixed classes: mostly anon, some file, a few kernel pages (the kernel
 	// set must stay below the frame count or the guest OOMs).

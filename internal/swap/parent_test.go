@@ -19,9 +19,10 @@ import (
 
 // parentSubsystem is the Subsystem as it stood while a page's state was
 // spread over four maps, one heap frame and one container/list element per
-// resident page: the reference the one-record slab is held to, op for op.
+// resident page: the reference the page table is held to, op for op.
 // Copied with the types renamed, New renamed newParent, and the interface
-// assertions, FootprintLimit and Attach dropped.
+// assertions, FootprintLimit and Attach dropped. Its device calls copy what
+// they pass and what they get, as the device did then.
 // parentFrame is one resident page.
 type parentFrame struct {
 	addr       uint64
@@ -77,6 +78,8 @@ func newParent(p Params, swapDev, fsDev *blockdev.Device, seed uint64) (*parentS
 		fsBlocks:  make(map[uint64]uint64),
 	}, nil
 }
+
+func align(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 
 // SetClass implements vm.ClassAware.
 func (s *parentSubsystem) SetClass(addr uint64, class vm.PageClass) {
@@ -135,7 +138,7 @@ func (s *parentSubsystem) Touch(now time.Duration, addr uint64, write bool) ([]b
 		}
 		now += s.params.PageCopy.Sample(s.rng)
 		now += s.params.LRUBookkeeping.Sample(s.rng)
-		f.data = data
+		f.data = bytes.Clone(data)
 		// The slot is freed on swap-in (no swap cache retention modelled).
 		delete(s.swapSlots, page)
 		s.freeSlots = append(s.freeSlots, slot)
@@ -152,7 +155,7 @@ func (s *parentSubsystem) Touch(now time.Duration, addr uint64, write bool) ([]b
 		}
 		now += s.params.PageCopy.Sample(s.rng)
 		now += s.params.LRUBookkeeping.Sample(s.rng)
-		f.data = data
+		f.data = bytes.Clone(data)
 	default:
 		// Minor fault: first touch, zero-fill.
 		s.stats.MinorFaults++
@@ -257,7 +260,7 @@ func (s *parentSubsystem) evict(now time.Duration, f *parentFrame) (time.Duratio
 		// Asynchronous writeback: the write rides the device's background
 		// channel (kswapd) and enters the fault critical path only through
 		// writeback throttling when that channel falls too far behind.
-		done, err := s.swapDev.WritePageAsync(now, slot, f.data)
+		done, err := s.swapDev.WritePageAsync(now, slot, bytes.Clone(f.data))
 		if err != nil {
 			return now, fmt.Errorf("swap-out %#x: %w", f.addr, err)
 		}
@@ -270,7 +273,7 @@ func (s *parentSubsystem) evict(now time.Duration, f *parentFrame) (time.Duratio
 		if f.dirty {
 			block := s.allocBlock(f.addr)
 			s.stats.FileWrites++
-			done, err := s.fsDev.WritePageAsync(now, block, f.data)
+			done, err := s.fsDev.WritePageAsync(now, block, bytes.Clone(f.data))
 			if err != nil {
 				return now, fmt.Errorf("file writeback %#x: %w", f.addr, err)
 			}
@@ -283,7 +286,7 @@ func (s *parentSubsystem) evict(now time.Duration, f *parentFrame) (time.Duratio
 			// boot-warmed page): it must be written once to be refillable.
 			block := s.allocBlock(f.addr)
 			s.stats.FileWrites++
-			if _, err := s.fsDev.WritePageAsync(now, block, f.data); err != nil {
+			if _, err := s.fsDev.WritePageAsync(now, block, bytes.Clone(f.data)); err != nil {
 				return now, fmt.Errorf("file writeback %#x: %w", f.addr, err)
 			}
 		} else {
@@ -398,13 +401,10 @@ func newSwapPair(t testing.TB, frames, batch, swapPages, pages int, seed uint64)
 	if pair.parent, err = newParent(p, swapDev, fsDev, seed+2); err != nil {
 		t.Fatal(err)
 	}
-	pair.s.tlb, pair.parent.tlb = &pair.flush, &pair.pflush
+	pair.flush.VM = attach(t, pair.s, uint64(pages)*PageSize)
+	pair.s.guest, pair.parent.tlb = &pair.flush, &pair.pflush
 	return pair
 }
-
-// addr places the pair's pages 509 pages apart, so they fall in different
-// chunks of the index and at different offsets within them.
-func (g *swapPair) addr(page int) uint64 { return base + uint64(page)*509*PageSize }
 
 // op applies one op to both subsystems: a read Touch (kind 0), a write Touch
 // that then stamps the page (1), a SetClass re-tag (2) or a Discard (3). It
@@ -414,15 +414,15 @@ func (g *swapPair) addr(page int) uint64 { return base + uint64(page)*509*PageSi
 func (g *swapPair) op(t testing.TB, kind int, page int, class vm.PageClass) {
 	t.Helper()
 	g.step++
-	addr := g.addr(page)
+	a := addr(page)
 	switch kind {
 	case 0, 1:
 		write := kind == 1
-		data, done, err := g.s.Touch(g.now, addr, write)
-		pdata, pdone, perr := g.parent.Touch(g.now, addr, write)
+		data, done, err := g.s.Touch(g.now, a, write)
+		pdata, pdone, perr := g.parent.Touch(g.now, a, write)
 		if !bytes.Equal(data, pdata) || done != pdone || fmt.Sprint(err) != fmt.Sprint(perr) {
 			t.Fatalf("op %d: Touch(%#x, write %v) = %d bytes, %v, %v; parent %d bytes, %v, %v",
-				g.step, addr, write, len(data), done, err, len(pdata), pdone, perr)
+				g.step, a, write, len(data), done, err, len(pdata), pdone, perr)
 		}
 		switch {
 		case errors.Is(err, ErrSwapFull):
@@ -437,11 +437,11 @@ func (g *swapPair) op(t testing.TB, kind int, page int, class vm.PageClass) {
 			}
 		}
 	case 2:
-		g.s.SetClass(addr, class)
-		g.parent.SetClass(addr, class)
+		g.s.SetClass(a, class)
+		g.parent.SetClass(a, class)
 	default:
-		g.s.Discard(addr)
-		g.parent.Discard(addr)
+		g.s.Discard(a)
+		g.parent.Discard(a)
 	}
 	if st, pst := g.s.Stats(), g.parent.Stats(); st != pst {
 		t.Fatalf("op %d: stats %+v, parent %+v", g.step, st, pst)
@@ -449,8 +449,8 @@ func (g *swapPair) op(t testing.TB, kind int, page int, class vm.PageClass) {
 	if r, pr := g.s.ResidentPages(), g.parent.ResidentPages(); r != pr {
 		t.Fatalf("op %d: %d resident, parent %d", g.step, r, pr)
 	}
-	if g.flush != g.pflush {
-		t.Fatalf("op %d: %d flushes, parent %d", g.step, g.flush, g.pflush)
+	if g.flush.n != g.pflush.n {
+		t.Fatalf("op %d: %d flushes, parent %d", g.step, g.flush.n, g.pflush.n)
 	}
 	g.majors = g.s.Stats().MajorFaults
 	for _, l := range []struct {
@@ -460,7 +460,7 @@ func (g *swapPair) op(t testing.TB, kind int, page int, class vm.PageClass) {
 	}{{"active", g.s.active, g.parent.active}, {"inactive", g.s.inactive, g.parent.inactive}} {
 		var got, want []uint64
 		for i := l.list.Head; i != 0; i = g.s.links[i].Next {
-			got = append(got, g.s.pages[i].addr)
+			got = append(got, g.s.addrOf(i))
 		}
 		for e := l.parent.Front(); e != nil; e = e.Next() {
 			want = append(want, e.Value.(*parentFrame).addr)
@@ -470,15 +470,15 @@ func (g *swapPair) op(t testing.TB, kind int, page int, class vm.PageClass) {
 		}
 	}
 	for page := 0; page < g.pages; page++ {
-		addr := g.addr(page)
-		slot, block := g.s.pages[g.s.record(addr, false)].slot, g.s.pages[g.s.record(addr, false)].block
-		if pslot, pblock := g.parent.swapSlots[addr], g.parent.fsBlocks[addr]; slot != pslot || block != pblock {
-			t.Fatalf("op %d: page %#x slot+1 %d block+1 %d, parent %d %d", g.step, addr, slot, block, pslot, pblock)
+		a := addr(page)
+		slot, block := g.s.at(a).slot, g.s.at(a).block
+		if pslot, pblock := g.parent.swapSlots[a], g.parent.fsBlocks[a]; slot != pslot || block != pblock {
+			t.Fatalf("op %d: page %#x slot+1 %d block+1 %d, parent %d %d", g.step, a, slot, block, pslot, pblock)
 		}
 	}
 }
 
-// TestSwapMatchesParent drives the one-record slab and the parent's maps and
+// TestSwapMatchesParent drives the page table and the parent's maps and
 // container/lists in lockstep through seeded random reads, writes, class
 // re-tags over all four classes and discards, over three times as many
 // pages as frames, at every combination of frame count, reclaim batch and

@@ -20,13 +20,14 @@
 //     critical path only through writeback throttling when the device
 //     queue grows too deep.
 //
-// Each guest page's state — class, frame, swap slot, filesystem block, and
-// dirty, referenced and active bits — is one record in a slab, found through
-// one map; the active and inactive lists are ilist lists over the slab, so
-// faults, evictions and promotions allocate nothing of the subsystem's own.
+// Each guest page's state is one record in a page table indexed from the
+// attached VM's Base, and the active and inactive lists are ilist lists over
+// it. Frames change hands with the swap device, so a swap-out or swap-in
+// copies nothing on the host and allocates nothing.
 package swap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -106,9 +107,8 @@ type Stats struct {
 	Scanned     uint64
 }
 
-// page is one guest page's record, made on its first fault or class tag.
+// page is one guest page's record.
 type page struct {
-	addr uint64
 	data []byte // the frame: non-nil exactly while the page is resident
 	// The page's tag, and the tag its frame was faulted in under (reclaim's).
 	class, frameClass         vm.PageClass
@@ -123,10 +123,9 @@ type Subsystem struct {
 	fsDev   *blockdev.Device
 	rng     *clock.Rand
 
-	// index finds a page's record in pages (entry 0 is nil) through chunks
-	// of 512 pages, so a hit hashes into a map of chunks, not of pages.
-	// links threads resident records onto active and inactive, oldest first.
-	index    map[uint64]*[512]uint32
+	// pages is the page table, grown on demand up to the VM's size: entry i
+	// is the page i-1 pages above base, entry 0 the lists' nil. links
+	// threads resident records onto active and inactive, oldest first.
 	pages    []page
 	links    []ilist.Link
 	active   ilist.List
@@ -136,15 +135,18 @@ type Subsystem struct {
 	nextSlot  uint64
 	nextBlock uint64
 
-	tlb   interface{ Flush() } // the attached VM (noTLB before Attach)
+	// guest is the attached VM (nil before Attach): its TLB, and its size,
+	// which bounds the table. base is its Base.
+	guest interface {
+		Flush()
+		MemBytes() uint64
+	}
+	base  uint64
 	stats Stats
 }
 
-var (
-	_ vm.Backing          = (*Subsystem)(nil)
-	_ vm.ClassAware       = (*Subsystem)(nil)
-	_ vm.FootprintLimiter = (*Subsystem)(nil)
-)
+var _ vm.ClassAware = (*Subsystem)(nil)
+var _ vm.FootprintLimiter = (*Subsystem)(nil)
 
 // New builds a subsystem over the given swap and filesystem devices.
 func New(p Params, swapDev, fsDev *blockdev.Device, seed uint64) (*Subsystem, error) {
@@ -162,37 +164,34 @@ func New(p Params, swapDev, fsDev *blockdev.Device, seed uint64) (*Subsystem, er
 		swapDev: swapDev,
 		fsDev:   fsDev,
 		rng:     clock.NewRand(seed),
-		index:   make(map[uint64]*[512]uint32),
 		pages:   make([]page, 1),
 		links:   make([]ilist.Link, 1),
-		tlb:     noTLB{},
 	}, nil
 }
 
-// record returns the slab index of the record of the page at addr. A page
-// without one gets one if create is set, and 0, the nil record, if not.
-// Making a record grows the slab and moves it: no *page survives that call.
-func (s *Subsystem) record(addr uint64, create bool) uint32 {
-	c := s.index[addr/(512*PageSize)]
-	if c == nil {
-		if !create {
-			return 0
-		}
-		c = new([512]uint32)
-		s.index[addr/(512*PageSize)] = c
+// index returns the table entry of the page at addr, growing the table, and
+// so moving it, to cover it. An address outside the attached VM's memory, or
+// any before Attach, is an error.
+func (s *Subsystem) index(addr uint64) (uint32, error) {
+	i := (addr-s.base)/PageSize + 1
+	if addr >= s.base && i < uint64(len(s.pages)) {
+		return uint32(i), nil
 	}
-	i := &c[addr/PageSize%512]
-	if *i == 0 && create {
-		*i = uint32(len(s.pages))
-		s.pages = append(s.pages, page{addr: addr, class: vm.ClassAnon})
+	if s.guest == nil || addr < s.base || addr-s.base >= s.guest.MemBytes() {
+		return 0, fmt.Errorf("swap: %w: %#x is outside the attached guest", vm.ErrBadAddress, addr)
+	}
+	for uint64(len(s.pages)) <= i {
+		s.pages = append(s.pages, page{class: vm.ClassAnon})
 		s.links = append(s.links, ilist.Link{})
 	}
-	return *i
+	return uint32(i), nil
 }
 
-// SetClass implements vm.ClassAware.
+// SetClass implements vm.ClassAware, ignoring pages outside the attached VM.
 func (s *Subsystem) SetClass(addr uint64, class vm.PageClass) {
-	s.pages[s.record(align(addr), true)].class = class
+	if i, err := s.index(addr); err == nil {
+		s.pages[i].class = class
+	}
 }
 
 // ResidentPages implements vm.Backing.
@@ -201,25 +200,22 @@ func (s *Subsystem) ResidentPages() int { return s.active.Len + s.inactive.Len }
 // FootprintLimit implements vm.FootprintLimiter.
 func (s *Subsystem) FootprintLimit() int { return s.params.FramePages }
 
-// Attach implements vm.Backing.
-func (s *Subsystem) Attach(v *vm.VM) { s.tlb = v }
-
-// noTLB stands in for the VM until Attach.
-type noTLB struct{}
-
-func (noTLB) Flush() {}
+// Attach implements vm.Backing. The page table counts pages from v's Base.
+func (s *Subsystem) Attach(v *vm.VM) { s.guest, s.base = v, v.Config().Base }
 
 // Stats returns a snapshot of activity counters.
 func (s *Subsystem) Stats() Stats { return s.stats }
 
 // Touch implements vm.Backing: the guest accesses addr.
 func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
-	addr = align(addr)
-	if i := s.record(addr, false); s.pages[i].data != nil {
+	i, err := s.index(addr)
+	if err != nil {
+		return nil, now, err
+	}
+	if p := &s.pages[i]; p.data != nil {
 		// Resident: referenced-bit bookkeeping only (hardware-speed hit).
 		// The bookkeeping is state, so a hit flushes the TLB too: the VM
 		// may skip only a repeat of this very access.
-		p := &s.pages[i]
 		if p.referenced && !p.active {
 			s.promote(i)
 		}
@@ -227,27 +223,24 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 		if write {
 			p.dirty = true
 		}
-		s.tlb.Flush()
+		s.guest.Flush()
 		return p.data, now, nil
 	}
 
 	// Fault. Secure a frame first (may reclaim).
-	var err error
 	if s.ResidentPages() >= s.params.FramePages {
 		if now, err = s.reclaim(now, s.params.ReclaimBatch); err != nil {
 			return nil, now, err
 		}
 	}
 
-	i := s.record(addr, true)
 	p := &s.pages[i]
 	p.frameClass, p.dirty, p.referenced, p.active = p.class, write, false, false
-	var data []byte
 	if p.slot == 0 && p.block == 0 {
 		// Minor fault: first touch, zero-fill.
 		s.stats.MinorFaults++
 		now += s.params.MinorFault.Sample(s.rng)
-		data = make([]byte, PageSize)
+		p.data = make([]byte, PageSize)
 	} else {
 		// Major fault: swap-in through the swap cache and the block layer.
 		// A file-backed page refills from the filesystem instead.
@@ -261,36 +254,40 @@ func (s *Subsystem) Touch(now time.Duration, addr uint64, write bool) ([]byte, t
 			s.stats.FileRefills++
 		}
 		now += s.params.BlockLayer.Sample(s.rng)
-		if data, now, err = dev.ReadPage(now, block); err != nil {
-			return nil, now, fmt.Errorf("%s %#x: %w", op, addr, err)
+		if p.data, now, err = dev.ReadPage(now, block); err != nil {
+			return nil, now, fmt.Errorf("%s %#x: %w", op, addr&^(PageSize-1), err)
 		}
-		now += s.params.PageCopy.Sample(s.rng)
-		now += s.params.LRUBookkeeping.Sample(s.rng)
+		now += s.params.PageCopy.Sample(s.rng) + s.params.LRUBookkeeping.Sample(s.rng)
 		if p.slot != 0 {
-			// The slot is freed on swap-in (no swap cache retention modelled).
-			p.slot = 0
-			s.freeSlots = append(s.freeSlots, block)
+			// The frame is the device's buffer, and the slot is freed on
+			// swap-in (no swap cache retention modelled).
+			s.freeSlot(p)
+		} else {
+			// The filesystem keeps its block, so the frame is a copy.
+			p.data = bytes.Clone(p.data)
 		}
 	}
-
-	p.data = data
 	s.inactive.PushBack(s.links, i)
-	s.tlb.Flush()
-	return data, now, nil
+	s.guest.Flush()
+	return p.data, now, nil
 }
 
 // Discard implements vm.Backing (balloon-freed pages).
 func (s *Subsystem) Discard(addr uint64) {
-	// A page without a record resolves to the nil record: nothing to do.
-	i := s.record(align(addr), false)
-	p := &s.pages[i]
-	if p.data != nil {
+	i, err := s.index(addr)
+	if err == nil && s.pages[i].data != nil {
 		s.dropFrame(i)
 	}
-	if p.slot != 0 {
-		s.freeSlots = append(s.freeSlots, p.slot-1)
-		p.slot = 0
+	if err == nil && s.pages[i].slot != 0 {
+		s.freeSlot(&s.pages[i])
 	}
+}
+
+// freeSlot discards p's swap slot on the device (TRIM) and frees it.
+func (s *Subsystem) freeSlot(p *page) {
+	s.swapDev.Free(p.slot - 1)
+	s.freeSlots = append(s.freeSlots, p.slot-1)
+	p.slot = 0
 }
 
 // reclaim evicts up to batch frames using second-chance scanning of the
@@ -341,9 +338,9 @@ func (s *Subsystem) reclaim(now time.Duration, batch int) (time.Duration, error)
 }
 
 // evict removes record i's frame from DRAM, writing it out as its class
-// requires.
+// requires. A write hands the frame to the device.
 func (s *Subsystem) evict(now time.Duration, i uint32) (time.Duration, error) {
-	p := &s.pages[i]
+	p, addr := &s.pages[i], s.base+uint64(i-1)*PageSize
 	switch p.frameClass {
 	case vm.ClassAnon:
 		slot, ok := s.allocSlot()
@@ -356,7 +353,7 @@ func (s *Subsystem) evict(now time.Duration, i uint32) (time.Duration, error) {
 		// writeback throttling when that channel falls too far behind.
 		done, err := s.swapDev.WritePageAsync(now, slot, p.data)
 		if err != nil {
-			return now, fmt.Errorf("swap-out %#x: %w", p.addr, err)
+			return now, fmt.Errorf("swap-out %#x: %w", addr, err)
 		}
 		now = s.throttle(now, done)
 		p.slot = slot + 1
@@ -368,11 +365,14 @@ func (s *Subsystem) evict(now time.Duration, i uint32) (time.Duration, error) {
 		// A clean file page without a disk copy yet (first eviction of a
 		// boot-warmed page) is written once, to be refillable; only a dirty
 		// page's write can throttle.
-		block := s.allocBlock(p)
+		if p.block == 0 {
+			s.nextBlock++
+			p.block = s.nextBlock
+		}
 		s.stats.FileWrites++
-		done, err := s.fsDev.WritePageAsync(now, block, p.data)
+		done, err := s.fsDev.WritePageAsync(now, p.block-1, p.data)
 		if err != nil {
-			return now, fmt.Errorf("file writeback %#x: %w", p.addr, err)
+			return now, fmt.Errorf("file writeback %#x: %w", addr, err)
 		}
 		if p.dirty {
 			now = s.throttle(now, done)
@@ -396,11 +396,8 @@ func (s *Subsystem) throttle(now, done time.Duration) time.Duration {
 // inactive list holds at least a third of resident pages.
 func (s *Subsystem) rebalance() {
 	target := s.ResidentPages() / 3
-	for s.inactive.Len < target {
+	for s.inactive.Len < target { // active holds the rest, so is not empty
 		i := s.active.Head
-		if i == 0 {
-			return
-		}
 		s.active.Remove(s.links, i)
 		s.pages[i].active, s.pages[i].referenced = false, false
 		s.inactive.PushBack(s.links, i)
@@ -423,7 +420,7 @@ func (s *Subsystem) dropFrame(i uint32) {
 		s.inactive.Remove(s.links, i)
 	}
 	s.pages[i].data = nil
-	s.tlb.Flush()
+	s.guest.Flush()
 }
 
 func (s *Subsystem) allocSlot() (uint64, bool) {
@@ -439,13 +436,3 @@ func (s *Subsystem) allocSlot() (uint64, bool) {
 	s.nextSlot++
 	return slot, true
 }
-
-func (s *Subsystem) allocBlock(p *page) uint64 {
-	if p.block == 0 {
-		p.block = s.nextBlock + 1
-		s.nextBlock++
-	}
-	return p.block - 1
-}
-
-func align(addr uint64) uint64 { return addr &^ (PageSize - 1) }

@@ -33,27 +33,49 @@ func newSubsystem(t testing.TB, frames int, kind blockdev.Kind) *Subsystem {
 	if err != nil {
 		t.Fatal(err)
 	}
+	attach(t, s, 1<<30)
 	return s
 }
 
 const base = 0x10000000
 
-// pagesWhere lists, in slab order, the addresses of the pages whose record
-// satisfies keep.
+// attach puts a guest of the given size at base in front of s, and returns
+// it.
+func attach(t testing.TB, s *Subsystem, bytes uint64) *vm.VM {
+	t.Helper()
+	guest, err := vm.New(vm.Config{Name: "swap", MemBytes: bytes, Base: base}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return guest
+}
+
+// addrOf is the address of the page whose record is table entry i.
+func (s *Subsystem) addrOf(i uint32) uint64 { return s.base + uint64(i-1)*PageSize }
+
+// at returns the record of the page at addr, a zero one where the table does
+// not reach yet; it never grows the table.
+func (s *Subsystem) at(addr uint64) page {
+	if i := (addr-s.base)/PageSize + 1; addr >= s.base && i < uint64(len(s.pages)) {
+		return s.pages[i]
+	}
+	return page{}
+}
+
+// pagesWhere lists, in address order, the addresses of the pages whose
+// record satisfies keep.
 func (s *Subsystem) pagesWhere(keep func(p *page) bool) []uint64 {
 	var addrs []uint64
 	for i := 1; i < len(s.pages); i++ {
 		if keep(&s.pages[i]) {
-			addrs = append(addrs, s.pages[i].addr)
+			addrs = append(addrs, s.addrOf(uint32(i)))
 		}
 	}
 	return addrs
 }
 
 // resident reports whether the page at addr holds a frame.
-func (s *Subsystem) resident(addr uint64) bool {
-	return s.pages[s.record(align(addr), false)].data != nil
-}
+func (s *Subsystem) resident(addr uint64) bool { return s.at(addr).data != nil }
 
 func isResident(p *page) bool { return p.data != nil }
 func isSwapped(p *page) bool  { return p.slot != 0 }
@@ -265,6 +287,7 @@ func TestSwapFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	attach(t, s, 1<<30)
 	now := time.Duration(0)
 	sawFull := false
 	for i := 0; i < 64; i++ {
@@ -323,10 +346,14 @@ func TestDiscardFreesFrameAndSlot(t *testing.T) {
 	}
 }
 
-// flushCounter counts the TLB flushes a backing pushes.
-type flushCounter int
+// flushCounter stands in for the attached guest, counting the TLB flushes
+// pushed into it.
+type flushCounter struct {
+	*vm.VM
+	n int
+}
 
-func (c *flushCounter) Flush() { *c++ }
+func (c *flushCounter) Flush() { c.n++ }
 
 // TestEpochBumpsOnResidencyChange pins swap's side of the vm.Backing
 // contract: the attached TLB is flushed on a fault, and on a hit too,
@@ -334,19 +361,19 @@ func (c *flushCounter) Flush() { *c++ }
 // skip.
 func TestEpochBumpsOnResidencyChange(t *testing.T) {
 	s := newSubsystem(t, 2, blockdev.KindPmem)
-	var flushes flushCounter
-	s.tlb = &flushes
+	flushes := &flushCounter{VM: s.guest.(*vm.VM)}
+	s.guest = flushes
 	if _, _, err := s.Touch(0, addr(0), true); err != nil {
 		t.Fatal(err)
 	}
-	if flushes != 1 {
-		t.Fatalf("%d flushes on a fault, want 1", flushes)
+	if flushes.n != 1 {
+		t.Fatalf("%d flushes on a fault, want 1", flushes.n)
 	}
 	if _, _, err := s.Touch(0, addr(0), false); err != nil {
 		t.Fatal(err)
 	}
-	if flushes != 2 {
-		t.Fatalf("%d flushes after a hit, want 2", flushes)
+	if flushes.n != 2 {
+		t.Fatalf("%d flushes after a hit, want 2", flushes.n)
 	}
 }
 
@@ -409,29 +436,51 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestRecordFindsEveryPage makes records for pages at both ends of a chunk of
-// the index, 256 pages apart, in neighbouring chunks and far apart, and
-// checks that each finds its own record again, and that a page never recorded
-// finds the nil record.
-func TestRecordFindsEveryPage(t *testing.T) {
-	s := newSubsystem(t, 4, blockdev.KindPmem)
-	pages := []int{0, 1, 255, 256, 511, 512, 513, 768, 1023, 1 << 20, 1<<20 + 256}
-	for k, page := range pages {
-		if i := s.record(addr(page), true); i != uint32(k+1) || s.pages[i].addr != addr(page) {
-			t.Fatalf("page %d: record %d (addr %#x), want %d", page, i, s.pages[i].addr, k+1)
+// TestTableCoversTheGuest pins the page table's bounds: a Touch before
+// Attach, below the guest's Base or past its memory is vm.ErrBadAddress and
+// grows nothing; a SetClass there is dropped; the table grows to the highest
+// page used, and with the guest's hotplugged memory, whose pages then swap
+// like any other.
+func TestTableCoversTheGuest(t *testing.T) {
+	swapDev, _ := blockdev.New(blockdev.PmemParams(1<<30), 1)
+	fsDev, _ := blockdev.New(blockdev.SSDParams(1<<30), 2)
+	s, err := New(DefaultParams(2), swapDev, fsDev, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(a uint64) {
+		t.Helper()
+		n := len(s.pages)
+		s.SetClass(a, vm.ClassKernel)
+		if _, _, err := s.Touch(0, a, true); !errors.Is(err, vm.ErrBadAddress) || len(s.pages) != n {
+			t.Fatalf("Touch(%#x) = %v, table %d -> %d entries; want vm.ErrBadAddress and no growth", a, err, n, len(s.pages))
 		}
 	}
-	for k, page := range pages {
-		if i, j := s.record(addr(page), false), s.record(addr(page), true); i != uint32(k+1) || j != i {
-			t.Fatalf("page %d: found record %d, then %d; want %d", page, i, j, k+1)
+	refused(addr(0)) // before Attach
+	guest := attach(t, s, 4*PageSize)
+	for _, a := range []uint64{0, base - 1, base - PageSize, addr(4), addr(4) + PageSize - 1, ^uint64(0)} {
+		refused(a)
+	}
+	now := time.Duration(0)
+	for i := 0; i < 4; i++ {
+		if _, now, err = s.Touch(now, addr(i)+8, true); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, page := range []int{2, 257, 514, 1 << 19, 1<<20 + 1} {
-		if i := s.record(addr(page), false); i != 0 {
-			t.Fatalf("unrecorded page %d found record %d", page, i)
+	if len(s.pages) != 5 {
+		t.Fatalf("four pages made %d table entries, want 5", len(s.pages))
+	}
+	if err := guest.Hotplug(4 * PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, now, err = s.Touch(now, addr(i%8), true); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(s.pages) != len(pages)+1 {
-		t.Fatalf("%d records for %d pages", len(s.pages)-1, len(pages))
+	// addr(4)'s SetClass was dropped while it lay past the guest.
+	if len(s.pages) != 9 || s.Stats().MajorFaults == 0 || s.at(addr(4)).class != vm.ClassAnon {
+		t.Fatalf("%d table entries, stats %+v, hotplugged page %+v", len(s.pages), s.Stats(), s.at(addr(4)))
 	}
+	refused(addr(8))
 }

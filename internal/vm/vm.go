@@ -273,10 +273,10 @@ func (v *VM) Alloc(name string, bytes uint64, class PageClass) (*Segment, error)
 // Hotplug adds bytes of guest physical memory (QEMU memory hotplug, §III).
 // The new range becomes allocatable immediately; the backing's registered
 // region must already cover it or be extended by the caller (the machine
-// wiring in the public API handles this).
+// wiring in the public API handles this). A refused size changes nothing.
 func (v *VM) Hotplug(bytes uint64) error {
-	if bytes == 0 || bytes%PageSize != 0 {
-		return fmt.Errorf("vm: hotplug size %d must be a positive multiple of the page size", bytes)
+	if bytes == 0 || bytes%PageSize != 0 || v.limit+bytes < v.limit {
+		return fmt.Errorf("vm: hotplug size %d must be a positive multiple of the page size that fits above %#x", bytes, v.limit)
 	}
 	v.limit += bytes
 	return nil

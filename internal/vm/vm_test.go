@@ -385,6 +385,9 @@ func TestHotplugValidation(t *testing.T) {
 	if err := v.Hotplug(100); err == nil {
 		t.Fatal("unaligned hotplug accepted")
 	}
+	if err := v.Hotplug(^uint64(0) &^ (PageSize - 1)); err == nil || v.MemBytes() != 4*PageSize {
+		t.Fatalf("hotplug past 2^64: err %v, MemBytes %d", err, v.MemBytes())
+	}
 }
 
 func TestBootOSFootprint(t *testing.T) {

@@ -441,18 +441,15 @@ func (m *Machine) ResizeFootprint(pages int) error {
 }
 
 // Hotplug adds guest memory at runtime (QEMU memory hotplug, §III). In
-// FluidMem mode the new range is registered with the monitor.
+// FluidMem mode the new range is registered with the monitor first, which
+// refuses every size the VM would, so a refused hotplug changes nothing.
 func (m *Machine) Hotplug(bytes uint64) error {
-	start := m.vm.Config().Base + m.vm.MemBytes()
-	if err := m.vm.Hotplug(bytes); err != nil {
-		return err
-	}
 	if m.monitor != nil {
-		if _, err := m.monitor.RegisterRange(start, bytes, m.vm.Config().PID); err != nil {
+		if _, err := m.monitor.RegisterRange(m.vm.Config().Base+m.vm.MemBytes(), bytes, m.vm.Config().PID); err != nil {
 			return err
 		}
 	}
-	return nil
+	return m.vm.Hotplug(bytes)
 }
 
 // Probe tests service responsiveness at the current footprint (Table III).

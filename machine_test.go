@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fluidmem/internal/graph500"
 	"fluidmem/internal/vm"
 )
 
@@ -176,25 +177,79 @@ func TestResizeFootprintSwapRefused(t *testing.T) {
 	}
 }
 
+// TestHotplugGrowsGuest hotplugs memory into each mode's guest and writes
+// and reads back every page of an allocation that only fits with it, three
+// times the local memory, so hotplugged pages are evicted and faulted back.
 func TestHotplugGrowsGuest(t *testing.T) {
-	m := newFluidMachine(t, BackendRAMCloud, 1, 2, false)
-	if _, err := m.Alloc("big", 3<<20); !errors.Is(err, vm.ErrOutOfMemory) {
-		t.Fatalf("err = %v, want out of memory", err)
+	for _, m := range []*Machine{newFluidMachine(t, BackendRAMCloud, 1, 2, false), newSwapMachine(t, SwapNVMeoF, 1, 2, false)} {
+		if _, err := m.Alloc("big", 3<<20); !errors.Is(err, vm.ErrOutOfMemory) {
+			t.Fatalf("err = %v, want out of memory", err)
+		}
+		if err := m.Hotplug(4 << 20); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := m.Alloc("big", 3<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hotplugged memory must be usable end to end.
+		for off := uint64(0); off < seg.Bytes; off += PageSize {
+			if err := m.Write64(seg.Addr(off), off+99); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for off := uint64(0); off < seg.Bytes; off += PageSize {
+			if got, err := m.Read64(seg.Addr(off)); err != nil || got != off+99 {
+				t.Fatalf("offset %#x: got %d, %v", off, got, err)
+			}
+		}
 	}
-	if err := m.Hotplug(4 << 20); err != nil {
-		t.Fatal(err)
+}
+
+// TestRefusedHotplugChangesNothing hotplugs a size that wraps past 2^64 into
+// each mode's guest: it is refused, the guest keeps its size, and a later
+// hotplug still lands where the first would have.
+func TestRefusedHotplugChangesNothing(t *testing.T) {
+	for _, m := range []*Machine{newFluidMachine(t, BackendRAMCloud, 1, 2, false), newSwapMachine(t, SwapNVMeoF, 1, 2, false)} {
+		if err := m.Hotplug(^uint64(0) &^ (PageSize - 1)); err == nil {
+			t.Fatal("hotplug past 2^64 accepted")
+		}
+		if got := m.VM().MemBytes(); got != 2<<20 {
+			t.Fatalf("MemBytes = %d after a refused hotplug, want %d", got, 2<<20)
+		}
+		if err := m.Hotplug(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := m.Alloc("all", 3<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write64(seg.Addr(seg.Bytes-PageSize), 7); err != nil {
+			t.Fatal(err)
+		}
 	}
-	seg, err := m.Alloc("big", 3<<20)
+}
+
+// TestGraph500ValidatesOverSwap runs a quick-scale Graph500 with every BFS
+// tree validated on a machine swapping to NVMe-oF, its working set more than
+// twice its local memory, so the graph lives through swap-outs and swap-ins.
+func TestGraph500ValidatesOverSwap(t *testing.T) {
+	const scale, local = 13, 1 << 20
+	wss := graph500.MemoryBytes(scale, 16)
+	if wss < 2*local {
+		t.Fatalf("working set %d B is not twice local memory", wss)
+	}
+	m, err := NewMachine(MachineConfig{Mode: ModeSwap, SwapDev: SwapNVMeoF, LocalMemory: local, GuestMemory: 2*wss + local, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hotplugged memory must be usable end to end.
-	if err := m.Write64(seg.Addr(seg.Bytes-PageSize), 99); err != nil {
+	cfg := graph500.DefaultConfig(scale)
+	cfg.Roots, cfg.Validate = 3, true
+	if _, _, err := graph500.Run(m.Now(), m.VM(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Read64(seg.Addr(seg.Bytes - PageSize))
-	if err != nil || got != 99 {
-		t.Fatalf("got %d, %v", got, err)
+	if st := m.Swap().Stats(); st.SwapOuts == 0 || st.MajorFaults == 0 {
+		t.Fatalf("the run never swapped: %+v", st)
 	}
 }
 
