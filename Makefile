@@ -224,8 +224,10 @@ openloop-oracle:
 # replaced), the cluster pool's
 # rendezvous key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
-# replaced), and the open-loop arrival schedules' monotonicity, split/merge
-# invariance and equality with the reference-bisection schedule.
+# replaced), the open-loop arrival schedules' monotonicity, split/merge
+# invariance and equality with the reference-bisection schedule, and the
+# aliasing net (storetest.Poisoned) over re-puts of a store's own read
+# buffers.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
@@ -234,3 +236,4 @@ fuzz-short:
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzReplicaSet -fuzz FuzzReplicaSet -fuzztime=5s
 	$(GO) test ./internal/loadgen/ -run FuzzArrivalSchedule -fuzz FuzzArrivalSchedule -fuzztime=5s
+	$(GO) test ./internal/kvstore/storetest/ -run FuzzPoisonedReput -fuzz FuzzPoisonedReput -fuzztime=5s

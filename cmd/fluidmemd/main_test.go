@@ -25,6 +25,22 @@ func TestHotplugAndTick(t *testing.T) {
 	}
 }
 
+// TestHotplugTooLarge: a hotplug past what one region may map — 2^62 bytes,
+// and 4 TiB — ends the script with the command's error line, before the VM
+// grows or a page table is allocated, not with a panic.
+func TestHotplugTooLarge(t *testing.T) {
+	for _, mb := range []string{"4398046511104", "4194304"} {
+		var out bytes.Buffer
+		err := run([]string{"-local", "8", "-guest", "32", "-script", "hotplug " + mb + ";status"}, &out)
+		if err == nil || !strings.HasPrefix(err.Error(), "hotplug: ") || !strings.Contains(err.Error(), "more than the") {
+			t.Fatalf("hotplug %s MB: err = %v, want the refused region's error", mb, err)
+		}
+		if !strings.HasSuffix(out.String(), "\n> hotplug "+mb+"\n") {
+			t.Fatalf("hotplug %s MB: the transcript does not end at the refused command:\n%s", mb, out.String())
+		}
+	}
+}
+
 func TestUnknownCommand(t *testing.T) {
 	if err := run([]string{"-local", "8", "-guest", "32", "-script", "explode"}, io.Discard); err == nil {
 		t.Fatal("unknown command accepted")

@@ -20,14 +20,17 @@ import (
 // when it races only the packages that can race: the simulation runs entirely
 // on its caller's goroutine. Neither a machine on the cluster pool — raft,
 // simnet, resilience retries, a node crash and its recovery — nor a
-// multi-tenant host trading through market epochs may leave the goroutine
-// count different from where it found it.
+// multi-tenant host trading through market epochs may leave a goroutine
+// running that was not running before it started. Goroutines are compared by
+// ID, not counted: one that an earlier test left behind may exit meanwhile.
 func TestSimulationStartsNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutineIDs()
 	check := func(stage string) {
 		t.Helper()
-		if now := runtime.NumGoroutine(); now != before {
-			t.Fatalf("%s: %d goroutines, %d before the simulation started", stage, now, before)
+		for id, stack := range goroutineIDs() {
+			if _, ok := before[id]; !ok {
+				t.Fatalf("%s: goroutine %s started during the simulation:\n%s", stage, id, stack)
+			}
 		}
 	}
 
@@ -112,6 +115,26 @@ func TestSimulationStartsNoGoroutines(t *testing.T) {
 		t.Fatalf("market ran %d epochs, want at least 2", got)
 	}
 	check("market host")
+}
+
+// goroutineIDs maps the ID of every live goroutine to its stack.
+func goroutineIDs() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]string{}
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		if id, ok := strings.CutPrefix(stack, "goroutine "); ok {
+			ids[id[:strings.IndexByte(id, ' ')]] = stack
+		}
+	}
+	return ids
 }
 
 // TestProductCodeHasNoConcurrency is the static half of the same fact, and

@@ -18,18 +18,18 @@ import (
 // TestSteadyStateFaultsAllocFree pins the headline property: zero heap
 // allocations per fault in steady state, even though every fault in this
 // workload is a store miss with a dirty eviction behind it — untraced, and
-// under a histogram-only tracer — and in the clean-drop variant, whose faults
-// mostly share a store buffer and drop it clean.
+// under a histogram-only tracer — and in the clean-drop and re-put variants,
+// whose faults mostly share a store buffer and drop it clean or hand it back.
 func TestSteadyStateFaultsAllocFree(t *testing.T) {
 	for name, mk := range allocBenchBackends(t) {
 		for _, workers := range []int{1, 4} {
-			for _, variant := range []string{"", "/traced", "/clean_drop"} {
+			for _, variant := range []string{"", "/traced", "/clean_drop", "/reput"} {
 				t.Run(fmt.Sprintf("%s/workers=%d%s", name, workers, variant), func(t *testing.T) {
 					var tr *trace.Tracer
 					if variant == "/traced" {
 						tr = trace.New(false)
 					}
-					_, touch := allocHarness(t, mk(), tr, workers, 128, variant == "/clean_drop")
+					_, touch := allocHarness(t, mk(), tr, workers, 128, variant)
 					if avg := testing.AllocsPerRun(500, touch); avg != 0 {
 						t.Fatalf("steady-state fault allocates: %.2f allocs/fault, want 0", avg)
 					}

@@ -17,7 +17,10 @@ package core
 // the most allocation-prone path the data plane has. The clean-drop variant
 // turns CleanPageDrop on and writes one access in eight, so most faults
 // install a shared store buffer write-protected and drop it clean, and the
-// rest take the WP fault's private copy and a dirty eviction.
+// rest take the WP fault's private copy and a dirty eviction. The re-put
+// variant writes one access in eight without clean drop, so most evictions
+// hand the store its own read buffer back (or a copy, where the store does
+// not take it back).
 
 import (
 	"testing"
@@ -65,14 +68,15 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 
 // allocHarness builds a monitor over the given store, traced by tr (nil:
 // untraced), warms it to steady state, and returns it with a closure running
-// exactly one fault per call: a dirty one, or with cleanDrop the read-mostly
-// stream of the clean-drop variant.
-func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers, pages int, cleanDrop bool) (*Monitor, func()) {
+// exactly one fault per call: a dirty one, or the read-mostly stream of the
+// "/clean_drop" or the "/reput" variant.
+func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers, pages int, variant string) (*Monitor, func()) {
 	tb.Helper()
 	cfg := DefaultConfig(store, pages/2)
 	cfg.Workers = workers
 	cfg.Trace = tr
-	cfg.CleanPageDrop = cleanDrop
+	cfg.CleanPageDrop = variant == "/clean_drop"
+	readMostly := cfg.CleanPageDrop || variant == "/reput"
 	m, err := NewMonitor(cfg, nil, "hyp-alloc")
 	if err != nil {
 		tb.Fatal(err)
@@ -83,7 +87,7 @@ func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers,
 	var now time.Duration
 	i := 0
 	touch := func() {
-		_, done, err := m.Touch(now, addr(i%pages), !cleanDrop || i%8 == 0)
+		_, done, err := m.Touch(now, addr(i%pages), !readMostly || i%8 == 0)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -107,9 +111,11 @@ func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers,
 // takes one from the pool. Over 10 000 steady-state faults the total must not
 // move: a buffer dropped on the way shows as a shrinking sum here and as an
 // allocation later. (A buffer owned twice does not change the count; the
-// aliasing net in storetest is what catches that.) In the clean-drop variant
-// a clean page maps its store buffer itself, which the store counts and the
-// descriptor does not; the first write moves it to a pooled frame.
+// aliasing net in storetest is what catches that.) The sum is over distinct
+// buffers: a page installed from a store read maps the store's buffer itself,
+// and an unwritten one goes back on the write list as that same buffer, so
+// the store counts it and neither the descriptor nor the write list does;
+// the first write moves the page to a pooled frame.
 func TestSteadyStateConservesBuffers(t *testing.T) {
 	type backend struct {
 		store   kvstore.Store
@@ -124,33 +130,58 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 		return backend{s, func() int { return int(s.Stats().BytesStored/kvstore.PageSize) + s.FreeBuffers() }}
 	}
 	for name, tc := range map[string]struct {
-		mk        func() backend
-		cleanDrop bool
+		mk      func() backend
+		variant string
 	}{
-		"dram":                {newDRAM, false},
-		"ramcloud":            {newRAMCloud, false},
-		"dram/clean_drop":     {newDRAM, true},
-		"ramcloud/clean_drop": {newRAMCloud, true},
+		"dram":                {newDRAM, ""},
+		"ramcloud":            {newRAMCloud, ""},
+		"dram/clean_drop":     {newDRAM, "/clean_drop"},
+		"ramcloud/clean_drop": {newRAMCloud, "/clean_drop"},
+		"dram/reput":          {newDRAM, "/reput"},
+		"ramcloud/reput":      {newRAMCloud, "/reput"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			be := tc.mk()
-			m, touch := allocHarness(t, be.store, nil, 1, 128, tc.cleanDrop)
+			m, touch := allocHarness(t, be.store, nil, 1, 128, tc.variant)
 			total := func() int {
 				mapped, pooled := m.fd.FrameCounts()
-				return mapped + pooled + m.wb.QueuedLen() + be.inStore()
+				return mapped + pooled + m.wb.queuedOwned() + be.inStore()
 			}
 			want := total()
+			copies := m.PageCopies()
 			for i := 0; i < 10000; i++ {
 				touch()
 				if got := total(); got != want {
 					mapped, pooled := m.fd.FrameCounts()
-					t.Fatalf("fault %d: %d page buffers, %d before (mapped %d, pooled %d, queued %d, in store %d)",
-						i, got, want, mapped, pooled, m.wb.QueuedLen(), be.inStore())
+					t.Fatalf("fault %d: %d page buffers, %d before (mapped %d, pooled %d, queued owned %d, in store %d)",
+						i, got, want, mapped, pooled, m.wb.queuedOwned(), be.inStore())
 				}
 			}
-			if st := m.Stats(); tc.cleanDrop && (st.CleanDropped == 0 || m.WPFaults() == 0) {
-				t.Fatalf("clean-drop stream dropped %d pages clean after %d WP faults; want both > 0", st.CleanDropped, m.WPFaults())
+			st := m.Stats()
+			switch tc.variant {
+			case "/clean_drop":
+				if st.CleanDropped == 0 || m.WPFaults() == 0 {
+					t.Fatalf("clean-drop stream dropped %d pages clean after %d WP faults; want both > 0", st.CleanDropped, m.WPFaults())
+				}
+			case "/reput":
+				// About one fault in eight writes its page, and only that
+				// write copies: the unwritten rest go back as the store's own.
+				if got := m.PageCopies() - copies; got == 0 || got > st.Faults/4 {
+					t.Fatalf("re-put stream made %d page copies over %d faults; want some, at most a quarter", got, st.Faults)
+				}
 			}
 		})
 	}
+}
+
+// queuedOwned counts the queued records whose buffer the engine owns: a
+// record not owned holds the store's own buffer, which the store counts.
+func (w *writeback) queuedOwned() int {
+	n := 0
+	for i := w.queue.Head; i != 0; i = w.pages.queueLinks[i].Next {
+		if !w.pages.recs[i].shared {
+			n++
+		}
+	}
+	return n
 }

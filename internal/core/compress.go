@@ -172,7 +172,7 @@ func (c *compressedTier) drainTo(now time.Duration, wb *writeback) (time.Duratio
 			return now, fmt.Errorf("core: corrupt pool entry %v: %w", key, err)
 		}
 		now += c.params.DecompressCPU.Sample(c.rng)
-		if now, err = wb.Enqueue(now, key, raw); err != nil {
+		if now, err = wb.Enqueue(now, key, raw, true); err != nil {
 			return now, err
 		}
 	}

@@ -200,22 +200,19 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			return t, pathTier, err
 		}
 		if hit {
-			// Not store-backed: the tier held the only current copy.
-			rt, err := m.installAndWake(done, ev, data, false, true)
-			// The decompression buffer was copied into the VM; pool it.
-			m.fd.Recycle(data)
+			// The tier held the only current copy; the page adopts the
+			// buffer it was decompressed into.
+			rt, err := m.installAndWake(done, ev, data, true, true)
 			return rt, pathTier, err
 		}
 	}
 	// Steal shortcut: the page is sitting on the pending write list.
 	if m.cfg.StealEnabled && m.cfg.AsyncWrite {
-		if data, ok := m.wb.Steal(t, key); ok {
+		if data, owned, ok := m.wb.Steal(t, key); ok {
 			m.stats.Steals++
-			// Not store-backed: the stolen write never reached the store.
-			rt, err := m.installAndWake(t, ev, data, false, true)
-			// Steal transferred the frame to us; UFFDIO_COPY copied it in,
-			// so the buffer goes back to the pool.
-			m.fd.Recycle(data)
+			// The page adopts the stolen frame, or maps again the store
+			// buffer whose re-put the steal cancelled.
+			rt, err := m.installAndWake(t, ev, data, owned, true)
 			return rt, pathSteal, err
 		}
 	} else if m.cfg.AsyncWrite && m.wb.Queued(key) {
@@ -250,7 +247,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			return t, pathRead, err
 		}
 	}
-	rt, err := m.installAndWake(t, ev, data, true, false)
+	rt, err := m.installAndWake(t, ev, data, false, false)
 	return rt, pathRead, err
 }
 
@@ -302,7 +299,7 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 		m.lru.Remove(ev.Addr)
 		return readDone, path, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	copied, done, err := m.copyIn(readDone, ev.Addr, data, true)
+	copied, done, err := m.install(readDone, ev.Addr, data, false)
 	if err != nil {
 		m.lru.Remove(ev.Addr)
 		return readDone, path, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
@@ -320,13 +317,11 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 	return resumeAt, path, nil
 }
 
-// installAndWake installs data in the faulting page, re-inserts it in the
-// LRU list, and wakes the guest. storeBacked says data is a store read's
-// buffer, arming clean tracking (see copyIn); steals and tier hits install
-// data the store does not hold, so they must pass false and keep ownership of
-// data: UFFDIO_COPY duplicates it. The store-read paths have already made
-// room; the steal shortcut has not, so it evicts here (needEvict).
-func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, storeBacked, needEvict bool) (time.Duration, error) {
+// installAndWake installs data in the faulting page (see install for owned),
+// re-inserts it in the LRU list, and wakes the guest. The store-read paths
+// have already made room; the steal and tier shortcuts have not, so they
+// evict here (needEvict).
+func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, owned, needEvict bool) (time.Duration, error) {
 	if needEvict {
 		var err error
 		for m.lru.Len() >= m.cfg.LRUCapacity {
@@ -339,7 +334,7 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 	m.record(opUpdatePageCache, ev.Addr, updCost)
 	t += updCost
 
-	copied, done, err := m.copyIn(t, ev.Addr, data, storeBacked)
+	copied, done, err := m.install(t, ev.Addr, data, owned)
 	if err != nil {
 		return t, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
@@ -360,14 +355,16 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, st
 // The victim is the oldest page whichever worker owns it; its trace events
 // carry the victim's worker, its time is charged to the caller's.
 //
-// Frame lifecycle: the remapped frame's ownership moves here, then onward —
-// to the write list (whose flush hands it to the store and pools the buffer
-// the store gives back for it), or straight back to the pool on the
-// zero-elide, tier-accepted, and synchronous-write paths (Put copies). A
-// clean page moves no frame at all: RemapDrop forgets the store buffer it
-// shares. Buffers a store read returned never come through here (a dirtied
-// page wrote into a private copy), so nothing the store still owns can reach
-// the pool.
+// Frame lifecycle: the remapped frame moves here as itself, and onward with
+// its ownership — to the write list (whose flush hands it to the store), or,
+// on the zero-elide, tier-accepted and synchronous-write paths (Put copies),
+// back to the pool if it is the monitor's. A page the guest never wrote since
+// a store-backed install comes out not owned: it is the store's own read
+// buffer of the key, unchanged, which the write list passes back to a store
+// that takes it (kvstore.Reput) and copies first for one that does not. It
+// never reaches the pool. A clean page moves no frame at all: RemapDrop
+// forgets the store buffer it shares. A zero-COW page comes out as nil, which
+// zero elision takes unscanned and anything else gets as a frame of zeroes.
 func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
 	victim, ok := m.lru.Oldest()
 	if !ok {
@@ -384,8 +381,9 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 	clean := m.cfg.CleanPageDrop && m.fd.PageClean(victim)
 
 	var (
-		data []byte
-		err  error
+		data  []byte
+		owned = true
+		err   error
 	)
 	if m.cfg.EvictWithCopy {
 		// Ablation A3: copy the page out, then zap the mapping. Costs a
@@ -412,6 +410,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		if clean {
 			done, err = m.fd.RemapDrop(t, victim, interleaved)
 		} else {
+			owned = !m.fd.PageShared(victim)
 			data, done, err = m.fd.Remap(t, victim, interleaved)
 		}
 		if err != nil {
@@ -442,15 +441,21 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		scanCost := m.cfg.MonitorOps.ZeroScan.Sample(m.rng)
 		m.record(opZeroScan, victim, scanCost)
 		t += scanCost
-		if allZero(data) {
+		if data == nil || allZero(data) {
 			// Zero elision: record the mark instead of shipping 4 KiB of
-			// zeroes; the re-fault resolves with UFFDIO_ZEROPAGE.
+			// zeroes; the re-fault resolves with UFFDIO_ZEROPAGE. A zero-COW
+			// victim is known zero, so only the scan's cost is charged.
 			m.wb.NoteZero(key)
 			m.stats.ZeroElided++
 			m.tr.Emit(trace.EvZeroElide, m.workerOf(victim), victim, t, 0, "")
-			m.fd.Recycle(data)
+			if owned {
+				m.fd.Recycle(data)
+			}
 			return t, nil
 		}
+	}
+	if data == nil {
+		data = m.fd.PrivateCopy(nil)
 	}
 
 	if m.tier != nil {
@@ -460,20 +465,26 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		}
 		t = done
 		for _, d := range displaced {
-			if t, err = m.wb.Enqueue(t, d.key, d.data); err != nil {
+			if t, err = m.wb.Enqueue(t, d.key, d.data, true); err != nil {
 				return t, err
 			}
 		}
 		if accepted {
 			// The tier kept a compressed copy; the raw frame is free.
-			m.fd.Recycle(data)
+			if owned {
+				m.fd.Recycle(data)
+			}
 			return t, nil
 		}
 	}
 
 	if m.cfg.AsyncWrite {
+		if !owned && !m.storeReput {
+			// The store cannot take its own buffer back: it gets a copy.
+			data, owned = m.fd.PrivateCopy(data), true
+		}
 		flushesBefore := m.wb.flushes
-		if t, err = m.wb.Enqueue(t, key, data); err != nil {
+		if t, err = m.wb.Enqueue(t, key, data, owned); err != nil {
 			return t, fmt.Errorf("core: enqueue write %v: %w", key, err)
 		}
 		m.stats.Flushes += m.wb.flushes - flushesBefore
@@ -485,9 +496,11 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 	}
 	done, err := m.cfg.Store.Put(t, key, data)
 	m.record(opWritePage, victim, done-t)
-	// Put copied the bytes (or failed terminally); either way the frame is
-	// ours again.
-	m.fd.Recycle(data)
+	// Put copied the bytes (or failed terminally); either way the frame, if
+	// it is ours, is free again.
+	if owned {
+		m.fd.Recycle(data)
+	}
 	if err != nil {
 		return done, fmt.Errorf("core: write %v: %w", key, err)
 	}
@@ -500,23 +513,23 @@ func copyOutCost(m *Monitor, t time.Duration) (time.Duration, error) {
 	return t + m.cfg.UFFD.Copy.Sample(m.rng), nil
 }
 
-// copyIn installs data at addr with UFFDIO_COPY, returning when the copy is
-// done and when the install is. A storeBacked install under CleanPageDrop is
-// write-protected (UFFDIO_COPY_MODE_WP), arming the clean-drop eviction path:
-// the first guest write trips a (simulated) WP fault that clears the
-// protection, so a page still protected at eviction time is provably
-// unwritten. Such an install shares data, a store read's buffer, instead of
-// copying it: the store keeps those bytes until the key is next written or
-// deleted, and that happens only after the page has left the VM. The caller
-// records the copy's profile sample; the write-protect's is recorded here.
-// Without CleanPageDrop nothing is protected, so feature-off runs draw the
-// exact same RNG sequence as before.
-func (m *Monitor) copyIn(t time.Duration, addr uint64, data []byte, storeBacked bool) (copied, done time.Duration, err error) {
-	if !storeBacked || !m.cfg.CleanPageDrop {
-		copied, err = m.fd.Copy(t, addr, data)
-		return copied, copied, err
-	}
-	if copied, done, err = m.fd.CopyWP(t, addr, data); err == nil {
+// install maps data at addr with UFFDIO_COPY, returning when the copy is
+// done and when the install is. A buffer the monitor owns (a stolen frame, a
+// tier hit's) becomes the page's frame. One it does not own is a store's read
+// buffer of the page's key, unchanged — a store read's, or one a steal took
+// back before its re-put reached the store — and is mapped shared, copied
+// only by the guest's first write: the store keeps those bytes until the key
+// is next written or deleted, and that happens only after the page has left
+// the VM. Under CleanPageDrop such a page is also write-protected
+// (UFFDIO_COPY_MODE_WP), arming the clean-drop eviction path: the first guest
+// write trips a (simulated) WP fault that clears the protection, so a page
+// still protected at eviction time is provably unwritten. The caller records
+// the copy's profile sample; the write-protect's is recorded here. Without
+// CleanPageDrop nothing is protected, so feature-off runs draw the exact
+// same RNG sequence as before.
+func (m *Monitor) install(t time.Duration, addr uint64, data []byte, owned bool) (copied, done time.Duration, err error) {
+	wp := !owned && m.cfg.CleanPageDrop
+	if copied, done, err = m.fd.Install(t, addr, data, owned, wp); err == nil && wp {
 		m.prof.Record(opUffdWriteProtect, done-copied)
 	}
 	return copied, done, err

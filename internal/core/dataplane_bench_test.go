@@ -19,10 +19,10 @@ import (
 // the cluster pool, where most faults install a shared store buffer and drop
 // it clean.
 func BenchmarkSteadyStateFault(b *testing.B) {
-	run := func(name string, mk func() kvstore.Store, workers int, cleanDrop bool) {
+	run := func(name string, mk func() kvstore.Store, workers int, variant string) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			_, touch := allocHarness(b, mk(), nil, workers, 128, cleanDrop)
+			_, touch := allocHarness(b, mk(), nil, workers, 128, variant)
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
 				touch()
@@ -32,10 +32,10 @@ func BenchmarkSteadyStateFault(b *testing.B) {
 	backends := allocBenchBackends(b)
 	for name, mk := range backends {
 		for _, workers := range []int{1, 4} {
-			run(fmt.Sprintf("%s/workers=%d", name, workers), mk, workers, false)
+			run(fmt.Sprintf("%s/workers=%d", name, workers), mk, workers, "")
 		}
 	}
-	run("cluster/workers=1/clean_drop", backends["cluster"], 1, true)
+	run("cluster/workers=1/clean_drop", backends["cluster"], 1, "/clean_drop")
 }
 
 // BenchmarkProfilerRecord is the always-on Table I profiler's cost per

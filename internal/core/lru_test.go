@@ -138,7 +138,7 @@ func TestLRUMatchesFlatModelProperty(t *testing.T) {
 				if ok {
 					model.Remove(want)
 					l.Remove(got)
-					if _, err := engine.Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize)); err != nil {
+					if _, err := engine.Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize), true); err != nil {
 						return false
 					}
 				}

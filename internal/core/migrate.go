@@ -77,12 +77,19 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			}
 			m.lru.Remove(addr)
 			m.stats.Evictions++
+			shared := m.fd.PageShared(addr)
 			data, done, rerr := m.fd.Remap(now, addr, false)
 			if rerr != nil {
 				return nil, now, fmt.Errorf("core: export remap %#x: %w", addr, rerr)
 			}
 			now = done
-			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data); err != nil {
+			// The export ships owned frames only: a copy of a shared page,
+			// zeroes for a zero-COW one. It is off the data plane, so it
+			// asks nothing of the store's re-put.
+			if shared || data == nil {
+				data = m.fd.PrivateCopy(data)
+			}
+			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data, true); err != nil {
 				return nil, now, fmt.Errorf("core: export enqueue %#x: %w", addr, err)
 			}
 		}

@@ -114,8 +114,10 @@ type Monitor struct {
 	workers    int
 	workerFree []time.Duration
 
-	// storeLocal caches whether the backend is on-hypervisor (no RPC stack).
+	// storeLocal caches whether the backend is on-hypervisor (no RPC stack),
+	// storeReput whether it takes its own read buffers back (kvstore.Reput).
 	storeLocal bool
+	storeReput bool
 	// resilient is non-nil when cfg.Resilience routed the store through the
 	// fault-handling policy layer; it exposes health and counters.
 	resilient *resilience.Store
@@ -171,6 +173,10 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	if l, ok := cfg.Store.(kvstore.Local); ok {
 		local = l.Local()
 	}
+	reput := false
+	if r, ok := cfg.Store.(kvstore.Reput); ok {
+		reput = r.Reput()
+	}
 	var tier *compressedTier
 	if cfg.Compress != nil {
 		if cfg.Compress.PoolBytes < PageSize {
@@ -184,6 +190,7 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	pages := newPageTable()
 	m := &Monitor{
 		storeLocal:   local,
+		storeReput:   reput,
 		resilient:    res,
 		tier:         tier,
 		cfg:          cfg,

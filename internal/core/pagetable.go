@@ -77,11 +77,14 @@ type pageRec struct {
 	id uint64
 	// addr is the resident page's address.
 	addr uint64
-	// data is the evicted page awaiting its store write.
+	// data is the evicted page awaiting its store write; shared marks it
+	// the store's own read buffer of the key, not the monitor's to pool
+	// (kept beside state, where it costs the record no padding).
 	data []byte
 	// done is when the submitted write completes.
-	done  time.Duration
-	state uint8
+	done   time.Duration
+	state  uint8
+	shared bool
 }
 
 func newPageTable() *pageTable {

@@ -119,28 +119,24 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 			return t, true
 		}
 	}
-	data := c.data
+	data, owned := c.data, false
 	if c.queued {
 		// Only now, with room made and the install certain, does the page
 		// leave the write list. The evictions above may have flushed it
 		// instead: then the store has it and nothing was read.
 		var ok bool
-		if data, ok = m.wb.Steal(t, c.key); !ok {
+		if data, owned, ok = m.wb.Steal(t, c.key); !ok {
 			return t, false
 		}
 	}
-	// A queued candidate's frame is ours since the steal; store-backed bytes
-	// arm clean tracking.
-	_, done, err := m.copyIn(t, c.addr, data, !c.queued)
+	_, done, err := m.install(t, c.addr, data, owned)
 	switch {
 	case err != nil && c.queued:
 		// The stolen frame is the page's only copy: back on the list it goes.
-		_, err = m.wb.Enqueue(t, c.key, data)
+		_, err = m.wb.Enqueue(t, c.key, data, owned)
 		return t, err != nil
 	case err != nil:
 		return t, false
-	case c.queued:
-		m.fd.Recycle(data) // UFFDIO_COPY copied it in
 	}
 	t = done
 	m.lru.Insert(c.addr)

@@ -15,8 +15,9 @@ import (
 // whichever of the VM, the write list, the compressed tier, the zero bitmap
 // or the store held the page in between — the resident set must respect the
 // capacity after every op, and no page buffer may drop out of circulation
-// (TestSteadyStateConservesBuffers's identity: mapped + pooled + queued +
-// held by the store; only a discard's store delete may shrink it).
+// (TestSteadyStateConservesBuffers's identity over distinct buffers: mapped +
+// pooled + queued owned + held by the store; only a discard's store delete may
+// shrink it).
 //
 // flags: bit 0 compressed tier, bit 1 zero elision + clean drop, bit 2 a
 // write batch of 3 (flushes interleave with readahead) instead of 64 (every
@@ -56,7 +57,7 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	var model [readaheadModelPages]contents
 	frames := func() int {
 		mapped, pooled := m.fd.FrameCounts()
-		return mapped + pooled + m.wb.QueuedLen() + store.Len()
+		return mapped + pooled + m.wb.queuedOwned() + store.Len()
 	}
 	now := time.Duration(0)
 	for i := 0; i+1 < len(ops); i += 2 {

@@ -496,3 +496,10 @@ func (s *Store) Local() bool {
 	}
 	return false
 }
+
+// Reput passes through the inner store's re-put property: a retried
+// MultiPut resubmits the same slice, which a failed attempt left intact.
+func (s *Store) Reput() bool {
+	r, ok := s.inner.(kvstore.Reput)
+	return ok && r.Reput()
+}

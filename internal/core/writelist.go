@@ -40,15 +40,18 @@ import (
 // the page table (pagetable.go), found by indexing the key's region; the
 // write list is threaded through the records.
 //
-// Ownership: Enqueue takes ownership of the caller's data buffer. A buffer
-// whose bytes are no longer needed — replaced by a coalescing re-eviction,
-// cancelled by a zero mark or discard — goes to the recycle hook (if set) so
-// the fault pipeline can reuse the frame. A flush hands the queued buffers
-// over to the store's MultiPut and recycles what the store leaves in their
-// place, never the buffers it queued; a failed flush keeps them queued.
-// Steal transfers ownership back to the caller. Records and the flush
-// keys/pages scratch are reused, so steady-state enqueue+flush allocates
-// nothing.
+// Ownership: Enqueue takes the caller's data buffer, owned or not. A buffer
+// not owned is the store's own read buffer of that key, unchanged (the
+// kvstore.Reput clause): the engine passes it back to the store as it is and
+// never recycles it. An owned buffer whose bytes are no longer needed —
+// replaced by a coalescing re-eviction, cancelled by a zero mark or discard —
+// goes to the recycle hook (if set) so the fault pipeline can reuse the frame.
+// A flush hands the queued buffers over to the store's MultiPut and recycles
+// what the store leaves in their place, never the buffers it queued: a slot
+// that still holds the not-owned buffer it passed is the store's. A failed
+// flush keeps them queued. Steal hands the buffer back with its ownership.
+// Records and the flush keys/pages scratch are reused, so steady-state
+// enqueue+flush allocates nothing.
 type writeback struct {
 	store     kvstore.Store
 	batchSize int
@@ -123,9 +126,10 @@ func newWriteback(pages *pageTable, store kvstore.Store, batchSize, workers int,
 // setRecycle installs the frame-recycling hook (nil disables recycling).
 func (w *writeback) setRecycle(fn func([]byte)) { w.recycle = fn }
 
-// release hands a buffer the engine no longer needs to the recycle hook.
-func (w *writeback) release(buf []byte) {
-	if w.recycle != nil && buf != nil {
+// release hands a buffer the engine no longer needs to the recycle hook,
+// if it is the engine's.
+func (w *writeback) release(buf []byte, owned bool) {
+	if w.recycle != nil && buf != nil && owned {
 		w.recycle(buf)
 	}
 }
@@ -138,22 +142,24 @@ func (w *writeback) pending(key kvstore.Key) (e *uint32, i uint32, ok bool) {
 }
 
 // dequeue takes the queued record i, which entry e points to, off the write
-// list and returns its data.
-func (w *writeback) dequeue(e *uint32, i uint32) []byte {
+// list and returns its data and whether the engine owned it.
+func (w *writeback) dequeue(e *uint32, i uint32) ([]byte, bool) {
 	w.queue.Remove(w.pages.queueLinks, i)
 	r := &w.pages.recs[i]
-	data := r.data
-	r.data = nil
+	data, owned := r.data, !r.shared
+	r.data, r.shared = nil, false
 	r.state &^= recQueued
 	w.pages.release(e, i)
-	return data
+	return data, owned
 }
 
 // Enqueue adds an evicted page and flushes if the global batch threshold is
 // reached. It returns the caller-visible completion time: enqueueing is off
 // the critical path, so this is just now (flush I/O occupies the store's
-// device asynchronously). Ownership of data transfers to the engine.
-func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte) (time.Duration, error) {
+// device asynchronously). Ownership of data, if the caller owned it,
+// transfers to the engine; a buffer not owned must be the store's own read
+// buffer of key, unchanged.
+func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte, owned bool) (time.Duration, error) {
 	w.gc(now)
 	e := w.pages.byKey(key, true)
 	// Fresh data supersedes any zero marker for this key: once the write
@@ -168,13 +174,13 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte) (ti
 		// Re-eviction of a page whose previous write never flushed: replace
 		// the data in place, keeping the original queue position. The
 		// superseded buffer goes back to the frame pool.
-		w.release(r.data)
-		r.data = data
+		w.release(r.data, !r.shared)
+		r.data, r.shared = data, !owned
 		w.coalesced++
 		return now, nil
 	}
 	r.state |= recQueued
-	r.data = data
+	r.data, r.shared = data, !owned
 	w.queue.PushBack(w.pages.queueLinks, i)
 	if w.queue.Len >= w.batchSize {
 		return now, w.Flush(now)
@@ -215,10 +221,12 @@ func (w *writeback) Flush(now time.Duration) error {
 		r.state = r.state&^recQueued | recInflight
 		r.done = done
 		// The queued frame may be the store's now (MultiPut hand-over); what
-		// the store left in its slot is ours, and that goes to the frame pool.
-		// The slot is cleared so the scratch pins no pooled buffer.
-		r.data = nil
-		w.release(pages[k])
+		// the store left in its slot is ours, and that goes to the frame pool
+		// — unless it is the not-owned buffer this record passed, which the
+		// store kept as the key's value. The slot is cleared so the scratch
+		// pins no pooled buffer.
+		w.release(pages[k], !r.shared || !sameBuffer(pages[k], r.data))
+		r.data, r.shared = nil, false
 		pages[k] = nil
 		i, links[i] = links[i].Next, ilist.Link{}
 	}
@@ -301,17 +309,22 @@ func (w *writeback) Snapshot() WritebackStats {
 // Steal resolves a fault from the write list: if key is still queued, its
 // data is returned and the write is cancelled (the page is going right back
 // into the VM, so nothing needs storing). ok=false if the key is not queued.
-// Ownership of the returned buffer transfers to the caller.
-func (w *writeback) Steal(now time.Duration, key kvstore.Key) ([]byte, bool) {
+// The returned buffer goes back to the caller with its ownership: owned
+// reports whether it was the engine's, else it is the store's read buffer.
+func (w *writeback) Steal(now time.Duration, key kvstore.Key) (data []byte, owned, ok bool) {
 	w.gc(now)
 	e, i, ok := w.pending(key)
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	w.steals++
 	w.tr.Emit(trace.EvSteal, uffd.WorkerOf(key.Page(), w.workers), key.Page(), now, 0, "")
-	return w.dequeue(e, i), true
+	data, owned = w.dequeue(e, i)
+	return data, owned, true
 }
+
+// sameBuffer reports whether a and b are the same buffer.
+func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // WaitFor reports when an in-flight write of key completes; ok=false if no
 // write is in flight. The paper: "If a write of a page is in-flight when the

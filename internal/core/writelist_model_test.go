@@ -271,7 +271,7 @@ func (p *wbPair) apply(op int, now time.Duration, key kvstore.Key, tag byte) (da
 	var want bool
 	switch op {
 	case wbEnqueue:
-		_, err := p.w.Enqueue(now, key, tagged())
+		_, err := p.w.Enqueue(now, key, tagged(), true)
 		if werr := p.model.Enqueue(now, key, tagged()); err != nil || werr != nil {
 			t.Fatalf("Enqueue: %v, model %v", err, werr)
 		}
@@ -282,7 +282,7 @@ func (p *wbPair) apply(op int, now time.Duration, key kvstore.Key, tag byte) (da
 		ok, want = p.w.TakeZero(key), p.model.TakeZero(key)
 	case wbSteal:
 		var wdata []byte
-		data, ok = p.w.Steal(now, key)
+		data, _, ok = p.w.Steal(now, key)
 		wdata, want = p.model.Steal(now, key)
 		if ok && want && data[0] != wdata[0] {
 			t.Fatalf("Steal(%v) returned tag %d, model %d", key, data[0], wdata[0])

@@ -37,14 +37,14 @@ func TestWritebackFlushAtBatchSize(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 3; i++ {
 		var err error
-		if now, err = w.Enqueue(now, kvstore.Key(i<<12), page(byte(i))); err != nil {
+		if now, err = w.Enqueue(now, kvstore.Key(i<<12), page(byte(i)), true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w.flushes != 0 || store.Stats().Puts != 0 {
 		t.Fatal("flushed before batch threshold")
 	}
-	if _, err := w.Enqueue(now, kvstore.Key(3<<12), page(3)); err != nil {
+	if _, err := w.Enqueue(now, kvstore.Key(3<<12), page(3), true); err != nil {
 		t.Fatal(err)
 	}
 	if w.flushes != 1 {
@@ -62,10 +62,10 @@ func TestWritebackStealCancelsWrite(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 100)
 	key := kvstore.Key(0x5000)
-	if _, err := w.Enqueue(0, key, page(0x42)); err != nil {
+	if _, err := w.Enqueue(0, key, page(0x42), true); err != nil {
 		t.Fatal(err)
 	}
-	data, ok := w.Steal(0, key)
+	data, _, ok := w.Steal(0, key)
 	if !ok {
 		t.Fatal("steal failed")
 	}
@@ -79,7 +79,7 @@ func TestWritebackStealCancelsWrite(t *testing.T) {
 	if store.Stats().Puts != 0 {
 		t.Fatal("cancelled write still hit the store")
 	}
-	if _, ok := w.Steal(0, key); ok {
+	if _, _, ok := w.Steal(0, key); ok {
 		t.Fatal("double steal succeeded")
 	}
 }
@@ -88,13 +88,13 @@ func TestWritebackReEvictionReplacesData(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 100)
 	key := kvstore.Key(0x6000)
-	if _, err := w.Enqueue(0, key, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Enqueue(0, key, page(2)); err != nil {
+	if _, err := w.Enqueue(0, key, page(2), true); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := w.Steal(0, key)
+	data, _, _ := w.Steal(0, key)
 	if !bytes.Equal(data, page(2)) {
 		t.Fatal("stale data after re-eviction")
 	}
@@ -107,7 +107,7 @@ func TestWritebackWaitForInflight(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 1) // flush every enqueue
 	key := kvstore.Key(0x7000)
-	if _, err := w.Enqueue(0, key, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1), true); err != nil {
 		t.Fatal(err)
 	}
 	done, ok := w.WaitFor(0, key)
@@ -130,7 +130,7 @@ func TestWritebackDrain(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 100)
 	for i := 0; i < 5; i++ {
-		if _, err := w.Enqueue(0, kvstore.Key(i<<12), page(byte(i))); err != nil {
+		if _, err := w.Enqueue(0, kvstore.Key(i<<12), page(byte(i)), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestWritebackZeroMarkLifecycle(t *testing.T) {
 	key := kvstore.Key(0x8000)
 
 	// Marking a key queued for write-back cancels the pending write.
-	if _, err := w.Enqueue(0, key, page(9)); err != nil {
+	if _, err := w.Enqueue(0, key, page(9), true); err != nil {
 		t.Fatal(err)
 	}
 	w.NoteZero(key)
@@ -193,13 +193,13 @@ func TestWritebackZeroMarkLifecycle(t *testing.T) {
 
 	// A fresh non-zero eviction supersedes a standing mark.
 	w.NoteZero(key)
-	if _, err := w.Enqueue(0, key, page(7)); err != nil {
+	if _, err := w.Enqueue(0, key, page(7), true); err != nil {
 		t.Fatal(err)
 	}
 	if w.HasZero(key) {
 		t.Fatal("zero mark survived fresh enqueue")
 	}
-	data, ok := w.Steal(0, key)
+	data, _, ok := w.Steal(0, key)
 	if !ok || !bytes.Equal(data, page(7)) {
 		t.Fatal("queued data wrong after zero supersede")
 	}
@@ -224,21 +224,21 @@ func TestWritebackCoalesceCounterAndHistogram(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 100)
 	key := kvstore.Key(0x9000)
-	if _, err := w.Enqueue(0, key, page(1)); err != nil {
+	if _, err := w.Enqueue(0, key, page(1), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.Enqueue(0, key, page(byte(2+i))); err != nil {
+		if _, err := w.Enqueue(0, key, page(byte(2+i)), true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := w.Enqueue(0, kvstore.Key(0xa000), page(8)); err != nil {
+	if _, err := w.Enqueue(0, kvstore.Key(0xa000), page(8), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Enqueue(0, kvstore.Key(0xb000), page(9)); err != nil {
+	if _, err := w.Enqueue(0, kvstore.Key(0xb000), page(9), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(0); err != nil {
@@ -265,7 +265,7 @@ func TestWritebackDiscardQueued(t *testing.T) {
 	store := dram.New(dram.DefaultParams(), 1)
 	w := testWriteback(store, 100)
 	key := kvstore.Key(0xc000)
-	if _, err := w.Enqueue(0, key, page(5)); err != nil {
+	if _, err := w.Enqueue(0, key, page(5), true); err != nil {
 		t.Fatal(err)
 	}
 	if !w.DiscardQueued(key) {
@@ -319,7 +319,7 @@ func TestWritebackGCNonMonotoneCompletions(t *testing.T) {
 		if flushing {
 			batch = append(batch, kvstore.Key(w.pages.recs[w.queue.Head].id), key)
 		}
-		if _, err := w.Enqueue(now, key, page(byte(i))); err != nil {
+		if _, err := w.Enqueue(now, key, page(byte(i)), true); err != nil {
 			t.Fatal(err)
 		}
 		// The full sweep, then the flush's records.
@@ -412,7 +412,7 @@ func BenchmarkWritebackEnqueueFlush(b *testing.B) {
 		} else {
 			data = page(1)
 		}
-		if _, err := w.Enqueue(now, key, data); err != nil {
+		if _, err := w.Enqueue(now, key, data, true); err != nil {
 			b.Fatal(err)
 		}
 		now += 500 * time.Nanosecond

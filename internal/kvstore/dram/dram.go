@@ -54,6 +54,10 @@ func (s *Store) Name() string { return "dram" }
 // Local implements kvstore.Local: pages live in hypervisor DRAM.
 func (s *Store) Local() bool { return true }
 
+// Reput implements kvstore.Reput: a MultiPut of a key's own read buffer
+// swaps the buffer with itself.
+func (s *Store) Reput() bool { return true }
+
 // Put implements kvstore.Store.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {

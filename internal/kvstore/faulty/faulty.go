@@ -342,3 +342,11 @@ func (s *Store) Local() bool {
 	}
 	return false
 }
+
+// Reput passes through the inner store's re-put property: an injected
+// failure takes nothing, so what a successful MultiPut keeps is the inner
+// store's to decide.
+func (s *Store) Reput() bool {
+	r, ok := s.inner.(kvstore.Reput)
+	return ok && r.Reput()
+}

@@ -30,6 +30,7 @@ func Instrumented(store Store, tr *trace.Tracer) Store {
 var (
 	_ Store = (*instrumented)(nil)
 	_ Local = (*instrumented)(nil)
+	_ Reput = (*instrumented)(nil)
 )
 
 func (s *instrumented) Name() string { return s.inner.Name() }
@@ -91,6 +92,12 @@ func (s *instrumented) Local() bool {
 		return l.Local()
 	}
 	return false
+}
+
+// Reput passes through the inner store's re-put property.
+func (s *instrumented) Reput() bool {
+	r, ok := s.inner.(Reput)
+	return ok && r.Reput()
 }
 
 // Inner exposes the wrapped store (introspection, e.g. fluidmemd's

@@ -114,9 +114,15 @@ type Stats struct {
 //     capacity eviction, replica repair, crash and recovery) may drop or
 //     move the buffer but never writes into it. Callers must never write
 //     into or recycle a store-returned buffer. The monitor relies on this to
-//     map a read buffer into the VM write-protected instead of copying it
-//     (uffd.FD.CopyWP): a page is written or deleted only after it has left
-//     the VM. storetest.ReadStableUntilWrite holds every backend to it.
+//     map a read buffer into the VM instead of copying it (uffd.FD.Install,
+//     shared): a page is written or deleted only after it has left the VM.
+//     storetest.ReadStableUntilWrite holds every backend to it.
+//   - Re-put (only a store that implements Reput and reports true): a
+//     MultiPut page may be the very buffer a read of that key from this
+//     store returned, bytes unchanged. The store keeps that buffer as the
+//     key's value, and a slot that still holds it after the MultiPut belongs
+//     to the store, not the caller. storetest.ReadStableUntilWrite holds the
+//     declaring backends to it as well.
 type Store interface {
 	// Name identifies the backend ("ramcloud", "memcached", "dram").
 	Name() string
@@ -152,6 +158,20 @@ type Store interface {
 type Local interface {
 	// Local reports that operations do not cross the network.
 	Local() bool
+}
+
+// Reput is implemented by backends that accept the re-put clause of the
+// Store contract: a MultiPut of the buffer a read of the same key returned,
+// unchanged, which the store keeps as the key's value. The monitor then
+// writes a page the guest never modified back as the store's own buffer,
+// with no copy; without it (Reput absent or false) it copies such a page
+// first. Leaf stores, which keep one buffer per key, take it naturally. A
+// composite (replicated.Set, cluster.Pool) must not declare it: one
+// member's read buffer would be handed over to another member. Decorators
+// forward the inner store's answer, the way they forward Local.
+type Reput interface {
+	// Reput reports that MultiPut takes back the store's own read buffers.
+	Reput() bool
 }
 
 // ValidatePage returns ErrBadValue unless page is exactly one page long.

@@ -100,6 +100,10 @@ func New(p Params, seed uint64) *Store {
 // Name implements kvstore.Store.
 func (s *Store) Name() string { return "memcached" }
 
+// Reput implements kvstore.Reput: MultiPut copies into the item's own
+// buffer, which for a key's own read buffer is a copy onto itself.
+func (s *Store) Reput() bool { return true }
+
 // Put implements kvstore.Store.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {

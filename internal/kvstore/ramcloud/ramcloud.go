@@ -131,6 +131,11 @@ func New(p Params, seed uint64) *Store {
 // Name implements kvstore.Store.
 func (s *Store) Name() string { return "ramcloud" }
 
+// Reput implements kvstore.Reput: a MultiPut of a key's own read buffer
+// appends it as the new version and hands back the payload of the version it
+// killed — the same buffer.
+func (s *Store) Reput() bool { return true }
+
 // Put implements kvstore.Store: the log takes a copy of page.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {

@@ -490,8 +490,12 @@ func OtherKey(i int) kvstore.Key { return kvstore.MakeKey(0x8000_0000+uint64(i)*
 // scribbles over, as their new owner may), Puts, Deletes and reads — and runs
 // each of the backend's own churns, checking after every round that each held
 // buffer still digests as read and that no buffer handed out since is one of
-// them. Last it writes or deletes the held keys one by one; a released
-// buffer is the store's again and stops being checked.
+// them. A store that declares kvstore.Reput is also held to the re-put
+// clause: every round puts each held buffer back under its key, in batches
+// with fresh pages of other keys, after which the held key must still read
+// its page and its slot either still hold the buffer (the store's) or hold
+// one that is not held. Last it writes or deletes the held keys one by one;
+// a released buffer is the store's again and stops being checked.
 func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
 	t.Helper()
 	now := time.Duration(0)
@@ -557,6 +561,39 @@ func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
 			}
 		}
 	}
+	// reput puts every held buffer back, six keys and two fresh pages of
+	// other keys to a batch, and scribbles what the store hands back.
+	reput := func(round int) {
+		t.Helper()
+		for b := 0; b < heldKeys; b += 6 {
+			var keys []kvstore.Key
+			var pages [][]byte
+			for i := b; i < b+6; i++ {
+				keys, pages = append(keys, heldKey(i)), append(pages, held[heldKey(i)])
+			}
+			for j := 0; j < 2; j++ {
+				keys, pages = append(keys, OtherKey((round*17+b+j*71)%otherKeys)), append(pages, Page(byte(round+b+j)))
+			}
+			step(s.MultiPut(now, keys, pages))
+			for j, p := range pages {
+				switch {
+				case j < 6 && bufID(p) == bufID(held[keys[j]]):
+					// Still the held buffer: the store's, as the key's value.
+				case isHeld(p):
+					t.Fatalf("round %d: a re-put batch handed back a held buffer (slot %d)", round, j)
+				case p != nil:
+					Scribble(p)
+				}
+			}
+		}
+		for i := 0; i < heldKeys; i++ {
+			got, done, err := s.Get(now, heldKey(i))
+			step(done, err)
+			if !bytes.Equal(got, Page(byte(i))) {
+				t.Fatalf("round %d: %v no longer reads the page put back under it", round, heldKey(i))
+			}
+		}
+	}
 
 	for round := 0; round < 48; round++ {
 		keys := make([]kvstore.Key, 8)
@@ -596,6 +633,9 @@ func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
 		for _, churn := range churns {
 			now = max(now, churn(t, now))
 		}
+		if Reputs(s) {
+			reput(round)
+		}
 		check(fmt.Sprintf("round %d", round))
 	}
 
@@ -617,6 +657,21 @@ func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
 		}
 		check(fmt.Sprintf("after releasing %v", key))
 	}
+}
+
+// Reputs reports whether s declares the re-put clause (kvstore.Reput).
+func Reputs(s kvstore.Store) bool {
+	r, ok := s.(kvstore.Reput)
+	return ok && r.Reput()
+}
+
+// bufID is the identity of a buffer: its first byte's address (nil for an
+// empty one).
+func bufID(buf []byte) *byte {
+	if len(buf) == 0 {
+		return nil
+	}
+	return &buf[0]
 }
 
 // RunErrorPaths exercises the failure half of the Store contract: exactly
@@ -830,16 +885,27 @@ func MultiPutMustFail(t *testing.T, s kvstore.Store, now time.Duration, keys []k
 // or reuses the one it queued instead of the one it got back, fails the test
 // at the first read that shows it. It adds no latency and draws no
 // randomness, so a run through it must equal the run without it.
+//
+// Over a store that declares kvstore.Reput it knows the re-put: it tracks
+// the buffer last read under each key since the key's last write, and a slot
+// that still holds that buffer after a MultiPut of it is the store's value,
+// which it leaves alone. Over any other store a re-put buffer is scribbled
+// like every other, so a caller that re-puts there fails at the next read.
 type Poisoned struct {
 	kvstore.Store
 	tb      testing.TB
 	written map[kvstore.Key]uint64
+	read    map[kvstore.Key]*byte
+	reputs  bool
 }
 
 // Poison wraps s in the aliasing net.
 func Poison(tb testing.TB, s kvstore.Store) *Poisoned {
-	return &Poisoned{Store: s, tb: tb, written: map[kvstore.Key]uint64{}}
+	return &Poisoned{Store: s, tb: tb, written: map[kvstore.Key]uint64{}, read: map[kvstore.Key]*byte{}, reputs: Reputs(s)}
 }
+
+// noteRead records buf as the buffer last read under key.
+func (p *Poisoned) noteRead(key kvstore.Key, buf []byte) { p.read[key] = bufID(buf) }
 
 var digestSeed = maphash.MakeSeed()
 
@@ -859,6 +925,7 @@ func (p *Poisoned) Put(now time.Duration, key kvstore.Key, page []byte) (time.Du
 	done, err := p.Store.Put(now, key, page)
 	if err == nil {
 		p.written[key] = digest(page)
+		delete(p.read, key)
 	}
 	return done, err
 }
@@ -866,8 +933,12 @@ func (p *Poisoned) Put(now time.Duration, key kvstore.Key, page []byte) (time.Du
 // MultiPut implements kvstore.Store.
 func (p *Poisoned) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
 	sums := make([]uint64, len(pages))
+	reput := make([]*byte, len(pages))
 	for i, page := range pages {
 		sums[i] = digest(page)
+		if first := bufID(page); p.reputs && first != nil && p.read[keys[i]] == first {
+			reput[i] = first
+		}
 	}
 	done, err := p.Store.MultiPut(now, keys, pages)
 	if err != nil {
@@ -875,7 +946,10 @@ func (p *Poisoned) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byt
 	}
 	for i, key := range keys {
 		p.written[key] = sums[i]
-		Scribble(pages[i])
+		delete(p.read, key)
+		if reput[i] == nil || bufID(pages[i]) != reput[i] {
+			Scribble(pages[i])
+		}
 	}
 	return done, nil
 }
@@ -885,6 +959,7 @@ func (p *Poisoned) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duratio
 	data, done, err := p.Store.Get(now, key)
 	if err == nil {
 		p.check("Get", key, data)
+		p.noteRead(key, data)
 	}
 	return data, done, err
 }
@@ -896,6 +971,7 @@ func (p *Poisoned) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, ti
 		for i, page := range pages {
 			if page != nil {
 				p.check("MultiGet", keys[i], page)
+				p.noteRead(keys[i], page)
 			}
 		}
 	}
@@ -907,6 +983,7 @@ func (p *Poisoned) StartGet(now time.Duration, key kvstore.Key) kvstore.PendingG
 	pending := p.Store.StartGet(now, key)
 	if pending.Err == nil {
 		p.check("StartGet", key, pending.Data)
+		p.noteRead(key, pending.Data)
 	}
 	return pending
 }
@@ -916,6 +993,7 @@ func (p *Poisoned) Delete(now time.Duration, key kvstore.Key) (time.Duration, er
 	done, err := p.Store.Delete(now, key)
 	if err == nil {
 		delete(p.written, key)
+		delete(p.read, key)
 	}
 	return done, err
 }
@@ -925,6 +1003,10 @@ func (p *Poisoned) Local() bool {
 	l, ok := p.Store.(kvstore.Local)
 	return ok && l.Local()
 }
+
+// Reput passes the inner store's re-put property through, as the monitor
+// probes it.
+func (p *Poisoned) Reput() bool { return p.reputs }
 
 // Verify reads every key the net knows back through it, for callers that
 // never read on their own.

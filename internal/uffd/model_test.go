@@ -17,8 +17,8 @@ import (
 // The one deliberate difference from the old code is that a region's blocked
 // vCPUs are forgotten with the region (the old global map leaked them). The
 // model copies on every install; it also counts the host copies the
-// descriptor should make, where a write-protected install shares its buffer
-// until the first write.
+// descriptor should make, where only Copy and the first write to a page
+// installed shared copy anything.
 type refFD struct {
 	params   Params
 	rng      *clock.Rand
@@ -29,9 +29,10 @@ type refFD struct {
 }
 
 type refPage struct {
-	state PageState
-	data  []byte
-	wp    bool
+	state  PageState
+	data   []byte
+	wp     bool
+	shared bool
 }
 
 type refRegion struct {
@@ -94,11 +95,17 @@ func (f *refFD) access(now time.Duration, addr uint64, write bool) ([]byte, time
 		p.data = make([]byte, PageSize)
 		return p.data, now + f.params.COWBreak.Sample(f.rng), true, nil
 	}
-	if write && p.wp {
-		p.wp = false
-		f.wpFaults++
-		f.copies++
-		return p.data, now + f.params.WPFault.Sample(f.rng), true, nil
+	if write && (p.wp || p.shared) {
+		done := now
+		if p.wp {
+			f.wpFaults++
+			done += f.params.WPFault.Sample(f.rng)
+		}
+		if p.shared {
+			f.copies++
+		}
+		p.wp, p.shared = false, false
+		return p.data, done, true, nil
 	}
 	return p.data, now, true, nil
 }
@@ -115,9 +122,9 @@ func (f *refFD) zeroPage(now time.Duration, addr uint64) (time.Duration, error) 
 	return now + f.params.ZeroPage.Sample(f.rng), nil
 }
 
-// copyIn is Copy, and with wp CopyWP: the old Copy followed by the old
-// UFFDIO_WRITEPROTECT, two samples in that order.
-func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (time.Duration, time.Duration, error) {
+// copyIn is Install, and with dup Copy: the old Copy followed, with wp, by
+// the old UFFDIO_WRITEPROTECT, two samples in that order.
+func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte, owned, wp, dup bool) (time.Duration, time.Duration, error) {
 	r := f.regionFor(addr)
 	if r == nil {
 		return now, now, ErrNotRegistered
@@ -125,22 +132,32 @@ func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (ti
 	if _, ok := r.pages[align(addr)]; ok {
 		return now, now, ErrAlreadyMapped
 	}
-	r.pages[align(addr)] = &refPage{state: PagePresent, data: append([]byte(nil), data...), wp: wp}
+	r.pages[align(addr)] = &refPage{state: PagePresent, data: append([]byte(nil), data...), wp: wp, shared: !owned}
+	if dup {
+		f.copies++
+	}
 	copied := now + f.params.Copy.Sample(f.rng)
 	if !wp {
-		f.copies++
 		return copied, copied, nil
 	}
 	return copied, copied + f.params.WriteProtect.Sample(f.rng), nil
 }
 
 func (f *refFD) pageClean(addr uint64) bool {
-	r := f.regionFor(addr)
-	if r == nil {
-		return false
+	p := f.page(addr)
+	return p != nil && p.state == PagePresent && p.wp
+}
+
+func (f *refFD) pageShared(addr uint64) bool {
+	p := f.page(addr)
+	return p != nil && p.state == PagePresent && p.shared
+}
+
+func (f *refFD) page(addr uint64) *refPage {
+	if r := f.regionFor(addr); r != nil {
+		return r.pages[align(addr)]
 	}
-	p, ok := r.pages[align(addr)]
-	return ok && p.state == PagePresent && p.wp
+	return nil
 }
 
 func (f *refFD) remap(now time.Duration, addr uint64, interleaved bool) ([]byte, time.Duration, error) {
@@ -152,13 +169,7 @@ func (f *refFD) remap(now time.Duration, addr uint64, interleaved bool) ([]byte,
 	if !ok {
 		return nil, now, ErrNotMapped
 	}
-	data := p.data
-	if p.state == PageZeroCOW {
-		data = make([]byte, PageSize)
-	}
-	if p.wp {
-		f.copies++ // Remap hands out a copy of a buffer the descriptor does not own
-	}
+	data := p.data // nil for the zero page
 	delete(r.pages, align(addr))
 	model := f.params.Remap
 	if interleaved {
@@ -192,12 +203,12 @@ func (f *refFD) waiting(addr uint64) bool {
 }
 
 // ownedFrames counts the present pages whose frame the descriptor should own:
-// every private page but a write-protected one, which shares its buffer.
+// every private page but a shared one.
 func (f *refFD) ownedFrames() int {
 	n := 0
 	for _, r := range f.regions {
 		for _, p := range r.pages {
-			if p.state == PagePresent && !p.wp {
+			if p.state == PagePresent && !p.shared {
 				n++
 			}
 		}
@@ -218,8 +229,8 @@ func sameErr(got, want error) bool {
 // descriptor and the map-backed reference: every returned time, buffer, flag
 // and error class must agree, as must every page's state, each region's
 // MappedPages, the blocked-vCPU set, the event queue, the owned-frame count
-// and the host copy count. Every buffer a CopyWP install shared must keep
-// its bytes whatever the guest writes.
+// and the host copy count. Every buffer an Install shared must keep its
+// bytes whatever the guest writes.
 func TestPageTableMatchesMapModel(t *testing.T) {
 	const pages = 24
 	bases := [3]uint64{0x100000, 0x400000, 0x400000 + pages*PageSize} // the last two adjacent
@@ -278,26 +289,32 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 					}
 				case op < 11:
 					done, err := f.Copy(now, addr, filled(byte(step)))
-					wdone, _, werr := ref.copyIn(now, addr, filled(byte(step)), false)
+					wdone, _, werr := ref.copyIn(now, addr, filled(byte(step)), true, false, true)
 					if !sameErr(err, werr) || done != wdone {
 						fail("Copy = (%v, %v), model (%v, %v)", done, err, wdone, werr)
 					}
 				case op < 13:
 					buf := filled(byte(step))
-					copied, done, err := f.CopyWP(now, addr, buf)
-					wcopied, wdone, werr := ref.copyIn(now, addr, filled(byte(step)), true)
+					owned, wp := pick.Intn(2) == 0, pick.Intn(2) == 0
+					copied, done, err := f.Install(now, addr, buf, owned, wp)
+					wcopied, wdone, werr := ref.copyIn(now, addr, filled(byte(step)), owned, wp, false)
 					if !sameErr(err, werr) || copied != wcopied || done != wdone {
-						fail("CopyWP = (%v, %v, %v), model (%v, %v, %v)", copied, done, err, wcopied, wdone, werr)
+						fail("Install(owned %v, wp %v) = (%v, %v, %v), model (%v, %v, %v)", owned, wp, copied, done, err, wcopied, wdone, werr)
 					}
-					shared = append(shared, sharedBuf{buf, byte(step)})
+					if !owned {
+						shared = append(shared, sharedBuf{buf, byte(step)})
+					}
 				case op < 16:
 					interleaved := pick.Intn(2) == 0
+					owned := !f.PageShared(addr)
 					data, done, err := f.Remap(now, addr, interleaved)
 					wdata, wdone, werr := ref.remap(now, addr, interleaved)
-					if !sameErr(err, werr) || done != wdone || !bytes.Equal(data, wdata) {
+					if !sameErr(err, werr) || done != wdone || !bytes.Equal(data, wdata) || (data == nil) != (wdata == nil) {
 						fail("Remap = (%d bytes, %v, %v), model (%d bytes, %v, %v)", len(data), done, err, len(wdata), wdone, werr)
 					}
-					f.Recycle(data)
+					if owned {
+						f.Recycle(data)
+					}
 				case op < 17:
 					if got, want := f.Drop(addr), ref.drop(addr); got != want {
 						fail("Drop = %v, model %v", got, want)
@@ -315,6 +332,9 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 				}
 				if got, want := f.PageClean(addr), ref.pageClean(addr); got != want {
 					fail("PageClean = %v, model %v", got, want)
+				}
+				if got, want := f.PageShared(addr), ref.pageShared(addr); got != want {
+					fail("PageShared = %v, model %v", got, want)
 				}
 				if got, want := f.Waiting(addr), ref.waiting(addr); got != want {
 					fail("Waiting = %v, model %v", got, want)
@@ -360,7 +380,7 @@ func TestPageTableMatchesMapModel(t *testing.T) {
 			}
 			for i, sb := range shared {
 				if !bytes.Equal(sb.buf, filled(sb.want)) {
-					t.Fatalf("the buffer of CopyWP install %d was written through its page", i)
+					t.Fatalf("the buffer of shared install %d was written through its page", i)
 				}
 			}
 		})

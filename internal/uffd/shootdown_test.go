@@ -17,7 +17,7 @@ func (l *shootLog) Shootdown(addr uint64) { l.addrs = append(l.addrs, addr) }
 // and checks, after every operation, the shootdowns each attached TLB saw:
 // Remap, RemapDrop and Drop of a mapped page shoot that page down exactly
 // once in its process's TLB, Unregister shoots down each page the region
-// still mapped, and ZeroPage, Copy, CopyWP, an access (fault, COW break or
+// still mapped, and ZeroPage, Copy, Install, an access (fault, COW break or
 // write-protect fault included) and Wake shoot down nothing. Process 1 has a
 // region registered before its TLB was attached and one registered after (a
 // hotplugged slot); process 2 has its own TLB; process 3 has none.
@@ -64,8 +64,8 @@ func TestShootdownOnEveryUnmap(t *testing.T) {
 			op = "Copy"
 			_, _ = f.Copy(tick(), addr, buf)
 		case 2:
-			op = "CopyWP"
-			_, _, _ = f.CopyWP(tick(), addr, buf)
+			op = "Install"
+			_, _, _ = f.Install(tick(), addr, buf, false, rng.Intn(2) == 0)
 		case 3, 4:
 			op = "Access"
 			write := rng.Intn(2) == 0
@@ -81,7 +81,8 @@ func TestShootdownOnEveryUnmap(t *testing.T) {
 			}
 		case 5:
 			op = "Remap"
-			if data, _, err := f.Remap(tick(), addr, rng.Intn(2) == 0); err == nil {
+			owned := !f.PageShared(addr)
+			if data, _, err := f.Remap(tick(), addr, rng.Intn(2) == 0); err == nil && owned {
 				f.Recycle(data)
 			}
 			if mapped {
@@ -121,7 +122,7 @@ func TestShootdownOnEveryUnmap(t *testing.T) {
 		}
 		// An install counts only on a missing page, anything else only on
 		// a mapped one: where it changes a mapping.
-		installs := op == "ZeroPage" || op == "Copy" || op == "CopyWP"
+		installs := op == "ZeroPage" || op == "Copy" || op == "Install"
 		if mapped != installs || op == "Unregister" {
 			exercised[op]++
 		}
@@ -133,7 +134,7 @@ func TestShootdownOnEveryUnmap(t *testing.T) {
 			log.addrs = nil
 		}
 	}
-	for _, op := range []string{"ZeroPage", "Copy", "CopyWP", "Access", "COWBreak", "WPFault", "Remap", "RemapDrop", "Drop", "Unregister"} {
+	for _, op := range []string{"ZeroPage", "Copy", "Install", "Access", "COWBreak", "WPFault", "Remap", "RemapDrop", "Drop", "Unregister"} {
 		if exercised[op] == 0 {
 			t.Errorf("%s never changed a mapping", op)
 		}

@@ -32,6 +32,13 @@ var (
 	ErrNotMapped = errors.New("uffd: page not mapped")
 )
 
+// MaxRegionPages bounds one registered region: a page-table entry names a
+// present page's frame in 32-pteFrameShift bits, so a region larger than
+// that could map frames the descriptor has no slot number for. It also
+// bounds what Register allocates up front, four bytes a page (512 MiB for a
+// 512 GiB region), so an absurd size is refused instead of attempted.
+const MaxRegionPages = 1 << (32 - pteFrameShift)
+
 // PageState describes one page in a registered region.
 type PageState int
 
@@ -109,19 +116,28 @@ type Event struct {
 }
 
 // Page-table entry layout: the PageState in the low two bits (zero meaning no
-// mapping, PageMissing), two flags, and from pteFrameShift up the slot of a
+// mapping, PageMissing), three flags, and from pteFrameShift up the slot of a
 // present page's frame in FD.frames (zero for none).
+//
+// The two page flags are independent. pteWP is the guest-visible one: it
+// decides whether the first write takes (and is charged) a WP fault. pteShared
+// is host bookkeeping only: it decides whether that write must first copy the
+// frame, and whether the frame is the descriptor's to pool. A store-backed
+// install sets pteShared, and pteWP only in write-protect mode.
 const (
 	pteState = 0x3
-	// pteWP marks the page write-protected: CopyWP installed it from a
-	// durable store copy and it has not been written since. Its frame is
-	// shared — the caller's buffer itself, which the descriptor does not own
-	// and never pools. The first write clears the bit via a kernel-internal
-	// WP fault, which gives the page a private copy.
+	// pteWP marks the page write-protected (UFFDIO_COPY_MODE_WP): installed
+	// from a durable store copy and not written since. The first write
+	// clears it through a kernel-internal WP fault.
 	pteWP = 1 << 2
 	// pteWaiting marks a faulted page whose vCPU is blocked until Wake.
-	pteWaiting    = 1 << 3
-	pteFrameShift = 4
+	pteWaiting = 1 << 3
+	// pteShared marks a frame the descriptor does not own: the buffer an
+	// Install was handed without ownership (a store read's), mapped as
+	// itself. It never enters the pool; the first write gives the page a
+	// private copy and clears the bit.
+	pteShared     = 1 << 4
+	pteFrameShift = 5
 )
 
 // TLB is a process's translation cache (the guest VM's), shot down by page.
@@ -171,15 +187,15 @@ func (r *Region) MappedPages() int { return r.mapped }
 // FD is the simulated userfaultfd descriptor: the monitor process polls it
 // for fault events and resolves them with page operations.
 //
-// The descriptor recycles page frames through a freelist so the steady-state
-// fault pipeline (install via Copy/ZeroPage, evict via Remap, hand the frame
-// back via Recycle) runs without heap allocation. A frame returned by Remap
-// is owned by the caller until it is passed to Recycle or handed to a new
-// owner (a store's MultiPut keeps it and gives another buffer back, which
-// comes here in its place); Unregister recycles the frames of a dead VM.
-// A write-protected page's shared buffer is the one exception: it belongs to
-// whoever passed it to CopyWP, so it never enters the pool and never leaves
-// the descriptor — Remap hands out a copy, RemapDrop and Drop forget it.
+// The descriptor moves page frames, it does not copy them. Install maps the
+// buffer it is given: one the caller owned becomes the descriptor's frame, and
+// one it did not (a store read's) is mapped shared until the guest's first
+// write copies it into a pooled frame. Remap hands the frame out as itself —
+// an owned frame becomes the caller's, a shared buffer stays the store's
+// (PageShared tells which, asked before the Remap) — and a zero-COW page as
+// nil, without building a frame. The pool (GetFrame, Recycle) keeps the
+// steady-state fault pipeline free of heap allocation; Unregister, Drop and
+// RemapDrop pool the owned frames they unmap and forget the shared ones.
 type FD struct {
 	params  Params
 	rng     *clock.Rand
@@ -222,13 +238,9 @@ func New(params Params, seed uint64) *FD {
 	}
 }
 
-// install maps frame at pte and returns it: a frame the descriptor owns, or
-// with wp a caller's buffer, write-protected and shared.
-func (f *FD) install(pte *uint32, frame []byte, wp bool) []byte {
-	flags := uint32(PagePresent)
-	if wp {
-		flags |= pteWP
-	}
+// mapFrame maps frame at pte with flags and returns it.
+func (f *FD) mapFrame(pte *uint32, frame []byte, flags uint32) []byte {
+	flags |= uint32(PagePresent)
 	slot := uint32(len(f.frames))
 	if n := len(f.freeSlots); n > 0 {
 		slot = f.freeSlots[n-1]
@@ -249,9 +261,13 @@ func (f *FD) copyPage(src []byte) []byte {
 	return frame
 }
 
-// zeroFrame returns a pooled frame filled with zeroes: what a zero-COW page
-// becomes when it is written or moved out.
-func (f *FD) zeroFrame() []byte {
+// PrivateCopy returns a pooled frame holding buf's bytes, zeroes for a nil
+// buf (the zero page Remap reports): how a caller that must own a page gets
+// one from a shared buffer. Copying a non-nil buf counts in PageCopies.
+func (f *FD) PrivateCopy(buf []byte) []byte {
+	if buf != nil {
+		return f.copyPage(buf)
+	}
 	frame := f.GetFrame()
 	clear(frame)
 	return frame
@@ -263,7 +279,7 @@ func (f *FD) zeroFrame() []byte {
 // away. The waiting bit is not part of the mapping and survives.
 func (f *FD) unmap(region *Region, addr uint64) (frame []byte, owned bool) {
 	pte := region.pte(addr)
-	slot, wp := *pte>>pteFrameShift, *pte&pteWP != 0
+	slot, shared := *pte>>pteFrameShift, *pte&pteShared != 0
 	*pte &= pteWaiting
 	region.mapped--
 	if region.tlb != nil {
@@ -275,7 +291,7 @@ func (f *FD) unmap(region *Region, addr uint64) (frame []byte, owned bool) {
 	frame = f.frames[slot]
 	f.frames[slot] = nil
 	f.freeSlots = append(f.freeSlots, slot)
-	return frame, !wp
+	return frame, !shared
 }
 
 // GetFrame pops a recycled PageSize buffer or allocates a fresh one. The
@@ -294,7 +310,7 @@ func (f *FD) GetFrame() []byte {
 // Recycle returns a frame to the descriptor's pool. Only full-size frames
 // whose ownership the caller holds may be recycled: buffers returned by a
 // key-value store read must never be passed here (the store retains them,
-// and a CopyWP install may map one). Short or oversized buffers are ignored.
+// and a shared install may map one). Short or oversized buffers are ignored.
 func (f *FD) Recycle(buf []byte) {
 	if len(buf) != PageSize {
 		return
@@ -304,13 +320,12 @@ func (f *FD) Recycle(buf []byte) {
 
 // FrameCounts reports the frames present pages map and the frames pooled for
 // reuse: the descriptor's share of the page buffers in the system (test hook).
-// Shared buffers that write-protected pages map are not the descriptor's and
-// are not counted.
+// Shared buffers are not the descriptor's and are not counted.
 func (f *FD) FrameCounts() (mapped, pooled int) {
 	mapped = len(f.frames) - 1 - len(f.freeSlots)
 	for _, r := range f.regions {
 		for _, pte := range r.ptes {
-			if pte&pteWP != 0 {
+			if pte&pteShared != 0 {
 				mapped--
 			}
 		}
@@ -320,9 +335,9 @@ func (f *FD) FrameCounts() (mapped, pooled int) {
 
 // PageCopies reports the PageSize host copies of page contents the
 // descriptor has made since creation (test hook): one per Copy, per first
-// write to a shared page, and per Remap of a shared page. A zero-COW page's
-// COW break and Remap fill a frame with zeroes and copy nothing. It is host
-// work only — no virtual time, no sample, no Stats field depends on it.
+// write to a shared page, and per PrivateCopy of a buffer. A zero-COW page's
+// COW break fills a frame with zeroes and copies nothing. It is host work
+// only — no virtual time, no sample, no Stats field depends on it.
 func (f *FD) PageCopies() uint64 { return f.pageCopies }
 
 // pushEvent appends a fault event to the ring, growing it only when full.
@@ -363,11 +378,15 @@ func (f *FD) SetTracer(tr *trace.Tracer, workers int) {
 
 // Register adds [start, start+length) as a fault-handled region for pid,
 // mirroring the userfaultfd registration QEMU performs when FluidMem wraps
-// its guest memory allocation (§IV). Regions must be page-aligned and must
-// not overlap existing registrations.
+// its guest memory allocation (§IV). Regions must be page-aligned, at most
+// MaxRegionPages long, and must not overlap existing registrations; a refused
+// region allocates nothing.
 func (f *FD) Register(start, length uint64, pid int) (*Region, error) {
 	if start%PageSize != 0 || length%PageSize != 0 || length == 0 || start+length < start {
 		return nil, fmt.Errorf("uffd: region [%#x,+%#x) is not page-aligned, or empty, or wraps past 2^64", start, length)
+	}
+	if length/PageSize > MaxRegionPages {
+		return nil, fmt.Errorf("uffd: region [%#x,+%#x) is %d pages, more than the %d one region may map", start, length, length/PageSize, MaxRegionPages)
 	}
 	for _, r := range f.regions {
 		if start < r.End() && r.Start < start+length {
@@ -452,19 +471,24 @@ func (f *FD) Access(now time.Duration, addr uint64, write bool) (data []byte, ev
 			return zeroPage, now, true, nil
 		}
 		// COW break: private zero-filled frame, no monitor round trip.
-		return f.install(pte, f.zeroFrame(), false), now + f.params.COWBreak.Sample(f.rng), true, nil
+		return f.mapFrame(pte, f.PrivateCopy(nil), 0), now + f.params.COWBreak.Sample(f.rng), true, nil
 	default: // PagePresent
 		slot := *pte >> pteFrameShift
-		if write && *pte&pteWP != 0 {
-			// Write-protect fault: clear the protection and charge the
-			// kernel-internal fix-up before the write retries. The page is
-			// dirty from here on, so it stops sharing the caller's buffer:
-			// the write lands in a private copy (host work, no extra
-			// virtual time).
-			*pte &^= pteWP
-			f.frames[slot] = f.copyPage(f.frames[slot])
-			f.wpFaults++
-			return f.frames[slot], now + f.params.WPFault.Sample(f.rng), true, nil
+		if write && *pte&(pteWP|pteShared) != 0 {
+			// A write-protected page takes the write-protect fault: the
+			// protection clears and the kernel-internal fix-up is charged
+			// before the write retries. A shared page stops sharing: the
+			// write lands in a private copy (host work, no virtual time).
+			done := now
+			if *pte&pteWP != 0 {
+				f.wpFaults++
+				done += f.params.WPFault.Sample(f.rng)
+			}
+			if *pte&pteShared != 0 {
+				f.frames[slot] = f.copyPage(f.frames[slot])
+			}
+			*pte &^= pteWP | pteShared
+			return f.frames[slot], done, true, nil
 		}
 		return f.frames[slot], now, true, nil
 	}
@@ -508,31 +532,31 @@ func (f *FD) ZeroPage(now time.Duration, addr uint64) (time.Duration, error) {
 }
 
 // Copy resolves a fault by allocating a frame at addr and copying data into
-// it (UFFDIO_COPY), used when the page's contents live in the key-value
-// store. The caller keeps data.
+// it (UFFDIO_COPY), for a caller that keeps data: Install of a private copy.
 func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, error) {
-	done, _, err := f.copyIn(now, addr, data, false)
-	return done, err
+	copied, _, err := f.install(now, addr, data, true, false, true)
+	return copied, err
 }
 
-// CopyWP is Copy in write-protect mode (UFFDIO_COPY_MODE_WP): the page is
-// installed read-only, so a later eviction can tell a still-clean page (drop,
-// no store write) from a dirtied one. The monitor uses it for a page whose
-// contents the store durably holds. It costs Copy's sample and then
-// WriteProtect's, and emits their two events: copied is when the install is
-// done, protected when the protection is.
+// Install resolves a fault by mapping data at addr (UFFDIO_COPY, with wp
+// UFFDIO_COPY_MODE_WP), copying nothing. It costs Copy's sample, and with wp
+// then WriteProtect's, and emits their events: copied is when the install is
+// done, done when the protection is (copied without wp).
 //
-// Nothing is copied: the page maps data itself, shared, until its first
-// write copies it into a private frame. The caller must therefore keep data's
-// bytes unchanged, and the buffer out of reuse, until the page has left the
-// VM — a store read's buffer qualifies, because the monitor writes or deletes
-// a key only after its page has left (kvstore.Store's read contract).
-func (f *FD) CopyWP(now time.Duration, addr uint64, data []byte) (copied, protected time.Duration, err error) {
-	return f.copyIn(now, addr, data, true)
+// With owned the caller hands data over and it becomes the page's frame,
+// the descriptor's to pool. Without it data is mapped shared until the
+// page's first write copies it into a private frame, so the caller must keep
+// data's bytes unchanged, and the buffer out of reuse, until the page has
+// left the VM — a store read's buffer qualifies, because the monitor writes
+// or deletes a key only after its page has left (kvstore.Store's read
+// contract). wp write-protects the page, so a later eviction can tell a
+// still-clean page (drop, no store write) from a dirtied one.
+func (f *FD) Install(now time.Duration, addr uint64, data []byte, owned, wp bool) (copied, done time.Duration, err error) {
+	return f.install(now, addr, data, owned, wp, false)
 }
 
-// copyIn is Copy, and with wp CopyWP.
-func (f *FD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (copied, protected time.Duration, err error) {
+// install is Install, mapping a private copy of data with dup.
+func (f *FD) install(now time.Duration, addr uint64, data []byte, owned, wp, dup bool) (copied, done time.Duration, err error) {
 	region := f.regionFor(addr)
 	if region == nil {
 		return now, now, fmt.Errorf("%w: %#x", ErrNotRegistered, addr)
@@ -545,11 +569,17 @@ func (f *FD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (copie
 	if *pte&pteState != 0 {
 		return now, now, fmt.Errorf("%w: %#x", ErrAlreadyMapped, aligned)
 	}
-	frame := data
-	if !wp {
-		frame = f.copyPage(data)
+	if dup {
+		data = f.copyPage(data)
 	}
-	f.install(pte, frame, wp)
+	var flags uint32
+	if !owned {
+		flags |= pteShared
+	}
+	if wp {
+		flags |= pteWP
+	}
+	f.mapFrame(pte, data, flags)
 	region.mapped++
 	copied = now + f.params.Copy.Sample(f.rng)
 	if f.tr != nil {
@@ -558,24 +588,29 @@ func (f *FD) copyIn(now time.Duration, addr uint64, data []byte, wp bool) (copie
 	if !wp {
 		return copied, copied, nil
 	}
-	protected = copied + f.params.WriteProtect.Sample(f.rng)
+	done = copied + f.params.WriteProtect.Sample(f.rng)
 	if f.tr != nil {
-		f.tr.Emit(trace.EvUffdWP, WorkerOf(aligned, f.trWorkers), aligned, copied, protected-copied, "")
+		f.tr.Emit(trace.EvUffdWP, WorkerOf(aligned, f.trWorkers), aligned, copied, done-copied, "")
 	}
-	return copied, protected, nil
+	return copied, done, nil
 }
 
 // PageClean reports whether the page at addr is present, write-protected,
 // and unwritten since protection — i.e. its store copy is still current and
 // eviction may drop it without a write. Missing and zero-COW pages report
 // false (a zero-COW page has no store copy; zero-page elision covers it).
-func (f *FD) PageClean(addr uint64) bool {
+func (f *FD) PageClean(addr uint64) bool { return f.pteHas(addr, pteWP) }
+
+// PageShared reports whether the page at addr maps a buffer the descriptor
+// does not own — one Install was handed without ownership and the guest has
+// not written since — which Remap will therefore hand out as the same,
+// still not-owned buffer.
+func (f *FD) PageShared(addr uint64) bool { return f.pteHas(addr, pteShared) }
+
+// pteHas reports whether addr is a present page with flag set.
+func (f *FD) pteHas(addr uint64, flag uint32) bool {
 	region := f.regionFor(addr)
-	if region == nil {
-		return false
-	}
-	const clean = uint32(PagePresent) | pteWP
-	return *region.pte(addr)&(pteState|pteWP) == clean
+	return region != nil && *region.pte(addr)&(pteState|flag) == uint32(PagePresent)|flag
 }
 
 // WPFaults reports write-protect faults taken since creation.
@@ -587,9 +622,10 @@ func (f *FD) WPFaults() uint64 { return f.wpFaults }
 // selects the cheaper cost observed when the vCPU is already suspended
 // (§V-B asynchronous reads).
 //
-// The returned buffer is the caller's: the evicted frame itself — zero-copy
-// semantics — or, for a page that maps the zero page or a shared buffer, a
-// pooled frame holding a copy.
+// The returned buffer is the evicted frame itself — zero-copy semantics. It
+// is the caller's unless the page was shared (PageShared, asked before the
+// Remap): a shared buffer comes out as itself and stays its owner's. A
+// zero-COW page has no frame and comes out nil, meaning a page of zeroes.
 func (f *FD) Remap(now time.Duration, addr uint64, interleaved bool) ([]byte, time.Duration, error) {
 	return f.remap(now, addr, interleaved, true)
 }
@@ -616,15 +652,7 @@ func (f *FD) remap(now time.Duration, addr uint64, interleaved, keep bool) ([]by
 	}
 	var data []byte
 	if keep {
-		// Frame ownership moves to the caller; what the descriptor does not
-		// own moves out as a copy, and the zero page as a frame of zeroes.
-		var owned bool
-		switch data, owned = f.unmap(region, aligned); {
-		case data == nil:
-			data = f.zeroFrame()
-		case !owned:
-			data = f.copyPage(data)
-		}
+		data, _ = f.unmap(region, aligned)
 	} else {
 		f.drop(region, aligned)
 	}

@@ -3,6 +3,7 @@ package uffd
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,6 +43,23 @@ func TestRegisterValidation(t *testing.T) {
 	mb := -1
 	if _, err := f.Register(0x7f0000000000, uint64(mb)<<20, 1); err == nil {
 		t.Fatal("wrapping range accepted")
+	}
+	// One page past the maximum is refused before its page table exists, as
+	// is a hotplug of 2^62 bytes; the maximum itself is a valid size.
+	for _, pages := range []uint64{MaxRegionPages + 1, 1 << 50} {
+		if _, err := f.Register(0x1000, pages*PageSize, 1); err == nil {
+			t.Fatalf("a region of %d pages accepted", pages)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f.Register(0x1000, (MaxRegionPages+1)*PageSize, 1)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing an oversized region allocated %d bytes", grew)
+	}
+	if len(f.Regions()) != 0 {
+		t.Fatalf("refused registrations left %d regions", len(f.Regions()))
 	}
 }
 
@@ -221,15 +239,25 @@ func TestRemapEvictsZeroCopy(t *testing.T) {
 	}
 }
 
+// TestRemapZeroCOWMaterialisesZeroes: Remap reports an evicted zero-COW page
+// as nil, building no frame, and PrivateCopy materialises its zeroes in a
+// pooled frame, copying nothing.
 func TestRemapZeroCOWMaterialisesZeroes(t *testing.T) {
 	f, r := newFD(t)
 	f.ZeroPage(0, r.Start)
+	if f.PageShared(r.Start) {
+		t.Fatal("the zero page reported shared")
+	}
 	data, _, err := f.Remap(0, r.Start, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(data, make([]byte, PageSize)) {
-		t.Fatal("evicted zero-COW page not zero")
+	if data != nil {
+		t.Fatal("Remap built a frame for a zero-COW page")
+	}
+	f.Recycle(filled(0xFD))
+	if zeroes := f.PrivateCopy(data); !bytes.Equal(zeroes, make([]byte, PageSize)) || f.PageCopies() != 0 {
+		t.Fatalf("PrivateCopy of the zero page: zero %v after %d copies", bytes.Equal(zeroes, make([]byte, PageSize)), f.PageCopies())
 	}
 }
 
@@ -392,12 +420,12 @@ func TestWriteProtectTracksDirtiness(t *testing.T) {
 		t.Fatal("unprotected page reported clean")
 	}
 	f.Drop(addr)
-	copied, done, err := f.CopyWP(time.Microsecond, addr, filled(7))
+	copied, done, err := f.Install(time.Microsecond, addr, filled(7), false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied <= time.Microsecond || done <= copied {
-		t.Fatalf("CopyWP: copied at %v, protected at %v — a half cost nothing", copied, done)
+		t.Fatalf("write-protected Install: copied at %v, protected at %v — a half cost nothing", copied, done)
 	}
 	if !f.PageClean(addr) {
 		t.Fatal("protected page not clean")
@@ -455,16 +483,16 @@ func TestWriteProtectRejectsMissingAndZeroCOW(t *testing.T) {
 	if f.PageClean(0x100000) {
 		t.Fatal("missing page reported clean")
 	}
-	if _, _, err := f.CopyWP(0, 0x999999000, filled(1)); !errors.Is(err, ErrNotRegistered) {
+	if _, _, err := f.Install(0, 0x999999000, filled(1), false, true); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("unregistered: err = %v, want ErrNotRegistered", err)
 	}
-	if _, _, err := f.CopyWP(0, 0x100000, []byte("short")); err == nil {
+	if _, _, err := f.Install(0, 0x100000, []byte("short"), false, true); err == nil {
 		t.Fatal("short write-protected copy accepted")
 	}
 	if _, err := f.ZeroPage(0, 0x101000); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.CopyWP(0, 0x101000, filled(1)); !errors.Is(err, ErrAlreadyMapped) {
+	if _, _, err := f.Install(0, 0x101000, filled(1), false, true); !errors.Is(err, ErrAlreadyMapped) {
 		t.Fatalf("zero-COW page: err = %v, want ErrAlreadyMapped", err)
 	}
 	if f.PageClean(0x101000) {
@@ -478,7 +506,7 @@ func TestWriteProtectRejectsMissingAndZeroCOW(t *testing.T) {
 func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 	f, _ := newFD(t)
 	addr := uint64(0x102000)
-	if _, _, err := f.CopyWP(0, addr, filled(3)); err != nil {
+	if _, _, err := f.Install(0, addr, filled(3), false, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := f.Remap(0, addr, false); err != nil {
@@ -496,20 +524,22 @@ func TestWriteProtectClearedByRemapAndReinstall(t *testing.T) {
 	}
 }
 
-// TestCopyWPSharesUntilFirstWrite pins the shared-frame contract of a
-// write-protected install: the page maps the caller's buffer and nothing is
+// TestCopyWPSharesUntilFirstWrite pins the shared-frame contract of an
+// install without ownership: the page maps the caller's buffer and nothing is
 // copied; the guest's first write lands in a private copy, never in the
 // buffer, at the very samples (Copy, WriteProtect, WPFault, in that order)
-// the install and fault drew before sharing existed; a shared buffer never
-// reaches the pool — Remap hands out a copy, RemapDrop, Drop and Unregister
-// forget it — and FrameCounts counts only the frames the descriptor owns.
+// the write-protected install and fault drew before sharing existed, and
+// without the write-protect bit at no sample at all; a shared buffer never
+// reaches the pool — Remap hands it out as itself, still not owned, and
+// RemapDrop, Drop and Unregister forget it — and FrameCounts counts only the
+// frames the descriptor owns.
 func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 	f, r := newFD(t)
 	ref := clock.NewRand(1)
 	p := DefaultParams()
 	src := filled(0x5C)
 
-	copied, done, err := f.CopyWP(0, r.Start, src)
+	copied, done, err := f.Install(0, r.Start, src, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +550,8 @@ func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 		t.Fatalf("protected at %v, want %v", done, want)
 	}
 	data, _, _, _ := f.Access(done, r.Start, false)
-	if &data[0] != &src[0] {
-		t.Fatal("a write-protected install copied its buffer")
+	if &data[0] != &src[0] || !f.PageShared(r.Start) {
+		t.Fatal("a shared install copied its buffer")
 	}
 	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != 0 || f.PageCopies() != 0 {
 		t.Fatalf("after a shared install: %d mapped, %d pooled, %d copies; want 0, 0, 0", mapped, pooled, f.PageCopies())
@@ -543,26 +573,37 @@ func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 	if again, _, _, _ := f.Access(at, r.Start, false); again[8] != 0xEE {
 		t.Fatal("the write is not visible to the next read")
 	}
-	if mapped, _ := f.FrameCounts(); mapped != 1 || f.PageCopies() != 1 {
-		t.Fatalf("after the first write: %d mapped, %d copies; want 1 and 1", mapped, f.PageCopies())
+	if mapped, _ := f.FrameCounts(); mapped != 1 || f.PageCopies() != 1 || f.PageShared(r.Start) {
+		t.Fatalf("after the first write: %d mapped, %d copies, shared %v; want 1, 1, false", mapped, f.PageCopies(), f.PageShared(r.Start))
 	}
 
-	// Remap of a shared page: an owned copy, not the buffer.
+	// Shared without write protection: the first write copies, at no cost
+	// and with no WP fault.
 	addr := r.Start + PageSize
-	if _, _, err := f.CopyWP(0, addr, src); err != nil {
+	copied, done, err = f.Install(at, addr, src, false, false)
+	if want := at + p.Copy.Sample(ref); err != nil || copied != want || done != copied {
+		t.Fatalf("unprotected shared install: copied %v done %v err %v, want %v for both", copied, done, err, want)
+	}
+	if frame, at2, _, err := f.Access(done, addr, true); err != nil || at2 != done || &frame[0] == &src[0] || f.WPFaults() != 1 || f.PageCopies() != 2 {
+		t.Fatalf("first write to an unprotected shared page: at %v (want %v), shares %v, %d WP faults, %d copies; want 1 and 2",
+			at2, done, &frame[0] == &src[0], f.WPFaults(), f.PageCopies())
+	}
+
+	// Remap of a shared page: the buffer itself, still not owned, no copy.
+	addr = r.Start + 2*PageSize
+	if _, _, err := f.Install(0, addr, src, false, true); err != nil {
 		t.Fatal(err)
+	}
+	if !f.PageShared(addr) {
+		t.Fatal("an unwritten shared page not reported shared")
 	}
 	out, _, err := f.Remap(0, addr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &out[0] == &src[0] || !bytes.Equal(out, src) {
-		t.Fatal("Remap of a shared page did not hand out a copy of its bytes")
+	if &out[0] != &src[0] || f.PageCopies() != 2 {
+		t.Fatal("Remap of a shared page did not hand out the buffer itself")
 	}
-	for i := range out {
-		out[i] = 0xFD // the caller's to scribble on
-	}
-	f.Recycle(out)
 
 	// RemapDrop, Drop and Unregister forget shared buffers: the pool gains
 	// nothing from them, and no later frame is one of them.
@@ -575,8 +616,8 @@ func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 		},
 		func(addr uint64) { f.Drop(addr) },
 	} {
-		addr := r.Start + uint64(2+i)*PageSize
-		if _, _, err := f.CopyWP(0, addr, src); err != nil {
+		addr := r.Start + uint64(3+i)*PageSize
+		if _, _, err := f.Install(0, addr, src, false, i == 0); err != nil {
 			t.Fatal(err)
 		}
 		forget(addr)
@@ -584,16 +625,16 @@ func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 			t.Fatalf("forget %d left the page mapped", i)
 		}
 	}
-	for i := uint64(4); i < 8; i++ {
-		if _, _, err := f.CopyWP(0, r.Start+i*PageSize, src); err != nil {
+	for i := uint64(5); i < 9; i++ {
+		if _, _, err := f.Install(0, r.Start+i*PageSize, src, false, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	copies := f.PageCopies()
 	f.Unregister(r)
-	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != pooledBefore+1 {
-		// +1: the private frame of the first page, written above.
-		t.Fatalf("after teardown: %d mapped, %d pooled; want 0 and %d", mapped, pooled, pooledBefore+1)
+	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != pooledBefore+2 {
+		// +2: the private frames of the two pages written above.
+		t.Fatalf("after teardown: %d mapped, %d pooled; want 0 and %d", mapped, pooled, pooledBefore+2)
 	}
 	if f.PageCopies() != copies {
 		t.Fatal("forgetting shared pages copied them")
@@ -608,20 +649,45 @@ func TestCopyWPSharesUntilFirstWrite(t *testing.T) {
 	}
 }
 
-// TestCopyWPAllocatesNothing: a write-protected install and its clean drop,
-// and a write-protected install, its first write and the dirty eviction's
+// TestInstallAdoptsOwnedFrame: an owned install maps the caller's buffer as
+// the descriptor's frame, copying nothing, and Remap hands the same frame
+// back, the caller's again.
+func TestInstallAdoptsOwnedFrame(t *testing.T) {
+	f, r := newFD(t)
+	buf := filled(0x33)
+	if _, _, err := f.Install(0, r.Start, buf, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if mapped, _ := f.FrameCounts(); mapped != 1 || f.PageShared(r.Start) || f.PageCopies() != 0 {
+		t.Fatalf("owned install: %d mapped, shared %v, %d copies; want 1, false, 0", mapped, f.PageShared(r.Start), f.PageCopies())
+	}
+	frame, at, _, err := f.Access(0, r.Start, true)
+	if err != nil || at != 0 || &frame[0] != &buf[0] || f.PageCopies() != 0 {
+		t.Fatalf("write to an owned page: at %v err %v, adopted %v, %d copies", at, err, &frame[0] == &buf[0], f.PageCopies())
+	}
+	out, _, err := f.Remap(0, r.Start, false)
+	if err != nil || &out[0] != &buf[0] {
+		t.Fatalf("Remap of an owned page: err %v, same frame %v", err, err == nil && &out[0] == &buf[0])
+	}
+	if mapped, pooled := f.FrameCounts(); mapped != 0 || pooled != 0 {
+		t.Fatalf("after Remap: %d mapped, %d pooled; want 0, 0 (the frame is the caller's)", mapped, pooled)
+	}
+}
+
+// TestCopyWPAllocatesNothing: a write-protected shared install and its clean
+// drop, and a shared install, its first write and the dirty eviction's
 // recycle, run on pooled frames once the pool is warm.
 func TestCopyWPAllocatesNothing(t *testing.T) {
 	f, r := newFD(t)
 	src := filled(1)
 	cycle := func() {
-		if _, _, err := f.CopyWP(0, r.Start, src); err != nil {
+		if _, _, err := f.Install(0, r.Start, src, false, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := f.RemapDrop(0, r.Start, true); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := f.CopyWP(0, r.Start, src); err != nil {
+		if _, _, err := f.Install(0, r.Start, src, false, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := f.Access(0, r.Start, true); err != nil {

@@ -120,11 +120,13 @@ func runFailover(tb testing.TB, l *closedLoop, n int) {
 }
 
 // TestPageCopiesPerRemoteRead pins how many 4 KiB host copies the descriptor
-// makes per remote read. On the cluster_failover recipe a store-backed
-// install shares the read buffer write-protected, so only the pages the
-// guest then writes are copied: about wp_faults/remote_reads, and at most
-// 0.15 (every install was a copy before, ≥ 1.0). pmbench_ramcloud drops no
-// clean page, so every install still copies.
+// makes per remote read. A store-backed install shares the read buffer and a
+// steal adopts its frame, so only the pages the guest then writes are copied.
+// On the cluster_failover recipe that is wp_faults/remote_reads, at most 0.15
+// (every install was a copy once, ≥ 1.0). pmbench_ramcloud drops no clean
+// page, but RAMCloud takes its own read buffer back, so a page evicted
+// unwritten is not copied either: at most 0.6 (1.010 while every install
+// copied).
 func TestPageCopiesPerRemoteRead(t *testing.T) {
 	measure := func(l *closedLoop, run func()) (copies, wp, reads float64) {
 		mon := l.m.Monitor()
@@ -144,8 +146,8 @@ func TestPageCopiesPerRemoteRead(t *testing.T) {
 	l = newClosedLoop(t, MachineConfig{Backend: BackendRAMCloud}, 50, 0, 1)
 	l.run(20000)
 	copies, _, reads = measure(l, func() { l.run(60000) })
-	if reads == 0 || copies/reads < 1 {
-		t.Errorf("pmbench_ramcloud: %.0f page copies over %.0f remote reads = %.3f per read, want ≥ 1", copies, reads, copies/reads)
+	if reads == 0 || copies/reads > 0.6 {
+		t.Errorf("pmbench_ramcloud: %.0f page copies over %.0f remote reads = %.3f per read, want ≤ 0.6", copies, reads, copies/reads)
 	}
 	t.Logf("pmbench_ramcloud: %.3f page copies per remote read", copies/reads)
 }
