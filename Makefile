@@ -219,10 +219,11 @@ openloop-oracle:
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
-# flat page map), the ghost-LRU working-set estimator, the swap subsystem (in
-# lockstep with a test-side copy of the map-and-container/list code it
-# replaced), the cluster pool's
-# rendezvous key-routing invariants, the replica-set core (replicated.Store
+# flat page map), the compressed tier (in lockstep with a test-side copy of
+# the map-and-FIFO-slice code it replaced), the ghost-LRU working-set
+# estimator, the swap subsystem (in lockstep with a test-side copy of the
+# map-and-container/list code it replaced), the cluster pool's rendezvous
+# key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), the open-loop arrival schedules' monotonicity, split/merge
 # invariance and equality with the reference-bisection schedule, and the
@@ -231,6 +232,7 @@ openloop-oracle:
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
+	$(GO) test ./internal/core/ -run FuzzTierMatchesParent -fuzz FuzzTierMatchesParent -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s
 	$(GO) test ./internal/swap/ -run FuzzSwapMatchesParent -fuzz FuzzSwapMatchesParent -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fluidmem/internal/clock"
+	"fluidmem/internal/ilist"
 	"fluidmem/internal/kvstore"
 )
 
@@ -61,29 +62,29 @@ type CompressStats struct {
 	RawBytes uint64
 }
 
-// compressedTier is the pool.
+// compressedTier is the pool: the page table's third view, beside lruList
+// and writeback. A pooled page's record is in state recPooled and holds the
+// compressed blob in its data field; pooled records form one FIFO, oldest
+// first, threaded through the table's queueLinks, which they can borrow
+// because a record is never queued and pooled at once. The FIFO order is the
+// overflow order, consistent with the monitor's LRU.
 type compressedTier struct {
 	params CompressParams
 	rng    *clock.Rand
-
-	entries map[kvstore.Key][]byte
-	order   []kvstore.Key // FIFO for overflow, consistent with the monitor's LRU
-	bytes   uint64
-
+	pages  *pageTable
+	pool   ilist.List
+	// stats.PoolBytes is the pool's byte count, kept live.
 	stats CompressStats
 }
 
-func newCompressedTier(p CompressParams, seed uint64) *compressedTier {
-	return &compressedTier{
-		params:  p,
-		rng:     clock.NewRand(seed),
-		entries: make(map[kvstore.Key][]byte),
-	}
+func newCompressedTier(pages *pageTable, p CompressParams, seed uint64) *compressedTier {
+	return &compressedTier{params: p, rng: clock.NewRand(seed), pages: pages}
 }
 
 // offer tries to park an evicted page. It returns accepted=false (and the
-// untouched page) when the page compresses poorly. Pool overflow is returned
-// as displaced raw pages for the caller to push to the store.
+// untouched page) when the page compresses poorly. A page already pooled is
+// replaced and moves to the back of the FIFO. Pool overflow is returned as
+// displaced raw pages for the caller to push to the store.
 func (c *compressedTier) offer(now time.Duration, key kvstore.Key, page []byte) (done time.Duration, accepted bool, displaced []displacedPage, err error) {
 	done = now + c.params.CompressCPU.Sample(c.rng)
 	compressed := compressPage(page)
@@ -91,53 +92,44 @@ func (c *compressedTier) offer(now time.Duration, key kvstore.Key, page []byte) 
 		c.stats.Rejected++
 		return done, false, nil, nil
 	}
-	if old, exists := c.entries[key]; exists {
-		c.bytes -= uint64(len(old))
-		c.stats.RawBytes -= PageSize
-		c.removeFromOrder(key)
+	if e, i, ok := c.pooled(key); ok {
+		c.unpool(e, i) // a re-offer goes to the back
 	}
-	c.entries[key] = compressed
-	c.order = append(c.order, key)
-	c.bytes += uint64(len(compressed))
+	i := c.pages.track(c.pages.byKey(key, true), uint64(key))
+	r := &c.pages.recs[i]
+	if r.state&recQueued != 0 {
+		panic("core: queued page offered to the compressed tier")
+	}
+	r.state |= recPooled
+	r.data = compressed
+	c.pool.PushBack(c.pages.queueLinks, i)
+	c.stats.PoolBytes += uint64(len(compressed))
 	c.stats.Stored++
 	c.stats.RawBytes += PageSize
 
 	// Overflow: displace oldest entries until within budget.
-	for c.bytes > c.params.PoolBytes && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		blob, ok := c.entries[victim]
-		if !ok {
-			continue
-		}
-		delete(c.entries, victim)
-		c.bytes -= uint64(len(blob))
-		c.stats.RawBytes -= PageSize
+	for c.stats.PoolBytes > c.params.PoolBytes {
+		i := c.pool.Head
+		victim := kvstore.Key(c.pages.recs[i].id)
+		raw, derr := decompressPage(c.unpool(c.pages.byKey(victim, false), i))
 		c.stats.Overflowed++
-		raw, derr := decompressPage(blob)
 		if derr != nil {
 			return done, false, nil, fmt.Errorf("core: corrupt pool entry %v: %w", victim, derr)
 		}
 		done += c.params.DecompressCPU.Sample(c.rng)
 		displaced = append(displaced, displacedPage{key: victim, data: raw})
 	}
-	c.stats.PoolBytes = c.bytes
 	return done, true, displaced, nil
 }
 
 // take resolves a refault from the pool, removing the entry.
 func (c *compressedTier) take(now time.Duration, key kvstore.Key) ([]byte, time.Duration, bool, error) {
-	blob, ok := c.entries[key]
+	e, i, ok := c.pooled(key)
 	if !ok {
 		return nil, now, false, nil
 	}
-	delete(c.entries, key)
-	c.removeFromOrder(key)
-	c.bytes -= uint64(len(blob))
-	c.stats.RawBytes -= PageSize
-	c.stats.PoolBytes = c.bytes
 	c.stats.Hits++
-	raw, err := decompressPage(blob)
+	raw, err := decompressPage(c.unpool(e, i))
 	if err != nil {
 		return nil, now, false, fmt.Errorf("core: corrupt pool entry %v: %w", key, err)
 	}
@@ -146,47 +138,51 @@ func (c *compressedTier) take(now time.Duration, key kvstore.Key) ([]byte, time.
 
 // drop discards a pooled page (balloon discard, VM teardown).
 func (c *compressedTier) drop(key kvstore.Key) {
-	if blob, ok := c.entries[key]; ok {
-		delete(c.entries, key)
-		c.removeFromOrder(key)
-		c.bytes -= uint64(len(blob))
-		c.stats.RawBytes -= PageSize
-		c.stats.PoolBytes = c.bytes
+	if e, i, ok := c.pooled(key); ok {
+		c.unpool(e, i)
 	}
 }
 
-// drainTo empties the pool into the writeback engine (migration export).
-func (c *compressedTier) drainTo(now time.Duration, wb *writeback) (time.Duration, error) {
-	for len(c.order) > 0 {
-		key := c.order[0]
-		c.order = c.order[1:]
-		blob, ok := c.entries[key]
-		if !ok {
-			continue
+// drainTo empties part's pooled pages, oldest first, into the writeback
+// engine (migration export). Other partitions' pages stay pooled.
+func (c *compressedTier) drainTo(now time.Duration, wb *writeback, part kvstore.PartitionID) (time.Duration, error) {
+	for i := c.pool.Head; i != 0; {
+		key, next := kvstore.Key(c.pages.recs[i].id), c.pages.queueLinks[i].Next
+		if key.Partition() == part {
+			raw, err := decompressPage(c.unpool(c.pages.byKey(key, false), i))
+			if err != nil {
+				return now, fmt.Errorf("core: corrupt pool entry %v: %w", key, err)
+			}
+			now += c.params.DecompressCPU.Sample(c.rng)
+			if now, err = wb.Enqueue(now, key, raw, true); err != nil {
+				return now, err
+			}
 		}
-		delete(c.entries, key)
-		c.bytes -= uint64(len(blob))
-		c.stats.RawBytes -= PageSize
-		raw, err := decompressPage(blob)
-		if err != nil {
-			return now, fmt.Errorf("core: corrupt pool entry %v: %w", key, err)
-		}
-		now += c.params.DecompressCPU.Sample(c.rng)
-		if now, err = wb.Enqueue(now, key, raw, true); err != nil {
-			return now, err
-		}
+		i = next
 	}
-	c.stats.PoolBytes = c.bytes
 	return now, nil
 }
 
-func (c *compressedTier) removeFromOrder(key kvstore.Key) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
+// pooled resolves key's entry and, if the page is pooled, its record.
+func (c *compressedTier) pooled(key kvstore.Key) (e *uint32, i uint32, ok bool) {
+	e = c.pages.byKey(key, false)
+	i = *e & entSlot
+	return e, i, c.pages.recs[i].state&recPooled != 0
+}
+
+// unpool takes pooled record i, which entry e points to, off the pool and
+// returns its blob. It is the one removal path: take, drop, overflow and
+// drain all end here.
+func (c *compressedTier) unpool(e *uint32, i uint32) []byte {
+	c.pool.Remove(c.pages.queueLinks, i)
+	r := &c.pages.recs[i]
+	blob := r.data
+	r.data = nil
+	r.state &^= recPooled
+	c.pages.release(e, i)
+	c.stats.PoolBytes -= uint64(len(blob))
+	c.stats.RawBytes -= PageSize
+	return blob
 }
 
 // displacedPage is a pool-overflow victim headed for the store.

@@ -318,3 +318,56 @@ func TestMigrationDrainsCompressedTier(t *testing.T) {
 		}
 	}
 }
+
+// TestExportKeepsOtherVMsPooledPages exports one of two VMs sharing a tiered
+// monitor: the export drains only its own pooled pages, so the other VM's
+// stay in the pool and its next fault is a pool hit, not a store read.
+func TestExportKeepsOtherVMsPooledPages(t *testing.T) {
+	const stay, leave = 4242, 4343
+	m := compressedMonitor(t, 4, 1<<20) // registers stay's range at testBase
+	otherBase := uint64(testBase + 1024*PageSize)
+	if _, err := m.RegisterRange(otherBase, 64*PageSize, leave); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	touch := func(a uint64, tag byte) {
+		t.Helper()
+		data, done, err := m.Touch(now, a, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		data[0] = tag
+	}
+	for i := 0; i < 8; i++ {
+		touch(addr(i), byte(i+1))
+	}
+	for i := 0; i < 8; i++ {
+		touch(otherBase+uint64(i)*PageSize, byte(i+101))
+	}
+	before, _ := m.CompressStats()
+	if before.Stored < 8 {
+		t.Fatalf("setup: %d pages pooled, want both VMs' evictions", before.Stored)
+	}
+	if _, now2, err := m.ExportVM(now, leave); err != nil {
+		t.Fatal(err)
+	} else {
+		now = now2
+	}
+	after, _ := m.CompressStats()
+	if after.PoolBytes == 0 || after.RawBytes != 8*PageSize {
+		t.Fatalf("export of pid %d left %d bytes (%d raw) pooled, want pid %d's 8 pages", leave, after.PoolBytes, after.RawBytes, stay)
+	}
+	gets := m.cfg.Store.Stats().Gets
+	data, _, err := m.Touch(now, addr(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[0] != 1 {
+		t.Fatalf("page 0 reads %#x, want 0x1", data[0])
+	}
+	hits, _ := m.CompressStats()
+	if hits.Hits != after.Hits+1 || m.cfg.Store.Stats().Gets != gets {
+		t.Fatalf("refault of pid %d: tier hits %d -> %d, store gets %d -> %d; want a pool hit", stay, after.Hits, hits.Hits, gets, m.cfg.Store.Stats().Gets)
+	}
+}

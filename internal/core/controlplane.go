@@ -56,20 +56,7 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 			continue
 		}
 		for addr := region.Start; addr < region.End(); addr += PageSize {
-			if m.lru.Remove(addr) {
-				m.fd.Drop(addr)
-			}
-			m.hot.Remove(addr)
-			if m.pages.seen(addr) {
-				m.pages.clearSeen(addr)
-				key := kvstore.MakeKey(addr, part)
-				if m.tier != nil {
-					m.tier.drop(key)
-				}
-				// Cancel pending engine state so a later flush cannot
-				// resurrect a deleted page in the store.
-				m.wb.DiscardQueued(key)
-				m.wb.DropZero(key)
+			if key, ok := m.forget(addr); ok {
 				var err error
 				if now, err = m.cfg.Store.Delete(now, key); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("core: delete page %#x: %w", addr, err)
@@ -88,6 +75,18 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 // Discard implements vm.Backing: a balloon-freed page loses its contents.
 func (m *Monitor) Discard(addr uint64) {
 	addr = addr &^ uint64(PageSize-1)
+	if key, ok := m.forget(addr); ok {
+		// Asynchronous tombstone; timing is off any critical path.
+		_, _ = m.cfg.Store.Delete(m.workerFree[m.workerOf(addr)], key)
+	}
+}
+
+// forget erases the page at addr from the monitor: its LRU entry and frame,
+// its ghost entry, its seen bit, and its queued write, zero mark and pooled
+// copy, so that none of them can resurrect the page later. A page with any
+// of the last three is always seen. ok reports a seen page of a registered
+// region, whose store copy under key the caller deletes.
+func (m *Monitor) forget(addr uint64) (key kvstore.Key, ok bool) {
 	if m.lru.Remove(addr) {
 		m.fd.Drop(addr)
 	}
@@ -95,24 +94,21 @@ func (m *Monitor) Discard(addr uint64) {
 	// later first touch of the same address would register as a re-reference
 	// and inflate the working-set estimate.
 	m.hot.Remove(addr)
+	if !m.pages.seen(addr) {
+		return 0, false
+	}
+	m.pages.clearSeen(addr)
 	region := m.pages.region(addr)
-	if m.pages.seen(addr) {
-		m.pages.clearSeen(addr)
-		if region != nil {
-			// Asynchronous tombstone; timing is off any critical path.
-			_, _ = m.cfg.Store.Delete(m.workerFree[m.workerOf(addr)], kvstore.MakeKey(addr, region.part))
-		}
+	if region == nil {
+		return 0, false
 	}
-	if region != nil {
-		key := kvstore.MakeKey(addr, region.part)
-		// A balloon-freed page's bytes must never reach the store:
-		// cancel any queued write and drop any zero mark or tier copy.
-		m.wb.DiscardQueued(key)
-		m.wb.DropZero(key)
-		if m.tier != nil {
-			m.tier.drop(key)
-		}
+	key = kvstore.MakeKey(addr, region.part)
+	m.wb.DiscardQueued(key)
+	m.wb.DropZero(key)
+	if m.tier != nil {
+		m.tier.drop(key)
 	}
+	return key, true
 }
 
 // Resize changes the LRU capacity at runtime (§III: "the local memory buffer

@@ -105,10 +105,11 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 		m.fd.Unregister(region)
 		m.pages.dropRegion(region.Start)
 	}
-	// Pages parked in the compressed tier must also reach the store: the
-	// destination hypervisor cannot see this machine's local pool.
+	// The VM's pages parked in the compressed tier must also reach the
+	// store: the destination hypervisor cannot see this machine's local pool.
+	// Other VMs' pooled pages stay.
 	if m.tier != nil {
-		if now, err = m.tier.drainTo(now, m.wb); err != nil {
+		if now, err = m.tier.drainTo(now, m.wb, part); err != nil {
 			return nil, now, fmt.Errorf("core: export compressed tier: %w", err)
 		}
 	}

@@ -94,8 +94,9 @@ type Monitor struct {
 	hot *hotset.Tracker
 
 	// pages is the per-page state of every registered region — seen and
-	// zero marks, LRU nodes, pending and in-flight writes — plus each
-	// region's owner and partition; lru and wb are views over it.
+	// zero marks, LRU nodes, pending and in-flight writes, pooled copies —
+	// plus each region's owner and partition; lru, wb and tier are views
+	// over it.
 	pages *pageTable
 	lru   *lruList
 	wb    *writeback
@@ -177,12 +178,8 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	if r, ok := cfg.Store.(kvstore.Reput); ok {
 		reput = r.Reput()
 	}
-	var tier *compressedTier
-	if cfg.Compress != nil {
-		if cfg.Compress.PoolBytes < PageSize {
-			return nil, fmt.Errorf("%w: compressed pool smaller than a page", ErrBadConfig)
-		}
-		tier = newCompressedTier(*cfg.Compress, cfg.Seed+0x7a7a)
+	if cfg.Compress != nil && cfg.Compress.PoolBytes < PageSize {
+		return nil, fmt.Errorf("%w: compressed pool smaller than a page", ErrBadConfig)
 	}
 	workers := max(cfg.Workers, 1) // 0 is the default: the serial monitor
 	fd := uffd.New(cfg.UFFD, cfg.Seed)
@@ -192,7 +189,6 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		storeLocal:   local,
 		storeReput:   reput,
 		resilient:    res,
-		tier:         tier,
 		cfg:          cfg,
 		fd:           fd,
 		rng:          clock.NewRand(cfg.Seed + 0x5151),
@@ -211,5 +207,8 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	// away, cancelled) the frame returns to the descriptor's pool: frames
 	// circulate VM → write list → pool → VM without touching the heap.
 	m.wb.setRecycle(fd.Recycle)
+	if cfg.Compress != nil {
+		m.tier = newCompressedTier(pages, *cfg.Compress, cfg.Seed+0x7a7a)
+	}
 	return m, nil
 }

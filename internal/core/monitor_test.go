@@ -436,9 +436,6 @@ func TestProfilerRecordsTableIOps(t *testing.T) {
 			t.Fatalf("op %s never recorded", op)
 		}
 	}
-	if table := m.Profiler().Table(); len(table) < 100 {
-		t.Fatalf("profiler table too short:\n%s", table)
-	}
 }
 
 func TestReadPageProfileNearTableI(t *testing.T) {

@@ -124,6 +124,9 @@ func runMonitorOracle(t *testing.T, cfg Config, steps, pages int, seed uint64) {
 		if got, limit := m.ResidentPages(), m.FootprintLimit(); got > limit {
 			t.Fatalf("step %d: resident %d > limit %d", step, got, limit)
 		}
+		if err := unseenPageFact(m); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		if prev := now; prev < 0 {
 			t.Fatalf("step %d: negative virtual time", step)
 		}

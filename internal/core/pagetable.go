@@ -18,10 +18,11 @@ import (
 //
 // A region spends one uint32 per guest page: two flag bits and the slab index
 // of the page's record, zero for the common page that has none. Records
-// (pageRec) exist only while a page is on the LRU list, on the write list, or
-// has a write in flight, so the slab is bounded by LRU capacity plus queued
-// plus in-flight pages, not by guest size. lruList and writeback are views
-// over the table: each owns its fields of the record and its ilist list.
+// (pageRec) exist only while a page is on the LRU list, on the write list,
+// has a write in flight, or is pooled in the compressed tier, so the slab is
+// bounded by LRU capacity plus queued, in-flight and pooled pages, not by
+// guest size. lruList, writeback and compressedTier are the table's three
+// views: each owns its fields of the record and its ilist list.
 //
 // Addresses outside every region — never produced by the data plane, but
 // neither view forces its caller to register first — and whatever state
@@ -32,7 +33,8 @@ type pageTable struct {
 	regions []*pageRegion
 	// recs is the record slab; index 0 is the nil record. lruLinks threads
 	// records onto the LRU list or, while unused, the free list (reused last
-	// in, first out); queueLinks threads them onto the write list.
+	// in, first out); queueLinks threads them onto the write list or the
+	// compressed tier's pool, never both.
 	recs       []pageRec
 	lruLinks   []ilist.Link
 	queueLinks []ilist.Link
@@ -67,19 +69,21 @@ const (
 	recLRU uint8 = 1 << iota
 	recQueued
 	recInflight
+	recPooled
 )
 
-// pageRec is the tracked-page record: the LRU node, the pending write and
-// the in-flight write of one page.
+// pageRec is the tracked-page record: the LRU node, the pending write, the
+// in-flight write and the pooled copy of one page.
 type pageRec struct {
 	// id is the page's store key (page address | partition), which finds the
 	// entry pointing here.
 	id uint64
 	// addr is the resident page's address.
 	addr uint64
-	// data is the evicted page awaiting its store write; shared marks it
-	// the store's own read buffer of the key, not the monitor's to pool
-	// (kept beside state, where it costs the record no padding).
+	// data is the evicted page awaiting its store write, or the compressed
+	// copy of a pooled page; shared marks a queued page the store's own read
+	// buffer of the key, not the monitor's to pool (kept beside state, where
+	// it costs the record no padding).
 	data []byte
 	// done is when the submitted write completes.
 	done   time.Duration

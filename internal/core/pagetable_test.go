@@ -2,13 +2,38 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
 )
+
+// TestPageRecordSize pins the record at 56 bytes: the three views share its
+// fields, so a new fact must find room in them, not grow every record.
+func TestPageRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(pageRec{}); got != 56 {
+		t.Fatalf("pageRec is %d bytes, want 56", got)
+	}
+}
+
+// unseenPageFact checks the invariant that lets Discard and UnregisterVM
+// release a page alike: a registered page with a queued write, a zero mark
+// or a pooled copy has been seen. It names the first page that breaks it.
+func unseenPageFact(m *Monitor) error {
+	for _, r := range m.pages.regions {
+		for p, e := range r.entries {
+			state := m.pages.recs[e&entSlot].state
+			if e&entSeen == 0 && (e&entZero != 0 || state&(recQueued|recPooled) != 0) {
+				return fmt.Errorf("page %#x is unseen with entry %#x, record state %#b", r.start+uint64(p)<<pageShift, e, state)
+			}
+		}
+	}
+	return nil
+}
 
 // TestRegionTableBytesPerPage pins what registering guest memory costs: the
 // descriptor's page table and the monitor's together must stay within 16

@@ -51,19 +51,22 @@ func (m *Monitor) gatherPrefetch(addr uint64, part kvstore.PartitionID) []prefet
 		if next-region.start >= region.length {
 			break
 		}
-		if !m.pages.seen(next) || m.lru.Contains(next) {
-			continue
-		}
-		c := prefetchCandidate{addr: next, key: kvstore.MakeKey(next, part)}
+		// One entry and its record hold every fact the choice needs. A page
+		// never seen has nothing to read, and a resident one needs nothing.
 		// A zero-elided page's store copy is stale (the zero bitmap is
 		// authoritative), and so is the store copy of a page parked in the
 		// compressed tier; prefetching either would install dead data. Skip
 		// it — its own demand fault resolves locally.
-		if m.wb.HasZero(c.key) || (m.tier != nil && m.tier.entries[c.key] != nil) {
+		e := region.entries[(next-region.start)>>pageShift]
+		state := m.pages.recs[e&entSlot].state
+		if e&entSeen == 0 || e&entZero != 0 || state&(recLRU|recPooled) != 0 {
 			continue
 		}
-		c.queued = m.cfg.AsyncWrite && m.wb.Queued(c.key)
-		cands = append(cands, c)
+		cands = append(cands, prefetchCandidate{
+			addr:   next,
+			key:    kvstore.MakeKey(next, part),
+			queued: m.cfg.AsyncWrite && state&recQueued != 0,
+		})
 	}
 	m.scratch.cands = cands
 	return cands

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"time"
-
-	"fluidmem/internal/stats"
 )
 
 // Op names match the paper's Table I code paths.
@@ -26,7 +22,7 @@ const (
 )
 
 // profOp indexes a code path in the profiler; the data plane records by
-// index, and the names above survive only in Table and Sample.
+// index, and the names above survive only in Sample.
 type profOp uint8
 
 // Table I's row order.
@@ -192,18 +188,4 @@ func (p *Profiler) Sample(name string) *OpProfile {
 		}
 	}
 	return nil
-}
-
-// Table renders the Table I layout: avg / stdev / p99 per code path.
-func (p *Profiler) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %8s %8s %8s %10s\n", "Code path", "Avg", "Stdev", "99th", "n")
-	for op, s := range p.ops {
-		if s == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "%-24s %8.2f %8.2f %8.2f %10d\n",
-			opNames[op], stats.Micros(s.Mean()), stats.Micros(s.Stdev()), stats.Micros(s.Percentile(99)), s.Len())
-	}
-	return b.String()
 }

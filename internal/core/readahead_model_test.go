@@ -105,6 +105,9 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 		if got, limit := m.ResidentPages(), m.FootprintLimit(); got > limit {
 			fail(i/2, "%d pages resident, limit %d", got, limit)
 		}
+		if err := unseenPageFact(m); err != nil {
+			fail(i/2, "%v", err)
+		}
 		after := frames()
 		if discarded {
 			after++ // the store delete frees at most the page's one buffer

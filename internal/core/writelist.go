@@ -170,6 +170,9 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte, own
 	}
 	i := w.pages.track(e, uint64(key))
 	r := &w.pages.recs[i]
+	if r.state&recPooled != 0 {
+		panic("core: pooled page queued for write-back")
+	}
 	if r.state&recQueued != 0 {
 		// Re-eviction of a page whose previous write never flushed: replace
 		// the data in place, keeping the original queue position. The
@@ -265,12 +268,6 @@ func (w *writeback) TakeZero(key kvstore.Key) bool {
 	w.zeros--
 	w.pages.settle(uint64(key), e)
 	return true
-}
-
-// HasZero reports zero-bitmap membership without consuming the mark (used by
-// prefetch to skip keys whose store copy is stale).
-func (w *writeback) HasZero(key kvstore.Key) bool {
-	return *w.pages.byKey(key, false)&entZero != 0
 }
 
 // DropZero discards a zero mark (page released entirely, e.g. Discard or VM

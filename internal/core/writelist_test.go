@@ -22,6 +22,11 @@ func testWriteback(store kvstore.Store, batchSize int) *writeback {
 	return newWriteback(newPageTable(), store, batchSize, 1, nil)
 }
 
+// HasZero reports zero-bitmap membership without consuming the mark.
+func (w *writeback) HasZero(key kvstore.Key) bool {
+	return *w.pages.byKey(key, false)&entZero != 0
+}
+
 // inflightOf lists the engine's submitted writes and their completion times.
 func inflightOf(w *writeback) map[kvstore.Key]time.Duration {
 	m := make(map[kvstore.Key]time.Duration, len(w.inflight))

@@ -100,47 +100,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 	return s.values[lo] + time.Duration(frac*float64(s.values[hi]-s.values[lo]))
 }
 
-// CDFPoint is one (latency, cumulative fraction) coordinate.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
-}
-
-// CDF returns up to points evenly spaced coordinates of the empirical CDF,
-// suitable for rendering Figure 3-style plots.
-func (s *Sample) CDF(points int) []CDFPoint {
-	s.sort()
-	n := len(s.values)
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := (i + 1) * n / points
-		if idx > n {
-			idx = n
-		}
-		out = append(out, CDFPoint{
-			Latency:  s.values[idx-1],
-			Fraction: float64(idx) / float64(n),
-		})
-	}
-	return out
-}
-
-// FractionBelow returns the fraction of observations strictly below d.
-func (s *Sample) FractionBelow(d time.Duration) float64 {
-	s.sort()
-	if len(s.values) == 0 {
-		return 0
-	}
-	idx := sort.Search(len(s.values), func(i int) bool { return s.values[i] >= d })
-	return float64(idx) / float64(len(s.values))
-}
-
 // Summary formats mean/stdev/p99 in microseconds, the unit the paper reports.
 func (s *Sample) Summary() string {
 	return fmt.Sprintf("avg=%.2fµs stdev=%.2fµs p99=%.2fµs n=%d",

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,9 +22,6 @@ func TestSampleEmpty(t *testing.T) {
 	}
 	if s.Percentile(50) != 0 {
 		t.Fatal("empty percentile should be 0")
-	}
-	if s.CDF(10) != nil {
-		t.Fatal("empty CDF should be nil")
 	}
 }
 
@@ -95,44 +91,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDFShape(t *testing.T) {
-	s := NewSample(100)
-	for i := 1; i <= 100; i++ {
-		s.Add(time.Duration(i) * time.Microsecond)
-	}
-	cdf := s.CDF(10)
-	if len(cdf) != 10 {
-		t.Fatalf("len(cdf) = %d, want 10", len(cdf))
-	}
-	if cdf[len(cdf)-1].Fraction != 1.0 {
-		t.Fatalf("last fraction = %v, want 1", cdf[len(cdf)-1].Fraction)
-	}
-	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].Latency < cdf[j].Latency }) {
-		t.Fatal("CDF latencies not monotone")
-	}
-}
-
-func TestCDFMoreRequestedThanSamples(t *testing.T) {
-	s := sampleOf(1, 2)
-	cdf := s.CDF(10)
-	if len(cdf) != 2 {
-		t.Fatalf("len = %d, want 2", len(cdf))
-	}
-}
-
-func TestFractionBelow(t *testing.T) {
-	s := sampleOf(1, 5, 10, 50, 100)
-	if got := s.FractionBelow(10 * time.Microsecond); got != 0.4 {
-		t.Fatalf("FractionBelow(10µs) = %v, want 0.4", got)
-	}
-	if got := s.FractionBelow(1000 * time.Microsecond); got != 1.0 {
-		t.Fatalf("FractionBelow(1ms) = %v, want 1", got)
-	}
-	if got := s.FractionBelow(0); got != 0 {
-		t.Fatalf("FractionBelow(0) = %v, want 0", got)
 	}
 }
 
