@@ -373,11 +373,12 @@ var commands = map[string]command{
 			fmt.Fprintf(c.w, " last-error=%q", h.LastError)
 		}
 		fmt.Fprintln(c.w)
-		if st.Resilience != nil {
-			rc := st.Resilience.Counters()
-			for _, name := range rc.Names() {
-				fmt.Fprintf(c.w, "  resilience.%s=%d\n", name, rc.Get(name))
-			}
+		if r := st.Resilience; r != nil {
+			fmt.Fprintf(c.w, "  resilience.ops=%d\n  resilience.retries=%d\n  resilience.failovers=%d\n  resilience.slow_ops=%d\n"+
+				"  resilience.deadline_exceeded=%d\n  resilience.degraded_entries=%d\n  resilience.degraded_exits=%d\n"+
+				"  resilience.stall_exhausted=%d\n  resilience.permanent_errors=%d\n  resilience.stall_us=%d\n  resilience.backoff_us=%d\n",
+				r.Ops, r.Retries, r.Failovers, r.SlowOps, r.DeadlineExceeded, r.DegradedEntries, r.DegradedExits,
+				r.StallExhausted, r.PermanentErrors, r.StallTime/time.Microsecond, r.BackoffTime/time.Microsecond)
 		}
 		if rep := c.rep; rep != nil {
 			rc := rep.Counters()

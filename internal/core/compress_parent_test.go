@@ -146,10 +146,18 @@ const (
 	tierOps
 )
 
-// tierPairKeys spreads the drivers' pages over two partitions: partition 1's
-// pages lie in a region of the view's table, partition 2's are out of every
-// region and live in its overflow map.
+// tierPairKeys is the page count of each of the drivers' two partitions;
+// each partition's pages are a region of their own, partition 1's at
+// testBase and partition 2's right above it.
 const tierPairKeys = 24
+
+// tierTable returns a page table with the drivers' two regions.
+func tierTable() *pageTable {
+	pages := newPageTable()
+	pages.addRegion(testBase, tierPairKeys*PageSize, 7, 1)
+	pages.addRegion(addr(tierPairKeys), tierPairKeys*PageSize, 8, 2)
+	return pages
+}
 
 // tierPair drives the page-table view and the parent tier side by side, each
 // with its own write-back engine over its own store for drains.
@@ -163,19 +171,20 @@ type tierPair struct {
 
 func newTierPair(poolBytes uint64, seed uint64) *tierPair {
 	p := DefaultCompressParams(poolBytes)
-	pages := newPageTable()
-	pages.addRegion(testBase, tierPairKeys*PageSize, 7, 1)
+	pages := tierTable()
 	return &tierPair{
 		view:   newCompressedTier(pages, p, seed),
 		viewWB: newWriteback(pages, dram.New(dram.DefaultParams(), 1), 1<<20, 1, nil),
 		parent: newParentTier(p, seed),
-		parWB:  newWriteback(newPageTable(), dram.New(dram.DefaultParams(), 1), 1<<20, 1, nil),
+		parWB:  newWriteback(tierTable(), dram.New(dram.DefaultParams(), 1), 1<<20, 1, nil),
 	}
 }
 
-// tierKey is page n's key: even pages in partition 1, odd in partition 2.
+// tierKey is page n's key: even pages in partition 1, odd in partition 2,
+// each partition's page n%tierPairKeys.
 func tierKey(n int) kvstore.Key {
-	return kvstore.MakeKey(addr(n%tierPairKeys), kvstore.PartitionID(1+n%2))
+	part := 1 + n%2
+	return kvstore.MakeKey(addr((part-1)*tierPairKeys+n%tierPairKeys), kvstore.PartitionID(part))
 }
 
 // tierPage builds a page of one of four densities: all zeroes, one byte,

@@ -104,7 +104,7 @@ func (m *Monitor) forget(addr uint64) (key kvstore.Key, ok bool) {
 	}
 	key = kvstore.MakeKey(addr, region.part)
 	m.wb.DiscardQueued(key)
-	m.wb.DropZero(key)
+	m.wb.TakeZero(key)
 	if m.tier != nil {
 		m.tier.drop(key)
 	}
@@ -231,16 +231,6 @@ func (m *Monitor) ResilienceStats() (resilience.Stats, bool) {
 		return resilience.Stats{}, false
 	}
 	return m.resilient.ResilienceStats(), true
-}
-
-// ResilienceCounters exports the policy layer's counters as a named set
-// (nil when the layer is disabled) — the surface fluidmemd and the chaos
-// harness render.
-func (m *Monitor) ResilienceCounters() *stats.Counters {
-	if m.resilient == nil {
-		return nil
-	}
-	return m.resilient.ResilienceStats().Counters()
 }
 
 // CompressStats reports the compressed tier's counters; ok is false when the

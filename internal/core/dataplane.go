@@ -397,11 +397,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		}
 		data = m.fd.GetFrame()
 		copy(data, mapped)
-		copyDone, err := copyOutCost(m, t)
-		if err != nil {
-			return t, err
-		}
-		t = copyDone
+		t += m.cfg.UFFD.Copy.Sample(m.rng)
 		m.fd.Drop(victim)
 		m.prof.Record(opUffdRemap, t-start)
 		m.tr.Emit(trace.EvEvict, m.workerOf(victim), victim, evictStart, t-evictStart, "copy")
@@ -505,12 +501,6 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		return done, fmt.Errorf("core: write %v: %w", key, err)
 	}
 	return done, nil
-}
-
-// copyOutCost charges a user-space page copy (ablation A3's replacement for
-// the zero-copy remap).
-func copyOutCost(m *Monitor, t time.Duration) (time.Duration, error) {
-	return t + m.cfg.UFFD.Copy.Sample(m.rng), nil
 }
 
 // install maps data at addr with UFFDIO_COPY, returning when the copy is

@@ -10,18 +10,26 @@ import (
 	"fluidmem/internal/kvstore/dram"
 )
 
-// newLRUList returns a list over a table with no regions.
-func newLRUList() *lruList { return newLRU(newPageTable()) }
+// newLRUList returns a list over a table with one region of 1<<16 pages at
+// address 0, so that pg(n) is the region's page n.
+func newLRUList() *lruList {
+	pages := newPageTable()
+	pages.addRegion(0, 1<<16*PageSize, 1, 1)
+	return newLRU(pages)
+}
+
+// pg returns the address of page n.
+func pg(n uint64) uint64 { return n * PageSize }
 
 func TestLRUInsertOldest(t *testing.T) {
 	l := newLRUList()
 	if _, ok := l.Oldest(); ok {
 		t.Fatal("empty list has an oldest entry")
 	}
-	l.Insert(10)
-	l.Insert(20)
-	l.Insert(30)
-	if got, _ := l.Oldest(); got != 10 {
+	l.Insert(pg(10))
+	l.Insert(pg(20))
+	l.Insert(pg(30))
+	if got, _ := l.Oldest(); got != pg(10) {
 		t.Fatalf("Oldest = %d", got)
 	}
 	if l.Len() != 3 {
@@ -31,15 +39,15 @@ func TestLRUInsertOldest(t *testing.T) {
 
 func TestLRURemove(t *testing.T) {
 	l := newLRUList()
-	l.Insert(1)
-	l.Insert(2)
-	if !l.Remove(1) {
+	l.Insert(pg(1))
+	l.Insert(pg(2))
+	if !l.Remove(pg(1)) {
 		t.Fatal("Remove(1) = false")
 	}
-	if l.Remove(1) {
+	if l.Remove(pg(1)) {
 		t.Fatal("double remove succeeded")
 	}
-	if got, _ := l.Oldest(); got != 2 {
+	if got, _ := l.Oldest(); got != pg(2) {
 		t.Fatalf("Oldest = %d", got)
 	}
 }
@@ -51,14 +59,29 @@ func TestLRUDoubleInsertPanics(t *testing.T) {
 		}
 	}()
 	l := newLRUList()
-	l.Insert(1)
-	l.Insert(1)
+	l.Insert(pg(1))
+	l.Insert(pg(1))
+}
+
+// TestLRUInsertOutsideRegionsPanics: a page outside every registered region
+// has no entry to hold its record.
+func TestLRUInsertOutsideRegionsPanics(t *testing.T) {
+	l := newLRUList()
+	if l.Contains(pg(1 << 16)) {
+		t.Fatal("a page outside every region is resident")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert outside every region did not panic")
+		}
+	}()
+	l.Insert(pg(1 << 16))
 }
 
 func TestLRUContains(t *testing.T) {
 	l := newLRUList()
-	l.Insert(7)
-	if !l.Contains(7) || l.Contains(8) {
+	l.Insert(pg(7))
+	if !l.Contains(pg(7)) || l.Contains(pg(8)) {
 		t.Fatal("Contains wrong")
 	}
 }
@@ -100,18 +123,15 @@ func (m *lruModel) Oldest() (uint64, bool) {
 
 // TestLRUMatchesFlatModelProperty drives random insert/remove/evict
 // sequences through the list and a map-based model: Oldest, Len, and
-// Contains must agree at every step. The list sits over a page table with a
-// region covering the middle half of the address range, so nodes found by
-// region index and nodes found through the overflow map are both held to the
-// model; and a write-back engine over the same table enqueues, steals and
-// flushes the same pages as it goes, because a page's LRU node, pending write
-// and in-flight write share one record.
+// Contains must agree at every step. A write-back engine over the same page
+// table enqueues, steals and flushes the same pages as it goes, because a
+// page's LRU node, pending write and in-flight write share one record.
 func TestLRUMatchesFlatModelProperty(t *testing.T) {
 	const part = kvstore.PartitionID(9)
 	f := func(raw []uint16) bool {
 		model := newLRUModel()
 		pages := newPageTable()
-		pages.addRegion(16*PageSize, 32*PageSize, 1, part)
+		pages.addRegion(0, 64*PageSize, 1, part)
 		l := newLRU(pages)
 		engine := newWriteback(pages, dram.New(dram.DefaultParams(), 1), 4, 1, nil)
 		for step, r := range raw {
@@ -152,15 +172,15 @@ func TestLRUMatchesFlatModelProperty(t *testing.T) {
 		if !slices.Equal(got, model.order) {
 			return false
 		}
-		// Drained and emptied, the table must hold no record and no
-		// overflow entry: nothing leaks per page ever tracked.
+		// Drained and emptied, the table must hold no record and no entry
+		// may name one: nothing leaks per page ever tracked.
 		if _, err := engine.Drain(time.Hour); err != nil {
 			return false
 		}
 		for _, a := range got {
 			l.Remove(a)
 		}
-		if l.Len() != 0 || len(pages.overflow) != 0 {
+		if l.Len() != 0 || slices.ContainsFunc(pages.regions[0].entries, func(e uint32) bool { return e&entSlot != 0 }) {
 			return false
 		}
 		for _, rec := range pages.recs {
@@ -221,7 +241,7 @@ func TestLRUFIFOOrderProperty(t *testing.T) {
 		var inserted []uint64
 		seen := make(map[uint64]bool)
 		for _, r := range raw {
-			a := uint64(r)
+			a := pg(uint64(r))
 			if seen[a] {
 				continue
 			}

@@ -63,6 +63,24 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 		return nil, now, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
 	img := &VMImage{PID: pid, Partition: part}
+	// gone lists the regions the descriptor has let go of. Their page state
+	// goes after the Drain below, once nothing of them is queued or pooled;
+	// an export that fails first discards their queued writes and pooled
+	// copies, which no entry would name once the regions are gone (the VM
+	// cannot run here any more). Only a write in flight outlives its region.
+	var gone []VMRegion
+	letGo := func(failed bool) {
+		for _, r := range gone {
+			for addr := r.Start; failed && addr < r.Start+r.Length; addr += PageSize {
+				key := kvstore.MakeKey(addr, part)
+				m.wb.DiscardQueued(key)
+				if m.tier != nil {
+					m.tier.drop(key)
+				}
+			}
+			m.pages.dropRegion(r.Start)
+		}
+	}
 	var err error
 	for _, region := range m.fd.Regions() {
 		if region.PID != pid {
@@ -80,6 +98,7 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			shared := m.fd.PageShared(addr)
 			data, done, rerr := m.fd.Remap(now, addr, false)
 			if rerr != nil {
+				letGo(true)
 				return nil, now, fmt.Errorf("core: export remap %#x: %w", addr, rerr)
 			}
 			now = done
@@ -90,6 +109,7 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 				data = m.fd.PrivateCopy(data)
 			}
 			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data, true); err != nil {
+				letGo(true)
 				return nil, now, fmt.Errorf("core: export enqueue %#x: %w", addr, err)
 			}
 		}
@@ -103,21 +123,24 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 			}
 		}
 		m.fd.Unregister(region)
-		m.pages.dropRegion(region.Start)
+		gone = append(gone, VMRegion{Start: region.Start, Length: region.Length})
 	}
 	// The VM's pages parked in the compressed tier must also reach the
 	// store: the destination hypervisor cannot see this machine's local pool.
 	// Other VMs' pooled pages stay.
 	if m.tier != nil {
 		if now, err = m.tier.drainTo(now, m.wb, part); err != nil {
+			letGo(true)
 			return nil, now, fmt.Errorf("core: export compressed tier: %w", err)
 		}
 	}
 	// Quiesce: all exported pages must be durable in the store before the
 	// destination may fault on them.
 	if now, err = m.wb.Drain(now); err != nil {
+		letGo(true)
 		return nil, now, fmt.Errorf("core: export drain: %w", err)
 	}
+	letGo(false)
 	return img, now, nil
 }
 

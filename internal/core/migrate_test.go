@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"fluidmem/internal/kvstore"
+	"fluidmem/internal/kvstore/dram"
+	"fluidmem/internal/kvstore/faulty"
 	"fluidmem/internal/kvstore/ramcloud"
 )
 
@@ -90,6 +92,108 @@ func TestExportUnknownPID(t *testing.T) {
 	src, _ := twoMonitors(t)
 	if _, _, err := src.ExportVM(0, 999); !errors.Is(err, ErrUnknownPID) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFailedExportLetsGoOfTheVM: an export whose final drain fails has
+// already unregistered the VM's regions, and their page state goes with
+// them: the monitor no longer knows the pid, as after a clean export.
+func TestFailedExportLetsGoOfTheVM(t *testing.T) {
+	params := faulty.Uniform(0, 0)
+	params.PerOp[faulty.OpMultiPut].ErrorRate = 1
+	cfg := DefaultConfig(faulty.Wrap(dram.New(dram.DefaultParams(), 9), params, 5), 8)
+	cfg.WriteBatchSize = 1024 // nothing flushes before the export's drain
+	m := newMonitor(t, cfg, 64)
+	now := time.Duration(0)
+	for i := 0; i < 16; i++ {
+		_, done, err := m.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	if _, _, err := m.ExportVM(now, 4242); !errors.Is(err, faulty.ErrInjected) {
+		t.Fatalf("export err = %v, want the injected flush failure", err)
+	}
+	if _, ok := m.Partition(4242); ok || len(m.pages.regions) != 0 {
+		t.Fatalf("failed export left the VM in the page table (%d regions)", len(m.pages.regions))
+	}
+	if n := m.wb.QueuedLen(); n != 0 {
+		t.Fatalf("failed export left %d of the VM's writes queued with no region", n)
+	}
+}
+
+// switchedStore fails every MultiPut while down is set.
+type switchedStore struct {
+	kvstore.Store
+	down bool
+}
+
+var errStoreDown = errors.New("store down")
+
+func (s *switchedStore) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
+	if s.down {
+		return now, errStoreDown
+	}
+	return s.Store.MultiPut(now, keys, pages)
+}
+
+// TestFailedTierDrainLetsGoOfPooledPages: an export whose compressed-tier
+// drain fails part way has let go of the VM's regions, so the VM's pages
+// still pooled or queued go with them. The other VM's evictions then
+// overflow the pool and flush the write list without meeting a page that
+// no region names.
+func TestFailedTierDrainLetsGoOfPooledPages(t *testing.T) {
+	const leave = 4343
+	store := &switchedStore{Store: dram.New(dram.DefaultParams(), 9)}
+	cfg := DefaultConfig(store, 4)
+	half := make([]byte, PageSize) // half literal, half zero: pooled at about half size
+	for i := range half[:PageSize/2] {
+		half[i] = 1
+	}
+	params := DefaultCompressParams(uint64(12 * len(compressPage(half))))
+	cfg.Compress = &params
+	cfg.WriteBatchSize = 4 // the tier drain flushes at its fourth page
+	m := newMonitor(t, cfg, 256)
+	otherBase := uint64(testBase + 1024*PageSize)
+	if _, err := m.RegisterRange(otherBase, 64*PageSize, leave); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Duration(0)
+	touch := func(a uint64) {
+		t.Helper()
+		data, done, err := m.Touch(now, a, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		copy(data, half)
+	}
+	for i := 0; i < 8; i++ {
+		touch(otherBase + uint64(i)*PageSize)
+	}
+	for i := 0; i < 4; i++ {
+		touch(addr(i))
+	}
+	if pooled, _ := m.CompressStats(); pooled.RawBytes != 8*PageSize || m.wb.QueuedLen() != 0 {
+		t.Fatalf("setup: %d pages pooled, %d queued; want pid %d's 8 pooled", pooled.RawBytes/PageSize, m.wb.QueuedLen(), leave)
+	}
+	store.down = true
+	if _, _, err := m.ExportVM(now, leave); !errors.Is(err, errStoreDown) {
+		t.Fatalf("export err = %v, want the failed tier flush", err)
+	}
+	store.down = false
+	if pooled, _ := m.CompressStats(); pooled.RawBytes != 0 || m.wb.QueuedLen() != 0 {
+		t.Fatalf("failed export left %d pages pooled, %d queued with no region", pooled.RawBytes/PageSize, m.wb.QueuedLen())
+	}
+	for i := 4; i < 64; i++ {
+		touch(addr(i))
+	}
+	if s, _ := m.CompressStats(); s.Overflowed == 0 {
+		t.Fatal("the pool never overflowed")
+	}
+	if _, err := m.wb.Drain(now); err != nil {
+		t.Fatal(err)
 	}
 }
 

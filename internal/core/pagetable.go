@@ -24,11 +24,15 @@ import (
 // guest size. lruList, writeback and compressedTier are the table's three
 // views: each owns its fields of the record and its ilist list.
 //
-// Addresses outside every region — never produced by the data plane, but
-// neither view forces its caller to register first — and whatever state
-// outlives an unregistered region (zero marks, writes still in flight) live
-// in the overflow map under their store key and behave exactly as in-region
-// pages do.
+// A page's state lives and dies with its region: registration allocates a
+// zeroed table and adopts nothing, teardown and migration export discard it.
+// A read outside every region sees the zero entry; creating state there is
+// the caller's bug and panics. The one record that may outlive its region is
+// a write still in flight at teardown or at a failed export (which discards
+// the queued and pooled pages of the regions it let go of): it stays on the
+// engine's in-flight list, so drains and completion times are unchanged, but
+// no entry names it, and a later registration of the same range under the
+// same partition starts from zero rather than waiting on that orphaned write.
 type pageTable struct {
 	regions []*pageRegion
 	// recs is the record slab; index 0 is the nil record. lruLinks threads
@@ -39,9 +43,8 @@ type pageTable struct {
 	lruLinks   []ilist.Link
 	queueLinks []ilist.Link
 	free       ilist.List
-	overflow   map[uint64]*uint32
-	// none stays zero: it is the entry a read of an untracked out-of-region
-	// page resolves to, so lookups never return nil.
+	// none stays zero: it is the entry a read outside every region resolves
+	// to, so lookups never return nil.
 	none uint32
 }
 
@@ -76,7 +79,7 @@ const (
 // in-flight write and the pooled copy of one page.
 type pageRec struct {
 	// id is the page's store key (page address | partition), which finds the
-	// entry pointing here.
+	// entry pointing here — none, for a write that outlived its region.
 	id uint64
 	// addr is the resident page's address.
 	addr uint64
@@ -116,13 +119,13 @@ func (t *pageTable) partOf(pid int) (kvstore.PartitionID, bool) {
 	return 0, false
 }
 
-// byAddr resolves the entry of the page at addr and its store key. With
-// create unset an untracked out-of-region page resolves to the zero entry.
+// byAddr resolves the entry of the page at addr and its store key. Outside
+// every region a read resolves to the zero entry and create panics.
 func (t *pageTable) byAddr(addr uint64, create bool) (*uint32, uint64) {
 	if r := t.region(addr); r != nil {
 		return &r.entries[(addr-r.start)>>pageShift], uint64(kvstore.MakeKey(addr, r.part))
 	}
-	return t.spill(addr, create), addr
+	return t.outside(create), addr
 }
 
 // byKey resolves the entry of a store key. A key whose partition is not its
@@ -132,31 +135,14 @@ func (t *pageTable) byKey(key kvstore.Key, create bool) *uint32 {
 	if r := t.region(key.Page()); r != nil && r.part == key.Partition() {
 		return &r.entries[(key.Page()-r.start)>>pageShift]
 	}
-	return t.spill(uint64(key), create)
+	return t.outside(create)
 }
 
-func (t *pageTable) spill(id uint64, create bool) *uint32 {
-	e := t.overflow[id]
-	if e != nil {
-		return e
+func (t *pageTable) outside(create bool) *uint32 {
+	if create {
+		panic("core: page state outside every registered region")
 	}
-	if !create {
-		return &t.none
-	}
-	if t.overflow == nil {
-		t.overflow = make(map[uint64]*uint32)
-	}
-	e = new(uint32)
-	t.overflow[id] = e
-	return e
-}
-
-// settle forgets an overflow entry that records nothing any more; callers
-// run it after clearing a flag or a slot.
-func (t *pageTable) settle(id uint64, e *uint32) {
-	if *e == 0 && len(t.overflow) != 0 {
-		delete(t.overflow, id)
-	}
+	return &t.none
 }
 
 // track returns the slab index of the entry's record, allocating one if the
@@ -179,48 +165,35 @@ func (t *pageTable) track(e *uint32, id uint64) uint32 {
 	return i
 }
 
-// release frees record i, which entry e points to, once no structure holds
-// it.
+// release frees record i once no structure holds it, clearing entry e's
+// slot if e names the record (an in-flight write that outlived its region
+// is named by none).
 func (t *pageTable) release(e *uint32, i uint32) {
-	r := &t.recs[i]
-	if r.state != 0 {
+	if t.recs[i].state != 0 {
 		return
 	}
-	id := r.id
-	*r = pageRec{}
+	t.recs[i] = pageRec{}
 	t.free.PushBack(t.lruLinks, i)
-	*e &^= entSlot
-	t.settle(id, e)
-}
-
-// addRegion starts tracking [start, start+length) for pid under part,
-// adopting any state an earlier registration of these pages left behind.
-// Overlapping ranges are the caller's bug (uffd.Register rejects them first).
-func (t *pageTable) addRegion(start, length uint64, pid int, part kvstore.PartitionID) {
-	r := &pageRegion{start: start, length: length, pid: pid, part: part, entries: make([]uint32, length>>pageShift)}
-	for id, e := range t.overflow {
-		if key := kvstore.Key(id); key.Page()-start < length && key.Partition() == part {
-			r.entries[(key.Page()-start)>>pageShift] = *e
-			delete(t.overflow, id)
-		}
+	if *e&entSlot == i {
+		*e &^= entSlot
 	}
-	t.regions = append(t.regions, r)
 }
 
-// dropRegion forgets the region starting at start (teardown, migration
-// export). What its pages still record moves to the overflow map.
+// addRegion starts tracking [start, start+length) for pid under part, every
+// page's entry zero. Overlapping ranges are the caller's bug (uffd.Register
+// rejects them first).
+func (t *pageTable) addRegion(start, length uint64, pid int, part kvstore.PartitionID) {
+	t.regions = append(t.regions, &pageRegion{start: start, length: length, pid: pid, part: part, entries: make([]uint32, length>>pageShift)})
+}
+
+// dropRegion discards the region starting at start and its table (teardown,
+// migration export).
 func (t *pageTable) dropRegion(start uint64) {
 	for i, r := range t.regions {
-		if r.start != start {
-			continue
+		if r.start == start {
+			t.regions = append(t.regions[:i], t.regions[i+1:]...)
+			return
 		}
-		t.regions = append(t.regions[:i], t.regions[i+1:]...)
-		for p, e := range r.entries {
-			if e != 0 {
-				*t.spill(uint64(kvstore.MakeKey(r.start+uint64(p)<<pageShift, r.part)), true) = e
-			}
-		}
-		return
 	}
 }
 
@@ -236,7 +209,6 @@ func (t *pageTable) setSeen(addr uint64) {
 }
 
 func (t *pageTable) clearSeen(addr uint64) {
-	e, id := t.byAddr(addr, false)
+	e, _ := t.byAddr(addr, false)
 	*e &^= entSeen
-	t.settle(id, e)
 }

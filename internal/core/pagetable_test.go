@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -73,15 +74,13 @@ func TestRegionTableBytesPerPage(t *testing.T) {
 	if n := len(m.pages.recs) - 1; n > bound {
 		t.Fatalf("record slab holds %d records after a %d-page sweep, want <= %d", n, 64*capacity, bound)
 	}
-	if len(m.pages.overflow) != 0 {
-		t.Fatalf("in-region pages spilled %d overflow entries", len(m.pages.overflow))
-	}
 }
 
 // TestTenantChurnLeavesNoPageState registers, dirties and tears down the same
-// range over and over: whatever outlives a region (writes still in flight at
-// teardown) is retired by the next sweep, so neither the record slab nor the
-// overflow map grows with the number of tenants that have come and gone.
+// range over and over: the writes still in flight at a teardown outlive their
+// region, named by no entry, until a later sweep retires them, so neither the
+// record slab nor the in-flight list grows with the number of tenants that
+// have come and gone.
 func TestTenantChurnLeavesNoPageState(t *testing.T) {
 	const pages, capacity = 64, 8
 	cfg := ramcloudCfg(capacity)
@@ -93,6 +92,7 @@ func TestTenantChurnLeavesNoPageState(t *testing.T) {
 	}
 	var now time.Duration
 	peak := 0
+	bound := 3 * cfg.WriteBatchSize
 	for tenant := 0; tenant < 40; tenant++ {
 		pid := 100 + tenant
 		if _, err := m.RegisterRange(testBase, pages*PageSize, pid); err != nil {
@@ -114,50 +114,141 @@ func TestTenantChurnLeavesNoPageState(t *testing.T) {
 		if now, err = m.UnregisterVM(now, pid); err != nil {
 			t.Fatal(err)
 		}
-		if m.ResidentPages() != 0 || m.WriteListLen() != 0 || m.WritebackStats().ZeroBitmap != 0 {
-			t.Fatalf("tenant %d left %d resident, %d queued, %d zero marks", tenant,
-				m.ResidentPages(), m.WriteListLen(), m.WritebackStats().ZeroBitmap)
+		if m.ResidentPages() != 0 || m.WriteListLen() != 0 || m.WritebackStats().ZeroBitmap != 0 || len(m.pages.regions) != 0 {
+			t.Fatalf("tenant %d left %d resident, %d queued, %d zero marks, %d regions", tenant,
+				m.ResidentPages(), m.WriteListLen(), m.WritebackStats().ZeroBitmap, len(m.pages.regions))
 		}
-		peak = max(peak, len(m.pages.overflow))
+		peak = max(peak, len(m.wb.inflight))
+		if live := len(m.pages.recs) - 1 - m.pages.free.Len; live != len(m.wb.inflight) {
+			t.Fatalf("tenant %d: %d live records outlive the teardown, %d of them in flight", tenant, live, len(m.wb.inflight))
+		}
 	}
 	if peak == 0 {
 		t.Fatal("no teardown ever met a write in flight: the test exercises nothing")
 	}
-	if bound := 3 * cfg.WriteBatchSize; peak > bound || len(m.pages.recs) > capacity+1+bound {
-		t.Fatalf("after 40 tenants: overflow peaked at %d entries, slab holds %d records (bound %d)", peak, len(m.pages.recs), bound)
+	if peak > bound || len(m.pages.recs) > capacity+1+bound {
+		t.Fatalf("after 40 tenants: in-flight list peaked at %d records, slab holds %d records (bound %d)", peak, len(m.pages.recs), bound)
 	}
 	if _, err := m.Drain(now + time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.pages.overflow) != 0 || len(m.wb.inflight) != 0 {
-		t.Fatalf("drained monitor still tracks %d orphaned pages, %d writes in flight", len(m.pages.overflow), len(m.wb.inflight))
+	if live := len(m.pages.recs) - 1 - m.pages.free.Len; live != 0 || len(m.wb.inflight) != 0 {
+		t.Fatalf("drained monitor still holds %d records, %d writes in flight", live, len(m.wb.inflight))
 	}
 }
 
-// TestZeroMarksOutliveExportAndReturn holds the page table to what the
-// key-indexed zero bitmap did across a migration round trip: marks of an
-// exported VM stay with the source and are found again when the VM, under
-// the same partition, is imported back.
+// TestReregistrationStartsFromZero tears a VM down with a write in flight
+// and registers the same range again under the same partition: the new
+// region's pages are all unknown, the orphaned write still counts for Drain,
+// and retiring it leaves the new page that reuses its key alone.
+func TestReregistrationStartsFromZero(t *testing.T) {
+	const pages, pid = 32, 77
+	cfg := ramcloudCfg(4)
+	cfg.WriteBatchSize = 4
+	m, err := NewMonitor(cfg, nil, "hyp-again")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterRange(testBase, pages*PageSize, pid); err != nil {
+		t.Fatal(err)
+	}
+	part, _ := m.Partition(pid)
+	var now time.Duration
+	for i := 0; m.WritebackStats().Flushes == 0; i++ {
+		data, done, err := m.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] = byte(i + 1)
+		now = done
+	}
+	if len(m.wb.inflight) == 0 {
+		t.Fatal("no write in flight after the first flush")
+	}
+	orphan := &m.pages.recs[m.wb.inflight[0]]
+	page, want := kvstore.Key(orphan.id).Page(), orphan.done
+	if want <= now {
+		t.Fatalf("the flush completed at %v, before teardown at %v: nothing is in flight", want, now)
+	}
+	teardown := now
+	if now, err = m.UnregisterVM(now, pid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterRange(testBase, pages*PageSize, pid); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := m.Partition(pid); again != part {
+		t.Fatalf("re-registration got partition %d, want %d", again, part)
+	}
+	for p, e := range m.pages.regions[0].entries {
+		if e != 0 {
+			t.Fatalf("page %d of the new region starts with entry %#x", p, e)
+		}
+	}
+	// The page the orphaned write carries is a first touch now, and its new
+	// record must survive the orphan's retirement.
+	if _, now, err = m.Touch(now, page, false); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().InFlightWaits != 0 {
+		t.Fatal("a first touch waited on the torn-down VM's write")
+	}
+	if done, err := m.Drain(teardown); err != nil || done != want {
+		t.Fatalf("Drain = %v, %v; want the orphaned write's completion %v", done, err, want)
+	}
+	if !m.PageResident(page) {
+		t.Fatal("retiring the orphaned write unlinked the new page's record")
+	}
+}
+
+// TestZeroMarksOutliveExportAndReturn: an export ships the VM's zero marks
+// in VMImage.Zero and leaves none behind; the import restores exactly those.
 func TestZeroMarksOutliveExportAndReturn(t *testing.T) {
-	pages := newPageTable()
-	w := newWriteback(pages, dram.New(dram.DefaultParams(), 1), 4, 1, nil)
-	const part = kvstore.PartitionID(3)
-	pages.addRegion(testBase, 8*PageSize, 1, part)
-	key := kvstore.MakeKey(addr(5), part)
-	w.NoteZero(key)
-	pages.setSeen(addr(5))
-	pages.dropRegion(testBase)
-	if !w.HasZero(key) || w.Snapshot().ZeroBitmap != 1 {
-		t.Fatal("zero mark lost with its region")
+	src, dst := twoMonitors(t)
+	src.cfg.ElideZeroPages = true
+	part, _ := src.Partition(4242)
+	now := time.Duration(0)
+	// 48 pages through a 16-page LRU: the evicted even pages stay all-zero
+	// and are elided.
+	for i := 0; i < 48; i++ {
+		data, done, err := src.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			data[0] = 1
+		}
+		now = done
 	}
-	pages.addRegion(testBase, 8*PageSize, 2, part+1)
-	if w.HasZero(kvstore.MakeKey(addr(5), part+1)) || pages.seen(addr(5)) {
-		t.Fatal("a different partition's region inherited the page's state")
+	var marked []uint64
+	for i := 0; i < 64; i++ {
+		if src.wb.HasZero(kvstore.MakeKey(addr(i), part)) {
+			marked = append(marked, addr(i))
+		}
 	}
-	pages.dropRegion(testBase)
-	pages.addRegion(testBase, 8*PageSize, 1, part)
-	if !pages.seen(addr(5)) || !w.TakeZero(key) || len(pages.overflow) != 0 {
-		t.Fatalf("returning region did not adopt its pages' state (overflow %d)", len(pages.overflow))
+	if len(marked) == 0 {
+		t.Fatal("no page was zero-elided: the test exercises nothing")
+	}
+	image, now, err := src.ExportVM(now, 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(image.Zero, marked) {
+		t.Fatalf("image carries zero marks %#x, want %#x", image.Zero, marked)
+	}
+	if n := src.WritebackStats().ZeroBitmap; n != 0 || len(src.pages.regions) != 0 {
+		t.Fatalf("export left %d zero marks and %d regions on the source", n, len(src.pages.regions))
+	}
+	if _, err := dst.ImportVM(now, image); err != nil {
+		t.Fatal(err)
+	}
+	if n := dst.WritebackStats().ZeroBitmap; n != len(marked) {
+		t.Fatalf("destination holds %d zero marks, want %d", n, len(marked))
+	}
+	for _, a := range marked {
+		if !dst.wb.HasZero(kvstore.MakeKey(a, part)) || !dst.pages.seen(a) {
+			t.Fatalf("page %#x arrived without its zero mark", a)
+		}
 	}
 }
 

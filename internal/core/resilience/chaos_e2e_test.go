@@ -91,7 +91,10 @@ type chaosOutcome struct {
 	finalTime time.Duration
 	faults    uint64
 	injected  [3][]faulty.Injection
-	counters  *stats.Counters
+	// resilience and inject are the monitor's policy counters and each
+	// member's injection counters.
+	resilience resilience.Stats
+	inject     [3]faulty.InjectStats
 }
 
 // runChaosWorkload drives a zipfian read/write mix across the crash
@@ -208,14 +211,11 @@ func runChaosWorkloadOver(t *testing.T, seed uint64, requireFaults bool, workers
 		t.Fatalf("p99 fault latency %v, want bounded under chaos", p99)
 	}
 
-	out := chaosOutcome{finalTime: now, faults: uint64(lat.Len()), counters: stats.NewCounters()}
-	out.counters.Merge(rig.mon.ResilienceCounters())
+	out := chaosOutcome{finalTime: now, faults: uint64(lat.Len())}
+	out.resilience, _ = rig.mon.ResilienceStats()
 	for i, m := range rig.members {
 		out.injected[i] = m.Log()
-		c := m.InjectStats().Counters()
-		for _, name := range c.Names() {
-			out.counters.Set(fmt.Sprintf("m%d_%s", i, name), c.Get(name))
-		}
+		out.inject[i] = m.InjectStats()
 	}
 	return out
 }
@@ -235,8 +235,8 @@ func assertChaosBitwiseEqual(t *testing.T, a, b chaosOutcome) {
 	if a.faults != b.faults {
 		t.Fatalf("fault counts diverged: %d vs %d", a.faults, b.faults)
 	}
-	if !a.counters.Equal(b.counters) {
-		t.Fatalf("counter sets diverged:\n%s\nvs\n%s", a.counters.Render(), b.counters.Render())
+	if a.resilience != b.resilience || a.inject != b.inject {
+		t.Fatalf("counters diverged:\n%+v %+v\nvs\n%+v %+v", a.resilience, a.inject, b.resilience, b.inject)
 	}
 	for i := range a.injected {
 		if len(a.injected[i]) != len(b.injected[i]) {
@@ -271,7 +271,7 @@ func TestChaosRepeatability(t *testing.T) {
 	// Different seed ⇒ a different fault schedule (sanity check that the
 	// repeatability assertion can actually discriminate).
 	c := runChaosWorkload(t, 43, false, 1)
-	if c.counters.Equal(a.counters) && c.finalTime == a.finalTime {
+	if c.resilience == a.resilience && c.inject == a.inject && c.finalTime == a.finalTime {
 		t.Fatal("different seeds produced identical runs; determinism test is vacuous")
 	}
 }

@@ -35,7 +35,6 @@ import (
 
 	"fluidmem/internal/clock"
 	"fluidmem/internal/kvstore"
-	"fluidmem/internal/stats"
 	"fluidmem/internal/trace"
 )
 
@@ -178,23 +177,6 @@ type Stats struct {
 	// PermanentErrors is non-retryable errors passed through (ErrNotFound,
 	// ErrBadValue).
 	PermanentErrors uint64
-}
-
-// Counters renders the stats as a named-counter set for uniform export.
-func (s Stats) Counters() *stats.Counters {
-	c := stats.NewCounters()
-	c.Set("ops", s.Ops)
-	c.Set("retries", s.Retries)
-	c.Set("failovers", s.Failovers)
-	c.Set("slow_ops", s.SlowOps)
-	c.Set("deadline_exceeded", s.DeadlineExceeded)
-	c.Set("degraded_entries", s.DegradedEntries)
-	c.Set("degraded_exits", s.DegradedExits)
-	c.Set("stall_exhausted", s.StallExhausted)
-	c.Set("permanent_errors", s.PermanentErrors)
-	c.Set("stall_us", uint64(s.StallTime/time.Microsecond))
-	c.Set("backoff_us", uint64(s.BackoffTime/time.Microsecond))
-	return c
 }
 
 // Store is the resilient wrapper. It implements kvstore.Store, so the

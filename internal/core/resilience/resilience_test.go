@@ -331,16 +331,3 @@ func TestStartGetFallsBackThroughPolicy(t *testing.T) {
 		t.Fatalf("done = %v, retry latency not charged", done)
 	}
 }
-
-func TestCountersExport(t *testing.T) {
-	f := newFake(2)
-	s := Wrap(f, testPolicy(), 1)
-	s.Put(0, kvstore.MakeKey(0x7000, 1), storetest.Page(7))
-	c := s.ResilienceStats().Counters()
-	if c.Get("ops") != 1 || c.Get("retries") != 2 {
-		t.Fatalf("counters: ops=%d retries=%d", c.Get("ops"), c.Get("retries"))
-	}
-	if c.Get("backoff_us") == 0 {
-		t.Fatal("backoff_us missing from counter export")
-	}
-}

@@ -266,13 +266,8 @@ func (w *writeback) TakeZero(key kvstore.Key) bool {
 	}
 	*e &^= entZero
 	w.zeros--
-	w.pages.settle(uint64(key), e)
 	return true
 }
-
-// DropZero discards a zero mark (page released entirely, e.g. Discard or VM
-// teardown).
-func (w *writeback) DropZero(key kvstore.Key) { w.TakeZero(key) }
 
 // DiscardQueued cancels any pending (unflushed) write for key, returning
 // whether one was queued. Used on page release so a dead page's bytes never
@@ -367,7 +362,9 @@ func (w *writeback) Drain(now time.Duration) (time.Duration, error) {
 	return latest, nil
 }
 
-// retire ends record i's in-flight write.
+// retire ends record i's in-flight write. A write that outlived its region
+// (VM teardown) is named by no entry; release leaves whatever entry the key
+// resolves to now untouched.
 func (w *writeback) retire(i uint32) {
 	r := &w.pages.recs[i]
 	r.state &^= recInflight

@@ -16,30 +16,28 @@ import (
 // the fuzzer also re-proves that sharding never changes what the store
 // observes. Every operation also runs on the map-backed reference engine
 // (wbPair, writelist_model_test.go): MultiPut sequence, Snapshot and waits
-// must be identical. The second byte picks whether the keys sit in a
-// registered region of the page table or outside every region.
+// must be identical. The keys are the pages of one registered region; the
+// first byte also seeds the store's completion delays.
 func FuzzWriteCoalesce(f *testing.F) {
-	f.Add([]byte{0, 0})
+	f.Add([]byte{0})
 	// enqueue k0, coalesce k0, flush, steal-miss k0.
-	f.Add([]byte{1, 1, 0x00, 0, 0x00, 0, 0x04, 0, 0x03, 0})
+	f.Add([]byte{1, 0x00, 0, 0x00, 0, 0x04, 0, 0x03, 0})
 	// zero-mark a queued key, take it, re-enqueue, drain.
-	f.Add([]byte{2, 0, 0x00, 1, 0x01, 1, 0x02, 1, 0x00, 1, 0x07, 0})
+	f.Add([]byte{2, 0x00, 1, 0x01, 1, 0x02, 1, 0x00, 1, 0x07, 0})
 	// fill past the batch threshold to force an auto-flush, then discard.
-	f.Add([]byte{3, 1, 0x00, 0, 0x00, 1, 0x00, 2, 0x00, 3, 0x00, 4, 0x05, 4})
+	f.Add([]byte{3, 0x00, 0, 0x00, 1, 0x00, 2, 0x00, 3, 0x00, 4, 0x05, 4})
 	// flush, wait on the in-flight key, re-enqueue it, steal it back.
-	f.Add([]byte{0, 1, 0x00, 5, 0x04, 0, 0x06, 5, 0x00, 5, 0x03, 5})
+	f.Add([]byte{0, 0x00, 5, 0x04, 0, 0x06, 5, 0x00, 5, 0x03, 5})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) < 2 {
+		if len(raw) == 0 {
 			return
 		}
 		const batchSize = 4
 		const keySpace = 8
 		shards := int(raw[0]%4) + 1
 		pages := newPageTable()
-		if raw[1]%2 == 1 {
-			pages.addRegion(0, keySpace/2*kvstore.PageSize, 1, 1)
-		}
-		pair := newWBPair(t, pages, batchSize, shards, uint64(raw[1]))
+		pages.addRegion(0, keySpace*kvstore.PageSize, 1, 1)
+		pair := newWBPair(t, pages, batchSize, shards, uint64(raw[0]))
 		w, store := pair.w, pair.got
 
 		// Flat model: pending data (tag per key), zero marks, and the tag
@@ -60,7 +58,7 @@ func FuzzWriteCoalesce(f *testing.F) {
 			return kvstore.MakeKey(uint64(arg%keySpace)*kvstore.PageSize, 1)
 		}
 		now := time.Duration(0)
-		ops := raw[2:]
+		ops := raw[1:]
 		for step := 0; step+1 < len(ops); step += 2 {
 			op, arg := ops[step], ops[step+1]
 			key := keyOf(arg)

@@ -17,9 +17,13 @@ func page(tag byte) []byte {
 	return p
 }
 
-// testWriteback returns a single-worker engine over a table with no regions.
+// testWriteback returns a single-worker engine over a table with one region
+// of 1024 pages at address 0 under partition 0, so kvstore.Key(n<<12) is the
+// region's page n.
 func testWriteback(store kvstore.Store, batchSize int) *writeback {
-	return newWriteback(newPageTable(), store, batchSize, 1, nil)
+	pages := newPageTable()
+	pages.addRegion(0, 1024*PageSize, 1, 0)
+	return newWriteback(pages, store, batchSize, 1, nil)
 }
 
 // HasZero reports zero-bitmap membership without consuming the mark.
@@ -209,11 +213,10 @@ func TestWritebackZeroMarkLifecycle(t *testing.T) {
 		t.Fatal("queued data wrong after zero supersede")
 	}
 
-	// DropZero just discards.
+	// A mark noted again is taken again.
 	w.NoteZero(key)
-	w.DropZero(key)
-	if w.HasZero(key) {
-		t.Fatal("zero mark survived DropZero")
+	if !w.TakeZero(key) || w.HasZero(key) {
+		t.Fatal("second zero mark not taken")
 	}
 
 	st := w.Snapshot()

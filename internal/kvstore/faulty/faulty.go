@@ -24,7 +24,6 @@ import (
 
 	"fluidmem/internal/clock"
 	"fluidmem/internal/kvstore"
-	"fluidmem/internal/stats"
 )
 
 // Errors injected by the wrapper. Both are transient: a retry may succeed.
@@ -143,17 +142,6 @@ type InjectStats struct {
 	// summed stall.
 	GrayOps  uint64
 	GrayTime time.Duration
-}
-
-// Counters renders the injection counts as a named-counter set.
-func (s InjectStats) Counters() *stats.Counters {
-	c := stats.NewCounters()
-	c.Set("ops", s.Ops)
-	c.Set("transient_errors", s.TransientErrors)
-	c.Set("latency_spikes", s.Spikes)
-	c.Set("crash_rejects", s.CrashRejects)
-	c.Set("gray_ops", s.GrayOps)
-	return c
 }
 
 // Injection is one recorded fault, identified by the operation's global

@@ -201,8 +201,8 @@ func TestSameSeedIdenticalInjections(t *testing.T) {
 	if f1 != f2 {
 		t.Fatalf("first injection diverged: %v vs %v", f1, f2)
 	}
-	if !s1.Counters().Equal(s2.Counters()) {
-		t.Fatal("counter sets diverged")
+	if s1 != s2 {
+		t.Fatalf("injection counters diverged: %+v vs %+v", s1, s2)
 	}
 }
 

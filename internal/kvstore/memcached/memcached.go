@@ -1,5 +1,5 @@
 // Package memcached implements a Memcached-flavoured key-value backend: a
-// slab allocator with per-class LRU eviction, reached over a TCP (IP-over-IB)
+// slab allocator with LRU eviction, reached over a TCP (IP-over-IB)
 // transport whose round trip dominates latency. It is the paper's "standard
 // Ethernet datacenter" backend (Figure 3c, §VI-B).
 package memcached
@@ -14,23 +14,23 @@ import (
 	"fluidmem/internal/kvstore"
 )
 
-// chunkSizes are the slab classes. Pages always land in the 4 KB + overhead
-// class, but smaller classes exist so the allocator is a real slab allocator
-// rather than a special case.
-var chunkSizes = []int{128, 512, 1024, 2048, kvstore.PageSize + 80}
+// chunkSize is the one slab class's chunk: a page plus memcached's item
+// header. Every write is a validated page, so no smaller class could ever
+// hold an item.
+const chunkSize = kvstore.PageSize + 80
 
 // slabPageSize is the unit of memory the allocator carves into chunks.
 const slabPageSize = 1 << 20
 
-// ErrOutOfMemory reports a write to a slab class that holds no slab and
-// cannot get one: the capacity left is under one slab page, so there is
+// ErrOutOfMemory reports a write while the store holds no slab and cannot
+// get one: the capacity left is under one slab page, so there is
 // neither a free chunk nor an item to evict.
-var ErrOutOfMemory = errors.New("memcached: no slab memory for the item's class")
+var ErrOutOfMemory = errors.New("memcached: no slab memory for the item")
 
 // Params configures the store.
 type Params struct {
-	// CapacityBytes bounds slab memory; beyond it, per-class LRU eviction
-	// discards the coldest items, exactly like memcached under pressure.
+	// CapacityBytes bounds slab memory; beyond it, LRU eviction discards
+	// the coldest items, exactly like memcached under pressure.
 	CapacityBytes uint64
 	// RTT models one request/response over TCP on IP-over-IB. Calibrated so
 	// the FluidMem+Memcached fault average lands near the paper's 65.79 µs.
@@ -51,26 +51,20 @@ func DefaultParams() Params {
 
 // item is one cached object.
 type item struct {
-	key   kvstore.Key
-	data  []byte
-	class int
-	elem  *list.Element
-}
-
-// slabClass tracks chunks of one size.
-type slabClass struct {
-	chunkSize int
-	allocated uint64 // bytes of slab memory dedicated to this class
-	used      int    // chunks in use
-	lru       *list.List
+	key  kvstore.Key
+	data []byte
+	elem *list.Element
 }
 
 // Store is the memcached backend.
 type Store struct {
-	params  Params
-	classes []*slabClass
-	items   map[kvstore.Key]*item
-	memUsed uint64
+	params Params
+	items  map[kvstore.Key]*item
+	// allocated is the slab memory carved into chunks, used the chunks in
+	// use, and lru the items, coldest first.
+	allocated uint64
+	used      int
+	lru       *list.List
 
 	// Reads and writes are pipelined on separate connections.
 	readChan  *clock.Device
@@ -88,11 +82,9 @@ func New(p Params, seed uint64) *Store {
 	s := &Store{
 		params:    p,
 		items:     make(map[kvstore.Key]*item),
+		lru:       list.New(),
 		readChan:  clock.NewDevice(p.RTT, seed),
 		writeChan: clock.NewDevice(p.RTT, seed+1),
-	}
-	for _, size := range chunkSizes {
-		s.classes = append(s.classes, &slabClass{chunkSize: size, lru: list.New()})
 	}
 	return s
 }
@@ -109,7 +101,7 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 	if err := kvstore.ValidatePage(page); err != nil {
 		return now, err
 	}
-	if err := s.room(len(page)); err != nil {
+	if err := s.room(); err != nil {
 		return now, err
 	}
 	s.set(key, page)
@@ -125,13 +117,13 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 		return now, kvstore.ErrBadValue
 	}
 	// Validate the whole batch before writing anything: a rejected batch
-	// must leave no partial state (atomic batch visibility). A class with
+	// must leave no partial state (atomic batch visibility). A store with
 	// room before the batch keeps it: slabs are never returned.
 	for _, page := range pages {
 		if err := kvstore.ValidatePage(page); err != nil {
 			return now, err
 		}
-		if err := s.room(len(page)); err != nil {
+		if err := s.room(); err != nil {
 			return now, err
 		}
 	}
@@ -152,7 +144,7 @@ func (s *Store) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duration, 
 		s.stats.Misses++
 		return nil, done, kvstore.ErrNotFound
 	}
-	s.classes[it.class].lru.MoveToBack(it.elem)
+	s.lru.MoveToBack(it.elem)
 	// Zero-copy read per the Store ownership contract.
 	return it.data, done, nil
 }
@@ -170,7 +162,7 @@ func (s *Store) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, time.
 			s.stats.Misses++
 			continue
 		}
-		s.classes[it.class].lru.MoveToBack(it.elem)
+		s.lru.MoveToBack(it.elem)
 		pages[i] = it.data
 	}
 	if len(keys) == 0 {
@@ -203,59 +195,45 @@ func (s *Store) Stats() kvstore.Stats { return s.stats }
 // Len reports resident item count (test hook).
 func (s *Store) Len() int { return len(s.items) }
 
-// room refuses a write whose slab class has no slab when the capacity left
-// cannot hold another one. Any other class has a free chunk or an item to
+// room refuses a write when no slab is allocated and the capacity left
+// cannot hold one. Once a slab exists there is a free chunk or an item to
 // evict, so set cannot fail after room passes.
-func (s *Store) room(size int) error {
-	sc := s.classes[s.classFor(size)]
-	if sc.allocated > 0 || s.memUsed+slabPageSize <= s.params.CapacityBytes {
+func (s *Store) room() error {
+	if s.allocated > 0 || slabPageSize <= s.params.CapacityBytes {
 		return nil
 	}
-	return fmt.Errorf("%w: %d-byte chunks need a %d-byte slab, %d of %d bytes in use",
-		ErrOutOfMemory, sc.chunkSize, slabPageSize, s.memUsed, s.params.CapacityBytes)
+	return fmt.Errorf("%w: %d-byte chunks need a %d-byte slab, capacity is %d bytes",
+		ErrOutOfMemory, chunkSize, slabPageSize, s.params.CapacityBytes)
 }
 
-// set stores data under key; room has checked that the class can take it.
+// set stores data under key; room has checked that the store can take it.
 func (s *Store) set(key kvstore.Key, data []byte) {
 	if it, ok := s.items[key]; ok {
 		it.data = append(it.data[:0], data...)
-		s.classes[it.class].lru.MoveToBack(it.elem)
+		s.lru.MoveToBack(it.elem)
 		return
 	}
-	class := s.classFor(len(data))
-	sc := s.classes[class]
-	// Grow the class with a new slab page if needed, evicting LRU items when
-	// at capacity.
-	for sc.used >= int(sc.allocated)/sc.chunkSize {
-		if s.memUsed+slabPageSize <= s.params.CapacityBytes {
-			sc.allocated += slabPageSize
-			s.memUsed += slabPageSize
+	// Grow with a new slab page if needed, evicting LRU items when at
+	// capacity.
+	for s.used >= int(s.allocated)/chunkSize {
+		if s.allocated+slabPageSize <= s.params.CapacityBytes {
+			s.allocated += slabPageSize
 			continue
 		}
-		// Capacity pressure: evict the coldest item in this class.
-		s.remove(sc.lru.Front().Value.(*item))
+		// Capacity pressure: evict the coldest item.
+		s.remove(s.lru.Front().Value.(*item))
 		s.stats.Evictions++
 	}
-	it := &item{key: key, data: append([]byte(nil), data...), class: class}
-	it.elem = sc.lru.PushBack(it)
-	sc.used++
+	it := &item{key: key, data: append([]byte(nil), data...)}
+	it.elem = s.lru.PushBack(it)
+	s.used++
 	s.items[key] = it
 	s.stats.BytesStored += kvstore.PageSize
 }
 
 func (s *Store) remove(it *item) {
-	sc := s.classes[it.class]
-	sc.lru.Remove(it.elem)
-	sc.used--
+	s.lru.Remove(it.elem)
+	s.used--
 	delete(s.items, it.key)
 	s.stats.BytesStored -= kvstore.PageSize
-}
-
-func (s *Store) classFor(size int) int {
-	for i, sc := range s.classes {
-		if size <= sc.chunkSize {
-			return i
-		}
-	}
-	return len(s.classes) - 1
 }

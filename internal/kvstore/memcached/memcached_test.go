@@ -115,19 +115,6 @@ func TestGetRefreshesLRU(t *testing.T) {
 	}
 }
 
-func TestSlabClassSelection(t *testing.T) {
-	s := New(DefaultParams(), 5)
-	if got := s.classFor(kvstore.PageSize); got != len(chunkSizes)-1 {
-		t.Fatalf("page class = %d, want largest class", got)
-	}
-	if got := s.classFor(100); got != 0 {
-		t.Fatalf("class for 100B = %d, want 0", got)
-	}
-	if got := s.classFor(1 << 20); got != len(chunkSizes)-1 {
-		t.Fatalf("oversized class = %d", got)
-	}
-}
-
 func TestOverwriteDoesNotLeakChunks(t *testing.T) {
 	s := New(DefaultParams(), 6)
 	key := kvstore.MakeKey(0x1000, 1)
@@ -139,9 +126,8 @@ func TestOverwriteDoesNotLeakChunks(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after overwrites", s.Len())
 	}
-	class := s.classes[s.classFor(kvstore.PageSize)]
-	if class.used != 1 {
-		t.Fatalf("chunks used = %d, want 1", class.used)
+	if s.used != 1 {
+		t.Fatalf("chunks used = %d, want 1", s.used)
 	}
 }
 

@@ -209,72 +209,6 @@ func (ts *TimeSeries) Buckets(n int) []TimePoint {
 	return out
 }
 
-// Counters is an ordered set of named event counters — the export surface
-// for subsystem counts (chaos injections, resilience retries, failovers)
-// that the operator console and experiment harness render uniformly.
-type Counters struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{values: make(map[string]uint64)}
-}
-
-// Set stores value under name, preserving first-insertion order.
-func (c *Counters) Set(name string, value uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] = value
-}
-
-// Add increments name by delta, creating it if absent.
-func (c *Counters) Add(name string, delta uint64) {
-	c.Set(name, c.values[name]+delta)
-}
-
-// Get returns the value under name (0 if absent).
-func (c *Counters) Get(name string) uint64 { return c.values[name] }
-
-// Names returns the counter names in insertion order.
-func (c *Counters) Names() []string { return append([]string(nil), c.names...) }
-
-// Merge folds other's counters into c, summing values under the same name.
-func (c *Counters) Merge(other *Counters) {
-	if other == nil {
-		return
-	}
-	for _, name := range other.names {
-		c.Add(name, other.values[name])
-	}
-}
-
-// Equal reports whether both sets hold identical names and values — the
-// comparison the chaos repeatability tests use.
-func (c *Counters) Equal(other *Counters) bool {
-	if other == nil || len(c.names) != len(other.names) {
-		return false
-	}
-	for _, name := range c.names {
-		ov, ok := other.values[name]
-		if !ok || ov != c.values[name] {
-			return false
-		}
-	}
-	return true
-}
-
-// Render formats the counters one per line for terminal output.
-func (c *Counters) Render() string {
-	var b strings.Builder
-	for _, name := range c.names {
-		fmt.Fprintf(&b, "  %-24s %d\n", name, c.values[name])
-	}
-	return b.String()
-}
-
 // RenderCDFASCII renders a compact CDF sparkline table for terminal output.
 func RenderCDFASCII(name string, s *Sample, width int) string {
 	if s.Len() == 0 {
