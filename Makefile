@@ -220,7 +220,9 @@ openloop-oracle:
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
 # flat page map), the compressed tier (in lockstep with a test-side copy of
-# the map-and-FIFO-slice code it replaced), the ghost-LRU working-set
+# the map-and-FIFO-slice code it replaced), migration between two monitors
+# whose store fails writes during exports (every word against a flat map,
+# a failed export leaving its VM runnable), the ghost-LRU working-set
 # estimator, the swap subsystem (in lockstep with a test-side copy of the
 # map-and-container/list code it replaced), the cluster pool's rendezvous
 # key-routing invariants, the replica-set core (replicated.Store
@@ -233,6 +235,7 @@ fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzTierMatchesParent -fuzz FuzzTierMatchesParent -fuzztime=5s
+	$(GO) test ./internal/core/ -run FuzzMigrate -fuzz FuzzMigrate -fuzztime=5s
 	$(GO) test ./internal/hotset/ -run FuzzGhostLRU -fuzz FuzzGhostLRU -fuzztime=5s
 	$(GO) test ./internal/swap/ -run FuzzSwapMatchesParent -fuzz FuzzSwapMatchesParent -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s

@@ -51,31 +51,41 @@ func (m *Monitor) UnregisterVM(now time.Duration, pid int) (time.Duration, error
 		return now, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
 	var firstErr error
-	for _, region := range m.fd.Regions() {
-		if region.PID != pid {
-			continue
+	m.releaseRegions(pid, func(addr uint64, key kvstore.Key, _ bool) {
+		var err error
+		if now, err = m.cfg.Store.Delete(now, key); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("core: delete page %#x: %w", addr, err)
 		}
-		for addr := region.Start; addr < region.End(); addr += PageSize {
-			if key, ok := m.forget(addr); ok {
-				var err error
-				if now, err = m.cfg.Store.Delete(now, key); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("core: delete page %#x: %w", addr, err)
-				}
-			}
-		}
-		m.fd.Unregister(region)
-		m.pages.dropRegion(region.Start)
-	}
+	})
 	if err := m.registry.Release(part); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("core: release partition: %w", err)
 	}
 	return now, firstErr
 }
 
+// releaseRegions is the one way a VM leaves the monitor (teardown, export,
+// a failed import): each page of pid's regions is forgotten, then the region
+// is unregistered and its table dropped. seen gets every page the monitor
+// had seen, with its store key and whether it left a zero mark.
+func (m *Monitor) releaseRegions(pid int, seen func(addr uint64, key kvstore.Key, zero bool)) {
+	for _, region := range m.fd.Regions() {
+		if region.PID != pid {
+			continue
+		}
+		for addr := region.Start; addr < region.End(); addr += PageSize {
+			if key, zero, ok := m.forget(addr); ok {
+				seen(addr, key, zero)
+			}
+		}
+		m.fd.Unregister(region)
+		m.pages.dropRegion(region.Start)
+	}
+}
+
 // Discard implements vm.Backing: a balloon-freed page loses its contents.
 func (m *Monitor) Discard(addr uint64) {
 	addr = addr &^ uint64(PageSize-1)
-	if key, ok := m.forget(addr); ok {
+	if key, _, ok := m.forget(addr); ok {
 		// Asynchronous tombstone; timing is off any critical path.
 		_, _ = m.cfg.Store.Delete(m.workerFree[m.workerOf(addr)], key)
 	}
@@ -85,8 +95,8 @@ func (m *Monitor) Discard(addr uint64) {
 // its ghost entry, its seen bit, and its queued write, zero mark and pooled
 // copy, so that none of them can resurrect the page later. A page with any
 // of the last three is always seen. ok reports a seen page of a registered
-// region, whose store copy under key the caller deletes.
-func (m *Monitor) forget(addr uint64) (key kvstore.Key, ok bool) {
+// region, whose store copy is under key; zero reports the zero mark it took.
+func (m *Monitor) forget(addr uint64) (key kvstore.Key, zero, ok bool) {
 	if m.lru.Remove(addr) {
 		m.fd.Drop(addr)
 	}
@@ -94,21 +104,18 @@ func (m *Monitor) forget(addr uint64) (key kvstore.Key, ok bool) {
 	// later first touch of the same address would register as a re-reference
 	// and inflate the working-set estimate.
 	m.hot.Remove(addr)
-	if !m.pages.seen(addr) {
-		return 0, false
+	e, id := m.pages.byAddr(addr, false)
+	if *e&entSeen == 0 {
+		return 0, false, false
 	}
-	m.pages.clearSeen(addr)
-	region := m.pages.region(addr)
-	if region == nil {
-		return 0, false
-	}
-	key = kvstore.MakeKey(addr, region.part)
+	*e &^= entSeen
+	key = kvstore.Key(id)
 	m.wb.DiscardQueued(key)
-	m.wb.TakeZero(key)
+	zero = m.wb.TakeZero(key)
 	if m.tier != nil {
 		m.tier.drop(key)
 	}
-	return key, true
+	return key, zero, true
 }
 
 // Resize changes the LRU capacity at runtime (§III: "the local memory buffer
@@ -142,8 +149,8 @@ func (m *Monitor) Hotset() *hotset.Tracker { return m.hot }
 // estimation is disabled.
 func (m *Monitor) HotsetSnapshot() hotset.Snapshot { return m.hot.Snapshot() }
 
-// Drain flushes the write list and waits for all in-flight writes —
-// quiescing the monitor (tests, teardown, consistent snapshots).
+// Drain flushes the write list and waits for all in-flight writes, every
+// VM's — quiescing the monitor (tests, teardown, consistent snapshots).
 func (m *Monitor) Drain(now time.Duration) (time.Duration, error) {
 	return m.wb.Drain(now)
 }

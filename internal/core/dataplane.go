@@ -352,8 +352,19 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, ow
 }
 
 // evictOne pushes the oldest LRU page out of the VM and toward the store.
-// The victim is the oldest page whichever worker owns it; its trace events
-// carry the victim's worker, its time is charged to the caller's.
+// The victim is the oldest page whichever worker owns it.
+func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
+	victim, ok := m.lru.Oldest()
+	if !ok {
+		return t, errors.New("core: eviction needed but LRU list empty")
+	}
+	return m.evict(t, victim, interleaved, false)
+}
+
+// evict pushes the resident page victim out of the VM and toward the store,
+// its trace events the victim's worker's, its time the caller's. A page
+// leaving with its VM (migration export) skips the compressed tier and the
+// ghost list, so it displaces no other VM's pooled pages or ghost entries.
 //
 // Frame lifecycle: the remapped frame moves here as itself, and onward with
 // its ownership — to the write list (whose flush hands it to the store), or,
@@ -365,13 +376,11 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, ow
 // never reaches the pool. A clean page moves no frame at all: RemapDrop
 // forgets the store buffer it shares. A zero-COW page comes out as nil, which
 // zero elision takes unscanned and anything else gets as a frame of zeroes.
-func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
-	victim, ok := m.lru.Oldest()
-	if !ok {
-		return t, errors.New("core: eviction needed but LRU list empty")
-	}
+func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving bool) (time.Duration, error) {
 	m.lru.Remove(victim)
-	m.hot.Evict(victim)
+	if !leaving {
+		m.hot.Evict(victim)
+	}
 	m.stats.Evictions++
 	evictStart := t
 
@@ -454,7 +463,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 		data = m.fd.PrivateCopy(nil)
 	}
 
-	if m.tier != nil {
+	if m.tier != nil && !leaving {
 		done, accepted, displaced, terr := m.tier.offer(t, key, data)
 		if terr != nil {
 			return t, terr

@@ -119,6 +119,28 @@ func TestUnregisterVMClearsGhostList(t *testing.T) {
 	}
 }
 
+// An export forgets every page of the VM, shadowed or resident, as teardown
+// does, and the pages it evicts leave with the VM: they shadow nothing.
+func TestExportLeavesNoGhostEntries(t *testing.T) {
+	const capacity, pages = 4, 12
+	cfg, hs := hotsetCfg(t, capacity)
+	m := newMonitor(t, cfg, 64)
+	now := touchAll(t, m, 0, pages)
+	if hs.Len() != pages-capacity {
+		t.Fatalf("test premise broken: %d pages shadowed before the export, want %d", hs.Len(), pages-capacity)
+	}
+	evictions := hs.Snapshot().Evictions
+	if _, _, err := m.ExportVM(now, 4242); err != nil {
+		t.Fatal(err)
+	}
+	if hs.Len() != 0 {
+		t.Fatalf("export left %d pages shadowed", hs.Len())
+	}
+	if n := hs.Snapshot().Evictions - evictions; n != 0 {
+		t.Fatalf("the export's %d evictions entered the ghost list", n)
+	}
+}
+
 // Attaching a tracker is pure observation: the simulated timeline must be
 // bit-identical with and without it.
 func TestHotsetIsPureObservation(t *testing.T) {

@@ -16,14 +16,13 @@ import (
 // destination monitor, and let pages fault back in on demand, exactly like
 // QEMU's userfaultfd-based post-copy migration but with the store as the
 // transfer channel.
+//
+// A VM leaves the monitor the way a page does: the export evicts through the
+// one eviction and drains the VM's writes, and only then lets the VM go
+// through the release walk teardown uses, so a failed export changes nothing.
 
-// Migration errors.
-var (
-	// ErrNotQuiesced reports an export attempted with writes still queued.
-	ErrNotQuiesced = errors.New("core: monitor not quiesced")
-	// ErrPartitionTaken reports an import whose partition is already owned.
-	ErrPartitionTaken = errors.New("core: partition already registered here")
-)
+// ErrPartitionTaken reports an import whose partition is already owned.
+var ErrPartitionTaken = errors.New("core: partition already registered here")
 
 // VMImage is the metadata handed from source to destination monitor: the
 // page contents themselves never travel — they are already in the store.
@@ -54,99 +53,59 @@ func (img *VMImage) MetadataBytes() int {
 }
 
 // ExportVM prepares pid for migration: every resident page is evicted to the
-// store, the write list is drained, and the VM's regions are unregistered.
-// The partition is *not* released — its pages are live and ownership moves
-// with the returned image.
+// store, the VM's writes are drained, and its regions are unregistered. The
+// partition is *not* released — its pages are live and ownership moves with
+// the returned image. An export that fails changes nothing the VM needs: it
+// stays registered and runnable here, and a retry may succeed.
 func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration, error) {
 	part, ok := m.pages.partOf(pid)
 	if !ok {
 		return nil, now, fmt.Errorf("%w: %d", ErrUnknownPID, pid)
 	}
 	img := &VMImage{PID: pid, Partition: part}
-	// gone lists the regions the descriptor has let go of. Their page state
-	// goes after the Drain below, once nothing of them is queued or pooled;
-	// an export that fails first discards their queued writes and pooled
-	// copies, which no entry would name once the regions are gone (the VM
-	// cannot run here any more). Only a write in flight outlives its region.
-	var gone []VMRegion
-	letGo := func(failed bool) {
-		for _, r := range gone {
-			for addr := r.Start; failed && addr < r.Start+r.Length; addr += PageSize {
-				key := kvstore.MakeKey(addr, part)
-				m.wb.DiscardQueued(key)
-				if m.tier != nil {
-					m.tier.drop(key)
-				}
-			}
-			m.pages.dropRegion(r.Start)
-		}
-	}
+	// Pause and push, the brief stop-and-copy phase of post-copy migration:
+	// each resident page takes the one eviction path.
 	var err error
-	for _, region := range m.fd.Regions() {
-		if region.PID != pid {
+	for _, r := range m.fd.Regions() {
+		if r.PID != pid {
 			continue
 		}
-		img.Regions = append(img.Regions, VMRegion{Start: region.Start, Length: region.Length})
-		// Evict this region's resident pages (pause-and-push, the brief
-		// stop-and-copy phase of post-copy migration).
-		for addr := region.Start; addr < region.End(); addr += PageSize {
+		img.Regions = append(img.Regions, VMRegion{Start: r.Start, Length: r.Length})
+		for addr := r.Start; addr < r.End(); addr += PageSize {
 			if !m.lru.Contains(addr) {
 				continue
 			}
-			m.lru.Remove(addr)
-			m.stats.Evictions++
-			shared := m.fd.PageShared(addr)
-			data, done, rerr := m.fd.Remap(now, addr, false)
-			if rerr != nil {
-				letGo(true)
-				return nil, now, fmt.Errorf("core: export remap %#x: %w", addr, rerr)
-			}
-			now = done
-			// The export ships owned frames only: a copy of a shared page,
-			// zeroes for a zero-COW one. It is off the data plane, so it
-			// asks nothing of the store's re-put.
-			if shared || data == nil {
-				data = m.fd.PrivateCopy(data)
-			}
-			if now, err = m.wb.Enqueue(now, kvstore.MakeKey(addr, part), data, true); err != nil {
-				letGo(true)
-				return nil, now, fmt.Errorf("core: export enqueue %#x: %w", addr, err)
+			if now, err = m.evict(now, addr, false, true); err != nil {
+				return nil, now, fmt.Errorf("core: export evict: %w", err)
 			}
 		}
-		for addr := region.Start; addr < region.End(); addr += PageSize {
-			if m.pages.seen(addr) {
-				img.Seen = append(img.Seen, addr)
-				m.pages.clearSeen(addr)
-			}
-			if m.wb.TakeZero(kvstore.MakeKey(addr, part)) {
-				img.Zero = append(img.Zero, addr)
-			}
-		}
-		m.fd.Unregister(region)
-		gone = append(gone, VMRegion{Start: region.Start, Length: region.Length})
 	}
 	// The VM's pages parked in the compressed tier must also reach the
 	// store: the destination hypervisor cannot see this machine's local pool.
-	// Other VMs' pooled pages stay.
 	if m.tier != nil {
 		if now, err = m.tier.drainTo(now, m.wb, part); err != nil {
-			letGo(true)
 			return nil, now, fmt.Errorf("core: export compressed tier: %w", err)
 		}
 	}
-	// Quiesce: all exported pages must be durable in the store before the
-	// destination may fault on them.
-	if now, err = m.wb.Drain(now); err != nil {
-		letGo(true)
+	// Quiesce: the VM's pages must be durable in the store before the
+	// destination may fault on them. Other VMs' writes keep their place.
+	if now, err = m.wb.drain(now, part); err != nil {
 		return nil, now, fmt.Errorf("core: export drain: %w", err)
 	}
-	letGo(false)
+	m.releaseRegions(pid, func(addr uint64, _ kvstore.Key, zero bool) {
+		img.Seen = append(img.Seen, addr)
+		if zero {
+			img.Zero = append(img.Zero, addr)
+		}
+	})
 	return img, now, nil
 }
 
 // ImportVM adopts a migrated VM: regions are registered under the image's
 // existing partition and the seen set is installed, so first accesses fault
-// pages in from the store — post-copy semantics, no bulk copy.
+// pages in from the store — post-copy semantics, no bulk copy. An import
+// that fails unregisters what it registered; the partition stays the
+// source's.
 func (m *Monitor) ImportVM(now time.Duration, img *VMImage) (time.Duration, error) {
 	if img == nil || len(img.Regions) == 0 {
 		return now, errors.New("core: empty VM image")
@@ -159,6 +118,7 @@ func (m *Monitor) ImportVM(now time.Duration, img *VMImage) (time.Duration, erro
 	}
 	for _, r := range img.Regions {
 		if _, err := m.fd.Register(r.Start, r.Length, img.PID); err != nil {
+			m.releaseRegions(img.PID, nil) // no page is seen yet
 			return now, fmt.Errorf("core: import register: %w", err)
 		}
 		m.pages.addRegion(r.Start, r.Length, img.PID, img.Partition)

@@ -8,7 +8,6 @@ import (
 
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
-	"fluidmem/internal/kvstore/faulty"
 	"fluidmem/internal/kvstore/ramcloud"
 )
 
@@ -95,34 +94,6 @@ func TestExportUnknownPID(t *testing.T) {
 	}
 }
 
-// TestFailedExportLetsGoOfTheVM: an export whose final drain fails has
-// already unregistered the VM's regions, and their page state goes with
-// them: the monitor no longer knows the pid, as after a clean export.
-func TestFailedExportLetsGoOfTheVM(t *testing.T) {
-	params := faulty.Uniform(0, 0)
-	params.PerOp[faulty.OpMultiPut].ErrorRate = 1
-	cfg := DefaultConfig(faulty.Wrap(dram.New(dram.DefaultParams(), 9), params, 5), 8)
-	cfg.WriteBatchSize = 1024 // nothing flushes before the export's drain
-	m := newMonitor(t, cfg, 64)
-	now := time.Duration(0)
-	for i := 0; i < 16; i++ {
-		_, done, err := m.Touch(now, addr(i), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if _, _, err := m.ExportVM(now, 4242); !errors.Is(err, faulty.ErrInjected) {
-		t.Fatalf("export err = %v, want the injected flush failure", err)
-	}
-	if _, ok := m.Partition(4242); ok || len(m.pages.regions) != 0 {
-		t.Fatalf("failed export left the VM in the page table (%d regions)", len(m.pages.regions))
-	}
-	if n := m.wb.QueuedLen(); n != 0 {
-		t.Fatalf("failed export left %d of the VM's writes queued with no region", n)
-	}
-}
-
 // switchedStore fails every MultiPut while down is set.
 type switchedStore struct {
 	kvstore.Store
@@ -138,12 +109,81 @@ func (s *switchedStore) MultiPut(now time.Duration, keys []kvstore.Key, pages []
 	return s.Store.MultiPut(now, keys, pages)
 }
 
-// TestFailedTierDrainLetsGoOfPooledPages: an export whose compressed-tier
-// drain fails part way has let go of the VM's regions, so the VM's pages
-// still pooled or queued go with them. The other VM's evictions then
-// overflow the pool and flush the write list without meeting a page that
-// no region names.
-func TestFailedTierDrainLetsGoOfPooledPages(t *testing.T) {
+// writePages fills each page i in [from, to) of pid 4242 with the byte i+1,
+// returning the time the last write resumes.
+func writePages(t *testing.T, m *Monitor, now time.Duration, from, to int) time.Duration {
+	t.Helper()
+	for i := from; i < to; i++ {
+		data, done, err := m.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		copy(data, bytes.Repeat([]byte{byte(i + 1)}, PageSize))
+	}
+	return now
+}
+
+// checkPages reads pages [from, to) of pid 4242 back on m.
+func checkPages(t *testing.T, m *Monitor, now time.Duration, from, to int) time.Duration {
+	t.Helper()
+	for i := from; i < to; i++ {
+		data, done, err := m.Touch(now, addr(i), false)
+		if err != nil {
+			t.Fatalf("page %d: %v", i, err)
+		}
+		now = done
+		if data[0] != byte(i+1) || data[PageSize-1] != byte(i+1) {
+			t.Fatalf("page %d reads %#x, want %#x", i, data[0], i+1)
+		}
+	}
+	return now
+}
+
+// TestFailedExportKeepsTheVM: an export whose final drain fails leaves the
+// VM registered and runnable where it was, and a retry once the store heals
+// exports it.
+func TestFailedExportKeepsTheVM(t *testing.T) {
+	store := &switchedStore{Store: dram.New(dram.DefaultParams(), 9)}
+	registry := kvstore.NewLocalRegistry()
+	cfg := DefaultConfig(store, 8)
+	cfg.WriteBatchSize = 1024 // nothing flushes before the export's drain
+	src, err := NewMonitor(cfg, registry, "hyp-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.RegisterRange(testBase, 64*PageSize, 4242); err != nil {
+		t.Fatal(err)
+	}
+	now := writePages(t, src, 0, 0, 16)
+	store.down = true
+	if _, _, err := src.ExportVM(now, 4242); !errors.Is(err, errStoreDown) {
+		t.Fatalf("export err = %v, want the failed flush", err)
+	}
+	if _, ok := src.Partition(4242); !ok || len(src.pages.regions) != 1 {
+		t.Fatalf("failed export let go of the VM (%d regions)", len(src.pages.regions))
+	}
+	now = checkPages(t, src, now, 0, 16)
+	store.down = false
+	image, now, err := src.ExportVM(now, 4242)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	dst, err := NewMonitor(DefaultConfig(store, 8), registry, "hyp-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = dst.ImportVM(now, image); err != nil {
+		t.Fatal(err)
+	}
+	checkPages(t, dst, now, 0, 16)
+}
+
+// TestFailedTierDrainKeepsPooledPages: an export whose compressed-tier
+// drain fails part way keeps the VM, its pooled pages and its queued
+// writes. The other VM's evictions then overflow the pool and flush, the
+// VM reads back every page, and a retry exports it.
+func TestFailedTierDrainKeepsPooledPages(t *testing.T) {
 	const leave = 4343
 	store := &switchedStore{Store: dram.New(dram.DefaultParams(), 9)}
 	cfg := DefaultConfig(store, 4)
@@ -160,20 +200,23 @@ func TestFailedTierDrainLetsGoOfPooledPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Duration(0)
-	touch := func(a uint64) {
+	touch := func(a uint64, write bool) {
 		t.Helper()
-		data, done, err := m.Touch(now, a, true)
+		data, done, err := m.Touch(now, a, write)
 		if err != nil {
 			t.Fatal(err)
 		}
 		now = done
+		if !write && !bytes.Equal(data, half) {
+			t.Fatalf("page %#x lost its contents", a)
+		}
 		copy(data, half)
 	}
 	for i := 0; i < 8; i++ {
-		touch(otherBase + uint64(i)*PageSize)
+		touch(otherBase+uint64(i)*PageSize, true)
 	}
 	for i := 0; i < 4; i++ {
-		touch(addr(i))
+		touch(addr(i), true)
 	}
 	if pooled, _ := m.CompressStats(); pooled.RawBytes != 8*PageSize || m.wb.QueuedLen() != 0 {
 		t.Fatalf("setup: %d pages pooled, %d queued; want pid %d's 8 pooled", pooled.RawBytes/PageSize, m.wb.QueuedLen(), leave)
@@ -183,17 +226,78 @@ func TestFailedTierDrainLetsGoOfPooledPages(t *testing.T) {
 		t.Fatalf("export err = %v, want the failed tier flush", err)
 	}
 	store.down = false
-	if pooled, _ := m.CompressStats(); pooled.RawBytes != 0 || m.wb.QueuedLen() != 0 {
-		t.Fatalf("failed export left %d pages pooled, %d queued with no region", pooled.RawBytes/PageSize, m.wb.QueuedLen())
+	if _, ok := m.Partition(leave); !ok {
+		t.Fatal("failed export let go of the VM")
+	}
+	if pooled, _ := m.CompressStats(); pooled.RawBytes != 4*PageSize || m.wb.QueuedLen() != 4 {
+		t.Fatalf("failed export left %d pages pooled, %d queued; want 4 and 4", pooled.RawBytes/PageSize, m.wb.QueuedLen())
 	}
 	for i := 4; i < 64; i++ {
-		touch(addr(i))
+		touch(addr(i), true)
 	}
 	if s, _ := m.CompressStats(); s.Overflowed == 0 {
 		t.Fatal("the pool never overflowed")
 	}
-	if _, err := m.wb.Drain(now); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		touch(otherBase+uint64(i)*PageSize, false)
+	}
+	image, _, err := m.ExportVM(now, leave)
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if len(image.Seen) != 8 {
+		t.Fatalf("retried export carries %d seen pages, want 8", len(image.Seen))
+	}
+}
+
+// TestExportFlushesOnlyItsOwnWrites: the export's drain flushes and waits
+// for the exported VM's writes alone. Another VM's queued writes neither
+// lengthen the pause nor leave the write list.
+func TestExportFlushesOnlyItsOwnWrites(t *testing.T) {
+	const other = 4343
+	otherBase := uint64(testBase + 1024*PageSize)
+	export := func(otherPages int) time.Duration {
+		cfg := DefaultConfig(ramcloud.New(ramcloud.DefaultParams(), 9), 256)
+		cfg.WriteBatchSize = 1024
+		m, err := NewMonitor(cfg, kvstore.NewLocalRegistry(), "hyp-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RegisterRange(testBase, 64*PageSize, 4242); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RegisterRange(otherBase, 64*PageSize, other); err != nil {
+			t.Fatal(err)
+		}
+		now := time.Duration(0)
+		for i := 0; i < otherPages; i++ {
+			_, done, err := m.Touch(now, otherBase+uint64(i)*PageSize, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+		}
+		now = writePages(t, m, now, 0, 16)
+		// The other VM's pages are the oldest: the shrink queues them all.
+		if now, err = m.Resize(now, 16); err != nil {
+			t.Fatal(err)
+		}
+		_, done, err := m.ExportVM(now, 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.WriteListLen(); n != otherPages {
+			t.Fatalf("%d writes queued after the export, want the other VM's %d", n, otherPages)
+		}
+		if s := m.WritebackStats(); s.Flushes != 1 || s.FlushSizes[16] != 1 {
+			t.Fatalf("export flushed %v, want one batch of the VM's 16 pages", s.FlushSizes)
+		}
+		return done - now
+	}
+	alone, beside := export(0), export(64)
+	t.Logf("export pause: %v alone, %v beside 64 queued writes of another VM", alone, beside)
+	if beside > alone*11/10 {
+		t.Fatalf("export took %v beside 64 queued writes of another VM, %v alone", beside, alone)
 	}
 }
 
@@ -213,6 +317,41 @@ func TestImportIntoBusyPIDFails(t *testing.T) {
 	if _, err := dst.ImportVM(now, image); !errors.Is(err, ErrPartitionTaken) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestFailedImportChangesNothing: an import whose second region collides
+// unregisters its first, so the destination is as before, and once the
+// collision is gone a retry succeeds.
+func TestFailedImportChangesNothing(t *testing.T) {
+	src, dst := twoMonitors(t)
+	second := uint64(testBase + 1<<30)
+	if _, err := src.RegisterRange(second, 16*PageSize, 4242); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.RegisterRange(second+8*PageSize, 16*PageSize, 777); err != nil {
+		t.Fatal(err)
+	}
+	now := writePages(t, src, 0, 0, 32)
+	image, now, err := src.ExportVM(now, 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(image.Regions) != 2 {
+		t.Fatalf("image has %d regions, want 2", len(image.Regions))
+	}
+	if _, err := dst.ImportVM(now, image); err == nil {
+		t.Fatal("import into an overlapping region succeeded")
+	}
+	if _, ok := dst.Partition(4242); ok || len(dst.pages.regions) != 1 || len(dst.fd.Regions()) != 1 {
+		t.Fatalf("failed import left pid 4242 behind (%d regions)", len(dst.pages.regions))
+	}
+	if now, err = dst.UnregisterVM(now, 777); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = dst.ImportVM(now, image); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	checkPages(t, dst, now, 0, 32)
 }
 
 func TestImportEmptyImage(t *testing.T) {

@@ -25,14 +25,15 @@ import (
 // views: each owns its fields of the record and its ilist list.
 //
 // A page's state lives and dies with its region: registration allocates a
-// zeroed table and adopts nothing, teardown and migration export discard it.
-// A read outside every region sees the zero entry; creating state there is
-// the caller's bug and panics. The one record that may outlive its region is
-// a write still in flight at teardown or at a failed export (which discards
-// the queued and pooled pages of the regions it let go of): it stays on the
-// engine's in-flight list, so drains and completion times are unchanged, but
-// no entry names it, and a later registration of the same range under the
-// same partition starts from zero rather than waiting on that orphaned write.
+// zeroed table and adopts nothing, and the monitor's one release walk
+// (teardown, a completed migration export, a failed import) forgets every
+// page before it discards the table. A read outside every region sees the
+// zero entry; creating state there is the caller's bug and panics. The one
+// record that may outlive its region is a write still in flight at
+// teardown: it stays on the engine's in-flight list, so drains and
+// completion times are unchanged, but no entry names it, and a later
+// registration of the same range under the same partition starts from zero
+// rather than waiting on that orphaned write.
 type pageTable struct {
 	regions []*pageRegion
 	// recs is the record slab; index 0 is the nil record. lruLinks threads
@@ -186,8 +187,8 @@ func (t *pageTable) addRegion(start, length uint64, pid int, part kvstore.Partit
 	t.regions = append(t.regions, &pageRegion{start: start, length: length, pid: pid, part: part, entries: make([]uint32, length>>pageShift)})
 }
 
-// dropRegion discards the region starting at start and its table (teardown,
-// migration export).
+// dropRegion discards the region starting at start and its table (the
+// monitor's release walk).
 func (t *pageTable) dropRegion(start uint64) {
 	for i, r := range t.regions {
 		if r.start == start {
@@ -206,9 +207,4 @@ func (t *pageTable) seen(addr uint64) bool {
 func (t *pageTable) setSeen(addr uint64) {
 	e, _ := t.byAddr(addr, true)
 	*e |= entSeen
-}
-
-func (t *pageTable) clearSeen(addr uint64) {
-	e, _ := t.byAddr(addr, false)
-	*e &^= entSeen
 }

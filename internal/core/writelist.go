@@ -191,21 +191,30 @@ func (w *writeback) Enqueue(now time.Duration, key kvstore.Key, data []byte, own
 	return now, nil
 }
 
+// everyPart selects every partition's writes; no key carries it.
+const everyPart = kvstore.PartitionID(kvstore.MaxPartitions)
+
 // Flush submits all queued writes, in enqueue order, as one multi-write. The
 // store's device model accounts the transfer; faults only wait on it via
 // WaitFor.
-func (w *writeback) Flush(now time.Duration) error {
-	if w.queue.Len == 0 {
-		return nil
-	}
+func (w *writeback) Flush(now time.Duration) error { return w.flush(now, everyPart) }
+
+// flush submits part's queued writes (everyPart: all of them), in enqueue
+// order, as one multi-write. Other partitions' writes keep their place.
+func (w *writeback) flush(now time.Duration, part kvstore.PartitionID) error {
 	recs, links := w.pages.recs, w.pages.queueLinks
 	keys := w.keyScratch[:0]
 	pages := w.pageScratch[:0]
 	for i := w.queue.Head; i != 0; i = links[i].Next {
-		keys = append(keys, kvstore.Key(recs[i].id))
-		pages = append(pages, recs[i].data)
+		if key := kvstore.Key(recs[i].id); part == everyPart || key.Partition() == part {
+			keys = append(keys, key)
+			pages = append(pages, recs[i].data)
+		}
 	}
 	w.keyScratch, w.pageScratch = keys, pages
+	if len(keys) == 0 {
+		return nil
+	}
 	done, err := w.store.MultiPut(now, keys, pages)
 	if err != nil {
 		return err
@@ -216,8 +225,12 @@ func (w *writeback) Flush(now time.Duration) error {
 	if len(w.inflight) == 0 || done < w.minDone {
 		w.minDone = done
 	}
-	for i, k := w.queue.Head, 0; i != 0; k++ {
-		r := &recs[i]
+	for i, k := w.queue.Head, 0; i != 0; {
+		r, next := &recs[i], links[i].Next
+		if part != everyPart && kvstore.Key(r.id).Partition() != part {
+			i = next
+			continue
+		}
 		if r.state&recInflight == 0 {
 			w.inflight = append(w.inflight, i)
 		}
@@ -231,9 +244,9 @@ func (w *writeback) Flush(now time.Duration) error {
 		w.release(pages[k], !r.shared || !sameBuffer(pages[k], r.data))
 		r.data, r.shared = nil, false
 		pages[k] = nil
-		i, links[i] = links[i].Next, ilist.Link{}
+		w.queue.Remove(links, i)
+		i, k = next, k+1
 	}
-	w.queue = ilist.List{}
 	w.flushes++
 	w.flushedPages += uint64(len(keys))
 	w.flushSizes[len(keys)]++
@@ -346,19 +359,30 @@ func (w *writeback) Queued(key kvstore.Key) bool {
 func (w *writeback) QueuedLen() int { return w.queue.Len }
 
 // Drain flushes everything and reports when the store is quiescent.
-func (w *writeback) Drain(now time.Duration) (time.Duration, error) {
-	if err := w.Flush(now); err != nil {
+func (w *writeback) Drain(now time.Duration) (time.Duration, error) { return w.drain(now, everyPart) }
+
+// drain flushes part's queued writes (everyPart: all of them) and reports
+// when the last of part's writes in flight lands; other partitions' stay.
+func (w *writeback) drain(now time.Duration, part kvstore.PartitionID) (time.Duration, error) {
+	if err := w.flush(now, part); err != nil {
 		return now, err
 	}
 	latest := now
+	kept := w.inflight[:0]
 	for _, i := range w.inflight {
-		if done := w.pages.recs[i].done; done > latest {
-			latest = done
+		r := &w.pages.recs[i]
+		if part != everyPart && kvstore.Key(r.id).Partition() != part {
+			kept = append(kept, i)
+			continue
+		}
+		if r.done > latest {
+			latest = r.done
 		}
 		w.retire(i)
 	}
-	w.inflight = w.inflight[:0]
-	w.minDone = 0
+	if w.inflight = kept; len(kept) == 0 {
+		w.minDone = 0
+	}
 	return latest, nil
 }
 

@@ -1,8 +1,9 @@
 // Package ilist is the tree's one intrusive doubly linked list, for core's
-// LRU, write and free lists, swap's active and inactive lists and hotset's
-// ghost list. Elements are slab indices, 0 being nil; an owner keeps a []Link
-// beside its slab and walks it through Next or Prev. Operations are plain
-// slice accesses, since they sit on the fault path.
+// LRU, write and free lists, swap's active and inactive lists, hotset's
+// ghost list and mongodb's cache LRU. Elements are slab indices, 0 being
+// nil; an owner keeps a []Link beside its slab and walks it through Next or
+// Prev. Operations are plain slice accesses, since they sit on the fault
+// path.
 package ilist
 
 // Link is one record's place on a list: the slab indices of its neighbours,

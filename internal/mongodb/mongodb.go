@@ -12,7 +12,6 @@
 package mongodb
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 
 	"fluidmem/internal/blockdev"
 	"fluidmem/internal/clock"
+	"fluidmem/internal/ilist"
 	"fluidmem/internal/vm"
 )
 
@@ -95,9 +95,12 @@ type Store struct {
 	slotOf []int32
 	// recordAt maps slot → record id (-1 when free).
 	recordAt []int32
-	lru      *list.List // cache slots, front = coldest
-	lruElem  []*list.Element
-	rng      *clock.Rand
+	// lru orders the cache slots in use, head coldest; element i is slot
+	// i-1 (0 is ilist's nil). Slots are taken in order and never given
+	// back, so the list holds exactly slots [0, lru.Len).
+	lru   ilist.List
+	links []ilist.Link
+	rng   *clock.Rand
 
 	stats Stats
 }
@@ -124,7 +127,6 @@ func Open(now time.Duration, guest *vm.VM, disk *blockdev.Device, cfg Config) (*
 		guest: guest,
 		disk:  disk,
 		rng:   clock.NewRand(cfg.Seed),
-		lru:   list.New(),
 	}
 	var err error
 	s.cacheSeg, err = guest.Alloc("wiredtiger.cache", cfg.CacheBytes, vm.ClassAnon)
@@ -152,7 +154,7 @@ func Open(now time.Duration, guest *vm.VM, disk *blockdev.Device, cfg Config) (*
 	for i := range s.recordAt {
 		s.recordAt[i] = -1
 	}
-	s.lruElem = make([]*list.Element, s.slots)
+	s.links = make([]ilist.Link, s.slots+1)
 
 	// Load phase: write every record's page to disk. Record contents encode
 	// the record id so reads can verify integrity end to end.
@@ -200,7 +202,7 @@ func (s *Store) ReadRecord(now time.Duration, id int) (time.Duration, error) {
 		if err != nil {
 			return done, err
 		}
-		s.lru.MoveToBack(s.lruElem[slot])
+		s.touchSlot(int(slot))
 		return done, nil
 	}
 
@@ -218,56 +220,47 @@ func (s *Store) ReadRecord(now time.Duration, id int) (time.Duration, error) {
 	// WiredTiger's eviction_trigger) the eviction server walks candidate
 	// pages (reading their generations) before choosing the LRU victim; the
 	// walk pages against the kernel just like record accesses do.
-	if s.lru.Len()*5 >= s.slots*4 {
+	if s.lru.Len*5 >= s.slots*4 {
 		if now, err = s.evictionWalk(now); err != nil {
 			return now, err
 		}
 	}
-	slot, evictErr := s.allocSlot()
-	if evictErr != nil {
-		return now, evictErr
-	}
+	slot := s.allocSlot()
 	record := pageData[(id%recordsPerPage)*RecordBytes : (id%recordsPerPage+1)*RecordBytes]
 	if now, err = s.writeSlot(now, slot, id, record); err != nil {
 		return now, err
 	}
 	s.slotOf[id] = int32(slot)
 	s.recordAt[slot] = int32(id)
-	if s.lruElem[slot] == nil {
-		s.lruElem[slot] = s.lru.PushBack(slot)
-	} else {
-		s.lru.MoveToBack(s.lruElem[slot])
-	}
+	s.touchSlot(slot)
 	return now, nil
 }
 
-// allocSlot finds a free cache slot, evicting the engine's LRU choice when
-// the cache is full. Eviction is purely bookkeeping for a read-only
-// workload: clean records need no writeback.
-func (s *Store) allocSlot() (int, error) {
-	if s.lru.Len() < s.slots {
-		// Unused slots remain: take the next one.
-		for slot := s.lru.Len(); slot < s.slots; slot++ {
-			if s.recordAt[slot] < 0 && s.lruElem[slot] == nil {
-				return slot, nil
-			}
-		}
+// allocSlot picks the cache slot for a new record: the next slot never
+// used, or once every slot is in use the engine's LRU choice, whose record
+// is evicted. Eviction is purely bookkeeping for a read-only workload: clean
+// records need no writeback.
+func (s *Store) allocSlot() int {
+	if s.lru.Len < s.slots {
+		return s.lru.Len
 	}
-	front := s.lru.Front()
-	if front == nil {
-		return 0, errors.New("mongodb: cache has no evictable slot")
-	}
-	slot, ok := front.Value.(int)
-	if !ok {
-		return 0, errors.New("mongodb: corrupt LRU entry")
-	}
-	victim := s.recordAt[slot]
-	if victim >= 0 {
+	slot := int(s.lru.Head) - 1
+	if victim := s.recordAt[slot]; victim >= 0 {
 		s.slotOf[victim] = -1
 		s.recordAt[slot] = -1
 		s.stats.Evictions++
 	}
-	return slot, nil
+	return slot
+}
+
+// touchSlot makes slot the most recently used, putting it on the LRU list
+// at its first use.
+func (s *Store) touchSlot(slot int) {
+	i := uint32(slot + 1)
+	if slot < s.lru.Len {
+		s.lru.Remove(s.links, i)
+	}
+	s.lru.PushBack(s.links, i)
 }
 
 // touchIndex walks the engine's internal pages for a lookup: one hot root

@@ -14,7 +14,10 @@ import (
 //
 // Requirements: both machines run ModeFluidMem, were built with the same
 // SharedStore and Registry, have distinct PIDs, and dst has never hosted a
-// workload (create it with BootOS=false; its empty initial VM is discarded).
+// workload (create it with BootOS=false; its empty initial VM is discarded
+// once the export has succeeded). A failed export leaves the guest running
+// on src, its clock charged for the attempt, so Migrate can simply be
+// called again.
 func Migrate(src, dst *Machine) error {
 	if src.monitor == nil || dst.monitor == nil {
 		return errors.New("fluidmem: migration requires FluidMem machines on both sides")
@@ -31,18 +34,18 @@ func Migrate(src, dst *Machine) error {
 		return errors.New("fluidmem: destination must be a fresh machine (no booted OS, no resident pages)")
 	}
 
+	// Source side: pause, push resident pages, hand over the metadata.
+	image, now, err := src.monitor.ExportVM(src.now, srcPID)
+	src.now = now
+	if err != nil {
+		return fmt.Errorf("fluidmem: export: %w", err)
+	}
+
 	// Clear the destination's placeholder VM so its region cannot collide
 	// with the imported one.
 	if _, err := dst.monitor.UnregisterVM(dst.now, dstPID); err != nil {
 		return fmt.Errorf("fluidmem: clear destination: %w", err)
 	}
-
-	// Source side: pause, push resident pages, hand over the metadata.
-	image, now, err := src.monitor.ExportVM(src.now, srcPID)
-	if err != nil {
-		return fmt.Errorf("fluidmem: export: %w", err)
-	}
-	src.now = now
 
 	// The destination resumes no earlier than the source stopped.
 	if src.now > dst.now {

@@ -1,7 +1,9 @@
 package fluidmem
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/ramcloud"
@@ -170,4 +172,86 @@ func TestMigrateRejectsSamePID(t *testing.T) {
 	if err := Migrate(mk("a"), mk("b")); err == nil {
 		t.Fatal("same-PID migration accepted")
 	}
+}
+
+// flakyStore fails every MultiPut while down is set.
+type flakyStore struct {
+	kvstore.Store
+	down bool
+}
+
+var errFlaky = errors.New("store down")
+
+func (s *flakyStore) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
+	if s.down {
+		return now, errFlaky
+	}
+	return s.Store.MultiPut(now, keys, pages)
+}
+
+// TestFailedMigrateCanBeRetried: an export that fails on a store write
+// leaves the guest running on the source, its clock charged, and the
+// destination untouched; once the store heals, Migrate simply runs again.
+func TestFailedMigrateCanBeRetried(t *testing.T) {
+	store := &flakyStore{Store: ramcloud.New(ramcloud.DefaultParams(), 99)}
+	registry := kvstore.NewLocalRegistry()
+	machine := func(id string, seed uint64, boot bool) *Machine {
+		m, err := NewMachine(MachineConfig{
+			Mode: ModeFluidMem, LocalMemory: 4 << 20, GuestMemory: 32 << 20, BootOS: boot,
+			SharedStore: store, Registry: registry, HypervisorID: id, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	src, dst := machine("hyp-a", 1, true), machine("hyp-b", 2, false)
+	heap, err := src.Alloc("heap", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(i, round int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 ^ uint64(round) }
+	writeAll := func(m *Machine, round int) {
+		t.Helper()
+		for i := 0; i < heap.Pages(); i++ {
+			if err := m.Write64(heap.Addr(uint64(i)*PageSize), word(i, round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkAll := func(m *Machine, round int) {
+		t.Helper()
+		for i := 0; i < heap.Pages(); i++ {
+			if v, err := m.Read64(heap.Addr(uint64(i) * PageSize)); err != nil || v != word(i, round) {
+				t.Fatalf("page %d reads %#x (err %v), want %#x", i, v, err, word(i, round))
+			}
+		}
+	}
+	writeAll(src, 1)
+	dstPID, dstNow, before := dst.vm.Config().PID, dst.Now(), src.Now()
+
+	store.down = true
+	if err := Migrate(src, dst); !errors.Is(err, errFlaky) {
+		t.Fatalf("Migrate err = %v, want the failed store write", err)
+	}
+	store.down = false
+	if src.vm == nil || dst.vm.Config().PID != dstPID || dst.Now() != dstNow {
+		t.Fatal("a failed migration moved the guest or touched the destination")
+	}
+	if _, ok := dst.Monitor().Partition(dstPID); !ok {
+		t.Fatal("a failed migration cleared the destination's VM")
+	}
+	if src.Now() <= before {
+		t.Fatalf("source clock %v not charged for the failed export (was %v)", src.Now(), before)
+	}
+	checkAll(src, 1)
+	writeAll(src, 2)
+
+	if err := Migrate(src, dst); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if src.vm != nil {
+		t.Fatal("the guest stayed on the source")
+	}
+	checkAll(dst, 2)
 }

@@ -152,19 +152,30 @@ func TestPageCopiesPerRemoteRead(t *testing.T) {
 	t.Logf("pmbench_ramcloud: %.3f page copies per remote read", copies/reads)
 }
 
-// TestMigrateShipsSharedPagesOwned migrates a guest whose resident set mixes
-// clean pages that share the store's read buffers with pages written since.
-// ExportVM must push an owned copy of each shared page: handing the store
-// its own buffer back as the new version would let the hand-over give it out
-// again while the store serves it. The store sits behind storetest's aliasing
-// net, which scribbles over every buffer a write hands back, and every word
-// must read back on the destination.
-func TestMigrateShipsSharedPagesOwned(t *testing.T) {
+// TestMigrateCopiesNoSharedPage migrates a guest whose resident set mixes
+// pages that share the store's read buffers with pages written since. The
+// export evicts through the one eviction path, so it copies none of them:
+// with clean drop a shared page is dropped, its store copy current; without
+// it the page goes back to the store as the store's own buffer (the store
+// declares kvstore.Reput). The store sits behind storetest's aliasing net,
+// which scribbles over every buffer a write hands back, and every word must
+// read back on the destination.
+func TestMigrateCopiesNoSharedPage(t *testing.T) {
+	for _, cleanDrop := range []bool{true, false} {
+		name := "clean-drop"
+		if !cleanDrop {
+			name = "reput"
+		}
+		t.Run(name, func(t *testing.T) { migrateSharedPages(t, cleanDrop) })
+	}
+}
+
+func migrateSharedPages(t *testing.T, cleanDrop bool) {
 	store := storetest.Poison(t, ramcloud.New(ramcloud.DefaultParams(), 99))
 	registry := kvstore.NewLocalRegistry()
 	machine := func(id string, seed uint64) *Machine {
 		mcfg := core.DefaultConfig(nil, 0)
-		mcfg.CleanPageDrop = true
+		mcfg.CleanPageDrop = cleanDrop
 		m, err := NewMachine(MachineConfig{
 			Mode: ModeFluidMem, LocalMemory: 2 << 20, GuestMemory: 16 << 20,
 			SharedStore: store, Registry: registry, HypervisorID: id, Seed: seed, Monitor: &mcfg,
@@ -203,8 +214,8 @@ func TestMigrateShipsSharedPagesOwned(t *testing.T) {
 		}
 	}
 	shared := src.ResidentPages() - len(rewritten)
-	if len(rewritten) == 0 || shared <= 0 || src.Monitor().Stats().CleanDropped == 0 {
-		t.Fatalf("setup: %d resident pages rewritten, %d shared, %d clean drops; want all > 0",
+	if len(rewritten) == 0 || shared <= 0 || (src.Monitor().Stats().CleanDropped == 0) == cleanDrop {
+		t.Fatalf("setup: %d resident pages rewritten, %d shared, %d clean drops; want both > 0 and drops only with clean drop",
 			len(rewritten), shared, src.Monitor().Stats().CleanDropped)
 	}
 
@@ -212,8 +223,8 @@ func TestMigrateShipsSharedPagesOwned(t *testing.T) {
 	if err := Migrate(src, dst); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.Monitor().PageCopies() - copies; got != uint64(shared) {
-		t.Fatalf("export copied %d pages, want one per shared page (%d)", got, shared)
+	if got := src.Monitor().PageCopies() - copies; got != 0 {
+		t.Fatalf("export copied %d pages (%d shared), want none", got, shared)
 	}
 	for i := 0; i < heap.Pages(); i++ {
 		addr := heap.Addr(uint64(i) * PageSize)
