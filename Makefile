@@ -222,9 +222,12 @@ openloop-oracle:
 # flat page map), the compressed tier (in lockstep with a test-side copy of
 # the map-and-FIFO-slice code it replaced), migration between two monitors
 # whose store fails writes during exports (every word against a flat map,
-# a failed export leaving its VM runnable), the ghost-LRU working-set
-# estimator, the swap subsystem (in lockstep with a test-side copy of the
-# map-and-container/list code it replaced), the cluster pool's rendezvous
+# a failed export leaving its VM runnable; option bit 3 writes through
+# synchronously, its failed Puts parking their pages on the write list,
+# and a committed sync-plus-tier seed runs in plain `go test` too), the
+# ghost-LRU working-set estimator, the swap subsystem (in lockstep with a
+# test-side copy of the map-and-container/list code it replaced), the
+# cluster pool's rendezvous
 # key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), the open-loop arrival schedules' monotonicity, split/merge

@@ -39,7 +39,6 @@ func RunTable1(opts Options) (*Table1Result, error) {
 	}, func(cfg *core.Config) {
 		cfg.AsyncRead = false
 		cfg.AsyncWrite = false
-		cfg.StealEnabled = false
 	})
 	if err != nil {
 		return nil, err

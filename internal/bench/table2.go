@@ -81,8 +81,6 @@ func runTable2Cell(backend fluidmem.Backend, opt Table2Opt, random bool, faults 
 	}, func(cfg *core.Config) {
 		cfg.AsyncRead = opt.AsyncRead
 		cfg.AsyncWrite = opt.AsyncWrite
-		// The steal shortcut is part of the async-write machinery.
-		cfg.StealEnabled = opt.AsyncWrite
 	})
 	if err != nil {
 		return 0, err

@@ -65,12 +65,9 @@ type writebackVariant struct {
 
 func writebackVariants() []writebackVariant {
 	return []writebackVariant{
-		// Synchronous per-page writes on the fault critical path: no write
-		// list, so no batching, stealing, or elision.
-		{"per-page-put", func(c *core.Config) {
-			c.AsyncWrite = false
-			c.StealEnabled = false
-		}},
+		// Synchronous per-page writes on the fault critical path: no page is
+		// queued, so no batching and nothing to steal.
+		{"per-page-put", func(c *core.Config) { c.AsyncWrite = false }},
 		// The §V-B asynchronous write list with MultiPut group flushes.
 		{"multiput-batched", nil},
 		// Group flushes plus zero-page elision and clean-page drop.

@@ -25,9 +25,10 @@ type Config struct {
 	// is resizable at runtime (§III): shrinking it evicts immediately.
 	LRUCapacity int
 
-	// AsyncWrite enables asynchronous writeback (§V-B): evicted pages go to
-	// a write list flushed in batches, instead of a synchronous store write
-	// on the fault critical path.
+	// AsyncWrite picks how an eviction writes (§V-B): queued on the write
+	// list, flushed in batches, or written through by a synchronous store
+	// write on the fault critical path. The write list serves faults in
+	// both modes: it also holds tier overflow and failed write-throughs.
 	AsyncWrite bool
 	// AsyncRead enables split reads (§V-B): the store read is issued first
 	// and the eviction's UFFD_REMAP runs while the network waits. It governs
@@ -38,6 +39,7 @@ type Config struct {
 	WriteBatchSize int
 	// StealEnabled lets the fault handler resolve a fault directly from the
 	// pending write list, shortcutting two network round trips (§V-B).
+	// Without it, a fault on a queued page forces a flush and then reads.
 	StealEnabled bool
 	// EvictWithCopy replaces UFFD_REMAP eviction with a copy-out (ablation
 	// A3: zero-copy remap vs copy + zap).

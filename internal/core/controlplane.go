@@ -97,7 +97,7 @@ func (m *Monitor) Discard(addr uint64) {
 // of the last three is always seen. ok reports a seen page of a registered
 // region, whose store copy is under key; zero reports the zero mark it took.
 func (m *Monitor) forget(addr uint64) (key kvstore.Key, zero, ok bool) {
-	if m.lru.Remove(addr) {
+	if _, ok := m.lru.Remove(addr); ok {
 		m.fd.Drop(addr)
 	}
 	// The page's contents are gone: it must leave the ghost list too, or a
@@ -129,12 +129,9 @@ func (m *Monitor) Resize(now time.Duration, capacity int) (time.Duration, error)
 		return now, fmt.Errorf("%w: LRU capacity %d < 1", ErrBadConfig, capacity)
 	}
 	m.cfg.LRUCapacity = capacity
-	t := now
-	var err error
-	for m.lru.Len() > capacity {
-		if t, err = m.evictOne(t, false); err != nil {
-			return t, err
-		}
+	t, err := m.makeRoom(now, capacity)
+	if err != nil {
+		return t, err
 	}
 	// Worker 0 is an arbitrary but fixed attribution: a resize is not caused
 	// by any page address. The arg carries the new capacity in pages.

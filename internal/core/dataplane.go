@@ -177,12 +177,9 @@ func (m *Monitor) zeroFill(t time.Duration, ev uffd.Event) (time.Duration, error
 
 	// Asynchronous eviction (blue path in Figure 2): the monitor keeps
 	// working after the guest resumes.
-	mFree := t
-	var err2 error
-	for m.lru.Len() > m.cfg.LRUCapacity {
-		if mFree, err2 = m.evictOne(mFree, false); err2 != nil {
-			return resumeAt, err2
-		}
+	mFree, err := m.makeRoom(t, m.cfg.LRUCapacity)
+	if err != nil {
+		return resumeAt, err
 	}
 	m.workerFree[m.workerOf(ev.Addr)] = mFree
 	return resumeAt, nil
@@ -200,22 +197,20 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			return t, pathTier, err
 		}
 		if hit {
-			// The tier held the only current copy; the page adopts the
-			// buffer it was decompressed into.
-			rt, err := m.installAndWake(done, ev, data, true, true)
-			return rt, pathTier, err
+			return m.adopt(done, ev, key, data, true, pathTier)
 		}
 	}
-	// Steal shortcut: the page is sitting on the pending write list.
-	if m.cfg.StealEnabled && m.cfg.AsyncWrite {
+	// Steal shortcut: the page is sitting on the pending write list. The list
+	// holds a page in every write mode — queued by an asynchronous eviction,
+	// displaced from the compressed tier, or parked by a failed write-through.
+	if m.cfg.StealEnabled {
 		if data, owned, ok := m.wb.Steal(t, key); ok {
 			m.stats.Steals++
 			// The page adopts the stolen frame, or maps again the store
 			// buffer whose re-put the steal cancelled.
-			rt, err := m.installAndWake(t, ev, data, owned, true)
-			return rt, pathSteal, err
+			return m.adopt(t, ev, key, data, owned, pathSteal)
 		}
-	} else if m.cfg.AsyncWrite && m.wb.Queued(key) {
+	} else if m.wb.Queued(key) {
 		// Without stealing, a queued write must be flushed and completed
 		// before the read can see the page — the two round trips the steal
 		// optimisation shortcuts (§V-B).
@@ -241,13 +236,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	if err != nil {
 		return readDone, pathRead, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	t = readDone
-	for m.lru.Len() >= m.cfg.LRUCapacity {
-		if t, err = m.evictOne(t, false); err != nil {
-			return t, pathRead, err
-		}
-	}
-	rt, err := m.installAndWake(t, ev, data, false, false)
+	rt, err := m.installAndWake(readDone, ev, data, false)
 	return rt, pathRead, err
 }
 
@@ -278,7 +267,8 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 	}
 	overlap := issue
 	for m.lru.Len() >= m.cfg.LRUCapacity {
-		if overlap, err = m.evictOne(overlap, true); err != nil {
+		victim, _ := m.lru.Oldest()
+		if overlap, err = m.evict(overlap, victim, true, false); err != nil {
 			return t, path, err
 		}
 		overlap += m.cfg.MonitorOps.EvictFinish.Sample(m.rng)
@@ -317,18 +307,12 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 	return resumeAt, path, nil
 }
 
-// installAndWake installs data in the faulting page (see install for owned),
-// re-inserts it in the LRU list, and wakes the guest. The store-read paths
-// have already made room; the steal and tier shortcuts have not, so they
-// evict here (needEvict).
-func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, owned, needEvict bool) (time.Duration, error) {
-	if needEvict {
-		var err error
-		for m.lru.Len() >= m.cfg.LRUCapacity {
-			if t, err = m.evictOne(t, false); err != nil {
-				return t, err
-			}
-		}
+// installAndWake makes room for the faulting page, installs data in it (see
+// install for owned), re-inserts it in the LRU list, and wakes the guest.
+func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, owned bool) (time.Duration, error) {
+	t, err := m.makeRoom(t, m.cfg.LRUCapacity-1)
+	if err != nil {
+		return t, err
 	}
 	updCost := m.cfg.MonitorOps.CacheUpdate.Sample(m.rng)
 	m.record(opUpdatePageCache, ev.Addr, updCost)
@@ -351,14 +335,26 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, ow
 	return t + m.cfg.MonitorOps.Resume.Sample(m.rng), nil
 }
 
-// evictOne pushes the oldest LRU page out of the VM and toward the store.
-// The victim is the oldest page whichever worker owns it.
-func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, error) {
-	victim, ok := m.lru.Oldest()
-	if !ok {
-		return t, errors.New("core: eviction needed but LRU list empty")
+// adopt installs a page taken out of the compressed tier (the buffer it was
+// decompressed into) or off the write list: data is its only current copy, so
+// if making room or the copy fails, it goes back on the write list.
+func (m *Monitor) adopt(t time.Duration, ev uffd.Event, key kvstore.Key, data []byte, owned bool, path string) (time.Duration, string, error) {
+	t, err := m.installAndWake(t, ev, data, owned)
+	if err != nil {
+		_, _ = m.enqueue(t, key, data, owned)
 	}
-	return m.evict(t, victim, interleaved, false)
+	return t, path, err
+}
+
+// makeRoom evicts the oldest pages, whichever workers own them, until at
+// most limit are resident.
+func (m *Monitor) makeRoom(t time.Duration, limit int) (time.Duration, error) {
+	var err error
+	for m.lru.Len() > limit && err == nil {
+		victim, _ := m.lru.Oldest()
+		t, err = m.evict(t, victim, false, false)
+	}
+	return t, err
 }
 
 // evict pushes the resident page victim out of the VM and toward the store,
@@ -368,8 +364,9 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 //
 // Frame lifecycle: the remapped frame moves here as itself, and onward with
 // its ownership — to the write list (whose flush hands it to the store), or,
-// on the zero-elide, tier-accepted and synchronous-write paths (Put copies),
-// back to the pool if it is the monitor's. A page the guest never wrote since
+// on the zero-elide, tier-accepted and written-through paths (Put copies),
+// back to the pool if it is the monitor's. A page whose write-through fails
+// goes to the write list too. A page the guest never wrote since
 // a store-backed install comes out not owned: it is the store's own read
 // buffer of the key, unchanged, which the write list passes back to a store
 // that takes it (kvstore.Reput) and copies first for one that does not. It
@@ -377,7 +374,7 @@ func (m *Monitor) evictOne(t time.Duration, interleaved bool) (time.Duration, er
 // forgets the store buffer it shares. A zero-COW page comes out as nil, which
 // zero elision takes unscanned and anything else gets as a frame of zeroes.
 func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving bool) (time.Duration, error) {
-	m.lru.Remove(victim)
+	key, _ := m.lru.Remove(victim)
 	if !leaving {
 		m.hot.Evict(victim)
 	}
@@ -436,12 +433,6 @@ func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving boo
 		return t, nil
 	}
 
-	region := m.pages.region(victim)
-	if region == nil {
-		return t, fmt.Errorf("core: evicted page %#x has no region", victim)
-	}
-	key := kvstore.MakeKey(victim, region.part)
-
 	if m.cfg.ElideZeroPages {
 		scanCost := m.cfg.MonitorOps.ZeroScan.Sample(m.rng)
 		m.record(opZeroScan, victim, scanCost)
@@ -484,16 +475,7 @@ func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving boo
 	}
 
 	if m.cfg.AsyncWrite {
-		if !owned && !m.storeReput {
-			// The store cannot take its own buffer back: it gets a copy.
-			data, owned = m.fd.PrivateCopy(data), true
-		}
-		flushesBefore := m.wb.flushes
-		if t, err = m.wb.Enqueue(t, key, data, owned); err != nil {
-			return t, fmt.Errorf("core: enqueue write %v: %w", key, err)
-		}
-		m.stats.Flushes += m.wb.flushes - flushesBefore
-		return t, nil
+		return m.enqueue(t, key, data, owned)
 	}
 	m.stats.SyncWrites++
 	if !m.storeLocal {
@@ -501,15 +483,32 @@ func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving boo
 	}
 	done, err := m.cfg.Store.Put(t, key, data)
 	m.record(opWritePage, victim, done-t)
-	// Put copied the bytes (or failed terminally); either way the frame, if
-	// it is ours, is free again.
+	if err != nil {
+		// A failed write-through parks the page on the write list, for a
+		// refault or a drain; a flush failing in the enqueue leaves it queued.
+		_, _ = m.enqueue(done, key, data, owned)
+		return done, fmt.Errorf("core: write %v: %w", key, err)
+	}
+	// Put copied the bytes: the frame, if it is ours, is free again.
 	if owned {
 		m.fd.Recycle(data)
 	}
-	if err != nil {
-		return done, fmt.Errorf("core: write %v: %w", key, err)
-	}
 	return done, nil
+}
+
+// enqueue appends an evicted page to the write list. A store buffer the store
+// cannot take back (no kvstore.Reput) is copied first.
+func (m *Monitor) enqueue(t time.Duration, key kvstore.Key, data []byte, owned bool) (time.Duration, error) {
+	if !owned && !m.storeReput {
+		data, owned = m.fd.PrivateCopy(data), true
+	}
+	flushesBefore := m.wb.flushes
+	t, err := m.wb.Enqueue(t, key, data, owned)
+	m.stats.Flushes += m.wb.flushes - flushesBefore
+	if err != nil {
+		return t, fmt.Errorf("core: enqueue write %v: %w", key, err)
+	}
+	return t, nil
 }
 
 // install maps data at addr with UFFDIO_COPY, returning when the copy is

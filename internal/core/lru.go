@@ -1,6 +1,9 @@
 package core
 
-import "fluidmem/internal/ilist"
+import (
+	"fluidmem/internal/ilist"
+	"fluidmem/internal/kvstore"
+)
 
 // lruList is the monitor's resident-page list (§V-A). Its semantics follow
 // the paper exactly: a page enters the list when the monitor sees it (first
@@ -41,7 +44,6 @@ func (l *lruList) Insert(addr uint64) {
 		panic("core: page already in LRU list")
 	}
 	n.state |= recLRU
-	n.addr = addr
 	l.list.PushBack(l.pages.lruLinks, i)
 }
 
@@ -56,28 +58,30 @@ func (l *lruList) Oldest() (uint64, bool) {
 	if l.list.Head == 0 {
 		return 0, false
 	}
-	return l.pages.recs[l.list.Head].addr, true
+	return kvstore.Key(l.pages.recs[l.list.Head].id).Page(), true
 }
 
-// Remove deletes addr, reporting whether it was present.
-func (l *lruList) Remove(addr uint64) bool {
+// Remove deletes addr, reporting whether it was present and, if it was, the
+// page's store key.
+func (l *lruList) Remove(addr uint64) (kvstore.Key, bool) {
 	e, _ := l.pages.byAddr(addr, false)
 	i := *e & entSlot
 	n := &l.pages.recs[i]
 	if n.state&recLRU == 0 {
-		return false
+		return 0, false
 	}
+	key := kvstore.Key(n.id)
 	l.list.Remove(l.pages.lruLinks, i)
 	n.state &^= recLRU
 	l.pages.release(e, i)
-	return true
+	return key, true
 }
 
 // Addrs returns the resident page addresses, oldest first.
 func (l *lruList) Addrs() []uint64 {
 	addrs := make([]uint64, 0, l.list.Len)
 	for i := l.list.Head; i != 0; i = l.pages.lruLinks[i].Next {
-		addrs = append(addrs, l.pages.recs[i].addr)
+		addrs = append(addrs, kvstore.Key(l.pages.recs[i].id).Page())
 	}
 	return addrs
 }

@@ -41,10 +41,10 @@ func TestLRURemove(t *testing.T) {
 	l := newLRUList()
 	l.Insert(pg(1))
 	l.Insert(pg(2))
-	if !l.Remove(pg(1)) {
-		t.Fatal("Remove(1) = false")
+	if key, ok := l.Remove(pg(1)); !ok || key != kvstore.MakeKey(pg(1), 1) {
+		t.Fatalf("Remove(1) = %v, %v; want the page's key", key, ok)
 	}
-	if l.Remove(pg(1)) {
+	if _, ok := l.Remove(pg(1)); ok {
 		t.Fatal("double remove succeeded")
 	}
 	if got, _ := l.Oldest(); got != pg(2) {
@@ -146,7 +146,7 @@ func TestLRUMatchesFlatModelProperty(t *testing.T) {
 					l.Insert(a)
 				}
 			case 2: // remove
-				if l.Remove(a) != model.Remove(a) {
+				if _, ok := l.Remove(a); ok != model.Remove(a) {
 					return false
 				}
 			case 3: // evict oldest to the write list
@@ -157,8 +157,11 @@ func TestLRUMatchesFlatModelProperty(t *testing.T) {
 				}
 				if ok {
 					model.Remove(want)
-					l.Remove(got)
-					if _, err := engine.Enqueue(now, kvstore.MakeKey(got, part), make([]byte, PageSize), true); err != nil {
+					key, _ := l.Remove(got)
+					if key != kvstore.MakeKey(got, part) {
+						return false
+					}
+					if _, err := engine.Enqueue(now, key, make([]byte, PageSize), true); err != nil {
 						return false
 					}
 				}

@@ -11,8 +11,8 @@ import (
 	"fluidmem/internal/kvstore/storetest"
 )
 
-// scheduledStore fails MultiPuts on a schedule while armed: the n-th call
-// since arming fails if bit n of the schedule is set.
+// scheduledStore fails writes (Put and MultiPut alike) on a schedule while
+// armed: the n-th write since arming fails if bit n of the schedule is set.
 type scheduledStore struct {
 	kvstore.Store
 	armed    bool
@@ -20,15 +20,28 @@ type scheduledStore struct {
 	calls    int
 }
 
-var errScheduled = errors.New("scheduled MultiPut failure")
+var errScheduled = errors.New("scheduled write failure")
+
+// fails reports whether the next write fails, counting it.
+func (s *scheduledStore) fails() bool {
+	if !s.armed {
+		return false
+	}
+	n := s.calls
+	s.calls++
+	return n < 8 && s.schedule&(1<<n) != 0
+}
+
+func (s *scheduledStore) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
+	if s.fails() {
+		return now, errScheduled
+	}
+	return s.Store.Put(now, key, page)
+}
 
 func (s *scheduledStore) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
-	if s.armed {
-		n := s.calls
-		s.calls++
-		if n < 8 && s.schedule&(1<<n) != 0 {
-			return now, errScheduled
-		}
+	if s.fails() {
+		return now, errScheduled
 	}
 	return s.Store.MultiPut(now, keys, pages)
 }
@@ -39,7 +52,7 @@ func (s *scheduledStore) Reput() bool { return storetest.Reputs(s.Store) }
 func (s *scheduledStore) arm(schedule uint8) { s.armed, s.schedule, s.calls = true, schedule, 0 }
 
 // FuzzMigrate moves two VMs back and forth between two monitors over one
-// store whose MultiPut fails on a fuzzed schedule during each export. Guest
+// store whose writes fail on a fuzzed schedule during each export. Guest
 // writes and reads, exports, imports, retries and teardowns interleave. A
 // write or read checks the word it touches; after every export, import or
 // teardown every word of both VMs is held to a flat map (a full check after
@@ -48,8 +61,9 @@ func (s *scheduledStore) arm(schedule uint8) { s.armed, s.schedule, s.calls = tr
 // sits behind storetest's aliasing net.
 //
 // Input: the first byte picks the monitor options (bit 0 zero elision, bit 1
-// clean drop, bit 2 the compressed tier); then each op is two bytes, op and
-// arg. A write fills the first half of a page with its value's bytes.
+// clean drop, bit 2 the compressed tier, bit 3 synchronous write-back, bit 4
+// no stealing); then each op is two bytes, op and arg. A write fills the
+// first half of a page with its value's bytes.
 func FuzzMigrate(f *testing.F) {
 	// Write both VMs; VM 1's export fails at its drain, VM 0 migrates, and
 	// VM 1's retry follows it.
@@ -74,6 +88,8 @@ func FuzzMigrate(f *testing.F) {
 		cfg.WriteBatchSize = 3
 		cfg.ElideZeroPages = opts&1 != 0
 		cfg.CleanPageDrop = opts&2 != 0
+		cfg.AsyncWrite = opts&8 == 0
+		cfg.StealEnabled = opts&16 == 0
 		if opts&4 != 0 {
 			// Written pages are half literal: the pool holds three.
 			half := make([]byte, PageSize)
@@ -103,11 +119,18 @@ func FuzzMigrate(f *testing.F) {
 		now := time.Duration(0)
 		touch := func(vm, page int, write bool) []byte {
 			t.Helper()
-			data, done, err := mons[on[vm]].Touch(now, bases[vm]+uint64(page)*PageSize, write)
+			m, a := mons[on[vm]], bases[vm]+uint64(page)*PageSize
+			e, _ := m.pages.byAddr(a, false)
+			queued, steals := m.pages.recs[*e&entSlot].state&recQueued != 0, m.Stats().Steals
+			data, done, err := m.Touch(now, a, write)
 			if err != nil {
 				t.Fatalf("VM %d page %d on monitor %d: %v", vm, page, on[vm], err)
 			}
 			now = done
+			// With stealing, the refault of a queued page is a steal.
+			if queued && cfg.StealEnabled && m.Stats().Steals != steals+1 {
+				t.Fatalf("VM %d page %d on monitor %d: queued page not stolen", vm, page, on[vm])
+			}
 			if got := binary.LittleEndian.Uint64(data); got != model[vm][page] {
 				t.Fatalf("VM %d page %d on monitor %d reads %#x, want %#x", vm, page, on[vm], got, model[vm][page])
 			}
@@ -133,7 +156,7 @@ func FuzzMigrate(f *testing.F) {
 			case 1: // read
 				touch(vm, int(arg>>1)%pages, false)
 				continue
-			case 2: // migrate, MultiPuts failing on the schedule in arg's upper bits
+			case 2: // migrate, writes failing on the schedule in arg's upper bits
 				from := mons[on[vm]]
 				sched.arm(arg >> 1)
 				img, done, err := from.ExportVM(now, pids[vm])

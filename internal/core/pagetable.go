@@ -82,8 +82,6 @@ type pageRec struct {
 	// id is the page's store key (page address | partition), which finds the
 	// entry pointing here — none, for a write that outlived its region.
 	id uint64
-	// addr is the resident page's address.
-	addr uint64
 	// data is the evicted page awaiting its store write, or the compressed
 	// copy of a pooled page; shared marks a queued page the store's own read
 	// buffer of the key, not the monitor's to pool (kept beside state, where

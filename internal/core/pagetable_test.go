@@ -13,11 +13,11 @@ import (
 	"fluidmem/internal/kvstore/dram"
 )
 
-// TestPageRecordSize pins the record at 56 bytes: the three views share its
+// TestPageRecordSize pins the record at 48 bytes: the three views share its
 // fields, so a new fact must find room in them, not grow every record.
 func TestPageRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(pageRec{}); got != 56 {
-		t.Fatalf("pageRec is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(pageRec{}); got != 48 {
+		t.Fatalf("pageRec is %d bytes, want 48", got)
 	}
 }
 

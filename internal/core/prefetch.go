@@ -65,7 +65,7 @@ func (m *Monitor) gatherPrefetch(addr uint64, part kvstore.PartitionID) []prefet
 		cands = append(cands, prefetchCandidate{
 			addr:   next,
 			key:    kvstore.MakeKey(next, part),
-			queued: m.cfg.AsyncWrite && state&recQueued != 0,
+			queued: state&recQueued != 0,
 		})
 	}
 	m.scratch.cands = cands
@@ -116,11 +116,9 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 		return t, true
 	}
 	installStart := t
-	var err error
-	for m.lru.Len() >= m.cfg.LRUCapacity {
-		if t, err = m.evictOne(t, false); err != nil {
-			return t, true
-		}
+	t, err := m.makeRoom(t, m.cfg.LRUCapacity-1)
+	if err != nil {
+		return t, true
 	}
 	data, owned := c.data, false
 	if c.queued {
@@ -136,7 +134,7 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 	switch {
 	case err != nil && c.queued:
 		// The stolen frame is the page's only copy: back on the list it goes.
-		_, err = m.wb.Enqueue(t, c.key, data, owned)
+		_, err = m.enqueue(t, c.key, data, owned)
 		return t, err != nil
 	case err != nil:
 		return t, false

@@ -21,7 +21,10 @@ import (
 //
 // flags: bit 0 compressed tier, bit 1 zero elision + clean drop, bit 2 a
 // write batch of 3 (flushes interleave with readahead) instead of 64 (every
-// evicted page stays on the write list). ops is (kind, arg) byte pairs.
+// evicted page stays on the write list), bit 3 synchronous write-back with
+// writes that fill half a page and a one-page tier pool, which holds one such
+// page, so that the pool's overflow is what reaches the write list. ops is
+// (kind, arg) byte pairs.
 const readaheadModelPages = 24
 
 func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byte) {
@@ -36,7 +39,13 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	cfg.WriteBatchSize = 64
 	if flags&1 != 0 {
 		p := DefaultCompressParams(4 * PageSize)
+		if flags&8 != 0 {
+			p.PoolBytes = PageSize
+		}
 		cfg.Compress = &p
+	}
+	if flags&8 != 0 {
+		cfg.AsyncWrite = false
 	}
 	if flags&2 != 0 {
 		cfg.ElideZeroPages = true
@@ -48,8 +57,9 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	m := newMonitor(t, cfg, readaheadModelPages)
 
 	// model[p] is the page's last write: its tag, and whether the write
-	// filled the whole page (incompressible) or only byte 0. The zero value
-	// is a page never written or discarded since: all zeroes.
+	// filled the whole page (incompressible) or only byte 0 (with bit 3, the
+	// first half). The zero value is a page never written or discarded
+	// since: all zeroes.
 	type contents struct {
 		tag   byte
 		dense bool
@@ -93,11 +103,15 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 			if write {
 				next := contents{tag: byte(i/2%251) + 1, dense: kind == 4}
 				clear(data)
-				data[0] = next.tag
-				if next.dense {
-					for j := range data {
-						data[j] = next.tag
-					}
+				fillTo := 1
+				switch {
+				case next.dense:
+					fillTo = PageSize
+				case flags&8 != 0:
+					fillTo = PageSize / 2
+				}
+				for j := range data[:fillTo] {
+					data[j] = next.tag
 				}
 				model[page] = next
 			}
@@ -143,10 +157,15 @@ func TestReadaheadLosesNoQueuedPage(t *testing.T) {
 	}
 }
 
+// TestReadaheadModel runs 300 random rounds with asynchronous write-back,
+// then 300 more with synchronous write-back (flags bit 3).
 func TestReadaheadModel(t *testing.T) {
 	rng := clock.NewRand(0x5eed)
-	for round := 0; round < 300; round++ {
+	for round := 0; round < 600; round++ {
 		capacity, window, flags := 1+rng.Intn(16), rng.Intn(17), byte(rng.Intn(8))
+		if round >= 300 {
+			flags |= 8
+		}
 		ops := make([]byte, 2*400)
 		for i := range ops {
 			ops[i] = byte(rng.Intn(256))
@@ -157,10 +176,13 @@ func TestReadaheadModel(t *testing.T) {
 
 // FuzzReadahead is TestReadaheadModel with the fuzzer choosing the capacity
 // (1–16), the window (0–16), the feature flags and the op stream. The
-// committed corpus holds the three (capacity, window) pairs that lost pages.
+// committed corpus holds the three (capacity, window) pairs that lost pages,
+// and a synchronous-write-back run whose window met a page the tier's
+// overflow had queued.
 func FuzzReadahead(f *testing.F) {
 	f.Add(uint8(7), uint8(4), uint8(0), cycleOps(12, 3))
 	f.Add(uint8(3), uint8(16), uint8(7), []byte{4, 1, 4, 2, 4, 3, 4, 4, 2, 1, 2, 2, 5, 0, 0, 2, 5, 1, 1, 0, 5, 2})
+	f.Add(uint8(3), uint8(4), uint8(9), cycleOps(12, 3))
 	f.Fuzz(func(t *testing.T, capacity, window, flags uint8, ops []byte) {
 		ops = ops[:min(len(ops), 4096)] // many short runs find more than a few long ones
 		runReadaheadModel(t, 1+int(capacity%16), int(window%17), flags, ops)

@@ -26,7 +26,7 @@ import (
 //     instead of being queued; a re-fault restores it with UFFDIO_ZEROPAGE,
 //     no store traffic in either direction. A stale store copy may remain —
 //     the bitmap overrides it until fresh non-zero data supersedes the mark.
-//   - Clean drop (decided by the monitor, see evictOne): a victim whose
+//   - Clean drop (decided by the monitor, see evict): a victim whose
 //     store copy is still current is dropped without touching the engine.
 //
 // The batching policy is global, whatever the fault pipeline's width: one
