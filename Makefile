@@ -224,7 +224,9 @@ openloop-oracle:
 # whose store fails writes during exports (every word against a flat map,
 # a failed export leaving its VM runnable; option bit 3 writes through
 # synchronously, its failed Puts parking their pages on the write list,
-# and a committed sync-plus-tier seed runs in plain `go test` too), the
+# and a committed sync-plus-tier seed runs in plain `go test` too; option
+# bit 5 hides the store's Take, so both install modes of a write fault run,
+# taken and shared, as in the readahead model's flags bit 4), the
 # ghost-LRU working-set estimator, the swap subsystem (in lockstep with a
 # test-side copy of the map-and-container/list code it replaced), the
 # cluster pool's rendezvous
@@ -232,8 +234,8 @@ openloop-oracle:
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), the open-loop arrival schedules' monotonicity, split/merge
 # invariance and equality with the reference-bisection schedule, and the
-# aliasing net (storetest.Poisoned) over re-puts of a store's own read
-# buffers.
+# aliasing net (storetest.Poisoned) over re-puts and takes of a store's own
+# read buffers.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s

@@ -20,7 +20,10 @@ package core
 // rest take the WP fault's private copy and a dirty eviction. The re-put
 // variant writes one access in eight without clean drop, so most evictions
 // hand the store its own read buffer back (or a copy, where the store does
-// not take it back).
+// not take it back). In the dirty and clean-drop streams a write fault takes
+// the store's read buffer instead of copying it, where the store declares
+// kvstore.Reput. The synchronous variant is the dirty stream written
+// through (AsyncWrite off), where nothing is taken.
 
 import (
 	"testing"
@@ -69,13 +72,15 @@ func allocBenchBackends(tb testing.TB) map[string]func() kvstore.Store {
 // allocHarness builds a monitor over the given store, traced by tr (nil:
 // untraced), warms it to steady state, and returns it with a closure running
 // exactly one fault per call: a dirty one, or the read-mostly stream of the
-// "/clean_drop" or the "/reput" variant.
+// "/clean_drop" or the "/reput" variant; "/sync" is the dirty stream with
+// synchronous write-back.
 func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers, pages int, variant string) (*Monitor, func()) {
 	tb.Helper()
 	cfg := DefaultConfig(store, pages/2)
 	cfg.Workers = workers
 	cfg.Trace = tr
 	cfg.CleanPageDrop = variant == "/clean_drop"
+	cfg.AsyncWrite = variant != "/sync"
 	readMostly := cfg.CleanPageDrop || variant == "/reput"
 	m, err := NewMonitor(cfg, nil, "hyp-alloc")
 	if err != nil {
@@ -115,7 +120,11 @@ func allocHarness(tb testing.TB, store kvstore.Store, tr *trace.Tracer, workers,
 // buffers: a page installed from a store read maps the store's buffer itself,
 // and an unwritten one goes back on the write list as that same buffer, so
 // the store counts it and neither the descriptor nor the write list does;
-// the first write moves the page to a pooled frame.
+// the first write moves the page to a pooled frame. A write fault that takes
+// the store's buffer moves it from the store (whose taken key holds none,
+// Buffers) to the descriptor's frames, and its flush back. The synchronous
+// variant pins why nothing is taken there: its Put copies, so a taken buffer
+// would go to the pool and the store would allocate one per write.
 func TestSteadyStateConservesBuffers(t *testing.T) {
 	type backend struct {
 		store   kvstore.Store
@@ -123,11 +132,11 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 	}
 	newDRAM := func() backend {
 		s := dram.New(dram.DefaultParams(), 9)
-		return backend{s, s.Len}
+		return backend{s, s.Buffers}
 	}
 	newRAMCloud := func() backend {
 		s := ramcloud.New(ramcloud.DefaultParams(), 10)
-		return backend{s, func() int { return int(s.Stats().BytesStored/kvstore.PageSize) + s.FreeBuffers() }}
+		return backend{s, s.Buffers}
 	}
 	for name, tc := range map[string]struct {
 		mk      func() backend
@@ -139,6 +148,8 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 		"ramcloud/clean_drop": {newRAMCloud, "/clean_drop"},
 		"dram/reput":          {newDRAM, "/reput"},
 		"ramcloud/reput":      {newRAMCloud, "/reput"},
+		"dram/sync":           {newDRAM, "/sync"},
+		"ramcloud/sync":       {newRAMCloud, "/sync"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			be := tc.mk()
@@ -164,10 +175,11 @@ func TestSteadyStateConservesBuffers(t *testing.T) {
 					t.Fatalf("clean-drop stream dropped %d pages clean after %d WP faults; want both > 0", st.CleanDropped, m.WPFaults())
 				}
 			case "/reput":
-				// About one fault in eight writes its page, and only that
-				// write copies: the unwritten rest go back as the store's own.
-				if got := m.PageCopies() - copies; got == 0 || got > st.Faults/4 {
-					t.Fatalf("re-put stream made %d page copies over %d faults; want some, at most a quarter", got, st.Faults)
+				// About one fault in eight writes its page, and that fault
+				// takes the store's buffer; the unwritten rest go back as the
+				// store's own. Nothing is copied.
+				if got := m.PageCopies() - copies; got != 0 {
+					t.Fatalf("re-put stream made %d page copies over %d faults; want none", got, st.Faults)
 				}
 			}
 		})

@@ -371,3 +371,29 @@ func TestExportKeepsOtherVMsPooledPages(t *testing.T) {
 		t.Fatalf("refault of pid %d: tier hits %d -> %d, store gets %d -> %d; want a pool hit", stay, after.Hits, hits.Hits, gets, m.cfg.Store.Stats().Gets)
 	}
 }
+
+// TestTierOverflowFlushesCounted: the pages the tier's overflow displaces
+// enter the write list through the one enqueue, so the flushes they trigger
+// count in Stats.Flushes as every other flush does. Half-filled pages
+// through a one-page pool, two to a batch: every write-list flush is one the
+// overflow triggered.
+func TestTierOverflowFlushesCounted(t *testing.T) {
+	cfg := dramCfg(4)
+	cfg.WriteBatchSize = 2
+	p := DefaultCompressParams(PageSize)
+	cfg.Compress = &p
+	m := newMonitor(t, cfg, 64)
+	now := time.Duration(0)
+	for i := 0; i < 64; i++ {
+		data, done, err := m.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		fill(data, wordOf(i))
+	}
+	monitor, engine := m.Stats().Flushes, m.WritebackStats().Flushes
+	if monitor != engine || engine != 29 {
+		t.Fatalf("Stats().Flushes = %d, the write list flushed %d times; want both 29", monitor, engine)
+	}
+}

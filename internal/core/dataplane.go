@@ -197,7 +197,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			return t, pathTier, err
 		}
 		if hit {
-			return m.adopt(done, ev, key, data, true, pathTier)
+			return m.adopt(done, ev, key, data, frameOwned, pathTier)
 		}
 	}
 	// Steal shortcut: the page is sitting on the pending write list. The list
@@ -208,7 +208,7 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 			m.stats.Steals++
 			// The page adopts the stolen frame, or maps again the store
 			// buffer whose re-put the steal cancelled.
-			return m.adopt(t, ev, key, data, owned, pathSteal)
+			return m.adopt(t, ev, key, data, frameOf(owned), pathSteal)
 		}
 	} else if m.wb.Queued(key) {
 		// Without stealing, a queued write must be flushed and completed
@@ -236,8 +236,22 @@ func (m *Monitor) resolveFromStore(t time.Duration, ev uffd.Event, key kvstore.K
 	if err != nil {
 		return readDone, pathRead, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	rt, err := m.installAndWake(readDone, ev, data, false)
+	if m.take(ev, key, data) {
+		// The store holds no bytes of the page any more: if making room or
+		// the install fails, adopt puts it on the write list.
+		return m.adopt(readDone, ev, key, data, frameTaken, pathRead)
+	}
+	rt, err := m.installAndWake(readDone, ev, data, frameShared)
 	return rt, pathRead, err
+}
+
+// take reports whether the page a store read returned as data, for the fault
+// ev on key, is the monitor's from now on: a write fault takes the store's
+// buffer (kvstore.Reput's Take) where the monitor may (storeTake), so the
+// write the guest retries lands in it with no copy. A window page of a
+// readahead is not a demand page and takes nothing.
+func (m *Monitor) take(ev uffd.Event, key kvstore.Key, data []byte) bool {
+	return ev.Write && m.storeTake != nil && m.storeTake.Take(key, data)
 }
 
 // overlappedRead is the split read of §V-B. The top half issues the store
@@ -282,16 +296,25 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 	m.lru.Insert(ev.Addr)
 
 	// Bottom half. A failed read or copy takes the page back off the LRU
-	// list: an entry there must be a page in the VM.
+	// list: an entry there must be a page in the VM. A page whose buffer the
+	// fault took and could not install goes on the write list, as adopt's
+	// do: the store holds no bytes of it any more.
 	data, readDone, err := pending.Wait(overlap)
 	m.record(opReadPage, ev.Addr, pending.ReadyAt-issue)
 	if err != nil {
 		m.lru.Remove(ev.Addr)
 		return readDone, path, fmt.Errorf("core: read %v: %w", key, err)
 	}
-	copied, done, err := m.install(readDone, ev.Addr, data, false)
+	kind := frameShared
+	if m.take(ev, key, data) {
+		kind = frameTaken
+	}
+	copied, done, err := m.install(readDone, ev.Addr, data, kind)
 	if err != nil {
 		m.lru.Remove(ev.Addr)
+		if kind == frameTaken {
+			_, _ = m.enqueue(readDone, key, data, true)
+		}
 		return readDone, path, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
 	m.prof.Record(opUffdCopy, copied-readDone)
@@ -308,8 +331,8 @@ func (m *Monitor) overlappedRead(t time.Duration, ev uffd.Event, key kvstore.Key
 }
 
 // installAndWake makes room for the faulting page, installs data in it (see
-// install for owned), re-inserts it in the LRU list, and wakes the guest.
-func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, owned bool) (time.Duration, error) {
+// install for kind), re-inserts it in the LRU list, and wakes the guest.
+func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, kind frameKind) (time.Duration, error) {
 	t, err := m.makeRoom(t, m.cfg.LRUCapacity-1)
 	if err != nil {
 		return t, err
@@ -318,7 +341,7 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, ow
 	m.record(opUpdatePageCache, ev.Addr, updCost)
 	t += updCost
 
-	copied, done, err := m.install(t, ev.Addr, data, owned)
+	copied, done, err := m.install(t, ev.Addr, data, kind)
 	if err != nil {
 		return t, fmt.Errorf("core: copy into %#x: %w", ev.Addr, err)
 	}
@@ -336,12 +359,13 @@ func (m *Monitor) installAndWake(t time.Duration, ev uffd.Event, data []byte, ow
 }
 
 // adopt installs a page taken out of the compressed tier (the buffer it was
-// decompressed into) or off the write list: data is its only current copy, so
-// if making room or the copy fails, it goes back on the write list.
-func (m *Monitor) adopt(t time.Duration, ev uffd.Event, key kvstore.Key, data []byte, owned bool, path string) (time.Duration, string, error) {
-	t, err := m.installAndWake(t, ev, data, owned)
+// decompressed into), off the write list, or from the store (a taken read
+// buffer): data is its only current copy, so if making room or the copy
+// fails, it goes back on the write list.
+func (m *Monitor) adopt(t time.Duration, ev uffd.Event, key kvstore.Key, data []byte, kind frameKind, path string) (time.Duration, string, error) {
+	t, err := m.installAndWake(t, ev, data, kind)
 	if err != nil {
-		_, _ = m.enqueue(t, key, data, owned)
+		_, _ = m.enqueue(t, key, data, kind != frameShared)
 	}
 	return t, path, err
 }
@@ -370,9 +394,13 @@ func (m *Monitor) makeRoom(t time.Duration, limit int) (time.Duration, error) {
 // a store-backed install comes out not owned: it is the store's own read
 // buffer of the key, unchanged, which the write list passes back to a store
 // that takes it (kvstore.Reput) and copies first for one that does not. It
-// never reaches the pool. A clean page moves no frame at all: RemapDrop
-// forgets the store buffer it shares. A zero-COW page comes out as nil, which
-// zero elision takes unscanned and anything else gets as a frame of zeroes.
+// never reaches the pool. A page whose write fault took the store's read
+// buffer (take) comes out owned, like any written page: that buffer is the
+// page's only copy, and the write list's flush hands it back to the store.
+// A clean page moves no frame at all: RemapDrop forgets the store buffer it
+// shares (a taken page is never clean). A zero-COW page comes out as nil,
+// which zero elision takes unscanned and anything else gets as a frame of
+// zeroes.
 func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving bool) (time.Duration, error) {
 	key, _ := m.lru.Remove(victim)
 	if !leaving {
@@ -461,7 +489,7 @@ func (m *Monitor) evict(t time.Duration, victim uint64, interleaved, leaving boo
 		}
 		t = done
 		for _, d := range displaced {
-			if t, err = m.wb.Enqueue(t, d.key, d.data, true); err != nil {
+			if t, err = m.enqueue(t, d.key, d.data, true); err != nil {
 				return t, err
 			}
 		}
@@ -511,23 +539,48 @@ func (m *Monitor) enqueue(t time.Duration, key kvstore.Key, data []byte, owned b
 	return t, nil
 }
 
+// frameKind says whose buffer a page is installed from.
+type frameKind uint8
+
+const (
+	// frameOwned is the monitor's own frame: a stolen one, a tier hit's.
+	frameOwned frameKind = iota
+	// frameShared is a store's read buffer of the page's key, unchanged: a
+	// store read's, or one a steal took back before its re-put reached the
+	// store.
+	frameShared
+	// frameTaken is a store's read buffer that a write fault took (take):
+	// the monitor's now, and the store holds no bytes of the page.
+	frameTaken
+)
+
+// frameOf is the kind of a buffer the write list hands back with owned.
+func frameOf(owned bool) frameKind {
+	if owned {
+		return frameOwned
+	}
+	return frameShared
+}
+
 // install maps data at addr with UFFDIO_COPY, returning when the copy is
-// done and when the install is. A buffer the monitor owns (a stolen frame, a
-// tier hit's) becomes the page's frame. One it does not own is a store's read
-// buffer of the page's key, unchanged — a store read's, or one a steal took
-// back before its re-put reached the store — and is mapped shared, copied
+// done and when the install is. A buffer the monitor owns (frameOwned,
+// frameTaken) becomes the page's frame. A shared one is mapped shared, copied
 // only by the guest's first write: the store keeps those bytes until the key
 // is next written or deleted, and that happens only after the page has left
-// the VM. Under CleanPageDrop such a page is also write-protected
-// (UFFDIO_COPY_MODE_WP), arming the clean-drop eviction path: the first guest
-// write trips a (simulated) WP fault that clears the protection, so a page
-// still protected at eviction time is provably unwritten. The caller records
-// the copy's profile sample; the write-protect's is recorded here. Without
-// CleanPageDrop nothing is protected, so feature-off runs draw the exact
-// same RNG sequence as before.
-func (m *Monitor) install(t time.Duration, addr uint64, data []byte, owned bool) (copied, done time.Duration, err error) {
-	wp := !owned && m.cfg.CleanPageDrop
-	if copied, done, err = m.fd.Install(t, addr, data, owned, wp); err == nil && wp {
+// the VM. Under CleanPageDrop a page installed from the store (shared or
+// taken) is also write-protected (UFFDIO_COPY_MODE_WP), arming the
+// clean-drop eviction path: the first guest write trips a (simulated) WP
+// fault that clears the protection, so a shared page still protected at
+// eviction time is provably unwritten. A taken page is written at once, by
+// the access that faulted; it is protected all the same, so that write draws
+// the WP fault's sample as it would on a shared page, and it is never
+// dropped clean (uffd.FD.PageClean asks for a shared page). The caller
+// records the copy's profile sample; the write-protect's is recorded here.
+// Without CleanPageDrop nothing is protected, so feature-off runs draw the
+// exact same RNG sequence as before.
+func (m *Monitor) install(t time.Duration, addr uint64, data []byte, kind frameKind) (copied, done time.Duration, err error) {
+	wp := kind != frameOwned && m.cfg.CleanPageDrop
+	if copied, done, err = m.fd.Install(t, addr, data, kind != frameShared, wp); err == nil && wp {
 		m.prof.Record(opUffdWriteProtect, done-copied)
 	}
 	return copied, done, err

@@ -13,11 +13,14 @@ import (
 
 // scheduledStore fails writes (Put and MultiPut alike) on a schedule while
 // armed: the n-th write since arming fails if bit n of the schedule is set.
+// With noTake it refuses every take, so a monitor over it installs every
+// store read shared.
 type scheduledStore struct {
 	kvstore.Store
 	armed    bool
 	schedule uint8
 	calls    int
+	noTake   bool
 }
 
 var errScheduled = errors.New("scheduled write failure")
@@ -49,6 +52,12 @@ func (s *scheduledStore) MultiPut(now time.Duration, keys []kvstore.Key, pages [
 // Reput forwards the wrapped store's re-put clause.
 func (s *scheduledStore) Reput() bool { return storetest.Reputs(s.Store) }
 
+// Take forwards the wrapped store's take clause, unless noTake hides it.
+func (s *scheduledStore) Take(key kvstore.Key, buf []byte) bool {
+	r, ok := s.Store.(kvstore.Reput)
+	return !s.noTake && ok && r.Take(key, buf)
+}
+
 func (s *scheduledStore) arm(schedule uint8) { s.armed, s.schedule, s.calls = true, schedule, 0 }
 
 // FuzzMigrate moves two VMs back and forth between two monitors over one
@@ -62,8 +71,10 @@ func (s *scheduledStore) arm(schedule uint8) { s.armed, s.schedule, s.calls = tr
 //
 // Input: the first byte picks the monitor options (bit 0 zero elision, bit 1
 // clean drop, bit 2 the compressed tier, bit 3 synchronous write-back, bit 4
-// no stealing); then each op is two bytes, op and arg. A write fills the
-// first half of a page with its value's bytes.
+// no stealing, bit 5 no take: the store refuses to give its read buffers
+// away, so a write fault installs shared and copies as the guest writes);
+// then each op is two bytes, op and arg. A write fills the first half of a
+// page with its value's bytes.
 func FuzzMigrate(f *testing.F) {
 	// Write both VMs; VM 1's export fails at its drain, VM 0 migrates, and
 	// VM 1's retry follows it.
@@ -81,7 +92,7 @@ func FuzzMigrate(f *testing.F) {
 		const pages, steps = 8, 64
 		opts := raw[0]
 		raw = raw[1:]
-		sched := &scheduledStore{Store: dram.New(dram.DefaultParams(), uint64(opts))}
+		sched := &scheduledStore{Store: dram.New(dram.DefaultParams(), uint64(opts)), noTake: opts&32 != 0}
 		store := storetest.Poison(t, sched)
 		registry := kvstore.NewLocalRegistry()
 		cfg := DefaultConfig(store, 4)

@@ -117,8 +117,14 @@ type Monitor struct {
 
 	// storeLocal caches whether the backend is on-hypervisor (no RPC stack),
 	// storeReput whether it takes its own read buffers back (kvstore.Reput).
+	// storeTake is the store when a write fault takes its read buffer
+	// (Reput.Take), nil otherwise: only under AsyncWrite, whose write-back
+	// hands the taken frame back through MultiPut. A write-through Put
+	// copies, so a taken buffer would move from the store's spares into the
+	// descriptor's pool on every write, and the store would allocate one.
 	storeLocal bool
 	storeReput bool
+	storeTake  kvstore.Reput
 	// resilient is non-nil when cfg.Resilience routed the store through the
 	// fault-handling policy layer; it exposes health and counters.
 	resilient *resilience.Store
@@ -175,8 +181,12 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 		local = l.Local()
 	}
 	reput := false
+	var take kvstore.Reput
 	if r, ok := cfg.Store.(kvstore.Reput); ok {
 		reput = r.Reput()
+		if reput && cfg.AsyncWrite {
+			take = r
+		}
 	}
 	if cfg.Compress != nil && cfg.Compress.PoolBytes < PageSize {
 		return nil, fmt.Errorf("%w: compressed pool smaller than a page", ErrBadConfig)
@@ -188,6 +198,7 @@ func NewMonitor(cfg Config, registry kvstore.Registry, hypervisorID string) (*Mo
 	m := &Monitor{
 		storeLocal:   local,
 		storeReput:   reput,
+		storeTake:    take,
 		resilient:    res,
 		cfg:          cfg,
 		fd:           fd,

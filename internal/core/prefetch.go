@@ -130,7 +130,7 @@ func (m *Monitor) installPrefetched(t time.Duration, demand uint64, c prefetchCa
 			return t, false
 		}
 	}
-	_, done, err := m.install(t, c.addr, data, owned)
+	_, done, err := m.install(t, c.addr, data, frameOf(owned))
 	switch {
 	case err != nil && c.queued:
 		// The stolen frame is the page's only copy: back on the list it goes.

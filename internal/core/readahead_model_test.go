@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fluidmem/internal/clock"
+	"fluidmem/internal/kvstore"
 	"fluidmem/internal/kvstore/dram"
 )
 
@@ -16,15 +17,17 @@ import (
 // or the store held the page in between — the resident set must respect the
 // capacity after every op, and no page buffer may drop out of circulation
 // (TestSteadyStateConservesBuffers's identity over distinct buffers: mapped +
-// pooled + queued owned + held by the store; only a discard's store delete may
-// shrink it).
+// pooled + queued owned + held by the store, whose taken keys hold none; only
+// a discard's store delete may shrink it).
 //
 // flags: bit 0 compressed tier, bit 1 zero elision + clean drop, bit 2 a
 // write batch of 3 (flushes interleave with readahead) instead of 64 (every
 // evicted page stays on the write list), bit 3 synchronous write-back with
 // writes that fill half a page and a one-page tier pool, which holds one such
-// page, so that the pool's overflow is what reaches the write list. ops is
-// (kind, arg) byte pairs.
+// page, so that the pool's overflow is what reaches the write list, bit 4 a
+// store that refuses every take (noTakeStore), so that a write fault installs
+// the store's buffer shared instead of taking it. ops is (kind, arg) byte
+// pairs.
 const readaheadModelPages = 24
 
 func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byte) {
@@ -35,6 +38,9 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	}
 	store := dram.New(dram.DefaultParams(), 9)
 	cfg := DefaultConfig(store, capacity)
+	if flags&16 != 0 {
+		cfg.Store = noTakeStore{store}
+	}
 	cfg.PrefetchPages = window
 	cfg.WriteBatchSize = 64
 	if flags&1 != 0 {
@@ -67,7 +73,7 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	var model [readaheadModelPages]contents
 	frames := func() int {
 		mapped, pooled := m.fd.FrameCounts()
-		return mapped + pooled + m.wb.queuedOwned() + store.Len()
+		return mapped + pooled + m.wb.queuedOwned() + store.Buffers()
 	}
 	now := time.Duration(0)
 	for i := 0; i+1 < len(ops); i += 2 {
@@ -132,6 +138,11 @@ func runReadaheadModel(t *testing.T, capacity, window int, flags byte, ops []byt
 	}
 }
 
+// noTakeStore is a store that declares kvstore.Reput but refuses every take.
+type noTakeStore struct{ *dram.Store }
+
+func (noTakeStore) Take(kvstore.Key, []byte) bool { return false }
+
 // cycleOps writes pages 0..n-1 in order, cycles times over — the access
 // pattern that lost pages at every capacity <= window before readahead
 // stopped taking candidates off the write list early.
@@ -158,12 +169,16 @@ func TestReadaheadLosesNoQueuedPage(t *testing.T) {
 }
 
 // TestReadaheadModel runs 300 random rounds with asynchronous write-back,
-// then 300 more with synchronous write-back (flags bit 3).
+// then 300 more with synchronous write-back (flags bit 3), then 300 more
+// asynchronous ones over a store that refuses every take (flags bit 4).
 func TestReadaheadModel(t *testing.T) {
 	rng := clock.NewRand(0x5eed)
-	for round := 0; round < 600; round++ {
+	for round := 0; round < 900; round++ {
 		capacity, window, flags := 1+rng.Intn(16), rng.Intn(17), byte(rng.Intn(8))
-		if round >= 300 {
+		switch {
+		case round >= 600:
+			flags |= 16
+		case round >= 300:
 			flags |= 8
 		}
 		ops := make([]byte, 2*400)
@@ -177,12 +192,14 @@ func TestReadaheadModel(t *testing.T) {
 // FuzzReadahead is TestReadaheadModel with the fuzzer choosing the capacity
 // (1–16), the window (0–16), the feature flags and the op stream. The
 // committed corpus holds the three (capacity, window) pairs that lost pages,
-// and a synchronous-write-back run whose window met a page the tier's
-// overflow had queued.
+// a synchronous-write-back run whose window met a page the tier's overflow
+// had queued, and a run over a store that refuses every take, with zero
+// elision, clean drop and a write batch of three.
 func FuzzReadahead(f *testing.F) {
 	f.Add(uint8(7), uint8(4), uint8(0), cycleOps(12, 3))
 	f.Add(uint8(3), uint8(16), uint8(7), []byte{4, 1, 4, 2, 4, 3, 4, 4, 2, 1, 2, 2, 5, 0, 0, 2, 5, 1, 1, 0, 5, 2})
 	f.Add(uint8(3), uint8(4), uint8(9), cycleOps(12, 3))
+	f.Add(uint8(3), uint8(4), uint8(16), cycleOps(12, 3))
 	f.Fuzz(func(t *testing.T, capacity, window, flags uint8, ops []byte) {
 		ops = ops[:min(len(ops), 4096)] // many short runs find more than a few long ones
 		runReadaheadModel(t, 1+int(capacity%16), int(window%17), flags, ops)

@@ -485,3 +485,10 @@ func (s *Store) Reput() bool {
 	r, ok := s.inner.(kvstore.Reput)
 	return ok && r.Reput()
 }
+
+// Take passes through to the inner store: it is no store operation, so the
+// policy neither retries nor times it.
+func (s *Store) Take(key kvstore.Key, buf []byte) bool {
+	r, ok := s.inner.(kvstore.Reput)
+	return ok && r.Take(key, buf)
+}

@@ -241,7 +241,7 @@ func (w *writeback) flush(now time.Duration, part kvstore.PartitionID) error {
 		// — unless it is the not-owned buffer this record passed, which the
 		// store kept as the key's value. The slot is cleared so the scratch
 		// pins no pooled buffer.
-		w.release(pages[k], !r.shared || !sameBuffer(pages[k], r.data))
+		w.release(pages[k], !r.shared || !kvstore.SameBuffer(pages[k], r.data))
 		r.data, r.shared = nil, false
 		pages[k] = nil
 		w.queue.Remove(links, i)
@@ -327,9 +327,6 @@ func (w *writeback) Steal(now time.Duration, key kvstore.Key) (data []byte, owne
 	data, owned = w.dequeue(e, i)
 	return data, owned, true
 }
-
-// sameBuffer reports whether a and b are the same buffer.
-func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // WaitFor reports when an in-flight write of key completes; ok=false if no
 // write is in flight. The paper: "If a write of a page is in-flight when the

@@ -31,6 +31,7 @@ func DefaultParams() Params {
 
 // Store is the DRAM backend.
 type Store struct {
+	// pages holds each key's buffer; a taken key (Take) maps to nil.
 	pages map[kvstore.Key][]byte
 	read  *clock.Device
 	write *clock.Device
@@ -58,6 +59,15 @@ func (s *Store) Local() bool { return true }
 // swaps the buffer with itself.
 func (s *Store) Reput() bool { return true }
 
+// Take implements kvstore.Reput: the key stays in the map, with no buffer.
+func (s *Store) Take(key kvstore.Key, buf []byte) bool {
+	if !kvstore.SameBuffer(s.pages[key], buf) {
+		return false
+	}
+	s.pages[key] = nil
+	return true
+}
+
 // Put implements kvstore.Store.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {
@@ -68,14 +78,18 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 	return s.write.Submit(now), nil
 }
 
-// set copies page into the store, reusing the existing buffer on overwrite.
+// set copies page into the store, reusing the existing buffer on overwrite
+// (a taken key has none).
 func (s *Store) set(key kvstore.Key, page []byte) {
-	if old, existed := s.pages[key]; existed {
-		copy(old, page)
+	old, existed := s.pages[key]
+	if !existed {
+		s.stats.BytesStored += kvstore.PageSize
+	}
+	if old == nil {
+		s.pages[key] = append([]byte(nil), page...)
 		return
 	}
-	s.stats.BytesStored += kvstore.PageSize
-	s.pages[key] = append([]byte(nil), page...)
+	copy(old, page)
 }
 
 // MultiPut implements kvstore.Store.
@@ -91,10 +105,10 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 		}
 	}
 	// Hand-over, not copy: the map keeps the caller's buffer and the slot
-	// takes the version it replaced (nil for a new key).
+	// takes the version it replaced (nil for a new or a taken key).
 	for i, key := range keys {
-		old := s.pages[key]
-		if old == nil {
+		old, existed := s.pages[key]
+		if !existed {
 			s.stats.BytesStored += kvstore.PageSize
 		}
 		s.pages[key], pages[i] = pages[i], old
@@ -108,9 +122,9 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 // internal buffer (zero-copy read, per the Store ownership contract).
 func (s *Store) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duration, error) {
 	s.stats.Gets++
-	page, ok := s.pages[key]
+	page := s.pages[key]
 	done := s.read.Submit(now)
-	if !ok {
+	if page == nil {
 		s.stats.Misses++
 		return nil, done, kvstore.ErrNotFound
 	}
@@ -125,9 +139,7 @@ func (s *Store) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, time.
 	s.stats.Gets += uint64(len(keys))
 	pages := make([][]byte, len(keys))
 	for i, key := range keys {
-		if page, ok := s.pages[key]; ok {
-			pages[i] = page
-		} else {
+		if pages[i] = s.pages[key]; pages[i] == nil {
 			s.stats.Misses++
 		}
 	}
@@ -156,5 +168,17 @@ func (s *Store) Delete(now time.Duration, key kvstore.Key) (time.Duration, error
 // Stats implements kvstore.Store.
 func (s *Store) Stats() kvstore.Stats { return s.stats }
 
-// Len reports the number of resident pages (test hook).
+// Len reports the number of resident pages, taken ones included (test hook).
 func (s *Store) Len() int { return len(s.pages) }
+
+// Buffers reports the page buffers the store holds: one per key not taken
+// (test hook).
+func (s *Store) Buffers() int {
+	n := 0
+	for _, page := range s.pages {
+		if page != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -338,3 +338,10 @@ func (s *Store) Reput() bool {
 	r, ok := s.inner.(kvstore.Reput)
 	return ok && r.Reput()
 }
+
+// Take passes through to the inner store, with no injection and no draw: it
+// keeps a buffer a successful read already delivered, which is no traffic.
+func (s *Store) Take(key kvstore.Key, buf []byte) bool {
+	r, ok := s.inner.(kvstore.Reput)
+	return ok && r.Take(key, buf)
+}

@@ -100,6 +100,13 @@ func (s *instrumented) Reput() bool {
 	return ok && r.Reput()
 }
 
+// Take passes through to the inner store. It is no store traffic, so it
+// emits nothing.
+func (s *instrumented) Take(key Key, buf []byte) bool {
+	r, ok := s.inner.(Reput)
+	return ok && r.Take(key, buf)
+}
+
 // Inner exposes the wrapped store (introspection, e.g. fluidmemd's
 // replication status display).
 func (s *instrumented) Inner() Store { return s.inner }

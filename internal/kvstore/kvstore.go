@@ -123,6 +123,16 @@ type Stats struct {
 //     key's value, and a slot that still holds it after the MultiPut belongs
 //     to the store, not the caller. storetest.ReadStableUntilWrite holds the
 //     declaring backends to it as well.
+//   - Take (the same stores, through Reput.Take): the caller may take the
+//     buffer a read of a key returned, if it is still the key's current one.
+//     The buffer is the caller's from then on, to write into or hand back
+//     through a MultiPut. The store forgets it, and until the key is next
+//     written or deleted it holds the key with no bytes: the key still
+//     counts in every accounting the store keeps (BytesStored, items,
+//     log live counts), a read of it misses, a Put or MultiPut of it
+//     replaces no buffer, and a Delete frees none. The store never serves,
+//     moves or hands back a taken buffer. storetest.TakeUntilWrite holds the
+//     declaring backends to it.
 type Store interface {
 	// Name identifies the backend ("ramcloud", "memcached", "dram").
 	Name() string
@@ -160,19 +170,34 @@ type Local interface {
 	Local() bool
 }
 
-// Reput is implemented by backends that accept the re-put clause of the
-// Store contract: a MultiPut of the buffer a read of the same key returned,
-// unchanged, which the store keeps as the key's value. The monitor then
-// writes a page the guest never modified back as the store's own buffer,
-// with no copy; without it (Reput absent or false) it copies such a page
-// first. Leaf stores, which keep one buffer per key, take it naturally. A
-// composite (replicated.Set, cluster.Pool) must not declare it: one
-// member's read buffer would be handed over to another member. Decorators
-// forward the inner store's answer, the way they forward Local.
+// Reput is implemented by backends that accept the re-put and take clauses
+// of the Store contract: a MultiPut of the buffer a read of the same key
+// returned, unchanged, which the store keeps as the key's value; and Take,
+// which hands such a buffer to the caller for good. The monitor then writes
+// a page the guest never modified back as the store's own buffer, with no
+// copy, and gives a page the faulting access is about to write the store's
+// buffer itself instead of a copy of it; without Reput (absent or false) it
+// copies in both cases. Leaf stores, which keep one buffer per key, take
+// both naturally. A composite (replicated.Set, cluster.Pool) must not
+// declare it: one member's read buffer would be handed over to another
+// member, or taken from one member while the others keep theirs.
+// Decorators forward the inner store's answers, the way they forward Local.
 type Reput interface {
-	// Reput reports that MultiPut takes back the store's own read buffers.
+	// Reput reports that MultiPut takes back the store's own read buffers,
+	// and that Take gives them away.
 	Reput() bool
+	// Take gives buf to the caller if it is key's current read buffer in
+	// this store, reporting whether it did; if not, nothing changes. It
+	// costs no virtual time and moves no counter: the key keeps its place
+	// in the store's accounting, with no bytes, until it is next written or
+	// deleted (the take clause above). Only a store whose Reput reports
+	// true may be asked.
+	Take(key Key, buf []byte) bool
 }
+
+// SameBuffer reports whether a and b are the same buffer: both non-empty
+// and starting at the same byte.
+func SameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // ValidatePage returns ErrBadValue unless page is exactly one page long.
 func ValidatePage(page []byte) error {

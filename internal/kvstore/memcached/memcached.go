@@ -49,7 +49,8 @@ func DefaultParams() Params {
 	}
 }
 
-// item is one cached object.
+// item is one cached object. A taken item (Take) has nil data: it keeps its
+// chunk and LRU place until the key is written, deleted or evicted.
 type item struct {
 	key  kvstore.Key
 	data []byte
@@ -92,9 +93,19 @@ func New(p Params, seed uint64) *Store {
 // Name implements kvstore.Store.
 func (s *Store) Name() string { return "memcached" }
 
-// Reput implements kvstore.Reput: MultiPut copies into the item's own
-// buffer, which for a key's own read buffer is a copy onto itself.
+// Reput implements kvstore.Reput: a MultiPut of a key's own read buffer
+// swaps the item's buffer with itself.
 func (s *Store) Reput() bool { return true }
+
+// Take implements kvstore.Reput: the item stays, with no buffer.
+func (s *Store) Take(key kvstore.Key, buf []byte) bool {
+	it, ok := s.items[key]
+	if !ok || !kvstore.SameBuffer(it.data, buf) {
+		return false
+	}
+	it.data = nil
+	return true
+}
 
 // Put implements kvstore.Store.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
@@ -111,7 +122,9 @@ func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Durat
 
 // MultiPut implements kvstore.Store. Memcached has no native multi-write;
 // the client pipelines individual sets on one connection, which amortises
-// less than RAMCloud's multi-write but still beats serial round trips.
+// less than RAMCloud's multi-write but still beats serial round trips. It is
+// a hand-over: the item keeps the caller's buffer and the slot takes the one
+// it held (nil for a new or a taken item).
 func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
 	if len(keys) != len(pages) {
 		return now, kvstore.ErrBadValue
@@ -128,7 +141,13 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 		}
 	}
 	for i, key := range keys {
-		s.set(key, pages[i])
+		if it, ok := s.items[key]; ok {
+			it.data, pages[i] = pages[i], it.data
+			s.lru.MoveToBack(it.elem)
+			continue
+		}
+		s.insert(key, pages[i])
+		pages[i] = nil
 	}
 	s.stats.MultiPuts++
 	s.stats.Puts += uint64(len(keys))
@@ -140,7 +159,7 @@ func (s *Store) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duration, 
 	s.stats.Gets++
 	done := s.readChan.Submit(now)
 	it, ok := s.items[key]
-	if !ok {
+	if !ok || it.data == nil {
 		s.stats.Misses++
 		return nil, done, kvstore.ErrNotFound
 	}
@@ -158,7 +177,7 @@ func (s *Store) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, time.
 	pages := make([][]byte, len(keys))
 	for i, key := range keys {
 		it, ok := s.items[key]
-		if !ok {
+		if !ok || it.data == nil {
 			s.stats.Misses++
 			continue
 		}
@@ -192,8 +211,20 @@ func (s *Store) Delete(now time.Duration, key kvstore.Key) (time.Duration, error
 // Stats implements kvstore.Store.
 func (s *Store) Stats() kvstore.Stats { return s.stats }
 
-// Len reports resident item count (test hook).
+// Len reports resident item count, taken items included (test hook).
 func (s *Store) Len() int { return len(s.items) }
+
+// Buffers reports the page buffers the store holds: one per item not taken
+// (test hook).
+func (s *Store) Buffers() int {
+	n := 0
+	for _, it := range s.items {
+		if it.data != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // room refuses a write when no slab is allocated and the capacity left
 // cannot hold one. Once a slab exists there is a free chunk or an item to
@@ -206,13 +237,20 @@ func (s *Store) room() error {
 		ErrOutOfMemory, chunkSize, slabPageSize, s.params.CapacityBytes)
 }
 
-// set stores data under key; room has checked that the store can take it.
+// set stores a copy of data under key; room has checked that the store can
+// take it. An item's own buffer takes the copy (a taken item gets a new one).
 func (s *Store) set(key kvstore.Key, data []byte) {
 	if it, ok := s.items[key]; ok {
 		it.data = append(it.data[:0], data...)
 		s.lru.MoveToBack(it.elem)
 		return
 	}
+	s.insert(key, append([]byte(nil), data...))
+}
+
+// insert makes a new item of key holding buf, which it keeps; room has
+// checked that the store can take it.
+func (s *Store) insert(key kvstore.Key, buf []byte) {
 	// Grow with a new slab page if needed, evicting LRU items when at
 	// capacity.
 	for s.used >= int(s.allocated)/chunkSize {
@@ -224,7 +262,7 @@ func (s *Store) set(key kvstore.Key, data []byte) {
 		s.remove(s.lru.Front().Value.(*item))
 		s.stats.Evictions++
 	}
-	it := &item{key: key, data: append([]byte(nil), data...)}
+	it := &item{key: key, data: buf}
 	it.elem = s.lru.PushBack(it)
 	s.used++
 	s.items[key] = it

@@ -39,6 +39,29 @@ func TestReadStableUnderEviction(t *testing.T) {
 	}
 }
 
+// TestTakeUnderEviction runs the take clause's check on the same two slab
+// pages under the same stream of new keys: a taken item keeps its chunk and
+// LRU place, and capacity eviction may drop it like any other.
+func TestTakeUnderEviction(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 2 << 20
+	s := New(p, 3)
+	next := 0
+	storetest.TakeUntilWrite(t, s, func(t *testing.T, now time.Duration) time.Duration {
+		for j := 0; j < 64; j++ {
+			done, err := s.Put(now, storetest.OtherKey(1000+next), storetest.Page(byte(next)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, next = done, next+1
+		}
+		return now
+	})
+	if s.Stats().Evictions == 0 {
+		t.Fatal("the churn never evicted")
+	}
+}
+
 func TestRTTDominatesLatency(t *testing.T) {
 	s := New(DefaultParams(), 2)
 	key := kvstore.MakeKey(0x1000, 1)

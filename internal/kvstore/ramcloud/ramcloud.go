@@ -74,6 +74,9 @@ type segment struct {
 	released int
 }
 
+// logEntry is one object in the log. A live entry whose data is nil was
+// taken (Take): it keeps its place in the log until the key is written or
+// deleted.
 type logEntry struct {
 	key  kvstore.Key
 	data []byte
@@ -136,6 +139,21 @@ func (s *Store) Name() string { return "ramcloud" }
 // killed — the same buffer.
 func (s *Store) Reput() bool { return true }
 
+// Take implements kvstore.Reput: the object stays live in its segment, for
+// the log's accounting and the cleaner, with no payload.
+func (s *Store) Take(key kvstore.Key, buf []byte) bool {
+	ref, ok := s.index[key]
+	if !ok {
+		return false
+	}
+	e := &ref.segment.entries[ref.slot]
+	if !kvstore.SameBuffer(e.data, buf) {
+		return false
+	}
+	e.data = nil
+	return true
+}
+
 // Put implements kvstore.Store: the log takes a copy of page.
 func (s *Store) Put(now time.Duration, key kvstore.Key, page []byte) (time.Duration, error) {
 	if err := kvstore.ValidatePage(page); err != nil {
@@ -183,14 +201,14 @@ func (s *Store) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) 
 func (s *Store) Get(now time.Duration, key kvstore.Key) ([]byte, time.Duration, error) {
 	s.stats.Gets++
 	done := s.readChan.Submit(now)
-	ref, ok := s.index[key]
-	if !ok {
+	data := s.lookup(key)
+	if data == nil {
 		s.stats.Misses++
 		return nil, done, kvstore.ErrNotFound
 	}
 	// Zero-copy read per the Store ownership contract: the caller gets a
 	// reference into the log, valid until the next write touching the key.
-	return ref.segment.entries[ref.slot].data, done, nil
+	return data, done, nil
 }
 
 // MultiGet implements kvstore.Store. RAMCloud's multi-read amortises the
@@ -201,9 +219,7 @@ func (s *Store) MultiGet(now time.Duration, keys []kvstore.Key) ([][]byte, time.
 	s.stats.Gets += uint64(len(keys))
 	pages := make([][]byte, len(keys))
 	for i, key := range keys {
-		if ref, ok := s.index[key]; ok {
-			pages[i] = ref.segment.entries[ref.slot].data
-		} else {
+		if pages[i] = s.lookup(key); pages[i] == nil {
 			s.stats.Misses++
 		}
 	}
@@ -229,7 +245,9 @@ func (s *Store) StartGet(now time.Duration, key kvstore.Key) kvstore.PendingGet 
 func (s *Store) Delete(now time.Duration, key kvstore.Key) (time.Duration, error) {
 	s.stats.Deletes++
 	if ref, ok := s.index[key]; ok {
-		s.freeBufs = append(s.freeBufs, s.killEntry(ref))
+		if dead := s.killEntry(ref); dead != nil { // a taken object has none
+			s.freeBufs = append(s.freeBufs, dead)
+		}
 		delete(s.index, key)
 	}
 	return s.writeChan.Submit(now), nil
@@ -244,8 +262,25 @@ func (s *Store) Cleanings() uint64 { return s.cleanings }
 // SegmentCount reports the number of log segments (test hook).
 func (s *Store) SegmentCount() int { return len(s.segments) }
 
-// FreeBuffers reports the spare payload buffers the store holds (test hook).
-func (s *Store) FreeBuffers() int { return len(s.freeBufs) }
+// Buffers reports the payload buffers the store holds: one per live object
+// not taken, and the spares (test hook).
+func (s *Store) Buffers() int {
+	n := len(s.freeBufs)
+	for key := range s.index {
+		if s.lookup(key) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// lookup returns key's payload: nil when the key is absent or taken.
+func (s *Store) lookup(key kvstore.Key) []byte {
+	if ref, ok := s.index[key]; ok {
+		return ref.segment.entries[ref.slot].data
+	}
+	return nil
+}
 
 // Utilization reports the live fraction of log space in sealed segments.
 func (s *Store) Utilization() float64 {
@@ -294,7 +329,7 @@ func (s *Store) takeFree() []byte {
 
 // appendObject writes (key, buf) at the log head, for which reserve has found
 // room. The log keeps buf; the payload of the version it kills, if there was
-// one, is returned.
+// one and it was not taken, is returned.
 func (s *Store) appendObject(key kvstore.Key, buf []byte) (dead []byte) {
 	if len(s.head.entries) >= entriesPerSegment {
 		s.head.sealed = true
@@ -311,7 +346,7 @@ func (s *Store) appendObject(key kvstore.Key, buf []byte) (dead []byte) {
 }
 
 // killEntry marks a live entry dead and returns its payload, which the log no
-// longer references.
+// longer references (nil for a taken object).
 func (s *Store) killEntry(ref entryRef) []byte {
 	e := &ref.segment.entries[ref.slot]
 	data := e.data
@@ -350,7 +385,8 @@ func (s *Store) clean() {
 			if e.dead {
 				continue
 			}
-			// Relocate without double-counting BytesStored.
+			// Relocate without double-counting BytesStored. The payload
+			// moves by pointer: a taken object moves with none.
 			if len(s.head.entries) >= entriesPerSegment {
 				s.head.sealed = true
 				s.rollHead()

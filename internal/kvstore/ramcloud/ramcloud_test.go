@@ -39,6 +39,29 @@ func TestReadStableUnderCleaning(t *testing.T) {
 	}
 }
 
+// TestTakeUnderCleaning runs the take clause's check under the same cleaning
+// churn: a taken object stays live, so the cleaner relocates it, with no
+// payload, and it must neither gain one nor hand one out.
+func TestTakeUnderCleaning(t *testing.T) {
+	p := DefaultParams()
+	p.CapacityBytes = 4 * segmentSize
+	s := New(p, 5)
+	next := 0
+	storetest.TakeUntilWrite(t, s, func(t *testing.T, now time.Duration) time.Duration {
+		for j := 0; j < 200; j++ {
+			done, err := s.Put(now, storetest.OtherKey(1000+next%(entriesPerSegment/2)), storetest.Page(byte(next)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			now, next = done, next+1
+		}
+		return now
+	})
+	if s.Cleanings() == 0 {
+		t.Fatal("the churn never cleaned the log")
+	}
+}
+
 func TestReadLatencyNearTableI(t *testing.T) {
 	s := New(DefaultParams(), 2)
 	key := kvstore.MakeKey(0x1000, 1)

@@ -442,6 +442,14 @@ func Run(t *testing.T, factory Factory) {
 		ReadStableUntilWrite(t, factory())
 	})
 
+	t.Run("TakeUntilWrite", func(t *testing.T) {
+		s := factory()
+		if !Reputs(s) {
+			t.Skip("the store does not declare kvstore.Reput")
+		}
+		TakeUntilWrite(t, s)
+	})
+
 	t.Run("PartitionIsolation", func(t *testing.T) {
 		s := factory()
 		// The same page address in two partitions must be independent.
@@ -656,6 +664,253 @@ func ReadStableUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
 			}
 		}
 		check(fmt.Sprintf("after releasing %v", key))
+	}
+}
+
+// TakeUntilWrite holds s, a store that declares kvstore.Reput, to the take
+// clause of the Store contract, through the aliasing net (Poison). It reads
+// the held keys through all three read calls and first tries takes that must
+// fail and change nothing: a copy of the buffer, another key's buffer, the
+// buffer under a key that is absent. Then it takes every held buffer, which
+// must leave BytesStored (and Len, where the store has one) as it was, after
+// which the key reads as a miss and a second take of the same buffer fails;
+// the taken buffers are the test's from then on, and it scribbles over them.
+// The churn rounds of ReadStableUntilWrite follow, with the backend's own
+// churns; no read and no MultiPut slot may hand out a taken buffer, and each
+// taken key must keep missing. Last it writes or deletes the taken keys one
+// by one: a MultiPut of the key's own taken buffer (the monitor's write-back
+// of a taken page), whose slot must come back nil or a whole page that is
+// not a taken buffer; a Put; and a Delete. Each must leave the key reading
+// what was written, or missing after the Delete. Where the store reports its
+// page buffers (a Buffers method), every step that runs no churn is held to
+// it as well: a take gives away exactly one buffer, a failed take none, the
+// MultiPut keeps one and gives back what the slot holds, a Put gains at most
+// one, and a Delete of a taken key frees none.
+func TakeUntilWrite(t *testing.T, s kvstore.Store, churns ...Churn) {
+	t.Helper()
+	net := Poison(t, s)
+	now := time.Duration(0)
+	step := func(done time.Duration, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = max(now, done)
+	}
+	// A store with its own capacity eviction may drop buffers in any write;
+	// a step that evicted is not held to the count.
+	counter, counts := s.(interface{ Buffers() int })
+	evictions := s.Stats().Evictions
+	buffers := func(want int, what string) int {
+		t.Helper()
+		if !counts {
+			return 0
+		}
+		got := counter.Buffers()
+		if ev := s.Stats().Evictions; ev != evictions {
+			evictions = ev
+			return got
+		}
+		if got != want {
+			t.Fatalf("%s: the store holds %d page buffers, want %d", what, got, want)
+		}
+		return want
+	}
+	lener, lens := s.(interface{ Len() int })
+	for i := 0; i < heldKeys; i++ {
+		step(net.Put(now, heldKey(i), Page(byte(i))))
+	}
+	for i := 0; i < otherKeys; i += 2 {
+		step(net.Put(now, OtherKey(i), Page(byte(i))))
+	}
+	read := make([][]byte, heldKeys)
+	var multi []kvstore.Key
+	for i := 0; i < heldKeys; i++ {
+		switch i % 3 {
+		case 0:
+			buf, done, err := net.Get(now, heldKey(i))
+			step(done, err)
+			read[i] = buf
+		case 1:
+			multi = append(multi, heldKey(i))
+		default:
+			pending := net.StartGet(now, heldKey(i))
+			buf, done, err := pending.Wait(now)
+			step(done, err)
+			read[i] = buf
+		}
+	}
+	bufs, done, err := net.MultiGet(now, multi)
+	step(done, err)
+	for j := range multi {
+		read[3*j+1] = bufs[j]
+	}
+	var have int
+	if counts {
+		have = counter.Buffers()
+	}
+
+	// Takes that must fail, and change nothing.
+	missing := OtherKey(1) // odd OtherKeys are never written here
+	for i := 0; i < heldKeys; i++ {
+		key := heldKey(i)
+		if net.Take(key, append([]byte(nil), read[i]...)) {
+			t.Fatalf("%v: a copy of its read buffer was taken", key)
+		}
+		if net.Take(key, read[(i+1)%heldKeys]) {
+			t.Fatalf("%v: another key's read buffer was taken", key)
+		}
+		if net.Take(missing, read[i]) {
+			t.Fatalf("%v's read buffer was taken under an absent key", key)
+		}
+		got, done, err := net.Get(now, key)
+		step(done, err)
+		if !kvstore.SameBuffer(got, read[i]) || !bytes.Equal(got, Page(byte(i))) {
+			t.Fatalf("%v: a failed take changed what the key reads", key)
+		}
+	}
+	buffers(have, "after takes that failed")
+
+	// Take every held buffer.
+	before := s.Stats().BytesStored
+	var length int
+	if lens {
+		length = lener.Len()
+	}
+	taken := map[*byte]bool{}
+	for i := 0; i < heldKeys; i++ {
+		key := heldKey(i)
+		if !net.Take(key, read[i]) {
+			t.Fatalf("%v: its current read buffer was not taken", key)
+		}
+		have = buffers(have-1, fmt.Sprintf("after taking %v", key))
+		if net.Take(key, read[i]) {
+			t.Fatalf("%v: a buffer was taken twice", key)
+		}
+		taken[bufID(read[i])] = true
+		Scribble(read[i])
+	}
+	if got := s.Stats().BytesStored; got != before {
+		t.Fatalf("takes moved BytesStored from %d to %d: a taken key still counts", before, got)
+	}
+	if lens && lener.Len() != length {
+		t.Fatalf("takes moved Len from %d to %d: a taken key still counts", length, lener.Len())
+	}
+	handedOut := func(when string, buf []byte) {
+		t.Helper()
+		if taken[bufID(buf)] {
+			t.Fatalf("%s: the store handed out a taken buffer", when)
+		}
+	}
+	missesTaken := func(when string) {
+		t.Helper()
+		for i := 0; i < heldKeys; i++ {
+			if read[i] == nil {
+				continue // written or deleted since
+			}
+			if _, done, err := net.Get(now, heldKey(i)); !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatalf("%s: taken %v reads %v, want ErrNotFound", when, heldKey(i), err)
+			} else {
+				now = max(now, done)
+			}
+		}
+		bufs, done, err := net.MultiGet(now, []kvstore.Key{heldKey(0), heldKey(1)})
+		step(done, err)
+		for _, b := range bufs {
+			if b != nil {
+				t.Fatalf("%s: MultiGet of a taken key returned a page", when)
+			}
+		}
+	}
+	missesTaken("after the takes")
+
+	for round := 0; round < 48; round++ {
+		when := fmt.Sprintf("round %d", round)
+		keys := make([]kvstore.Key, 8)
+		pages := make([][]byte, 8)
+		for j := range keys {
+			keys[j], pages[j] = OtherKey(2*((round*29+j*37)%(otherKeys/2))), Page(byte(round+j))
+		}
+		step(net.MultiPut(now, keys, pages))
+		for _, p := range pages {
+			handedOut(when+", MultiPut", p)
+		}
+		for j := 0; j < 4; j++ {
+			step(net.Put(now, OtherKey(2*((round*13+j*61)%(otherKeys/2))), Page(byte(round*j))))
+		}
+		for j := 0; j < 2; j++ {
+			if done, err := net.Delete(now, OtherKey(2*((round*7+j*101)%(otherKeys/2)))); err == nil || errors.Is(err, kvstore.ErrNotFound) {
+				now = max(now, done)
+			} else {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 4; j++ {
+			buf, done, err := net.Get(now, OtherKey(2*((round*11+j*53)%(otherKeys/2))))
+			if err != nil && !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatal(err)
+			}
+			now = max(now, done)
+			handedOut(when+", Get", buf)
+		}
+		for _, churn := range churns {
+			now = max(now, churn(t, now))
+		}
+		missesTaken(when)
+	}
+
+	// Release the taken keys one by one.
+	if counts {
+		have = counter.Buffers()
+	}
+	for i := 0; i < heldKeys; i++ {
+		key, tag := heldKey(i), byte(0xB0+i)
+		buf := read[i]
+		read[i] = nil
+		switch i % 3 {
+		case 0:
+			copy(buf, Page(tag))
+			pages := [][]byte{buf}
+			step(net.MultiPut(now, []kvstore.Key{key}, pages))
+			delete(taken, bufID(buf))
+			switch back := pages[0]; {
+			case back == nil:
+				have = buffers(have+1, fmt.Sprintf("after writing taken %v back", key))
+			case len(back) != kvstore.PageSize:
+				t.Fatalf("writing taken %v back handed back %d bytes", key, len(back))
+			default:
+				handedOut(fmt.Sprintf("writing taken %v back", key), back)
+				have = buffers(have, fmt.Sprintf("after writing taken %v back", key))
+			}
+		case 1:
+			step(net.Put(now, key, Page(tag)))
+			if counts {
+				got := counter.Buffers()
+				if s.Stats().Evictions == evictions && got != have && got != have+1 {
+					t.Fatalf("a Put of taken %v left %d page buffers, %d before: want one more at most", key, got, have)
+				}
+				have, evictions = got, s.Stats().Evictions
+			}
+		default:
+			if done, err := net.Delete(now, key); err == nil || errors.Is(err, kvstore.ErrNotFound) {
+				now = max(now, done)
+			} else {
+				t.Fatal(err)
+			}
+			have = buffers(have, fmt.Sprintf("after deleting taken %v", key))
+			if _, _, err := net.Get(now, key); !errors.Is(err, kvstore.ErrNotFound) {
+				t.Fatalf("deleted %v reads %v, want ErrNotFound", key, err)
+			}
+			continue
+		}
+		got, done, err := net.Get(now, key)
+		step(done, err)
+		if !bytes.Equal(got, Page(tag)) {
+			t.Fatalf("taken %v does not read the page written under it", key)
+		}
+	}
+	if s.Stats().Evictions == 0 {
+		net.Verify(now) // capacity eviction forgets keys the net knows
 	}
 }
 
@@ -891,17 +1146,29 @@ func MultiPutMustFail(t *testing.T, s kvstore.Store, now time.Duration, keys []k
 // that still holds that buffer after a MultiPut of it is the store's value,
 // which it leaves alone. Over any other store a re-put buffer is scribbled
 // like every other, so a caller that re-puts there fails at the next read.
+//
+// It knows the take clause too. A buffer taken (Take) is the caller's until
+// the caller hands it to the store in a MultiPut, and the net fails the test
+// if the store serves it to a read of any key or leaves it in a MultiPut
+// slot before then: a store that kept a reference to it, or moved one, shows
+// there. A taken key has no bytes in the store until it is next written or
+// deleted, so Verify skips it.
 type Poisoned struct {
 	kvstore.Store
 	tb      testing.TB
 	written map[kvstore.Key]uint64
 	read    map[kvstore.Key]*byte
 	reputs  bool
+	// taken holds the buffers taken and not handed back yet, takenKeys the
+	// keys taken and not written or deleted since.
+	taken     map[*byte]bool
+	takenKeys map[kvstore.Key]bool
 }
 
 // Poison wraps s in the aliasing net.
 func Poison(tb testing.TB, s kvstore.Store) *Poisoned {
-	return &Poisoned{Store: s, tb: tb, written: map[kvstore.Key]uint64{}, read: map[kvstore.Key]*byte{}, reputs: Reputs(s)}
+	return &Poisoned{Store: s, tb: tb, written: map[kvstore.Key]uint64{}, read: map[kvstore.Key]*byte{}, reputs: Reputs(s),
+		taken: map[*byte]bool{}, takenKeys: map[kvstore.Key]bool{}}
 }
 
 // noteRead records buf as the buffer last read under key.
@@ -914,9 +1181,19 @@ func digest(page []byte) uint64 { return maphash.Bytes(digestSeed, page) }
 // check holds one read to the digest of the last successful write.
 func (p *Poisoned) check(op string, key kvstore.Key, data []byte) {
 	p.tb.Helper()
+	p.notTaken(op, key, data)
 	if want, ok := p.written[key]; !ok || digest(data) != want {
-		p.tb.Fatalf("aliasing net: %s of %v does not return the page last written under it (known key: %v, first byte %#x)",
-			op, key, ok, data[0])
+		p.tb.Fatalf("aliasing net: %s of %v does not return the page last written under it (known key: %v, %d bytes, first %#x)",
+			op, key, ok, len(data), data[:min(len(data), 1)])
+	}
+}
+
+// notTaken fails the test if the store hands out buf, which a take gave
+// the caller, in op on key.
+func (p *Poisoned) notTaken(op string, key kvstore.Key, buf []byte) {
+	p.tb.Helper()
+	if p.taken[bufID(buf)] {
+		p.tb.Fatalf("aliasing net: %s of %v hands out a buffer the caller took", op, key)
 	}
 }
 
@@ -926,6 +1203,7 @@ func (p *Poisoned) Put(now time.Duration, key kvstore.Key, page []byte) (time.Du
 	if err == nil {
 		p.written[key] = digest(page)
 		delete(p.read, key)
+		delete(p.takenKeys, key)
 	}
 	return done, err
 }
@@ -934,8 +1212,9 @@ func (p *Poisoned) Put(now time.Duration, key kvstore.Key, page []byte) (time.Du
 func (p *Poisoned) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byte) (time.Duration, error) {
 	sums := make([]uint64, len(pages))
 	reput := make([]*byte, len(pages))
+	passed := make([]*byte, len(pages))
 	for i, page := range pages {
-		sums[i] = digest(page)
+		sums[i], passed[i] = digest(page), bufID(page)
 		if first := bufID(page); p.reputs && first != nil && p.read[keys[i]] == first {
 			reput[i] = first
 		}
@@ -944,9 +1223,14 @@ func (p *Poisoned) MultiPut(now time.Duration, keys []kvstore.Key, pages [][]byt
 	if err != nil {
 		return done, err
 	}
+	for _, page := range passed {
+		delete(p.taken, page)
+	}
 	for i, key := range keys {
+		p.notTaken("MultiPut", key, pages[i])
 		p.written[key] = sums[i]
 		delete(p.read, key)
+		delete(p.takenKeys, key)
 		if reput[i] == nil || bufID(pages[i]) != reput[i] {
 			Scribble(pages[i])
 		}
@@ -994,8 +1278,23 @@ func (p *Poisoned) Delete(now time.Duration, key kvstore.Key) (time.Duration, er
 	if err == nil {
 		delete(p.written, key)
 		delete(p.read, key)
+		delete(p.takenKeys, key)
 	}
 	return done, err
+}
+
+// Take passes a take through to the inner store (false when it does not
+// declare kvstore.Reput) and, if it succeeds, notes the buffer as the
+// caller's and the key as holding no bytes.
+func (p *Poisoned) Take(key kvstore.Key, buf []byte) bool {
+	r, ok := p.Store.(kvstore.Reput)
+	if !ok || !r.Take(key, buf) {
+		return false
+	}
+	p.taken[bufID(buf)] = true
+	p.takenKeys[key] = true
+	delete(p.read, key)
+	return true
 }
 
 // Local passes the inner store's locality through, as the monitor probes it.
@@ -1013,6 +1312,9 @@ func (p *Poisoned) Reput() bool { return p.reputs }
 func (p *Poisoned) Verify(now time.Duration) {
 	p.tb.Helper()
 	for key := range p.written {
+		if p.takenKeys[key] {
+			continue
+		}
 		if _, _, err := p.Get(now, key); err != nil {
 			p.tb.Fatalf("aliasing net: %v was written but reads %v", key, err)
 		}

@@ -145,7 +145,7 @@ func (f *refFD) copyIn(now time.Duration, addr uint64, data []byte, owned, wp, d
 
 func (f *refFD) pageClean(addr uint64) bool {
 	p := f.page(addr)
-	return p != nil && p.state == PagePresent && p.wp
+	return p != nil && p.state == PagePresent && p.wp && p.shared
 }
 
 func (f *refFD) pageShared(addr uint64) bool {

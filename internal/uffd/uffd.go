@@ -544,13 +544,16 @@ func (f *FD) Copy(now time.Duration, addr uint64, data []byte) (time.Duration, e
 // done, done when the protection is (copied without wp).
 //
 // With owned the caller hands data over and it becomes the page's frame,
-// the descriptor's to pool. Without it data is mapped shared until the
-// page's first write copies it into a private frame, so the caller must keep
-// data's bytes unchanged, and the buffer out of reuse, until the page has
-// left the VM — a store read's buffer qualifies, because the monitor writes
-// or deletes a key only after its page has left (kvstore.Store's read
-// contract). wp write-protects the page, so a later eviction can tell a
-// still-clean page (drop, no store write) from a dirtied one.
+// the descriptor's to pool — a frame the caller owned, or a store read's
+// buffer the caller took from the store (kvstore.Reput's Take). Without it
+// data is mapped shared until the page's first write copies it into a
+// private frame, so the caller must keep data's bytes unchanged, and the
+// buffer out of reuse, until the page has left the VM — a store read's
+// buffer qualifies, because the monitor writes or deletes a key only after
+// its page has left (kvstore.Store's read contract). wp write-protects the
+// page: the first write takes the WP fault. On a shared page that lets a
+// later eviction tell a still-clean page (drop, no store write) from a
+// dirtied one; an owned page is never clean (PageClean).
 func (f *FD) Install(now time.Duration, addr uint64, data []byte, owned, wp bool) (copied, done time.Duration, err error) {
 	return f.install(now, addr, data, owned, wp, false)
 }
@@ -595,11 +598,13 @@ func (f *FD) install(now time.Duration, addr uint64, data []byte, owned, wp, dup
 	return copied, done, nil
 }
 
-// PageClean reports whether the page at addr is present, write-protected,
-// and unwritten since protection — i.e. its store copy is still current and
-// eviction may drop it without a write. Missing and zero-COW pages report
-// false (a zero-COW page has no store copy; zero-page elision covers it).
-func (f *FD) PageClean(addr uint64) bool { return f.pteHas(addr, pteWP) }
+// PageClean reports whether the page at addr is present, shared,
+// write-protected, and unwritten since protection — i.e. its store copy is
+// still current and eviction may drop it without a write. Missing and
+// zero-COW pages report false (a zero-COW page has no store copy; zero-page
+// elision covers it), and so does an owned page even if protected: its frame
+// may be the only copy there is (a buffer the caller took from its store).
+func (f *FD) PageClean(addr uint64) bool { return f.pteHas(addr, pteWP|pteShared) }
 
 // PageShared reports whether the page at addr maps a buffer the descriptor
 // does not own — one Install was handed without ownership and the guest has

@@ -474,6 +474,33 @@ func TestWriteProtectTracksDirtiness(t *testing.T) {
 	}
 }
 
+// TestOwnedProtectedPageNeverClean installs a buffer the caller owns
+// write-protected (a store read's buffer the monitor took): the page is never
+// clean, because its frame may be the only copy, yet its first write takes
+// the WP fault, charged as on a shared page, and copies nothing.
+func TestOwnedProtectedPageNeverClean(t *testing.T) {
+	f, _ := newFD(t)
+	addr := uint64(0x100000)
+	buf := filled(5)
+	_, done, err := f.Install(0, addr, buf, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.PageClean(addr) || f.PageShared(addr) {
+		t.Fatalf("owned protected page: clean %v, shared %v; want neither", f.PageClean(addr), f.PageShared(addr))
+	}
+	data, at, hit, err := f.Access(done, addr, true)
+	if err != nil || !hit {
+		t.Fatalf("write: hit=%v err=%v", hit, err)
+	}
+	if at <= done || f.WPFaults() != 1 {
+		t.Fatalf("write cost %v with %d WP faults; want a WP fault charged", at-done, f.WPFaults())
+	}
+	if &data[0] != &buf[0] || f.PageCopies() != 0 {
+		t.Fatalf("the write moved the page off the owned buffer (%d page copies)", f.PageCopies())
+	}
+}
+
 // TestWriteProtectRejectsMissingAndZeroCOW: the write-protect mode refuses
 // what Copy refuses — an address outside every region, a short buffer, and an
 // already-mapped page, the zero-COW one included — and only a page it

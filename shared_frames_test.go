@@ -125,8 +125,10 @@ func runFailover(tb testing.TB, l *closedLoop, n int) {
 // On the cluster_failover recipe that is wp_faults/remote_reads, at most 0.15
 // (every install was a copy once, ≥ 1.0). pmbench_ramcloud drops no clean
 // page, but RAMCloud takes its own read buffer back, so a page evicted
-// unwritten is not copied either: at most 0.6 (1.010 while every install
-// copied).
+// unwritten is not copied either, and a write fault takes the read buffer
+// itself (kvstore.Reput's Take), so only a later first write to a page a
+// read fault installed copies: 0.080, at most 0.15 (1.010 while every
+// install copied, 0.579 while write faults copied).
 func TestPageCopiesPerRemoteRead(t *testing.T) {
 	measure := func(l *closedLoop, run func()) (copies, wp, reads float64) {
 		mon := l.m.Monitor()
@@ -146,8 +148,8 @@ func TestPageCopiesPerRemoteRead(t *testing.T) {
 	l = newClosedLoop(t, MachineConfig{Backend: BackendRAMCloud}, 50, 0, 1)
 	l.run(20000)
 	copies, _, reads = measure(l, func() { l.run(60000) })
-	if reads == 0 || copies/reads > 0.6 {
-		t.Errorf("pmbench_ramcloud: %.0f page copies over %.0f remote reads = %.3f per read, want ≤ 0.6", copies, reads, copies/reads)
+	if reads == 0 || copies/reads > 0.15 {
+		t.Errorf("pmbench_ramcloud: %.0f page copies over %.0f remote reads = %.3f per read, want ≤ 0.15", copies, reads, copies/reads)
 	}
 	t.Logf("pmbench_ramcloud: %.3f page copies per remote read", copies/reads)
 }
