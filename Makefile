@@ -212,10 +212,13 @@ cluster-oracle:
 # cell; the arrival schedules themselves must be split/merge-invariant, and
 # equal to the reference-bisection schedules timestamp for timestamp
 # (TestInvCum*: guess-and-verify inversion moves no arrival;
-# TestInverseFallbackExact: nor where the walk and the fallback answer).
+# TestInverseFallbackExact: nor where the walk and the fallback answer;
+# TestSliceOrder*: the linear in-slice ordering is slices.Sort's order); and
+# the engine's queueing must obey Little's law with PASTA on a stable
+# constant-rate Poisson sweep (TestLittlesLawWithPASTA).
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
-	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum|TestInverseFallbackExact'
+	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum|TestInverseFallbackExact|TestSliceOrder'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
@@ -233,9 +236,10 @@ openloop-oracle:
 # key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), the open-loop arrival schedules' monotonicity, split/merge
-# invariance and equality with the reference-bisection schedule, and the
-# aliasing net (storetest.Poisoned) over re-puts and takes of a store's own
-# read buffers.
+# invariance and equality with the reference-bisection schedule, the
+# table-driven Zipfian (draw for draw and word for word around every step
+# against a test-side copy of the formula it replaced), and the aliasing net
+# (storetest.Poisoned) over re-puts and takes of a store's own read buffers.
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
@@ -246,4 +250,5 @@ fuzz-short:
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzRouting -fuzz FuzzRouting -fuzztime=5s
 	$(GO) test ./internal/kvstore/cluster/ -run FuzzReplicaSet -fuzz FuzzReplicaSet -fuzztime=5s
 	$(GO) test ./internal/loadgen/ -run FuzzArrivalSchedule -fuzz FuzzArrivalSchedule -fuzztime=5s
+	$(GO) test ./internal/workload/ycsb/ -run FuzzZipfianMatchesParent -fuzz FuzzZipfianMatchesParent -fuzztime=5s
 	$(GO) test ./internal/kvstore/storetest/ -run FuzzPoisonedReput -fuzz FuzzPoisonedReput -fuzztime=5s

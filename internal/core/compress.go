@@ -143,9 +143,9 @@ func (c *compressedTier) drop(key kvstore.Key) {
 	}
 }
 
-// drainTo empties part's pooled pages, oldest first, into the writeback
-// engine (migration export). Other partitions' pages stay pooled.
-func (c *compressedTier) drainTo(now time.Duration, wb *writeback, part kvstore.PartitionID) (time.Duration, error) {
+// drainTo empties part's pooled pages, oldest first, onto the write list
+// through enqueue (migration export). Other partitions' pages stay pooled.
+func (c *compressedTier) drainTo(now time.Duration, part kvstore.PartitionID, enqueue func(time.Duration, kvstore.Key, []byte, bool) (time.Duration, error)) (time.Duration, error) {
 	for i := c.pool.Head; i != 0; {
 		key, next := kvstore.Key(c.pages.recs[i].id), c.pages.queueLinks[i].Next
 		if key.Partition() == part {
@@ -154,7 +154,7 @@ func (c *compressedTier) drainTo(now time.Duration, wb *writeback, part kvstore.
 				return now, fmt.Errorf("core: corrupt pool entry %v: %w", key, err)
 			}
 			now += c.params.DecompressCPU.Sample(c.rng)
-			if now, err = wb.Enqueue(now, key, raw, true); err != nil {
+			if now, err = enqueue(now, key, raw, true); err != nil {
 				return now, err
 			}
 		}

@@ -257,7 +257,7 @@ func (g *tierPair) op(t *testing.T, step, kind, n, density int) {
 		g.parent.drop(key)
 	case tierDrain:
 		part := key.Partition()
-		vDone, vErr := g.view.drainTo(g.now, g.viewWB, part)
+		vDone, vErr := g.view.drainTo(g.now, part, g.viewWB.Enqueue)
 		pDone, pErr := g.parent.drainTo(g.now, g.parWB, part)
 		if vErr != nil || pErr != nil {
 			fail("drain errors %v, parent %v", vErr, pErr)

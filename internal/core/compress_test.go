@@ -397,3 +397,32 @@ func TestTierOverflowFlushesCounted(t *testing.T) {
 		t.Fatalf("Stats().Flushes = %d, the write list flushed %d times; want both 29", monitor, engine)
 	}
 }
+
+// TestExportTierFlushesCounted: an export drains the VM's pooled pages onto
+// the write list through the one enqueue, so the flushes the drain triggers
+// count in Stats.Flushes too. 32 half-filled pages on a 4-page monitor with
+// a 64-page pool leave 28 pooled; the export's four evictions and its tier
+// drain flush two pages at a time.
+func TestExportTierFlushesCounted(t *testing.T) {
+	cfg := dramCfg(4)
+	cfg.WriteBatchSize = 2
+	p := DefaultCompressParams(64 * PageSize)
+	cfg.Compress = &p
+	m := newMonitor(t, cfg, 64)
+	now := time.Duration(0)
+	for i := 0; i < 32; i++ {
+		data, done, err := m.Touch(now, addr(i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		fill(data, wordOf(i))
+	}
+	if _, _, err := m.ExportVM(now, 4242); err != nil {
+		t.Fatal(err)
+	}
+	monitor, engine := m.Stats().Flushes, m.WritebackStats().Flushes
+	if monitor != engine || engine != 16 {
+		t.Fatalf("Stats().Flushes = %d, the write list flushed %d times; want both 16", monitor, engine)
+	}
+}

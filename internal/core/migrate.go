@@ -83,7 +83,7 @@ func (m *Monitor) ExportVM(now time.Duration, pid int) (*VMImage, time.Duration,
 	// The VM's pages parked in the compressed tier must also reach the
 	// store: the destination hypervisor cannot see this machine's local pool.
 	if m.tier != nil {
-		if now, err = m.tier.drainTo(now, m.wb, part); err != nil {
+		if now, err = m.tier.drainTo(now, part, m.enqueue); err != nil {
 			return nil, now, fmt.Errorf("core: export compressed tier: %w", err)
 		}
 	}

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"fluidmem/internal/clock"
@@ -85,9 +84,10 @@ func knuthPoisson(r *clock.Rand, limit float64) int {
 	}
 }
 
-// sliceArrivals generates slice k's arrivals — every timestamp in
-// [k*ArrivalSlice, (k+1)*ArrivalSlice) — in ascending order.
-func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Duration {
+// sliceArrivals appends slice k's arrivals — every timestamp in
+// [k*ArrivalSlice, (k+1)*ArrivalSlice) — to out in ascending order, using
+// ord's buffers to order them.
+func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceOrder) []time.Duration {
 	start := time.Duration(k) * ArrivalSlice
 	end := start + ArrivalSlice
 	cumStart := cfg.Curve.CumOps(start)
@@ -117,6 +117,7 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 			break
 		}
 		inv := newCumInverse(cfg.Curve, start, end, cumStart, cumEnd)
+		first := len(out)
 		for i := 0; i < n; i++ {
 			// u in [0,1) maps to measure in [cumStart, cumEnd): inversion
 			// sampling of the conditional (non-homogeneous) distribution.
@@ -127,9 +128,62 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration) []time.Dura
 			}
 			out = append(out, t)
 		}
-		slices.Sort(out)
+		ord.sort(out[first:], start)
 	}
 	return out
+}
+
+// sliceOrder sorts one slice's arrivals in linear expected time. A
+// counting pass sizes n equal buckets of the slice, one per arrival, by
+// each arrival's offset from the slice's start; the arrivals are placed
+// bucket by bucket, which puts the buckets in order, and an insertion sort
+// orders each bucket's few. The result is the one ascending order of the
+// timestamps, as any sort gives. The buffers grow to the largest slice seen
+// and are reused, so ordering allocates nothing in steady state.
+type sliceOrder struct {
+	counts []int32
+	offs   []uint32
+}
+
+// sliceBits bounds an offset in a slice: ArrivalSlice < 2^sliceBits ns (the
+// constant overflows, and the build fails, if it is not).
+const sliceBits = 20
+
+const _ = uint(1<<sliceBits - ArrivalSlice - 1)
+
+// sort orders ts, every one of which lies in [start, start+ArrivalSlice).
+func (o *sliceOrder) sort(ts []time.Duration, start time.Duration) {
+	n := len(ts)
+	if n < 2 {
+		return
+	}
+	if cap(o.counts) < n {
+		o.counts, o.offs = make([]int32, n, 2*n), make([]uint32, n, 2*n)
+	}
+	counts, offs := o.counts[:n], o.offs[:n]
+	clear(counts)
+	// Offset off's bucket is off·n/2^sliceBits, below n.
+	for i, t := range ts {
+		offs[i] = uint32(t - start)
+		counts[uint64(offs[i])*uint64(n)>>sliceBits]++
+	}
+	sum := int32(0)
+	for b, c := range counts {
+		counts[b] = sum // bucket b's first place
+		sum += c
+	}
+	for _, off := range offs {
+		b := uint64(off) * uint64(n) >> sliceBits
+		ts[counts[b]] = start + time.Duration(off)
+		counts[b]++
+	}
+	for i := 1; i < n; i++ {
+		t, j := ts[i], i
+		for ; j > 0 && ts[j-1] > t; j-- {
+			ts[j] = ts[j-1]
+		}
+		ts[j] = t
+	}
 }
 
 // Schedule materialises every arrival timestamp in [from, to), ascending.
@@ -142,8 +196,9 @@ func (cfg ArrivalConfig) Schedule(from, to time.Duration) []time.Duration {
 	}
 	cfg.Curve = resolve(cfg.Curve)
 	var buf []time.Duration
+	var ord sliceOrder
 	for k := int64(from / ArrivalSlice); time.Duration(k)*ArrivalSlice < to; k++ {
-		buf = cfg.sliceArrivals(k, buf[:0])
+		buf = cfg.sliceArrivals(k, buf[:0], &ord)
 		for _, t := range buf {
 			if t >= from && t < to {
 				out = append(out, t)
@@ -162,12 +217,20 @@ type Arrivals struct {
 	k        int64
 	buf      []time.Duration
 	idx      int
+	ord      *sliceOrder
 }
 
 // NewArrivals returns an iterator over cfg's arrivals in [from, to).
 func NewArrivals(cfg ArrivalConfig, from, to time.Duration) *Arrivals {
+	return newArrivals(cfg, from, to, new(sliceOrder))
+}
+
+// newArrivals is NewArrivals ordering its slices with ord, which streams
+// that take turns on one goroutine may share: each slice is ordered before
+// its generation returns.
+func newArrivals(cfg ArrivalConfig, from, to time.Duration, ord *sliceOrder) *Arrivals {
 	cfg.Curve = resolve(cfg.Curve)
-	return &Arrivals{cfg: cfg, from: from, to: to, k: int64(from / ArrivalSlice)}
+	return &Arrivals{cfg: cfg, from: from, to: to, k: int64(from / ArrivalSlice), ord: ord}
 }
 
 // Next returns the next arrival timestamp, or false when the window is
@@ -188,7 +251,7 @@ func (a *Arrivals) Next() (time.Duration, bool) {
 		if time.Duration(a.k)*ArrivalSlice >= a.to {
 			return 0, false
 		}
-		a.buf = a.cfg.sliceArrivals(a.k, a.buf[:0])
+		a.buf = a.cfg.sliceArrivals(a.k, a.buf[:0], a.ord)
 		a.idx = 0
 		a.k++
 	}

@@ -12,6 +12,7 @@ import (
 	"fluidmem/internal/clock"
 	"fluidmem/internal/core"
 	"fluidmem/internal/stats"
+	"fluidmem/internal/workload/ycsb"
 )
 
 // Config drives one open-loop scenario run.
@@ -208,12 +209,14 @@ func Run(cfg Config) (*Report, error) {
 
 	guests := h.Tenants()
 	tenants := make([]*engineTenant, len(scen.Tenants))
+	ord := new(sliceOrder) // the tenants' streams take turns
+	tables := map[int]*ycsb.Zipfian{}
 	for i, ts := range scen.Tenants {
 		seg, err := guests[i].Machine().Alloc("openloop", uint64(ts.Keys.SpanPages)*fluidmem.PageSize)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %s: %w", ts.ID, err)
 		}
-		gen, err := newKeyGen(ts.Keys, sliceSeed(cfg.Seed, int64(i)*2+1))
+		gen, err := newKeyGen(ts.Keys, sliceSeed(cfg.Seed, int64(i)*2+1), tables)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: tenant %s: %w", ts.ID, err)
 		}
@@ -227,11 +230,11 @@ func Run(cfg Config) (*Report, error) {
 			guest: guests[i],
 			base:  seg.Addr(0),
 			gen:   gen,
-			arr: NewArrivals(ArrivalConfig{
+			arr: newArrivals(ArrivalConfig{
 				Process: ts.Process,
 				Curve:   Scale(ts.Curve, scale),
 				Seed:    sliceSeed(cfg.Seed, int64(i)*2+2),
-			}, ts.Boot, to),
+			}, ts.Boot, to, ord),
 			sojourn: &stats.Histogram{},
 		}
 		tenants[i] = et

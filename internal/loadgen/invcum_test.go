@@ -101,8 +101,9 @@ func TestInvCumScenarioSchedulesMatchBisection(t *testing.T) {
 				for _, proc := range []Process{Poisson, Deterministic} {
 					cfg := ArrivalConfig{Process: proc, Curve: Scale(ts.Curve, scale), Seed: sliceSeed(1, int64(ti)*2+2)}
 					var buf []time.Duration
+					var ord sliceOrder
 					for k := int64(0); k < slices; k++ {
-						buf = cfg.sliceArrivals(k, buf[:0])
+						buf = cfg.sliceArrivals(k, buf[:0], &ord)
 						if err := equalSchedules(buf, referenceSlice(cfg, k)); err != nil {
 							t.Fatalf("%s/%s ×%v process %d slice %d: %v", name, ts.ID, scale, proc, k, err)
 						}

@@ -99,8 +99,9 @@ func TestArrivalCurveCallsPinned(t *testing.T) {
 			var got inversions
 			arrivals := 0
 			var buf []time.Duration
+			var ord sliceOrder
 			for k := int64(0); k < slices; k++ {
-				buf = cfg.sliceArrivals(k, buf[:0])
+				buf = cfg.sliceArrivals(k, buf[:0], &ord)
 				arrivals += len(buf)
 				got.add(plain, k)
 			}

@@ -45,17 +45,28 @@ type keyGen struct {
 	cursor int
 }
 
-func newKeyGen(spec KeySpec, seed uint64) (*keyGen, error) {
+// newKeyGen builds a tenant's key stream from its spec and seed. A Zipfian
+// stream reads its span's table from tables if one is there, and
+// leaves the table it builds there otherwise (tables may be nil): the
+// tenants of a run share one table per span.
+func newKeyGen(spec KeySpec, seed uint64, tables map[int]*ycsb.Zipfian) (*keyGen, error) {
 	if spec.SpanPages < 1 {
 		return nil, fmt.Errorf("loadgen: key span must be >= 1 page, got %d", spec.SpanPages)
 	}
 	g := &keyGen{spec: spec, r: clock.NewRand(seed ^ 0xfeed_face_cafe)}
 	if spec.Dist == Zipfian {
+		if z := tables[spec.SpanPages]; z != nil {
+			g.zipf = z.Reseed(seed ^ 0x5ca1_ab1e)
+			return g, nil
+		}
 		z, err := ycsb.NewZipfian(spec.SpanPages, 0.99, seed^0x5ca1_ab1e)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
 		g.zipf = z
+		if tables != nil {
+			tables[spec.SpanPages] = z
+		}
 	}
 	return g, nil
 }

@@ -12,11 +12,11 @@ func TestKeyGenSpanAndDeterminism(t *testing.T) {
 		"sequential": {Dist: Sequential, SpanPages: 8},
 	}
 	for name, spec := range specs {
-		a, err := newKeyGen(spec, 42)
+		a, err := newKeyGen(spec, 42, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, _ := newKeyGen(spec, 42)
+		b, _ := newKeyGen(spec, 42, nil)
 		for i := 0; i < 2000; i++ {
 			pa, wa := a.next()
 			pb, wb := b.next()
@@ -31,7 +31,7 @@ func TestKeyGenSpanAndDeterminism(t *testing.T) {
 }
 
 func TestKeyGenSequentialCycles(t *testing.T) {
-	g, err := newKeyGen(KeySpec{Dist: Sequential, SpanPages: 4}, 1)
+	g, err := newKeyGen(KeySpec{Dist: Sequential, SpanPages: 4}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestKeyGenSequentialCycles(t *testing.T) {
 }
 
 func TestKeyGenWriteFraction(t *testing.T) {
-	g, err := newKeyGen(KeySpec{Dist: Uniform, SpanPages: 8, WriteFrac: 0.25}, 5)
+	g, err := newKeyGen(KeySpec{Dist: Uniform, SpanPages: 8, WriteFrac: 0.25}, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestKeyGenWriteFraction(t *testing.T) {
 }
 
 func TestKeyGenRejectsEmptySpan(t *testing.T) {
-	if _, err := newKeyGen(KeySpec{Dist: Uniform, SpanPages: 0}, 1); err == nil {
+	if _, err := newKeyGen(KeySpec{Dist: Uniform, SpanPages: 0}, 1, nil); err == nil {
 		t.Fatal("zero span accepted")
 	}
-	if _, err := newKeyGen(KeySpec{Dist: Zipfian, SpanPages: -3}, 1); err == nil {
+	if _, err := newKeyGen(KeySpec{Dist: Zipfian, SpanPages: -3}, 1, nil); err == nil {
 		t.Fatal("negative span accepted")
 	}
 }

@@ -6,5 +6,7 @@
 // worker counts {1, 2, 4, 8} at the oracle's pinned configurations (the
 // core contract guarantees the logical fields at any configuration; the
 // virtual-time fields can drift by a store batch's amortization once
-// re-sharding regroups MultiGet batches — see core/shardtest).
+// re-sharding regroups MultiGet batches — see core/shardtest). It also
+// holds the engine's queueing to theory: on a stable constant-rate Poisson
+// sweep, the queue depth arrivals see equals λ·W (Little's law with PASTA).
 package scenariotest

@@ -128,3 +128,59 @@ func TestZipfianValidation(t *testing.T) {
 		t.Fatal("theta=0 accepted")
 	}
 }
+
+// TestZipfianReseed: a reseeded generator draws what a new one with that
+// seed draws, and leaves the one it came from alone.
+func TestZipfianReseed(t *testing.T) {
+	a, err := NewZipfian(96, 0.99, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a.Reseed(2)
+	fresh, _ := NewZipfian(96, 0.99, 2)
+	again, _ := NewZipfian(96, 0.99, 1)
+	for i := 0; i < 10_000; i++ {
+		if got, want := b.Next(), fresh.Next(); got != want {
+			t.Fatalf("draw %d: reseeded %d, new %d", i, got, want)
+		}
+		if got, want := a.Next(), again.Next(); got != want {
+			t.Fatalf("draw %d: original %d after reseeding, want %d", i, got, want)
+		}
+	}
+}
+
+// TestZipfianNextAllocFree: a draw is a table lookup and allocates nothing.
+func TestZipfianNextAllocFree(t *testing.T) {
+	z, err := NewZipfian(96, 0.99, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { sinkKey = z.Next() }); allocs != 0 {
+		t.Fatalf("Zipfian.Next: %.1f allocations per draw, want 0", allocs)
+	}
+}
+
+var sinkKey int
+
+// BenchmarkZipfianNext is one draw over loadgen's hot span (96 pages, θ 0.99).
+func BenchmarkZipfianNext(b *testing.B) {
+	z, err := NewZipfian(96, 0.99, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkKey = z.Next()
+	}
+}
+
+// BenchmarkNewZipfian is the table's construction at Fig. 5's size and skew
+// (20 480 records, θ 0.6).
+func BenchmarkNewZipfian(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewZipfian(20480, 0.6, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
