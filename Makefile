@@ -238,8 +238,11 @@ openloop-oracle:
 # replaced), the open-loop arrival schedules' monotonicity, split/merge
 # invariance and equality with the reference-bisection schedule, the
 # table-driven Zipfian (draw for draw and word for word around every step
-# against a test-side copy of the formula it replaced), and the aliasing net
-# (storetest.Poisoned) over re-puts and takes of a store's own read buffers.
+# against a test-side copy of the formula it replaced), the aliasing net
+# (storetest.Poisoned) over re-puts and takes of a store's own read buffers,
+# and the guest's word path (Read64/Write64 serving TLB hits themselves,
+# against the same drive through Touch, call for call, and through a VM that
+# flushes before every access).
 fuzz-short:
 	$(GO) test ./internal/core/ -run FuzzWriteCoalesce -fuzz FuzzWriteCoalesce -fuzztime=5s
 	$(GO) test ./internal/core/ -run FuzzReadahead -fuzz FuzzReadahead -fuzztime=5s
@@ -252,3 +255,4 @@ fuzz-short:
 	$(GO) test ./internal/loadgen/ -run FuzzArrivalSchedule -fuzz FuzzArrivalSchedule -fuzztime=5s
 	$(GO) test ./internal/workload/ycsb/ -run FuzzZipfianMatchesParent -fuzz FuzzZipfianMatchesParent -fuzztime=5s
 	$(GO) test ./internal/kvstore/storetest/ -run FuzzPoisonedReput -fuzz FuzzPoisonedReput -fuzztime=5s
+	$(GO) test ./internal/vm/ -run FuzzWordAccessMatchesTouch -fuzz FuzzWordAccessMatchesTouch -fuzztime=5s

@@ -176,8 +176,8 @@ func New(cfg Config, backing Backing) (*VM, error) {
 	if cfg.Base == 0 {
 		cfg.Base = 0x7f00_0000_0000
 	}
-	if cfg.MemBytes == 0 || cfg.MemBytes%PageSize != 0 || cfg.Base+cfg.MemBytes < cfg.Base {
-		return nil, fmt.Errorf("vm: memory size %d must be a positive multiple of the page size that fits above %#x", cfg.MemBytes, cfg.Base)
+	if cfg.Base%PageSize != 0 || cfg.MemBytes == 0 || cfg.MemBytes%PageSize != 0 || cfg.Base+cfg.MemBytes < cfg.Base {
+		return nil, fmt.Errorf("vm: memory size %d must be a positive multiple of the page size that fits above the page-aligned base %#x", cfg.MemBytes, cfg.Base)
 	}
 	if cfg.Virt == 0 {
 		cfg.Virt = VirtKVM
@@ -282,24 +282,30 @@ func (v *VM) Hotplug(bytes uint64) error {
 	return nil
 }
 
+// hit returns the TLB slot of the page in tag and whether it holds a hit for
+// the access tag describes (the page address with bit 0 set for a write): the
+// page matches, the entry's gen is current, and the entry was filled by an
+// access of this kind or by a write.
+func (v *VM) hit(tag uint64) (*tlbEntry, bool) {
+	e := &v.tlb[tag/PageSize&uint64(len(v.tlb)-1)]
+	return e, (e.tag == tag || e.tag == tag|1) && e.gen == v.gen
+}
+
 // Touch services a guest access to addr, returning the page frame and the
 // completion time.
 func (v *VM) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
 	if addr < v.cfg.Base || addr >= v.next {
 		return nil, now, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 	}
-	page := addr &^ uint64(PageSize-1)
-	tag := page
+	tag := addr &^ uint64(PageSize-1)
 	if write {
 		v.writes++
 		tag |= 1
 	} else {
 		v.reads++
 	}
-	// Fast path: a TLB hit the backing has not invalidated, filled by an
-	// access of this kind or by a write.
-	e := &v.tlb[page/PageSize&uint64(len(v.tlb)-1)]
-	if (e.tag == tag || e.tag == page|1) && e.gen == v.gen {
+	e, ok := v.hit(tag)
+	if ok {
 		return e.frame[:], now, nil
 	}
 	data, done, err := v.backing.Touch(now, addr, write)
@@ -311,8 +317,20 @@ func (v *VM) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Dur
 }
 
 // Read64 reads the 8-byte word at addr.
+//
+// A TLB hit is served here, without Touch and without its [Base, next)
+// check, which it cannot fail: an entry is filled only after a Touch that
+// passed it, its tag is the full page address, Base is page-aligned and
+// segments are whole pages, so every address of a filled page is allocated,
+// and next never decreases. An address outside the allocation matches no
+// valid entry and takes the path through Touch, as do a miss and a word
+// that straddles pages.
 func (v *VM) Read64(now time.Duration, addr uint64) (uint64, time.Duration, error) {
 	off := addr & (PageSize - 1)
+	if e, ok := v.hit(addr - off); ok && off <= PageSize-8 {
+		v.reads++
+		return binary.LittleEndian.Uint64(e.frame[off:]), now, nil
+	}
 	if off+8 > PageSize {
 		return 0, now, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
 	}
@@ -323,9 +341,14 @@ func (v *VM) Read64(now time.Duration, addr uint64) (uint64, time.Duration, erro
 	return binary.LittleEndian.Uint64(data[off : off+8]), done, nil
 }
 
-// Write64 writes the 8-byte word at addr.
+// Write64 writes the 8-byte word at addr, serving a TLB hit as Read64 does.
 func (v *VM) Write64(now time.Duration, addr uint64, value uint64) (time.Duration, error) {
 	off := addr & (PageSize - 1)
+	if e, ok := v.hit(addr - off | 1); ok && off <= PageSize-8 {
+		v.writes++
+		binary.LittleEndian.PutUint64(e.frame[off:], value)
+		return now, nil
+	}
 	if off+8 > PageSize {
 		return now, fmt.Errorf("vm: unaligned word access straddles pages at %#x", addr)
 	}

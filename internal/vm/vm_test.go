@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,9 +17,28 @@ type fakeBacking struct {
 	missLat  time.Duration
 	vm       *VM
 	classes  map[uint64]PageClass
+	// failing pages refuse Touch; log, when logging, records every Touch
+	// and Discard.
+	failing map[uint64]bool
+	logging bool
+	log     []backingCall
+	// zero, when set, is the shared frame a read miss maps, copied on the
+	// first write (the monitor's zero-page COW): a write the VM let through
+	// without a Touch would show on every page that maps it.
+	zero []byte
 
 	touches, misses int
 }
+
+// backingCall is one call a VM made to a fakeBacking: a Touch (discard
+// false) or a Discard, and whether the page was resident.
+type backingCall struct {
+	addr                     uint64
+	write, discard, resident bool
+}
+
+// errBacking is a fakeBacking's Touch of a failing page.
+var errBacking = errors.New("fake backing: page refused")
 
 var (
 	_ Backing    = (*fakeBacking)(nil)
@@ -31,13 +51,25 @@ func newFakeBacking(capacity int) *fakeBacking {
 		capacity: capacity,
 		missLat:  30 * time.Microsecond,
 		classes:  make(map[uint64]PageClass),
+		failing:  make(map[uint64]bool),
 	}
 }
 
 func (f *fakeBacking) Touch(now time.Duration, addr uint64, write bool) ([]byte, time.Duration, error) {
 	page := addr &^ uint64(PageSize-1)
 	f.touches++
-	if data, ok := f.frames[page]; ok {
+	data, ok := f.frames[page]
+	if f.logging {
+		f.log = append(f.log, backingCall{addr: addr, write: write, resident: ok})
+	}
+	if f.failing[page] {
+		return nil, now + f.missLat/2, errBacking
+	}
+	if ok {
+		if write && f.zero != nil && &data[0] == &f.zero[0] {
+			data = make([]byte, PageSize)
+			f.frames[page] = data
+		}
 		return data, now, nil
 	}
 	f.misses++
@@ -47,7 +79,9 @@ func (f *fakeBacking) Touch(now time.Duration, addr uint64, write bool) ([]byte,
 		delete(f.frames, victim)
 		f.vm.Shootdown(victim)
 	}
-	data := make([]byte, PageSize)
+	if data = f.zero; data == nil || write {
+		data = make([]byte, PageSize)
+	}
 	f.frames[page] = data
 	f.order = append(f.order, page)
 	return data, now + f.missLat, nil
@@ -55,7 +89,11 @@ func (f *fakeBacking) Touch(now time.Duration, addr uint64, write bool) ([]byte,
 
 func (f *fakeBacking) Discard(addr uint64) {
 	page := addr &^ uint64(PageSize-1)
-	if _, ok := f.frames[page]; !ok {
+	_, ok := f.frames[page]
+	if f.logging {
+		f.log = append(f.log, backingCall{addr: addr, discard: true, resident: ok})
+	}
+	if !ok {
 		return
 	}
 	delete(f.frames, page)
@@ -100,6 +138,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{MemBytes: PageSize}, nil); err == nil {
 		t.Fatal("nil backing accepted")
+	}
+	// Segments end on page boundaries only above a page-aligned base, and
+	// the word path's skipped bounds check relies on that.
+	if _, err := New(Config{MemBytes: PageSize, Base: 1<<40 + 8}, b); err == nil {
+		t.Fatal("unaligned base accepted")
 	}
 }
 
@@ -191,22 +234,91 @@ func TestReadWrite64RoundTrip(t *testing.T) {
 
 // TestRead64StraddleRejected: a word access that would cross a page boundary
 // is refused before it reaches the backing, so it counts no access, faults
-// nothing in and takes no virtual time.
+// nothing in and takes no virtual time, also on resident pages whose
+// write-filled TLB entries would serve a word inside them.
 func TestRead64StraddleRejected(t *testing.T) {
 	v, b := newTestVM(t, 16*PageSize, 0)
 	seg, _ := v.Alloc("data", 2*PageSize, ClassAnon)
 	const now = time.Second
-	if _, done, err := v.Read64(now, seg.Addr(PageSize-4)); err == nil || done != now {
-		t.Fatalf("straddling read: done %v, err %v", done, err)
+	for _, resident := range []bool{false, true} {
+		if resident {
+			for _, addr := range []uint64{seg.Start, seg.Addr(PageSize)} {
+				if _, err := v.Write64(0, addr, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r0, w0 := v.AccessCounts()
+		pages, touches, misses := v.ResidentPages(), b.touches, b.misses
+		if _, done, err := v.Read64(now, seg.Addr(PageSize-4)); err == nil || !strings.Contains(err.Error(), "straddles") || done != now {
+			t.Fatalf("straddling read, resident %v: done %v, err %v", resident, done, err)
+		}
+		if done, err := v.Write64(now, seg.Addr(2*PageSize-1), 1); err == nil || !strings.Contains(err.Error(), "straddles") || done != now {
+			t.Fatalf("straddling write, resident %v: done %v, err %v", resident, done, err)
+		}
+		if r, w := v.AccessCounts(); r != r0 || w != w0 {
+			t.Fatalf("access counts %d/%d → %d/%d after refused accesses", r0, w0, r, w)
+		}
+		if v.ResidentPages() != pages || b.touches != touches || b.misses != misses {
+			t.Fatalf("resident %d → %d, backing touches %d → %d, misses %d → %d",
+				pages, v.ResidentPages(), touches, b.touches, misses, b.misses)
+		}
 	}
-	if done, err := v.Write64(now, seg.Addr(2*PageSize-1), 1); err == nil || done != now {
-		t.Fatalf("straddling write: done %v, err %v", done, err)
+	if r, w := v.AccessCounts(); r != 0 || w != 2 || v.ResidentPages() != 2 {
+		t.Fatalf("access counts %d/%d, resident %d: want only the two writes", r, w, v.ResidentPages())
 	}
-	if r, w := v.AccessCounts(); r != 0 || w != 0 {
-		t.Fatalf("access counts %d/%d after refused accesses", r, w)
+}
+
+// TestWordOutsideAllocationSharesSlot: a word below Base or past the
+// allocation is ErrBadAddress even when its TLB slot holds a valid,
+// write-filled entry for another page; the tag compares the full page
+// address, so the word path's skipped bounds check never serves it.
+func TestWordOutsideAllocationSharesSlot(t *testing.T) {
+	v, b := newTestVM(t, 16*PageSize, 0)
+	seg, _ := v.Alloc("data", 3*PageSize, ClassAnon)
+	if len(v.tlb) != 4 {
+		t.Fatalf("TLB of %d entries for 3 pages, want 4", len(v.tlb))
 	}
-	if v.ResidentPages() != 0 || b.touches != 0 || b.misses != 0 {
-		t.Fatalf("resident %d, backing touches %d, misses %d", v.ResidentPages(), b.touches, b.misses)
+	if _, err := v.Write64(0, seg.Start, 1); err != nil {
+		t.Fatal(err)
+	}
+	touches := b.touches
+	for _, addr := range []uint64{seg.Addr(4 * PageSize), seg.Start - 4*PageSize, seg.Addr(8*PageSize + 8)} {
+		if e := &v.tlb[addr/PageSize&3]; e.tag != seg.Start|1 || e.gen != v.gen {
+			t.Fatalf("%#x: slot holds %#x at gen %d, want the resident page's write fill", addr, e.tag, e.gen)
+		}
+		if _, _, err := v.Read64(0, addr); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("Read64(%#x): err %v", addr, err)
+		}
+		if _, err := v.Write64(0, addr, 2); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("Write64(%#x): err %v", addr, err)
+		}
+	}
+	if r, w := v.AccessCounts(); r != 0 || w != 1 || b.touches != touches {
+		t.Fatalf("access counts %d/%d, backing touches %d → %d", r, w, touches, b.touches)
+	}
+}
+
+// TestWordHitAllocationFree: a word access the TLB serves allocates nothing.
+func TestWordHitAllocationFree(t *testing.T) {
+	v, _ := newTestVM(t, 16*PageSize, 0)
+	seg, _ := v.Alloc("data", 4*PageSize, ClassAnon)
+	for p := uint64(0); p < 4; p++ {
+		if _, err := v.Write64(0, seg.Addr(p*PageSize), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var i uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		if _, _, err := v.Read64(0, seg.Addr(i%4*PageSize+i%512*8)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.Write64(0, seg.Addr(i%4*PageSize+8), i); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per Read64+Write64 hit, want 0", n)
 	}
 }
 
@@ -589,13 +701,16 @@ func TestAccessCounts(t *testing.T) {
 
 // BenchmarkTouchHit is the guest's resident-page access: "hit" cycles over
 // 128 pages the TLB holds side by side, "refill" alternates two pages that
-// share a TLB slot, so every access is a backing hit that refills the slot.
+// share a TLB slot, so every access is a backing hit that refills the slot,
+// and "word" cycles over the 128 pages of "hit" alternating Read64 and
+// Write64, the word path Graph500 and the closed loops take.
 func BenchmarkTouchHit(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		stride uint64 // pages between consecutive accesses
-		pages  uint64
-	}{{"hit", 1, 128}, {"refill", tlbMaxEntries, 2}} {
+		pages  uint64 // a power of two, so the cycle is a mask, not a division
+		word   bool
+	}{{"hit", 1, 128, false}, {"refill", tlbMaxEntries, 2, false}, {"word", 1, 128, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			v, err := New(Config{Name: "bench", MemBytes: 2 * tlbMaxEntries * PageSize}, newFakeBacking(0))
 			if err != nil {
@@ -605,15 +720,23 @@ func BenchmarkTouchHit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			addr := func(i int) uint64 { return seg.Addr(uint64(i) % bc.pages * bc.stride * PageSize) }
+			addr := func(i int) uint64 { return seg.Addr(uint64(i) & (bc.pages - 1) * bc.stride * PageSize) }
 			for i := 0; i < int(bc.pages); i++ {
-				if _, _, err := v.Touch(0, addr(i), false); err != nil {
+				if _, _, err := v.Touch(0, addr(i), bc.word); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := v.Touch(0, addr(i), false); err != nil {
+				switch {
+				case !bc.word:
+					_, _, err = v.Touch(0, addr(i), false)
+				case i&1 == 0:
+					_, _, err = v.Read64(0, addr(i)+uint64(i&63)*8)
+				default:
+					_, err = v.Write64(0, addr(i)+uint64(i&63)*8, uint64(i))
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
