@@ -209,16 +209,19 @@ cluster-oracle:
 # be bitwise repeatable and the full report — offered load, goodput, sojourn
 # histograms, queue depths, planner epochs, logical trace digests — invariant
 # across fault-pipeline widths {1,2,4,8}, for every scenario × planner
-# cell; the arrival schedules themselves must be split/merge-invariant, and
-# equal to the reference-bisection schedules timestamp for timestamp
-# (TestInvCum*: guess-and-verify inversion moves no arrival;
-# TestInverseFallbackExact: nor where the walk and the fallback answer;
-# TestSliceOrder*: the linear in-slice ordering is slices.Sort's order); and
-# the engine's queueing must obey Little's law with PASTA on a stable
+# cell (./internal/loadgen/scenariotest); the arrival schedules themselves
+# must be split/merge-invariant, and equal to the reference-bisection
+# schedules timestamp for timestamp (./internal/loadgen: TestInvCum*:
+# certified inversion moves no arrival, at t = 0, 4 s and 10 s;
+# TestInverseFallbackExact: nor where bisection answers; TestSliceModelBound:
+# every slice model's bound holds 8 times over; TestSliceOrder*: the linear
+# in-slice ordering is slices.Sort's order; TestNonFiniteRateTerminates: a
+# rate that is not finite ends a stream, and a run, with an error); and the
+# engine's queueing must obey Little's law with PASTA on a stable
 # constant-rate Poisson sweep (TestLittlesLawWithPASTA).
 openloop-oracle:
 	$(GO) test ./internal/loadgen/scenariotest/ -count=1
-	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum|TestInverseFallbackExact|TestSliceOrder'
+	$(GO) test ./internal/loadgen/ -count=1 -run 'TestSchedule|TestArrivals|TestRun|TestInvCum|TestInverseFallbackExact|TestSliceModelBound|TestSliceOrder|TestNonFiniteRateTerminates'
 
 # Short fuzz passes over the flat-model checkers: the coalescing write-back
 # engine, the monitor's readahead (capacity, window and op stream against a
@@ -236,7 +239,8 @@ openloop-oracle:
 # key-routing invariants, the replica-set core (replicated.Store
 # and the cluster pool in lockstep with test-side copies of the code they
 # replaced), the open-loop arrival schedules' monotonicity, split/merge
-# invariance and equality with the reference-bisection schedule, the
+# invariance and equality with the reference-bisection schedule (on windows
+# that start as late as 131 s), the
 # table-driven Zipfian (draw for draw and word for word around every step
 # against a test-side copy of the formula it replaced), the aliasing net
 # (storetest.Poisoned) over re-puts and takes of a store's own read buffers,

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -86,12 +87,17 @@ func knuthPoisson(r *clock.Rand, limit float64) int {
 
 // sliceArrivals appends slice k's arrivals — every timestamp in
 // [k*ArrivalSlice, (k+1)*ArrivalSlice) — to out in ascending order, using
-// ord's buffers to order them.
-func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceOrder) []time.Duration {
+// ord's buffers to order them. A slice whose measure is not a finite number
+// (a NaN or infinite rate, a DiurnalRate with no Period) has no arrivals to
+// draw: it reports an error and appends none.
+func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceOrder) ([]time.Duration, error) {
 	start := time.Duration(k) * ArrivalSlice
 	end := start + ArrivalSlice
 	cumStart := cfg.Curve.CumOps(start)
 	cumEnd := cfg.Curve.CumOps(end)
+	if lambda := cumEnd - cumStart; math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		return out, fmt.Errorf("loadgen: arrival measure over [%v, %v) is CumOps %v − %v, not a finite number", start, end, cumEnd, cumStart)
+	}
 	switch cfg.Process {
 	case Deterministic:
 		// Arrivals at integer crossings of the cumulative measure: the
@@ -101,7 +107,8 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceO
 		if n > cumEnd {
 			break
 		}
-		inv := newCumInverse(cfg.Curve, start, end, cumStart, cumEnd)
+		var inv cumInverse
+		inv.reset(cfg.Curve, start, end, cumStart, cumEnd)
 		for ; n <= cumEnd; n++ {
 			t := inv.invert(n)
 			if t >= end {
@@ -116,7 +123,8 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceO
 		if n == 0 {
 			break
 		}
-		inv := newCumInverse(cfg.Curve, start, end, cumStart, cumEnd)
+		var inv cumInverse
+		inv.reset(cfg.Curve, start, end, cumStart, cumEnd)
 		first := len(out)
 		for i := 0; i < n; i++ {
 			// u in [0,1) maps to measure in [cumStart, cumEnd): inversion
@@ -130,7 +138,7 @@ func (cfg ArrivalConfig) sliceArrivals(k int64, out []time.Duration, ord *sliceO
 		}
 		ord.sort(out[first:], start)
 	}
-	return out
+	return out, nil
 }
 
 // sliceOrder sorts one slice's arrivals in linear expected time. A
@@ -188,7 +196,8 @@ func (o *sliceOrder) sort(ts []time.Duration, start time.Duration) {
 
 // Schedule materialises every arrival timestamp in [from, to), ascending.
 // Use Arrivals for long horizons; Schedule is the reference the fuzzer
-// checks invariants on.
+// checks invariants on. It stops at the first slice whose measure is not a
+// finite number, as Arrivals does.
 func (cfg ArrivalConfig) Schedule(from, to time.Duration) []time.Duration {
 	var out []time.Duration
 	if to <= from {
@@ -198,7 +207,10 @@ func (cfg ArrivalConfig) Schedule(from, to time.Duration) []time.Duration {
 	var buf []time.Duration
 	var ord sliceOrder
 	for k := int64(from / ArrivalSlice); time.Duration(k)*ArrivalSlice < to; k++ {
-		buf = cfg.sliceArrivals(k, buf[:0], &ord)
+		var err error
+		if buf, err = cfg.sliceArrivals(k, buf[:0], &ord); err != nil {
+			break
+		}
 		for _, t := range buf {
 			if t >= from && t < to {
 				out = append(out, t)
@@ -218,6 +230,7 @@ type Arrivals struct {
 	buf      []time.Duration
 	idx      int
 	ord      *sliceOrder
+	err      error
 }
 
 // NewArrivals returns an iterator over cfg's arrivals in [from, to).
@@ -234,7 +247,7 @@ func newArrivals(cfg ArrivalConfig, from, to time.Duration, ord *sliceOrder) *Ar
 }
 
 // Next returns the next arrival timestamp, or false when the window is
-// exhausted.
+// exhausted or a slice's measure is not a finite number (see Err).
 func (a *Arrivals) Next() (time.Duration, bool) {
 	for {
 		for a.idx < len(a.buf) {
@@ -248,11 +261,15 @@ func (a *Arrivals) Next() (time.Duration, bool) {
 			}
 			return t, true
 		}
-		if time.Duration(a.k)*ArrivalSlice >= a.to {
+		if a.err != nil || time.Duration(a.k)*ArrivalSlice >= a.to {
 			return 0, false
 		}
-		a.buf = a.cfg.sliceArrivals(a.k, a.buf[:0], a.ord)
+		a.buf, a.err = a.cfg.sliceArrivals(a.k, a.buf[:0], a.ord)
 		a.idx = 0
 		a.k++
 	}
 }
+
+// Err reports why Next stopped short of the window's end: a slice whose
+// arrival measure is not a finite number. It is nil otherwise.
+func (a *Arrivals) Err() error { return a.err }

@@ -140,6 +140,19 @@ type engineTenant struct {
 	queueSum uint64
 }
 
+// scheduleNext puts the tenant's next arrival on sched, to fire, or reports
+// why its stream stopped short of its window.
+func (et *engineTenant) scheduleNext(sched *clock.Scheduler, fire func(time.Duration)) error {
+	if at, ok := et.arr.Next(); ok {
+		sched.Schedule(at, et.idx, fire)
+		return nil
+	}
+	if err := et.arr.Err(); err != nil {
+		return fmt.Errorf("loadgen: tenant %s: %w", et.scen.ID, err)
+	}
+	return nil
+}
+
 // Run executes one open-loop scenario and returns its report.
 //
 // The run is a single-threaded discrete-event simulation over
@@ -291,7 +304,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// Arrival events chain: each fires the tenant's op, then schedules the
 	// tenant's next arrival, so the heap holds at most one event — and one
-	// closure, built here and re-scheduled as is — per tenant.
+	// closure, built here and re-scheduled as is — per tenant. A stream that
+	// stops on a measure that is not a finite number stops the run.
 	for _, et := range tenants { // go 1.22: et is per-iteration
 		var fire func(at time.Duration)
 		fire = func(at time.Duration) {
@@ -299,12 +313,12 @@ func Run(cfg Config) (*Report, error) {
 				return
 			}
 			serve(et, at)
-			if next, ok := et.arr.Next(); ok {
-				sched.Schedule(next, et.idx, fire)
+			if err := et.scheduleNext(sched, fire); err != nil && runErr == nil {
+				runErr = err
 			}
 		}
-		if first, ok := et.arr.Next(); ok {
-			sched.Schedule(first, et.idx, fire)
+		if err := et.scheduleNext(sched, fire); err != nil && runErr == nil {
+			runErr = err
 		}
 	}
 

@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -127,6 +129,68 @@ func TestRunRejectsNonFiniteRateScale(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("RateScale %v: Run still running after 10s; a non-finite scale must be refused", scale)
 		}
+	}
+}
+
+// TestNonFiniteRateTerminates: a curve whose measure is not a finite number
+// — a NaN or infinite rate, a DiurnalRate with no Period (ω = +Inf makes
+// CumOps NaN) — has no arrivals to draw. Schedule returns none, Arrivals
+// stops with an error, and Run fails naming the tenant, under both
+// processes and each under a watchdog, so a generator that loops forever
+// fails here rather than hanging the suite.
+func TestNonFiniteRateTerminates(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		curve RateCurve
+	}{
+		{"NaN rate", ConstantRate{PerSec: math.NaN()}},
+		{"+Inf rate", ConstantRate{PerSec: math.Inf(1)}},
+		{"-Inf rate", ConstantRate{PerSec: math.Inf(-1)}},
+		{"no Period", DiurnalRate{Base: 30_000, Swing: 0.9}},
+		{"scaled NaN Base", Scale(DiurnalRate{Base: math.NaN(), Swing: 0.5, Period: time.Millisecond}, 2)},
+	} {
+		for _, proc := range []Process{Poisson, Deterministic} {
+			cfg := ArrivalConfig{Process: proc, Curve: c.curve, Seed: 1}
+			watchdog(t, fmt.Sprintf("%s, process %d: Schedule", c.name, proc), func() error {
+				if got := cfg.Schedule(0, 2*time.Millisecond); len(got) != 0 {
+					return fmt.Errorf("%d arrivals", len(got))
+				}
+				return nil
+			})
+			watchdog(t, fmt.Sprintf("%s, process %d: Arrivals", c.name, proc), func() error {
+				a := NewArrivals(cfg, 0, 2*time.Millisecond)
+				for _, ok := a.Next(); ok; _, ok = a.Next() {
+				}
+				if a.Err() == nil {
+					return errors.New("stream ended with no error")
+				}
+				return nil
+			})
+		}
+		scen := mustScenario(t, "diurnal")
+		scen.Tenants[1].Curve = c.curve
+		watchdog(t, c.name+": Run", func() error {
+			if _, err := Run(Config{Scenario: scen}); err == nil || !strings.Contains(err.Error(), "tenant night") {
+				return fmt.Errorf("err = %v, want one naming tenant night", err)
+			}
+			return nil
+		})
+	}
+}
+
+// watchdog runs f on a goroutine and fails the test if f reports an error,
+// or if it has not returned within 10 s.
+func watchdog(t *testing.T, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still running after 10s; a measure that is not finite must end the stream", what)
 	}
 }
 

@@ -50,7 +50,10 @@ func TestSliceOrderMatchesSort(t *testing.T) {
 		for k := int64(0); k < 200; k++ {
 			want := drawSlice(cfg, k)
 			slices.Sort(want)
-			buf = cfg.sliceArrivals(k, buf[:0], &ord)
+			var err error
+			if buf, err = cfg.sliceArrivals(k, buf[:0], &ord); err != nil {
+				t.Fatal(err)
+			}
 			if !slices.Equal(buf, want) {
 				t.Fatalf("%s slice %d: %d arrivals differ from the sorted draws", name, k, len(buf))
 			}
